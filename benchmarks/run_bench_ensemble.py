@@ -29,14 +29,14 @@ warm rerun (key + load), asserting the rerun is bit-identical.
 Two further sections (both gated on bit-identity, so they exit
 non-zero instead of silently skewing):
 
-* ``pool`` — the 64-instance t-line through the ``shard`` backend (a
-  throwaway pool per solve, trajectories returned via pickle) against
-  the persistent ``pool`` backend (workers spawned once, results via
-  shared memory), cold and warm; records the pickle bytes the shm
-  transport avoids and the warm-worker reuse win. ``cpu_count`` is
-  recorded because on a single-core host neither pool can beat the
-  single-process batch on wall clock — the numbers to read are
-  warm-vs-cold and pool-vs-shard.
+* ``pool`` — the 64-instance t-line (fixed-step rk4, so the row split
+  cannot change a bit) through the single-process ``batch`` backend
+  against the persistent ``pool`` backend (workers spawned once,
+  results via shared memory), cold and warm; records the pickle bytes
+  the shm transport avoids and the warm-worker reuse win. ``cpu_count``
+  is recorded because on a single-core host the pool cannot beat the
+  single-process batch on wall clock — the numbers to read there are
+  warm-vs-cold.
 * ``scheduling`` — the adaptive scheduler on a deliberately skewed
   OBC workload (expensive rows contiguous at the head of one batch):
   even split vs cost-balanced split (cut from the profile the even
@@ -48,11 +48,9 @@ non-zero instead of silently skewing):
   ``stream_ensemble``: time to the *first* finished group vs. the
   barriered total, with the assembled stream gated bit-identical to
   the barriered run.
-* ``array_backend`` — the t-line sweep through the pluggable array
-  layer: the explicit ``numpy:float64`` spec gated bit-identical to
-  the default path, plus (when jax is installed) jax-CPU cold/warm
-  timings showing ``jax.jit`` compile amortization; skips cleanly
-  without jax.
+* ``array_backend`` — the t-line sweep through the array-backend
+  seam: the explicit ``numpy:float64`` spec gated bit-identical to the
+  default path.
 """
 
 from __future__ import annotations
@@ -225,55 +223,56 @@ def run_cache_scenario(spec: dict, n_instances: int) -> dict:
 
 
 def run_pool_scenario(n_instances: int, n_points: int) -> dict:
-    """shard (throwaway pool + pickle returns) vs the persistent
-    zero-copy pool on the t-line mismatch sweep, cold and warm. The
-    two backends share the row split, so the rkf45 results must be
-    bit-identical — the gate that keeps the comparison honest."""
+    """The single-process batch vs the persistent zero-copy pool on
+    the t-line mismatch sweep, cold and warm. Fixed-step rk4 rows are
+    partition-independent, so the pool must be bit-identical to the
+    batch — the gate that keeps the comparison honest."""
     factory = TlineBenchFactory()
     span = (0.0, 8e-8)
     processes = min(4, max(2, os.cpu_count() or 1))
-    kwargs = dict(n_points=n_points, processes=processes, shard_min=2)
+    kwargs = dict(n_points=n_points, method="rk4")
     start = time.perf_counter()
-    sharded = run_ensemble(factory, range(n_instances), span,
-                           engine="shard", **kwargs)
-    shard_seconds = time.perf_counter() - start
+    batch = run_ensemble(factory, range(n_instances), span, **kwargs)
+    batch_seconds = time.perf_counter() - start
     shutdown_pools()  # measure a genuinely cold pool (worker spawn)
     start = time.perf_counter()
     cold = run_ensemble(factory, range(n_instances), span,
-                        engine="pool", **kwargs)
+                        engine="pool", processes=processes, **kwargs)
     cold_seconds = time.perf_counter() - start
     # Warm: workers, payload caches, and compiled kernels are reused.
     warm_seconds = float("inf")
     for _ in range(3):
         start = time.perf_counter()
         warm = run_ensemble(factory, range(n_instances), span,
-                            engine="pool", **kwargs)
+                            engine="pool", processes=processes,
+                            **kwargs)
         warm_seconds = min(warm_seconds, time.perf_counter() - start)
     identical = bool(
-        np.array_equal(sharded.batches[0].y, cold.batches[0].y)
+        np.array_equal(batch.batches[0].y, cold.batches[0].y)
         and np.array_equal(cold.batches[0].y, warm.batches[0].y))
-    # What the shard backend pickles back through the pipe per solve —
+    # What a pickling pool would haul back through the pipe per solve —
     # the transport cost the shared-memory blocks eliminate.
-    pickle_bytes = int(sum(batch.y.nbytes for batch in cold.batches))
+    pickle_bytes = int(sum(part.y.nbytes for part in cold.batches))
     result = {
         "workload": f"tline_{n_instances}",
         "n_instances": n_instances,
         "n_points": n_points,
         "processes": processes,
         "cpu_count": os.cpu_count(),
-        "shard_seconds": round(shard_seconds, 4),
+        "method": "rk4",
+        "batch_seconds": round(batch_seconds, 4),
         "pool_cold_seconds": round(cold_seconds, 4),
         "pool_warm_seconds": round(warm_seconds, 4),
-        "pool_warm_speedup_vs_shard": round(
-            shard_seconds / warm_seconds, 2),
+        "pool_warm_speedup_vs_batch": round(
+            batch_seconds / warm_seconds, 2),
         "pool_warm_speedup_vs_cold": round(
             cold_seconds / warm_seconds, 2),
         "pickle_bytes_avoided_per_solve": pickle_bytes,
         "bit_identical": identical,
     }
-    print(f"[pool] shard {shard_seconds:.2f}s  pool cold "
+    print(f"[pool] batch {batch_seconds:.2f}s  pool cold "
           f"{cold_seconds:.2f}s  warm {warm_seconds:.2f}s  "
-          f"(warm vs shard {result['pool_warm_speedup_vs_shard']:.1f}x"
+          f"(warm vs batch {result['pool_warm_speedup_vs_batch']:.1f}x"
           f", {pickle_bytes / 1e6:.1f} MB pickle avoided/solve, "
           f"identical={identical}, cpus: {os.cpu_count()})")
     return result
@@ -281,14 +280,9 @@ def run_pool_scenario(n_instances: int, n_points: int) -> dict:
 
 def run_array_backend_scenario(n_instances: int,
                                n_points: int) -> dict:
-    """numpy vs jax-CPU on the t-line mismatch sweep through the
-    array-backend layer. The numpy/float64 run must be bit-identical
-    to the default path (that is the gate); jax timings are recorded
-    cold (first solve pays `jax.jit` kernel compilation) and warm
-    (compilation amortized across reruns — the number that matters
-    for sweeps). When jax is not installed the section records
-    ``jax_available: false`` and skips, never fails: the backend is an
-    optional import by design."""
+    """The t-line mismatch sweep through the array-backend seam: the
+    explicit numpy/float64 spec must be bit-identical to the default
+    path (that is the gate)."""
     factory = TlineBenchFactory()
     span = (0.0, 8e-8)
     kwargs = dict(n_points=n_points)
@@ -308,50 +302,9 @@ def run_array_backend_scenario(n_instances: int,
         "numpy_seconds": round(numpy_seconds, 4),
         "numpy_explicit_seconds": round(explicit_seconds, 4),
         "bit_identical": identical,
-        "note": "jax cold includes jax.jit kernel compilation; "
-                "compile cost amortizes across reruns of the same "
-                "structural group (warm is the sweep-relevant "
-                "number). Host transfer happens once per solve at "
-                "trajectory assembly.",
     }
-    try:
-        import jax  # noqa: F401
-        jax_available = True
-    except ImportError:
-        jax_available = False
-    result["jax_available"] = jax_available
-    if jax_available:
-        start = time.perf_counter()
-        cold = run_ensemble(factory, range(n_instances), span,
-                            array_backend="jax", **kwargs)
-        cold_seconds = time.perf_counter() - start
-        warm_seconds = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            warm = run_ensemble(factory, range(n_instances), span,
-                                array_backend="jax", **kwargs)
-            warm_seconds = min(warm_seconds,
-                               time.perf_counter() - start)
-        scale = float(np.max(np.abs(default.batches[0].y)))
-        deviation = float(np.max(np.abs(
-            warm.batches[0].y - default.batches[0].y)))
-        result.update({
-            "jax_cold_seconds": round(cold_seconds, 4),
-            "jax_warm_seconds": round(warm_seconds, 4),
-            "jax_compile_amortization": round(
-                cold_seconds / warm_seconds, 2),
-            "jax_max_rel_deviation": deviation / scale,
-            "jax_within_tolerance": bool(deviation < 1e-9 * scale),
-        })
-        print(f"[array-backend] numpy {numpy_seconds:.2f}s  jax cold "
-              f"{cold_seconds:.2f}s  warm {warm_seconds:.2f}s  "
-              f"(identical={identical}, jax max rel dev "
-              f"{deviation / scale:.1e})")
-        cold = warm = None
-    else:
-        print(f"[array-backend] numpy {numpy_seconds:.2f}s  "
-              f"(identical={identical}; jax not installed — section "
-              f"skipped)")
+    print(f"[array-backend] numpy {numpy_seconds:.2f}s  explicit spec "
+          f"{explicit_seconds:.2f}s  (identical={identical})")
     return result
 
 
@@ -616,7 +569,7 @@ def main(argv=None) -> int:
     failures = [name for name, record in payload["workloads"].items()
                 if not record["cache"]["bit_identical"]]
     if not payload["pool"]["bit_identical"]:
-        failures.append("pool-vs-shard")
+        failures.append("pool-vs-batch")
     if not payload["scheduling"]["bit_identical"]:
         failures.append("scheduling-cost-vs-even")
     if not payload["scheduling"]["speedup_ok"]:
@@ -629,8 +582,6 @@ def main(argv=None) -> int:
         failures.append("telemetry-disabled-overhead")
     if not payload["array_backend"]["bit_identical"]:
         failures.append("array-backend-numpy-identity")
-    if payload["array_backend"].get("jax_within_tolerance") is False:
-        failures.append("array-backend-jax-tolerance")
     if args.out:
         result_path = pathlib.Path(args.out)
     elif args.smoke:

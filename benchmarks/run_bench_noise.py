@@ -1,4 +1,4 @@
-"""Transient-noise engine benchmark: serial vs. batched vs. sharded SDE
+"""Transient-noise engine benchmark: serial vs. batched vs. pooled SDE
 wall time, plus per-instance step-mask savings.
 
 Writes ``BENCH_noise.json`` at the repository root::
@@ -20,13 +20,13 @@ Sections:
   identical per-(chip, trial) Wiener streams, so the responses — and
   therefore the reliability numbers — agree bit for bit, and the
   speedup is never bought with a different noise realization.
-* ``sharded_sde`` — the same (chips x trials) sweep through the
-  ``shard`` backend: per-core sub-batches, bit-identical to both the
-  batched and the serial single-process baselines (Wiener streams are
-  keyed per (seed, element, path), never by batch layout). The
+* ``sharded_sde`` — the same (chips x trials) sweep split into
+  per-core shards on the persistent ``pool`` backend, cold and warm:
+  bit-identical to the single-process ``batch`` solve (Wiener streams
+  are keyed per (seed, element, path), never by batch layout). The
   recorded ``cpu_count`` qualifies the wall-clock numbers: on a
   single-core runner the pool only adds spawn overhead, and the
-  speedup to read is sharded-vs-*serial* (the PR 2 single-process
+  speedup to read is pool-vs-*serial* (the single-process per-pair
   baseline).
 * ``step_mask`` — per-instance freeze masks on the stiff OBC max-cut
   ensemble (SHIL binarization puts the Jacobian at ~5e9 rad/s): once
@@ -161,27 +161,22 @@ def bench_puf(n_chips, n_trials, n_points) -> dict:
 
 def bench_sharded_sde(n_chips, n_trials, n_points,
                       serial_seconds) -> dict:
-    """The (chips x trials) sweep through the shard backend — per-core
-    sub-batches, bit-identical to the unsharded solve. ``processes``
-    is capped by the host; ``cpu_count`` is recorded because on a
-    single-core runner the pool can only add overhead and the number
-    to read is the speedup over the serial per-pair baseline."""
+    """The (chips x trials) sweep split into per-core shards on the
+    persistent pool, bit-identical to the single-process batch.
+    ``processes`` is capped by the host; ``cpu_count`` is recorded
+    because on a single-core runner the pool can only add overhead and
+    the number to read is the speedup over the serial per-pair
+    baseline."""
     factory = ChipFactory(DESIGN, CHALLENGE)
     span = (0.0, T_END)
     kwargs = dict(trials=n_trials, n_points=n_points, reference=False)
     start = time.perf_counter()
-    unsharded = run_ensemble(factory, range(n_chips), span, **kwargs)
-    unsharded_seconds = time.perf_counter() - start
+    batched = run_ensemble(factory, range(n_chips), span, **kwargs)
+    batched_seconds = time.perf_counter() - start
     processes = min(4, max(2, os.cpu_count() or 1))
-    start = time.perf_counter()
-    sharded = run_ensemble(factory, range(n_chips), span,
-                           engine="shard", processes=processes,
-                           shard_min=n_chips * n_trials, **kwargs)
-    sharded_seconds = time.perf_counter() - start
-    # The persistent zero-copy pool on the same (chips x trials)
-    # split: cold (spawns workers) and warm (reuses them + the
-    # per-worker payload/kernel caches); results return via shared
-    # memory instead of pickle.
+    # Cold (spawns workers) and warm (reuses them + the per-worker
+    # payload/kernel caches); results return via shared memory instead
+    # of pickle.
     shutdown_pools()
     start = time.perf_counter()
     pool_cold = run_ensemble(factory, range(n_chips), span,
@@ -196,8 +191,8 @@ def bench_sharded_sde(n_chips, n_trials, n_points,
                                  **kwargs)
         pool_warm_seconds = min(pool_warm_seconds,
                                 time.perf_counter() - start)
-    identical = bool(np.array_equal(unsharded.batches[0].y,
-                                    sharded.batches[0].y))
+    identical = bool(np.array_equal(batched.batches[0].y,
+                                    pool_cold.batches[0].y))
     # One extra metered pool run (outside the timed loop, so the
     # wall-clock numbers stay clean): its RunReport documents what the
     # sweep actually did — shm transport, shard split, per-worker load.
@@ -210,9 +205,7 @@ def bench_sharded_sde(n_chips, n_trials, n_points,
                                     engine="pool",
                                     processes=processes, **kwargs)
     pool_identical = bool(
-        np.array_equal(sharded.batches[0].y, pool_cold.batches[0].y)
-        and np.array_equal(pool_cold.batches[0].y,
-                           pool_warm.batches[0].y)
+        np.array_equal(pool_cold.batches[0].y, pool_warm.batches[0].y)
         and np.array_equal(pool_warm.batches[0].y,
                            pool_metered.batches[0].y))
     # Adaptive scheduling on the SDE path: both SDE methods are
@@ -234,17 +227,12 @@ def bench_sharded_sde(n_chips, n_trials, n_points,
         "processes": processes,
         "cpu_count": os.cpu_count(),
         "serial_seconds": round(serial_seconds, 4),
-        "batched_seconds": round(unsharded_seconds, 4),
-        "sharded_seconds": round(sharded_seconds, 4),
-        "sharded_speedup_vs_serial": round(
-            serial_seconds / sharded_seconds, 2),
-        "sharded_speedup_vs_batched": round(
-            unsharded_seconds / sharded_seconds, 2),
+        "batched_seconds": round(batched_seconds, 4),
         "bit_identical": identical,
         "pool_cold_seconds": round(pool_cold_seconds, 4),
         "pool_warm_seconds": round(pool_warm_seconds, 4),
-        "pool_warm_speedup_vs_shard": round(
-            sharded_seconds / pool_warm_seconds, 2),
+        "pool_warm_speedup_vs_batched": round(
+            batched_seconds / pool_warm_seconds, 2),
         "pool_warm_speedup_vs_serial": round(
             serial_seconds / pool_warm_seconds, 2),
         "pickle_bytes_avoided_per_solve": int(
@@ -272,12 +260,13 @@ def bench_sharded_sde(n_chips, n_trials, n_points,
                 for name, block in tele_report.workers.items()},
         },
     }
-    print(f"[sharded_sde] batched {unsharded_seconds:.2f}s  sharded "
-          f"(p={processes}) {sharded_seconds:.2f}s  pool cold/warm "
+    print(f"[sharded_sde] batched {batched_seconds:.2f}s  pool "
+          f"(p={processes}) cold/warm "
           f"{pool_cold_seconds:.2f}/{pool_warm_seconds:.2f}s  "
-          f"vs-serial {result['sharded_speedup_vs_serial']:.1f}x  "
-          f"pool-warm-vs-shard "
-          f"{result['pool_warm_speedup_vs_shard']:.1f}x  "
+          f"pool-warm-vs-serial "
+          f"{result['pool_warm_speedup_vs_serial']:.1f}x  "
+          f"pool-warm-vs-batched "
+          f"{result['pool_warm_speedup_vs_batched']:.1f}x  "
           f"identical={identical}/{pool_identical}  "
           f"(cpus: {os.cpu_count()})")
     return result
@@ -552,7 +541,7 @@ def main(argv=None) -> int:
     puf = bench_puf(n_chips, n_trials, n_points)
     payload = {
         "benchmark": "transient-noise (SDE) engine: serial vs batched "
-                     "vs sharded, plus step masks",
+                     "vs pooled, plus step masks",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "smoke": args.smoke,
@@ -566,7 +555,7 @@ def main(argv=None) -> int:
             n_chips, n_trials, n_points),
     }
     if not payload["sharded_sde"]["bit_identical"]:
-        print("ERROR: sharded SDE result is not bit-identical",
+        print("ERROR: pooled SDE result is not bit-identical to batch",
               file=sys.stderr)
         return 1
     if not payload["sharded_sde"]["pool_bit_identical"]:

@@ -84,8 +84,7 @@ from repro.errors import (
 )
 from repro.framework import RunResult, run
 from repro.sim import (BatchTrajectory, EnsembleResult,
-                       NoisyEnsembleResult, run_ensemble,
-                       run_noisy_ensemble, simulate_sde,
+                       NoisyEnsembleResult, run_ensemble, simulate_sde,
                        solve_sde, stream_ensemble)
 
 __version__ = "1.0.0"
@@ -139,7 +138,6 @@ __all__ = [
     "BatchTrajectory",
     "EnsembleResult",
     "run_ensemble",
-    "run_noisy_ensemble",
     "simulate_sde",
     "solve_sde",
     "stream_ensemble",

@@ -15,9 +15,6 @@ Implements the §4.6 user workflow without writing Python::
         --t-end 8e-8 --seeds 256 --engine pool --processes 8 --stream
     python -m repro dot program.ark --func br-func --arg br=1
 
-(``repro noise`` remains as a deprecated alias of ``repro ensemble
---trials`` and forwards through the same unified driver.)
-
 Paradigm languages ship with the package, so an ``.ark`` file may use
 ``tln``/``gmc-tln``/``sw-tln``/``ns-tln``/``cnn``/``hw-cnn``/``obc``/
 ``ofs-obc``/``intercon-obc``/``color-obc``/``ns-obc``/``gpac``/
@@ -181,8 +178,8 @@ def cmd_simulate(args) -> int:
 
 class _CliFactory:
     """The ensemble command's ``factory(seed)`` as a module-level class
-    so it pickles — the persistent ``pool`` backend (and ``shard``/
-    ``--processes``) rebuild instances inside worker processes. The
+    so it pickles — the persistent worker pool (``--engine pool`` /
+    ``--processes``) rebuilds instances inside worker processes. The
     parent reuses the already-validated (and, on the noisy path,
     compiled) first instance; that cached object is dropped from the
     pickled state — workers rebuild every seed through ``invoke`` —
@@ -231,6 +228,7 @@ def cmd_ensemble(args) -> int:
     import time
 
     from repro.sim import BATCH_METHODS, SDE_METHODS, run_ensemble
+    from repro.sim.plan import SCIPY_METHODS
 
     if args.seeds < 1:
         raise ArkError(f"--seeds must be >= 1, got {args.seeds}")
@@ -246,11 +244,10 @@ def cmd_ensemble(args) -> int:
         raise ArkError(
             "--noise-seed was given without --trials; pass --trials N "
             "to request a transient-noise sweep")
-    scipy_methods = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
-    if args.method not in BATCH_METHODS + scipy_methods:
+    if args.method not in BATCH_METHODS + SCIPY_METHODS:
         raise ArkError(
             f"unknown method {args.method!r}; expected one of "
-            f"{', '.join(BATCH_METHODS + scipy_methods)}")
+            f"{', '.join(BATCH_METHODS + SCIPY_METHODS)}")
     _, functions = _load(args)
     function = _pick_function(functions, args.func)
     arguments = {}
@@ -711,32 +708,6 @@ def cmd_bench(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_noise(args) -> int:
-    """Deprecated alias: ``repro noise`` forwards to ``repro ensemble
-    --trials/--noise-seed/--sde-method`` through the unified
-    execution-plan driver (outputs are bit-identical)."""
-    print("warning: `repro noise` is deprecated; use `repro ensemble "
-          "--trials N [--noise-seed B] [--sde-method heun|em]` "
-          "(forwarding)", file=sys.stderr)
-    args.sde_method = args.method
-    args.method = "auto"
-    # Options the trimmed-down alias parser does not expose.
-    args.engine = getattr(args, "engine", "batch")
-    args.dense = getattr(args, "dense", True)
-    args.noise_seed = getattr(args, "noise_seed", 0)
-    args.processes = getattr(args, "processes", None)
-    args.freeze_tol = getattr(args, "freeze_tol", None)
-    args.stream = getattr(args, "stream", False)
-    args.schedule = getattr(args, "schedule", "even")
-    args.overshard = getattr(args, "overshard", 1)
-    args.pin_workers = getattr(args, "pin_workers", False)
-    if not hasattr(args, "shard_min"):
-        from repro.sim import ensemble as _ensemble
-
-        args.shard_min = _ensemble.DEFAULT_SHARD_MIN
-    return cmd_ensemble(args)
-
-
 def cmd_dot(args) -> int:
     graph = _invoke(args)
     print(to_dot(graph, include_attrs=args.attrs))
@@ -855,27 +826,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-instance step masks: converged "
                        "instances freeze instead of forcing the "
                        "worst-case step on the whole batch")
-    p_ens.add_argument("--engine", default="batch",
-                       choices=("batch", "serial", "shard", "pool",
-                                "auto"))
+    from repro.sim.ensemble import DEFAULT_SHARD_MIN, ENGINES
+    p_ens.add_argument("--engine", default="batch", choices=ENGINES)
     p_ens.add_argument("--array-backend", default=None,
                        metavar="NAME[:DTYPE]",
                        help="array namespace for the batched kernels "
                        "and solver loops: numpy (default, "
-                       "bit-identical), numpy:float32, jax, or cupy "
-                       "(the latter two require their packages); "
-                       "non-numpy backends run in-process only "
-                       "(--engine pool/shard refuse)")
+                       "bit-identical) or numpy:float32")
     p_ens.add_argument("--backend", default="milp",
                        choices=("milp", "flow"))
     p_ens.add_argument("--processes", type=int, default=None,
                        help="process-pool width: batched groups of >= "
                        "--shard-min instances run on the persistent "
                        "zero-copy worker pool as per-core sub-batches "
-                       "and serial fallbacks fan out one-per-worker")
+                       "and serial fallbacks fan out over the same pool "
+                       "one seed per task")
     p_ens.add_argument("--schedule", default="even",
                        choices=("even", "cost"),
-                       help="pool/shard row-split policy: even "
+                       help="pool row-split policy: even "
                        "(default, near-equal row counts) or cost "
                        "(shards cut at predicted-cost quantiles from "
                        "the persisted cost profile, stiffest group "
@@ -895,7 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(prints one progress line per completed "
                        "group; final statistics/CSV are identical to "
                        "the barriered run)")
-    from repro.sim.ensemble import DEFAULT_SHARD_MIN
     p_ens.add_argument("--shard-min", type=int,
                        default=DEFAULT_SHARD_MIN,
                        help="smallest batched group worth sharding "
@@ -1030,42 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="summarize the history file's workloads")
     bench_common(b_list)
     b_list.set_defaults(handler=cmd_bench)
-
-    p_noise = sub.add_parser(
-        "noise",
-        help="deprecated alias for `ensemble --trials` (transient-"
-        "noise sweep: chips x trials)")
-    common(p_noise)
-    p_noise.add_argument("--t-end", type=float, required=True)
-    p_noise.add_argument("--seeds", type=int, default=4,
-                         help="number of fabricated instances (chips)")
-    p_noise.add_argument("--seed-base", type=int, default=0,
-                         help="first mismatch seed (default 0)")
-    p_noise.add_argument("--trials", type=int, default=8,
-                         help="noise realizations per chip")
-    p_noise.add_argument("--noise-seed", type=int, default=0,
-                         help="first trial index (shift for fresh "
-                         "realizations; default 0)")
-    p_noise.add_argument("--points", type=int, default=200)
-    p_noise.add_argument("--method", default="heun",
-                         help="SDE method: heun (default) or em")
-    p_noise.add_argument("--max-step", type=float, default=None,
-                         help="fixed-step cap (default span/64)")
-    p_noise.add_argument("--backend", default="milp",
-                         choices=("milp", "flow"))
-    p_noise.add_argument("--cache-dir", default=None,
-                         help="directory for the on-disk trajectory "
-                         "cache (keyed incl. noise seeds: identical "
-                         "sweeps replay stored realizations "
-                         "bit-for-bit)")
-    p_noise.add_argument("--node", action="append",
-                         help="node to aggregate (repeatable; default: "
-                         "all dynamic nodes)")
-    p_noise.add_argument("--csv", help="write noise statistics "
-                         "(mean/std/p05/p95 per node) to a CSV file")
-    p_noise.add_argument("--print-rows", type=int, default=20,
-                         help="rows to print when not writing CSV")
-    p_noise.set_defaults(handler=cmd_noise)
 
     p_dot = sub.add_parser("dot", help="emit Graphviz DOT")
     common(p_dot)

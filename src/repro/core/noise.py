@@ -15,10 +15,10 @@ noisy-ensemble driver uses ``"<chip_seed>:<trial>"`` so every
 (fabricated chip, noise trial) pair owns an independent realization.
 
 Array backends: these streams are *always* drawn on the host PCG64
-generator, whatever array namespace the solver loops run on — a jax or
-float32 run consumes the same float64 increments as the numpy run (the
+generator, whatever array backend the solver loops run on — a float32
+run consumes the same float64 increments as the float64 run (the
 backend's :meth:`~repro.sim.array_api.ArrayBackend.wiener_source`
-adapter converts draws at the device/dtype boundary). The noise
+adapter converts draws at the dtype boundary). The noise
 *realization* is therefore backend-independent by construction; only
 the arithmetic that consumes it is subject to the backend's dtype.
 """

@@ -183,12 +183,13 @@ def simulate_ensemble(factory, seeds, t_span, engine: str = "batch",
         model multiple fabricated chips (§4.3).
     :param seeds: iterable of mismatch seeds.
     :param engine: execution backend — ``batch`` (default), ``serial``
-        (one scipy solve per seed, the historical behavior), ``shard``,
+        (one scipy solve per seed, the historical behavior), ``pool``,
         or ``auto`` (see :mod:`repro.sim.plan`). Unknown names raise
         :class:`ValueError` instead of silently falling back to the
         serial path.
-    :param processes: optional multiprocessing fan-out for instances
-        that cannot be batched.
+    :param processes: width of the persistent worker pool: large
+        batched groups split across it, and instances that cannot be
+        batched fan out over it one seed per task.
     :param simulate_options: forwarded to the engine/serial solver —
         ``n_points``, ``method``, ``rtol``, ``atol``, ``backend``,
         ``t_eval``, ``max_step``. Passing a scipy method name (e.g.

@@ -276,7 +276,6 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
                        max_step: float = NOISE_MAX_STEP,
                        method: str = "heun",
                        seed: int = 0,
-                       processes: int | None = None,
                        freeze_tol: float | None = None,
                        ) -> list[NoisePoint]:
     """Solution quality vs. phase-noise amplitude (batched SDE sweep).
@@ -288,16 +287,12 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
     synchronizes when every phase bins within ``d`` of {0, pi} and is
     solved when its cut is maximal.
 
-    :param processes: shard each amplitude's SDE batch into per-core
-        sub-batches (bit-identical to the unsharded solve: Wiener
-        streams are keyed per trial token, never by batch layout).
     :param freeze_tol: per-instance step masks — settled trials freeze
         instead of stepping to the horizon (see
         :func:`repro.sim.solve_sde`); an approximation knob, off by
         default.
     """
     from repro.sim import compile_batch, solve_sde
-    from repro.sim.plan import sharded_solve_sde
     from repro.core.compiler import compile_graph
     from repro.paradigms.obc.noisy import MaxcutTrialFactory
 
@@ -315,17 +310,10 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
                    for trial in range(trials)]
         if sigma > 0.0:
             tokens = [f"{seed}:{k}" for k in range(trials)]
-            options = dict(n_points=n_points, method=method,
-                           max_step=max_step, freeze_tol=freeze_tol)
-            batch = None
-            if processes and processes > 1:
-                # Every trial is its own "chip" (chip_keys = row ids).
-                batch = sharded_solve_sde(
-                    factory, list(range(trials)), list(range(trials)),
-                    tokens, systems, (0.0, t_end), options, processes)
-            if batch is None:
-                batch = solve_sde(compile_batch(systems), (0.0, t_end),
-                                  noise_seeds=tokens, **options)
+            batch = solve_sde(compile_batch(systems), (0.0, t_end),
+                              noise_seeds=tokens, n_points=n_points,
+                              method=method, max_step=max_step,
+                              freeze_tol=freeze_tol)
         else:
             from repro.sim import solve_batch
             batch = solve_batch(compile_batch(systems), (0.0, t_end),

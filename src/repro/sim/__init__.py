@@ -13,9 +13,12 @@ implementation runs them as vectorized batches (``--vectorize --bz
   :class:`~repro.sim.batch_solver.BatchTrajectory`;
 * :mod:`repro.sim.plan` — the unified execution-plan layer: an
   :class:`~repro.sim.plan.ExecutionPlan` plus a pluggable backend
-  registry (``serial``/``batch``/``shard``/``auto``) that every driver
-  compiles into, so sharding, caching, and per-instance step masks
+  registry (``serial``/``batch``/``pool``/``auto``) that every driver
+  compiles into, so pooling, caching, and per-instance step masks
   cover the deterministic and the SDE path identically;
+* :mod:`repro.sim.pool` / :mod:`repro.sim.shm` — the persistent
+  worker pool, the engine's one process model: batched shards return
+  through shared memory, the serial fan-out through the result queue;
 * :mod:`repro.sim.ensemble` — :func:`~repro.sim.ensemble.run_ensemble`,
   the one driver for mismatch sweeps *and* (with ``trials=K``)
   transient-noise sweeps;
@@ -23,19 +26,18 @@ implementation runs them as vectorized batches (``--vectorize --bz
   integration: deterministic per-``(seed, element, path)`` Wiener
   streams plus vectorized Euler–Maruyama / stochastic Heun solvers over
   the same ``(n_instances, n_states)`` storage;
-* :mod:`repro.sim.noisy` — :func:`~repro.sim.noisy.run_noisy_ensemble`,
-  the established (chip seed × noise trial) name, now a delegating shim
-  over the unified driver;
+* :mod:`repro.sim.noisy` — the (chip seed × noise trial) result
+  types of ``run_ensemble(..., trials=K)``;
 * :mod:`repro.sim.sched` — cost-model-driven adaptive scheduling for
-  the ``shard``/``pool`` backends: cost-balanced uneven row splits,
+  the ``pool`` backend: cost-balanced uneven row splits,
   oversharding onto the pull queue, a persisted per-group cost
   profile, and optional worker CPU pinning — all bit-identical to the
   even split (adaptive methods are pinned to the canonical split);
 * :mod:`repro.sim.array_api` — the pluggable array-namespace layer:
-  an :class:`~repro.sim.array_api.ArrayBackend` protocol with numpy
-  always present (bit-identical default) and jax/cupy registered
-  lazily behind optional imports, selected per run via
-  ``run_ensemble(..., array_backend=...)`` / ``--array-backend``.
+  an :class:`~repro.sim.array_api.ArrayBackend` seam with the numpy
+  backend (bit-identical float64 default, float32 opt-in), selected per
+  run via ``run_ensemble(..., array_backend=...)`` /
+  ``--array-backend``.
 
 Quickstart::
 
@@ -53,7 +55,6 @@ legacy list-of-trajectories API.
 
 from repro.sim.array_api import (ArrayBackend, NumpyBackend,
                                  array_backend_names, canonical_spec,
-                                 register_array_backend,
                                  resolve_array_backend)
 from repro.sim.batch_codegen import (BatchRhs, compile_batch,
                                      generate_batch_source,
@@ -71,8 +72,7 @@ from repro.sim.sched import (SCHEDULES, CostProfile, Scheduler,
                              balanced_parts, even_parts)
 from repro.sim.sde_solver import (SDE_METHODS, WienerSource,
                                   simulate_sde, solve_sde)
-from repro.sim.noisy import (NoisyEnsembleChunk, NoisyEnsembleResult,
-                             run_noisy_ensemble)
+from repro.sim.noisy import NoisyEnsembleChunk, NoisyEnsembleResult
 
 __all__ = [
     "ArrayBackend",
@@ -107,12 +107,10 @@ __all__ = [
     "execute_plan",
     "generate_batch_source",
     "group_by_signature",
-    "register_array_backend",
     "register_backend",
     "resolve_array_backend",
     "resolve_engine",
     "run_ensemble",
-    "run_noisy_ensemble",
     "simulate_sde",
     "solve_batch",
     "solve_sde",

@@ -7,39 +7,33 @@ Every hot path in the simulation stack — the emitted batched kernels
 interface instead of importing numpy directly. An
 :class:`ArrayBackend` bundles:
 
-* ``xp`` — the array namespace handle (``numpy``, ``jax.numpy``,
-  ``cupy``) every kernel and solver op dispatches through;
-* ``asarray`` / ``to_numpy`` — the device boundary: host constants in,
-  host trajectories out (transfer happens only at trajectory assembly);
+* ``xp`` — the array namespace handle every kernel and solver op
+  dispatches through;
+* ``asarray`` / ``to_numpy`` — the host boundary: constants in,
+  trajectories out (conversion happens only at trajectory assembly);
 * a **dtype policy** (``float64`` default, ``float32`` opt-in) applied
   to every array that enters the namespace;
-* a ``jit`` hook — identity on eager backends, ``jax.jit`` on jax —
-  applied to emitted kernels that carry no host callables;
 * a **Wiener-stream adapter** — the deterministic per-``(seed,
   element, path)`` PCG64 draws of :mod:`repro.core.noise` are always
   generated on the host (so realizations are backend-independent) and
   converted at the policy dtype; on ``numpy``/``float64`` the draws
   pass through untouched, keeping noise bit-identical to the
-  pre-abstraction engine;
-* ``mutable_kernels`` — whether emitted kernels may fill preallocated
-  buffers in place (numpy, cupy) or must be emitted in functional form
-  (jax, whose arrays are immutable).
+  pre-abstraction engine.
 
-The ``numpy`` backend is always present and is the default everywhere;
-``jax`` and ``cupy`` are registered lazily behind optional imports, so
-the engine works unchanged on hosts without either. Numpy/float64
-results are **bit-identical** to the pre-abstraction engine
-(test-enforced — the same gate every prior refactor shipped under);
-accelerator backends are gated by numpy-vs-``xp`` equivalence tests at
-tolerance.
+``numpy`` is the one registered backend. Numpy/float64 results are
+**bit-identical** to the pre-abstraction engine (test-enforced — the
+same gate every prior refactor shipped under); float32 is
+tolerance-gated against float64. Emitted kernels fill preallocated
+buffers in place, so a namespace plugged in through the seam must have
+mutable arrays.
 
-Backend resolution accepts a *spec string* — ``"numpy"``, ``"jax"``,
+Backend resolution accepts a *spec string* — ``"numpy"``,
 ``"numpy:float32"`` — an :class:`ArrayBackend` instance, or ``None``
 (the numpy default). Spec strings are what travels through
 :class:`~repro.sim.plan.ExecutionPlan` options, worker payloads, and
 trajectory-cache keys: they are picklable and their canonical form
 (:meth:`ArrayBackend.spec`) names both the backend and the dtype, so a
-float32/jax run can never collide with a float64/numpy cache entry.
+float32 run can never collide with a float64 cache entry.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ __all__ = [
     "NumpyBackend",
     "array_backend_names",
     "canonical_spec",
-    "register_array_backend",
     "resolve_array_backend",
 ]
 
@@ -80,19 +73,14 @@ class ArrayBackend:
     """One array namespace the batched engines can run on.
 
     Subclasses provide :attr:`name` and the ``xp`` property; the base
-    class implements the dtype policy, the host boundary, and the
-    functional-kernel helpers in terms of ``xp``. All hooks default to
-    eager/host semantics so a minimal backend only overrides what its
-    namespace actually does differently.
+    class implements the dtype policy and the host boundary in terms of
+    ``xp``. All hooks default to eager/host semantics so a minimal
+    backend only overrides what its namespace actually does
+    differently.
     """
 
     #: Registry name (also the cache-key/telemetry tag).
     name = "?"
-    #: Whether emitted kernels may fill preallocated buffers in place.
-    #: ``False`` switches codegen to the functional emission (column
-    #: stacking instead of ``dy[:, i] = ...`` stores) that immutable
-    #: array libraries (jax) require.
-    mutable_kernels = True
 
     def __init__(self, dtype=None):
         self.dtype_name = _canonical_dtype(dtype)
@@ -106,8 +94,7 @@ class ArrayBackend:
 
     @property
     def dtype(self):
-        """The policy dtype as a numpy dtype (shared vocabulary across
-        backends — jax and cupy both speak numpy dtypes)."""
+        """The policy dtype as a numpy dtype."""
         return np.dtype(self.dtype_name)
 
     # -- host boundary ------------------------------------------------
@@ -122,17 +109,11 @@ class ArrayBackend:
         return np.asarray(value)
 
     def empty_like(self, value):
-        """Uninitialized work buffer matching an array (mutable
-        kernels fill it; functional backends never ask for one)."""
+        """Uninitialized work buffer matching an array (the emitted
+        kernels fill it in place)."""
         return self.xp.empty_like(value)
 
     # -- kernel hooks -------------------------------------------------
-
-    def jit(self, fn):
-        """Compile an emitted kernel, or return it unchanged (the
-        eager default). Only kernels free of host callables are
-        offered for jitting."""
-        return fn
 
     def vector_functions(self) -> dict:
         """The namespace's counterparts of the scalar builtins (see
@@ -152,27 +133,6 @@ class ArrayBackend:
         callers must use the return value."""
         np.add.at(target, index, values)
         return target
-
-    def column(self, value, y):
-        """Broadcast one emitted column expression to ``(len(y),)`` at
-        the policy dtype — the functional emission's counterpart of
-        numpy's assignment broadcasting (``out[:, i] = scalar``)."""
-        xp = self.xp
-        return xp.broadcast_to(xp.asarray(value, dtype=self.dtype),
-                               y.shape[:1])
-
-    def column_add(self, matrix, index, values):
-        """Functional ``matrix[:, index] += values``: returns a new
-        matrix, leaving the input untouched."""
-        out = matrix.copy()
-        out[:, index] = out[:, index] + values
-        return out
-
-    def column_set(self, matrix, index, values):
-        """Functional ``matrix[:, index] = values``."""
-        out = matrix.copy()
-        out[:, index] = values
-        return out
 
     # -- Wiener adapter -----------------------------------------------
 
@@ -219,24 +179,14 @@ class _ConvertingWiener:
 
 
 class NumpyBackend(ArrayBackend):
-    """The always-present default: plain numpy, eager, mutable.
+    """The default: plain numpy, eager, mutable.
 
     With the default float64 policy every operation the solvers and
     kernels perform is the exact operation the pre-abstraction engine
     performed — results are bit-identical (test-enforced).
-
-    ``mutable_kernels=False`` is supported as the *reference
-    implementation of the functional emission contract*: it runs the
-    same column-stacking kernels an immutable backend (jax) receives,
-    on plain numpy — which is how the functional emitter is tested on
-    hosts without jax.
     """
 
     name = "numpy"
-
-    def __init__(self, dtype=None, mutable_kernels: bool = True):
-        super().__init__(dtype)
-        self.mutable_kernels = bool(mutable_kernels)
 
     @property
     def xp(self):
@@ -248,107 +198,13 @@ class NumpyBackend(ArrayBackend):
         return VECTOR_FUNCTIONS
 
 
-class JaxBackend(ArrayBackend):
-    """jax.numpy backend (optional; registered lazily).
-
-    Kernels are emitted functionally (jax arrays are immutable) and
-    jitted through :func:`jax.jit` when they carry no host callables.
-    The float64 policy enables jax's x64 mode process-wide — jax
-    defaults to float32 otherwise, which would silently violate the
-    dtype policy. Agreement with numpy is tolerance-gated (the
-    numpy-vs-xp equivalence suite), never assumed bit-exact.
-    """
-
-    name = "jax"
-    mutable_kernels = False
-
-    def __init__(self, dtype=None):
-        super().__init__(dtype)
-        try:
-            import jax
-            import jax.numpy as jnp
-        except ImportError as error:
-            raise SimulationError(
-                "array backend 'jax' requires jax, which is not "
-                "installed (pip install jax); the 'numpy' backend is "
-                "always available") from error
-        if self.dtype_name == "float64":
-            jax.config.update("jax_enable_x64", True)
-        self._jax = jax
-        self._jnp = jnp
-
-    @property
-    def xp(self):
-        return self._jnp
-
-    def jit(self, fn):
-        return self._jax.jit(fn)
-
-    def index_add(self, target, index, values):
-        return target.at[index].add(values)
-
-    def column_add(self, matrix, index, values):
-        return matrix.at[:, index].add(values)
-
-    def column_set(self, matrix, index, values):
-        return matrix.at[:, index].set(values)
-
-
-class CupyBackend(ArrayBackend):
-    """CUDA backend through cupy (optional; registered lazily).
-
-    cupy arrays are mutable, so the numpy-shaped kernels run unchanged
-    on device; only the host boundary (``asarray``/``to_numpy``)
-    differs. Tolerance-gated like jax.
-    """
-
-    name = "cupy"
-
-    def __init__(self, dtype=None):
-        super().__init__(dtype)
-        try:
-            import cupy
-        except ImportError as error:
-            raise SimulationError(
-                "array backend 'cupy' requires cupy, which is not "
-                "installed; the 'numpy' backend is always available"
-            ) from error
-        self._cupy = cupy
-
-    @property
-    def xp(self):
-        return self._cupy
-
-    def to_numpy(self, value) -> np.ndarray:
-        if isinstance(value, self._cupy.ndarray):
-            return self._cupy.asnumpy(value)
-        return np.asarray(value)
-
-    def index_add(self, target, index, values):
-        self._cupy.add.at(target, index, values)
-        return target
-
-
 #: Registered backend factories: ``name -> callable(dtype) ->
-#: ArrayBackend``. The optional backends' factories raise a clear
-#: :class:`~repro.errors.SimulationError` when their import is absent —
-#: registration itself never imports them.
-ARRAY_BACKENDS: dict = {
-    "numpy": NumpyBackend,
-    "jax": JaxBackend,
-    "cupy": CupyBackend,
-}
-
-
-def register_array_backend(name: str, factory) -> None:
-    """Register (or replace) an array-backend factory under a name.
-    ``factory(dtype)`` must return an :class:`ArrayBackend`."""
-    ARRAY_BACKENDS[name] = factory
+#: ArrayBackend``.
+ARRAY_BACKENDS: dict = {"numpy": NumpyBackend}
 
 
 def array_backend_names() -> tuple[str, ...]:
-    """The registered array-backend names, sorted. Listing a name does
-    not imply its import is installed — resolution reports that."""
+    """The registered array-backend names, sorted."""
     return tuple(sorted(ARRAY_BACKENDS))
 
 
@@ -362,9 +218,9 @@ def parse_backend_spec(spec: str) -> tuple[str, str | None]:
 def canonical_spec(spec=None) -> str:
     """The canonical ``"name:dtype"`` form of an array-backend argument
     — ``None`` means the default ``"numpy:float64"`` — computed
-    *without* constructing the backend, so cache keys and name-based
-    validation never trigger an optional import. The name is not
-    checked against the registry here (resolution does that)."""
+    *without* constructing the backend. The name is not checked
+    against the registry here (resolution and plan validation do
+    that)."""
     if spec is None:
         return "numpy:float64"
     if isinstance(spec, ArrayBackend):
@@ -381,9 +237,9 @@ _RESOLVED: dict = {}
 
 def resolve_array_backend(spec=None) -> ArrayBackend:
     """Normalize an array-backend argument: ``None`` (the numpy
-    default), a spec string (``"numpy"``, ``"jax"``,
-    ``"numpy:float32"``), or an :class:`ArrayBackend` instance (passed
-    through). Unknown names raise with the registered list."""
+    default), a spec string (``"numpy"``, ``"numpy:float32"``), or an
+    :class:`ArrayBackend` instance (passed through). Unknown names
+    raise with the registered list."""
     if spec is None:
         spec = "numpy"
     if isinstance(spec, ArrayBackend):

@@ -31,13 +31,9 @@ Kernels are emitted against an injected array namespace (see
 :mod:`repro.sim.array_api`): ``_np`` in the emitted source is the
 backend's ``xp`` handle, attribute/coefficient arrays are built on the
 host and converted through the backend's dtype policy before ``exec``,
-and compiled code objects are cached per backend. Backends whose arrays
-are immutable (``mutable_kernels=False``, e.g. jax) receive a
-*functional* emission — stacked column expressions and
-``_col_add``/``_col_set`` helpers instead of in-place ``dy[:, i] =``
-stores — and their host-callable-free kernels are offered to the
-backend's ``jit`` hook. The default numpy backend emits the exact
-byte-identical source this module always emitted.
+and compiled code objects are cached by source. Kernels fill
+preallocated ``dy``/``out`` buffers in place; every backend and dtype
+receives the exact byte-identical source this module always emitted.
 """
 
 from __future__ import annotations
@@ -381,8 +377,8 @@ def surviving_diffusion(systems: list[OdeSystem]):
 
 
 def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
-                     codegen: "_BatchCodegen", lookup,
-                     mutable: bool = True) -> list[str] | None:
+                     codegen: "_BatchCodegen",
+                     lookup) -> list[str] | None:
     """Body of the fused ``_rhs``: every affine contribution of every
     SUM-reduction (and chain) line stacked into one per-instance
     coefficient tensor driven by a single batched matmul, with only the
@@ -392,11 +388,6 @@ def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
     per-line statements would be eliminated, or the dense tensor would
     exceed :data:`FUSE_DENSE_LIMIT` — in which case the caller keeps the
     classic per-line emission.
-
-    ``mutable=False`` switches the emission to the functional form
-    immutable-array backends require: the matmul result binds a local
-    ``dy`` and residual/product rows update it through the namespace's
-    ``_col_add``/``_col_set`` helpers instead of in-place stores.
     """
     lead = systems[0]
     n, s = len(systems), len(lead.rhs_specs)
@@ -438,7 +429,7 @@ def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
     if use_constant:
         namespace["_lin_c"] = constant
         fused += " + _lin_c"
-    lines = [f"    dy[:, :] = {fused}" if mutable else f"    dy = {fused}"]
+    lines = [f"    dy[:, :] = {fused}"]
     scale_slots = 0
     for index, residuals in residual_rows:
         fragments = []
@@ -453,18 +444,12 @@ def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
                 source = f"{repr(float(scale))} * {source}"
             fragments.append(source)
         joined = " + ".join(fragments)
-        if mutable:
-            lines.append(f"    dy[:, {index}] += {joined}")
-        else:
-            lines.append(f"    dy = _col_add(dy, {index}, {joined})")
+        lines.append(f"    dy[:, {index}] += {joined}")
     for index, terms in product_rows:
         body = " * ".join(E.to_python(term, codegen)
                           for term in terms) or \
             repr(Reduction.MUL.identity)
-        if mutable:
-            lines.append(f"    dy[:, {index}] = {body}")
-        else:
-            lines.append(f"    dy = _col_set(dy, {index}, {body})")
+        lines.append(f"    dy[:, {index}] = {body}")
     return lines
 
 
@@ -480,12 +465,8 @@ _CODE_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 _CODE_CACHE_MAX = 128
 
 
-def _compile_source(source: str, filename: str, backend_name: str = "numpy"):
-    # The backend name keys the cache alongside the source: two backends
-    # can emit byte-identical functional sources whose compiled kernels
-    # must still stay distinct entries (they close over different
-    # namespaces, and per-backend hit/miss telemetry stays meaningful).
-    key = (source, filename, backend_name)
+def _compile_source(source: str, filename: str):
+    key = (source, filename)
     code = _CODE_CACHE.get(key)
     if code is None:
         telemetry.add("codegen.kernel_cache_misses")
@@ -502,7 +483,6 @@ def _compile_source(source: str, filename: str, backend_name: str = "numpy"):
 def generate_batch_source(systems: list[OdeSystem],
                           namespace: dict[str, object],
                           survivors=None, fuse: bool = True,
-                          mutable: bool = True,
                           vector_functions=None) -> str:
     """Emit the source of the batched RHS (``_rhs``), the batched
     algebraic-readout function (``_alg``), and — for stochastic systems
@@ -523,14 +503,8 @@ def generate_batch_source(systems: list[OdeSystem],
     ``survivors`` is a precomputed :func:`surviving_diffusion` result;
     pass it when the caller also needs the diffusion layout (as
     :class:`BatchRhs` does) so the shared-value pass runs once.
-
-    ``mutable=False`` emits the functional variant immutable-array
-    backends (jax) require: ``_rhs(t, y)`` / ``_dif(t, y)`` *return*
-    freshly built matrices — per-line columns broadcast through the
-    namespace's ``_col`` helper and stacked, fused-path updates through
-    ``_col_add``/``_col_set`` — instead of filling ``dy``/``out``
-    buffers in place. ``vector_functions`` overrides the namespace's
-    ufunc map (defaults to the numpy :data:`VECTOR_FUNCTIONS`)."""
+    ``vector_functions`` overrides the namespace's ufunc map (defaults
+    to the numpy :data:`VECTOR_FUNCTIONS`)."""
     lead = systems[0]
     codegen = _BatchCodegen(systems, namespace, vector_functions)
     lookup = _shared_lookup(systems)
@@ -545,14 +519,13 @@ def generate_batch_source(systems: list[OdeSystem],
             repr(spec.reduction.identity)
         algebraic_lines.append(f"    {local} = {body}")
 
-    fused_lines = _fused_rhs_lines(systems, namespace, codegen, lookup,
-                                   mutable=mutable) if fuse else None
-    lines = ["def _rhs(t, y, dy):" if mutable else "def _rhs(t, y):"]
+    fused_lines = _fused_rhs_lines(systems, namespace, codegen,
+                                   lookup) if fuse else None
+    lines = ["def _rhs(t, y, dy):"]
     lines.extend(algebraic_lines)
     if fused_lines is not None:
         lines.extend(fused_lines)
     else:
-        columns: list[str] = []
         for index, spec in enumerate(lead.rhs_specs):
             if isinstance(spec, ChainRhs):
                 body = f"y[:, {spec.next_index}]"
@@ -564,14 +537,7 @@ def generate_batch_source(systems: list[OdeSystem],
                 body = joiner.join(E.to_python(term, codegen)
                                    for term in terms) or \
                     repr(spec.reduction.identity)
-            if mutable:
-                lines.append(f"    dy[:, {index}] = {body}")
-            else:
-                lines.append(f"    _c{index} = _col({body}, y)")
-                columns.append(f"_c{index}")
-        if not mutable:
-            lines.append(
-                f"    dy = _np.stack([{', '.join(columns)}], axis=1)")
+            lines.append(f"    dy[:, {index}] = {body}")
     lines.append("    return dy")
 
     lines.append("")
@@ -586,22 +552,12 @@ def generate_batch_source(systems: list[OdeSystem],
         survivors = surviving_diffusion(systems)
     if survivors:
         lines.append("")
-        lines.append("def _dif(t, y, out):" if mutable
-                     else "def _dif(t, y):")
+        lines.append("def _dif(t, y, out):")
         lines.extend(algebraic_lines)
-        columns = []
         for column, (_term, amplitude) in enumerate(survivors):
             body = E.to_python(amplitude, codegen)
-            if mutable:
-                lines.append(f"    out[:, {column}] = {body}")
-            else:
-                lines.append(f"    _d{column} = _col({body}, y)")
-                columns.append(f"_d{column}")
-        if mutable:
-            lines.append("    return out")
-        else:
-            lines.append(
-                f"    return _np.stack([{', '.join(columns)}], axis=1)")
+            lines.append(f"    out[:, {column}] = {body}")
+        lines.append("    return out")
     return "\n".join(lines)
 
 
@@ -631,16 +587,10 @@ class BatchRhs:
         #: :mod:`repro.sim.array_api`); solvers run on its arrays.
         self.backend = resolve_array_backend(array_backend)
         backend = self.backend
-        self._mutable = backend.mutable_kernels
         namespace: dict[str, object] = {"_np": backend.xp}
-        if not self._mutable:
-            namespace["_col"] = backend.column
-            namespace["_col_add"] = backend.column_add
-            namespace["_col_set"] = backend.column_set
         survivors = surviving_diffusion(self.systems)
         self.source = generate_batch_source(
             self.systems, namespace, survivors=survivors, fuse=fuse,
-            mutable=self._mutable,
             vector_functions=backend.vector_functions())
         #: True when the emitted RHS drives a fused coefficient matmul.
         self.fused = "_lin_A" in namespace
@@ -650,17 +600,10 @@ class BatchRhs:
                       else "codegen.unfused_rhs")
         # Residual ``dy[:, i] +=`` stores are what the fuser could not
         # fold into the matmul — their count is the per-step dispatch
-        # cost the fused path still pays. (The functional emission's
-        # counterparts are its `_col*` helper calls and column temps.)
-        if self._mutable:
-            telemetry.add("codegen.residual_lines",
-                          self.source.count("dy[:, ") - 1
-                          if self.fused else self.source.count("dy[:, "))
-        else:
-            telemetry.add("codegen.residual_lines",
-                          self.source.count(" = _col(")
-                          + self.source.count("_col_add(")
-                          + self.source.count("_col_set("))
+        # cost the fused path still pays.
+        telemetry.add("codegen.residual_lines",
+                      self.source.count("dy[:, ") - 1
+                      if self.fused else self.source.count("dy[:, "))
         # Host-built constant tensors (per-instance attributes, fused
         # coefficients, residual scales) cross onto the backend at the
         # policy dtype here; on numpy/float64 the conversion is the
@@ -670,23 +613,11 @@ class BatchRhs:
             if isinstance(value, np.ndarray):
                 namespace[slot] = backend.asarray(value)
         exec(_compile_source(self.source,
-                             f"<ark-batch:{systems[0].graph.name}>",
-                             backend.name),
+                             f"<ark-batch:{systems[0].graph.name}>"),
              namespace)
         self._rhs_inner = namespace["_rhs"]
         self._alg_inner = namespace["_alg"]
         self._dif_inner = namespace.get("_dif")
-        #: Kernels carrying host callables (auto-vectorized scalar
-        #: functions, per-instance callables) cannot enter a compiler
-        #: trace; everything else is offered to the backend's ``jit``
-        #: hook (identity on eager backends).
-        self.can_jit = not any(
-            isinstance(value, (_AutoVector, _PerInstanceFn))
-            for value in namespace.values())
-        if self.can_jit:
-            self._rhs_inner = backend.jit(self._rhs_inner)
-            if self._dif_inner is not None:
-                self._dif_inner = backend.jit(self._dif_inner)
         #: Diffusion terms that survived shared-value folding (see
         #: :func:`surviving_diffusion`); column order of ``diffusion``.
         self.diffusion_terms = [term for term, _amp in survivors]
@@ -733,17 +664,11 @@ class BatchRhs:
             raise SimulationError(
                 f"batch {self.systems[0].graph.name} has no diffusion "
                 "terms; integrate it with a deterministic solver")
-        if self._mutable:
-            if out is None:
-                out = self.backend.xp.empty(
-                    (y.shape[0], len(self.diffusion_terms)),
-                    dtype=self.backend.dtype)
-            return self._dif_inner(t, y, out)
-        amplitudes = self._dif_inner(t, y)
-        if out is not None:
-            out[...] = amplitudes
-            return out
-        return amplitudes
+        if out is None:
+            out = self.backend.xp.empty(
+                (y.shape[0], len(self.diffusion_terms)),
+                dtype=self.backend.dtype)
+        return self._dif_inner(t, y, out)
 
     def _ensure_dif_prime(self):
         """Lazily differentiate and compile the diagonal diffusion
@@ -782,39 +707,22 @@ class BatchRhs:
         self._milstein_trivial = False
         backend = self.backend
         namespace: dict[str, object] = {"_np": backend.xp}
-        if not self._mutable:
-            namespace["_col"] = backend.column
         codegen = _BatchCodegen(self.systems, namespace,
                                 backend.vector_functions())
-        lines = ["def _dif_prime(t, y, out):" if self._mutable
-                 else "def _dif_prime(t, y):"]
-        columns = []
+        lines = ["def _dif_prime(t, y, out):"]
         for column, derivative in enumerate(derivatives):
             body = ("0.0" if derivative is None
                     else E.to_python(derivative, codegen))
-            if self._mutable:
-                lines.append(f"    out[:, {column}] = {body}")
-            else:
-                lines.append(f"    _p{column} = _col({body}, y)")
-                columns.append(f"_p{column}")
-        if self._mutable:
-            lines.append("    return out")
-        else:
-            lines.append(
-                f"    return _np.stack([{', '.join(columns)}], axis=1)")
+            lines.append(f"    out[:, {column}] = {body}")
+        lines.append("    return out")
         source = "\n".join(lines)
         telemetry.add("codegen.dif_prime_compiles")
         for slot, value in list(namespace.items()):
             if isinstance(value, np.ndarray):
                 namespace[slot] = backend.asarray(value)
         exec(_compile_source(
-            source, f"<ark-batch-dprime:{lead.graph.name}>",
-            backend.name), namespace)
-        inner = namespace["_dif_prime"]
-        if not any(isinstance(value, (_AutoVector, _PerInstanceFn))
-                   for value in namespace.values()):
-            inner = backend.jit(inner)
-        self._dif_prime_inner = inner
+            source, f"<ark-batch-dprime:{lead.graph.name}>"), namespace)
+        self._dif_prime_inner = namespace["_dif_prime"]
 
     @property
     def milstein_trivial(self) -> bool:
@@ -845,17 +753,11 @@ class BatchRhs:
                 (y.shape[0], len(self.diffusion_terms)),
                 dtype=self.backend.dtype)
             return zeros
-        if self._mutable:
-            if out is None:
-                out = self.backend.xp.empty(
-                    (y.shape[0], len(self.diffusion_terms)),
-                    dtype=self.backend.dtype)
-            return self._dif_prime_inner(t, y, out)
-        derivative = self._dif_prime_inner(t, y)
-        if out is not None:
-            out[...] = derivative
-            return out
-        return derivative
+        if out is None:
+            out = self.backend.xp.empty(
+                (y.shape[0], len(self.diffusion_terms)),
+                dtype=self.backend.dtype)
+        return self._dif_prime_inner(t, y, out)
 
     @property
     def y0(self) -> np.ndarray:
@@ -868,15 +770,9 @@ class BatchRhs:
                  out: np.ndarray | None = None) -> np.ndarray:
         """Evaluate the batched RHS; ``y`` and the result have shape
         ``(n_instances, n_states)``."""
-        if self._mutable:
-            if out is None:
-                out = self.backend.empty_like(y)
-            return self._rhs_inner(t, y, out)
-        dy = self._rhs_inner(t, y)
-        if out is not None:
-            out[...] = dy
-            return out
-        return dy
+        if out is None:
+            out = self.backend.empty_like(y)
+        return self._rhs_inner(t, y, out)
 
     def algebraic_values(self, t, y: np.ndarray) -> dict[str, np.ndarray]:
         """Order-0 node values for the whole batch, each broadcast to
@@ -901,7 +797,7 @@ def compile_batch(systems: list[OdeSystem], fuse: bool = True,
     vectorized RHS. ``fuse`` enables the fused affine emitter (see
     :func:`generate_batch_source`); ``array_backend`` selects the array
     namespace the kernels are emitted against — a spec string
-    (``"numpy"``, ``"jax"``, ``"numpy:float32"``), an
+    (``"numpy"``, ``"numpy:float32"``), an
     :class:`~repro.sim.array_api.ArrayBackend`, or ``None`` for the
     numpy default."""
     return BatchRhs(list(systems), fuse=fuse, array_backend=array_backend)

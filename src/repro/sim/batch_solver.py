@@ -24,8 +24,7 @@ paper's Fig. 4c/4d-style mismatch studies read.
 The step loops run on the batch's array backend (see
 :mod:`repro.sim.array_api`): state matrices live as backend arrays, the
 per-instance freeze masks are applied through value-identical
-``xp.where`` selects (no in-place stores, so immutable backends work),
-and host transfer happens only where accepted states land in the
+``xp.where`` selects, and host transfer happens only where accepted states land in the
 preallocated numpy output buffer — the trajectory-assembly boundary.
 Step-size control stays host-side python-float math, which also keeps
 the float32 dtype policy intact (python scalars are weak under NEP 50
@@ -607,7 +606,7 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
         the exact legacy behavior. The returned trajectory carries the
         final ``frozen`` mask and the ``nfev`` evaluation count.
     :param array_backend: array namespace the solve runs on — a spec
-        string (``"numpy"``, ``"jax"``, ``"numpy:float32"``), an
+        string (``"numpy"``, ``"numpy:float32"``), an
         :class:`~repro.sim.array_api.ArrayBackend`, or ``None`` for the
         numpy default. A precompiled ``batch`` carries its own backend;
         passing a *different* one here is an error (the kernels were
@@ -636,7 +635,7 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
         y_out, frozen, nfev, accepted, rejected = _rk4_batch(
             batch, work_grid, max_step, rtol, atol, freeze_tol,
             backend)
-    elif name in ("rkf45", "rk45"):
+    elif name == "rkf45":
         solver = _rkf45_dense_batch if dense else _rkf45_batch
         y_out, frozen, nfev, accepted, rejected = solver(
             batch, work_grid, rtol, atol, max_step, freeze_tol,

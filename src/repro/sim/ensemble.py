@@ -7,8 +7,7 @@ signature, and integrates each compatible group through one batched RHS
 the unified execution-plan layer (:mod:`repro.sim.plan`) it is also the
 single driver for transient-noise sweeps: ``run_ensemble(...,
 trials=K)`` realizes K independent Wiener trials per fabricated chip
-through the batched SDE engine — :func:`repro.sim.run_noisy_ensemble`
-is a thin shim over this same path.
+through the batched SDE engine.
 
 The common case — N mismatch seeds of one Ark function invocation —
 lands in a single batch and runs orders of magnitude faster than N
@@ -41,9 +40,8 @@ __all__ = [
 #: Execution-backend names accepted by ``run_ensemble(engine=...)``.
 #: ``batch`` maps to the plan layer's per-group ``auto`` policy (send
 #: large groups to the persistent pool when one is requested) — the
-#: historical behavior; ``pool`` forces the persistent zero-copy pool,
-#: ``shard`` the legacy throwaway-pool variant.
-ENGINES = ("batch", "serial", "shard", "pool", "auto")
+#: historical behavior; ``pool`` forces the persistent zero-copy pool.
+ENGINES = ("batch", "serial", "pool", "auto")
 
 
 @dataclass
@@ -137,22 +135,23 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
 
     :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem``.
     :param method: ``auto`` (batched rkf45 + serial RK45 fallback),
-        ``rkf45``/``rk4`` (force a batch solver), or any scipy
-        ``solve_ivp`` method name (forces the serial path for every
-        instance). Ignored on the noisy path (see ``sde_method``).
+        ``rkf45``/``rk4`` (force a batch solver), or a scipy
+        ``solve_ivp`` method name (``RK45``, ``LSODA``…; forces the
+        serial path for every instance). Other names raise, listing
+        the valid ones. Ignored on the noisy path (see
+        ``sde_method``).
     :param engine: execution backend — ``batch`` (default: the plan
         layer's auto policy), ``serial`` (one solve per instance),
-        ``pool`` (force the persistent zero-copy worker pool),
-        ``shard`` (force the legacy throwaway-pool sharding), or
+        ``pool`` (force the persistent zero-copy worker pool), or
         ``auto``. Unknown names raise :class:`ValueError`.
     :param min_batch: smallest structural group worth a batched compile;
         smaller groups run serially.
-    :param processes: process-pool width. Batched groups of at least
+    :param processes: worker-pool width. Batched groups of at least
         ``shard_min`` instances run on the persistent zero-copy pool
         (spawned once, reused across solves; results return through
         shared memory instead of pickle), and serial-fallback
-        instances fan out one-per-worker (both require a picklable
-        factory; in-process execution otherwise). On the noisy path
+        instances fan out one seed per task over the same pool (both
+        require a picklable factory; in-process execution otherwise). On the noisy path
         the (chip x trial) SDE batches split the same way,
         bit-identically.
     :param dense: use dense-output interpolation in the batched rkf45
@@ -210,16 +209,10 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
         :func:`repro.telemetry.collect_metrics` yourself; ``True``
         is rejected because the barriered attach point does not exist.
     :param array_backend: array namespace the batched kernels and
-        solver loops run on — ``None``/``"numpy"`` (default, the host
-        path, bit-identical to previous releases), a spec string such
-        as ``"numpy:float32"``, ``"jax"``, or ``"cupy"`` (the latter
-        two require their packages installed), or an
-        :class:`~repro.sim.array_api.ArrayBackend` instance. Non-numpy
-        backends are restricted to in-process execution —
-        ``engine='pool'``/``'shard'`` raise (their workers pickle,
-        which would haul device arrays through the host) and ``auto``
-        stays on the batch backend.
-    :param schedule: row-split policy of the pool/shard backends —
+        solver loops run on — ``None``/``"numpy"`` (default,
+        bit-identical to previous releases), ``"numpy:float32"``, or an
+        :class:`~repro.sim.array_api.ArrayBackend` instance.
+    :param schedule: row-split policy of the pool backend —
         ``even`` (default, the historical near-equal row counts) or
         ``cost`` (shards cut at predicted-cost quantiles from the
         persisted cost profile, groups submitted longest-first).

@@ -1,15 +1,13 @@
-"""Transient-noise ensemble driver: (chip seed × noise trial) sweeps.
+"""Transient-noise ensemble results: (chip seed × noise trial) sweeps.
 
 The paper's nonideality story has two independent axes — fabrication
 mismatch (one sample per *chip*, §4.3) and transient noise (one
 realization per *trial*). Reliability-style questions need both: how
 stable is one fabricated chip's behavior across repeated noisy runs?
 
-Since the unified execution-plan layer (:mod:`repro.sim.plan`),
-:func:`run_noisy_ensemble` is a thin shim over
-:func:`repro.sim.run_ensemble` — ``run_ensemble(..., trials=K)`` runs
-the identical (chip × trial) outer product in as few batched SDE solves
-as possible: every chip is compiled once, structurally compatible chips
+``run_ensemble(..., trials=K)`` (:func:`repro.sim.run_ensemble`) runs
+the (chip × trial) outer product in as few batched SDE solves as
+possible: every chip is compiled once, structurally compatible chips
 share one :class:`~repro.sim.batch_codegen.BatchRhs`, and each chip's
 system is *replicated* ``trials`` times inside the batch (replication
 is free — the per-instance attribute arrays just repeat rows), so a
@@ -27,10 +25,8 @@ from repro.core.simulator import Trajectory
 from repro.errors import SimulationError
 
 from repro.sim.batch_solver import BatchTrajectory
-from repro.sim.plan import DEFAULT_SHARD_MIN
 
-__all__ = ["NoisyEnsembleChunk", "NoisyEnsembleResult",
-           "run_noisy_ensemble"]
+__all__ = ["NoisyEnsembleChunk", "NoisyEnsembleResult"]
 
 
 @dataclass
@@ -81,7 +77,7 @@ class NoisyEnsembleResult:
         """The chip's deterministic (noise-free) run."""
         if self.references is None:
             raise SimulationError(
-                "run_noisy_ensemble(..., reference=False) kept no "
+                "run_ensemble(..., reference=False) kept no "
                 "deterministic references")
         return self.references[chip_index]
 
@@ -105,85 +101,3 @@ class NoisyEnsembleChunk(NoisyEnsembleResult):
     #: Chunk-level stream stats (arrival time, order, rows) when the
     #: stream ran inside a telemetry collection window; else ``None``.
     stats: dict | None = None
-
-
-def run_noisy_ensemble(factory, seeds, t_span, *, trials: int = 8,
-                       n_points: int = 500, method: str = "heun",
-                       t_eval=None, max_step: float | None = None,
-                       reference: bool = True, trial_base: int = 0,
-                       block: int = 256, cache=None,
-                       engine: str = "batch",
-                       processes: int | None = None,
-                       shard_min: int = DEFAULT_SHARD_MIN,
-                       freeze_tol: float | None = None,
-                       stream: bool = False, array_backend=None,
-                       schedule: str = "even", overshard: int = 1,
-                       pin_workers: bool = False,
-                       telemetry=None, progress=None):
-    """Simulate every (fabricated chip, noise trial) pair, batched.
-
-    A delegating shim over the unified driver — exactly
-    ``run_ensemble(factory, seeds, t_span, trials=trials,
-    sde_method=method, noise_seed=trial_base, ...)`` — kept as the
-    established name of the (chips × trials) sweep. Outputs are
-    bit-identical to the unified call (test-enforced).
-
-    :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem`` —
-        the §4.3 chip factory; its graphs carry the noise sources
-        (``noise(...)`` terms or ``ns`` annotations).
-    :param seeds: mismatch seeds, one fabricated chip each.
-    :param trials: independent noise realizations per chip.
-    :param method: SDE method — ``heun`` (default), ``em``,
-        ``milstein``, or the adaptive pair ``heun-adaptive``/
-        ``em-adaptive`` (see :mod:`repro.sim.sde_solver`).
-    :param reference: also integrate each chip once deterministically
-        (batched RK4 on the same grid) for reliability references.
-    :param trial_base: first trial number — shift to draw a fresh,
-        non-overlapping set of realizations for the same chips.
-    :param cache: trajectory cache (``True``, a directory path, or a
-        :class:`~repro.sim.cache.TrajectoryCache`); the key includes
-        the noise-seed tokens, so a rerun of the same (chips × trials)
-        sweep replays the stored realizations bit-for-bit while a
-        shifted ``trial_base`` misses and integrates fresh ones.
-    :param engine: execution backend (``batch``/``serial``/``shard``/
-        ``pool``/``auto``, see
-        :func:`~repro.sim.ensemble.run_ensemble`).
-    :param processes: process-pool width — (chip × trial) SDE batches
-        of at least ``shard_min`` rows run on the persistent zero-copy
-        pool as per-core sub-batches, bit-identical to the unsharded
-        solve.
-    :param freeze_tol: per-instance step masks (see
-        :func:`~repro.sim.sde_solver.solve_sde`).
-    :param stream: yield per-group :class:`NoisyEnsembleChunk` objects
-        as they finish instead of the barriered result (see
-        :func:`~repro.sim.ensemble.run_ensemble`).
-    :param array_backend: array namespace for the batched SDE kernels
-        (``None``/``"numpy"`` default; see
-        :func:`~repro.sim.ensemble.run_ensemble`). Wiener draws stay
-        on the host PRNG, so realizations are backend-independent.
-    :param schedule: pool/shard row-split policy (``even``/``cost``);
-        the fixed-step SDE methods are partition-independent, so
-        ``cost`` splits (and ``overshard``/``pin_workers``) apply
-        fully and stay bit-identical, while the adaptive pair is
-        pinned to the canonical even split (see
-        :func:`~repro.sim.ensemble.run_ensemble`).
-    :param telemetry: metric collection (``True``, a
-        :class:`~repro.telemetry.RunReport`, or ``None``; see
-        :func:`~repro.sim.ensemble.run_ensemble`). The populated
-        report lands on ``result.telemetry``.
-    :returns: a :class:`NoisyEnsembleResult`, or — with
-        ``stream=True`` — an iterator of :class:`NoisyEnsembleChunk`.
-    """
-    from repro.sim.ensemble import run_ensemble
-
-    return run_ensemble(factory, seeds, t_span, trials=trials,
-                        sde_method=method, noise_seed=trial_base,
-                        n_points=n_points, t_eval=t_eval,
-                        max_step=max_step, reference=reference,
-                        block=block, cache=cache, engine=engine,
-                        processes=processes, shard_min=shard_min,
-                        freeze_tol=freeze_tol, stream=stream,
-                        array_backend=array_backend,
-                        schedule=schedule, overshard=overshard,
-                        pin_workers=pin_workers,
-                        telemetry=telemetry, progress=progress)

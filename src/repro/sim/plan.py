@@ -6,9 +6,8 @@ and this module tells it through one architecture. An
 :class:`ExecutionPlan` captures *what* to integrate (a ``factory(seed)``
 per fabricated chip, the seed list, the time span), *how* (grid, solver
 options, optional :class:`NoiseSpec` for SDE trials, per-instance
-freeze masks) and *where* (an execution backend plus cache/shard
-policy). Every public driver — :func:`repro.sim.run_ensemble`,
-:func:`repro.sim.run_noisy_ensemble`, and
+freeze masks) and *where* (an execution backend plus cache/pool
+policy). Every public driver — :func:`repro.sim.run_ensemble` and
 :func:`repro.simulate_ensemble` — compiles its arguments into a plan
 and funnels through :func:`execute_plan`, so features land once and
 cover both the deterministic and the stochastic path.
@@ -17,27 +16,24 @@ Backends are pluggable through a registry (:data:`BACKENDS`,
 :func:`register_backend`):
 
 * ``serial`` — one solve per instance: scipy ``solve_ivp`` per seed on
-  the deterministic path, a batch-of-one SDE solve per (chip, trial)
-  row on the noisy path (the reference the batched engines are
-  benchmarked against);
+  the deterministic path (fanned out over the worker pool when
+  ``processes > 1``), a batch-of-one SDE solve per (chip, trial) row on
+  the noisy path (the reference the batched engines are benchmarked
+  against);
 * ``batch``  — one single-process vectorized solve per structurally
   compatible group (:func:`~repro.sim.batch_solver.solve_batch` /
   :func:`~repro.sim.sde_solver.solve_sde`);
-* ``shard``  — the batched solve split into per-core sub-batches across
-  a throwaway ``multiprocessing`` pool. Fixed-step methods (``rk4`` and
-  the fixed-step SDE trio ``em``/``heun``/``milstein``) are
-  bit-identical to the unsharded solve because every instance's
-  arithmetic is row-local and Wiener streams are keyed by ``(noise
-  seed, element, path)`` — never by batch layout; the adaptive SDE
-  pair keeps a path-invariant Wiener *realization* under sharding but
-  runs per-shard step control, so it is pinned to the canonical even
-  split and kept out of the cache, like rkf45;
-* ``pool``   — the same row split run on the **persistent zero-copy
-  pool** (:mod:`repro.sim.pool`): workers are spawned once and reused
-  across solves, and shard results come back through shared memory
-  (:mod:`repro.sim.shm`) instead of pickle. Bit-identical to ``shard``
-  (identical splits, identical arithmetic) at a fraction of the
-  per-solve overhead;
+* ``pool``   — the batched solve split into per-core sub-batches on the
+  **persistent zero-copy pool** (:mod:`repro.sim.pool`): workers are
+  spawned once and reused across solves, and shard results come back
+  through shared memory (:mod:`repro.sim.shm`) instead of pickle.
+  Fixed-step methods (``rk4`` and the fixed-step SDE trio
+  ``em``/``heun``/``milstein``) are bit-identical to ``batch`` because
+  every instance's arithmetic is row-local and Wiener streams are keyed
+  by ``(noise seed, element, path)`` — never by batch layout. The
+  adaptive methods (rkf45 and the adaptive SDE pair) run per-shard step
+  control, so they are pinned to the canonical even split
+  (:func:`repro.sim.sched.even_parts`) and kept out of the cache;
 * ``auto``   — per-group policy: the persistent ``pool`` when a pool
   is requested (``processes > 1``) and the group is large enough, else
   ``batch``.
@@ -53,9 +49,10 @@ result objects, bit-identical to the pre-streaming driver.
 
 Trajectory caching (:mod:`repro.sim.cache`) is applied uniformly in the
 executor — the noisy path is keyed and replayed exactly like the
-deterministic one, including sharded SDE results (bit-identical, hence
-storable); shard-split *adaptive* ODE solves remain uncachable because
-per-shard step control may differ from the whole-group run.
+deterministic one, including pooled fixed-step SDE results
+(bit-identical, hence storable); pool-split *adaptive* solves remain
+uncachable because per-shard step control may differ from the
+whole-group run.
 """
 
 from __future__ import annotations
@@ -77,8 +74,7 @@ from repro.errors import SimulationError
 from repro.sim import batch_codegen
 from repro.sim import sched as sched_module
 from repro.sim.array_api import (array_backend_names, canonical_spec,
-                                 parse_backend_spec,
-                                 resolve_array_backend)
+                                 parse_backend_spec)
 from repro.sim.batch_codegen import (compile_batch, group_by_signature,
                                      surviving_diffusion)
 from repro.sim.batch_solver import (BatchTrajectory, _output_grid,
@@ -89,7 +85,10 @@ from repro.sim.sde_solver import (ADAPTIVE_SDE_METHODS, SDE_METHODS,
                                   solve_sde)
 
 #: Methods handled natively by the batched ODE solver.
-BATCH_METHODS = ("auto", "rkf45", "rk45", "rk4")
+BATCH_METHODS = ("auto", "rkf45", "rk4")
+
+#: scipy ``solve_ivp`` methods; any of them forces the serial path.
+SCIPY_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
 
 #: Smallest batched group the auto policy will split across a pool.
 DEFAULT_SHARD_MIN = 64
@@ -136,8 +135,9 @@ class ExecutionPlan:
     :param noise: ``None`` for a deterministic (ODE) sweep, a
         :class:`NoiseSpec` for a (chip x trial) SDE sweep.
     :param method: ODE method — ``auto``/``rkf45``/``rk4`` run batched,
-        any scipy name forces the serial path (ignored when ``noise``
-        is set; the SDE method lives in the spec).
+        a scipy name (:data:`SCIPY_METHODS`) forces the serial path
+        (ignored when ``noise`` is set; the SDE method lives in the
+        spec).
     :param freeze_tol: per-instance step mask tolerance — converged (or,
         on the SDE path, diverged) instances freeze at their current
         state instead of forcing the worst-case step on the whole
@@ -146,23 +146,19 @@ class ExecutionPlan:
     :param serial_backend: RHS backend of the serial scipy path
         (``codegen``/``interpreter``).
     :param min_batch: smallest structural group worth a batched compile.
-    :param processes: process-pool width for the ``pool``/``shard``
-        backends and the serial fan-out.
+    :param processes: worker-pool width for the ``pool`` backend and
+        the serial fan-out.
     :param shard_min: smallest batched group the ``auto`` policy sends
         to the pool.
     :param cache: trajectory-cache spec (``True``, a directory path, or
         a :class:`~repro.sim.cache.TrajectoryCache`).
     :param array_backend: array namespace of the batched solvers (see
         :mod:`repro.sim.array_api`): ``None``/``"numpy"`` (default), a
-        spec string like ``"jax"`` or ``"numpy:float32"``, or an
-        :class:`~repro.sim.array_api.ArrayBackend`. The ``pool`` and
-        ``shard`` backends refuse non-numpy array backends (their
-        workers communicate by pickling, which would silently haul
-        device arrays through the host); ``auto`` simply keeps such
-        groups single-process. The serial scipy ODE path always runs
-        numpy.
-    :param schedule: row-split policy of the ``shard``/``pool``
-        backends — ``even`` (default: the historical near-equal row
+        spec string like ``"numpy:float32"``, or an
+        :class:`~repro.sim.array_api.ArrayBackend`. The serial scipy ODE
+        path always runs numpy float64.
+    :param schedule: row-split policy of the ``pool`` backend —
+        ``even`` (default: the historical near-equal row
         counts) or ``cost`` (shards cut at predicted-cost quantiles
         using the persisted cost profile, and groups submitted
         longest-predicted-first). Bit-identical to ``even`` for every
@@ -211,10 +207,10 @@ class ExecutionPlan:
         return canonical_spec(self.array_backend)
 
     def validate(self) -> None:
-        """Reject malformed plans up front (unknown backend or SDE
-        method, unknown/unshippable array backend, non-positive trial
-        counts) instead of silently running a different sweep than the
-        one asked for."""
+        """Reject malformed plans up front (unknown backend, ODE or SDE
+        method, unknown array backend, non-positive trial counts)
+        instead of silently running a different sweep than the one
+        asked for."""
         if self.backend not in BACKENDS:
             raise SimulationError(
                 f"unknown execution backend {self.backend!r}; "
@@ -222,9 +218,6 @@ class ExecutionPlan:
                 f"{', '.join(backend_names())}; registered array "
                 f"backends (array_backend=/--array-backend): "
                 f"{', '.join(array_backend_names())}")
-        # Array-backend checks are name-based on purpose: rejecting
-        # 'jax' under a pickling backend must not require jax to be
-        # importable.
         array_name, _ = parse_backend_spec(self.array_spec())
         if array_name not in array_backend_names():
             raise SimulationError(
@@ -232,19 +225,6 @@ class ExecutionPlan:
                 f"array backends: {', '.join(array_backend_names())}; "
                 f"registered execution backends: "
                 f"{', '.join(backend_names())}")
-        if array_name != "numpy" and self.backend in ("pool", "shard"):
-            raise SimulationError(
-                f"execution backend {self.backend!r} cannot run on "
-                f"array backend {array_name!r}: its workers exchange "
-                "work by pickling, which would silently haul device "
-                "arrays through the host. Use backend='batch' (one "
-                "in-process device solve) or the numpy array backend.")
-        if array_name != "numpy":
-            # Resolve eagerly so a missing optional dependency fails
-            # the plan up front; raised at solve time instead, the
-            # auto-method fallback would demote the groups to the
-            # serial numpy path and silently ignore the request.
-            resolve_array_backend(self.array_backend)
         if self.noise is not None:
             if self.noise.trials < 1:
                 raise SimulationError(
@@ -253,6 +233,10 @@ class ExecutionPlan:
                 raise SimulationError(
                     f"unknown SDE method {self.noise.method!r}; "
                     f"expected one of {', '.join(SDE_METHODS)}")
+        elif self.method not in BATCH_METHODS + SCIPY_METHODS:
+            raise SimulationError(
+                f"unknown method {self.method!r}; expected one of "
+                f"{', '.join(BATCH_METHODS + SCIPY_METHODS)}")
         if self.freeze_tol is not None and self.freeze_tol <= 0.0:
             raise ValueError(
                 f"freeze_tol must be > 0 (or None), got "
@@ -315,45 +299,23 @@ def _pickles(payload) -> bool:
     return True
 
 
-#: Group-wide payload installed into throwaway pool workers by
-#: :func:`_pool_init` — deserialized once per worker instead of once
-#: per task.
-_POOL_COMMON: tuple | None = None
-
-
-def _pool_init(blob: bytes) -> None:
-    global _POOL_COMMON
-    _POOL_COMMON = pickle.loads(blob)
-
-
-def _serial_job(seed):
-    """Pool worker for the serial fan-out: one scipy solve per seed.
-    The factory/options arrive once per worker via the initializer.
-    Failures only visible in the child (a ``spawn`` worker that cannot
-    re-import the factory's module) propagate like any other worker
-    error rather than silently degrading."""
-    factory, t_span, options = _POOL_COMMON
-    trajectory = simulate(factory(seed), t_span, **options)
-    return trajectory.t, trajectory.y
-
-
 def _run_serial(factory, seeds, indices, systems, t_span, options,
-                processes):
+                processes, pin_workers=False):
     """Serial scipy path for structurally unique instances, optionally
-    across a process pool. Returns {index: Trajectory}."""
+    fanned out one seed per task over the persistent worker pool.
+    Returns {index: Trajectory}."""
     results: dict[int, Trajectory] = {}
     pending = list(indices)
     telemetry.add("serial.solves", len(pending))
     if processes and processes > 1 and len(pending) > 1:
-        common = _pickled_common(factory, t_span, options)
+        common = _pickled_common(factory, t_span, options, None)
         job_seeds = [seeds[i] for i in pending]
         if common is not None and _pickles(job_seeds):
-            import multiprocessing
+            from repro.sim import pool as pool_module
 
-            with multiprocessing.Pool(processes,
-                                      initializer=_pool_init,
-                                      initargs=(common,)) as pool:
-                rows = pool.map(_serial_job, job_seeds)
+            rows = pool_module.map_serial(int(processes), common,
+                                          job_seeds,
+                                          pin_workers=pin_workers)
             for index, (t, y) in zip(pending, rows):
                 results[index] = Trajectory(t=t, y=y,
                                             system=systems[index])
@@ -364,102 +326,13 @@ def _run_serial(factory, seeds, indices, systems, t_span, options,
 
 
 def _whole_group_fuse(n_rows: int, lead: OdeSystem) -> bool:
-    """The fuse decision the *unsharded* batch would make. Shard/pool
+    """The fuse decision the *unsharded* batch would make. Pool
     workers must inherit it: the emitter's dense-tensor memory guard
     depends on batch size, so a shard deciding for itself could compile
     a fused RHS where the whole group would not, breaking
-    shard-vs-whole bit-identity for fixed-step methods."""
+    pool-vs-batch bit-identity for fixed-step methods."""
     return (n_rows * lead.n_states * lead.n_states
             <= batch_codegen.FUSE_DENSE_LIMIT)
-
-
-def _shard_parts(n_rows: int, processes: int) -> list[np.ndarray]:
-    """The canonical row split: contiguous, near-equal sub-batches
-    (now delegated to :func:`repro.sim.sched.even_parts`). ``shard``
-    and ``pool`` share it, which is what makes the two backends
-    bit-identical even for the adaptive rkf45 (whose step control
-    depends on shard membership)."""
-    if int(processes) < 2:
-        return []
-    return sched_module.even_parts(n_rows, processes)
-
-
-def _batch_shard_job(shard_seeds):
-    """Pool worker integrating one shard of a batched ODE group:
-    rebuild the shard's instances from the seeds — systems themselves
-    rarely pickle — and run the same batched solve the parent would.
-    The measured wall time feeds the scheduler's cost profile."""
-    factory, t_span, options, fuse = _POOL_COMMON
-    started = time.perf_counter()
-    systems = [_compile_target(factory(seed)) for seed in shard_seeds]
-    batch = compile_batch(systems, fuse=fuse,
-                          array_backend=options.get("array_backend"))
-    trajectory = solve_batch(batch, t_span, **options)
-    return trajectory.y, trajectory.nfev, time.perf_counter() - started
-
-
-def _observe_throwaway(scheduler, key, parts, stacked) -> None:
-    """Feed a throwaway-pool group's per-shard wall times into the
-    scheduler (the persistent pool routes the same data through
-    ``PoolHandle`` instead). Worker identities do not exist here, so
-    only the cost profile is refined — no imbalance counters."""
-    if scheduler is None or key is None:
-        return
-    n_rows = sum(len(part) for part in parts)
-    stats = [{"offset": int(part[0]), "rows": len(part),
-              "seconds": seconds}
-             for part, (_y, _nfev, seconds) in zip(parts, stacked)]
-    scheduler.observe(key, n_rows, stats)
-
-
-def _solve_batch_sharded(factory, seeds, indices, systems, t_span,
-                         options, processes, scheduler=None,
-                         key=None) -> BatchTrajectory | None:
-    """Integrate one structural group as per-core sub-batches across a
-    throwaway process pool. Returns ``None`` when the pool cannot be
-    used (the caller then runs the single-process batched solve).
-
-    Each shard is an independent batched solve over a contiguous slice
-    of the group, so stacking the shard results reproduces the
-    single-process row order exactly; with fixed-step methods the
-    result is bit-identical (every instance's arithmetic is row-local)
-    for *any* contiguous partition — which is what lets the scheduler
-    cut shards at cost quantiles — while rkf45's shared step sequence
-    may differ at tolerance level because error control no longer sees
-    the whole group (the scheduler pins it to the canonical split).
-    """
-    if scheduler is not None:
-        parts = scheduler.parts(len(indices), processes,
-                                method=options.get("method"), key=key)
-    else:
-        parts = _shard_parts(len(indices), processes)
-    if not parts:
-        return None
-    fuse = _whole_group_fuse(len(indices), systems[indices[0]])
-    common = _pickled_common(factory, t_span, options, fuse)
-    shard_seeds = [[seeds[indices[row]] for row in part]
-                   for part in parts]
-    if common is None or not _pickles(shard_seeds):
-        return None
-    import multiprocessing
-
-    # Oversharded groups queue more parts than workers; chunksize=1
-    # keeps the surplus pull-balanced instead of pre-dealt.
-    with multiprocessing.Pool(min(int(processes), len(parts)),
-                              initializer=_pool_init,
-                              initargs=(common,)) as pool:
-        stacked = pool.map(_batch_shard_job, shard_seeds, chunksize=1)
-    if scheduler is not None and scheduler.wants_timing(
-            options.get("method")):
-        _observe_throwaway(scheduler, key, parts, stacked)
-    y = np.concatenate([part for part, _nfev, _secs in stacked], axis=0)
-    nfev = sum(part_nfev or 0 for _part, part_nfev, _secs in stacked)
-    telemetry.add("solver.nfev", nfev)
-    grid = _output_grid(t_span, options.get("n_points", 500),
-                        options.get("t_eval"))
-    return BatchTrajectory(t=grid, y=y,
-                           systems=[systems[i] for i in indices],
-                           nfev=nfev)
 
 
 def _compile_sde_rows(factory, rows):
@@ -468,9 +341,7 @@ def _compile_sde_rows(factory, rows):
     trial rows; the Wiener realization of a row depends only on its
     token, never on the batch layout, so shard rows are bit-identical
     to the unsharded solve. ``rows`` is a list of ``(chip_key,
-    chip_seed, noise_token)``; returns ``(replicated, tokens)``.
-    Shared by the throwaway shard jobs and the persistent pool's
-    workers — one copy keeps the two backends' arithmetic identical."""
+    chip_seed, noise_token)``; returns ``(replicated, tokens)``."""
     compiled: dict = {}
     replicated, tokens = [], []
     for chip_key, chip_seed, token in rows:
@@ -481,70 +352,9 @@ def _compile_sde_rows(factory, rows):
     return replicated, tokens
 
 
-def _sde_shard_job(rows):
-    """Pool worker integrating one shard of a replicated SDE batch
-    (see :func:`_compile_sde_rows` for the replication contract)."""
-    factory, t_span, options, fuse = _POOL_COMMON
-    started = time.perf_counter()
-    replicated, tokens = _compile_sde_rows(factory, rows)
-    batch = compile_batch(replicated, fuse=fuse,
-                          array_backend=options.get("array_backend"))
-    trajectory = solve_sde(batch, t_span, noise_seeds=tokens, **options)
-    return trajectory.y, trajectory.nfev, time.perf_counter() - started
-
-
 def _sde_rows(chip_seeds, chip_keys, noise_seeds) -> list[tuple]:
     return [(chip_keys[r], chip_seeds[chip_keys[r]], noise_seeds[r])
             for r in range(len(noise_seeds))]
-
-
-def sharded_solve_sde(factory, chip_seeds, chip_keys, noise_seeds,
-                      replicated, t_span, options, processes,
-                      scheduler=None, key=None) -> BatchTrajectory | None:
-    """Integrate a replicated (chip x trial) SDE batch as per-core
-    sub-batches. Row ``r`` belongs to chip ``chip_keys[r]`` (an index
-    into ``chip_seeds``) and draws the Wiener realization of
-    ``noise_seeds[r]``. Returns ``None`` when the pool cannot be used;
-    otherwise the result is **bit-identical** to the unsharded
-    :func:`~repro.sim.sde_solver.solve_sde` for the fixed-step methods
-    — they keep every instance's arithmetic row-local and streams are
-    keyed per token, so splitting rows across processes (under *any*
-    contiguous partition, including the scheduler's cost-balanced one)
-    cannot change them. Adaptive SDE shards share step control per
-    shard, so they are pinned to the canonical even split (results are
-    then deterministic for a given worker count) and the caller keeps
-    them out of the trajectory cache.
-    """
-    n_rows = len(noise_seeds)
-    if scheduler is not None:
-        parts = scheduler.parts(n_rows, processes,
-                                method=options.get("method"), key=key)
-    else:
-        parts = _shard_parts(n_rows, processes)
-    if not parts:
-        return None
-    fuse = _whole_group_fuse(n_rows, replicated[0])
-    common = _pickled_common(factory, t_span, options, fuse)
-    rows = _sde_rows(chip_seeds, chip_keys, noise_seeds)
-    shard_rows = [[rows[r] for r in part] for part in parts]
-    if common is None or not _pickles(shard_rows):
-        return None
-    import multiprocessing
-
-    with multiprocessing.Pool(min(int(processes), len(parts)),
-                              initializer=_pool_init,
-                              initargs=(common,)) as pool:
-        stacked = pool.map(_sde_shard_job, shard_rows, chunksize=1)
-    if scheduler is not None and scheduler.wants_timing(
-            options.get("method")):
-        _observe_throwaway(scheduler, key, parts, stacked)
-    y = np.concatenate([part for part, _nfev, _secs in stacked], axis=0)
-    nfev = sum(part_nfev or 0 for _part, part_nfev, _secs in stacked)
-    telemetry.add("solver.nfev", nfev)
-    grid = _output_grid(t_span, options.get("n_points", 500),
-                        options.get("t_eval"))
-    return BatchTrajectory(t=grid, y=y, systems=list(replicated),
-                           nfev=nfev)
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +450,7 @@ class SerialBackend(ExecutionBackend):
     the executor's per-instance path, hence ``batches = False``); noisy
     sweeps run one batch-of-one SDE solve per (chip, trial) row, each
     consuming the identical per-token Wiener stream the batched engines
-    use, so responses agree bit for bit with ``batch``/``shard``.
+    use, so responses agree bit for bit with ``batch``/``pool``.
     """
 
     name = "serial"
@@ -675,63 +485,19 @@ def _pool_width(plan: ExecutionPlan) -> int:
     return os.cpu_count() or 1
 
 
-class ShardBackend(ExecutionBackend):
-    """Throwaway-pool sharded solve, falling back to ``batch`` when the
-    pool cannot be used (unpicklable factory, group too small, or a
-    one-wide pool). Kept as the explicit no-persistent-state variant;
-    the ``pool`` backend runs the identical split on reused workers."""
-
-    name = "shard"
-
-    def solve_ode(self, task: GroupTask):
-        plan = task.plan
-        scheduler = sched_module.scheduler_for(plan)
-        key = sched_module.group_key(task.group_systems[0],
-                                     task.options.get("method"), "ode")
-        sharded = _solve_batch_sharded(
-            plan.factory, list(plan.seeds), task.indices,
-            {i: s for i, s in zip(task.indices, task.group_systems)},
-            plan.t_span, task.options, _pool_width(plan),
-            scheduler=scheduler, key=key)
-        if sharded is None:
-            return BACKENDS["batch"].solve_ode(task)
-        # Shard-split rkf45 runs per-shard step control, so an uncached
-        # whole-group rerun would not reproduce it bit-for-bit — keep
-        # it out of the cache. Fixed-step rk4 shards are bit-identical
-        # and safe to store.
-        return sharded, task.options.get("method") == "rk4"
-
-    def solve_sde(self, task: GroupTask):
-        plan = task.plan
-        scheduler = sched_module.scheduler_for(plan)
-        key = sched_module.group_key(task.group_systems[0],
-                                     task.options.get("method"), "sde")
-        sharded = sharded_solve_sde(
-            plan.factory, task.chip_seeds, task.chip_keys,
-            task.noise_seeds, task.group_systems, plan.t_span,
-            task.options, _pool_width(plan), scheduler=scheduler,
-            key=key)
-        if sharded is None:
-            return BACKENDS["batch"].solve_sde(task)
-        # Fixed-step SDE shards are bit-identical to the whole-group
-        # solve, so the result is safely cachable. The adaptive pair
-        # runs per-shard step control (the Wiener *path* is invariant,
-        # but the shared accept/reject sequence is not), so a shard
-        # split must stay out of the cache — like rkf45 above.
-        return sharded, (task.options.get("method")
-                         not in ADAPTIVE_SDE_METHODS)
-
-
 class PoolBackend(ExecutionBackend):
-    """Persistent zero-copy pool: the ``shard`` row split executed on
-    reused workers (:mod:`repro.sim.pool`) with results returned
-    through shared memory (:mod:`repro.sim.shm`) instead of pickle.
+    """Persistent zero-copy pool: the group's rows split into per-core
+    shards (:mod:`repro.sim.sched`) executed on reused workers
+    (:mod:`repro.sim.pool`), with results returned through shared
+    memory (:mod:`repro.sim.shm`) instead of pickle.
 
-    Bit-identical to ``shard`` for every method (the two backends share
-    :func:`_shard_parts` and the whole-group fuse decision), and to
-    ``batch`` for fixed-step methods. Falls back to ``batch`` when the
-    pool cannot be used. Supports asynchronous submission, which is
-    what lets the streaming executor yield groups as workers finish.
+    Bit-identical to ``batch`` for fixed-step methods; adaptive methods
+    run the canonical even split, so they match an in-process
+    ``solve_batch``/``solve_sde`` over each even slice. Every shard
+    inherits the whole-group fuse decision. Falls back to ``batch``
+    when the pool cannot be used. Supports asynchronous submission,
+    which is what lets the streaming executor yield groups as workers
+    finish.
     """
 
     name = "pool"
@@ -789,8 +555,9 @@ class PoolBackend(ExecutionBackend):
     def submit_ode(self, task: GroupTask):
         seeds = list(task.plan.seeds)
         rows = [seeds[i] for i in task.indices]
-        # rkf45 runs per-shard step control (same shards as `shard`,
-        # hence bit-identical to it) — uncachable for the same reason.
+        # rkf45 runs per-shard step control, so an uncached
+        # whole-group rerun would not reproduce it bit-for-bit — keep
+        # it out of the cache. Fixed-step rk4 shards are bit-identical.
         return self._submit(task, "ode", rows,
                             task.options.get("method") == "rk4")
 
@@ -828,18 +595,13 @@ class AutoBackend(ExecutionBackend):
     """Per-group policy: send large groups to the persistent pool when
     one was requested (``processes > 1``), run everything else
     single-process — the historical behavior of
-    ``run_ensemble(processes=N)``, now with warm workers and pickle-free
-    returns (``pool`` is bit-identical to the ``shard`` backend it
-    replaced as the auto choice)."""
+    ``run_ensemble(processes=N)``, with warm workers and pickle-free
+    returns."""
 
     name = "auto"
 
     def _pick(self, task: GroupTask) -> ExecutionBackend:
         plan = task.plan
-        # Non-numpy array backends stay in-process: pool workers would
-        # pickle device arrays through the host (see validate()).
-        if parse_backend_spec(plan.array_spec())[0] != "numpy":
-            return BACKENDS["batch"]
         # Size by integrated rows: the group's chips on the ODE path,
         # the full (chip x trial) replication on the SDE path.
         big_enough = len(task.group_systems) >= max(plan.shard_min,
@@ -878,7 +640,6 @@ def backend_names() -> tuple[str, ...]:
 
 register_backend(BatchBackend())
 register_backend(SerialBackend())
-register_backend(ShardBackend())
 register_backend(PoolBackend())
 register_backend(AutoBackend())
 
@@ -933,7 +694,7 @@ def stream_plan(plan: ExecutionPlan, progress=None):
     plan.validate()
     seeds = list(plan.seeds)
     # Normalize up front: a generator would be exhausted by the first
-    # traversal, and shard tasks re-read plan.seeds.
+    # traversal, and pool tasks re-read plan.seeds.
     plan = replace(plan, seeds=seeds)
     return _stream(plan, seeds, progress)
 
@@ -1168,17 +929,12 @@ def _stream_ode(plan: ExecutionPlan, seeds, systems):
         # unless the caller forced a batch method explicitly.
         if plan.method != "auto":
             return False
-        if parse_backend_spec(plan.array_spec())[0] != "numpy":
-            # The serial fallback integrates on numpy: demoting a
-            # device-backend group would silently swap the array
-            # backend out from under the caller.
-            return False
         from repro.sim.pool import PoolBrokenError
 
         if isinstance(exc, PoolBrokenError):
             # Whatever killed the worker (OOM, a crashing factory)
-            # would kill a serial fan-out worker too — finish the
-            # demoted instances in-process.
+            # would kill the serial fan-out's pool workers too — finish
+            # the demoted instances in-process.
             fanout[0] = None
         serial_indices.extend(task.indices)
         return True
@@ -1199,7 +955,7 @@ def _stream_ode(plan: ExecutionPlan, seeds, systems):
         with telemetry.span("serial.fanout"):
             serial = _run_serial(plan.factory, seeds, serial_indices,
                                  systems, plan.t_span, serial_options,
-                                 fanout[0])
+                                 fanout[0], pin_workers=plan.pin_workers)
         ordered = sorted(serial_indices)
         yield EnsembleChunk(order=len(tasks), indices=ordered,
                             trajectories=[serial[i] for i in ordered],

@@ -1,24 +1,25 @@
-"""Persistent zero-copy worker pool for sharded ensemble solves.
+"""Persistent zero-copy worker pool: the engine's one process model.
 
-The ``shard`` backend pays two per-solve overheads the paper's
-large-scale mismatch/noise sweeps cannot amortize: a fresh
-``multiprocessing.Pool`` is spawned (and torn down) for every batched
-group, and every shard's trajectory tensor returns through pickle.
-This module removes both:
+Every multi-process solve in the engine runs here — batched ODE and
+SDE groups split into per-core shards (the ``pool`` backend) and the
+serial scipy fan-out of structurally unique instances
+(:func:`map_serial`). Two per-solve overheads the paper's large-scale
+mismatch/noise sweeps could not amortize are gone by construction:
 
 * **Persistent workers** — :class:`WorkerPool` spawns its processes
   once and reuses them across solves (and across sweeps inside one
-  session). Workers keep a per-process cache of unpickled shared
-  payloads, and the batch-codegen kernel cache
-  (:mod:`repro.sim.batch_codegen`) means a structural group's RHS
-  source is compiled at most once per worker no matter how many shards
-  or reruns it serves.
-* **Shared-memory results** — every task carries a tiny
+  session), instead of spawning and tearing down a pool per group.
+  Workers keep a per-process cache of unpickled shared payloads, and
+  the batch-codegen kernel cache (:mod:`repro.sim.batch_codegen`)
+  means a structural group's RHS source is compiled at most once per
+  worker no matter how many shards or reruns it serves.
+* **Shared-memory results** — every batched task carries a tiny
   :class:`~repro.sim.shm.ShmBlock` header; the worker integrates its
   shard and stores the rows straight into the shared tensor. Only a
   small metadata dict (nfev, freeze mask) rides back on the result
   queue, so ``(n_instances, n_points, n_states)``-scale arrays never
-  pass through pickle.
+  pass through pickle. (Per-seed scipy trajectories of the serial
+  fan-out are small and ride the result queue.)
 
 The parent-side unit of work is a :class:`PoolHandle`: one batched
 group, split into per-worker shard tasks, all writing disjoint row
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
+from repro.core.simulator import simulate
 from repro.errors import SimulationError
 
 from repro.sim import shm as shm_module
@@ -73,9 +75,10 @@ class ShardTask:
     options, fuse)`` tuple — serialized once per group and cached
     per-worker, so the factory's (possibly large) attribute payload is
     not re-pickled for every shard. ``rows`` is the shard's work list:
-    mismatch seeds for ODE shards, ``(chip_key, chip_seed, token)``
-    triples for SDE shards. ``header``/``row_offset`` name the shared
-    block and the shard's slice of it.
+    mismatch seeds for ODE and serial tasks, ``(chip_key, chip_seed,
+    token)`` triples for SDE shards. ``header``/``row_offset`` name the
+    shared block and the shard's slice of it (``header`` is ``None``
+    for serial tasks, whose trajectories return in the result meta).
     """
 
     task_id: int
@@ -117,12 +120,11 @@ def _load_common(blob: bytes) -> tuple[tuple, bool]:
 
 
 def _run_shard(task: ShardTask) -> dict:
-    """Integrate one shard and store its rows into the shared block.
-    The arithmetic is exactly the ``shard`` backend's — the rebuild
-    helpers are literally shared with :mod:`repro.sim.plan` (same row
-    split, same whole-group fuse decision) — so pool results are
-    bit-identical to ``shard`` (and, for fixed-step methods, to
-    ``batch``)."""
+    """Run one task. Batched shards store their rows into the shared
+    block; the rebuild helpers are shared with :mod:`repro.sim.plan`
+    (same whole-group fuse decision), so fixed-step shards are
+    bit-identical to the in-process ``batch`` solve. Serial tasks run
+    one scipy solve per seed and return the trajectories in the meta."""
     # Lazy import: plan.py is the registry module and imports this one
     # inside functions only, so importing it here (in the worker) is
     # cycle-free.
@@ -131,29 +133,36 @@ def _run_shard(task: ShardTask) -> dict:
     started = time.monotonic() if task.collect else 0.0
     factory_common, payload_hit = _load_common(task.common)
     factory, t_span, options, fuse = factory_common
-    array_backend = options.get("array_backend")
-    if task.kind == "ode":
-        systems = [_compile_target(factory(seed)) for seed in task.rows]
-        batch = compile_batch(systems, fuse=fuse,
-                              array_backend=array_backend)
-        trajectory = solve_batch(batch, t_span, **options)
+    if task.kind == "serial":
+        solved = [simulate(factory(seed), t_span, **options)
+                  for seed in task.rows]
+        meta = {"n_rows": len(solved), "nfev": None, "frozen": None,
+                "trajectories": [(item.t, item.y) for item in solved]}
     else:
-        replicated, tokens = _compile_sde_rows(factory, task.rows)
-        batch = compile_batch(replicated, fuse=fuse,
-                              array_backend=array_backend)
-        trajectory = solve_sde(batch, t_span, noise_seeds=tokens,
-                               **options)
-    block = shm_module.ShmBlock.attach(task.header)
-    try:
-        block.write_rows(task.row_offset, trajectory.y)
-    finally:
-        block.close()
-    meta = {
-        "n_rows": trajectory.y.shape[0],
-        "nfev": trajectory.nfev,
-        "frozen": None if trajectory.frozen is None
-        else np.asarray(trajectory.frozen, dtype=bool),
-    }
+        array_backend = options.get("array_backend")
+        if task.kind == "ode":
+            systems = [_compile_target(factory(seed))
+                       for seed in task.rows]
+            batch = compile_batch(systems, fuse=fuse,
+                                  array_backend=array_backend)
+            trajectory = solve_batch(batch, t_span, **options)
+        else:
+            replicated, tokens = _compile_sde_rows(factory, task.rows)
+            batch = compile_batch(replicated, fuse=fuse,
+                                  array_backend=array_backend)
+            trajectory = solve_sde(batch, t_span, noise_seeds=tokens,
+                                   **options)
+        block = shm_module.ShmBlock.attach(task.header)
+        try:
+            block.write_rows(task.row_offset, trajectory.y)
+        finally:
+            block.close()
+        meta = {
+            "n_rows": trajectory.y.shape[0],
+            "nfev": trajectory.nfev,
+            "frozen": None if trajectory.frozen is None
+            else np.asarray(trajectory.frozen, dtype=bool),
+        }
     if task.collect:
         # Workers have no ContextVar collector (they outlive any single
         # collection window), so counters are computed directly and
@@ -165,8 +174,8 @@ def _run_shard(task: ShardTask) -> dict:
         meta["telemetry"] = {
             "worker": multiprocessing.current_process().name,
             "shards": 1,
-            "rows": trajectory.y.shape[0],
-            "nfev": trajectory.nfev or 0,
+            "rows": meta["n_rows"],
+            "nfev": meta["nfev"] or 0,
             "queue_wait_seconds": max(0.0,
                                       started - task.submitted_at),
             "busy_seconds": busy,
@@ -178,7 +187,7 @@ def _run_shard(task: ShardTask) -> dict:
             # clock comparable across processes on Linux).
             "events": [{"name": f"shard.solve:{task.kind}",
                         "t0": started, "seconds": busy,
-                        "rows": trajectory.y.shape[0]}],
+                        "rows": meta["n_rows"]}],
         }
     return meta
 
@@ -222,20 +231,20 @@ def _worker_main(tasks, results):  # pragma: no cover - subprocess body
 
 @dataclass
 class PoolHandle:
-    """Parent-side state of one in-flight batched group.
+    """Parent-side state of one in-flight group of tasks.
 
-    Tracks the group's pending shard task ids, accumulates the small
-    per-shard metadata, and owns the group's shared block until
-    :meth:`result` (success) or :meth:`discard` (any failure path)
-    releases it.
+    Tracks the group's pending task ids, accumulates the small per-task
+    metadata, and owns the group's shared block (``None`` for the
+    serial fan-out) until :meth:`result` (success) or :meth:`discard`
+    (any failure path) releases it.
     """
 
     pool: "WorkerPool"
-    block: shm_module.ShmBlock
-    grid: np.ndarray
-    systems: list
-    storable: bool
-    masked: bool
+    block: shm_module.ShmBlock | None
+    grid: np.ndarray | None = None
+    systems: list = field(default_factory=list)
+    storable: bool = False
+    masked: bool = False
     pending: set = field(default_factory=set)
     offsets: list = field(default_factory=list)
     metas: dict = field(default_factory=dict)
@@ -280,10 +289,7 @@ class PoolHandle:
             telemetry.add("pool.shm_bytes_transferred", y.nbytes)
             telemetry.add("pool.pickle_bytes_avoided", y.nbytes)
             telemetry.add("solver.nfev", nfev)
-            for meta in self.metas.values():
-                info = meta.get("telemetry")
-                if info is not None:
-                    telemetry.merge_worker(info)
+            self._merge_workers()
         frozen = None
         if self.masked:
             frozen = np.zeros(y.shape[0], dtype=bool)
@@ -306,6 +312,24 @@ class PoolHandle:
                                systems=list(self.systems),
                                frozen=frozen, nfev=nfev), self.storable
 
+    def outputs(self, key: str) -> list:
+        """One meta entry per task, in submission order — how the
+        serial fan-out collects its per-seed trajectories. Raises the
+        first task error like :meth:`result`."""
+        self.wait()
+        if self.error is not None:
+            raise self.error
+        if telemetry.enabled():
+            self._merge_workers()
+        return [self.metas[task_id][key]
+                for task_id, _offset in self.offsets]
+
+    def _merge_workers(self) -> None:
+        for meta in self.metas.values():
+            info = meta.get("telemetry")
+            if info is not None:
+                telemetry.merge_worker(info)
+
     def discard(self) -> None:
         """Release the shared block and forget pending tasks
         (idempotent) — the single cleanup path for success, shard
@@ -313,7 +337,8 @@ class PoolHandle:
         for task_id in self.pending:
             self.pool._handles.pop(task_id, None)
         self.pending.clear()
-        self.block.discard()
+        if self.block is not None:
+            self.block.discard()
 
 
 class WorkerPool:
@@ -364,16 +389,17 @@ class WorkerPool:
         handle.offsets.append((task_id, row_offset))
         self._handles[task_id] = handle
         collect = telemetry.enabled() or timing
+        header = None if handle.block is None else handle.block.header
         self._tasks.put(ShardTask(task_id=task_id, kind=kind,
                                   common=common, rows=rows,
-                                  header=handle.block.header,
+                                  header=header,
                                   row_offset=row_offset,
                                   collect=collect,
                                   submitted_at=time.monotonic()
                                   if collect else 0.0))
         return task_id
 
-    def drain_one(self, poll: float | None = None) -> PoolHandle:
+    def drain_one(self) -> PoolHandle:
         """Route the next result to its handle and return that handle.
 
         Event-driven: waits on the result queue's pipe *and* every
@@ -382,14 +408,12 @@ class WorkerPool:
         crash) lands instead of paying the historical up-to-100 ms
         timeout poll per chunk. A worker that vanished with tasks
         outstanding breaks the pool (every in-flight group is
-        unrecoverable — its shard may have died mid-write). ``poll``
-        optionally bounds one wait (compatibility knob; ``None`` blocks
-        until an event)."""
+        unrecoverable — its shard may have died mid-write)."""
         while True:
             try:
                 task_id, ok, payload = self._results.get_nowait()
             except queue_module.Empty:
-                if not self._wait_for_result(poll):
+                if not self._wait_for_result():
                     self._break()
                     raise PoolBrokenError(
                         "a pool worker died without reporting a "
@@ -401,7 +425,7 @@ class WorkerPool:
             handle._complete(task_id, ok, payload)
             return handle
 
-    def _wait_for_result(self, poll: float | None = None) -> bool:
+    def _wait_for_result(self) -> bool:
         """Block until the result queue (probably) has data. ``False``
         means a worker died with nothing left to drain — the caller
         breaks the pool."""
@@ -411,20 +435,18 @@ class WorkerPool:
         if reader is None:  # pragma: no cover - exotic queue impl
             # No pipe to select on: fall back to the historical
             # bounded sleep + liveness check.
-            time.sleep(poll if poll is not None else 0.05)
+            time.sleep(0.05)
             return all(worker.is_alive() for worker in self._workers)
         sentinels = [worker.sentinel for worker in self._workers]
-        ready = connection.wait([reader, *sentinels], timeout=poll)
+        ready = connection.wait([reader, *sentinels])
         if reader in ready:
             return True
-        if ready:
-            # Only death sentinels fired. The dead worker's queue
-            # feeder may still be flushing a final result it managed to
-            # put before exiting — give the pipe one bounded chance.
-            if reader.poll(0.1):
-                return True
-            return all(worker.is_alive() for worker in self._workers)
-        return True  # bounded wait timed out with everyone alive
+        # Only death sentinels fired. The dead worker's queue feeder may
+        # still be flushing a final result it managed to put before
+        # exiting — give the pipe one bounded chance.
+        if reader.poll(0.1):
+            return True
+        return all(worker.is_alive() for worker in self._workers)
 
     def _break(self) -> None:
         self.broken = True
@@ -459,6 +481,25 @@ def wait_any(handles: list[PoolHandle]) -> PoolHandle:
             if handle.done:
                 return handle
         handles[0].pool.drain_one()
+
+
+def map_serial(processes: int, common: bytes, seeds: list,
+               pin_workers: bool = False) -> list[tuple]:
+    """Fan per-seed scipy solves out over the persistent pool — one
+    task per seed, pulled from the shared queue, so one slow instance
+    never holds a batch of fast ones hostage. ``common`` is the pickled
+    ``(factory, t_span, options, None)`` payload. Returns ``(t, y)``
+    per seed in input order; a task error re-raises here, a dying
+    worker raises :class:`PoolBrokenError`."""
+    pool = get_pool(processes, pin_workers=pin_workers)
+    handle = PoolHandle(pool=pool, block=None)
+    try:
+        for offset, seed in enumerate(seeds):
+            pool.submit(handle, "serial", common, [seed], offset)
+        return [pair for (pair,) in handle.outputs("trajectories")]
+    except BaseException:
+        handle.discard()
+        raise
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Cost-model-driven adaptive scheduling for the shard/pool backends.
+"""Cost-model-driven adaptive scheduling for the worker pool.
 
 The paper's sweeps are embarrassingly parallel but badly skewed: rows
 of one structural group differ wildly in cost (a stiff OBC instance
@@ -6,7 +6,7 @@ pays ~3x the RHS evals of a settled one — the same skew the freeze
 masks exploit), yet the historical ``np.array_split`` row split gives
 every shard the same row *count*, so one slow shard gates the whole
 group while warm pool workers idle. This module replaces that split
-with a scheduling layer shared by the ``shard`` and ``pool`` backends:
+with a scheduling layer for the ``pool`` backend:
 
 * **Cost model** (:class:`CostProfile`) — per-group predicted per-row
   seconds, seeded from static structure (state count, method weight)
@@ -70,8 +70,7 @@ SCHEDULES = ("even", "cost")
 #: run one shared step-control sequence per shard, so repartitioning
 #: changes results at tolerance level. The scheduler pins these to the
 #: canonical even split regardless of ``schedule``/``overshard``.
-ADAPTIVE_METHODS = ("auto", "rkf45", "rk45", "heun-adaptive",
-                    "em-adaptive")
+ADAPTIVE_METHODS = ("auto", "rkf45", "heun-adaptive", "em-adaptive")
 
 #: File name of the persisted cost profile, created next to the disk
 #: trajectory cache (or wherever ``cost_profile=`` points).
@@ -89,9 +88,9 @@ EWMA_ALPHA = 0.5
 #: one of each, milstein EM plus the derivative kernel, the adaptive
 #: SDE pair a Heun step plus rejections) — only the *ratios* matter,
 #: they seed group ordering before any timing has been observed.
-_METHOD_WEIGHT = {"rk4": 1.0, "auto": 1.5, "rkf45": 1.5, "rk45": 1.5,
-                  "em": 0.5, "heun": 1.0, "milstein": 0.75,
-                  "heun-adaptive": 1.5, "em-adaptive": 1.25}
+_METHOD_WEIGHT = {"rk4": 1.0, "auto": 1.5, "rkf45": 1.5, "em": 0.5,
+                  "heun": 1.0, "milstein": 0.75, "heun-adaptive": 1.5,
+                  "em-adaptive": 1.25}
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +298,7 @@ class CostProfile:
 
 class Scheduler:
     """One plan's scheduling policy, shared by every group the
-    ``shard``/``pool`` backends split: decides each group's row
+    ``pool`` backend splits: decides each group's row
     partition, ranks groups for submission (longest-predicted-first),
     and feeds shard timings back into the :class:`CostProfile`."""
 

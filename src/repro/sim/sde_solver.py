@@ -309,18 +309,17 @@ def _scatter(contrib, state_index: np.ndarray, n_states: int,
 class _ScatterAccumulator:
     """:func:`_scatter` with a reusable workspace.
 
-    On mutable-kernel backends (numpy, cupy) the ``(n_states,
-    n_instances)`` accumulator is allocated once and re-zeroed per call
-    instead of freshly allocated every substep — zero-fill plus
-    in-place ``index_add`` produces bitwise the same array as scattering
-    into fresh zeros. Two buffers rotate because the Heun corrector
-    needs the predictor's scatter alive while the corrector's is formed
-    (and Milstein needs the increment scatter alive under the
-    correction scatter); callers therefore must not hold more than two
-    results at once. Functional backends (immutable arrays) keep the
-    zeros-per-call path. ``allocs`` counts real allocations — the
-    fixed-step sweep used to pay one per scatter call, now at most two
-    per solve (reported as ``sde.scatter_allocs``).
+    The ``(n_states, n_instances)`` accumulator is allocated once and
+    re-zeroed per call instead of freshly allocated every substep —
+    zero-fill plus in-place ``index_add`` produces bitwise the same
+    array as scattering into fresh zeros. Two buffers rotate because
+    the Heun corrector needs the predictor's scatter alive while the
+    corrector's is formed (and Milstein needs the increment scatter
+    alive under the correction scatter); callers therefore must not
+    hold more than two results at once. ``allocs`` counts real
+    allocations — the fixed-step sweep used to pay one per scatter
+    call, now at most two per solve (reported as
+    ``sde.scatter_allocs``).
     """
 
     def __init__(self, state_index, n_states: int, n_instances: int,
@@ -334,18 +333,14 @@ class _ScatterAccumulator:
 
     def __call__(self, contrib):
         B = self._B
-        if B.mutable_kernels:
-            acc = self._buffers[self._turn]
-            if acc is None:
-                acc = B.xp.zeros(self._shape, dtype=B.dtype)
-                self._buffers[self._turn] = acc
-                self.allocs += 1
-            else:
-                acc[...] = 0.0
-            self._turn = 1 - self._turn
-        else:
+        acc = self._buffers[self._turn]
+        if acc is None:
             acc = B.xp.zeros(self._shape, dtype=B.dtype)
+            self._buffers[self._turn] = acc
             self.allocs += 1
+        else:
+            acc[...] = 0.0
+        self._turn = 1 - self._turn
         return B.index_add(acc, self._state_index, contrib.T).T
 
 

@@ -1,31 +1,33 @@
 """Shared-memory result transport for the persistent worker pool.
 
-The ``shard`` backend returns every per-shard trajectory tensor through
-the multiprocessing pipe: the worker pickles an
-``(n_rows, n_states, n_points)`` float array, the parent unpickles and
-then concatenates it — two full copies plus serialization per shard, on
-the sweep sizes of the paper's Fig. 4 / Table 1 studies easily hundreds
-of megabytes per run. This module removes that round trip: the parent
-allocates one :class:`ShmBlock` per batched group, workers attach by a
-lightweight picklable *header* (name, shape, dtype — a few dozen
-bytes) and integrate **directly into their row slice** of the shared
-tensor, and the parent materializes the finished block with a single
-memcpy. Trajectory data never passes through ``pickle``.
+Returning a shard's trajectory tensor through the multiprocessing pipe
+costs the worker a pickle of an ``(n_rows, n_states, n_points)`` float
+array and the parent an unpickle plus a concatenate — two full copies
+plus serialization per shard, on the sweep sizes of the paper's Fig. 4
+/ Table 1 studies easily hundreds of megabytes per run. This module
+removes that round trip: the parent allocates one :class:`ShmBlock` per
+batched group, workers attach by a lightweight picklable *header*
+(name, shape, dtype — a few dozen bytes) and integrate **directly into
+their row slice** of the shared tensor, and the parent materializes the
+finished block with a single memcpy. Trajectory data never passes
+through ``pickle``.
 
 Lifetime contract: the parent (creator) owns the segment — it unlinks
 exactly once, in a ``finally`` path, so success, worker crashes, and
 ``KeyboardInterrupt`` all leave ``/dev/shm`` clean (test-enforced via
-:func:`active_blocks`). Workers only ever attach + close; their
-attachment is explicitly *untracked* so Python's resource tracker in a
-long-lived worker never unlinks (or warns about) a segment it does not
-own.
+:func:`active_blocks`). Workers only ever attach + close. A worker that
+reports to a resource tracker of its own untracks its attachment, so
+that tracker never unlinks (or warns about) a segment the worker does
+not own; a worker sharing the parent's tracker leaves the parent's
+registration alone.
 """
 
 from __future__ import annotations
 
+import os
 import uuid
 import warnings
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -65,17 +67,57 @@ def warn_leaked_blocks(context: str) -> list[str]:
     return sorted(leaked)
 
 
+def _tracker_pid():
+    """Pid of the resource tracker this process reports to, as far as
+    this process knows it (``None`` before one started, and in a spawned
+    child, which inherits only the tracker's pipe). Private API, hence
+    the defensive lookup."""
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    return getattr(tracker, "_pid", None)
+
+
+#: Tracker pid this process inherited at fork (or import). A fork child
+#: of a process whose tracker already ran shares that tracker; only a
+#: tracker started later, by this process itself, is its own.
+_INHERITED_TRACKER = _tracker_pid()
+
+
+def _note_fork() -> None:
+    global _INHERITED_TRACKER
+    _INHERITED_TRACKER = _tracker_pid()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_note_fork)
+
+
+def _owns_tracker() -> bool:
+    """Whether this process started the resource tracker it reports
+    to. A worker forked (or spawned) after the parent's tracker started
+    shares it instead: one registration per segment name, held by the
+    parent."""
+    pid = _tracker_pid()
+    return pid is not None and pid != _INHERITED_TRACKER
+
+
 def _untrack(segment) -> None:
-    """Unregister a worker-side attachment from the resource tracker.
+    """Unregister a worker-side attachment from a tracker of the
+    worker's own.
 
     Before Python 3.13 (``track=False``), *attaching* to a segment also
-    registers it with the process's resource tracker, which then unlinks
-    it when the process exits — wrong for our persistent workers, which
-    attach to parent-owned segments: the parent is the sole owner of the
-    unlink. Private API, hence the defensive except."""
+    registers it with the process's resource tracker. A tracker the
+    worker started itself would unlink the segment when the worker
+    exits — wrong, the parent is the sole owner of the unlink — so that
+    registration is dropped. A tracker shared with the parent holds one
+    registration per name: dropping it would unregister the *parent's*
+    registration, the parent's own unlink would then unregister a name
+    the tracker no longer holds (a ``KeyError`` traceback from the
+    tracker), and a parent crash in between would leak the segment. So
+    a shared tracker is left alone, as is a segment this process
+    created. Private API, hence the defensive except."""
+    if segment.name in _ACTIVE or not _owns_tracker():
+        return
     try:  # pragma: no cover - depends on stdlib internals
-        from multiprocessing import resource_tracker
-
         resource_tracker.unregister(segment._name, "shared_memory")
     except Exception:
         pass

@@ -15,16 +15,15 @@ mismatch):
   (:mod:`repro.sim.sde_solver`);
 * **Driver**: the (chip seed × noise trial) outer-product sweep behind
   PUF transient-noise reliability and the OBC quality-vs-noise study —
-  since the unified execution-plan layer (:mod:`repro.sim.plan`) this
-  is ``run_ensemble(..., trials=K)``; :func:`run_noisy_ensemble` is the
-  established name, kept as a delegating shim.
+  ``run_ensemble(..., trials=K)`` through the unified execution-plan
+  layer (:mod:`repro.sim.plan`).
 
 The implementation lives in :mod:`repro.core` / :mod:`repro.sim`
 (noise shares the compiler and the batched engine with the
 deterministic path — that sharing *is* the design); this module is the
 subsystem's nominal home and re-exports its public API::
 
-    from repro.stoch import simulate_sde, run_noisy_ensemble
+    from repro.stoch import simulate_sde, run_ensemble
 """
 
 from repro.core.datatypes import Noise
@@ -32,7 +31,7 @@ from repro.core.noise import (SHARED_ELEMENT, bridge_bits, bridge_seed,
                               share_wiener, stream, stream_seed)
 from repro.core.odesystem import DiffusionTerm
 from repro.sim.ensemble import run_ensemble
-from repro.sim.noisy import NoisyEnsembleResult, run_noisy_ensemble
+from repro.sim.noisy import NoisyEnsembleResult
 from repro.sim.plan import ExecutionPlan, NoiseSpec
 from repro.sim.sde_solver import (ADAPTIVE_SDE_METHODS,
                                   FIXED_SDE_METHODS, SDE_METHODS,
@@ -54,7 +53,6 @@ __all__ = [
     "bridge_bits",
     "bridge_seed",
     "run_ensemble",
-    "run_noisy_ensemble",
     "share_wiener",
     "simulate_sde",
     "solve_sde",

@@ -5,7 +5,7 @@ Backs the ``repro report`` subcommand and ``repro ensemble --trace``:
 time, percent of total) followed by the counter table, gauges, memory
 peaks, and per-worker blocks; :func:`diff_reports` lines two reports up
 counter-by-counter with absolute and relative deltas — the intended
-workflow being cold-vs-warm cache, shard-vs-pool, before-vs-after a
+workflow being cold-vs-warm cache, batch-vs-pool, before-vs-after a
 perf change.
 
 :func:`diff_data` is the machine-readable form of the same comparison

@@ -62,6 +62,12 @@ class TestSolvers:
         with pytest.raises(SimulationError, match="unknown batch"):
             solve_batch(batch, (0.0, 1.0), method="LSODA")
 
+    def test_rk45_is_not_an_alias_of_rkf45(self):
+        batch = _decay_batch(TAUS)
+        with pytest.raises(SimulationError,
+                           match="unknown batch method 'rk45'.*rkf45"):
+            solve_batch(batch, (0.0, 1.0), method="rk45")
+
     def test_per_instance_error_control(self):
         # A fast instance (tau=0.1) must not degrade a slow sibling's
         # accuracy: both rows still match the closed form.

@@ -5,8 +5,7 @@ import pytest
 
 import repro
 from repro.core.compiler import compile_graph
-from repro.sim import (TrajectoryCache, run_ensemble,
-                       run_noisy_ensemble)
+from repro.sim import TrajectoryCache, run_ensemble
 from repro.sim.cache import resolve_cache
 
 
@@ -281,23 +280,23 @@ def _noisy_factory(seed):
 class TestNoisyEnsembleIntegration:
     def test_noisy_rerun_is_bit_identical(self):
         cache = TrajectoryCache()
-        first = run_noisy_ensemble(_noisy_factory, range(2), (0.0, 1.0),
-                                   trials=3, n_points=30, cache=cache)
-        second = run_noisy_ensemble(_noisy_factory, range(2),
-                                    (0.0, 1.0), trials=3, n_points=30,
-                                    cache=cache)
+        first = run_ensemble(_noisy_factory, range(2), (0.0, 1.0),
+                             trials=3, n_points=30, cache=cache)
+        second = run_ensemble(_noisy_factory, range(2),
+                              (0.0, 1.0), trials=3, n_points=30,
+                              cache=cache)
         assert cache.stats.hits >= 1
         for a, b in zip(first.batches, second.batches):
             np.testing.assert_array_equal(a.y, b.y)
 
     def test_trial_base_shift_misses(self):
         cache = TrajectoryCache()
-        run_noisy_ensemble(_noisy_factory, range(2), (0.0, 1.0),
-                           trials=3, n_points=30, cache=cache)
+        run_ensemble(_noisy_factory, range(2), (0.0, 1.0),
+                     trials=3, n_points=30, cache=cache)
         hits_before = cache.stats.hits
-        shifted = run_noisy_ensemble(_noisy_factory, range(2),
-                                     (0.0, 1.0), trials=3, n_points=30,
-                                     trial_base=7, cache=cache)
+        shifted = run_ensemble(_noisy_factory, range(2),
+                               (0.0, 1.0), trials=3, n_points=30,
+                               noise_seed=7, cache=cache)
         # The SDE batch must re-integrate (fresh realizations); only
         # the deterministic reference may hit.
         assert shifted.batches

@@ -1,6 +1,6 @@
 """Tests for the unified execution-plan layer (:mod:`repro.sim.plan`):
 shim equivalence (the legacy drivers must be bit-identical delegates),
-backend registry behavior, plan validation, and sharded-SDE
+backend registry behavior, plan validation, and pooled-SDE
 bit-identity."""
 
 import numpy as np
@@ -9,9 +9,9 @@ import pytest
 import repro
 from repro.errors import SimulationError
 from repro.lang import parse_program
-from repro.sim import (BACKENDS, ExecutionPlan, NoiseSpec,
+from repro.sim import (BACKENDS, ENGINES, ExecutionPlan, NoiseSpec,
                        backend_names, register_backend, resolve_engine,
-                       run_ensemble, run_noisy_ensemble)
+                       run_ensemble)
 from repro.sim.plan import BatchBackend, ExecutionBackend
 
 OU_SOURCE = """
@@ -65,8 +65,7 @@ class TestValidation:
         with pytest.raises(SimulationError, match="trials"):
             run_ensemble(_ou_factory(), range(2), (0.0, 1.0), trials=0)
         with pytest.raises(SimulationError, match="trials"):
-            run_noisy_ensemble(_ou_factory(), range(2), (0.0, 1.0),
-                               trials=-1)
+            run_ensemble(_ou_factory(), range(2), (0.0, 1.0), trials=-1)
 
     def test_noise_seed_without_trials(self):
         with pytest.raises(ValueError, match="noise_seed"):
@@ -93,13 +92,31 @@ class TestValidation:
     def test_resolve_engine_maps_batch_to_auto(self):
         assert resolve_engine("batch") == "auto"
         assert resolve_engine("serial") == "serial"
-        assert resolve_engine("shard") == "shard"
+        assert resolve_engine("pool") == "pool"
+
+    def test_removed_engine_lists_valid_choices(self):
+        assert ENGINES == ("batch", "serial", "pool", "auto")
+        with pytest.raises(ValueError,
+                           match="unknown engine 'shard'.*"
+                                 "batch, serial, pool, auto"):
+            run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
+                         engine="shard")
+
+    @pytest.mark.parametrize("method", ["rk45", "RKF45", "euler"])
+    def test_unknown_ode_method_lists_valid_choices(self, method):
+        # rk45 used to alias rkf45; it and other unknown names must
+        # fail up front instead of reaching scipy's solve_ivp.
+        with pytest.raises(SimulationError,
+                           match=f"unknown method '{method}'.*"
+                                 "auto, rkf45, rk4, RK23, RK45"):
+            run_ensemble(_ou_factory(0.0), range(2), (0.0, 1.0),
+                         method=method)
 
 
 class TestRegistry:
     def test_registered_names(self):
-        assert set(backend_names()) >= {"auto", "batch", "serial",
-                                        "shard"}
+        assert set(backend_names()) == {"auto", "batch", "serial",
+                                        "pool"}
 
     def test_custom_backend_pluggable(self):
         calls = []
@@ -132,22 +149,6 @@ class TestRegistry:
 class TestShimEquivalence:
     """The legacy entrypoints are delegating shims: outputs must be
     bit-identical to the unified driver."""
-
-    def test_run_noisy_ensemble_is_bit_identical(self):
-        factory = _ou_factory()
-        kwargs = dict(trials=3, n_points=60)
-        legacy = run_noisy_ensemble(factory, [0, 1, 2], (0.0, 2.0),
-                                    method="heun", trial_base=5,
-                                    **kwargs)
-        unified = run_ensemble(factory, [0, 1, 2], (0.0, 2.0),
-                               trials=3, sde_method="heun",
-                               noise_seed=5, n_points=60)
-        assert len(legacy.batches) == len(unified.batches)
-        for a, b in zip(legacy.batches, unified.batches):
-            np.testing.assert_array_equal(a.y, b.y)
-        for chip in range(3):
-            np.testing.assert_array_equal(
-                legacy.reference(chip).y, unified.reference(chip).y)
 
     def test_simulate_ensemble_is_bit_identical(self):
         from repro.core.simulator import simulate_ensemble
@@ -188,7 +189,7 @@ class TestShardedSde:
             np.testing.assert_array_equal(
                 unsharded.reference(chip).y, sharded.reference(chip).y)
 
-    def test_shard_engine_forces_pool(self):
+    def test_pool_engine_ignores_shard_min(self):
         from repro.paradigms.tln import TLineSpec
         from repro.paradigms.tln.noisy import NoisyTlineFactory
 
@@ -197,11 +198,10 @@ class TestShardedSde:
         span = (0.0, 4e-8)
         unsharded = run_ensemble(factory, range(2), span, trials=2,
                                  n_points=30)
-        # engine="shard" ignores shard_min sizing via the auto policy
+        # engine="pool" ignores shard_min sizing via the auto policy
         # and shards whatever it can (here 4 rows over 2 workers).
-        sharded = run_noisy_ensemble(factory, range(2), span, trials=2,
-                                     n_points=30, engine="shard",
-                                     processes=2)
+        sharded = run_ensemble(factory, range(2), span, trials=2,
+                               n_points=30, engine="pool", processes=2)
         np.testing.assert_array_equal(unsharded.batches[0].y,
                                       sharded.batches[0].y)
 
@@ -242,8 +242,8 @@ class TestNoiseSpecTokens:
 
 
 class TestCliNoiseAlias:
-    """``repro noise`` forwards to the unified ensemble command and
-    stays bit-identical (satellite: CLI consolidation)."""
+    """Transient-noise sweeps run through ``repro ensemble --trials``;
+    the old ``repro noise`` alias is gone."""
 
     PROGRAM = """
 lang leaky-noise {
@@ -269,47 +269,25 @@ func cell (nsig:real[0,inf]) uses leaky-noise {
         path.write_text(self.PROGRAM)
         return str(path)
 
-    def test_alias_forwards_and_warns(self, noisy_file, tmp_path,
-                                      capsys):
+    def test_noise_subcommand_is_gone(self, noisy_file, capsys):
         from repro.cli import main
 
-        legacy_csv = tmp_path / "legacy.csv"
-        unified_csv = tmp_path / "unified.csv"
-        assert main(["noise", noisy_file, "--arg", "nsig=0.3",
-                     "--t-end", "2.0", "--seeds", "2", "--trials", "3",
-                     "--points", "40", "--node", "x",
-                     "--csv", str(legacy_csv)]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "2 chip(s) x 3 trial(s)" in captured.out
-        assert main(["ensemble", noisy_file, "--arg", "nsig=0.3",
-                     "--t-end", "2.0", "--seeds", "2", "--trials", "3",
-                     "--points", "40", "--node", "x",
-                     "--csv", str(unified_csv)]) == 0
-        assert "deprecated" not in capsys.readouterr().err
-        assert legacy_csv.read_bytes() == unified_csv.read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["noise", noisy_file, "--t-end", "2.0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "invalid choice: 'noise'" in err
+        assert "ensemble" in err
 
-    def test_alias_honors_cache_dir(self, noisy_file, tmp_path,
-                                    capsys):
+    def test_rk45_alias_is_gone(self, noisy_file, capsys):
         from repro.cli import main
 
-        cache_dir = tmp_path / "cache"
-        csv = tmp_path / "a.csv"
-        assert main(["noise", noisy_file, "--arg", "nsig=0.3",
-                     "--t-end", "2.0", "--seeds", "2", "--trials", "2",
-                     "--points", "30", "--node", "x",
-                     "--cache-dir", str(cache_dir),
-                     "--csv", str(csv)]) == 0
-        capsys.readouterr()
-        assert list(cache_dir.glob("*.npz"))
-        csv2 = tmp_path / "b.csv"
         assert main(["ensemble", noisy_file, "--arg", "nsig=0.3",
-                     "--t-end", "2.0", "--seeds", "2", "--trials", "2",
-                     "--points", "30", "--node", "x",
-                     "--cache-dir", str(cache_dir),
-                     "--csv", str(csv2)]) == 0
-        capsys.readouterr()
-        assert csv.read_bytes() == csv2.read_bytes()
+                     "--t-end", "2.0", "--seeds", "2",
+                     "--method", "rk45"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown method 'rk45'" in err
+        assert "auto, rkf45, rk4" in err
 
     def test_unified_noise_seed_shifts_realizations(self, noisy_file,
                                                     tmp_path, capsys):

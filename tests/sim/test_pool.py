@@ -1,20 +1,27 @@
 """Tests for the persistent zero-copy worker pool (:mod:`repro.sim.
 pool` + :mod:`repro.sim.shm` + the ``pool`` execution backend):
-bit-identity against ``shard``/``batch``, worker reuse, shared-memory
-hygiene on success / worker crash / KeyboardInterrupt, and graceful
-fallbacks."""
+bit-identity against ``batch`` (fixed-step) and in-process even-slice
+solves (adaptive), the serial fan-out, worker reuse, shared-memory
+hygiene on success / worker crash / KeyboardInterrupt, resource-tracker
+hygiene, and graceful fallbacks."""
 
 import glob
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+from repro.core.compiler import compile_graph
 from repro.errors import SimulationError
 from repro.paradigms.tln import TLineSpec, mismatched_tline
 from repro.paradigms.tln.noisy import NoisyTlineFactory
-from repro.sim import run_ensemble, shm
+from repro.sim import (compile_batch, even_parts, run_ensemble, shm,
+                       solve_batch, solve_sde)
+from repro.sim.plan import _whole_group_fuse
 from repro.sim.pool import (PoolBrokenError, WorkerPool, get_pool,
                             _POOLS)
 from repro.sim.shm import ShmBlock
@@ -69,47 +76,67 @@ def _assert_no_leaks():
     assert glob.glob("/dev/shm/arkshm_*") == []
 
 
+def _even_slice_reference(systems, solve, processes=2):
+    """What the pool computes for an adaptive method: the canonical
+    even split, each slice solved in-process with the whole-group fuse
+    decision, stacked back in row order."""
+    fuse = _whole_group_fuse(len(systems), systems[0])
+    return np.concatenate([
+        solve(compile_batch([systems[row] for row in part], fuse=fuse),
+              part).y
+        for part in even_parts(len(systems), processes)])
+
+
 class TestBitIdentity:
-    def test_pool_matches_batch_and_shard_rk4(self):
+    def test_pool_matches_batch_rk4(self):
         factory = TlineFactory()
         kwargs = dict(n_points=40, method="rk4")
         batch = run_ensemble(factory, range(6), SPAN, **kwargs)
-        shard = run_ensemble(factory, range(6), SPAN, engine="shard",
-                             processes=2, **kwargs)
         pool = run_ensemble(factory, range(6), SPAN, engine="pool",
                             processes=2, **kwargs)
         np.testing.assert_array_equal(batch.batches[0].y,
                                       pool.batches[0].y)
-        np.testing.assert_array_equal(shard.batches[0].y,
-                                      pool.batches[0].y)
         _assert_no_leaks()
 
-    def test_pool_matches_shard_rkf45(self):
+    def test_pool_matches_even_slices_rkf45(self):
         # Adaptive steps depend on shard membership, so rkf45 is the
-        # strict test that pool and shard split rows identically.
+        # strict test that the pool runs the canonical even split.
         factory = TwoGroupFactory()
-        shard = run_ensemble(factory, range(8), SPAN, engine="shard",
-                             processes=2, n_points=40)
         pool = run_ensemble(factory, range(8), SPAN, engine="pool",
                             processes=2, n_points=40)
-        assert len(shard.batches) == len(pool.batches) == 2
-        for a, b in zip(shard.batches, pool.batches):
-            np.testing.assert_array_equal(a.y, b.y)
+        assert len(pool.batches) == 2
+        for group, batch in zip(pool.groups, pool.batches):
+            systems = [compile_graph(factory(seed)) for seed in group]
+            reference = _even_slice_reference(
+                systems, lambda rhs, _part: solve_batch(
+                    rhs, SPAN, n_points=40, method="rkf45"))
+            np.testing.assert_array_equal(reference, batch.y)
         _assert_no_leaks()
 
-    def test_pool_sde_matches_batch_and_shard(self):
+    @pytest.mark.parametrize("method", ["heun", "heun-adaptive"])
+    def test_pool_sde_matches_in_process(self, method):
+        # Fixed-step heun equals the whole-group batch; the adaptive
+        # pair equals in-process solves over the even slices.
         factory = NoisyTlineFactory(TLineSpec(n_segments=4),
                                     noise=1e-9)
-        kwargs = dict(trials=2, n_points=40)
+        kwargs = dict(trials=2, n_points=40, sde_method=method,
+                      rtol=1e-4, atol=1e-7)
         batch = run_ensemble(factory, range(4), SPAN, **kwargs)
-        shard = run_ensemble(factory, range(4), SPAN, engine="shard",
-                             processes=2, **kwargs)
         pool = run_ensemble(factory, range(4), SPAN, engine="pool",
                             processes=2, **kwargs)
-        np.testing.assert_array_equal(batch.batches[0].y,
-                                      pool.batches[0].y)
-        np.testing.assert_array_equal(shard.batches[0].y,
-                                      pool.batches[0].y)
+        if method == "heun":
+            np.testing.assert_array_equal(batch.batches[0].y,
+                                          pool.batches[0].y)
+        else:
+            systems = [compile_graph(factory(seed))
+                       for seed in range(4) for _trial in range(2)]
+            tokens = [f"{seed}:{trial}" for seed in range(4)
+                      for trial in range(2)]
+            reference = _even_slice_reference(
+                systems, lambda rhs, part: solve_sde(
+                    rhs, SPAN, noise_seeds=[tokens[r] for r in part],
+                    n_points=40, method=method, rtol=1e-4, atol=1e-7))
+            np.testing.assert_array_equal(reference, pool.batches[0].y)
         for chip in range(4):
             np.testing.assert_array_equal(batch.reference(chip).y,
                                           pool.reference(chip).y)
@@ -278,7 +305,7 @@ class TestFailureHygiene:
     def test_keyboard_interrupt_unlinks(self, monkeypatch):
         factory = TlineFactory()
 
-        def interrupted(self, poll=0.1):
+        def interrupted(self):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(WorkerPool, "drain_one", interrupted)
@@ -322,3 +349,76 @@ class TestShmBlock:
     def test_empty_block_rejected(self):
         with pytest.raises(SimulationError, match="empty"):
             ShmBlock.create((0, 3))
+
+
+class TestSerialFanOut:
+    def test_serial_fan_out_runs_on_the_pool(self):
+        factory = TlineFactory()
+        fanned = run_ensemble(factory, range(3), SPAN, n_points=30,
+                              engine="serial", processes=2)
+        assert 2 in _POOLS and not _POOLS[2].broken
+        local = run_ensemble(factory, range(3), SPAN, n_points=30,
+                             engine="serial")
+        for a, b in zip(fanned, local):
+            np.testing.assert_array_equal(a.y, b.y)
+            np.testing.assert_array_equal(a.t, b.t)
+        _assert_no_leaks()
+
+    def test_serial_fan_out_worker_crash_raises_and_recovers(self):
+        # A dying worker breaks the pool instead of hanging the fan-out;
+        # the next fan-out spawns fresh workers.
+        with pytest.raises(PoolBrokenError, match="died"):
+            run_ensemble(CrashFactory(), range(3), SPAN, n_points=30,
+                         engine="serial", processes=2)
+        _assert_no_leaks()
+        result = run_ensemble(TlineFactory(), range(3), SPAN,
+                              n_points=30, engine="serial", processes=2)
+        assert len(result) == 3 and result.serial_indices == [0, 1, 2]
+        _assert_no_leaks()
+
+    def test_serial_fan_out_reports_worker_telemetry(self):
+        from repro.telemetry import RunReport
+
+        report = RunReport()
+        run_ensemble(TlineFactory(), range(3), SPAN, n_points=30,
+                     engine="serial", processes=2, telemetry=report)
+        assert report.counter("serial.solves") == 3
+        assert sum(block["shards"]
+                   for block in report.workers.values()) == 3
+
+
+class TestResourceTracker:
+    def test_pool_run_after_tracker_start_prints_no_key_error(self):
+        # A pool forked after the parent's resource tracker started
+        # shares that tracker; a worker untracking its attachment would
+        # drop the parent's registration and the parent's unlink would
+        # then make the tracker print KeyError tracebacks.
+        script = textwrap.dedent("""
+            from repro.paradigms.tln import mismatched_tline
+            from repro.sim import run_ensemble
+            from repro.sim.pool import shutdown_pools
+            from repro.sim.shm import ShmBlock
+
+            class Factory:
+                def __call__(self, seed):
+                    return mismatched_tline("gm", seed=seed)
+
+            ShmBlock.create((2, 2)).discard()
+            result = run_ensemble(Factory(), range(4), (0.0, 4e-8),
+                                  engine="pool", processes=2,
+                                  n_points=30, method="rk4")
+            assert len(result.batches) == 1
+            shutdown_pools()
+        """)
+        env = dict(os.environ)
+        source = os.path.join(os.path.dirname(__file__), "..", "..",
+                              "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(source),
+                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "KeyError" not in done.stderr
+        assert "resource_tracker" not in done.stderr

@@ -2,7 +2,7 @@
 partition math with synthetic per-row costs, profile persistence and
 corrupt-file fallback, overshard fan-out, adaptive-method pinning,
 worker CPU pinning, and the bit-identity gates ``schedule="cost"`` vs
-``schedule="even"`` across serial/shard/pool x rk4/rkf45/SDE."""
+``schedule="even"`` across serial/batch/pool x rk4/rkf45/SDE."""
 
 import glob
 import json
@@ -15,7 +15,7 @@ from repro.errors import SimulationError
 from repro.paradigms.tln import TLineSpec, mismatched_tline
 from repro.paradigms.tln.noisy import NoisyTlineFactory
 from repro.sim import run_ensemble, shm
-from repro.sim.plan import ExecutionPlan, _shard_parts
+from repro.sim.plan import ExecutionPlan
 from repro.sim.pool import _POOLS, get_pool, shutdown_pools
 from repro.sim.sched import (ADAPTIVE_METHODS, CostProfile, Scheduler,
                              balanced_parts, even_parts,
@@ -75,11 +75,15 @@ class TestEvenParts:
         assert even_parts(10, 1) == []
 
     def test_shard_parts_delegates(self):
-        parts = _shard_parts(7, 3)
+        # The pool's split of an adaptive group is the canonical even
+        # split, whatever the schedule knobs say.
+        scheduler = Scheduler(schedule="cost", overshard=4)
+        parts = scheduler.parts(7, 3, method="rkf45")
         _assert_partition(parts, 7)
-        assert _shard_parts(1, 4) == []
-        assert _shard_parts(5, 1) == []
-
+        for part, want in zip(parts, even_parts(7, 3)):
+            np.testing.assert_array_equal(part, want)
+        assert scheduler.parts(1, 4, method="rkf45") == []
+        assert scheduler.parts(5, 1, method="rkf45") == []
 
 class TestBalancedParts:
     def test_uniform_costs_match_even(self):
@@ -285,10 +289,11 @@ class TestEndToEndBitIdentity:
                             **kwargs)
         return even, cost
 
-    @pytest.mark.parametrize("engine", ["serial", "shard", "pool"])
+    @pytest.mark.parametrize("engine", ["serial", "batch", "pool"])
     def test_cost_overshard_matches_even_rk4(self, engine, tmp_path):
-        # The serial backend never shards, so the knobs must be inert
-        # there; shard/pool must repartition without changing bits.
+        # The serial and in-process batch backends never shard, so the
+        # knobs must be inert there; pool must repartition without
+        # changing bits.
         even, cost = self._pair(TlineFactory(), range(6), tmp_path,
                                 engine, method="rk4")
         assert len(even) == len(cost) == 6
@@ -296,7 +301,7 @@ class TestEndToEndBitIdentity:
             np.testing.assert_array_equal(a.y, b.y)
         _assert_no_leaks()
 
-    @pytest.mark.parametrize("engine", ["shard", "pool"])
+    @pytest.mark.parametrize("engine", ["batch", "pool"])
     def test_cost_overshard_matches_even_rkf45(self, engine, tmp_path):
         # Adaptive method: scheduler pins to the canonical split, so
         # results are identical even though rkf45 is partition-
@@ -308,7 +313,7 @@ class TestEndToEndBitIdentity:
             np.testing.assert_array_equal(a.y, b.y)
         _assert_no_leaks()
 
-    @pytest.mark.parametrize("engine", ["shard", "pool"])
+    @pytest.mark.parametrize("engine", ["batch", "pool"])
     def test_cost_overshard_matches_even_sde(self, engine, tmp_path):
         factory = NoisyTlineFactory(TLineSpec(n_segments=4),
                                     noise=1e-9)

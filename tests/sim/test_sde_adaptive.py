@@ -11,7 +11,7 @@ from repro.core.compiler import compile_graph
 from repro.core.noise import SHARED_ELEMENT, share_wiener
 from repro.errors import GraphError, SimulationError
 from repro.lang import parse_program
-from repro.sim import compile_batch, run_ensemble, solve_sde
+from repro.sim import compile_batch, even_parts, run_ensemble, solve_sde
 from repro.sim.sde_solver import (BridgeWienerSource,
                                   _scatter, _ScatterAccumulator)
 from repro.telemetry import RunReport, collect_metrics
@@ -452,13 +452,22 @@ class TestAdaptiveEnsemble:
 
     def test_sharded_adaptive_reproducible(self):
         """The scheduler pins adaptive SDE groups to the canonical
-        even split, so a sharded run is reproducible run-to-run."""
+        even split, so a pooled run is reproducible run-to-run and
+        equals in-process solves over the even slices."""
         factory = _AdaptiveOuFactory()
         kwargs = dict(n_points=17, trials=2,
                       sde_method="em-adaptive",
                       rtol=1e-4, atol=1e-7, reference=False,
-                      engine="shard", processes=2, shard_min=2)
+                      engine="pool", processes=2, shard_min=2)
         first = run_ensemble(factory, [0, 1], (0.0, 1.0), **kwargs)
         second = run_ensemble(factory, [0, 1], (0.0, 1.0), **kwargs)
         assert np.array_equal(first.batches[0].y,
                               second.batches[0].y)
+        tokens = ["0:0", "0:1", "1:0", "1:1"]
+        slices = [solve_sde([factory(0)] * len(part), (0.0, 1.0),
+                            noise_seeds=[tokens[r] for r in part],
+                            n_points=17, method="em-adaptive",
+                            rtol=1e-4, atol=1e-7).y
+                  for part in even_parts(len(tokens), 2)]
+        assert np.array_equal(np.concatenate(slices),
+                              first.batches[0].y)

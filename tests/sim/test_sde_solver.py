@@ -9,7 +9,7 @@ import repro
 from repro.core.compiler import compile_graph
 from repro.errors import SimulationError
 from repro.lang import parse_program
-from repro.sim import (WienerSource, compile_batch, run_noisy_ensemble,
+from repro.sim import (WienerSource, compile_batch, run_ensemble,
                        simulate_sde, solve_batch, solve_sde)
 
 OU_SOURCE = """
@@ -214,9 +214,9 @@ class TestNoisyEnsembleDriver:
         return _ou_system(nsig=0.3, name=f"chip{seed}")
 
     def test_layout_and_accessors(self):
-        result = run_noisy_ensemble(self._factory, seeds=[0, 1, 2],
-                                    t_span=(0.0, 2.0), trials=4,
-                                    n_points=80)
+        result = run_ensemble(self._factory, seeds=[0, 1, 2],
+                              t_span=(0.0, 2.0), trials=4,
+                              n_points=80)
         assert result.n_chips == 3 and result.trials == 4
         assert len(result.batches) == 1
         assert result.batches[0].n_instances == 12
@@ -225,9 +225,9 @@ class TestNoisyEnsembleDriver:
         assert rows == slice(4, 8)
 
     def test_reference_is_deterministic_run(self):
-        result = run_noisy_ensemble(self._factory, seeds=[0],
-                                    t_span=(0.0, 2.0), trials=2,
-                                    n_points=80)
+        result = run_ensemble(self._factory, seeds=[0],
+                              t_span=(0.0, 2.0), trials=2,
+                              n_points=80)
         reference = result.reference(0)
         rk4 = solve_batch(compile_batch([self._factory(0)]),
                           (0.0, 2.0), n_points=80, method="rk4")
@@ -236,29 +236,29 @@ class TestNoisyEnsembleDriver:
     def test_chip_trial_streams_stable(self):
         """A (chip, trial) realization must not depend on which other
         chips ride in the ensemble."""
-        full = run_noisy_ensemble(self._factory, seeds=[0, 1, 2],
-                                  t_span=(0.0, 2.0), trials=3,
-                                  n_points=80)
-        alone = run_noisy_ensemble(self._factory, seeds=[2],
-                                   t_span=(0.0, 2.0), trials=3,
-                                   n_points=80)
+        full = run_ensemble(self._factory, seeds=[0, 1, 2],
+                            t_span=(0.0, 2.0), trials=3,
+                            n_points=80)
+        alone = run_ensemble(self._factory, seeds=[2],
+                             t_span=(0.0, 2.0), trials=3,
+                             n_points=80)
         np.testing.assert_array_equal(
             full.trajectory(2, 1).y, alone.trajectory(0, 1).y)
 
     def test_trial_base_shifts_realizations(self):
-        a = run_noisy_ensemble(self._factory, seeds=[0],
-                               t_span=(0.0, 2.0), trials=2,
-                               n_points=80)
-        b = run_noisy_ensemble(self._factory, seeds=[0],
-                               t_span=(0.0, 2.0), trials=2,
-                               n_points=80, trial_base=2)
+        a = run_ensemble(self._factory, seeds=[0],
+                         t_span=(0.0, 2.0), trials=2,
+                         n_points=80)
+        b = run_ensemble(self._factory, seeds=[0],
+                         t_span=(0.0, 2.0), trials=2,
+                         n_points=80, noise_seed=2)
         assert not np.array_equal(a.trajectory(0, 0).y,
                                   b.trajectory(0, 0).y)
 
     def test_no_reference_raises(self):
-        result = run_noisy_ensemble(self._factory, seeds=[0],
-                                    t_span=(0.0, 2.0), trials=1,
-                                    n_points=50, reference=False)
+        result = run_ensemble(self._factory, seeds=[0],
+                              t_span=(0.0, 2.0), trials=1,
+                              n_points=50, reference=False)
         with pytest.raises(SimulationError):
             result.reference(0)
 
@@ -267,7 +267,7 @@ class TestAnalysisHelpers:
     def test_trial_spread_and_snr(self):
         from repro.analysis import noise_snr, trial_spread
 
-        result = run_noisy_ensemble(
+        result = run_ensemble(
             lambda seed: _ou_system(nsig=0.3, name=f"c{seed}"),
             seeds=[0, 1], t_span=(0.0, 2.0), trials=6, n_points=80)
         spread = trial_spread(result, "x", (0.5, 2.0))

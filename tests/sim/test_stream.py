@@ -14,8 +14,7 @@ from repro.paradigms.tln.noisy import NoisyTlineFactory
 from repro.sim import (BACKENDS, EnsembleChunk, ExecutionPlan,
                        NoisyEnsembleChunk, assemble_chunks,
                        register_backend, run_ensemble,
-                       run_noisy_ensemble, stream_ensemble,
-                       stream_plan)
+                       stream_ensemble, stream_plan)
 from repro.sim.plan import BatchBackend
 
 SPAN = (0.0, 4e-8)
@@ -77,11 +76,11 @@ class TestFirstChunkBeforeCompletion:
         try:
             factory = NoisyTlineFactory(TLineSpec(n_segments=4),
                                         noise=1e-9)
-            chunks = run_noisy_ensemble(factory, range(3), SPAN,
-                                        trials=2, n_points=30,
-                                        engine="batch", stream=True,
-                                        reference=False)
-            # run_noisy_ensemble(engine="batch") maps to the auto
+            chunks = run_ensemble(factory, range(3), SPAN,
+                                  trials=2, n_points=30,
+                                  engine="batch", stream=True,
+                                  reference=False)
+            # run_ensemble(engine="batch") maps to the auto
             # policy; force the counting backend through the plan form
             # instead.
             list(chunks)
@@ -152,11 +151,11 @@ class TestUnionEqualsBarrier:
         factory = NoisyTlineFactory(TLineSpec(n_segments=4),
                                     noise=1e-9)
         seeds = list(range(4))
-        barrier = run_noisy_ensemble(factory, seeds, SPAN, trials=2,
-                                     n_points=30)
-        chunks = list(run_noisy_ensemble(factory, seeds, SPAN,
-                                         trials=2, n_points=30,
-                                         stream=True))
+        barrier = run_ensemble(factory, seeds, SPAN, trials=2,
+                               n_points=30)
+        chunks = list(run_ensemble(factory, seeds, SPAN,
+                                   trials=2, n_points=30,
+                                   stream=True))
         result = assemble_chunks(chunks, seeds)
         assert result.trials == barrier.trials
         assert result.groups == barrier.groups
@@ -174,11 +173,11 @@ class TestUnionEqualsBarrier:
     def test_noisy_chunk_accessors_are_chunk_local(self):
         factory = NoisyTlineFactory(TLineSpec(n_segments=4),
                                     noise=1e-9)
-        barrier = run_noisy_ensemble(factory, range(3), SPAN, trials=2,
-                                     n_points=30)
-        (chunk,) = run_noisy_ensemble(factory, range(3), SPAN,
-                                      trials=2, n_points=30,
-                                      stream=True)
+        barrier = run_ensemble(factory, range(3), SPAN, trials=2,
+                               n_points=30)
+        (chunk,) = run_ensemble(factory, range(3), SPAN,
+                                trials=2, n_points=30,
+                                stream=True)
         assert chunk.indices == [0, 1, 2]
         assert chunk.n_chips == 3
         np.testing.assert_array_equal(chunk.trajectory(1, 1).y,

@@ -44,7 +44,7 @@ SPAN = (0.0, 4e-8)
 ENGINE_KWARGS = {
     "serial": dict(engine="serial"),
     "batch": dict(engine="batch"),
-    "shard": dict(engine="shard", processes=2, shard_min=2),
+    "serial-fanout": dict(engine="serial", processes=2),
     "pool": dict(engine="pool", processes=2, shard_min=2),
 }
 

@@ -216,7 +216,7 @@ def noisy_file(tmp_path):
 
 class TestNoise:
     def test_prints_statistics(self, noisy_file, capsys):
-        assert main(["noise", noisy_file, "--arg", "nsig=0.3",
+        assert main(["ensemble", noisy_file, "--arg", "nsig=0.3",
                      "--t-end", "2.0", "--seeds", "2", "--trials", "4",
                      "--points", "60", "--node", "x"]) == 0
         out = capsys.readouterr().out
@@ -225,7 +225,7 @@ class TestNoise:
 
     def test_writes_csv(self, noisy_file, tmp_path, capsys):
         csv = tmp_path / "noise.csv"
-        assert main(["noise", noisy_file, "--arg", "nsig=0.3",
+        assert main(["ensemble", noisy_file, "--arg", "nsig=0.3",
                      "--t-end", "2.0", "--seeds", "2", "--trials", "3",
                      "--points", "50", "--node", "x",
                      "--csv", str(csv)]) == 0
@@ -240,11 +240,12 @@ class TestNoise:
         assert "dW[r0/w0]" in capsys.readouterr().out
 
     def test_deterministic_program_rejected(self, noisy_file, capsys):
-        assert main(["noise", noisy_file, "--arg", "nsig=0",
-                     "--t-end", "2.0"]) == 2
+        assert main(["ensemble", noisy_file, "--arg", "nsig=0",
+                     "--t-end", "2.0", "--trials", "2"]) == 2
         assert "deterministic" in capsys.readouterr().err
 
     def test_bad_method_rejected(self, noisy_file, capsys):
-        assert main(["noise", noisy_file, "--arg", "nsig=0.3",
-                     "--t-end", "2.0", "--method", "rk4"]) == 2
+        assert main(["ensemble", noisy_file, "--arg", "nsig=0.3",
+                     "--t-end", "2.0", "--trials", "2",
+                     "--sde-method", "rk4"]) == 2
         assert "unknown SDE method" in capsys.readouterr().err

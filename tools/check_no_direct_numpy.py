@@ -4,8 +4,8 @@
 The array-namespace abstraction (``repro.sim.array_api``) only works if
 the compiled-kernel and solver step loops go through the injected
 backend handle (``B``/``xp``/``self.backend``) for *every* array
-operation — one stray ``np.zeros`` in a step loop silently hauls a jax
-or cupy computation back to the host and poisons the dtype policy.
+operation — one stray ``np.zeros`` in a step loop silently computes a
+float32 run in float64 and poisons the dtype policy.
 This checker walks the AST of the files below and fails on any ``np.``
 attribute access, bare ``numpy`` reference, or ``import numpy`` inside
 the listed *forbidden zones* (the functions that execute per solver
