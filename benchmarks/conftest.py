@@ -28,9 +28,8 @@ def mismatch_maxcut_factory():
     """The shared ensemble-engine benchmark workload: one fabricated
     ``Cpl_ofs`` instance of the Table 1 4-cycle per seed, with fixed
     starting phases so every instance shares structure and the batched
-    engine applies. Used by both the pytest benchmarks
-    (``bench_table1_maxcut.py``) and the JSON trend runner
-    (``run_bench_ensemble.py``) so they measure the same thing."""
+    engine applies. Used by the pytest benchmarks
+    (``bench_table1_maxcut.py``)."""
     import math
 
     import numpy as np

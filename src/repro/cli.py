@@ -180,12 +180,11 @@ class _CliFactory:
     """The ensemble command's ``factory(seed)`` as a module-level class
     so it pickles — the persistent worker pool (``--engine pool`` /
     ``--processes``) rebuilds instances inside worker processes. The
-    parent reuses the already-validated (and, on the noisy path,
-    compiled) first instance; that cached object is dropped from the
-    pickled state — workers rebuild every seed through ``invoke`` —
-    because compiled systems rarely pickle. Falls back gracefully: if
-    the parsed function itself does not pickle, the plan layer's
-    pre-flight probe keeps everything in-process."""
+    parent reuses the already-validated first instance; that cached
+    object is dropped from the pickled state — workers rebuild every
+    seed through ``invoke``. Falls back gracefully: if the parsed
+    function itself does not pickle, the plan layer's pre-flight probe
+    keeps everything in-process."""
 
     def __init__(self, function, arguments, seed_base, first_target):
         self.function = function
@@ -227,27 +226,17 @@ def cmd_ensemble(args) -> int:
     transient-noise sweeps with ``--trials``."""
     import time
 
-    from repro.sim import BATCH_METHODS, SDE_METHODS, run_ensemble
-    from repro.sim.plan import SCIPY_METHODS
+    from repro.sim import run_ensemble
 
+    # Method and trial-count checks live in the plan layer, which
+    # raises them as SimulationError (an ArkError).
     if args.seeds < 1:
         raise ArkError(f"--seeds must be >= 1, got {args.seeds}")
     noisy = args.trials is not None
-    if noisy:
-        if args.trials < 1:
-            raise ArkError(f"--trials must be >= 1, got {args.trials}")
-        if args.sde_method not in SDE_METHODS:
-            raise ArkError(
-                f"unknown SDE method {args.sde_method!r}; expected "
-                f"one of {', '.join(SDE_METHODS)}")
-    elif args.noise_seed is not None:
+    if not noisy and args.noise_seed is not None:
         raise ArkError(
             "--noise-seed was given without --trials; pass --trials N "
             "to request a transient-noise sweep")
-    if args.method not in BATCH_METHODS + SCIPY_METHODS:
-        raise ArkError(
-            f"unknown method {args.method!r}; expected one of "
-            f"{', '.join(BATCH_METHODS + SCIPY_METHODS)}")
     _, functions = _load(args)
     function = _pick_function(functions, args.func)
     arguments = {}
@@ -260,28 +249,10 @@ def cmd_ensemble(args) -> int:
 
     first = function.invoke(arguments, seed=args.seed_base)
     validate(first, backend=args.backend).raise_if_invalid()
-    first_target = first
-
-    if noisy:
-        from repro.core.compiler import compile_graph
-        from repro.sim import compile_batch
-
-        # Judge on the *folded* batch: a noise() term whose amplitude
-        # is 0 for this invocation compiles away entirely. The compiled
-        # system is reused by the ensemble (the factory hands it back),
-        # so chip 0 is compiled exactly once.
-        first_system = compile_graph(first)
-        if not compile_batch([first_system]).has_noise:
-            raise ArkError(
-                f"function {function.name} compiles to a deterministic "
-                "system (no live noise() terms or ns annotations); "
-                "drop --trials to run the mismatch sweep")
-        first_target = first_system
 
     # The validated first instance is reused, not rebuilt (workers
     # rebuild it — see _CliFactory.__getstate__).
-    factory = _CliFactory(function, arguments, args.seed_base,
-                          first_target)
+    factory = _CliFactory(function, arguments, args.seed_base, first)
 
     cache = args.cache_dir if args.cache_dir else None
     metrics_out = getattr(args, "metrics_out", None)
@@ -471,241 +442,6 @@ def cmd_report(args) -> int:
         print(diff_reports(loaded[0], loaded[1],
                            label_a=args.files[0], label_b=args.files[1]))
     return 0
-
-
-class _BenchTlineFactory:
-    """Picklable factory behind the built-in bench workloads (pool
-    workers rebuild instances from it, so it must live at module
-    level)."""
-
-    def __call__(self, seed):
-        from repro.paradigms.tln import mismatched_tline
-
-        return mismatched_tline("gm", seed=seed)
-
-
-def _bench_workloads(smoke: bool) -> dict:
-    """The named workloads ``repro bench run`` knows how to execute.
-
-    Sizes are baked into the names (``tline_ode[8x60]``) so smoke and
-    full runs accumulate *separate* histories — comparing a smoke wall
-    time against a full baseline would always look like a 10x speedup.
-    """
-    seeds = 8 if smoke else 48
-    points = 60 if smoke else 200
-    sde_seeds = 3 if smoke else 8
-    trials = 2 if smoke else 6
-    obc_trials = 4 if smoke else 12
-    obc_points = 40 if smoke else 60
-    return {
-        f"tline_ode[{seeds}x{points}]": dict(
-            kind="ode", seeds=seeds, n_points=points,
-            t_span=(0.0, 8e-8)),
-        f"tline_sde[{sde_seeds}x{trials}x{points}]": dict(
-            kind="sde", seeds=sde_seeds, trials=trials,
-            n_points=points, t_span=(0.0, 4e-8)),
-        f"puf_ripple[{sde_seeds}x{trials}]": dict(
-            kind="puf_ripple", seeds=sde_seeds, trials=trials,
-            n_points=points),
-        f"obc_sde_adaptive[{obc_trials}x{obc_points}]": dict(
-            kind="obc_sde_adaptive", seeds=obc_trials,
-            n_points=obc_points, t_span=(0.0, 100e-9),
-            noise_sigma=10.0, rtol=3e-2, atol=3e-4),
-    }
-
-
-def _bench_once(spec: dict, workload: str):
-    """One instrumented run of a bench workload; returns its
-    RunReport. A fresh trajectory cache per run keeps every repeat
-    paying the full integration (warm hits would poison the median)."""
-    from repro.sim import run_ensemble
-    from repro.sim.cache import TrajectoryCache
-    from repro.telemetry import RunReport, collect_metrics
-
-    report = RunReport()
-    if spec["kind"] == "puf_ripple":
-        # Correlated supply ripple: every diffusion term of each chip
-        # is aliased onto one shared "supply" Wiener path, end to end
-        # through the reliability driver.
-        from repro.paradigms.tln import TLineSpec
-        from repro.puf import PufDesign, puf_reliability
-
-        design = PufDesign(spec=TLineSpec(n_segments=10),
-                           branch_positions=(3, 6),
-                           branch_lengths=(4, 6),
-                           noise=1e-8, shared_supply=True)
-        with collect_metrics(into=report,
-                             meta={"driver": "repro.bench",
-                                   "workload": workload}):
-            puf_reliability(design, 2, seeds=range(spec["seeds"]),
-                            trials=spec["trials"], n_bits=8,
-                            n_points=spec["n_points"])
-        return report
-    if spec["kind"] == "obc_sde_adaptive":
-        # The adaptive SDE controller on the stiff noisy OBC max-cut
-        # ensemble (SHIL binarization Jacobian ~5e9 rad/s): each seed
-        # is one trial with its own initial phases and Wiener path.
-        from repro.paradigms.obc.noisy import MaxcutTrialFactory
-
-        initials = tuple(
-            tuple(row) for row in np.random.default_rng(1).uniform(
-                0.0, 2.0 * np.pi, (spec["seeds"], 4)))
-        factory = MaxcutTrialFactory(
-            edges=((0, 1), (1, 2), (2, 3), (3, 0)), n_vertices=4,
-            initials=initials, noise_sigma=spec["noise_sigma"])
-        with collect_metrics(into=report,
-                             meta={"driver": "repro.bench",
-                                   "workload": workload}):
-            run_ensemble(factory, range(spec["seeds"]), spec["t_span"],
-                         n_points=spec["n_points"], trials=1,
-                         sde_method="heun-adaptive",
-                         rtol=spec["rtol"], atol=spec["atol"],
-                         reference=False, cache=TrajectoryCache())
-        return report
-    if spec["kind"] == "ode":
-        factory = _BenchTlineFactory()
-        kwargs = {}
-    else:
-        from repro.paradigms.tln import TLineSpec
-        from repro.paradigms.tln.noisy import NoisyTlineFactory
-
-        factory = NoisyTlineFactory(TLineSpec(n_segments=3),
-                                    noise=1e-9)
-        kwargs = {"trials": spec["trials"]}
-    with collect_metrics(into=report,
-                         meta={"driver": "repro.bench",
-                               "workload": workload}):
-        run_ensemble(factory, range(spec["seeds"]), spec["t_span"],
-                     n_points=spec["n_points"],
-                     cache=TrajectoryCache(), **kwargs)
-    return report
-
-
-def _bench_select(names, requested) -> list[str]:
-    """Resolve requested workload names against the known set: exact
-    match, or prefix match up to the size bracket."""
-    if not requested:
-        return list(names)
-    chosen = []
-    for want in requested:
-        hits = [name for name in names
-                if name == want or name.split("[")[0] == want]
-        if not hits:
-            raise ArkError(
-                f"unknown bench workload {want!r}; available: "
-                f"{', '.join(names)}")
-        chosen.extend(hits)
-    return chosen
-
-
-def cmd_bench(args) -> int:
-    """Benchmark history + regression sentinel: ``run`` appends a
-    median-of-N wall time per workload to the JSONL history, ``check``
-    judges the newest entry against its own recent past (noise-aware:
-    median baseline + MAD slack), ``compare`` diffs two workloads'
-    latest entries, ``list`` shows what the history holds."""
-    import json
-    import statistics
-
-    from repro.telemetry import history
-
-    path = args.history
-    specs = _bench_workloads(getattr(args, "smoke", False))
-
-    if args.bench_command == "list":
-        known = history.workloads(path)
-        print(f"history: {path} "
-              f"({len(history.load_history(path))} entries)")
-        for name in known:
-            entries = history.load_history(path, name)
-            walls = [entry["wall_seconds"] for entry in entries]
-            print(f"  {name}: {len(entries)} point(s), median "
-                  f"{statistics.median(walls):.3f}s, latest "
-                  f"{walls[-1]:.3f}s")
-        if not known:
-            print("  (empty — `repro bench run` appends entries)")
-        return 0
-
-    if args.bench_command == "run":
-        for workload in _bench_select(list(specs), args.workloads):
-            spec = specs[workload]
-            reports = [_bench_once(spec, workload)
-                       for _ in range(args.repeats)]
-            reports.sort(key=lambda report: report.wall_seconds)
-            median_report = reports[len(reports) // 2]
-            entry = history.summarize(median_report, workload)
-            history.append_entry(path, entry)
-            walls = ", ".join(f"{report.wall_seconds:.3f}"
-                              for report in reports)
-            print(f"[bench] {workload}: median "
-                  f"{median_report.wall_seconds:.3f}s of "
-                  f"{args.repeats} run(s) [{walls}] -> {path} "
-                  f"(sha {entry['sha']})")
-        return 0
-
-    if args.bench_command == "compare":
-        entry_a = history.latest(path, args.a)
-        entry_b = history.latest(path, args.b)
-        missing = [name for name, entry in
-                   ((args.a, entry_a), (args.b, entry_b))
-                   if entry is None]
-        if missing:
-            raise ArkError(
-                f"no history for workload(s) {', '.join(missing)} "
-                f"in {path}")
-        from repro.telemetry import diff_data, diff_reports
-
-        report_a = history.entry_report(entry_a)
-        report_b = history.entry_report(entry_b)
-        if args.json:
-            print(json.dumps(diff_data(report_a, report_b,
-                                       label_a=args.a, label_b=args.b),
-                             indent=2))
-        else:
-            print(diff_reports(report_a, report_b,
-                               label_a=args.a, label_b=args.b))
-        return 0
-
-    # check: judge each workload's newest entry against its past.
-    names = _bench_select(history.workloads(path) or list(specs),
-                          args.workloads)
-    failed = False
-    verdicts = []
-    for workload in names:
-        newest = history.latest(path, workload)
-        if newest is None:
-            verdicts.append({"workload": workload,
-                             "status": "insufficient-history",
-                             "points": 0})
-            continue
-        measured = float(newest["wall_seconds"]) * args.scale
-        verdict = history.check(
-            path, workload, measured,
-            rel_threshold=args.rel_threshold,
-            noise_factor=args.noise_factor,
-            min_history=args.min_history, exclude_latest=True)
-        verdicts.append(verdict)
-        if verdict["status"] == "regression":
-            failed = True
-    if args.json:
-        print(json.dumps(verdicts, indent=2))
-    else:
-        for verdict in verdicts:
-            status = verdict["status"]
-            if status == "insufficient-history":
-                print(f"[bench] {verdict['workload']}: "
-                      f"{verdict['points']} baseline point(s) < "
-                      f"{args.min_history} — soft pass (warn only)")
-            else:
-                print(f"[bench] {verdict['workload']}: {status} — "
-                      f"measured {verdict['measured']:.3f}s vs "
-                      f"allowed {verdict['allowed']:.3f}s "
-                      f"(baseline {verdict['baseline']:.3f}s "
-                      f"+ {args.rel_threshold * 100:.0f}% "
-                      f"+ {args.noise_factor:g} x MAD "
-                      f"{verdict['mad']:.3f}s, "
-                      f"{verdict['points']} point(s))")
-    return 1 if failed else 0
 
 
 def cmd_dot(args) -> int:
@@ -915,9 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--json", action="store_true",
                           help="machine-readable output: the "
                           "(migrated) report dict for one file, the "
-                          "diff_data deltas for two — the same "
-                          "comparator `repro bench check` and the CI "
-                          "soft gate consume")
+                          "diff_data deltas for two")
     p_report.add_argument("--export-trace", default=None,
                           metavar="JSON",
                           help="convert one saved report to Chrome "
@@ -925,78 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "chrome://tracing); v1 reports export as a "
                           "degenerate all-at-offset-0 trace")
     p_report.set_defaults(handler=cmd_report)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark history + regression sentinel: run named "
-        "workloads, append medians to a JSONL history, and check new "
-        "numbers against the noise-aware baseline")
-    from repro.telemetry.history import DEFAULT_PATH as _HISTORY_PATH
-    bench_sub = p_bench.add_subparsers(dest="bench_command",
-                                       required=True)
-
-    def bench_common(p):
-        p.add_argument("--history", default=_HISTORY_PATH,
-                       metavar="JSONL",
-                       help=f"history file (default {_HISTORY_PATH})")
-
-    b_run = bench_sub.add_parser(
-        "run", help="run workload(s) N times, append each median")
-    bench_common(b_run)
-    b_run.add_argument("workloads", nargs="*",
-                       help="workload names (default: all built-ins; "
-                       "prefix before the size bracket also matches)")
-    b_run.add_argument("--smoke", action="store_true",
-                       help="small sizes for CI (separate history "
-                       "keys — sizes are part of workload names)")
-    b_run.add_argument("--repeats", type=int, default=3,
-                       help="runs per workload; the median is what "
-                       "gets appended (default 3)")
-    b_run.set_defaults(handler=cmd_bench)
-
-    b_check = bench_sub.add_parser(
-        "check",
-        help="judge each workload's newest entry against its recent "
-        "history (exit 1 on regression; <min-history points = soft "
-        "pass)")
-    bench_common(b_check)
-    b_check.add_argument("workloads", nargs="*",
-                         help="workloads to check (default: all in "
-                         "the history)")
-    b_check.add_argument("--smoke", action="store_true",
-                         help="resolve default workload names at "
-                         "smoke sizes")
-    b_check.add_argument("--rel-threshold", type=float, default=0.25,
-                         help="relative slowdown allowed over the "
-                         "median baseline (default 0.25 = 25%%)")
-    b_check.add_argument("--noise-factor", type=float, default=3.0,
-                         help="extra slack in units of the history's "
-                         "median absolute deviation (default 3)")
-    b_check.add_argument("--min-history", type=int, default=3,
-                         help="baseline points required for a hard "
-                         "verdict; below this the check warns and "
-                         "passes (default 3)")
-    b_check.add_argument("--scale", type=float, default=1.0,
-                         help="multiply the measured wall time "
-                         "(testing aid: --scale 2.0 must turn a "
-                         "clean history into a regression)")
-    b_check.add_argument("--json", action="store_true",
-                         help="print verdicts as JSON")
-    b_check.set_defaults(handler=cmd_bench)
-
-    b_compare = bench_sub.add_parser(
-        "compare", help="diff the latest entries of two workloads")
-    bench_common(b_compare)
-    b_compare.add_argument("a", help="baseline workload name")
-    b_compare.add_argument("b", help="candidate workload name")
-    b_compare.add_argument("--json", action="store_true",
-                           help="print diff_data deltas as JSON")
-    b_compare.set_defaults(handler=cmd_bench)
-
-    b_list = bench_sub.add_parser(
-        "list", help="summarize the history file's workloads")
-    bench_common(b_list)
-    b_list.set_defaults(handler=cmd_bench)
 
     p_dot = sub.add_parser("dot", help="emit Graphviz DOT")
     common(p_dot)

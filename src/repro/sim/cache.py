@@ -275,13 +275,19 @@ class TrajectoryCache:
     def put(self, key: str, t: np.ndarray, y: np.ndarray):
         """Store one batched result (arrays are copied in). ``y``
         keeps its dtype — a float32-policy entry must replay as
-        float32, not silently widen on the warm path."""
+        float32, not silently widen on the warm path.
+
+        A disk write that fails (unwritable or missing directory, full
+        disk) keeps the in-memory entry, warns, and is counted in the
+        ``cache.store_failed`` telemetry counter, not in ``stats``: the
+        solve it would have saved is already done, and losing its
+        result to a cache error would abort a sweep that succeeds
+        without a cache."""
         t = np.asarray(t, dtype=float).copy()
         y = np.asarray(y).copy()
         self._remember(key, t, y)
         path = self._disk_path(key)
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
             # Write-then-rename so neither a crashed run nor several
             # processes storing the same key concurrently (pool workers
             # or parallel sweeps sharing one --cache-dir) can ever
@@ -292,13 +298,22 @@ class TrajectoryCache:
             temporary = path.with_suffix(
                 f".{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp.npz")
             try:
-                with open(temporary, "wb") as handle:
-                    np.savez(handle, t=t, y=y)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                temporary.replace(path)
-            finally:
-                temporary.unlink(missing_ok=True)
+                try:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    with open(temporary, "wb") as handle:
+                        np.savez(handle, t=t, y=y)
+                        handle.flush()
+                        os.fsync(handle.fileno())
+                    temporary.replace(path)
+                finally:
+                    temporary.unlink(missing_ok=True)
+            except OSError as error:
+                telemetry.add("cache.store_failed")
+                warnings.warn(
+                    f"trajectory cache entry {path} could not be "
+                    f"written ({type(error).__name__}: {error}); kept "
+                    f"in memory only", RuntimeWarning, stacklevel=2)
+                return
         self.stats.stores += 1
         self.stats.bytes_stored += t.nbytes + y.nbytes
         telemetry.add("cache.stores")

@@ -11,8 +11,8 @@ through the batched SDE engine.
 
 The common case — N mismatch seeds of one Ark function invocation —
 lands in a single batch and runs orders of magnitude faster than N
-scipy solves; see ``benchmarks/run_bench_ensemble.py`` and
-``BENCH_ensemble.json`` for the recorded speedups.
+scipy solves; the repository benchmark (``perfbench/``, listed in
+``BENCHMARK.json``) measures it.
 """
 
 from __future__ import annotations

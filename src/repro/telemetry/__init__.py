@@ -15,8 +15,9 @@ Library code emits unconditionally via the module-level helpers
 :func:`merge_worker`); each is a no-op behind a single ContextVar check
 when no collection window is open, so the hooks stay compiled into hot
 paths at negligible disabled cost. Telemetry never touches the numbers
-being computed — bit-identity with collection on vs off is test- and
-bench-enforced.
+being computed — bit-identity with collection on vs off is
+test-enforced, and so is a hook count that does not grow with solver
+work.
 
 ``repro ensemble --metrics-out report.json --trace`` and the ``repro
 report`` subcommand are the CLI surface over the same objects.

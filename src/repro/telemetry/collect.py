@@ -89,8 +89,9 @@ class Collector:
         #: export, complementing the parent's hierarchical spans.
         self.events: list[dict] = []
         self._stack: list[dict] = []
-        #: instrumentation events seen — lets benchmarks price the
-        #: disabled path as (ops x per-op disabled cost) / wall time.
+        #: instrumentation events seen — the disabled path costs
+        #: ops x (per-op disabled cost), so tests hold ops flat as
+        #: solver work grows.
         self.ops = 0
         self.started = time.perf_counter()
         #: Same instant on the ``time.monotonic`` clock — the clock

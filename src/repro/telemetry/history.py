@@ -1,72 +1,13 @@
-"""Append-only benchmark history and the noise-aware regression check.
-
-Every instrumented benchmark run can leave one line behind: a compact
-JSON summary of its :class:`~repro.telemetry.report.RunReport` keyed by
-``(workload, git sha, timestamp)``, appended to a shared JSONL file
-(:data:`DEFAULT_PATH`). The file is the repo's performance memory —
-``repro bench run`` appends to it, CI uploads it as an artifact and
-re-seeds the next run from the previous artifact, and ``repro bench
-check`` reads it back to answer the only question that matters before
-merging a perf-sensitive change: *is this commit slower than the recent
-past, beyond noise?*
-
-The store is deliberately primitive. One ``os.write`` per entry on an
-``O_APPEND`` descriptor means concurrent appenders (parallel CI jobs,
-a benchmark matrix) interleave whole lines, never partial ones — POSIX
-guarantees the atomicity for writes of this size — and a corrupt line
-(a crashed writer, a truncated artifact) costs exactly that line:
-:func:`load_history` skips what it cannot parse and keeps going.
-
-The regression check is noise-aware rather than threshold-only: the
-baseline is the **median** wall time of the workload's recent history
-and the allowance adds a multiple of the **median absolute deviation**
-(MAD), so a workload whose history is noisy gets the slack its own
-variance has earned while a historically stable one is held tight:
-
-    allowed = baseline * (1 + rel_threshold) + noise_factor * MAD
-
-With fewer than ``min_history`` points the verdict is
-``insufficient-history`` — the CI gate treats that as a warning, not a
-failure, so a fresh clone (or a new workload name) can never fail the
-build on an empty file.
-"""
+"""Run provenance: the commit a benchmark record was measured at."""
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 import subprocess
-import time
-from statistics import median
-
-from .report import RunReport
-
-#: Where ``repro bench`` and the benchmark runners keep the shared
-#: history unless told otherwise (repo-relative; CI uploads it).
-DEFAULT_PATH = "benchmarks/history.jsonl"
-
-#: Bumped if the entry layout ever changes incompatibly. Readers skip
-#: entries with a newer schema instead of failing the whole file.
-ENTRY_SCHEMA = 1
-
-#: Counters worth carrying into the compact summary — enough to explain
-#: *why* a run got slower (more RHS evaluations? cache gone cold?)
-#: without storing whole reports.
-_SUMMARY_COUNTERS = (
-    "solver.nfev",
-    "solver.batch_instances",
-    "cache.hits",
-    "cache.misses",
-    "pool.shards",
-    "pool.worker_busy_seconds",
-    "pool.queue_wait_seconds",
-)
 
 
 def git_sha(cwd=None) -> str:
     """The current commit's short sha, or ``"unknown"`` outside a git
-    checkout (entries stay append-able from exported tarballs)."""
+    checkout (records stay writable from exported tarballs)."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -75,155 +16,3 @@ def git_sha(cwd=None) -> str:
         return sha if out.returncode == 0 and sha else "unknown"
     except Exception:
         return "unknown"
-
-
-def summarize(report: RunReport, workload: str, *,
-              sha: str | None = None,
-              timestamp: float | None = None) -> dict:
-    """The compact history entry for one run of ``workload``."""
-    counters = {name: report.counters[name]
-                for name in _SUMMARY_COUNTERS
-                if name in report.counters}
-    gauges = {name: value for name, value in report.gauges.items()
-              if name.startswith("mem.")
-              and isinstance(value, (int, float))}
-    return {
-        "entry_schema": ENTRY_SCHEMA,
-        "workload": str(workload),
-        "sha": sha if sha is not None else git_sha(),
-        "timestamp": float(time.time() if timestamp is None
-                           else timestamp),
-        "wall_seconds": float(report.wall_seconds),
-        "counters": counters,
-        "gauges": gauges,
-        "meta": {key: str(value)
-                 for key, value in sorted(report.meta.items())},
-    }
-
-
-def append_entry(path, entry: dict) -> pathlib.Path:
-    """Append one entry as one JSONL line, atomically with respect to
-    concurrent appenders (single ``O_APPEND`` write)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(entry, sort_keys=True) + "\n"
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line.encode())
-    finally:
-        os.close(fd)
-    return path
-
-
-def load_history(path, workload: str | None = None) -> list[dict]:
-    """Every readable entry in the file (optionally one workload's),
-    oldest first. Unparsable or future-schema lines are skipped — a
-    corrupt line loses itself, not the file."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    entries: list[dict] = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(entry, dict):
-            continue
-        if entry.get("entry_schema", 1) > ENTRY_SCHEMA:
-            continue
-        if not isinstance(entry.get("wall_seconds"), (int, float)):
-            continue
-        if workload is not None and entry.get("workload") != workload:
-            continue
-        entries.append(entry)
-    entries.sort(key=lambda entry: entry.get("timestamp", 0.0))
-    return entries
-
-
-def workloads(path) -> list[str]:
-    """The distinct workload names present in the history file."""
-    return sorted({str(entry.get("workload", "?"))
-                   for entry in load_history(path)})
-
-
-def latest(path, workload: str) -> dict | None:
-    """The newest entry for ``workload``, or ``None``."""
-    entries = load_history(path, workload)
-    return entries[-1] if entries else None
-
-
-def entry_report(entry: dict) -> RunReport:
-    """A minimal :class:`RunReport` rebuilt from a history entry, so
-    history comparisons ride the same comparator
-    (:func:`repro.telemetry.render.diff_data`) as ``repro report``."""
-    return RunReport(
-        meta={"workload": entry.get("workload", "?"),
-              "sha": entry.get("sha", "unknown"),
-              **entry.get("meta", {})},
-        wall_seconds=float(entry.get("wall_seconds", 0.0)),
-        counters=dict(entry.get("counters", {})),
-        gauges=dict(entry.get("gauges", {})),
-    )
-
-
-def check(path, workload: str, measured_wall: float | None = None, *,
-          rel_threshold: float = 0.25, noise_factor: float = 3.0,
-          min_history: int = 3, window: int = 20,
-          exclude_latest: bool = False) -> dict:
-    """The regression verdict for ``workload``.
-
-    ``measured_wall`` is the candidate wall time; when ``None`` the
-    newest stored entry is the candidate and the baseline is computed
-    from the entries before it (the post-hoc ``repro bench check``
-    flow: run appends, check judges the append against its past).
-    ``exclude_latest`` drops the newest entry from the baseline when
-    an explicit ``measured_wall`` *derived from it* is passed (the
-    ``--scale`` testing path) — a candidate must never sit inside its
-    own baseline.
-
-    Returns a verdict dict with ``status`` one of:
-
-    * ``"ok"`` — measured <= allowed,
-    * ``"regression"`` — measured > allowed,
-    * ``"insufficient-history"`` — fewer than ``min_history`` baseline
-      points; callers gate softly on this (warn, don't fail).
-
-    plus ``measured``, ``baseline`` (median of up to ``window`` recent
-    walls), ``mad``, ``allowed``, ``points``, and ``ratio``
-    (measured / baseline, ``None`` without a baseline).
-    """
-    entries = load_history(path, workload)
-    if measured_wall is None and entries:
-        measured_wall = float(entries[-1]["wall_seconds"])
-        entries = entries[:-1]
-    elif exclude_latest and entries:
-        entries = entries[:-1]
-    walls = [float(entry["wall_seconds"])
-             for entry in entries[-window:]]
-    verdict = {
-        "workload": workload,
-        "measured": measured_wall,
-        "points": len(walls),
-        "min_history": min_history,
-        "rel_threshold": rel_threshold,
-        "noise_factor": noise_factor,
-        "baseline": None,
-        "mad": None,
-        "allowed": None,
-        "ratio": None,
-    }
-    if measured_wall is None or len(walls) < min_history:
-        verdict["status"] = "insufficient-history"
-        return verdict
-    base = median(walls)
-    mad = median(abs(wall - base) for wall in walls)
-    allowed = base * (1.0 + rel_threshold) + noise_factor * mad
-    verdict.update(
-        baseline=base, mad=mad, allowed=allowed,
-        ratio=(measured_wall / base) if base else None,
-        status="ok" if measured_wall <= allowed else "regression")
-    return verdict

@@ -9,9 +9,8 @@ workflow being cold-vs-warm cache, batch-vs-pool, before-vs-after a
 perf change.
 
 :func:`diff_data` is the machine-readable form of the same comparison
-— one deltas dict consumed by ``repro report --json``, the CI soft
-gate, and ``repro bench check``, so every consumer agrees on what "X%
-slower" means.
+— one deltas dict, the one ``repro report --json`` prints, so the text
+and JSON diffs agree on what "X% slower" means.
 """
 
 from __future__ import annotations
@@ -178,9 +177,8 @@ def render_report(report: RunReport) -> str:
 
 def diff_data(a: RunReport, b: RunReport,
               label_a: str = "a", label_b: str = "b") -> dict:
-    """Machine-readable comparison of two reports — the single
-    comparator behind ``repro report <a> <b> --json``, the CI soft
-    gate, and ``repro bench check``.
+    """Machine-readable comparison of two reports — the comparator
+    behind ``repro report <a> <b> --json`` and :func:`diff_reports`.
 
     Every compared quantity gets an entry ``{"a", "b", "delta",
     "ratio"}`` where ``ratio`` is ``b / a`` (``None`` when ``a`` is 0,

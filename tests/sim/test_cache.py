@@ -1,5 +1,7 @@
 """Tests for the trajectory cache: keying, bit-identity, backends."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import repro
 from repro.core.compiler import compile_graph
 from repro.sim import TrajectoryCache, run_ensemble
 from repro.sim.cache import resolve_cache
+from repro.telemetry import RunReport, collect_metrics
 
 
 _LANG = repro.Language("cache-lang")
@@ -161,7 +164,7 @@ class TestStore:
             raise OSError("disk full (forced)")
 
         monkeypatch.setattr(np, "savez", explode)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.warns(RuntimeWarning, match="disk full"):
             cache.put("bb" * 8, np.linspace(0.0, 1.0, 4),
                       np.ones((1, 1, 4)))
         assert list(tmp_path.iterdir()) == []  # no entry, no temp
@@ -260,6 +263,29 @@ class TestEnsembleIntegration:
         assert fresh.stats.hits == 1
         for a, b in zip(first.batches, second.batches):
             np.testing.assert_array_equal(a.y, b.y)
+
+    def test_unwritable_cache_dir_keeps_the_result(self, tmp_path):
+        # A cache directory under a regular file fails every disk write,
+        # even as root (a read-only chmod does not): the finished solve
+        # must survive, stay in memory, and count as a failed store,
+        # not a store.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cache = TrajectoryCache(directory=blocker / "cache")
+        report = RunReport()
+        with collect_metrics(into=report), pytest.warns(
+                RuntimeWarning, match=re.escape(str(blocker / "cache"))):
+            result = run_ensemble(_factory, range(4), (0.0, 1.0),
+                                  n_points=40, cache=cache)
+        plain = run_ensemble(_factory, range(4), (0.0, 1.0), n_points=40)
+        np.testing.assert_array_equal(result.batches[0].y,
+                                      plain.batches[0].y)
+        assert report.counters["cache.store_failed"] == 1
+        assert "cache.stores" not in report.counters
+        assert cache.stats.stores == 0 and cache.stats.bytes_stored == 0
+        run_ensemble(_factory, range(4), (0.0, 1.0), n_points=40,
+                     cache=cache)
+        assert cache.stats.hits == 1  # the memory tier kept the entry
 
 
 _NS_LANG = repro.Language("cache-ns")

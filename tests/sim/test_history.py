@@ -1,238 +1,16 @@
-"""Tests for :mod:`repro.telemetry.history`: the benchmark history
-store and the noise-aware regression check.
+"""Tests for :mod:`repro.telemetry.history`: the commit sha that
+benchmark records carry as provenance."""
 
-Covers the summarize/append/load round trip, corrupt-line resilience,
-every ``check`` verdict (ok / regression / insufficient-history, with
-and without ``exclude_latest``), atomic concurrent appends from
-multiple processes, and the ``repro bench check`` CLI gate (exit 0
-clean, exit 1 on an injected 2x slowdown).
-"""
+import pathlib
+import re
 
-import json
-import multiprocessing
-
-import pytest
-
-from repro.telemetry import RunReport
-from repro.telemetry import history
+from repro.telemetry.history import git_sha
 
 
-def entry(workload="w", wall=1.0, timestamp=0.0, **extra):
-    data = {"entry_schema": history.ENTRY_SCHEMA, "workload": workload,
-            "sha": "abc1234", "timestamp": timestamp,
-            "wall_seconds": wall, "counters": {}, "gauges": {},
-            "meta": {}}
-    data.update(extra)
-    return data
-
-
-def seed_history(path, walls, workload="w"):
-    for k, wall in enumerate(walls):
-        history.append_entry(path, entry(workload, wall, timestamp=k))
-
-
-class TestStore:
-
-    def test_summarize_append_load_round_trip(self, tmp_path):
-        report = RunReport(
-            meta={"driver": "bench", "n": 3},
-            wall_seconds=1.25,
-            counters={"solver.nfev": 42, "cache.hits": 7,
-                      "not.summarized": 9},
-            gauges={"mem.peak_rss_bytes": 1024,
-                    "stream.rows": [1, 2]})
-        made = history.summarize(report, "tline_ode[8x60]",
-                                 sha="deadbee", timestamp=123.0)
-        path = history.append_entry(tmp_path / "h.jsonl", made)
-        loaded = history.load_history(path)
-        assert len(loaded) == 1
-        got = loaded[0]
-        assert got["workload"] == "tline_ode[8x60]"
-        assert got["sha"] == "deadbee"
-        assert got["timestamp"] == 123.0
-        assert got["wall_seconds"] == 1.25
-        assert got["counters"] == {"solver.nfev": 42, "cache.hits": 7}
-        assert got["gauges"] == {"mem.peak_rss_bytes": 1024}
-        assert got["meta"] == {"driver": "bench", "n": "3"}
-
-    def test_summarize_defaults_sha_and_timestamp(self):
-        made = history.summarize(RunReport(wall_seconds=0.1), "w")
-        assert isinstance(made["sha"], str) and made["sha"]
-        assert made["timestamp"] > 0
-
-    def test_load_sorts_and_filters_by_workload(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        history.append_entry(path, entry("b", 2.0, timestamp=5.0))
-        history.append_entry(path, entry("a", 1.0, timestamp=9.0))
-        history.append_entry(path, entry("a", 3.0, timestamp=1.0))
-        assert [e["wall_seconds"] for e in
-                history.load_history(path, "a")] == [3.0, 1.0]
-        assert history.workloads(path) == ["a", "b"]
-        assert history.latest(path, "a")["wall_seconds"] == 1.0
-        assert history.latest(path, "zzz") is None
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert history.load_history(tmp_path / "absent.jsonl") == []
-        assert history.workloads(tmp_path / "absent.jsonl") == []
-
-    def test_corrupt_lines_cost_only_themselves(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        history.append_entry(path, entry("w", 1.0, timestamp=0.0))
-        with path.open("a") as fh:
-            fh.write("{truncated by a crashed wr\n")
-            fh.write("[1, 2, 3]\n")
-            fh.write(json.dumps({"entry_schema": 999,
-                                 "workload": "w",
-                                 "wall_seconds": 1.0}) + "\n")
-            fh.write(json.dumps({"workload": "w",
-                                 "wall_seconds": "fast"}) + "\n")
-            fh.write("\n")
-        history.append_entry(path, entry("w", 2.0, timestamp=1.0))
-        walls = [e["wall_seconds"] for e in history.load_history(path)]
-        assert walls == [1.0, 2.0]
-
-    def test_entry_report_feeds_the_report_comparator(self):
-        made = entry("w", 1.5, counters={"solver.nfev": 10},
-                     gauges={"mem.peak_rss_bytes": 2048},
-                     meta={"driver": "bench"})
-        report = history.entry_report(made)
-        assert report.wall_seconds == 1.5
-        assert report.counters == {"solver.nfev": 10}
-        assert report.gauges == {"mem.peak_rss_bytes": 2048}
-        assert report.meta["workload"] == "w"
-        assert report.meta["sha"] == "abc1234"
-
-
-class TestCheck:
-
-    def test_insufficient_history_is_soft(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        seed_history(path, [1.0, 1.0])
-        verdict = history.check(path, "w", 1.0)
-        assert verdict["status"] == "insufficient-history"
-        assert verdict["points"] == 2
-        assert verdict["baseline"] is None
-        assert history.check(tmp_path / "none.jsonl", "w",
-                             1.0)["status"] == "insufficient-history"
-
-    def test_ok_within_allowance(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        seed_history(path, [1.0, 1.0, 1.0, 1.0])
-        verdict = history.check(path, "w", 1.2)
-        assert verdict["status"] == "ok"
-        assert verdict["baseline"] == 1.0
-        assert verdict["mad"] == 0.0
-        assert verdict["allowed"] == pytest.approx(1.25)
-        assert verdict["ratio"] == pytest.approx(1.2)
-
-    def test_regression_beyond_allowance(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        seed_history(path, [1.0, 1.0, 1.0, 1.0])
-        assert history.check(path, "w", 2.0)["status"] == "regression"
-
-    def test_noisy_history_earns_slack(self, tmp_path):
-        # MAD of [0.8, 1.0, 1.2, 1.0] around the 1.0 median is 0.1:
-        # allowed = 1.25 + 3 * 0.1 = 1.55, so 1.5 passes here but
-        # would fail a flat history (allowed 1.25).
-        noisy, flat = tmp_path / "noisy.jsonl", tmp_path / "flat.jsonl"
-        seed_history(noisy, [0.8, 1.0, 1.2, 1.0])
-        seed_history(flat, [1.0, 1.0, 1.0, 1.0])
-        assert history.check(noisy, "w", 1.5)["status"] == "ok"
-        assert history.check(flat, "w", 1.5)["status"] == "regression"
-
-    def test_implicit_candidate_is_newest_entry(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        seed_history(path, [1.0, 1.0, 1.0, 5.0])
-        verdict = history.check(path, "w")
-        assert verdict["measured"] == 5.0
-        assert verdict["points"] == 3  # newest judged, not baseline
-        assert verdict["status"] == "regression"
-
-    def test_exclude_latest_keeps_candidate_out_of_baseline(
-            self, tmp_path):
-        # A 5.0 outlier baselined against itself would judge leniently;
-        # exclude_latest is the --scale path's guard against that.
-        path = tmp_path / "h.jsonl"
-        seed_history(path, [1.0, 1.0, 1.0, 5.0])
-        excl = history.check(path, "w", 5.0, exclude_latest=True)
-        assert excl["points"] == 3
-        assert excl["baseline"] == 1.0
-        assert excl["status"] == "regression"
-        incl = history.check(path, "w", 5.0)
-        assert incl["points"] == 4
-
-    def test_window_bounds_the_baseline(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        seed_history(path, [9.0] * 10 + [1.0] * 5)
-        verdict = history.check(path, "w", 1.1, window=5)
-        assert verdict["points"] == 5
-        assert verdict["baseline"] == 1.0
-
-
-def _append_batch(job):
-    path, worker, count = job
-    for k in range(count):
-        history.append_entry(path, entry(f"w{worker}", 1.0 + k,
-                                         timestamp=worker * count + k))
-    return worker
-
-
-class TestConcurrentAppend:
-
-    def test_parallel_appenders_never_tear_lines(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        workers, per_worker = 4, 25
-        jobs = [(str(path), w, per_worker) for w in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            assert sorted(pool.map(_append_batch, jobs)) == [0, 1, 2, 3]
-        lines = path.read_text().splitlines()
-        assert len(lines) == workers * per_worker
-        for line in lines:
-            json.loads(line)  # every line parses — no interleaving
-        loaded = history.load_history(path)
-        assert len(loaded) == workers * per_worker
-        for w in range(workers):
-            assert len(history.load_history(path, f"w{w}")) == per_worker
-
-
-class TestBenchCheckCli:
-    """The CI gate: ``repro bench check`` exits 0 on a clean history,
-    1 on an injected 2x slowdown, and soft-passes thin history."""
-
-    def _seeded(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        seed_history(path, [1.0, 1.0, 1.0, 1.0],
-                     workload="tline_ode[8x60]")
-        return str(path)
-
-    def test_clean_history_exits_zero(self, tmp_path, capsys):
-        from repro.cli import main
-        code = main(["bench", "check", "--history",
-                     self._seeded(tmp_path)])
-        assert code == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_injected_slowdown_exits_nonzero(self, tmp_path, capsys):
-        from repro.cli import main
-        code = main(["bench", "check", "--history",
-                     self._seeded(tmp_path), "--scale", "2.0"])
-        assert code == 1
-        assert "regression" in capsys.readouterr().out
-
-    def test_thin_history_soft_passes(self, tmp_path, capsys):
-        from repro.cli import main
-        path = tmp_path / "h.jsonl"
-        seed_history(path, [1.0], workload="tline_ode[8x60]")
-        code = main(["bench", "check", "--history", str(path)])
-        assert code == 0
-        assert "soft pass" in capsys.readouterr().out
-
-    def test_json_verdicts(self, tmp_path, capsys):
-        from repro.cli import main
-        code = main(["bench", "check", "--history",
-                     self._seeded(tmp_path), "--json"])
-        assert code == 0
-        verdicts = json.loads(capsys.readouterr().out)
-        assert len(verdicts) == 1
-        assert verdicts[0]["workload"] == "tline_ode[8x60]"
-        assert verdicts[0]["status"] == "ok"
+def test_git_sha_names_the_checkout_commit(tmp_path):
+    repo = pathlib.Path(__file__).resolve().parents[2]
+    sha = git_sha(cwd=repo)
+    # A git checkout yields a short hex sha; an exported tarball
+    # (no .git) degrades to "unknown" instead of raising.
+    assert sha == "unknown" or re.fullmatch(r"[0-9a-f]{4,40}", sha)
+    assert git_sha(cwd=tmp_path) == "unknown"

@@ -117,6 +117,38 @@ class TestBitIdentity:
                          telemetry="yes")
 
 
+def _hook_ops(factory, n_points, **kwargs):
+    """Telemetry hook calls and RHS evaluations of one metered sweep."""
+    report = RunReport()
+    with collect_metrics(into=report):
+        run_ensemble(factory, n_points=n_points,
+                     cache=TrajectoryCache(), **kwargs)
+        ops = telemetry.current().ops
+    return ops, report.counter("solver.nfev")
+
+
+class TestHookCount:
+    """Hooks sit at group/solve granularity, never inside a step loop:
+    the hook count of a sweep must not grow with its solver work. This
+    is what keeps disabled telemetry free on long sweeps."""
+
+    def test_ode_hooks_do_not_scale_with_steps(self):
+        kwargs = dict(seeds=range(8), t_span=(0.0, 8e-8), method="rk4")
+        small = _hook_ops(TlineFactory(), 50, **kwargs)
+        large = _hook_ops(TlineFactory(), 400, **kwargs)
+        assert large[1] > 2 * small[1]
+        assert large[0] == small[0]
+
+    def test_sde_hooks_do_not_scale_with_steps(self):
+        factory = NoisyTlineFactory(TLineSpec(n_segments=3), noise=1e-9)
+        kwargs = dict(seeds=range(3), t_span=SPAN, trials=2,
+                      sde_method="heun")
+        small = _hook_ops(factory, 40, **kwargs)
+        large = _hook_ops(factory, 320, **kwargs)
+        assert large[1] > 2 * small[1]
+        assert large[0] == small[0]
+
+
 class TestCounters:
     def test_batch_ode_counters(self):
         result = run_ensemble(TlineFactory(), range(4), SPAN,
