@@ -301,9 +301,6 @@ def cmd_ensemble(args) -> int:
                                  if noisy and value is not None},
                               array_backend=getattr(
                                   args, "array_backend", None),
-                              schedule=args.schedule,
-                              overshard=args.overshard,
-                              pin_workers=args.pin_workers,
                               stream=args.stream, progress=progress)
         if args.stream:
             # Drain the chunk stream, narrating each finished group,
@@ -577,23 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "zero-copy worker pool as per-core sub-batches "
                        "and serial fallbacks fan out over the same pool "
                        "one seed per task")
-    p_ens.add_argument("--schedule", default="even",
-                       choices=("even", "cost"),
-                       help="pool row-split policy: even "
-                       "(default, near-equal row counts) or cost "
-                       "(shards cut at predicted-cost quantiles from "
-                       "the persisted cost profile, stiffest group "
-                       "submitted first); bit-identical to even for "
-                       "every method")
-    p_ens.add_argument("--overshard", type=int, default=1,
-                       metavar="K",
-                       help="shards per process for fixed-step "
-                       "groups: K x --processes shards drain from "
-                       "the pool's pull queue so fast workers steal "
-                       "the tail of a skewed group (default 1)")
-    p_ens.add_argument("--pin-workers", action="store_true",
-                       help="pin pool workers round-robin to CPUs "
-                       "(Linux sched_setaffinity; no-op elsewhere)")
     p_ens.add_argument("--stream", action="store_true",
                        help="stream per-group results as they finish "
                        "(prints one progress line per completed "

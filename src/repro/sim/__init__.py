@@ -17,8 +17,10 @@ implementation runs them as vectorized batches (``--vectorize --bz
   compiles into, so pooling, caching, and per-instance step masks
   cover the deterministic and the SDE path identically;
 * :mod:`repro.sim.pool` / :mod:`repro.sim.shm` — the persistent
-  worker pool, the engine's one process model: batched shards return
-  through shared memory, the serial fan-out through the result queue;
+  worker pool, the engine's one process model: each batched group
+  splits into ``processes`` near-equal contiguous shards
+  (:func:`~repro.sim.pool.even_parts`) that return through shared
+  memory, the serial fan-out through the result queue;
 * :mod:`repro.sim.ensemble` — :func:`~repro.sim.ensemble.run_ensemble`,
   the one driver for mismatch sweeps *and* (with ``trials=K``)
   transient-noise sweeps;
@@ -28,11 +30,6 @@ implementation runs them as vectorized batches (``--vectorize --bz
   the same ``(n_instances, n_states)`` storage;
 * :mod:`repro.sim.noisy` — the (chip seed × noise trial) result
   types of ``run_ensemble(..., trials=K)``;
-* :mod:`repro.sim.sched` — cost-model-driven adaptive scheduling for
-  the ``pool`` backend: cost-balanced uneven row splits,
-  oversharding onto the pull queue, a persisted per-group cost
-  profile, and optional worker CPU pinning — all bit-identical to the
-  even split (adaptive methods are pinned to the canonical split);
 * :mod:`repro.sim.array_api` — the pluggable array-namespace layer:
   an :class:`~repro.sim.array_api.ArrayBackend` seam with the numpy
   backend (bit-identical float64 default, float32 opt-in), selected per
@@ -68,8 +65,7 @@ from repro.sim.plan import (BACKENDS, ExecutionBackend, ExecutionPlan,
 from repro.sim.ensemble import (BATCH_METHODS, ENGINES, EnsembleChunk,
                                 EnsembleResult, resolve_engine,
                                 run_ensemble, stream_ensemble)
-from repro.sim.sched import (SCHEDULES, CostProfile, Scheduler,
-                             balanced_parts, even_parts)
+from repro.sim.pool import even_parts
 from repro.sim.sde_solver import (SDE_METHODS, WienerSource,
                                   simulate_sde, solve_sde)
 from repro.sim.noisy import NoisyEnsembleChunk, NoisyEnsembleResult
@@ -90,16 +86,12 @@ __all__ = [
     "NoisyEnsembleChunk",
     "NoisyEnsembleResult",
     "NumpyBackend",
-    "SCHEDULES",
     "SDE_METHODS",
-    "CostProfile",
-    "Scheduler",
     "TrajectoryCache",
     "WienerSource",
     "array_backend_names",
     "assemble_chunks",
     "backend_names",
-    "balanced_parts",
     "canonical_spec",
     "compile_batch",
     "even_parts",

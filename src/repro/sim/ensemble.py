@@ -126,9 +126,7 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
                  noise_seed: int | None = None,
                  sde_method: str = "heun", block: int = 256,
                  reference: bool = True, stream: bool = False,
-                 array_backend=None, schedule: str = "even",
-                 overshard: int = 1, pin_workers: bool = False,
-                 cost_profile=None, telemetry=None, progress=None):
+                 array_backend=None, telemetry=None, progress=None):
     """Simulate one fabricated instance per seed, batching wherever the
     instances share structure — the unified driver for deterministic
     *and* transient-noise sweeps.
@@ -149,10 +147,11 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
     :param processes: worker-pool width. Batched groups of at least
         ``shard_min`` instances run on the persistent zero-copy pool
         (spawned once, reused across solves; results return through
-        shared memory instead of pickle), and serial-fallback
-        instances fan out one seed per task over the same pool (both
-        require a picklable factory; in-process execution otherwise). On the noisy path
-        the (chip x trial) SDE batches split the same way,
+        shared memory instead of pickle), split into ``processes``
+        contiguous near-equal shards. Serial-fallback instances fan
+        out one seed per task over the same pool. Both require a
+        picklable factory and run in-process otherwise. On the noisy
+        path the (chip x trial) SDE batches split the same way,
         bit-identically.
     :param dense: use dense-output interpolation in the batched rkf45
         (see :func:`~repro.sim.batch_solver.solve_batch`).
@@ -212,24 +211,6 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
         solver loops run on — ``None``/``"numpy"`` (default,
         bit-identical to previous releases), ``"numpy:float32"``, or an
         :class:`~repro.sim.array_api.ArrayBackend` instance.
-    :param schedule: row-split policy of the pool backend —
-        ``even`` (default, the historical near-equal row counts) or
-        ``cost`` (shards cut at predicted-cost quantiles from the
-        persisted cost profile, groups submitted longest-first).
-        Bit-identical to ``even`` for every method — adaptive groups
-        are pinned to the canonical split (see
-        :mod:`repro.sim.sched`).
-    :param overshard: shards per process for fixed-step groups
-        (default 1). ``overshard=4`` splits each group into ``4 x
-        processes`` shards drained from the pool's pull queue, so fast
-        workers steal the tail of a skewed group — the biggest lever
-        on workloads mixing stiff and settled rows under
-        ``freeze_tol``.
-    :param pin_workers: pin pool workers round-robin to CPUs
-        (``os.sched_setaffinity``; Linux only, no-op elsewhere).
-    :param cost_profile: explicit path for the persisted cost-profile
-        JSON (default: ``cost_profile.json`` inside the disk cache
-        directory when one is configured).
     :param progress: an optional
         :class:`~repro.telemetry.ProgressSink` notified per finished
         group (totals up front, counts per chunk) — the hook behind
@@ -254,9 +235,7 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
         max_step=max_step, dense=dense, freeze_tol=freeze_tol,
         serial_backend=backend, min_batch=min_batch,
         processes=processes, shard_min=shard_min, cache=cache,
-        array_backend=array_backend, schedule=schedule,
-        overshard=overshard, pin_workers=pin_workers,
-        cost_profile=cost_profile)
+        array_backend=array_backend)
     if telemetry is None or telemetry is False:
         return (plan.stream(progress=progress) if stream
                 else plan.run(progress=progress))
@@ -278,9 +257,6 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
             "seeds": len(plan.seeds)}
     if plan.array_spec() != "numpy:float64":
         meta["array_backend"] = plan.array_spec()
-    if schedule != "even" or overshard != 1:
-        meta["schedule"] = schedule
-        meta["overshard"] = overshard
     if noise is not None:
         meta["trials"] = noise.trials
     if stream:

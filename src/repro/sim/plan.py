@@ -32,8 +32,9 @@ Backends are pluggable through a registry (:data:`BACKENDS`,
   every instance's arithmetic is row-local and Wiener streams are keyed
   by ``(noise seed, element, path)`` — never by batch layout. The
   adaptive methods (rkf45 and the adaptive SDE pair) run per-shard step
-  control, so they are pinned to the canonical even split
-  (:func:`repro.sim.sched.even_parts`) and kept out of the cache;
+  control; the pool's one row split
+  (:func:`repro.sim.pool.even_parts`) keeps their results reproducible,
+  and they are kept out of the cache;
 * ``auto``   — per-group policy: the persistent ``pool`` when a pool
   is requested (``processes > 1``) and the group is large enough, else
   ``batch``.
@@ -60,6 +61,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,7 +74,6 @@ from repro.core.simulator import Trajectory, simulate
 from repro.errors import SimulationError
 
 from repro.sim import batch_codegen
-from repro.sim import sched as sched_module
 from repro.sim.array_api import (array_backend_names, canonical_spec,
                                  parse_backend_spec)
 from repro.sim.batch_codegen import (compile_batch, group_by_signature,
@@ -157,23 +158,6 @@ class ExecutionPlan:
         spec string like ``"numpy:float32"``, or an
         :class:`~repro.sim.array_api.ArrayBackend`. The serial scipy ODE
         path always runs numpy float64.
-    :param schedule: row-split policy of the ``pool`` backend —
-        ``even`` (default: the historical near-equal row
-        counts) or ``cost`` (shards cut at predicted-cost quantiles
-        using the persisted cost profile, and groups submitted
-        longest-predicted-first). Bit-identical to ``even`` for every
-        method: fixed-step rows are partition-independent, and
-        adaptive groups (rkf45 and the adaptive SDE pair) are pinned
-        to the canonical even split (see :mod:`repro.sim.sched`).
-    :param overshard: shards per process for fixed-step groups —
-        ``overshard * processes`` shards drain from the pool's pull
-        queue so fast workers steal the tail of a skewed group
-        (default 1, the historical one-shard-per-process).
-    :param pin_workers: round-robin pool workers across CPUs via
-        ``os.sched_setaffinity`` (Linux; no-op elsewhere).
-    :param cost_profile: explicit path for the persisted JSON cost
-        profile; default is ``cost_profile.json`` next to the disk
-        trajectory cache (no persistence without one).
     """
 
     factory: object
@@ -195,10 +179,6 @@ class ExecutionPlan:
     shard_min: int = DEFAULT_SHARD_MIN
     cache: object = None
     array_backend: object = None
-    schedule: str = "even"
-    overshard: int = 1
-    pin_workers: bool = False
-    cost_profile: object = None
 
     def array_spec(self) -> str:
         """The plan's canonical array-backend spec string
@@ -241,13 +221,6 @@ class ExecutionPlan:
             raise ValueError(
                 f"freeze_tol must be > 0 (or None), got "
                 f"{self.freeze_tol}")
-        if self.schedule not in sched_module.SCHEDULES:
-            raise SimulationError(
-                f"unknown schedule {self.schedule!r}; expected one of "
-                f"{', '.join(sched_module.SCHEDULES)}")
-        if int(self.overshard) < 1:
-            raise SimulationError(
-                f"overshard must be >= 1, got {self.overshard}")
 
     def run(self, progress=None):
         """Execute the plan (see :func:`execute_plan`)."""
@@ -300,7 +273,7 @@ def _pickles(payload) -> bool:
 
 
 def _run_serial(factory, seeds, indices, systems, t_span, options,
-                processes, pin_workers=False):
+                processes):
     """Serial scipy path for structurally unique instances, optionally
     fanned out one seed per task over the persistent worker pool.
     Returns {index: Trajectory}."""
@@ -314,8 +287,7 @@ def _run_serial(factory, seeds, indices, systems, t_span, options,
             from repro.sim import pool as pool_module
 
             rows = pool_module.map_serial(int(processes), common,
-                                          job_seeds,
-                                          pin_workers=pin_workers)
+                                          job_seeds)
             for index, (t, y) in zip(pending, rows):
                 results[index] = Trajectory(t=t, y=y,
                                             system=systems[index])
@@ -480,24 +452,30 @@ class SerialBackend(ExecutionBackend):
 
 
 def _pool_width(plan: ExecutionPlan) -> int:
+    """The plan's pool width: ``processes`` when given, else the CPUs
+    this process may run on (its affinity mask, not the host's CPU
+    count — a container pinned to 2 of 64 CPUs gets 2 workers)."""
     if plan.processes is not None:
         return int(plan.processes)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 class PoolBackend(ExecutionBackend):
-    """Persistent zero-copy pool: the group's rows split into per-core
-    shards (:mod:`repro.sim.sched`) executed on reused workers
+    """Persistent zero-copy pool: the group's rows split into
+    ``processes`` contiguous near-equal shards
+    (:func:`~repro.sim.pool.even_parts`) executed on reused workers
     (:mod:`repro.sim.pool`), with results returned through shared
     memory (:mod:`repro.sim.shm`) instead of pickle.
 
     Bit-identical to ``batch`` for fixed-step methods; adaptive methods
-    run the canonical even split, so they match an in-process
-    ``solve_batch``/``solve_sde`` over each even slice. Every shard
-    inherits the whole-group fuse decision. Falls back to ``batch``
-    when the pool cannot be used. Supports asynchronous submission,
-    which is what lets the streaming executor yield groups as workers
-    finish.
+    match an in-process ``solve_batch``/``solve_sde`` over each even
+    slice. Every shard inherits the whole-group fuse decision. Falls
+    back to ``batch`` when the pool cannot be used (one row, one
+    process, an unpicklable factory, or no shared memory). Supports
+    asynchronous submission, which is what lets the streaming executor
+    yield groups as workers finish.
     """
 
     name = "pool"
@@ -508,13 +486,8 @@ class PoolBackend(ExecutionBackend):
         from repro.sim.shm import ShmBlock
 
         plan = task.plan
-        scheduler = sched_module.scheduler_for(plan)
-        method = task.options.get("method")
-        key = sched_module.group_key(task.group_systems[0], method,
-                                     kind)
         processes = _pool_width(plan)
-        parts = scheduler.parts(len(rows), processes, method=method,
-                                key=key)
+        parts = pool_module.even_parts(len(rows), processes)
         if not parts:
             return None
         fuse = _whole_group_fuse(len(rows), task.group_systems[0])
@@ -525,27 +498,30 @@ class PoolBackend(ExecutionBackend):
         grid = _output_grid(plan.t_span,
                             task.options.get("n_points", 500),
                             task.options.get("t_eval"))
-        worker_pool = pool_module.get_pool(
-            processes, pin_workers=scheduler.pin_workers)
-        block = ShmBlock.create((len(rows),
-                                 task.group_systems[0].n_states,
-                                 len(grid)))
+        worker_pool = pool_module.get_pool(processes)
+        shape = (len(rows), task.group_systems[0].n_states, len(grid))
+        try:
+            block = ShmBlock.create(shape)
+        except OSError as exc:
+            # No /dev/shm, too many open files, a full shm filesystem:
+            # shared memory only buys speed, so the group runs
+            # in-process instead of failing the sweep.
+            nbytes = int(np.prod(shape)) * np.dtype(np.float64).itemsize
+            warnings.warn(
+                f"shared-memory allocation of {nbytes} bytes failed "
+                f"({exc}); running the group in-process",
+                RuntimeWarning, stacklevel=2)
+            telemetry.add("pool.shm_alloc_failed")
+            return None
         handle = pool_module.PoolHandle(
             pool=worker_pool, block=block, grid=grid,
             systems=list(task.group_systems), storable=storable,
             masked=task.options.get("freeze_tol") is not None)
-        timing = scheduler.wants_timing(method)
-        if timing:
-            n_rows = len(rows)
-            handle.on_shards = (
-                lambda stats: scheduler.observe(key, n_rows, stats,
-                                                processes=processes))
         offset = 0
         try:
             for part in parts:
                 worker_pool.submit(handle, kind, common,
-                                   [rows[r] for r in part], offset,
-                                   timing=timing)
+                                   [rows[r] for r in part], offset)
                 offset += len(part)
         except BaseException:
             handle.discard()
@@ -756,10 +732,6 @@ def _stream(plan: ExecutionPlan, seeds: list, progress=None):
                                  backend=plan.backend)
             yield chunk
     finally:
-        # Persist whatever the scheduler learned this sweep — also on
-        # early abandonment, so a killed stream still warms the next
-        # run's cost profile.
-        sched_module.flush_plan(plan)
         if progress is not None:
             progress.finish()
 
@@ -773,33 +745,6 @@ def _effective_backend(backend: ExecutionBackend,
     if isinstance(backend, AutoBackend):
         return backend._pick(task)
     return backend
-
-
-def _submission_order(plan, tasks, kind) -> list[tuple]:
-    """``(order, task)`` pairs in submission order. Under
-    ``schedule="cost"`` groups submit longest-predicted-first (LPT), so
-    the stiffest group starts integrating before the cheap ones queue
-    behind it; ``order`` keeps the original label — groups solve
-    independently and :func:`assemble_chunks` re-sorts by it, so
-    reordering cannot change results."""
-    ordered = list(enumerate(tasks))
-    if len(ordered) < 2 or plan.schedule != "cost":
-        return ordered
-    scheduler = sched_module.scheduler_for(plan)
-    # The executor's cache kind for ODE groups is "batch"; the shard
-    # payload (and hence profile) kind is "ode" — map to the latter so
-    # ordering reads the same profile entries the splits write.
-    key_kind = "ode" if kind == "batch" else kind
-
-    def predicted(pair):
-        task = pair[1]
-        lead = task.group_systems[0]
-        method = task.options.get("method")
-        key = sched_module.group_key(lead, method, key_kind)
-        return scheduler.group_cost(key, len(task.group_systems),
-                                    lead.n_states, method)
-
-    return sorted(ordered, key=predicted, reverse=True)
 
 
 def _drive_groups(plan, tasks, store, kind, key_options, solve_sync,
@@ -820,7 +765,7 @@ def _drive_groups(plan, tasks, store, kind, key_options, solve_sync,
     backend = BACKENDS[plan.backend]
     hits, sync, runs = [], [], []
     try:
-        for order, task in _submission_order(plan, tasks, kind):
+        for order, task in enumerate(tasks):
             key, hit = cache_lookup(store, task.group_systems, kind,
                                     key_options(task))
             if hit is not None:
@@ -830,6 +775,10 @@ def _drive_groups(plan, tasks, store, kind, key_options, solve_sync,
             handle = submit_async(effective, task)
             if handle is not None:
                 runs.append((order, task, key, handle))
+            elif isinstance(effective, PoolBackend):
+                # The pool declined the group; solve it in-process
+                # without asking the pool (and warning) a second time.
+                sync.append((order, task, key, BACKENDS["batch"]))
             else:
                 sync.append((order, task, key, effective))
         yield from hits
@@ -955,7 +904,7 @@ def _stream_ode(plan: ExecutionPlan, seeds, systems):
         with telemetry.span("serial.fanout"):
             serial = _run_serial(plan.factory, seeds, serial_indices,
                                  systems, plan.t_span, serial_options,
-                                 fanout[0], pin_workers=plan.pin_workers)
+                                 fanout[0])
         ordered = sorted(serial_indices)
         yield EnsembleChunk(order=len(tasks), indices=ordered,
                             trajectories=[serial[i] for i in ordered],

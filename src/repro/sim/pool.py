@@ -249,12 +249,6 @@ class PoolHandle:
     offsets: list = field(default_factory=list)
     metas: dict = field(default_factory=dict)
     error: BaseException | None = None
-    #: Optional observer called from :meth:`result` with one dict per
-    #: shard (``offset``/``rows``/``seconds``/``worker``) — the
-    #: scheduler's cost-model feedback channel (see
-    #: :mod:`repro.sim.sched`). Only populated when shards were
-    #: submitted with ``timing=True``.
-    on_shards: object = None
 
     @property
     def done(self) -> bool:
@@ -298,16 +292,6 @@ class PoolHandle:
                 if part is not None:
                     frozen[offset:offset + len(part)] = part
             telemetry.add("solver.frozen_rows", int(frozen.sum()))
-        if self.on_shards is not None:
-            stats = []
-            for task_id, offset in self.offsets:
-                meta = self.metas.get(task_id) or {}
-                info = meta.get("telemetry") or {}
-                stats.append({"offset": offset,
-                              "rows": meta.get("n_rows", 0),
-                              "seconds": info.get("busy_seconds"),
-                              "worker": info.get("worker")})
-            self.on_shards(stats)
         return BatchTrajectory(t=self.grid, y=y,
                                systems=list(self.systems),
                                frozen=frozen, nfev=nfev), self.storable
@@ -347,13 +331,11 @@ class WorkerPool:
     solves; submitting is cheap, results route back to their
     :class:`PoolHandle` by task id."""
 
-    def __init__(self, processes: int, pin: bool = False):
+    def __init__(self, processes: int):
         import multiprocessing
 
         context = multiprocessing.get_context()
         self.processes = int(processes)
-        self.pin = bool(pin)
-        self.pinned = 0
         self._tasks = context.Queue()
         self._results = context.Queue()
         self._handles: dict[int, PoolHandle] = {}
@@ -366,19 +348,12 @@ class WorkerPool:
             for index in range(self.processes)]
         for worker in self._workers:
             worker.start()
-        if self.pin:
-            from repro.sim.sched import pin_worker_processes
-
-            self.pinned = pin_worker_processes(
-                [worker.pid for worker in self._workers])
 
     def submit(self, handle: PoolHandle, kind: str, common: bytes,
-               rows: list, row_offset: int,
-               timing: bool = False) -> int:
-        """Queue one shard. ``timing=True`` forces the worker-side wall
-        clock measurement even without an active telemetry window — the
-        scheduler's cost model consumes it via ``PoolHandle.on_shards``
-        (collection never perturbs the solve either way)."""
+               rows: list, row_offset: int) -> int:
+        """Queue one shard. Inside a telemetry window the worker also
+        measures its queue wait and busy time (collection never
+        perturbs the solve)."""
         if self.broken:
             raise PoolBrokenError(
                 "worker pool is broken; acquire a fresh one with "
@@ -388,7 +363,7 @@ class WorkerPool:
         handle.pending.add(task_id)
         handle.offsets.append((task_id, row_offset))
         self._handles[task_id] = handle
-        collect = telemetry.enabled() or timing
+        collect = telemetry.enabled()
         header = None if handle.block is None else handle.block.header
         self._tasks.put(ShardTask(task_id=task_id, kind=kind,
                                   common=common, rows=rows,
@@ -473,6 +448,19 @@ class WorkerPool:
                 del _POOLS[key]
 
 
+def even_parts(n_rows: int, n_shards: int) -> list[np.ndarray]:
+    """The pool's one row split: near-equal contiguous shards (the
+    ``np.array_split`` of the row range). Never emits an empty shard:
+    the shard count clamps to the row count, and a split below two
+    shards — including every single-row group — bypasses sharding
+    entirely (returns ``[]``, the caller's run-in-process signal)."""
+    n_rows = int(n_rows)
+    n_shards = min(int(n_shards), n_rows)
+    if n_shards < 2:
+        return []
+    return np.array_split(np.arange(n_rows), n_shards)
+
+
 def wait_any(handles: list[PoolHandle]) -> PoolHandle:
     """Block until at least one of ``handles`` is complete and return
     it — the streaming executor's yield-as-workers-finish primitive."""
@@ -483,15 +471,14 @@ def wait_any(handles: list[PoolHandle]) -> PoolHandle:
         handles[0].pool.drain_one()
 
 
-def map_serial(processes: int, common: bytes, seeds: list,
-               pin_workers: bool = False) -> list[tuple]:
+def map_serial(processes: int, common: bytes, seeds: list) -> list[tuple]:
     """Fan per-seed scipy solves out over the persistent pool — one
     task per seed, pulled from the shared queue, so one slow instance
     never holds a batch of fast ones hostage. ``common`` is the pickled
     ``(factory, t_span, options, None)`` payload. Returns ``(t, y)``
     per seed in input order; a task error re-raises here, a dying
     worker raises :class:`PoolBrokenError`."""
-    pool = get_pool(processes, pin_workers=pin_workers)
+    pool = get_pool(processes)
     handle = PoolHandle(pool=pool, block=None)
     try:
         for offset, seed in enumerate(seeds):
@@ -516,7 +503,7 @@ def active_tasks() -> int:
     return sum(len(pool._handles) for pool in _POOLS.values())
 
 
-def get_pool(processes: int, pin_workers: bool = False) -> WorkerPool:
+def get_pool(processes: int) -> WorkerPool:
     """The process-wide persistent pool of the given width, spawning it
     on first use (or after breakage). Reuse across solves is the point:
     repeated sweeps skip both worker spawn and — through the per-worker
@@ -526,9 +513,6 @@ def get_pool(processes: int, pin_workers: bool = False) -> WorkerPool:
     session that sweeps with varying ``processes`` values does not
     accumulate resident workers; an idle-width pool that is still
     wanted simply respawns on its next use (paying one cold start).
-    ``pin_workers`` is a spawn-time property: an idle same-width pool
-    with the wrong pinning respawns, an in-flight one is reused as-is
-    (pinning is best-effort, never worth breaking a running sweep).
     :func:`shutdown_pools` releases everything explicitly."""
     processes = int(processes)
     for width, other in list(_POOLS.items()):
@@ -537,12 +521,8 @@ def get_pool(processes: int, pin_workers: bool = False) -> WorkerPool:
         if width != processes and not other._handles:
             other.close()
     pool = _POOLS.get(processes)
-    if pool is not None and not pool.broken \
-            and pool.pin != bool(pin_workers) and not pool._handles:
-        pool.close()
-        pool = None
     if pool is None or pool.broken:
-        pool = WorkerPool(processes, pin=pin_workers)
+        pool = WorkerPool(processes)
         _POOLS[processes] = pool
     return pool
 

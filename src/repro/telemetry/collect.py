@@ -23,16 +23,10 @@ them in via :func:`merge_worker`.
 
 Counter namespaces: ``solver.*`` (nfev, frozen rows), ``cache.*``,
 ``pool.*`` (shards, shm/pickle bytes, per-worker queue/busy/payload
-aggregates), ``shm.*``, ``stream.*``, ``serial.*``, and — since the
-adaptive scheduler (:mod:`repro.sim.sched`) — ``sched.*``:
-``sched.shards``, ``sched.groups.cost``/``sched.groups.even`` (which
-split each group got), ``sched.adaptive_pinned`` (adaptive groups
-pinned to the canonical split), ``sched.predicted_shard_seconds`` vs
-``sched.actual_shard_seconds`` (cost-model accuracy),
-``sched.steals``, ``sched.pinned_workers``, the
-``sched.imbalance_ratio`` list gauge (max/mean worker busy per group),
-and ``sched.profile.corrupt``. ``repro report`` renders them as the
-``scheduling:`` section.
+aggregates, ``pool.shm_alloc_failed`` when a group fell back to
+in-process for want of shared memory), ``shm.*``, ``stream.*`` and
+``serial.*``. Per-worker busy time renders under ``workers:`` in
+``repro report``.
 """
 
 from __future__ import annotations

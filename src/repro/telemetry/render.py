@@ -72,53 +72,6 @@ def render_span_tree(spans: list, total_seconds: float) -> list[str]:
     return lines
 
 
-def _scheduling_lines(report: RunReport) -> list[str]:
-    """The ``scheduling:`` section body: cost-model accuracy, steal
-    and imbalance figures from the ``sched.*`` counters, plus the
-    per-worker busy-time spread — so shard imbalance is visible in a
-    rendered report without opening a trace."""
-    lines: list[str] = []
-    counters = report.counters
-    actual = counters.get("sched.actual_shard_seconds")
-    predicted = counters.get("sched.predicted_shard_seconds")
-    if actual:
-        line = f"shard cost: actual {_fmt_seconds(float(actual))}"
-        if predicted:
-            error = ((float(predicted) - float(actual))
-                     / float(actual) * 100.0)
-            line += (f", predicted {_fmt_seconds(float(predicted))} "
-                     f"({error:+.1f}% model error)")
-        lines.append(line)
-    ratios = report.gauges.get("sched.imbalance_ratio")
-    if isinstance(ratios, list) and ratios:
-        lines.append(
-            f"imbalance (max/mean worker busy per group): worst "
-            f"{max(ratios):.2f}x over {len(ratios)} group(s)")
-    steals = counters.get("sched.steals")
-    if steals:
-        lines.append(f"steals (shards past a worker's fair share): "
-                     f"{_fmt_value(steals)}")
-    pinned_groups = counters.get("sched.adaptive_pinned")
-    if pinned_groups:
-        lines.append(f"adaptive groups pinned to even split: "
-                     f"{_fmt_value(pinned_groups)}")
-    pinned_workers = counters.get("sched.pinned_workers")
-    if pinned_workers:
-        lines.append(f"workers pinned to CPUs: "
-                     f"{_fmt_value(pinned_workers)}")
-    busies = [float(block["busy_seconds"])
-              for block in report.workers.values()
-              if isinstance(block.get("busy_seconds"), (int, float))]
-    if len(busies) >= 2:
-        mean = sum(busies) / len(busies)
-        spread = (f" ({max(busies) / mean:.2f}x mean)"
-                  if mean > 0 else "")
-        lines.append(f"worker busy spread: "
-                     f"{_fmt_seconds(min(busies))} .. "
-                     f"{_fmt_seconds(max(busies))}{spread}")
-    return lines
-
-
 def render_report(report: RunReport) -> str:
     """The full pretty-printed report (what ``repro report f.json``
     prints for a single file)."""
@@ -159,11 +112,6 @@ def render_report(report: RunReport) -> str:
             shown = (_fmt_bytes(value) if name.endswith("_bytes")
                      or "_bytes_" in name else _fmt_value(value))
             lines.append(f"  {name.ljust(width)}  {shown}")
-    scheduling = _scheduling_lines(report)
-    if scheduling:
-        lines.append("")
-        lines.append("scheduling:")
-        lines.extend("  " + line for line in scheduling)
     if report.workers:
         lines.append("")
         lines.append("workers:")

@@ -1,10 +1,12 @@
 """Tests for the persistent zero-copy worker pool (:mod:`repro.sim.
 pool` + :mod:`repro.sim.shm` + the ``pool`` execution backend):
-bit-identity against ``batch`` (fixed-step) and in-process even-slice
-solves (adaptive), the serial fan-out, worker reuse, shared-memory
-hygiene on success / worker crash / KeyboardInterrupt, resource-tracker
-hygiene, and graceful fallbacks."""
+the one row split, bit-identity against ``batch`` (fixed-step) and
+in-process even-slice solves (adaptive), the serial fan-out, worker
+reuse, shared-memory hygiene on success / worker crash /
+KeyboardInterrupt, resource-tracker hygiene, and graceful fallbacks
+(including a failed shared-memory allocation)."""
 
+import errno
 import glob
 import os
 import pickle
@@ -21,7 +23,7 @@ from repro.paradigms.tln import TLineSpec, mismatched_tline
 from repro.paradigms.tln.noisy import NoisyTlineFactory
 from repro.sim import (compile_batch, even_parts, run_ensemble, shm,
                        solve_batch, solve_sde)
-from repro.sim.plan import _whole_group_fuse
+from repro.sim.plan import ExecutionPlan, _pool_width, _whole_group_fuse
 from repro.sim.pool import (PoolBrokenError, WorkerPool, get_pool,
                             _POOLS)
 from repro.sim.shm import ShmBlock
@@ -85,6 +87,71 @@ def _even_slice_reference(systems, solve, processes=2):
         solve(compile_batch([systems[row] for row in part], fuse=fuse),
               part).y
         for part in even_parts(len(systems), processes)])
+
+
+def _assert_partition(parts, n_rows):
+    """Contiguous, ordered, nonempty, covers every row exactly once."""
+    assert all(len(part) for part in parts)
+    flat = np.concatenate(parts)
+    np.testing.assert_array_equal(flat, np.arange(n_rows))
+
+
+class TestEvenParts:
+    def test_matches_array_split(self):
+        parts = even_parts(10, 3)
+        expected = np.array_split(np.arange(10), 3)
+        assert len(parts) == 3
+        for part, want in zip(parts, expected):
+            np.testing.assert_array_equal(part, want)
+
+    def test_more_shards_than_rows_never_emits_empty(self):
+        # n_rows < processes must clamp, not emit empty shards.
+        parts = even_parts(3, 8)
+        assert len(parts) == 3
+        _assert_partition(parts, 3)
+
+    def test_single_row_bypasses_sharding(self):
+        assert even_parts(1, 4) == []
+        assert even_parts(0, 4) == []
+
+    def test_single_shard_bypasses_sharding(self):
+        assert even_parts(10, 1) == []
+
+
+class TestRowSplit:
+    @pytest.mark.parametrize("method", ["rk4", "rkf45", "heun",
+                                        "heun-adaptive"])
+    def test_every_method_runs_the_even_split(self, method):
+        # One split for every method, fixed-step or adaptive: each
+        # group fans out into exactly len(even_parts(rows, processes))
+        # shards.
+        if method in ("rk4", "rkf45"):
+            result = run_ensemble(TwoGroupFactory(), range(7), SPAN,
+                                  engine="pool", processes=2,
+                                  n_points=30, method=method,
+                                  telemetry=True)
+            rows = [len(group) for group in result.groups]
+        else:
+            trials = 2
+            result = run_ensemble(
+                NoisyTlineFactory(TLineSpec(n_segments=4), noise=1e-9),
+                range(3), SPAN, engine="pool", processes=2,
+                n_points=30, trials=trials, sde_method=method,
+                rtol=1e-4, atol=1e-7, reference=False, telemetry=True)
+            rows = [len(group) * trials for group in result.groups]
+        assert len(rows) >= 1
+        expected = sum(len(even_parts(n, 2)) for n in rows)
+        assert result.telemetry.counter("pool.shards") == expected
+        _assert_no_leaks()
+
+    def test_default_width_follows_the_affinity_mask(self, monkeypatch):
+        # A container pinned to 3 of 64 host CPUs gets 3 workers.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+        plan = ExecutionPlan(factory=TlineFactory(), seeds=[0],
+                             t_span=SPAN, backend="pool")
+        assert _pool_width(plan) == 3
 
 
 class TestBitIdentity:
@@ -233,6 +300,27 @@ class TestFallbacks:
         np.testing.assert_array_equal(batch.batches[0].y,
                                       pooled.batches[0].y)
         _assert_no_leaks()
+
+    def test_shm_allocation_failure_falls_back_to_batch(self,
+                                                        monkeypatch):
+        # No /dev/shm, EMFILE, ENOSPC: a failed allocation costs speed,
+        # never the sweep.
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        factory = TlineFactory()
+        kwargs = dict(n_points=30, method="rk4")
+        batch = run_ensemble(factory, range(6), SPAN, engine="batch",
+                             **kwargs)
+        monkeypatch.setattr(shm.ShmBlock, "create", no_space)
+        with pytest.warns(RuntimeWarning, match="shared-memory"):
+            pooled = run_ensemble(factory, range(6), SPAN,
+                                  engine="pool", processes=2,
+                                  telemetry=True, **kwargs)
+        np.testing.assert_array_equal(batch.batches[0].y,
+                                      pooled.batches[0].y)
+        assert pooled.telemetry.counter("pool.shm_alloc_failed") == 1
+        assert shm.active_blocks() == []
 
     def test_single_process_falls_back_to_batch(self):
         factory = TlineFactory()

@@ -451,8 +451,8 @@ class TestAdaptiveEnsemble:
                               second.batches[0].y)
 
     def test_sharded_adaptive_reproducible(self):
-        """The scheduler pins adaptive SDE groups to the canonical
-        even split, so a pooled run is reproducible run-to-run and
+        """The pool splits every group into the canonical even
+        shards, so a pooled adaptive run is reproducible run-to-run and
         equals in-process solves over the even slices."""
         factory = _AdaptiveOuFactory()
         kwargs = dict(n_points=17, trials=2,
