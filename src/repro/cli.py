@@ -226,17 +226,11 @@ def cmd_ensemble(args) -> int:
     transient-noise sweeps with ``--trials``."""
     import time
 
-    from repro.sim import run_ensemble
+    from repro.sim import ExecutionPlan
 
-    # Method and trial-count checks live in the plan layer, which
-    # raises them as SimulationError (an ArkError).
     if args.seeds < 1:
         raise ArkError(f"--seeds must be >= 1, got {args.seeds}")
     noisy = args.trials is not None
-    if not noisy and args.noise_seed is not None:
-        raise ArkError(
-            "--noise-seed was given without --trials; pass --trials N "
-            "to request a transient-noise sweep")
     _, functions = _load(args)
     function = _pick_function(functions, args.func)
     arguments = {}
@@ -253,19 +247,31 @@ def cmd_ensemble(args) -> int:
     # The validated first instance is reused, not rebuilt (workers
     # rebuild it — see _CliFactory.__getstate__).
     factory = _CliFactory(function, arguments, args.seed_base, first)
+    # Forward only the sweep options the user set: their defaults,
+    # meanings and checks live on ExecutionPlan (a bad value raises
+    # SimulationError, an ArkError).
+    options = dict(n_points=args.points, method=args.method,
+                   engine=args.engine, dense=args.dense,
+                   processes=args.processes, cache=args.cache_dir or None,
+                   max_step=args.max_step, freeze_tol=args.freeze_tol,
+                   trials=args.trials, noise_seed=args.noise_seed,
+                   sde_method=args.sde_method,
+                   array_backend=args.array_backend)
+    if noisy:
+        options.update(rtol=args.sde_rtol, atol=args.sde_atol)
+    plan = ExecutionPlan(
+        factory=factory, seeds=list(seeds), t_span=(0.0, args.t_end),
+        **{key: value for key, value in options.items()
+           if value is not None})
 
-    cache = args.cache_dir if args.cache_dir else None
-    metrics_out = getattr(args, "metrics_out", None)
-    trace = getattr(args, "trace", False)
-    trace_out = getattr(args, "trace_out", None)
     progress = None
-    if getattr(args, "progress", False):
+    if args.progress:
         from repro.telemetry import auto_progress
 
         progress = auto_progress()
     report = None
     import contextlib
-    if metrics_out or trace or trace_out:
+    if args.metrics_out or args.trace or args.trace_out:
         # One collection window covers the full run *and* the stream
         # drain, so pool waits and chunk arrivals land in the report.
         from repro.telemetry import RunReport, collect_metrics
@@ -274,7 +280,7 @@ def cmd_ensemble(args) -> int:
         window = collect_metrics(
             into=report,
             meta={"driver": "cli.ensemble", "file": str(args.file),
-                  "engine": args.engine, "seeds": args.seeds,
+                  "engine": plan.engine, "seeds": args.seeds,
                   **({"array_backend": args.array_backend}
                      if args.array_backend else {}),
                   **({"trials": args.trials} if noisy else {})})
@@ -282,26 +288,8 @@ def cmd_ensemble(args) -> int:
         window = contextlib.nullcontext()
     start = time.perf_counter()
     with window:
-        result = run_ensemble(factory, seeds, (0.0, args.t_end),
-                              n_points=args.points, method=args.method,
-                              engine=args.engine, dense=args.dense,
-                              processes=args.processes, cache=cache,
-                              shard_min=args.shard_min,
-                              max_step=args.max_step,
-                              freeze_tol=args.freeze_tol,
-                              trials=args.trials,
-                              noise_seed=(args.noise_seed or 0) if noisy
-                              else None,
-                              sde_method=args.sde_method,
-                              **{key: value for key, value in
-                                 (("rtol", getattr(args, "sde_rtol",
-                                                   None)),
-                                  ("atol", getattr(args, "sde_atol",
-                                                   None)))
-                                 if noisy and value is not None},
-                              array_backend=getattr(
-                                  args, "array_backend", None),
-                              stream=args.stream, progress=progress)
+        result = (plan.stream(progress=progress) if args.stream
+                  else plan.run(progress=progress))
         if args.stream:
             # Drain the chunk stream, narrating each finished group,
             # then reassemble — the emitted statistics/CSV are
@@ -318,8 +306,8 @@ def cmd_ensemble(args) -> int:
                 print(f"[stream] group {chunk.order}: {rows} {flavor} "
                       f"row(s) covering {len(chunk.indices)} seed(s) "
                       f"at {time.perf_counter() - start:.2f}s")
-            result = assemble_chunks(chunks, list(seeds),
-                                     trials=args.trials)
+            result = assemble_chunks(chunks, plan.seeds,
+                                     trials=plan.trials)
     elapsed = time.perf_counter() - start
 
     nodes = args.node or [
@@ -334,7 +322,7 @@ def cmd_ensemble(args) -> int:
         print(f"{args.seeds} chip(s) x {args.trials} trial(s) = "
               f"{total} noisy runs in {elapsed:.2f}s "
               f"({len(result.batches)} SDE batch(es), method "
-              f"{args.sde_method})")
+              f"{plan.sde_method})")
     else:
         from repro.analysis import ensemble_matrix
 
@@ -363,26 +351,26 @@ def cmd_ensemble(args) -> int:
         for row in matrix[::step]:
             print(",".join(f"{value:.6g}" for value in row))
     if report is not None:
-        if trace:
+        if args.trace:
             from repro.telemetry import render_report
 
             print()
             print(render_report(report))
-        if metrics_out:
-            report.save(metrics_out)
+        if args.metrics_out:
+            report.save(args.metrics_out)
             print(f"wrote run metrics (schema v{report.schema}) "
-                  f"to {metrics_out}")
-        if trace_out:
+                  f"to {args.metrics_out}")
+        if args.trace_out:
             from repro.telemetry import export_trace
             from repro.telemetry.trace import worker_lanes
 
-            export_trace(report, trace_out)
+            export_trace(report, args.trace_out)
             lanes = worker_lanes(report)
             lane_note = (f", {len(lanes)} worker lane(s)" if lanes
                          else "")
-            print(f"wrote Chrome trace to {trace_out}{lane_note} — "
-                  f"open in Perfetto (ui.perfetto.dev) or "
-                  f"chrome://tracing")
+            print(f"wrote Chrome trace to {args.trace_out}{lane_note} "
+                  "— open in Perfetto (ui.perfetto.dev) or "
+                  "chrome://tracing")
     return 0
 
 
@@ -533,63 +521,71 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--seed-base", type=int, default=0,
                        help="first mismatch seed (default 0)")
     p_ens.add_argument("--points", type=int, default=200)
-    p_ens.add_argument("--method", default="auto",
-                       help="auto (default), rkf45, rk4, or a scipy "
-                       "method name (forces the serial path)")
-    p_ens.add_argument("--trials", type=int, default=None,
+    # Sweep options default to None and are forwarded only when set:
+    # their defaults live on ExecutionPlan, which the help text quotes.
+    from repro.sim import (BATCH_METHODS, ENGINES, SDE_METHODS,
+                           ExecutionPlan)
+    from repro.sim.plan import DEFAULT_SHARD_MIN
+    p_ens.add_argument("--method",
+                       help=f"{', '.join(BATCH_METHODS)}, or a scipy "
+                       "method name (forces the serial path); default "
+                       f"{ExecutionPlan.method}")
+    p_ens.add_argument("--trials", type=int,
                        help="noise realizations per chip: switches to "
                        "the transient-noise (SDE) sweep")
-    p_ens.add_argument("--noise-seed", type=int, default=None,
+    p_ens.add_argument("--noise-seed", type=int,
                        help="first trial index of the noisy sweep "
                        "(shift for fresh realizations; default 0; "
                        "requires --trials)")
-    p_ens.add_argument("--sde-method", default="heun",
-                       help="SDE method with --trials: heun (default), "
-                       "em, milstein, heun-adaptive, or em-adaptive")
-    p_ens.add_argument("--sde-rtol", type=float, default=None,
+    p_ens.add_argument("--sde-method",
+                       help="SDE method with --trials: "
+                       f"{', '.join(SDE_METHODS)}; default "
+                       f"{ExecutionPlan.sde_method}")
+    p_ens.add_argument("--sde-rtol", type=float,
                        help="relative tolerance of the adaptive SDE "
                        "controller (heun-adaptive/em-adaptive; "
-                       "default 1e-7)")
-    p_ens.add_argument("--sde-atol", type=float, default=None,
+                       f"default {ExecutionPlan.rtol:g})")
+    p_ens.add_argument("--sde-atol", type=float,
                        help="absolute tolerance of the adaptive SDE "
-                       "controller (default 1e-9)")
-    p_ens.add_argument("--max-step", type=float, default=None,
+                       f"controller (default {ExecutionPlan.atol:g})")
+    p_ens.add_argument("--max-step", type=float,
                        help="solver step cap (default span/64)")
-    p_ens.add_argument("--freeze-tol", type=float, default=None,
+    p_ens.add_argument("--freeze-tol", type=float,
                        help="per-instance step masks: converged "
                        "instances freeze instead of forcing the "
                        "worst-case step on the whole batch")
-    from repro.sim.ensemble import DEFAULT_SHARD_MIN, ENGINES
-    p_ens.add_argument("--engine", default="batch", choices=ENGINES)
-    p_ens.add_argument("--array-backend", default=None,
+    p_ens.add_argument("--engine", choices=ENGINES,
+                       help="batch: one vectorized solve per group, on "
+                       f"the worker pool for groups of >= "
+                       f"{DEFAULT_SHARD_MIN} rows when --processes > 1; "
+                       "serial: one solve per instance; pool: every "
+                       f"group on the pool; default {ExecutionPlan.engine}")
+    p_ens.add_argument("--array-backend",
                        metavar="NAME[:DTYPE]",
                        help="array namespace for the batched kernels "
                        "and solver loops: numpy (default, "
                        "bit-identical) or numpy:float32")
     p_ens.add_argument("--backend", default="milp",
                        choices=("milp", "flow"))
-    p_ens.add_argument("--processes", type=int, default=None,
+    p_ens.add_argument("--processes", type=int,
                        help="process-pool width: batched groups of >= "
-                       "--shard-min instances run on the persistent "
+                       f"{DEFAULT_SHARD_MIN} rows run on the persistent "
                        "zero-copy worker pool as per-core sub-batches "
-                       "and serial fallbacks fan out over the same pool "
-                       "one seed per task")
+                       "and serial "
+                       "fallbacks fan out over the same pool one seed "
+                       "per task")
     p_ens.add_argument("--stream", action="store_true",
                        help="stream per-group results as they finish "
                        "(prints one progress line per completed "
                        "group; final statistics/CSV are identical to "
                        "the barriered run)")
-    p_ens.add_argument("--shard-min", type=int,
-                       default=DEFAULT_SHARD_MIN,
-                       help="smallest batched group worth sharding "
-                       f"across the pool (default {DEFAULT_SHARD_MIN})")
-    p_ens.add_argument("--cache-dir", default=None,
+    p_ens.add_argument("--cache-dir",
                        help="directory for the on-disk trajectory "
                        "cache; reruns with identical structure, "
                        "attributes, grid, and options reuse stored "
                        "integrations bit-for-bit")
     p_ens.add_argument("--no-dense", dest="dense",
-                       action="store_false",
+                       action="store_false", default=None,
                        help="disable rkf45 dense output (clip every "
                        "step to the output grid, the legacy behavior)")
     p_ens.add_argument("--node", action="append",

@@ -163,9 +163,8 @@ def simulate(target: OdeSystem | DynamicalGraph, t_span: tuple[float, float],
     return Trajectory(t=solution.t, y=solution.y, system=system)
 
 
-def simulate_ensemble(factory, seeds, t_span, engine: str = "batch",
-                      processes: int | None = None,
-                      **simulate_options) -> list[Trajectory]:
+def simulate_ensemble(factory, seeds, t_span,
+                      **options) -> list[Trajectory]:
     """Simulate one fabricated instance per seed.
 
     Built on the batched ensemble engine (:mod:`repro.sim`):
@@ -182,23 +181,12 @@ def simulate_ensemble(factory, seeds, t_span, engine: str = "batch",
         paper's workflow re-invokes an Ark function with varying seeds to
         model multiple fabricated chips (§4.3).
     :param seeds: iterable of mismatch seeds.
-    :param engine: execution backend — ``batch`` (default), ``serial``
-        (one scipy solve per seed, the historical behavior), ``pool``,
-        or ``auto`` (see :mod:`repro.sim.plan`). Unknown names raise
-        :class:`ValueError` instead of silently falling back to the
-        serial path.
-    :param processes: width of the persistent worker pool: large
-        batched groups split across it, and instances that cannot be
-        batched fan out over it one seed per task.
-    :param simulate_options: forwarded to the engine/serial solver —
-        ``n_points``, ``method``, ``rtol``, ``atol``, ``backend``,
-        ``t_eval``, ``max_step``. Passing a scipy method name (e.g.
-        ``LSODA``) forces the serial path for every instance.
+    :param options: the sweep options of :func:`repro.sim.run_ensemble`
+        (the fields of :class:`~repro.sim.plan.ExecutionPlan`), e.g.
+        ``n_points``, ``method``, ``engine``, ``processes``. A scipy
+        method name (e.g. ``LSODA``) forces the serial path for every
+        instance.
     """
     from repro.sim.ensemble import run_ensemble
 
-    options = dict(simulate_options)
-    options.setdefault("method", "auto")
-    result = run_ensemble(factory, seeds, t_span, engine=engine,
-                          processes=processes, **options)
-    return result.trajectories
+    return run_ensemble(factory, seeds, t_span, **options).trajectories

@@ -67,14 +67,15 @@ class NoisyTlineFactory:
     Process-pool sharding ships the factory to worker processes, so a
     ``lambda``/closure silently degrades to in-process execution; this
     module-level class pickles, letting (chip × trial) SDE sweeps over
-    mismatched noisy t-lines shard across cores::
+    mismatched noisy t-lines shard across cores (16 chips x 8 trials
+    = 128 rows, past the 64-row pool threshold)::
 
         from repro.sim import run_ensemble
 
         result = run_ensemble(
             NoisyTlineFactory(TLineSpec(n_segments=10), noise=1e-8),
             seeds=range(16), t_span=(0.0, 8e-8),
-            trials=8, processes=4, shard_min=16)
+            trials=8, processes=4)
     """
 
     spec: TLineSpec = field(default_factory=TLineSpec)

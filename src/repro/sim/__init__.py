@@ -12,10 +12,11 @@ implementation runs them as vectorized batches (``--vectorize --bz
   per-instance error control on a shared output grid, returning a
   :class:`~repro.sim.batch_solver.BatchTrajectory`;
 * :mod:`repro.sim.plan` — the unified execution-plan layer: an
-  :class:`~repro.sim.plan.ExecutionPlan` plus a pluggable backend
-  registry (``serial``/``batch``/``pool``/``auto``) that every driver
-  compiles into, so pooling, caching, and per-instance step masks
-  cover the deterministic and the SDE path identically;
+  :class:`~repro.sim.plan.ExecutionPlan`, whose fields are the one
+  definition of every sweep option, dispatched per group on one of
+  three engines (``batch``/``serial``/``pool``); every driver compiles
+  into it, so pooling, caching, and per-instance step masks cover the
+  deterministic and the SDE path identically;
 * :mod:`repro.sim.pool` / :mod:`repro.sim.shm` — the persistent
   worker pool, the engine's one process model: each batched group
   splits into ``processes`` near-equal contiguous shards
@@ -58,12 +59,10 @@ from repro.sim.batch_codegen import (BatchRhs, compile_batch,
                                      group_by_signature)
 from repro.sim.batch_solver import BatchTrajectory, solve_batch
 from repro.sim.cache import CacheStats, TrajectoryCache, default_cache
-from repro.sim.plan import (BACKENDS, ExecutionBackend, ExecutionPlan,
-                            NoiseSpec, assemble_chunks, backend_names,
-                            execute_plan, register_backend,
+from repro.sim.plan import (BATCH_METHODS, ENGINES, ExecutionPlan,
+                            NoiseSpec, assemble_chunks, execute_plan,
                             stream_plan)
-from repro.sim.ensemble import (BATCH_METHODS, ENGINES, EnsembleChunk,
-                                EnsembleResult, resolve_engine,
+from repro.sim.ensemble import (EnsembleChunk, EnsembleResult,
                                 run_ensemble, stream_ensemble)
 from repro.sim.pool import even_parts
 from repro.sim.sde_solver import (SDE_METHODS, WienerSource,
@@ -72,7 +71,6 @@ from repro.sim.noisy import NoisyEnsembleChunk, NoisyEnsembleResult
 
 __all__ = [
     "ArrayBackend",
-    "BACKENDS",
     "BATCH_METHODS",
     "BatchRhs",
     "BatchTrajectory",
@@ -80,7 +78,6 @@ __all__ = [
     "ENGINES",
     "EnsembleChunk",
     "EnsembleResult",
-    "ExecutionBackend",
     "ExecutionPlan",
     "NoiseSpec",
     "NoisyEnsembleChunk",
@@ -91,7 +88,6 @@ __all__ = [
     "WienerSource",
     "array_backend_names",
     "assemble_chunks",
-    "backend_names",
     "canonical_spec",
     "compile_batch",
     "even_parts",
@@ -99,9 +95,7 @@ __all__ = [
     "execute_plan",
     "generate_batch_source",
     "group_by_signature",
-    "register_backend",
     "resolve_array_backend",
-    "resolve_engine",
     "run_ensemble",
     "simulate_sde",
     "solve_batch",

@@ -23,25 +23,14 @@ from repro.core.simulator import Trajectory
 from repro.telemetry import RunReport, collect_metrics
 
 from repro.sim.batch_solver import BatchTrajectory
-from repro.sim.plan import (BATCH_METHODS, DEFAULT_SHARD_MIN,
-                            ExecutionPlan, NoiseSpec)
+from repro.sim.plan import ExecutionPlan
 
 __all__ = [
-    "BATCH_METHODS",
-    "DEFAULT_SHARD_MIN",
-    "ENGINES",
     "EnsembleChunk",
     "EnsembleResult",
-    "resolve_engine",
     "run_ensemble",
     "stream_ensemble",
 ]
-
-#: Execution-backend names accepted by ``run_ensemble(engine=...)``.
-#: ``batch`` maps to the plan layer's per-group ``auto`` policy (send
-#: large groups to the persistent pool when one is requested) — the
-#: historical behavior; ``pool`` forces the persistent zero-copy pool.
-ENGINES = ("batch", "serial", "pool", "auto")
 
 
 @dataclass
@@ -103,95 +92,29 @@ class EnsembleChunk(EnsembleResult):
     stats: dict | None = None
 
 
-def resolve_engine(engine: str) -> str:
-    """Map a driver ``engine`` name onto a plan backend, rejecting
-    unknown names up front (an unrecognized engine used to fall back
-    to the serial path silently)."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of "
-            f"{', '.join(ENGINES)}")
-    return "auto" if engine == "batch" else engine
-
-
-def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
-                 method: str = "auto", rtol: float = 1e-7,
-                 atol: float = 1e-9, backend: str = "codegen",
-                 t_eval=None, max_step: float | None = None,
-                 engine: str = "batch", min_batch: int = 2,
-                 processes: int | None = None, dense: bool = True,
-                 cache=None, shard_min: int = DEFAULT_SHARD_MIN,
-                 freeze_tol: float | None = None,
-                 trials: int | None = None,
-                 noise_seed: int | None = None,
-                 sde_method: str = "heun", block: int = 256,
-                 reference: bool = True, stream: bool = False,
-                 array_backend=None, telemetry=None, progress=None):
+def run_ensemble(factory, seeds, t_span, *, stream: bool = False,
+                 telemetry=None, progress=None, **options):
     """Simulate one fabricated instance per seed, batching wherever the
     instances share structure — the unified driver for deterministic
     *and* transient-noise sweeps.
 
     :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem``.
-    :param method: ``auto`` (batched rkf45 + serial RK45 fallback),
-        ``rkf45``/``rk4`` (force a batch solver), or a scipy
-        ``solve_ivp`` method name (``RK45``, ``LSODA``…; forces the
-        serial path for every instance). Other names raise, listing
-        the valid ones. Ignored on the noisy path (see
-        ``sde_method``).
-    :param engine: execution backend — ``batch`` (default: the plan
-        layer's auto policy), ``serial`` (one solve per instance),
-        ``pool`` (force the persistent zero-copy worker pool), or
-        ``auto``. Unknown names raise :class:`ValueError`.
-    :param min_batch: smallest structural group worth a batched compile;
-        smaller groups run serially.
-    :param processes: worker-pool width. Batched groups of at least
-        ``shard_min`` instances run on the persistent zero-copy pool
-        (spawned once, reused across solves; results return through
-        shared memory instead of pickle), split into ``processes``
-        contiguous near-equal shards. Serial-fallback instances fan
-        out one seed per task over the same pool. Both require a
-        picklable factory and run in-process otherwise. On the noisy
-        path the (chip x trial) SDE batches split the same way,
-        bit-identically.
-    :param dense: use dense-output interpolation in the batched rkf45
-        (see :func:`~repro.sim.batch_solver.solve_batch`).
-    :param cache: trajectory cache — ``True`` (process-wide default
-        cache), a directory path (disk backed), or a
-        :class:`~repro.sim.cache.TrajectoryCache`. Repeated sweeps
-        with identical structure, attributes, grid, and solver options
-        reuse the stored integration bit-for-bit; noisy sweeps key the
-        per-(chip, trial) Wiener tokens identically.
-    :param shard_min: smallest batched group worth splitting across the
-        pool (pool spawn + per-shard compile amortize only on large
-        groups).
-    :param freeze_tol: per-instance step masks — converged (or
-        diverged) instances freeze instead of forcing the worst-case
-        step on the whole batch (see
-        :func:`~repro.sim.batch_solver.solve_batch`).
-    :param trials: ``None`` (default) runs the deterministic mismatch
-        sweep and returns an :class:`EnsembleResult`. An integer K
-        switches to the transient-noise path: every chip is replicated
-        K times inside the batch, each row drawing the deterministic
-        Wiener realization of ``"<chip_seed>:<noise_seed + trial>"``,
-        and the result is a
-        :class:`~repro.sim.noisy.NoisyEnsembleResult`.
-    :param noise_seed: first trial index of the noisy path (default 0)
-        — shift to draw a fresh, non-overlapping set of realizations
-        for the same chips. Setting it without ``trials`` raises.
-    :param sde_method: SDE solver of the noisy path — ``heun``
-        (default), ``em``, ``milstein``, or the adaptive pair
-        ``heun-adaptive``/``em-adaptive`` (``rtol``/``atol`` then
-        steer its per-instance error control; see
-        :mod:`repro.sim.sde_solver`).
-    :param block: Wiener pre-draw block length (noisy path only).
-    :param reference: also integrate each chip once deterministically
-        (batched RK4 on the same grid) for reliability references
-        (noisy path only).
+    :param options: the sweep options — ``engine``, ``n_points``,
+        ``t_eval``, ``method``, ``rtol``, ``atol``, ``max_step``,
+        ``dense``, ``freeze_tol``, ``processes``, ``cache``,
+        ``array_backend``, ``trials``, ``noise_seed``, ``sde_method``,
+        ``reference``. They are the fields of
+        :class:`~repro.sim.plan.ExecutionPlan`, whose docstring gives
+        each one's default and meaning; bad values raise
+        :class:`~repro.errors.SimulationError` before the first
+        ``factory`` call. With ``trials=K`` the result is a
+        :class:`~repro.sim.noisy.NoisyEnsembleResult`, else an
+        :class:`EnsembleResult`.
     :param stream: return an *iterator of per-group chunks* instead of
         the barriered result: each finished structural group yields an
         :class:`EnsembleChunk` (or, with ``trials=K``, a
         :class:`~repro.sim.noisy.NoisyEnsembleChunk`) as soon as it
-        completes — under the pool backend in worker-completion order —
+        completes — pool-routed groups in worker-completion order —
         so analysis can start before the stiffest group finishes.
         :func:`repro.sim.plan.assemble_chunks` folds a drained stream
         back into the barriered result, bit-identically.
@@ -207,10 +130,6 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
         wrap the drain loop in
         :func:`repro.telemetry.collect_metrics` yourself; ``True``
         is rejected because the barriered attach point does not exist.
-    :param array_backend: array namespace the batched kernels and
-        solver loops run on — ``None``/``"numpy"`` (default,
-        bit-identical to previous releases), ``"numpy:float32"``, or an
-        :class:`~repro.sim.array_api.ArrayBackend` instance.
     :param progress: an optional
         :class:`~repro.telemetry.ProgressSink` notified per finished
         group (totals up front, counts per chunk) — the hook behind
@@ -218,24 +137,8 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
         ``stream`` and receives counts only, so it cannot perturb
         results.
     """
-    plan_backend = resolve_engine(engine)
-    noise = None
-    if trials is not None:
-        noise = NoiseSpec(trials=trials, method=sde_method,
-                          noise_seed=noise_seed or 0, block=block,
-                          reference=reference)
-    elif noise_seed is not None:
-        raise ValueError(
-            "noise_seed was given without trials; pass trials=K to "
-            "request a transient-noise sweep")
-    plan = ExecutionPlan(
-        factory=factory, seeds=list(seeds), t_span=t_span,
-        backend=plan_backend, noise=noise, n_points=n_points,
-        t_eval=t_eval, method=method, rtol=rtol, atol=atol,
-        max_step=max_step, dense=dense, freeze_tol=freeze_tol,
-        serial_backend=backend, min_batch=min_batch,
-        processes=processes, shard_min=shard_min, cache=cache,
-        array_backend=array_backend)
+    plan = ExecutionPlan(factory=factory, seeds=list(seeds),
+                         t_span=t_span, **options)
     if telemetry is None or telemetry is False:
         return (plan.stream(progress=progress) if stream
                 else plan.run(progress=progress))
@@ -253,12 +156,12 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
         raise TypeError(
             f"telemetry must be None, bool, or a RunReport, got "
             f"{type(telemetry).__name__}")
-    meta = {"driver": "run_ensemble", "engine": engine,
+    meta = {"driver": "run_ensemble", "engine": plan.engine,
             "seeds": len(plan.seeds)}
     if plan.array_spec() != "numpy:float64":
         meta["array_backend"] = plan.array_spec()
-    if noise is not None:
-        meta["trials"] = noise.trials
+    if plan.trials is not None:
+        meta["trials"] = plan.trials
     if stream:
         return _collected_stream(plan, report, meta, progress)
     with collect_metrics(into=report, meta=meta):

@@ -5,44 +5,45 @@ mismatch (§4.3) and transient noise over a compiled dynamical system —
 and this module tells it through one architecture. An
 :class:`ExecutionPlan` captures *what* to integrate (a ``factory(seed)``
 per fabricated chip, the seed list, the time span), *how* (grid, solver
-options, optional :class:`NoiseSpec` for SDE trials, per-instance
-freeze masks) and *where* (an execution backend plus cache/pool
-policy). Every public driver — :func:`repro.sim.run_ensemble` and
-:func:`repro.simulate_ensemble` — compiles its arguments into a plan
-and funnels through :func:`execute_plan`, so features land once and
-cover both the deterministic and the stochastic path.
+options, ``trials`` for SDE sweeps, per-instance freeze masks) and
+*where* (an engine plus cache/pool policy). Its fields are the one
+definition of every sweep option: :func:`repro.sim.run_ensemble`,
+:func:`repro.simulate_ensemble` and ``repro ensemble`` forward their
+options into a plan unchanged and funnel through :func:`execute_plan`,
+so features land once and cover both the deterministic and the
+stochastic path.
 
-Backends are pluggable through a registry (:data:`BACKENDS`,
-:func:`register_backend`):
+Each structurally compatible group is dispatched by one choice on
+``plan.engine`` (:data:`ENGINES`):
 
+* ``batch``  — the default: one vectorized solve per group
+  (:func:`~repro.sim.batch_solver.solve_batch` /
+  :func:`~repro.sim.sde_solver.solve_sde`), run on the worker pool when
+  one is requested (``processes > 1``) and the group has at least
+  :data:`DEFAULT_SHARD_MIN` integrated rows, in-process otherwise;
 * ``serial`` — one solve per instance: scipy ``solve_ivp`` per seed on
   the deterministic path (fanned out over the worker pool when
   ``processes > 1``), a batch-of-one SDE solve per (chip, trial) row on
   the noisy path (the reference the batched engines are benchmarked
   against);
-* ``batch``  — one single-process vectorized solve per structurally
-  compatible group (:func:`~repro.sim.batch_solver.solve_batch` /
-  :func:`~repro.sim.sde_solver.solve_sde`);
-* ``pool``   — the batched solve split into per-core sub-batches on the
-  **persistent zero-copy pool** (:mod:`repro.sim.pool`): workers are
-  spawned once and reused across solves, and shard results come back
-  through shared memory (:mod:`repro.sim.shm`) instead of pickle.
-  Fixed-step methods (``rk4`` and the fixed-step SDE trio
-  ``em``/``heun``/``milstein``) are bit-identical to ``batch`` because
-  every instance's arithmetic is row-local and Wiener streams are keyed
-  by ``(noise seed, element, path)`` — never by batch layout. The
+* ``pool``   — every group's batched solve split into per-core
+  sub-batches on the **persistent zero-copy pool**
+  (:mod:`repro.sim.pool`): workers are spawned once and reused across
+  solves, and shard results come back through shared memory
+  (:mod:`repro.sim.shm`) instead of pickle. Fixed-step methods
+  (``rk4`` and the fixed-step SDE trio ``em``/``heun``/``milstein``)
+  are bit-identical to the in-process solve because every instance's
+  arithmetic is row-local and Wiener streams are keyed by
+  ``(noise seed, element, path)`` — never by batch layout. The
   adaptive methods (rkf45 and the adaptive SDE pair) run per-shard step
   control; the pool's one row split
   (:func:`repro.sim.pool.even_parts`) keeps their results reproducible,
-  and they are kept out of the cache;
-* ``auto``   — per-group policy: the persistent ``pool`` when a pool
-  is requested (``processes > 1``) and the group is large enough, else
-  ``batch``.
+  and they are kept out of the cache.
 
 The executor itself is a *streaming* generator: :func:`stream_plan`
 yields one chunk per structurally compatible group as it finishes —
-under the ``pool`` backend all groups are submitted up front and chunks
-arrive in completion order, so spread/BER analysis can start on the
+pool-routed groups are all submitted up front and their chunks arrive
+in completion order, so spread/BER analysis can start on the
 first group while the stiffest one is still integrating.
 :func:`execute_plan` is the barriered form: it drains the stream and
 reassembles the chunks (:func:`assemble_chunks`) into the classic
@@ -91,7 +92,13 @@ BATCH_METHODS = ("auto", "rkf45", "rk4")
 #: scipy ``solve_ivp`` methods; any of them forces the serial path.
 SCIPY_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
 
-#: Smallest batched group the auto policy will split across a pool.
+#: Execution engines (``engine=`` / ``--engine``); see the module
+#: docstring.
+ENGINES = ("batch", "serial", "pool")
+
+#: Smallest group (in integrated rows) the ``batch`` engine sends to the
+#: worker pool: pool dispatch and per-shard compiles amortize only on
+#: large groups.
 DEFAULT_SHARD_MIN = 64
 
 
@@ -109,7 +116,9 @@ class NoiseSpec:
     draws the deterministic Wiener realization keyed by the token
     ``"<chip_seed>:<noise_seed + trial>"``, so shifting ``noise_seed``
     selects a fresh, non-overlapping set of realizations for the same
-    chips while a rerun replays the identical ones.
+    chips while a rerun replays the identical ones. ``block`` is the
+    Wiener pre-draw block length; the realization does not depend on
+    it.
     """
 
     trials: int = 8
@@ -128,43 +137,77 @@ class NoiseSpec:
 class ExecutionPlan:
     """Everything that determines one ensemble execution.
 
+    The fields after ``t_span`` are the sweep options of
+    :func:`~repro.sim.run_ensemble` (its ``**options``) and of
+    ``repro ensemble``: this is where each one is named, defaulted,
+    documented and validated (:meth:`validate`).
+
     :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem``.
     :param seeds: mismatch seeds, one fabricated instance each.
     :param t_span: integration span ``(t0, t1)``.
-    :param backend: execution backend name (see :data:`BACKENDS`);
-        ``auto`` picks ``pool`` or ``batch`` per group.
-    :param noise: ``None`` for a deterministic (ODE) sweep, a
-        :class:`NoiseSpec` for a (chip x trial) SDE sweep.
-    :param method: ODE method — ``auto``/``rkf45``/``rk4`` run batched,
-        a scipy name (:data:`SCIPY_METHODS`) forces the serial path
-        (ignored when ``noise`` is set; the SDE method lives in the
-        spec).
-    :param freeze_tol: per-instance step mask tolerance — converged (or,
-        on the SDE path, diverged) instances freeze at their current
-        state instead of forcing the worst-case step on the whole
-        batch; ``None`` disables masking (see
-        :func:`~repro.sim.batch_solver.solve_batch`).
-    :param serial_backend: RHS backend of the serial scipy path
-        (``codegen``/``interpreter``).
-    :param min_batch: smallest structural group worth a batched compile.
-    :param processes: worker-pool width for the ``pool`` backend and
-        the serial fan-out.
-    :param shard_min: smallest batched group the ``auto`` policy sends
-        to the pool.
-    :param cache: trajectory-cache spec (``True``, a directory path, or
-        a :class:`~repro.sim.cache.TrajectoryCache`).
+    :param engine: ``batch`` (default), ``serial`` or ``pool`` (see
+        :data:`ENGINES` and the module docstring). ``batch`` sends a
+        group to the worker pool when ``processes > 1`` and the group
+        has at least :data:`DEFAULT_SHARD_MIN` rows (chips on the ODE
+        path, chips x trials on the SDE path), else runs it in-process.
+    :param n_points: output grid size (ignored when ``t_eval`` is set).
+    :param t_eval: explicit output grid.
+    :param method: ODE method — ``auto`` (batched rkf45, a group it
+        cannot integrate is demoted to serial scipy RK45),
+        ``rkf45``/``rk4`` (force a batch solver), or a scipy
+        ``solve_ivp`` name (:data:`SCIPY_METHODS`; forces the serial
+        path for every instance). Ignored on the noisy path (see
+        ``sde_method``).
+    :param rtol: relative tolerance (ODE solvers, the adaptive SDE
+        controller, and the freeze-mask criterion).
+    :param atol: absolute tolerance, likewise.
+    :param max_step: solver step cap (> 0; ``inf`` lifts it);
+        ``None`` = span/64.
+    :param dense: use dense-output interpolation in the batched rkf45
+        (see :func:`~repro.sim.batch_solver.solve_batch`).
+    :param freeze_tol: per-instance step mask tolerance (> 0) —
+        converged (or, on the SDE path, diverged) instances freeze at
+        their current state instead of forcing the worst-case step on
+        the whole batch; ``None`` disables masking.
+    :param processes: worker-pool width (>= 1). Batched groups split
+        into ``processes`` contiguous near-equal shards on the
+        persistent zero-copy pool; serial instances fan out one seed
+        per task over the same pool. Both need a picklable factory and
+        run in-process otherwise. ``None`` under ``engine="pool"``
+        means the CPUs this process may run on.
+    :param cache: trajectory cache — ``True`` (process-wide default
+        cache), a directory path (disk backed), or a
+        :class:`~repro.sim.cache.TrajectoryCache`. Repeated sweeps with
+        identical structure, attributes, grid and solver options reuse
+        the stored integration bit-for-bit; noisy sweeps key the
+        per-(chip, trial) Wiener tokens identically.
     :param array_backend: array namespace of the batched solvers (see
-        :mod:`repro.sim.array_api`): ``None``/``"numpy"`` (default), a
-        spec string like ``"numpy:float32"``, or an
-        :class:`~repro.sim.array_api.ArrayBackend`. The serial scipy ODE
-        path always runs numpy float64.
+        :mod:`repro.sim.array_api`): ``None``/``"numpy"`` (default,
+        float64), a spec string like ``"numpy:float32"``, or an
+        :class:`~repro.sim.array_api.ArrayBackend`. The serial scipy
+        ODE path always runs numpy float64.
+    :param trials: ``None`` (default) runs the deterministic mismatch
+        sweep (an :class:`~repro.sim.ensemble.EnsembleResult`). An
+        integer K >= 1 switches to the transient-noise path: every chip
+        is replicated K times inside the batch, each row drawing the
+        Wiener realization of ``"<chip_seed>:<noise_seed + trial>"``
+        (a :class:`~repro.sim.noisy.NoisyEnsembleResult`).
+    :param noise_seed: first trial index of the noisy path (``None``
+        means 0) — shift it to draw fresh realizations for the same
+        chips. Requires ``trials``.
+    :param sde_method: SDE solver of the noisy path — ``heun``
+        (default), ``em``, ``milstein``, or the adaptive pair
+        ``heun-adaptive``/``em-adaptive`` (see
+        :mod:`repro.sim.sde_solver`).
+    :param reference: on the noisy path, also integrate each chip once
+        deterministically (batched rk4 on the same grid) as its
+        reliability reference.
     """
 
     factory: object
     seeds: list
     t_span: tuple
-    backend: str = "auto"
-    noise: NoiseSpec | None = None
+    engine: str = "batch"
     n_points: int = 500
     t_eval: object = None
     method: str = "auto"
@@ -173,12 +216,23 @@ class ExecutionPlan:
     max_step: float | None = None
     dense: bool = True
     freeze_tol: float | None = None
-    serial_backend: str = "codegen"
-    min_batch: int = 2
     processes: int | None = None
-    shard_min: int = DEFAULT_SHARD_MIN
     cache: object = None
     array_backend: object = None
+    trials: int | None = None
+    noise_seed: int | None = None
+    sde_method: str = "heun"
+    reference: bool = True
+
+    @property
+    def noise(self) -> NoiseSpec | None:
+        """The noisy path's :class:`NoiseSpec`, or ``None`` for a
+        deterministic sweep."""
+        if self.trials is None:
+            return None
+        return NoiseSpec(trials=self.trials, method=self.sde_method,
+                         noise_seed=self.noise_seed or 0,
+                         reference=self.reference)
 
     def array_spec(self) -> str:
         """The plan's canonical array-backend spec string
@@ -187,40 +241,51 @@ class ExecutionPlan:
         return canonical_spec(self.array_backend)
 
     def validate(self) -> None:
-        """Reject malformed plans up front (unknown backend, ODE or SDE
-        method, unknown array backend, non-positive trial counts)
-        instead of silently running a different sweep than the one
-        asked for."""
-        if self.backend not in BACKENDS:
+        """Reject malformed plans up front — before the first
+        ``factory`` call — instead of failing mid-sweep or silently
+        running a different sweep than the one asked for. Raises
+        :class:`~repro.errors.SimulationError`."""
+        if self.engine not in ENGINES:
             raise SimulationError(
-                f"unknown execution backend {self.backend!r}; "
-                f"registered execution backends: "
-                f"{', '.join(backend_names())}; registered array "
-                f"backends (array_backend=/--array-backend): "
+                f"unknown engine {self.engine!r}; expected one of "
+                f"{', '.join(ENGINES)}; registered array backends "
+                f"(array_backend=/--array-backend): "
                 f"{', '.join(array_backend_names())}")
         array_name, _ = parse_backend_spec(self.array_spec())
         if array_name not in array_backend_names():
             raise SimulationError(
                 f"unknown array backend {array_name!r}; registered "
                 f"array backends: {', '.join(array_backend_names())}; "
-                f"registered execution backends: "
-                f"{', '.join(backend_names())}")
-        if self.noise is not None:
-            if self.noise.trials < 1:
+                f"engines (engine=/--engine): {', '.join(ENGINES)}")
+        if self.trials is None:
+            if self.noise_seed is not None:
                 raise SimulationError(
-                    f"trials must be >= 1, got {self.noise.trials}")
-            if self.noise.method not in SDE_METHODS:
+                    "noise_seed was given without trials; pass "
+                    "trials=K to request a transient-noise sweep")
+            if self.method not in BATCH_METHODS + SCIPY_METHODS:
                 raise SimulationError(
-                    f"unknown SDE method {self.noise.method!r}; "
+                    f"unknown method {self.method!r}; expected one of "
+                    f"{', '.join(BATCH_METHODS + SCIPY_METHODS)}")
+        else:
+            if self.trials < 1:
+                raise SimulationError(
+                    f"trials must be >= 1, got {self.trials}")
+            if self.sde_method not in SDE_METHODS:
+                raise SimulationError(
+                    f"unknown SDE method {self.sde_method!r}; "
                     f"expected one of {', '.join(SDE_METHODS)}")
-        elif self.method not in BATCH_METHODS + SCIPY_METHODS:
+        # `not x > 0` also rejects NaN.
+        if self.max_step is not None and not self.max_step > 0.0:
             raise SimulationError(
-                f"unknown method {self.method!r}; expected one of "
-                f"{', '.join(BATCH_METHODS + SCIPY_METHODS)}")
-        if self.freeze_tol is not None and self.freeze_tol <= 0.0:
-            raise ValueError(
+                f"max_step must be > 0 (or None), got {self.max_step}")
+        if self.freeze_tol is not None and not self.freeze_tol > 0.0:
+            raise SimulationError(
                 f"freeze_tol must be > 0 (or None), got "
                 f"{self.freeze_tol}")
+        if self.processes is not None and self.processes < 1:
+            raise SimulationError(
+                f"processes must be >= 1 (or None), got "
+                f"{self.processes}")
 
     def run(self, progress=None):
         """Execute the plan (see :func:`execute_plan`)."""
@@ -330,13 +395,13 @@ def _sde_rows(chip_seeds, chip_keys, noise_seeds) -> list[tuple]:
 
 
 # ----------------------------------------------------------------------
-# Backends
+# Group dispatch
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class GroupTask:
-    """One structurally compatible group, ready for a backend.
+    """One structurally compatible group, ready to solve.
 
     For ODE groups ``group_systems`` holds one system per chip and
     ``noise_seeds`` is ``None``; for SDE groups ``group_systems`` holds
@@ -360,95 +425,49 @@ class GroupTask:
         return [seeds[i] for i in self.indices]
 
 
-class ExecutionBackend:
-    """One strategy for integrating a structurally compatible group.
-
-    Subclasses implement :meth:`solve_ode` and :meth:`solve_sde`, each
-    returning ``(BatchTrajectory, storable)`` — ``storable=False``
-    vetoes caching a result an uncached rerun could not reproduce
-    bit-for-bit. ``batches = False`` marks a backend that forgoes
-    vectorized groups entirely (the deterministic executor then sends
-    every instance down the per-instance scipy path). Backends that can
-    run a group *asynchronously* (for the streaming executor) also
-    implement :meth:`submit_ode`/:meth:`submit_sde`, returning a
-    :class:`~repro.sim.pool.PoolHandle` or ``None`` when the group must
-    run synchronously.
-    """
-
-    name = "?"
-    #: Whether ODE groups should be batched at all under this backend.
-    batches = True
-
-    def solve_ode(self, task: GroupTask):
-        raise NotImplementedError
-
-    def solve_sde(self, task: GroupTask):
-        raise NotImplementedError
-
-    def submit_ode(self, task: GroupTask):
-        """Asynchronous form of :meth:`solve_ode` (``None`` = not
-        supported; the executor falls back to the synchronous call)."""
-        return None
-
-    def submit_sde(self, task: GroupTask):
-        return None
+def _pooled(plan: ExecutionPlan, rows: int) -> bool:
+    """Whether a group of ``rows`` integrated rows goes to the worker
+    pool: always under ``pool``; under ``batch`` when a pool was
+    requested (``processes > 1``) and the group has at least
+    :data:`DEFAULT_SHARD_MIN` rows; never under ``serial``."""
+    if plan.engine == "pool":
+        return True
+    return (plan.engine == "batch" and plan.processes is not None
+            and plan.processes > 1 and rows >= DEFAULT_SHARD_MIN)
 
 
-class BatchBackend(ExecutionBackend):
-    """Single-process vectorized solve of the whole group."""
-
-    name = "batch"
-
-    def solve_ode(self, task: GroupTask):
-        batch = compile_batch(
-            task.group_systems,
-            array_backend=task.options.get("array_backend"))
-        return solve_batch(batch, task.plan.t_span,
-                           **task.options), True
-
-    def solve_sde(self, task: GroupTask):
-        batch = compile_batch(
-            task.group_systems,
-            array_backend=task.options.get("array_backend"))
-        return solve_sde(batch, task.plan.t_span,
+def _solve_in_process(task: GroupTask, kind: str):
+    """Solve one group in this process, returning ``(BatchTrajectory,
+    storable)``. ``kind`` is ``"ode"`` or ``"sde"``. Under the
+    ``serial`` engine SDE groups run one batch-of-one solve per (chip,
+    trial) row, each consuming the identical per-token Wiener stream
+    the batched solve uses, so the rows agree bit for bit."""
+    plan = task.plan
+    array_backend = task.options.get("array_backend")
+    if kind == "ode":
+        batch = compile_batch(task.group_systems,
+                              array_backend=array_backend)
+        return solve_batch(batch, plan.t_span, **task.options), True
+    if plan.engine != "serial":
+        batch = compile_batch(task.group_systems,
+                              array_backend=array_backend)
+        return solve_sde(batch, plan.t_span,
                          noise_seeds=task.noise_seeds,
                          **task.options), True
-
-
-class SerialBackend(ExecutionBackend):
-    """One solve per instance — the legacy/reference shape.
-
-    Deterministic sweeps run scipy ``solve_ivp`` per seed (handled by
-    the executor's per-instance path, hence ``batches = False``); noisy
-    sweeps run one batch-of-one SDE solve per (chip, trial) row, each
-    consuming the identical per-token Wiener stream the batched engines
-    use, so responses agree bit for bit with ``batch``/``pool``.
-    """
-
-    name = "serial"
-    batches = False
-
-    def solve_ode(self, task: GroupTask):  # pragma: no cover - unused
-        raise SimulationError(
-            "the serial backend integrates ODE instances through the "
-            "per-instance scipy path, not through batched groups")
-
-    def solve_sde(self, task: GroupTask):
-        singles: dict[int, object] = {}
-        rows = []
-        for row, system in enumerate(task.group_systems):
-            chip = task.chip_keys[row]
-            if chip not in singles:
-                singles[chip] = compile_batch(
-                    [system],
-                    array_backend=task.options.get("array_backend"))
-            trajectory = solve_sde(singles[chip], task.plan.t_span,
-                                   noise_seeds=[task.noise_seeds[row]],
-                                   **task.options)
-            rows.append(trajectory.y)
-        return BatchTrajectory(t=trajectory.t,
-                               y=np.concatenate(rows, axis=0),
-                               systems=list(task.group_systems)), True
+    singles: dict[int, object] = {}
+    rows = []
+    for row, system in enumerate(task.group_systems):
+        chip = task.chip_keys[row]
+        if chip not in singles:
+            singles[chip] = compile_batch([system],
+                                          array_backend=array_backend)
+        trajectory = solve_sde(singles[chip], plan.t_span,
+                               noise_seeds=[task.noise_seeds[row]],
+                               **task.options)
+        rows.append(trajectory.y)
+    return BatchTrajectory(t=trajectory.t,
+                           y=np.concatenate(rows, axis=0),
+                           systems=list(task.group_systems)), True
 
 
 def _pool_width(plan: ExecutionPlan) -> int:
@@ -462,162 +481,90 @@ def _pool_width(plan: ExecutionPlan) -> int:
     return os.cpu_count() or 1
 
 
-class PoolBackend(ExecutionBackend):
-    """Persistent zero-copy pool: the group's rows split into
-    ``processes`` contiguous near-equal shards
+def _submit_pool(task: GroupTask, kind: str):
+    """Submit one pool-routed group (see :func:`_pooled`) to the
+    persistent zero-copy pool: its rows split into ``processes`` contiguous near-equal shards
     (:func:`~repro.sim.pool.even_parts`) executed on reused workers
     (:mod:`repro.sim.pool`), with results returned through shared
-    memory (:mod:`repro.sim.shm`) instead of pickle.
+    memory (:mod:`repro.sim.shm`) instead of pickle. Every shard
+    inherits the whole-group fuse decision.
 
-    Bit-identical to ``batch`` for fixed-step methods; adaptive methods
-    match an in-process ``solve_batch``/``solve_sde`` over each even
-    slice. Every shard inherits the whole-group fuse decision. Falls
-    back to ``batch`` when the pool cannot be used (one row, one
-    process, an unpicklable factory, or no shared memory). Supports
-    asynchronous submission, which is what lets the streaming executor
-    yield groups as workers finish.
-    """
+    Returns a :class:`~repro.sim.pool.PoolHandle`, or ``None`` when the
+    group runs in-process: the engine does not route it to the pool, or
+    the pool cannot be used (no rows to split, an unpicklable factory,
+    or no shared memory). Fixed-step
+    results are bit-identical to the in-process solve and storable;
+    adaptive methods (rkf45 and the adaptive SDE pair) run per-shard
+    step control, so an uncached whole-group rerun would not reproduce
+    them bit-for-bit — they are kept out of the cache."""
+    from repro.sim import pool as pool_module
+    from repro.sim.shm import ShmBlock
 
-    name = "pool"
-
-    def _submit(self, task: GroupTask, kind: str, rows: list,
-                storable: bool):
-        from repro.sim import pool as pool_module
-        from repro.sim.shm import ShmBlock
-
-        plan = task.plan
-        processes = _pool_width(plan)
-        parts = pool_module.even_parts(len(rows), processes)
-        if not parts:
-            return None
-        fuse = _whole_group_fuse(len(rows), task.group_systems[0])
-        common = _pickled_common(plan.factory, plan.t_span,
-                                 task.options, fuse)
-        if common is None or not _pickles(rows):
-            return None
-        grid = _output_grid(plan.t_span,
-                            task.options.get("n_points", 500),
-                            task.options.get("t_eval"))
-        worker_pool = pool_module.get_pool(processes)
-        shape = (len(rows), task.group_systems[0].n_states, len(grid))
-        try:
-            block = ShmBlock.create(shape)
-        except OSError as exc:
-            # No /dev/shm, too many open files, a full shm filesystem:
-            # shared memory only buys speed, so the group runs
-            # in-process instead of failing the sweep.
-            nbytes = int(np.prod(shape)) * np.dtype(np.float64).itemsize
-            warnings.warn(
-                f"shared-memory allocation of {nbytes} bytes failed "
-                f"({exc}); running the group in-process",
-                RuntimeWarning, stacklevel=2)
-            telemetry.add("pool.shm_alloc_failed")
-            return None
-        handle = pool_module.PoolHandle(
-            pool=worker_pool, block=block, grid=grid,
-            systems=list(task.group_systems), storable=storable,
-            masked=task.options.get("freeze_tol") is not None)
-        offset = 0
-        try:
-            for part in parts:
-                worker_pool.submit(handle, kind, common,
-                                   [rows[r] for r in part], offset)
-                offset += len(part)
-        except BaseException:
-            handle.discard()
-            raise
-        return handle
-
-    def submit_ode(self, task: GroupTask):
-        seeds = list(task.plan.seeds)
-        rows = [seeds[i] for i in task.indices]
-        # rkf45 runs per-shard step control, so an uncached
-        # whole-group rerun would not reproduce it bit-for-bit — keep
-        # it out of the cache. Fixed-step rk4 shards are bit-identical.
-        return self._submit(task, "ode", rows,
-                            task.options.get("method") == "rk4")
-
-    def submit_sde(self, task: GroupTask):
+    plan = task.plan
+    if not _pooled(plan, len(task.group_systems)):
+        return None
+    method = task.options.get("method")
+    if kind == "ode":
+        rows = task.chip_seeds
+        storable = method == "rk4"
+    else:
         rows = _sde_rows(task.chip_seeds, task.chip_keys,
                          task.noise_seeds)
-        # Adaptive SDE shards run per-shard step control — uncachable,
-        # mirroring rkf45 (fixed-step shards stay bit-identical).
-        return self._submit(task, "sde", rows,
-                            task.options.get("method")
-                            not in ADAPTIVE_SDE_METHODS)
-
-    def _finish(self, handle):
-        try:
-            handle.wait()
-        except BaseException:
-            handle.discard()
-            raise
-        return handle.result()
-
-    def solve_ode(self, task: GroupTask):
-        handle = self.submit_ode(task)
-        if handle is None:
-            return BACKENDS["batch"].solve_ode(task)
-        return self._finish(handle)
-
-    def solve_sde(self, task: GroupTask):
-        handle = self.submit_sde(task)
-        if handle is None:
-            return BACKENDS["batch"].solve_sde(task)
-        return self._finish(handle)
-
-
-class AutoBackend(ExecutionBackend):
-    """Per-group policy: send large groups to the persistent pool when
-    one was requested (``processes > 1``), run everything else
-    single-process — the historical behavior of
-    ``run_ensemble(processes=N)``, with warm workers and pickle-free
-    returns."""
-
-    name = "auto"
-
-    def _pick(self, task: GroupTask) -> ExecutionBackend:
-        plan = task.plan
-        # Size by integrated rows: the group's chips on the ODE path,
-        # the full (chip x trial) replication on the SDE path.
-        big_enough = len(task.group_systems) >= max(plan.shard_min,
-                                                    2 * plan.min_batch)
-        if plan.processes and plan.processes > 1 and big_enough:
-            return BACKENDS["pool"]
-        return BACKENDS["batch"]
-
-    def solve_ode(self, task: GroupTask):
-        return self._pick(task).solve_ode(task)
-
-    def solve_sde(self, task: GroupTask):
-        return self._pick(task).solve_sde(task)
-
-    def submit_ode(self, task: GroupTask):
-        return self._pick(task).submit_ode(task)
-
-    def submit_sde(self, task: GroupTask):
-        return self._pick(task).submit_sde(task)
+        storable = method not in ADAPTIVE_SDE_METHODS
+    processes = _pool_width(plan)
+    parts = pool_module.even_parts(len(rows), processes)
+    if not parts:
+        return None
+    fuse = _whole_group_fuse(len(rows), task.group_systems[0])
+    common = _pickled_common(plan.factory, plan.t_span, task.options,
+                             fuse)
+    if common is None or not _pickles(rows):
+        return None
+    grid = _output_grid(plan.t_span, task.options.get("n_points", 500),
+                        task.options.get("t_eval"))
+    worker_pool = pool_module.get_pool(processes)
+    shape = (len(rows), task.group_systems[0].n_states, len(grid))
+    try:
+        block = ShmBlock.create(shape)
+    except OSError as exc:
+        # No /dev/shm, too many open files, a full shm filesystem:
+        # shared memory only buys speed, so the group runs in-process
+        # instead of failing the sweep.
+        nbytes = int(np.prod(shape)) * np.dtype(np.float64).itemsize
+        warnings.warn(
+            f"shared-memory allocation of {nbytes} bytes failed "
+            f"({exc}); running the group in-process",
+            RuntimeWarning, stacklevel=2)
+        telemetry.add("pool.shm_alloc_failed")
+        return None
+    handle = pool_module.PoolHandle(
+        pool=worker_pool, block=block, grid=grid,
+        systems=list(task.group_systems), storable=storable,
+        masked=task.options.get("freeze_tol") is not None)
+    offset = 0
+    try:
+        for part in parts:
+            worker_pool.submit(handle, kind, common,
+                               [rows[r] for r in part], offset)
+            offset += len(part)
+    except BaseException:
+        handle.discard()
+        raise
+    return handle
 
 
-#: The pluggable backend registry. Keys are plan ``backend`` names.
-BACKENDS: dict[str, ExecutionBackend] = {}
-
-
-def register_backend(backend: ExecutionBackend) -> ExecutionBackend:
-    """Register (or replace) an execution backend under its name."""
-    BACKENDS[backend.name] = backend
-    return backend
-
-
-def backend_names() -> tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(BACKENDS))
-
-
-register_backend(BatchBackend())
-register_backend(SerialBackend())
-register_backend(PoolBackend())
-register_backend(AutoBackend())
+def _solve_group(task: GroupTask, kind: str):
+    """Solve one group synchronously wherever the engine routes it
+    (pool or in-process), returning ``(BatchTrajectory, storable)``."""
+    handle = _submit_pool(task, kind)
+    if handle is None:
+        return _solve_in_process(task, kind)
+    try:
+        handle.wait()
+    except BaseException:
+        handle.discard()
+        raise
+    return handle.result()
 
 
 # ----------------------------------------------------------------------
@@ -627,11 +574,11 @@ register_backend(AutoBackend())
 
 def execute_plan(plan: ExecutionPlan, progress=None):
     """Compile every instance, group by structural signature, and
-    integrate each group through the plan's backend (with uniform
+    integrate each group through the plan's engine (with uniform
     trajectory caching). Returns an
     :class:`~repro.sim.ensemble.EnsembleResult` for deterministic plans
-    and a :class:`~repro.sim.noisy.NoisyEnsembleResult` for plans
-    carrying a :class:`NoiseSpec`.
+    and a :class:`~repro.sim.noisy.NoisyEnsembleResult` for plans with
+    ``trials``.
 
     This is the barriered form of :func:`stream_plan`: it drains the
     chunk stream and reassembles it, bit-identically to the historical
@@ -640,9 +587,8 @@ def execute_plan(plan: ExecutionPlan, progress=None):
     finished group — barriered callers get live progress too."""
     seeds = list(plan.seeds)
     plan = replace(plan, seeds=seeds)
-    trials = plan.noise.trials if plan.noise is not None else None
     return assemble_chunks(stream_plan(plan, progress=progress), seeds,
-                           trials=trials)
+                           trials=plan.trials)
 
 
 def stream_plan(plan: ExecutionPlan, progress=None):
@@ -652,10 +598,10 @@ def stream_plan(plan: ExecutionPlan, progress=None):
     structurally compatible group, yielded as it completes instead of
     barriering the whole sweep.
 
-    Groups running on the ``pool`` backend are all submitted up front
-    and arrive in *completion* order — analysis can start on the first
-    (fastest) group while the stiffest one is still integrating; other
-    backends yield lazily in group order, which still delivers the
+    Pool-routed groups are all submitted up front and arrive in
+    *completion* order — analysis can start on the first (fastest)
+    group while the stiffest one is still integrating; in-process
+    groups yield lazily in group order, which still delivers the
     first chunk after one group's integration rather than the whole
     sweep's. :func:`assemble_chunks` folds a drained stream back into
     the barriered result object. Validation errors raise here, not at
@@ -680,11 +626,10 @@ def _progress_totals(plan: ExecutionPlan, systems: list) -> tuple:
     mirrors the grouping the ODE/SDE streams apply, computed only when
     a progress sink is attached."""
     groups = group_by_signature(systems)
-    if plan.noise is not None:
-        return len(groups), len(systems) * plan.noise.trials
-    backend = BACKENDS[plan.backend]
-    if backend.batches and plan.method in BATCH_METHODS:
-        batched = [g for g in groups if len(g) >= plan.min_batch]
+    if plan.trials is not None:
+        return len(groups), len(systems) * plan.trials
+    if plan.engine != "serial" and plan.method in BATCH_METHODS:
+        batched = [g for g in groups if len(g) > 1]
         n_serial = len(systems) - sum(len(g) for g in batched)
         return len(batched) + (1 if n_serial else 0), len(systems)
     return 1, len(systems)
@@ -698,7 +643,7 @@ def _stream(plan: ExecutionPlan, seeds: list, progress=None):
     if progress is not None:
         total_chunks, total_rows = _progress_totals(plan, systems)
         progress.begin(groups=total_chunks, instances=total_rows)
-    inner = (_stream_ode(plan, seeds, systems) if plan.noise is None
+    inner = (_stream_ode(plan, seeds, systems) if plan.trials is None
              else _stream_sde(plan, seeds, systems))
     start = time.monotonic()
     first = True
@@ -725,11 +670,10 @@ def _stream(plan: ExecutionPlan, seeds: list, progress=None):
                                "rows": len(chunk.indices)}
             if progress is not None:
                 chunks_done += 1
-                rows_done += len(chunk.indices) * (
-                    plan.noise.trials if plan.noise is not None else 1)
+                rows_done += len(chunk.indices) * (plan.trials or 1)
                 progress.advance(groups_done=chunks_done,
                                  instances_done=rows_done,
-                                 backend=plan.backend)
+                                 backend=plan.engine)
             yield chunk
     finally:
         if progress is not None:
@@ -740,19 +684,12 @@ def _span_key(t_span) -> tuple[float, float]:
     return (float(t_span[0]), float(t_span[1]))
 
 
-def _effective_backend(backend: ExecutionBackend,
-                       task: GroupTask) -> ExecutionBackend:
-    if isinstance(backend, AutoBackend):
-        return backend._pick(task)
-    return backend
+def _drive_groups(plan, tasks, store, kind, key_options, on_error):
+    """The executor's scheduling core: run every :class:`GroupTask` of
+    ``kind`` (``"ode"`` or ``"sde"``), yielding ``(order, task,
+    BatchTrajectory)`` as groups finish.
 
-
-def _drive_groups(plan, tasks, store, kind, key_options, solve_sync,
-                  submit_async, on_error):
-    """The executor's scheduling core: run every :class:`GroupTask`,
-    yielding ``(order, task, BatchTrajectory)`` as groups finish.
-
-    Cache hits yield first (they cost a key + load). Pool-backed groups
+    Cache hits yield first (they cost a key + load). Pool-routed groups
     are submitted asynchronously *up front* — workers start integrating
     immediately — and yield in completion order; everything else solves
     synchronously and lazily in group order. ``on_error(task, exc)``
@@ -762,31 +699,26 @@ def _drive_groups(plan, tasks, store, kind, key_options, solve_sync,
     stored them. Any teardown — consumer abandoning the stream, a
     worker crash, ``KeyboardInterrupt`` — discards the in-flight
     handles, which releases their shared-memory blocks."""
-    backend = BACKENDS[plan.backend]
+    cache_kind = "batch" if kind == "ode" else "sde"
+    label = "serial" if plan.engine == "serial" else "batch"
     hits, sync, runs = [], [], []
     try:
         for order, task in enumerate(tasks):
-            key, hit = cache_lookup(store, task.group_systems, kind,
-                                    key_options(task))
+            key, hit = cache_lookup(store, task.group_systems,
+                                    cache_kind, key_options(task))
             if hit is not None:
                 hits.append((order, task, hit))
                 continue
-            effective = _effective_backend(backend, task)
-            handle = submit_async(effective, task)
+            handle = _submit_pool(task, kind)
             if handle is not None:
                 runs.append((order, task, key, handle))
-            elif isinstance(effective, PoolBackend):
-                # The pool declined the group; solve it in-process
-                # without asking the pool (and warning) a second time.
-                sync.append((order, task, key, BACKENDS["batch"]))
             else:
-                sync.append((order, task, key, effective))
+                sync.append((order, task, key))
         yield from hits
-        for order, task, key, effective in sync:
+        for order, task, key in sync:
             try:
-                with telemetry.span(
-                        f"group[{order}].solve:{effective.name}"):
-                    trajectory, storable = solve_sync(effective, task)
+                with telemetry.span(f"group[{order}].solve:{label}"):
+                    trajectory, storable = _solve_in_process(task, kind)
             except SimulationError as exc:
                 if not on_error(task, exc):
                     raise
@@ -834,15 +766,13 @@ def _drive_groups(plan, tasks, store, kind, key_options, solve_sync,
 def _stream_ode(plan: ExecutionPlan, seeds, systems):
     from repro.sim.ensemble import EnsembleChunk
 
-    backend = BACKENDS[plan.backend]
     store = resolve_cache(plan.cache)
 
-    batchable = backend.batches and plan.method in BATCH_METHODS
+    batchable = plan.engine != "serial" and plan.method in BATCH_METHODS
     serial_method = "RK45" if plan.method in BATCH_METHODS \
         else plan.method
     serial_options = dict(n_points=plan.n_points, method=serial_method,
                           rtol=plan.rtol, atol=plan.atol,
-                          backend=plan.serial_backend,
                           t_eval=plan.t_eval, max_step=plan.max_step)
 
     serial_indices: list[int] = []
@@ -859,7 +789,9 @@ def _stream_ode(plan: ExecutionPlan, seeds, systems):
                               freeze_tol=plan.freeze_tol,
                               array_backend=plan.array_spec())
         for indices in group_by_signature(systems):
-            if len(indices) < plan.min_batch:
+            if len(indices) == 1:
+                # A structurally unique instance is not worth a
+                # batched compile.
                 serial_indices.extend(indices)
                 continue
             tasks.append(GroupTask(
@@ -889,11 +821,9 @@ def _stream_ode(plan: ExecutionPlan, seeds, systems):
         return True
 
     for order, task, trajectory in _drive_groups(
-            plan, tasks, store, "batch",
+            plan, tasks, store, "ode",
             lambda task: {**task.options,
                           "t_span": _span_key(plan.t_span)},
-            lambda effective, task: effective.solve_ode(task),
-            lambda effective, task: effective.submit_ode(task),
             on_error):
         yield EnsembleChunk(order=order, indices=list(task.indices),
                             trajectories=trajectory.trajectories(),
@@ -920,7 +850,6 @@ def _group_has_noise(group_systems) -> bool:
 def _stream_sde(plan: ExecutionPlan, seeds, systems):
     from repro.sim.noisy import NoisyEnsembleChunk
 
-    backend = BACKENDS[plan.backend]
     noise = plan.noise
     store = resolve_cache(plan.cache)
     groups = group_by_signature(systems)
@@ -958,8 +887,6 @@ def _stream_sde(plan: ExecutionPlan, seeds, systems):
                                noise_seeds=noise_seeds,
                                chip_keys=chip_keys))
 
-    reference_backend = backend if backend.batches \
-        else BACKENDS["batch"]
     # References are the chips' deterministic baselines: freeze masks
     # are intentionally not applied, so reliability metrics always
     # compare against the exact noise-free transient.
@@ -980,8 +907,6 @@ def _stream_sde(plan: ExecutionPlan, seeds, systems):
 
     for order, task, batch in _drive_groups(
             plan, tasks, store, "sde", key_options,
-            lambda effective, task: effective.solve_sde(task),
-            lambda effective, task: effective.submit_sde(task),
             lambda task, exc: False):
         indices = task.indices
         references = None
@@ -996,7 +921,7 @@ def _stream_sde(plan: ExecutionPlan, seeds, systems):
                     {**reference_options,
                      "t_span": _span_key(plan.t_span)},
                     lambda task=reference_task:
-                    reference_backend.solve_ode(task))
+                    _solve_group(task, "ode"))
             references = [reference_batch.instance(row)
                           for row in range(len(indices))]
         yield NoisyEnsembleChunk(

@@ -1,8 +1,8 @@
 """Persistent zero-copy worker pool: the engine's one process model.
 
-Every multi-process solve in the engine runs here — batched ODE and
-SDE groups split into per-core shards (the ``pool`` backend) and the
-serial scipy fan-out of structurally unique instances
+Every multi-process solve in the engine runs here — pool-routed
+batched ODE and SDE groups split into per-core shards and the serial
+scipy fan-out of structurally unique instances
 (:func:`map_serial`). Two per-solve overheads the paper's large-scale
 mismatch/noise sweeps could not amortize are gone by construction:
 

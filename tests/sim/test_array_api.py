@@ -280,25 +280,21 @@ class TestPlanIntegration:
                          engine=engine, array_backend="jax")
 
     def test_auto_engine_stays_in_process_on_non_numpy(self):
-        # A non-numpy array backend never reaches the auto policy (plan
-        # validation rejects it); numpy groups big enough go to the
-        # pool.
-        from repro.sim.plan import BACKENDS, GroupTask
+        # A non-numpy array backend never reaches the batch engine's
+        # pool routing (plan validation rejects it); numpy groups big
+        # enough go to the pool.
+        from repro.sim.plan import _pooled
 
         plan = ExecutionPlan(
             factory=lambda s: None, seeds=list(range(64)),
-            t_span=(0.0, 1.0), backend="auto", processes=8,
-            array_backend="jax")
+            t_span=(0.0, 1.0), processes=8, array_backend="jax")
         with pytest.raises(SimulationError, match="unknown array"):
             plan.validate()
         numpy_plan = ExecutionPlan(
             factory=lambda s: None, seeds=list(range(64)),
-            t_span=(0.0, 1.0), backend="auto", processes=8)
-        numpy_task = GroupTask(plan=numpy_plan,
-                               indices=list(range(64)),
-                               group_systems=[object()] * 64,
-                               options={})
-        assert BACKENDS["auto"]._pick(numpy_task) is BACKENDS["pool"]
+            t_span=(0.0, 1.0), processes=8)
+        assert _pooled(numpy_plan, 64)
+        assert not _pooled(numpy_plan, 63)
 
     def test_unknown_array_backend_lists_both_registries(self):
         def factory(seed):
@@ -306,15 +302,15 @@ class TestPlanIntegration:
 
         with pytest.raises(SimulationError,
                            match="registered array backends.*"
-                                 "registered execution backends"):
+                                 "engines.*batch, serial, pool"):
             run_ensemble(factory, range(2), (0.0, 8e-8),
                          array_backend="torch")
 
     def test_unknown_execution_backend_lists_both_registries(self):
         plan = ExecutionPlan(factory=lambda s: None, seeds=[0],
-                             t_span=(0.0, 1.0), backend="bogus")
+                             t_span=(0.0, 1.0), engine="bogus")
         with pytest.raises(SimulationError,
-                           match="registered execution backends.*"
+                           match="unknown engine 'bogus'.*"
                                  "registered array backends"):
             plan.validate()
 

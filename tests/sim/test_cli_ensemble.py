@@ -128,6 +128,32 @@ class TestEnsembleCommand:
                                    paths["clipped"]["x0_mean"],
                                    rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-step", "0"], "max_step must be > 0"),
+        (["--freeze-tol", "0"], "freeze_tol must be > 0"),
+        (["--engine", "pool", "--processes", "0"],
+         "processes must be >= 1"),
+    ])
+    def test_bad_option_values_exit_2(self, program_file, capsys, flags,
+                                      message):
+        code = main(["ensemble", program_file, "--arg", "w=1.0",
+                     "--t-end", "1.0", "--seeds", "2", "--node", "x0"]
+                    + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--engine", "auto"],
+                                       ["--shard-min", "4"]])
+    def test_removed_flags_are_rejected(self, program_file, capsys,
+                                        flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ensemble", program_file, "--arg", "w=1.0",
+                  "--t-end", "1.0", "--seeds", "2"] + flags)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestAdaptiveSdeFlags:
     def _run(self, noisy_file, tmp_path, name, *extra):

@@ -205,7 +205,7 @@ class TestBatchedSharding:
     def test_sharded_rk4_is_bit_identical_to_single_process(self):
         sharded = run_ensemble(_picklable_factory, range(8),
                                (0.0, 1.0), n_points=40, method="rk4",
-                               processes=2, shard_min=4)
+                               engine="pool", processes=2)
         single = run_ensemble(_picklable_factory, range(8), (0.0, 1.0),
                               n_points=40, method="rk4")
         assert len(sharded.batches) == len(single.batches) == 1
@@ -220,8 +220,8 @@ class TestBatchedSharding:
         # rkf45's shared step control sees each shard separately, so
         # sharded results agree at tolerance level (not bitwise).
         sharded = run_ensemble(_picklable_factory, range(8),
-                               (0.0, 1.0), n_points=40, processes=2,
-                               shard_min=4)
+                               (0.0, 1.0), n_points=40, engine="pool",
+                               processes=2)
         single = run_ensemble(_picklable_factory, range(8), (0.0, 1.0),
                               n_points=40)
         np.testing.assert_allclose(sharded.batches[0].y,
@@ -230,13 +230,13 @@ class TestBatchedSharding:
 
     def test_small_groups_are_not_sharded(self):
         result = run_ensemble(_picklable_factory, range(4), (0.0, 1.0),
-                              n_points=30, processes=2, shard_min=64)
+                              n_points=30, processes=2)
         assert len(result.batches) == 1  # one in-process batch
 
     def test_unpicklable_factory_still_batches_in_process(self):
         result = run_ensemble(lambda seed: _pair_factory(seed),
                               range(8), (0.0, 1.0), n_points=30,
-                              processes=2, shard_min=4)
+                              engine="pool", processes=2)
         assert len(result.batches) == 1
         assert result.serial_indices == []
 
@@ -247,7 +247,7 @@ class TestBatchedSharding:
         from repro.sim import TrajectoryCache
         cache = TrajectoryCache()
         run_ensemble(_picklable_factory, range(8), (0.0, 1.0),
-                     n_points=40, processes=2, shard_min=4,
+                     n_points=40, engine="pool", processes=2,
                      cache=cache)
         assert cache.stats.stores == 0
         unsharded = run_ensemble(_picklable_factory, range(8),
@@ -268,7 +268,7 @@ class TestBatchedSharding:
         monkeypatch.setattr(batch_codegen, "FUSE_DENSE_LIMIT", 1)
         sharded = run_ensemble(_picklable_factory, range(8),
                                (0.0, 1.0), n_points=40, method="rk4",
-                               processes=2, shard_min=4)
+                               engine="pool", processes=2)
         single = run_ensemble(_picklable_factory, range(8), (0.0, 1.0),
                               n_points=40, method="rk4")
         np.testing.assert_array_equal(sharded.batches[0].y,
@@ -279,7 +279,7 @@ class TestBatchedSharding:
         cache = TrajectoryCache()
         sharded = run_ensemble(_picklable_factory, range(8),
                                (0.0, 1.0), n_points=40, method="rk4",
-                               processes=2, shard_min=4, cache=cache)
+                               engine="pool", processes=2, cache=cache)
         assert cache.stats.stores == 1
         rerun = run_ensemble(_picklable_factory, range(8), (0.0, 1.0),
                              n_points=40, method="rk4", cache=cache)

@@ -1,7 +1,6 @@
 """Tests for the unified execution-plan layer (:mod:`repro.sim.plan`):
 shim equivalence (the legacy drivers must be bit-identical delegates),
-backend registry behavior, plan validation, and pooled-SDE
-bit-identity."""
+plan validation, and pooled-SDE bit-identity."""
 
 import numpy as np
 import pytest
@@ -9,10 +8,7 @@ import pytest
 import repro
 from repro.errors import SimulationError
 from repro.lang import parse_program
-from repro.sim import (BACKENDS, ENGINES, ExecutionPlan, NoiseSpec,
-                       backend_names, register_backend, resolve_engine,
-                       run_ensemble)
-from repro.sim.plan import BatchBackend, ExecutionBackend
+from repro.sim import ENGINES, ExecutionPlan, NoiseSpec, run_ensemble
 
 OU_SOURCE = """
 lang ou {
@@ -44,21 +40,21 @@ def _ou_factory(nsig=0.3):
 
 class TestValidation:
     def test_unknown_engine_raises_value_error(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(SimulationError, match="unknown engine"):
             run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
                          engine="bogus")
 
     def test_unknown_engine_in_simulate_ensemble(self):
         from repro.core.simulator import simulate_ensemble
 
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(SimulationError, match="unknown engine"):
             simulate_ensemble(_ou_factory(0.0), range(2), (0.0, 1.0),
                               engine="parallel")
 
     def test_unknown_backend_in_plan(self):
         plan = ExecutionPlan(factory=_ou_factory(), seeds=[0],
-                             t_span=(0.0, 1.0), backend="nope")
-        with pytest.raises(SimulationError, match="unknown execution"):
+                             t_span=(0.0, 1.0), engine="nope")
+        with pytest.raises(SimulationError, match="unknown engine"):
             plan.run()
 
     def test_trials_below_one(self):
@@ -68,7 +64,7 @@ class TestValidation:
             run_ensemble(_ou_factory(), range(2), (0.0, 1.0), trials=-1)
 
     def test_noise_seed_without_trials(self):
-        with pytest.raises(ValueError, match="noise_seed"):
+        with pytest.raises(SimulationError, match="noise_seed"):
             run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
                          noise_seed=3)
 
@@ -85,22 +81,49 @@ class TestValidation:
                          trials=2, sde_method="euler")
 
     def test_bad_freeze_tol(self):
-        with pytest.raises(ValueError, match="freeze_tol"):
+        with pytest.raises(SimulationError, match="freeze_tol"):
             run_ensemble(_ou_factory(0.0), range(2), (0.0, 1.0),
                          freeze_tol=-1.0)
 
-    def test_resolve_engine_maps_batch_to_auto(self):
-        assert resolve_engine("batch") == "auto"
-        assert resolve_engine("serial") == "serial"
-        assert resolve_engine("pool") == "pool"
-
     def test_removed_engine_lists_valid_choices(self):
-        assert ENGINES == ("batch", "serial", "pool", "auto")
-        with pytest.raises(ValueError,
-                           match="unknown engine 'shard'.*"
-                                 "batch, serial, pool, auto"):
-            run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
-                         engine="shard")
+        assert ENGINES == ("batch", "serial", "pool")
+        for removed in ("shard", "auto"):
+            with pytest.raises(SimulationError,
+                               match=f"unknown engine '{removed}'; "
+                                     "expected one of batch, serial, "
+                                     "pool;"):
+                run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
+                             engine=removed)
+
+    @pytest.mark.parametrize("options, message", [
+        (dict(max_step=0.0), "max_step must be > 0"),
+        (dict(max_step=-1e-3), "max_step must be > 0"),
+        (dict(freeze_tol=0.0), "freeze_tol must be > 0"),
+        (dict(processes=0), "processes must be >= 1"),
+        (dict(engine="pool", processes=0), "processes must be >= 1"),
+        (dict(noise_seed=1), "noise_seed was given without trials"),
+        (dict(engine="auto"), "unknown engine 'auto'"),
+    ])
+    def test_bad_options_rejected_before_any_factory_call(self, options,
+                                                          message):
+        calls = []
+
+        def factory(seed):
+            calls.append(seed)
+            return _ou_factory(0.0)(seed)
+
+        with pytest.raises(SimulationError, match=message):
+            run_ensemble(factory, range(2), (0.0, 1.0), **options)
+        assert calls == []
+
+    def test_noise_is_derived_from_trials(self):
+        plan = ExecutionPlan(factory=None, seeds=[0], t_span=(0.0, 1.0))
+        assert plan.noise is None
+        plan = ExecutionPlan(factory=None, seeds=[0], t_span=(0.0, 1.0),
+                             trials=3, noise_seed=4, sde_method="em",
+                             reference=False)
+        assert plan.noise == NoiseSpec(trials=3, method="em",
+                                       noise_seed=4, reference=False)
 
     @pytest.mark.parametrize("method", ["rk45", "RKF45", "euler"])
     def test_unknown_ode_method_lists_valid_choices(self, method):
@@ -111,39 +134,6 @@ class TestValidation:
                                  "auto, rkf45, rk4, RK23, RK45"):
             run_ensemble(_ou_factory(0.0), range(2), (0.0, 1.0),
                          method=method)
-
-
-class TestRegistry:
-    def test_registered_names(self):
-        assert set(backend_names()) == {"auto", "batch", "serial",
-                                        "pool"}
-
-    def test_custom_backend_pluggable(self):
-        calls = []
-
-        class CountingBackend(BatchBackend):
-            name = "counting"
-
-            def solve_ode(self, task):
-                calls.append(len(task.indices))
-                return super().solve_ode(task)
-
-        register_backend(CountingBackend())
-        try:
-            plan = ExecutionPlan(factory=_ou_factory(0.0),
-                                 seeds=list(range(3)),
-                                 t_span=(0.0, 1.0), backend="counting",
-                                 n_points=40)
-            result = plan.run()
-            assert calls == [3]
-            assert len(result.trajectories) == 3
-        finally:
-            del BACKENDS["counting"]
-
-    def test_backend_base_class_is_abstract(self):
-        backend = ExecutionBackend()
-        with pytest.raises(NotImplementedError):
-            backend.solve_ode(None)
 
 
 class TestShimEquivalence:
@@ -182,14 +172,14 @@ class TestShardedSde:
         unsharded = run_ensemble(factory, range(4), span, trials=2,
                                  n_points=40)
         sharded = run_ensemble(factory, range(4), span, trials=2,
-                               n_points=40, processes=2, shard_min=4)
+                               n_points=40, engine="pool", processes=2)
         np.testing.assert_array_equal(unsharded.batches[0].y,
                                       sharded.batches[0].y)
         for chip in range(4):
             np.testing.assert_array_equal(
                 unsharded.reference(chip).y, sharded.reference(chip).y)
 
-    def test_pool_engine_ignores_shard_min(self):
+    def test_pool_engine_shards_small_groups(self):
         from repro.paradigms.tln import TLineSpec
         from repro.paradigms.tln.noisy import NoisyTlineFactory
 
@@ -198,7 +188,7 @@ class TestShardedSde:
         span = (0.0, 4e-8)
         unsharded = run_ensemble(factory, range(2), span, trials=2,
                                  n_points=30)
-        # engine="pool" ignores shard_min sizing via the auto policy
+        # engine="pool" skips the batch engine's 64-row pool threshold
         # and shards whatever it can (here 4 rows over 2 workers).
         sharded = run_ensemble(factory, range(2), span, trials=2,
                                n_points=30, engine="pool", processes=2)
@@ -208,7 +198,7 @@ class TestShardedSde:
     def test_unpicklable_factory_falls_back_in_process(self):
         factory = _ou_factory()  # closure: not picklable
         sharded = run_ensemble(factory, range(3), (0.0, 1.0), trials=2,
-                               n_points=30, processes=2, shard_min=2)
+                               n_points=30, engine="pool", processes=2)
         unsharded = run_ensemble(factory, range(3), (0.0, 1.0),
                                  trials=2, n_points=30)
         np.testing.assert_array_equal(unsharded.batches[0].y,
@@ -224,7 +214,7 @@ class TestShardedSde:
         span = (0.0, 4e-8)
         cache = TrajectoryCache(directory=tmp_path)
         sharded = run_ensemble(factory, range(4), span, trials=2,
-                               n_points=30, processes=2, shard_min=4,
+                               n_points=30, engine="pool", processes=2,
                                cache=cache, reference=False)
         assert cache.stats.stores >= 1
         replay = run_ensemble(factory, range(4), span, trials=2,

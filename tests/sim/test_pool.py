@@ -150,7 +150,7 @@ class TestRowSplit:
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: {0, 1, 2}, raising=False)
         plan = ExecutionPlan(factory=TlineFactory(), seeds=[0],
-                             t_span=SPAN, backend="pool")
+                             t_span=SPAN, engine="pool")
         assert _pool_width(plan) == 3
 
 
@@ -210,14 +210,17 @@ class TestBitIdentity:
         _assert_no_leaks()
 
     def test_auto_prefers_pool_and_stays_bit_identical(self):
-        # processes>1 + a large-enough group: auto now routes through
-        # the persistent pool; outputs must equal the plain batch.
+        # processes>1 + a group of DEFAULT_SHARD_MIN rows (32 chips x 2
+        # trials): the default batch engine routes it through the
+        # persistent pool; outputs must equal the in-process batch.
         factory = NoisyTlineFactory(TLineSpec(n_segments=4),
                                     noise=1e-9)
-        batch = run_ensemble(factory, range(4), SPAN, trials=2,
-                             n_points=40)
-        auto = run_ensemble(factory, range(4), SPAN, trials=2,
-                            n_points=40, processes=2, shard_min=4)
+        batch = run_ensemble(factory, range(32), SPAN, trials=2,
+                             n_points=40, reference=False)
+        auto = run_ensemble(factory, range(32), SPAN, trials=2,
+                            n_points=40, processes=2, reference=False,
+                            telemetry=True)
+        assert auto.telemetry.counter("pool.shards") == 2
         np.testing.assert_array_equal(batch.batches[0].y,
                                       auto.batches[0].y)
         _assert_no_leaks()

@@ -169,7 +169,7 @@ class TestExecutorProtocol:
     def test_streamed_two_groups(self):
         sink = RecordingSink()
         chunks = list(run_ensemble(TwoGroupFactory(), range(4), SPAN,
-                                   n_points=40, min_batch=2,
+                                   n_points=40,
                                    cache=TrajectoryCache(),
                                    stream=True, progress=sink))
         assert len(chunks) == 2
@@ -203,7 +203,7 @@ class TestExecutorProtocol:
     def test_abandoned_stream_still_finishes(self):
         sink = RecordingSink()
         stream = run_ensemble(TwoGroupFactory(), range(4), SPAN,
-                              n_points=40, min_batch=2,
+                              n_points=40,
                               cache=TrajectoryCache(),
                               stream=True, progress=sink)
         next(stream)

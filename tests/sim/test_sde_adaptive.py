@@ -458,7 +458,7 @@ class TestAdaptiveEnsemble:
         kwargs = dict(n_points=17, trials=2,
                       sde_method="em-adaptive",
                       rtol=1e-4, atol=1e-7, reference=False,
-                      engine="pool", processes=2, shard_min=2)
+                      engine="pool", processes=2)
         first = run_ensemble(factory, [0, 1], (0.0, 1.0), **kwargs)
         second = run_ensemble(factory, [0, 1], (0.0, 1.0), **kwargs)
         assert np.array_equal(first.batches[0].y,

@@ -195,8 +195,8 @@ class TestMaskedShardIdentity:
         kwargs = dict(trials=2, n_points=30, freeze_tol=1e2,
                       reference=False)
         unsharded = run_ensemble(factory, range(4), span, **kwargs)
-        sharded = run_ensemble(factory, range(4), span, processes=2,
-                               shard_min=4, **kwargs)
+        sharded = run_ensemble(factory, range(4), span, engine="pool",
+                               processes=2, **kwargs)
         np.testing.assert_array_equal(unsharded.batches[0].y,
                                       sharded.batches[0].y)
 

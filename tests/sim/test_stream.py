@@ -11,11 +11,12 @@ import pytest
 import repro
 from repro.paradigms.tln import TLineSpec, mismatched_tline
 from repro.paradigms.tln.noisy import NoisyTlineFactory
-from repro.sim import (BACKENDS, EnsembleChunk, ExecutionPlan,
-                       NoisyEnsembleChunk, assemble_chunks,
-                       register_backend, run_ensemble,
-                       stream_ensemble, stream_plan)
-from repro.sim.plan import BatchBackend
+from repro.sim import (EnsembleChunk, ExecutionPlan, NoisyEnsembleChunk,
+                       assemble_chunks, run_ensemble, stream_ensemble,
+                       stream_plan)
+from repro.sim import plan as plan_module
+from repro.sim.batch_solver import solve_batch
+from repro.sim.sde_solver import solve_sde
 
 SPAN = (0.0, 4e-8)
 
@@ -34,70 +35,45 @@ class TestFirstChunkBeforeCompletion:
     """The acceptance criterion: stream=True provably yields its first
     group before the sweep has finished integrating."""
 
-    def test_first_chunk_arrives_before_other_groups_solve(self):
+    def test_first_chunk_arrives_before_other_groups_solve(
+            self, monkeypatch):
         calls = []
 
-        class CountingBackend(BatchBackend):
-            name = "counting-stream"
+        def counting_solve_batch(rhs, t_span, **options):
+            calls.append(len(rhs.systems))
+            return solve_batch(rhs, t_span, **options)
 
-            def solve_ode(self, task):
-                calls.append(list(task.indices))
-                return super().solve_ode(task)
+        monkeypatch.setattr(plan_module, "solve_batch",
+                            counting_solve_batch)
+        plan = ExecutionPlan(factory=_two_group_factory,
+                             seeds=list(range(6)), t_span=SPAN,
+                             n_points=30)
+        stream = stream_plan(plan)
+        assert calls == []  # nothing integrates until consumed
+        first = next(stream)
+        assert isinstance(first, EnsembleChunk)
+        # Exactly one of the two structural groups has been integrated
+        # when the first chunk is delivered.
+        assert len(calls) == 1
+        rest = list(stream)
+        assert len(calls) == 2
+        assert len(rest) == 1
 
-        register_backend(CountingBackend())
-        try:
-            plan = ExecutionPlan(factory=_two_group_factory,
-                                 seeds=list(range(6)), t_span=SPAN,
-                                 backend="counting-stream", n_points=30)
-            stream = stream_plan(plan)
-            assert calls == []  # nothing integrates until consumed
-            first = next(stream)
-            assert isinstance(first, EnsembleChunk)
-            # Exactly one of the two structural groups has been
-            # integrated when the first chunk is delivered.
-            assert len(calls) == 1
-            rest = list(stream)
-            assert len(calls) == 2
-            assert len(rest) == 1
-        finally:
-            del BACKENDS["counting-stream"]
-
-    def test_sde_stream_is_lazy_too(self):
+    def test_sde_stream_is_lazy_too(self, monkeypatch):
         solved = []
 
-        class CountingBackend(BatchBackend):
-            name = "counting-sde"
+        def counting_solve_sde(rhs, t_span, **options):
+            solved.append(len(rhs.systems))
+            return solve_sde(rhs, t_span, **options)
 
-            def solve_sde(self, task):
-                solved.append(list(task.indices))
-                return super().solve_sde(task)
-
-        register_backend(CountingBackend())
-        try:
-            factory = NoisyTlineFactory(TLineSpec(n_segments=4),
-                                        noise=1e-9)
-            chunks = run_ensemble(factory, range(3), SPAN,
-                                  trials=2, n_points=30,
-                                  engine="batch", stream=True,
-                                  reference=False)
-            # run_ensemble(engine="batch") maps to the auto
-            # policy; force the counting backend through the plan form
-            # instead.
-            list(chunks)
-            from repro.sim import NoiseSpec
-
-            plan = ExecutionPlan(factory=factory,
-                                 seeds=list(range(3)), t_span=SPAN,
-                                 backend="counting-sde", n_points=30,
-                                 noise=NoiseSpec(trials=2,
-                                                 reference=False))
-            stream = stream_plan(plan)
-            assert solved == []
-            first = next(stream)
-            assert isinstance(first, NoisyEnsembleChunk)
-            assert len(solved) == 1
-        finally:
-            del BACKENDS["counting-sde"]
+        monkeypatch.setattr(plan_module, "solve_sde", counting_solve_sde)
+        factory = NoisyTlineFactory(TLineSpec(n_segments=4), noise=1e-9)
+        stream = run_ensemble(factory, range(3), SPAN, trials=2,
+                              n_points=30, stream=True, reference=False)
+        assert solved == []
+        first = next(stream)
+        assert isinstance(first, NoisyEnsembleChunk)
+        assert solved == [6]  # the one group: 3 chips x 2 trials
 
 
 class TestUnionEqualsBarrier:
@@ -287,7 +263,7 @@ func cell (nsig:real[0,inf]) uses leaky-noise {
 
 class TestStreamValidation:
     def test_validation_raises_at_call_time(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(repro.SimulationError, match="unknown engine"):
             stream_ensemble(_two_group_factory, range(2), SPAN,
                             engine="bogus")
 

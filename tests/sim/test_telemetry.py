@@ -45,7 +45,7 @@ ENGINE_KWARGS = {
     "serial": dict(engine="serial"),
     "batch": dict(engine="batch"),
     "serial-fanout": dict(engine="serial", processes=2),
-    "pool": dict(engine="pool", processes=2, shard_min=2),
+    "pool": dict(engine="pool", processes=2),
 }
 
 
@@ -63,7 +63,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("engine", list(ENGINE_KWARGS))
     def test_ode(self, engine):
-        kwargs = dict(n_points=40, min_batch=2, **ENGINE_KWARGS[engine])
+        kwargs = dict(n_points=40, **ENGINE_KWARGS[engine])
         off = run_ensemble(TlineFactory(), range(4), SPAN,
                            cache=TrajectoryCache(), **kwargs)
         on = run_ensemble(TlineFactory(), range(4), SPAN,
@@ -81,8 +81,7 @@ class TestBitIdentity:
     def test_sde(self, engine):
         factory = NoisyTlineFactory(TLineSpec(n_segments=3),
                                     noise=1e-9)
-        kwargs = dict(trials=2, n_points=30, min_batch=2,
-                      **ENGINE_KWARGS[engine])
+        kwargs = dict(trials=2, n_points=30, **ENGINE_KWARGS[engine])
         off = run_ensemble(factory, range(3), SPAN,
                            cache=TrajectoryCache(), **kwargs)
         on = run_ensemble(factory, range(3), SPAN,
@@ -187,7 +186,7 @@ class TestCounters:
         factory = NoisyTlineFactory(TLineSpec(n_segments=3),
                                     noise=1e-9)
         kwargs = dict(trials=4, n_points=30, engine="pool",
-                      processes=2, shard_min=2, min_batch=2)
+                      processes=2)
         off = run_ensemble(factory, range(4), SPAN,
                            cache=TrajectoryCache(), **kwargs)
         on = run_ensemble(factory, range(4), SPAN,
@@ -223,7 +222,7 @@ class TestCounters:
         first arrival; per-chunk stats ride on the chunk itself."""
         report = RunReport()
         stream = run_ensemble(TwoGroupFactory(), range(4), SPAN,
-                              n_points=40, min_batch=2, stream=True,
+                              n_points=40, stream=True,
                               cache=TrajectoryCache(),
                               telemetry=report)
         chunks = list(stream)
@@ -243,7 +242,7 @@ class TestCounters:
 
     def test_stream_without_telemetry_has_no_stats(self):
         stream = run_ensemble(TwoGroupFactory(), range(4), SPAN,
-                              n_points=40, min_batch=2, stream=True,
+                              n_points=40, stream=True,
                               cache=TrajectoryCache())
         assert all(chunk.stats is None for chunk in stream)
 

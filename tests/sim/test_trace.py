@@ -222,7 +222,7 @@ class TestLiveTrace:
     def test_pool_run_traces_worker_lanes(self, tmp_path):
         result = run_ensemble(TlineFactory(), range(8), SPAN,
                               n_points=40, engine="pool", processes=2,
-                              shard_min=2, cache=TrajectoryCache(),
+                              cache=TrajectoryCache(),
                               telemetry=True)
         report = result.telemetry
         assert report.schema == SCHEMA_VERSION
