@@ -39,12 +39,16 @@ simulation (deterministic solvers integrate the drift;
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
+from repro import telemetry
 from repro.core import expr as E
 from repro.core.graph import DynamicalGraph, Edge, Node
 from repro.core.language import Language
 from repro.core.odesystem import (AlgebraicSpec, ChainRhs, DiffusionTerm,
-                                  OdeSystem, StateVar, TermsRhs)
-from repro.core.production import ProductionRule
+                                  OdeSystem, StateVar, TermsRhs,
+                                  symbolic_signature)
+from repro.core.production import ProductionRule, RuleTable
 from repro.core.simplify import simplify
 from repro.core.types import Reduction
 from repro.errors import CompileError
@@ -52,6 +56,10 @@ from repro.errors import CompileError
 #: The reserved expression-level noise marker (drift mean 0; see
 #: :data:`repro.core.expr.BUILTIN_FUNCTIONS`).
 NOISE_FUNC = "noise"
+
+#: Graph structures whose symbolic compile a rule table remembers
+#: (least recently used dropped first; see :func:`compile_graph`).
+TEMPLATE_LIMIT = 64
 
 
 def _rewrite(rule: ProductionRule, edge: Edge) -> E.Expr:
@@ -66,11 +74,11 @@ def _rewrite(rule: ProductionRule, edge: Edge) -> E.Expr:
 
 
 def _contributions(graph: DynamicalGraph, language: Language,
+                   table: RuleTable,
                    ) -> dict[str, list[tuple[E.Expr, str]]]:
     """Production terms per node name as ``(expr, edge_name)`` pairs,
     honoring switch state. The provenance edge name identifies the
     element that owns any noise source found inside the term."""
-    table = language.rule_table()
     node_types = {node.name: node.type for node in graph.nodes}
     terms: dict[str, list[tuple[E.Expr, str]]] = {
         node.name: [] for node in graph.nodes}
@@ -232,9 +240,13 @@ def _split_noise_terms(node: Node, contributions, state_index: int,
     return drift
 
 
+def _element(graph: DynamicalGraph, kind: str, owner: str) -> Node | Edge:
+    return graph.node(owner) if kind == "node" else graph.edge(owner)
+
+
 def _noisy_attr_refs(term: E.Expr, graph: DynamicalGraph):
     """Distinct noise-annotated attribute references inside ``term``:
-    yields ``(kind, owner, attr, annotation, element)`` tuples."""
+    yields ``(kind, owner, attr, annotation)`` tuples."""
     seen: set[tuple] = set()
     for node in term.walk():
         if not isinstance(node, E.AttrRef):
@@ -244,14 +256,12 @@ def _noisy_attr_refs(term: E.Expr, graph: DynamicalGraph):
         if key in seen:
             continue
         seen.add(key)
-        element = (graph.node(node.owner) if kind == "node"
-                   else graph.edge(node.owner))
-        decl = element.type.attrs.get(node.attr)
+        decl = _element(graph, kind, node.owner).type.attrs.get(node.attr)
         if decl is None:
             continue
         annotation = getattr(decl.datatype, "noise", None)
         if annotation is not None and annotation.sigma > 0.0:
-            yield kind, node.owner, node.attr, annotation, element
+            yield kind, node.owner, node.attr, annotation
 
 
 def _multiplicative_power(term: E.Expr, owner: str, attr: str,
@@ -291,7 +301,8 @@ def _multiplicative_power(term: E.Expr, owner: str, attr: str,
 
 def _annotation_diffusion(node: Node, drift_terms: list[E.Expr],
                           state_index: int, graph: DynamicalGraph,
-                          diffusion: list[DiffusionTerm]):
+                          diffusion: list[DiffusionTerm],
+                          absolute: dict[tuple, float]):
     """First-order diffusion for ``ns``-annotated attributes: each drift
     term referencing a fluctuating parameter ``a`` gains the amplitude
     ``term * sigma`` (relative) or ``term * sigma/|a|`` (absolute).
@@ -302,11 +313,13 @@ def _annotation_diffusion(node: Node, drift_terms: list[E.Expr],
     as a pure ±1-power factor (true for every conductance /
     capacitance / coupling form in the shipped languages); other usages
     are rejected with a pointer to the explicit ``noise()`` escape
-    hatch rather than silently mis-scaled. Absolute-kind annotations on
-    a zero-valued parameter are rejected for the same reason — the
-    relative factor ``sigma/|a|`` is undefined there."""
+    hatch rather than silently mis-scaled. Absolute-kind annotations
+    are recorded in ``absolute`` (attribute key -> sigma): a
+    zero-valued parameter makes ``sigma/|a|`` undefined, and since
+    that depends on the value, :func:`_instantiate` checks it per
+    instance."""
     for term in drift_terms:
-        for kind, owner, attr, annotation, element in \
+        for kind, owner, attr, annotation in \
                 _noisy_attr_refs(term, graph):
             if node.type.reduction is not Reduction.SUM:
                 raise CompileError(
@@ -325,15 +338,7 @@ def _annotation_diffusion(node: Node, drift_terms: list[E.Expr],
             if annotation.kind == "rel":
                 factor: E.Expr = E.Const(annotation.sigma)
             else:
-                value = element.attrs.get(attr)
-                if isinstance(value, (int, float)) and \
-                        float(value) == 0.0:
-                    raise CompileError(
-                        f"ns({annotation.sigma}) on {owner}.{attr}: "
-                        "absolute noise on a zero-valued parameter "
-                        "has an undefined relative factor sigma/|a|; "
-                        "use ns(sigma,rel) or an explicit noise(...) "
-                        "term")
+                absolute.setdefault((kind, owner, attr), annotation.sigma)
                 factor = E.BinOp(
                     "/", E.Const(annotation.sigma),
                     E.Call("abs", (E.AttrRef(owner, attr, kind),)))
@@ -343,44 +348,73 @@ def _annotation_diffusion(node: Node, drift_terms: list[E.Expr],
                 element=owner, path=f"a:{attr}"))
 
 
-def _collect_attr_values(graph: DynamicalGraph,
-                         exprs: list[E.Expr]) -> dict[tuple, object]:
-    """Resolve every attribute reference in the compiled expressions."""
-    values: dict[tuple, object] = {}
+def _attr_keys(exprs: list[E.Expr]) -> tuple[tuple[str, str, str], ...]:
+    """Every attribute reference in the compiled expressions, as
+    ``(kind, owner, attr)`` keys in first-reference order."""
+    keys: dict[tuple, None] = {}
     for tree in exprs:
         for node in tree.walk():
-            if not isinstance(node, E.AttrRef):
-                continue
-            kind = node.kind or "node"
-            key = (kind, node.owner, node.attr)
-            if key in values:
-                continue
-            if kind == "node":
-                element = graph.node(node.owner)
-            else:
-                element = graph.edge(node.owner)
-            if node.attr not in element.attrs:
-                raise CompileError(
-                    f"{kind} {node.owner} has no value for attribute "
-                    f"{node.attr}")
-            values[key] = element.attrs[node.attr]
-    return values
+            if isinstance(node, E.AttrRef):
+                keys.setdefault((node.kind or "node", node.owner,
+                                 node.attr))
+    return tuple(keys)
 
 
-def compile_graph(graph: DynamicalGraph,
-                  language: Language | None = None) -> OdeSystem:
-    """Compile ``graph`` into an :class:`OdeSystem` (Algorithm 1).
+@dataclass
+class SymbolicSystem:
+    """The symbolic half of a compile: everything Algorithm 1 derives
+    from a graph's structure (topology, types, switch states and which
+    attributes are set) and nothing from its attribute values or
+    initial conditions. Every graph of one structure shares it; it
+    holds no reference to any graph.
 
-    :param language: language whose rules drive compilation; defaults to
-        the graph's own language. Passing a derived language compiles the
-        same graph under the extended semantics — the inheritance rules
-        guarantee identical dynamics when the graph only uses parent types.
+    :param attr_keys: the attribute references of the compiled
+        expressions, in first-reference order — the order of every
+        instance's ``attr_values``.
+    :param absolute_noise: attribute key -> sigma of each
+        absolute-kind ``ns`` annotation feeding a diffusion term.
+    :param functions: names of the functions the expressions call.
     """
-    language = language or graph.language
-    graph.apply_defaults()
-    graph.check_complete()
 
-    terms = _contributions(graph, language)
+    states: tuple[StateVar, ...]
+    state_index: dict[tuple[str, int], int]
+    rhs: tuple[ChainRhs | TermsRhs, ...]
+    algebraic: tuple[AlgebraicSpec, ...]
+    diffusion: tuple[DiffusionTerm, ...]
+    attr_keys: tuple[tuple[str, str, str], ...]
+    absolute_noise: dict[tuple[str, str, str], float]
+    functions: tuple[str, ...]
+    _signature: tuple | None = field(default=None, repr=False)
+
+    def signature_parts(self) -> tuple:
+        """The value-free parts of
+        :meth:`~repro.core.odesystem.OdeSystem.structural_signature`,
+        computed once per structure."""
+        if self._signature is None:
+            self._signature = symbolic_signature(
+                self.states, self.rhs, self.algebraic, self.attr_keys,
+                self.diffusion)
+        return self._signature
+
+
+def _structure_key(graph: DynamicalGraph) -> tuple:
+    """Everything the symbolic compile reads from ``graph``: each node's
+    name, type and set attribute names, and each edge's name, type,
+    endpoints, switch state and set attribute names, in insertion
+    order. Types enter by identity."""
+    return (tuple((node.name, node.type, tuple(node.attrs))
+                  for node in graph.nodes),
+            tuple((edge.name, edge.type, edge.src, edge.dst, edge.on,
+                   tuple(edge.attrs))
+                  for edge in graph.edges))
+
+
+def _symbolic(graph: DynamicalGraph, language: Language,
+              table: RuleTable) -> SymbolicSystem:
+    """The structural stage of Algorithm 1: rule lookup and rewriting,
+    state allocation, the drift/diffusion split and the algebraic
+    order. Reads no attribute value."""
+    terms = _contributions(graph, language, table)
 
     # State allocation: p slots per order-p node, graph insertion order.
     states: list[StateVar] = []
@@ -394,6 +428,7 @@ def compile_graph(graph: DynamicalGraph,
     # Right-hand sides, with the drift/diffusion split of any noise.
     rhs: list[ChainRhs | TermsRhs] = []
     diffusion: list[DiffusionTerm] = []
+    absolute: dict[tuple, float] = {}
     path_counters: dict[str, int] = {}
     for state in states:
         node = graph.node(state.node)
@@ -406,7 +441,7 @@ def compile_graph(graph: DynamicalGraph,
                                        state.index, path_counters,
                                        diffusion)
             _annotation_diffusion(node, drift, state.index, graph,
-                                  diffusion)
+                                  diffusion, absolute)
             rhs.append(TermsRhs(tuple(drift), node.type.reduction))
 
     algebraic = []
@@ -417,8 +452,7 @@ def compile_graph(graph: DynamicalGraph,
                 raise CompileError(
                     f"noise() is only supported on differential nodes; "
                     f"{name} is an order-0 (algebraic) node")
-            for _kind, owner, attr, _ann, _el in \
-                    _noisy_attr_refs(expr, graph):
+            for _kind, owner, attr, _ann in _noisy_attr_refs(expr, graph):
                 # Same policing as explicit noise(): an order-0 node is
                 # instantaneous, so a declared fluctuation feeding it
                 # cannot be realized — refuse rather than silently
@@ -435,30 +469,96 @@ def compile_graph(graph: DynamicalGraph,
                  for expr in spec.terms]
     all_exprs += [expr for spec in algebraic for expr in spec.terms]
     all_exprs += [term.amplitude for term in diffusion]
-    attr_values = _collect_attr_values(graph, all_exprs)
-
-    functions = language.functions()
-    needed = set()
+    needed: set[str] = set()
     for tree in all_exprs:
         needed |= E.referenced_functions(tree)
-    missing = needed - set(functions)
+
+    return SymbolicSystem(
+        states=tuple(states), state_index=state_index, rhs=tuple(rhs),
+        algebraic=tuple(algebraic), diffusion=tuple(diffusion),
+        attr_keys=_attr_keys(all_exprs), absolute_noise=absolute,
+        functions=tuple(needed))
+
+
+def _instantiate(symbolic: SymbolicSystem, graph: DynamicalGraph,
+                 language: Language) -> OdeSystem:
+    """The per-instance stage: bind ``graph``'s attribute values,
+    initial conditions and ``language``'s current functions to the
+    shared symbolic system."""
+    for (kind, owner, attr), sigma in symbolic.absolute_noise.items():
+        value = _element(graph, kind, owner).attrs.get(attr)
+        if isinstance(value, (int, float)) and float(value) == 0.0:
+            raise CompileError(
+                f"ns({sigma}) on {owner}.{attr}: absolute noise on a "
+                "zero-valued parameter has an undefined relative factor "
+                "sigma/|a|; use ns(sigma,rel) or an explicit noise(...) "
+                "term")
+
+    attr_values: dict[tuple, object] = {}
+    for key in symbolic.attr_keys:
+        kind, owner, attr = key
+        attrs = _element(graph, kind, owner).attrs
+        if attr not in attrs:
+            raise CompileError(
+                f"{kind} {owner} has no value for attribute {attr}")
+        attr_values[key] = attrs[attr]
+
+    functions = language.functions()
+    missing = set(symbolic.functions) - set(functions)
     if missing:
         raise CompileError(
             f"compiled expressions call unknown function(s) "
             f"{sorted(missing)}")
 
     y0 = [graph.node(state.node).inits.get(state.deriv, 0.0)
-          for state in states]
+          for state in symbolic.states]
 
     return OdeSystem(
         graph=graph,
         language=language,
-        states=states,
-        state_index=state_index,
-        rhs_specs=rhs,
-        algebraic=algebraic,
+        states=list(symbolic.states),
+        state_index=dict(symbolic.state_index),
+        rhs_specs=list(symbolic.rhs),
+        algebraic=list(symbolic.algebraic),
         attr_values=attr_values,
-        functions={name: functions[name] for name in needed},
+        functions={name: functions[name] for name in symbolic.functions},
         y0=y0,
-        diffusion=tuple(diffusion),
+        diffusion=symbolic.diffusion,
+        symbolic=symbolic,
     )
+
+
+def compile_graph(graph: DynamicalGraph,
+                  language: Language | None = None) -> OdeSystem:
+    """Compile ``graph`` into an :class:`OdeSystem` (Algorithm 1).
+
+    The symbolic stage runs once per graph structure (see
+    :func:`_structure_key`): its result is memoized on the language's
+    rule table, which a later declaration in the language or any
+    ancestor replaces. Every compile then binds its own graph's
+    attribute values, initial conditions and the language's current
+    functions, so mismatch seeds of one Ark function share all
+    structural work.
+
+    :param language: language whose rules drive compilation; defaults to
+        the graph's own language. Passing a derived language compiles the
+        same graph under the extended semantics — the inheritance rules
+        guarantee identical dynamics when the graph only uses parent types.
+    """
+    language = language or graph.language
+    graph.apply_defaults()
+    graph.check_complete()
+
+    table = language.rule_table()
+    key = _structure_key(graph)
+    symbolic = table.templates.get(key)
+    if symbolic is None:
+        telemetry.add("compile.template_misses")
+        symbolic = _symbolic(graph, language, table)
+        table.templates[key] = symbolic
+        if len(table.templates) > TEMPLATE_LIMIT:
+            table.templates.popitem(last=False)
+    else:
+        telemetry.add("compile.template_hits")
+        table.templates.move_to_end(key)
+    return _instantiate(symbolic, graph, language)

@@ -87,7 +87,11 @@ class Language:
         self._constraints: list[ConstraintRule] = []
         self._extern_checks: list[tuple[str, Callable]] = []
         self._functions: dict[str, Callable] = {}
-        self._rule_table: RuleTable | None = None
+        #: Bumped by every declaration; :meth:`rule_table` compares the
+        #: versions of the whole chain, so a change to an ancestor
+        #: reaches derived languages too.
+        self._version = 0
+        self._rule_table: tuple[tuple[int, ...], RuleTable] | None = None
 
     # ------------------------------------------------------------------
     # Declaration API
@@ -271,12 +275,14 @@ class Language:
         return applicable
 
     def rule_table(self) -> RuleTable:
-        """Production-rule lookup table over the full inheritance chain."""
-        if self._rule_table is None:
-            self._rule_table = RuleTable(self.productions(),
-                                         self.node_types(),
-                                         self.edge_types())
-        return self._rule_table
+        """Production-rule lookup table over the full inheritance chain,
+        rebuilt when this language or any ancestor has changed since."""
+        versions = tuple(language._version for language in self.chain())
+        if self._rule_table is None or self._rule_table[0] != versions:
+            self._rule_table = (versions, RuleTable(self.productions(),
+                                                    self.node_types(),
+                                                    self.edge_types()))
+        return self._rule_table[1]
 
     def owns_type(self, name: str) -> bool:
         """True when this language (not an ancestor) declared the type."""
@@ -287,7 +293,7 @@ class Language:
     # ------------------------------------------------------------------
 
     def _invalidate(self):
-        self._rule_table = None
+        self._version += 1
 
     def _check_fresh_name(self, name: str):
         if self.find_node_type(name) is not None or \

@@ -208,8 +208,35 @@ class _Codegen(E.CodegenContext):
         return alias
 
 
+def symbolic_signature(states, rhs_specs, algebraic, attr_keys,
+                       diffusion) -> tuple:
+    """Every part of :meth:`OdeSystem.structural_signature` except the
+    function identities: ``(state labels, rhs keys, algebraic keys,
+    sorted attribute keys, diffusion keys)``."""
+    spec_keys = tuple(
+        ("chain", spec.next_index) if isinstance(spec, ChainRhs)
+        else ("terms", spec.reduction.value,
+              tuple(str(term) for term in spec.terms))
+        for spec in rhs_specs)
+    algebraic_keys = tuple(
+        (spec.name, spec.reduction.value,
+         tuple(str(term) for term in spec.terms))
+        for spec in algebraic)
+    diffusion_keys = tuple(
+        (term.state_index, str(term.amplitude), term.element, term.path)
+        for term in diffusion)
+    return (tuple(state.label for state in states), spec_keys,
+            algebraic_keys, tuple(sorted(attr_keys)), diffusion_keys)
+
+
 class OdeSystem:
-    """A compiled dynamical system (see module docstring)."""
+    """A compiled dynamical system (see module docstring).
+
+    ``symbolic`` is the compiler's per-structure
+    :class:`~repro.core.compiler.SymbolicSystem` this system was
+    instantiated from, if any; :meth:`structural_signature` reuses its
+    value-free parts instead of recomputing them per instance.
+    """
 
     def __init__(self, graph, language, states: list[StateVar],
                  state_index: dict[tuple[str, int], int],
@@ -218,7 +245,8 @@ class OdeSystem:
                  attr_values: dict[tuple, object],
                  functions: dict[str, object],
                  y0: list[float],
-                 diffusion: tuple[DiffusionTerm, ...] = ()):
+                 diffusion: tuple[DiffusionTerm, ...] = (),
+                 symbolic=None):
         self.graph = graph
         self.language = language
         self.states = states
@@ -231,6 +259,7 @@ class OdeSystem:
         self.diffusion = tuple(diffusion)
         self._compiled_rhs = None
         self._signature = None
+        self._symbolic = symbolic
 
     # ------------------------------------------------------------------
     # Introspection
@@ -283,29 +312,23 @@ class OdeSystem:
 
         The signature is computed once and memoized: everything it
         reads is fixed at compile time, and ensemble grouping plus
-        trajectory-cache keying call this per instance per run.
+        trajectory-cache keying call this per instance per run. A
+        compiled system shares its value-free parts with every instance
+        of its structure and adds only its function keys.
         """
         if self._signature is not None:
             return self._signature
-        spec_keys = tuple(
-            ("chain", spec.next_index) if isinstance(spec, ChainRhs)
-            else ("terms", spec.reduction.value,
-                  tuple(str(term) for term in spec.terms))
-            for spec in self.rhs_specs)
-        algebraic_keys = tuple(
-            (spec.name, spec.reduction.value,
-             tuple(str(term) for term in spec.terms))
-            for spec in self.algebraic)
+        if self._symbolic is not None:
+            parts = self._symbolic.signature_parts()
+        else:
+            parts = symbolic_signature(self.states, self.rhs_specs,
+                                       self.algebraic, self.attr_values,
+                                       self.diffusion)
+        labels, spec_keys, algebraic_keys, attr_keys, diffusion_keys = parts
         function_keys = tuple(
             (name, getattr(fn, "_ark_vector_key", None) or id(fn))
             for name, fn in sorted(self.functions.items()))
-        diffusion_keys = tuple(
-            (term.state_index, str(term.amplitude), term.element,
-             term.path)
-            for term in self.diffusion)
-        self._signature = (tuple(self.state_labels()), spec_keys,
-                           algebraic_keys,
-                           tuple(sorted(self.attr_values)),
+        self._signature = (labels, spec_keys, algebraic_keys, attr_keys,
                            function_keys, diffusion_keys)
         return self._signature
 

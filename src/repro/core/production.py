@@ -14,6 +14,7 @@ at the same specificity) are an error.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core import expr as E
@@ -152,7 +153,13 @@ def parse_production(text: str, off: bool | None = None) -> ProductionRule:
 
 
 class RuleTable:
-    """All production rules of a language, with most-specific lookup."""
+    """All production rules of a language, with most-specific lookup.
+
+    The table also carries the compiler's per-structure memo
+    (``templates``, see :func:`repro.core.compiler.compile_graph`):
+    it is only valid for these rules, so it lives and dies with them.
+    It stays in-process — a pickled table arrives with an empty memo.
+    """
 
     def __init__(self, rules: list[ProductionRule],
                  node_types: dict[str, NodeType],
@@ -160,6 +167,12 @@ class RuleTable:
         self._rules = list(rules)
         self._node_types = node_types
         self._edge_types = edge_types
+        self.templates: OrderedDict = OrderedDict()
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["templates"] = OrderedDict()
+        return state
 
     @property
     def rules(self) -> list[ProductionRule]:

@@ -636,9 +636,10 @@ def _progress_totals(plan: ExecutionPlan, systems: list) -> tuple:
 
 
 def _stream(plan: ExecutionPlan, seeds: list, progress=None):
+    with telemetry.span("plan.build"):
+        targets = [plan.factory(seed) for seed in seeds]
     with telemetry.span("plan.compile"):
-        systems = [_compile_target(plan.factory(seed))
-                   for seed in seeds]
+        systems = [_compile_target(target) for target in targets]
     telemetry.add("plan.instances", len(systems))
     if progress is not None:
         total_chunks, total_rows = _progress_totals(plan, systems)

@@ -21,7 +21,8 @@ compute their counters directly when a task is flagged for collection
 and ship them home inside the existing result payload; the parent folds
 them in via :func:`merge_worker`.
 
-Counter namespaces: ``solver.*`` (nfev, frozen rows), ``cache.*``,
+Counter namespaces: ``compile.*`` (per-structure template hits and
+misses), ``solver.*`` (nfev, frozen rows), ``cache.*``,
 ``pool.*`` (shards, shm/pickle bytes, per-worker queue/busy/payload
 aggregates, ``pool.shm_alloc_failed`` when a group fell back to
 in-process for want of shared memory), ``shm.*``, ``stream.*`` and

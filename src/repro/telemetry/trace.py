@@ -10,9 +10,9 @@ out in the `Trace Event Format
 <https://ui.perfetto.dev>`_ open directly:
 
 * **pid 0 / tid 0** — the parent process: the span tree as nested
-  ``B``/``E`` (begin/end) duration events, so ``plan.compile``,
-  ``group[k].solve:<engine>``, ``pool.wait`` and friends appear as one
-  stacked lane;
+  ``B``/``E`` (begin/end) duration events, so ``plan.build``,
+  ``plan.compile``, ``group[k].solve:<engine>``, ``pool.wait`` and
+  friends appear as one stacked lane;
 * **pid 1 / tid k** — one lane per pool worker (``ark-pool-0``,
   ``ark-pool-1``, ...), each shard solve a ``B``/``E`` pair stamped
   with the worker-side monotonic clock rebased onto the window — this

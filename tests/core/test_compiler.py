@@ -1,6 +1,7 @@
 """Unit tests for the §5 dynamical-system compiler."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import repro
 from repro.core.builder import GraphBuilder
 from repro.core.compiler import compile_graph
 from repro.errors import CompileError
+from repro.telemetry import RunReport, collect_metrics
 from tests.conftest import build_leaky_language, build_two_pole
 
 
@@ -236,3 +238,214 @@ class TestParametrization:
         trajectory = repro.simulate(builder.finish(), (0.0, 10.0))
         # dx/dt = -x + 1 settles at 1.
         assert trajectory.final("x") == pytest.approx(1.0, abs=1e-4)
+
+
+# ----------------------------------------------------------------------
+# Per-structure memo: the symbolic compile runs once per graph structure
+# ----------------------------------------------------------------------
+
+def _metered_compile(graph, language=None):
+    """``compile_graph`` plus the template hit/miss counts it emitted."""
+    report = RunReport()
+    with collect_metrics(into=report):
+        system = compile_graph(graph, language)
+    return system, (report.counter("compile.template_hits"),
+                    report.counter("compile.template_misses"))
+
+
+def _value_token(value):
+    # Lambda attributes are fresh closures per build; their Ark source
+    # tag is what identifies them.
+    if callable(value):
+        return ("callable", getattr(value, "_ark_vector_key", None))
+    return (type(value), value)
+
+
+def _assert_same_system(warm, cold):
+    assert warm.equations() == cold.equations()
+    assert list(warm.attr_values) == list(cold.attr_values)
+    assert [_value_token(value) for value in warm.attr_values.values()] \
+        == [_value_token(value) for value in cold.attr_values.values()]
+    assert warm.y0.tobytes() == cold.y0.tobytes()
+    assert list(warm.functions) == list(cold.functions)
+    assert all(warm.functions[name] is cold.functions[name]
+               for name in warm.functions)
+    assert warm.diffusion == cold.diffusion
+    assert warm.structural_signature() == cold.structural_signature()
+
+
+def _br_func():
+    from repro.cli import _prelude_functions, _prelude_languages
+    from repro.lang import parse_program
+
+    source = (pathlib.Path(__file__).parents[2] / "examples" / "ark"
+              / "br_func.ark").read_text()
+    program = parse_program(source, languages=_prelude_languages(),
+                            functions=_prelude_functions())
+    return program.functions["br-func"]
+
+
+def _memo_builds():
+    from repro.paradigms.cnn import EROSION_TEMPLATE, cnn_grid
+    from repro.paradigms.fhn import neuron_chain
+    from repro.paradigms.gpac import leaky, lotka_volterra
+    from repro.paradigms.obc import maxcut_network
+    from repro.paradigms.tln import (TLineSpec, branched_tline,
+                                     linear_tline, mismatched_tline)
+    from repro.puf import ChipFactory, PufDesign
+
+    spec = TLineSpec(n_segments=4)
+    image = np.where(np.random.default_rng(3).random((4, 4)) > 0.5,
+                     1.0, -1.0)
+    chip = ChipFactory(PufDesign(spec=spec, branch_positions=(1, 2),
+                                 branch_lengths=(2, 3)), 1)
+    br_func = _br_func()
+    return {
+        "tline-gm": lambda seed: mismatched_tline("gm", spec, seed=seed),
+        "tline-cint": lambda seed: mismatched_tline("cint", spec,
+                                                    seed=seed),
+        "tline-branched": lambda seed: branched_tline(
+            spec, branch_segments=2, edge_variant="gm", seed=seed),
+        "br-func": lambda seed: br_func.invoke({"br": 1}, seed=seed),
+        "puf-chip": chip,
+        "tline-noisy": lambda seed: linear_tline(
+            spec, edge_variant="gm", noise=1e-8, seed=seed),
+        "obc": lambda seed: maxcut_network(
+            [(0, 1), (1, 2), (2, 0)], 3, edge_type="Cpl_ofs", seed=seed),
+        "cnn": lambda seed: cnn_grid(image, EROSION_TEMPLATE,
+                                     cell_type="Vm", seed=seed),
+        "fhn": lambda seed: neuron_chain(3, mismatched_bias=True,
+                                         seed=seed),
+        "gpac": lambda seed: lotka_volterra(
+            types=leaky(0.1, mismatched_weights=True), seed=seed),
+    }
+
+
+class TestStructureMemo:
+    @pytest.mark.parametrize("name", [
+        "tline-gm", "tline-cint", "tline-branched", "br-func", "puf-chip",
+        "tline-noisy", "obc", "cnn", "fhn", "gpac"])
+    def test_warm_compile_equals_cold(self, name):
+        build = _memo_builds()[name]
+        compile_graph(build(1))
+        graph = build(2)
+        warm, (hits, misses) = _metered_compile(graph)
+        assert (hits, misses) == (1, 0)
+        graph.language._invalidate()
+        cold, (hits, misses) = _metered_compile(build(2))
+        assert (hits, misses) == (0, 1)
+        _assert_same_system(warm, cold)
+
+    def test_absolute_noise_on_zero_value_still_rejected_on_hit(self):
+        from repro.lang import parse_program
+
+        source = """
+        lang oun {
+            ntyp(1,sum) X {attr tau=real[0,10] ns(0.1)};
+            etyp R {};
+            prod(e:R, s:X->s:X) s <= -var(s)/s.tau;
+        }
+        """
+        language = parse_program(source).languages["oun"]
+
+        def build(tau):
+            builder = GraphBuilder(language, "abs-noise")
+            builder.node("x", "X").set_attr("x", "tau", tau)
+            builder.edge("x", "x", "r0", "R").set_init("x", 1.0)
+            return builder.finish()
+
+        _system, counts = _metered_compile(build(1.0))
+        assert counts == (0, 1)
+        report = RunReport()
+        with collect_metrics(into=report):
+            with pytest.raises(CompileError, match="zero-valued") as warm:
+                compile_graph(build(0.0))
+        assert report.counter("compile.template_hits") == 1
+        language._invalidate()
+        with pytest.raises(CompileError) as cold:
+            compile_graph(build(0.0))
+        assert str(warm.value) == str(cold.value)
+
+    def test_structure_changes_miss(self):
+        lang = build_leaky_language()
+        lang.node_type("Y", inherits="X")
+        lang.prod("prod(e:W, s:Y->s:Y) s <= -2*var(s)/s.tau")
+        base = build_two_pole(lang)
+        switched = build_two_pole(lang)
+        switched.set_switch("couple", False)
+        extra = build_two_pole(lang)
+        extra.add_edge("back", "x1", "x0", "W").attrs["w"] = 1.0
+        retyped = build_two_pole(lang)
+        retyped.node("x1").type = lang.find_node_type("Y")
+        systems = []
+        for graph in (base, switched, extra, retyped):
+            system, counts = _metered_compile(graph)
+            assert counts == (0, 1)
+            systems.append(system)
+        signatures = {system.structural_signature() for system in systems}
+        assert len(signatures) == len(systems)
+        for system in systems[1:]:
+            assert system.equations() != systems[0].equations()
+
+    def test_systems_of_one_structure_are_independent(self):
+        lang = build_leaky_language()
+        first = compile_graph(build_two_pole(lang, w=1.0))
+        second, counts = _metered_compile(build_two_pole(lang, w=3.0))
+        assert counts == (1, 0)
+        n_specs, n_states = len(second.rhs_specs), len(second.states)
+        first.rhs_specs.append(first.rhs_specs[0])
+        first.states.append(first.states[0])
+        first.state_index[("ghost", 0)] = 99
+        first.algebraic.append(None)
+        assert len(second.rhs_specs) == n_specs
+        assert len(second.states) == n_states
+        assert ("ghost", 0) not in second.state_index
+        assert second.algebraic == []
+        assert second.attr_values[("edge", "couple", "w")] == 3.0
+        assert first.attr_values[("edge", "couple", "w")] == 1.0
+
+    def test_functions_resolve_per_instance(self):
+        lang = repro.Language("fn-memo")
+        lang.node_type("X", order=1)
+        lang.edge_type("E")
+        lang.register_function("gain", lambda x: 2.0 * x)
+        lang.prod("prod(e:E,s:X->s:X) s<=-gain(var(s))")
+
+        def build():
+            builder = GraphBuilder(lang)
+            builder.node("x", "X").set_init("x", 1.0)
+            builder.edge("x", "x", "leak", "E")
+            return builder.finish()
+
+        first = compile_graph(build())
+        replacement = lang.register_function("gain", lambda x: 3.0 * x)
+        second, counts = _metered_compile(build())
+        assert counts == (1, 0)
+        assert second.functions["gain"] is replacement
+        assert first.structural_signature() != \
+            second.structural_signature()
+        assert second.rhs("codegen")(0.0, second.y0)[0] == -3.0
+
+
+class TestDerivedLanguageRuleTable:
+    def test_ancestor_change_reaches_derived_language(self):
+        base = repro.Language("base")
+        base.node_type("A", order=1)
+        base.edge_type("E")
+        base.prod("prod(e:E,s:A->t:A) t<=var(s)")
+        child = repro.Language("child", parent=base)
+
+        def build(language):
+            builder = GraphBuilder(language)
+            builder.node("a", "A").set_init("a", 1.0)
+            builder.node("b", "A").set_init("b", 0.0)
+            builder.edge("a", "b", "e", "E")
+            return builder.finish()
+
+        assert "d a/dt = 0.0" in compile_graph(build(child)).equations()
+        base.prod("prod(e:E,s:A->t:A) s<=-var(t)")
+        expected = "d a/dt = (-var(b))"
+        assert expected in compile_graph(build(child)).equations()
+        assert expected in compile_graph(build(base)).equations()
+        fresh = repro.Language("fresh", parent=base)
+        assert expected in compile_graph(build(fresh)).equations()
