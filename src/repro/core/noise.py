@@ -21,6 +21,18 @@ backend's :meth:`~repro.sim.array_api.ArrayBackend.wiener_source`
 adapter converts draws at the dtype boundary). The noise
 *realization* is therefore backend-independent by construction; only
 the arithmetic that consumes it is subject to the backend's dtype.
+
+Bulk seeding: a stream's generator is exactly ``PCG64(stream_seed(...))``
+— but numpy seeds each PCG64 through a ``SeedSequence`` whose mixing
+runs word by word under an ``errstate`` guard, several microseconds per
+stream, which would dominate noisy sweeps (one stream per row × Wiener
+path) and factory builds (one per mismatched attribute).
+:func:`seed_words` runs that same mixing as one vectorized uint32 pass
+over a whole batch of seeds, and every generator here —
+:func:`streams`, :func:`stream` (a batch of one), :func:`bridge_bits` —
+is built from its precomputed words, which are numpy's own
+``SeedSequence(seed).generate_state(4, np.uint64)``: every drawn value
+is that of ``PCG64(seed)``.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def stream_seed(seed, element: str, path: str) -> int:
@@ -37,10 +50,106 @@ def stream_seed(seed, element: str, path: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+# --------------------------------------------------------------------------
+# Bulk seeding: numpy's SeedSequence mixing, vectorized over seeds
+# --------------------------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+#: numpy's SeedSequence hash constants (``bit_generator.pyx``).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+#: Pool size of the default SeedSequence; PCG64 draws four 64-bit
+#: (eight 32-bit) state words from it.
+_POOL = 4
+_STATE_WORDS = 8
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """The running hash constant: it starts at ``init`` and is
+    multiplied by ``mult`` once per use, the same for every seed."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return [np.uint32(value) for value in constants]
+
+
+#: ``mix_entropy`` makes 4 pool fills + 4·3 cross mixes = 16 hashmix
+#: calls; ``generate_state`` makes one per output word.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, _STATE_WORDS)
+
+
+def seed_words(seeds) -> np.ndarray:
+    """numpy's PCG64 seeding words for many 64-bit seeds at once.
+
+    Row ``i`` equals ``SeedSequence(seeds[i]).generate_state(4,
+    np.uint64)`` bit for bit: the same hashmix/mix schedule, run as one
+    wrapping uint32 pass over the whole batch. A seed below ``2**32``
+    is one entropy word to numpy and two here (high word zero); both
+    mix identically, because numpy pads a short pool with
+    ``hashmix(0)``. Returns shape ``(n, 4)`` uint64.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    u32 = np.uint32
+    shift = u32(16)
+    constants = iter(zip(_HASH_A, _HASH_A[1:]))
+
+    def hashmix(value):
+        xor, mult = next(constants)
+        value = (value ^ xor) * mult
+        return value ^ (value >> shift)
+
+    low = (seeds & np.uint64(_MASK32)).astype(u32)
+    high = (seeds >> np.uint64(32)).astype(u32)
+    zeros = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, high, zeros, zeros)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixed = u32(_MIX_MULT_L) * pool[dst] \
+                    - u32(_MIX_MULT_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> shift)
+    state = np.empty((seeds.shape[0], _STATE_WORDS), dtype="<u4")
+    for word in range(_STATE_WORDS):
+        value = (pool[word % _POOL] ^ _HASH_B[word]) * _HASH_B[word + 1]
+        state[:, word] = value ^ (value >> shift)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state words are already computed: hands
+    PCG64 one row of :func:`seed_words`."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise NotImplementedError(
+                "precomputed seed words serve PCG64's 4 x uint64 only")
+        return self.words
+
+
+def bit_generators(seeds) -> list[np.random.PCG64]:
+    """``[PCG64(seed) for seed in seeds]``, bit-identical, seeded in
+    one vectorized pass (:func:`seed_words`)."""
+    return [np.random.PCG64(_SeedWords(words))
+            for words in seed_words(seeds)]
+
+
+def streams(keys) -> list[np.random.Generator]:
+    """The random streams owned by many ``(seed, element, path)``
+    triples, seeded in bulk. Each equals :func:`stream` of its triple."""
+    return [np.random.Generator(bits) for bits in bit_generators(
+        [stream_seed(seed, element, path) for seed, element, path in keys])]
+
+
 def stream(seed, element: str, path: str) -> np.random.Generator:
     """The independent random stream owned by the triple."""
-    return np.random.Generator(
-        np.random.PCG64(stream_seed(seed, element, path)))
+    return streams([(seed, element, path)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -72,7 +181,7 @@ def bridge_bits(seed, element: str, path: str,
     are inverse-CDF transformed from exactly one 64-bit word each, so
     ``PCG64.advance`` gives O(1) random access to any ``index`` — the
     property that makes adaptive step sequences reproducible."""
-    return np.random.PCG64(bridge_seed(seed, element, path, level))
+    return bit_generators([bridge_seed(seed, element, path, level)])[0]
 
 
 # --------------------------------------------------------------------------

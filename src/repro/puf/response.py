@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.noise import stream_seed
+from repro.core.noise import stream
 from repro.core.simulator import simulate
 from repro.puf.challenge import PufDesign
 from repro.puf.metrics import ReliabilityReport, reliability
@@ -38,9 +38,8 @@ DEFAULT_WINDOW = (1e-8, 8e-8)
 def _readout_rng(chip_seed, challenge,
                  trial: int = 0) -> np.random.Generator:
     """Deterministic readout-noise stream for one (chip, challenge,
-    trial) — same hashing scheme as mismatch and Wiener streams."""
-    return np.random.Generator(np.random.PCG64(
-        stream_seed(chip_seed, "readout", f"{challenge}:{trial}")))
+    trial) — the same keyed stream as mismatch and Wiener draws."""
+    return stream(chip_seed, "readout", f"{challenge}:{trial}")
 
 
 def encode_response(samples: np.ndarray,

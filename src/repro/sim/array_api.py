@@ -127,13 +127,6 @@ class ArrayBackend:
             "min": xp.minimum, "max": xp.maximum, "pow": xp.power,
         }
 
-    def index_add(self, target, index, values):
-        """Scatter-add ``values`` onto ``target`` rows selected by
-        ``index`` (duplicates accumulate). May mutate ``target``;
-        callers must use the return value."""
-        np.add.at(target, index, values)
-        return target
-
     # -- Wiener adapter -----------------------------------------------
 
     def wiener_source(self, noise_seeds, paths, block: int = 256):
@@ -173,6 +166,10 @@ class _ConvertingWiener:
     @property
     def paths(self):
         return self._source.paths
+
+    @property
+    def seconds(self) -> float:
+        return self._source.seconds
 
     def normals(self, step: int):
         return self._backend.asarray(self._source.normals(step))

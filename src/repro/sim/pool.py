@@ -39,6 +39,7 @@ a fresh one. Every path discards the group's shared block, so no
 from __future__ import annotations
 
 import atexit
+import contextlib
 import hashlib
 import pickle
 import queue as queue_module
@@ -131,6 +132,7 @@ def _run_shard(task: ShardTask) -> dict:
     from repro.sim.plan import _compile_sde_rows, _compile_target
 
     started = time.monotonic() if task.collect else 0.0
+    wiener_seconds = 0.0
     factory_common, payload_hit = _load_common(task.common)
     factory, t_span, options, fuse = factory_common
     if task.kind == "serial":
@@ -150,8 +152,15 @@ def _run_shard(task: ShardTask) -> dict:
             replicated, tokens = _compile_sde_rows(factory, task.rows)
             batch = compile_batch(replicated, fuse=fuse,
                                   array_backend=array_backend)
-            trajectory = solve_sde(batch, t_span, noise_seeds=tokens,
-                                   **options)
+            # The solver's own counters land in a worker-local window;
+            # its Wiener seconds ride home with the shard's block.
+            window = (telemetry.collect_metrics() if task.collect
+                      else contextlib.nullcontext())
+            with window as report:
+                trajectory = solve_sde(batch, t_span, noise_seeds=tokens,
+                                       **options)
+            if report is not None:
+                wiener_seconds = report.counter("sde.wiener_seconds")
         block = shm_module.ShmBlock.attach(task.header)
         try:
             block.write_rows(task.row_offset, trajectory.y)
@@ -179,6 +188,7 @@ def _run_shard(task: ShardTask) -> dict:
             "queue_wait_seconds": max(0.0,
                                       started - task.submitted_at),
             "busy_seconds": busy,
+            "wiener_seconds": wiener_seconds,
             "payload_cache_hits": int(payload_hit),
             "payload_cache_misses": int(not payload_hit),
             # Timestamped span for the trace timeline: ``t0`` is the

@@ -57,6 +57,7 @@ trials of one fabricated chip.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 from scipy.special import ndtri
@@ -64,8 +65,7 @@ from scipy.special import ndtri
 from repro import telemetry
 from repro.core.compiler import compile_graph
 from repro.core.graph import DynamicalGraph
-from repro.core.noise import bridge_bits as _bridge_bits
-from repro.core.noise import stream as _wiener_stream
+from repro.core.noise import bit_generators, bridge_seed, streams
 from repro.core.odesystem import OdeSystem
 from repro.core.simulator import Trajectory
 from repro.errors import SimulationError
@@ -93,8 +93,9 @@ class WienerSource:
     """Deterministic batched Wiener increments.
 
     One PCG64 stream per ``(noise_seed, element, path)`` triple (the
-    :mod:`repro.core.noise` hashing scheme); increments are drawn in
-    blocks of ``block`` solver steps so memory stays bounded at
+    :mod:`repro.core.noise` hashing scheme), all rows × paths seeded in
+    one bulk pass on first use; increments are drawn in blocks of
+    ``block`` solver steps so memory stays bounded at
     ``n_instances * n_paths * block`` doubles regardless of how long the
     transient runs.
 
@@ -116,13 +117,18 @@ class WienerSource:
         #: position k, so the realization is block-size independent.
         self._buffer_start = 0
         self._drawn = 0
+        #: Seconds spent seeding the streams and drawing blocks
+        #: (telemetry ``sde.wiener_seconds``, added once per solve).
+        self.seconds = 0.0
 
     def _ensure_generators(self):
         if self._generators is None:
-            self._generators = [
-                [_wiener_stream(seed, element, path)
-                 for element, path in self.paths]
-                for seed in self.noise_seeds]
+            flat = streams([(seed, element, path)
+                            for seed in self.noise_seeds
+                            for element, path in self.paths])
+            width = len(self.paths)
+            self._generators = [flat[row:row + width]
+                                for row in range(0, len(flat), width)]
 
     def normals(self, step: int) -> np.ndarray:
         """Standard-normal draws for solver step ``step``: shape
@@ -142,6 +148,7 @@ class WienerSource:
         return self._buffer[:, :, step - self._buffer_start].copy()
 
     def _advance_to(self, step: int):
+        started = time.perf_counter()
         self._ensure_generators()
         if self._buffer is None:
             self._buffer = np.empty(
@@ -153,6 +160,7 @@ class WienerSource:
                         generator.standard_normal(self.block)
             self._buffer_start = self._drawn
             self._drawn += self.block
+        self.seconds += time.perf_counter() - started
 
 
 #: Hard refinement floor of the adaptive controller: one output-grid
@@ -182,11 +190,12 @@ class BridgeWienerSource:
     where ``d`` is the parent substep width and ``Z`` the refinement
     normal keyed by ``(seed, element, path, level, index)``. Each
     ``(seed, element, path, level)`` owns one PCG64 *bit* stream
-    (:func:`repro.core.noise.bridge_bits`); index ``i`` is word ``i``
-    of that stream, inverse-CDF transformed to a normal — one 64-bit
-    word per normal, so ``PCG64.advance`` gives O(1) random access and
-    an adaptive solver may halve (or re-coarsen) any step in any order
-    and always see the same realized path. Memory stays O(levels): no
+    (:func:`repro.core.noise.bridge_bits`; a level's rows × paths are
+    seeded in one bulk pass when it is first reached); index ``i`` is
+    word ``i`` of that stream, inverse-CDF transformed to a normal —
+    one 64-bit word per normal, so ``PCG64.advance`` gives O(1) random
+    access and an adaptive solver may halve (or re-coarsen) any step in
+    any order and always see the same realized path. Memory stays O(levels): no
     draw buffers, only generators and a per-interval memo of computed
     increments.
 
@@ -202,7 +211,7 @@ class BridgeWienerSource:
         if len(self.grid) < 2:
             raise SimulationError(
                 "BridgeWienerSource needs a grid of >= 2 points")
-        #: level -> per-(instance, path) PCG64 bit generators.
+        #: level -> PCG64 bit generators, instance-major over paths.
         self._streams: dict[int, list] = {}
         #: level -> absolute word index the generators sit at.
         self._positions: dict[int, int] = {}
@@ -211,33 +220,39 @@ class BridgeWienerSource:
         #: Deepest refinement level drawn so far (telemetry:
         #: ``sde.bridge_levels``).
         self.max_level = 0
+        #: Seconds spent seeding and drawing refinement normals
+        #: (telemetry ``sde.wiener_seconds``, added once per solve).
+        self.seconds = 0.0
 
     def _normals(self, level: int, index: int) -> np.ndarray:
         """The ``(n_instances, n_paths)`` refinement normals at
         ``(level, index)`` — identical whenever requested, whatever was
         drawn before or after."""
-        streams = self._streams.get(level)
-        if streams is None:
-            streams = [[_bridge_bits(seed, element, path, level)
-                        for element, path in self.paths]
-                       for seed in self.noise_seeds]
-            self._streams[level] = streams
+        started = time.perf_counter()
+        level_bits = self._streams.get(level)
+        if level_bits is None:
+            level_bits = bit_generators(
+                [bridge_seed(seed, element, path, level)
+                 for seed in self.noise_seeds
+                 for element, path in self.paths])
+            self._streams[level] = level_bits
             self._positions[level] = 0
             self.max_level = max(self.max_level, level)
         delta = index - self._positions[level]
-        raws = np.empty((len(self.noise_seeds), len(self.paths)),
-                        dtype=np.uint64)
-        for row, bits_row in enumerate(streams):
-            for col, bits in enumerate(bits_row):
-                if delta:
-                    bits.advance(delta)
-                raws[row, col] = bits.random_raw()
+        raws = np.empty(len(level_bits), dtype=np.uint64)
+        for position, bits in enumerate(level_bits):
+            if delta:
+                bits.advance(delta)
+            raws[position] = bits.random_raw()
         self._positions[level] = index + 1
         # 53 mantissa bits, centered on the half-step so u is strictly
         # inside (0, 1) — ndtri stays finite for every word.
         uniforms = ((raws >> np.uint64(11)).astype(np.float64) + 0.5) \
             * 2.0 ** -53
-        return ndtri(uniforms)
+        normals = ndtri(uniforms).reshape(len(self.noise_seeds),
+                                          len(self.paths))
+        self.seconds += time.perf_counter() - started
+        return normals
 
     def increment(self, interval: int, level: int,
                   index: int) -> np.ndarray:
@@ -295,15 +310,36 @@ def _substep_plan(grid: np.ndarray, max_step: float):
     return plan, offset
 
 
+def _occurrence_layers(state_index) -> list:
+    """Split the term → state map into layers of distinct targets:
+    layer ``k`` holds each state's ``k``-th term, as ``(targets,
+    columns)`` in term order. Adding the layers in order sums every
+    state's terms in the same order ``np.add.at`` does, so the scatter
+    is bit-identical to it even with duplicate targets — one
+    fancy-index add per layer instead of an unbuffered per-element
+    loop."""
+    state_index = np.asarray(state_index, dtype=np.intp)
+    occurrence = np.empty(len(state_index), dtype=np.intp)
+    seen: dict[int, int] = {}
+    for column, state in enumerate(state_index.tolist()):
+        k = seen.get(state, 0)
+        occurrence[column] = k
+        seen[state] = k + 1
+    layers = []
+    for k in range(max(seen.values(), default=0)):
+        columns = np.flatnonzero(occurrence == k)
+        layers.append((state_index[columns], columns))
+    return layers
+
+
 def _scatter(contrib, state_index: np.ndarray, n_states: int,
              backend=None):
     """Accumulate per-term contributions ``(n_instances, n_terms)`` onto
     their target states: returns ``(n_instances, n_states)``. Multiple
-    terms may share a state (the backend's scatter-add handles the
-    duplicates)."""
+    terms may share a state (see :func:`_occurrence_layers`)."""
     B = backend if backend is not None else resolve_array_backend(None)
-    acc = B.xp.zeros((n_states, contrib.shape[0]), dtype=B.dtype)
-    return B.index_add(acc, state_index, contrib.T).T
+    return _ScatterAccumulator(state_index, n_states, contrib.shape[0],
+                               B)(contrib)
 
 
 class _ScatterAccumulator:
@@ -311,8 +347,9 @@ class _ScatterAccumulator:
 
     The ``(n_states, n_instances)`` accumulator is allocated once and
     re-zeroed per call instead of freshly allocated every substep —
-    zero-fill plus in-place ``index_add`` produces bitwise the same
-    array as scattering into fresh zeros. Two buffers rotate because
+    zero-fill plus the in-place layered add produces bitwise the same
+    array as scattering into fresh zeros, and the occurrence layers are
+    computed once. Two buffers rotate because
     the Heun corrector needs the predictor's scatter alive while the
     corrector's is formed (and Milstein needs the increment scatter
     alive under the correction scatter); callers therefore must not
@@ -325,7 +362,7 @@ class _ScatterAccumulator:
     def __init__(self, state_index, n_states: int, n_instances: int,
                  backend):
         self._B = backend
-        self._state_index = state_index
+        self._layers = _occurrence_layers(state_index)
         self._shape = (n_states, n_instances)
         self._buffers = [None, None]
         self._turn = 0
@@ -341,7 +378,10 @@ class _ScatterAccumulator:
         else:
             acc[...] = 0.0
         self._turn = 1 - self._turn
-        return B.index_add(acc, self._state_index, contrib.T).T
+        contrib = contrib.T
+        for targets, columns in self._layers:
+            acc[targets] += contrib[columns]
+        return acc.T
 
 
 def _noise_settle(batch: BatchRhs, scatter, y, t_next: float,
@@ -681,6 +721,7 @@ def solve_sde(batch: BatchRhs | list[OdeSystem],
         telemetry.add(f"solver.array_backend.{backend.name}")
         telemetry.add("solver.nfev", nfev)
         telemetry.add("sde.scatter_allocs", scatter.allocs)
+        telemetry.add("sde.wiener_seconds", wiener.seconds)
         if adaptive:
             telemetry.add("solver.steps_accepted", n_acc)
             telemetry.add("solver.steps_rejected", n_rej)

@@ -269,8 +269,9 @@ def merge_worker(info: dict) -> None:
 
     ``info`` must carry a ``"worker"`` name; every other numeric entry
     is summed into that worker's block under ``report.workers`` and,
-    for the queue/busy/payload-cache metrics, into the matching global
-    ``pool.*`` counters so single-number totals stay one lookup away.
+    for the queue/busy/payload-cache metrics and the Wiener seconds,
+    into the matching global ``pool.*``/``sde.*`` counters so
+    single-number totals stay one lookup away.
     An optional ``"events"`` list (monotonic-stamped shard-solve spans)
     is rebased onto this window's timeline and lands in
     ``report.events`` — one trace lane per worker.
@@ -289,6 +290,7 @@ def merge_worker(info: dict) -> None:
     counters = collector.counters
     for key, pooled in (("queue_wait_seconds", "pool.queue_wait_seconds"),
                         ("busy_seconds", "pool.worker_busy_seconds"),
+                        ("wiener_seconds", "sde.wiener_seconds"),
                         ("payload_cache_hits", "pool.payload_cache_hits"),
                         ("payload_cache_misses",
                          "pool.payload_cache_misses")):

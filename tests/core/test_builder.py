@@ -123,3 +123,139 @@ class TestFinish:
                  .set_init("x", 1.0)
                  .finish())
         assert graph.stats()["nodes"] == 1
+
+
+class _StreamRecorder:
+    """Wraps ``repro.core.mismatch.streams``: records each bulk call's
+    keys."""
+
+    def __init__(self, monkeypatch):
+        from repro.core import mismatch
+
+        self.calls = []
+        real = mismatch.streams
+
+        def recording(keys):
+            keys = list(keys)
+            self.calls.append(keys)
+            return real(keys)
+
+        monkeypatch.setattr(mismatch, "streams", recording)
+
+
+class TestDeferredMismatch:
+    """Mismatched writes are queued and drawn in one bulk call; every
+    value equals the one-at-a-time draw of its (seed, element, attr)."""
+
+    @staticmethod
+    def _sample(seed, element, attr, nominal, mm=(0.0, 0.1)):
+        from repro.core.datatypes import Mismatch
+        from repro.core.mismatch import MismatchSampler
+
+        return MismatchSampler(seed).sample(element, attr, Mismatch(*mm),
+                                            nominal)
+
+    def test_graph_read_mid_build_is_resolved(self, mm_lang):
+        builder = GraphBuilder(mm_lang, seed=42)
+        builder.node("n", "N").set_attr("n", "a", 5.0)
+        assert builder.graph.node("n").attrs["a"] == \
+            self._sample(42, "n", "a", 5.0)
+        builder.node("m", "N").set_attr("m", "a", 3.0)
+        graph = builder.graph
+        assert graph.node("m").attrs["a"] == self._sample(42, "m", "a", 3.0)
+        assert graph.node("n").attrs["a"] == self._sample(42, "n", "a", 5.0)
+
+    def test_rewrite_keeps_last_write(self, mm_lang):
+        builder = GraphBuilder(mm_lang, seed=42)
+        builder.node("n", "N")
+        builder.set_attr("n", "a", 5.0).set_attr("n", "a", 7.0)
+        node = builder.graph.node("n")
+        assert node.nominal_attrs["a"] == 7.0
+        assert node.attrs["a"] == self._sample(42, "n", "a", 7.0)
+        # A write after a flush replaces the flushed sample.
+        builder.set_attr("n", "a", 2.0)
+        assert builder.graph.node("n").attrs["a"] == \
+            self._sample(42, "n", "a", 2.0)
+
+    def test_zero_sigma_rewrite_drops_queued_draw(self, mm_lang):
+        builder = GraphBuilder(mm_lang, seed=42)
+        builder.node("n", "N")
+        builder.set_attr("n", "a", 5.0).set_attr("n", "a", 0.0)
+        assert builder.graph.node("n").attrs["a"] == 0.0
+
+    def test_one_bulk_draw_per_build(self, mm_lang, monkeypatch):
+        recorder = _StreamRecorder(monkeypatch)
+        builder = GraphBuilder(mm_lang, seed=3)
+        for name in ("n0", "n1", "n2"):
+            builder.node(name, "N").set_attr(name, "a", 5.0)
+            builder.set_attr(name, "b", 5.0)
+        builder.edge("n0", "n0", "s", "S")
+        builder.finish()
+        assert recorder.calls == [[(3, "n0", "a"), (3, "n1", "a"),
+                                   (3, "n2", "a")]]
+
+    def test_no_seed_and_zero_sigma_draw_nothing(self, mm_lang,
+                                                  monkeypatch):
+        recorder = _StreamRecorder(monkeypatch)
+        ideal = GraphBuilder(mm_lang)
+        ideal.node("n", "N").set_attr("n", "a", 5.0)
+        assert ideal.graph.node("n").attrs["a"] == 5.0
+        zero = GraphBuilder(mm_lang, seed=4)
+        zero.node("n", "N").set_attr("n", "a", 0.0)
+        assert zero.graph.node("n").attrs["a"] == 0.0
+        assert recorder.calls == []
+
+    def test_integer_values_round(self):
+        language = repro.Language("mm-int")
+        language.node_type("N", order=1, attrs=[
+            ("k", repro.integer(0, 100, mm=(5, 0)))])
+        builder = GraphBuilder(language, seed=3)
+        builder.node("n", "N").set_attr("n", "k", 50)
+        value = builder.graph.node("n").attrs["k"]
+        assert isinstance(value, int)
+        assert value == int(round(self._sample(3, "n", "k", 50.0,
+                                               mm=(5, 0))))
+
+    def test_mismatched_init_is_float(self):
+        from repro.core.attributes import InitDecl
+
+        language = repro.Language("mm-init")
+        language.node_type("N", order=1, inits=[
+            InitDecl(0, repro.real(-10, 10, mm=(0.1, 0.0)))])
+        builder = GraphBuilder(language, seed=9)
+        builder.node("n", "N").set_init("n", 1.0)
+        node = builder.graph.node("n")
+        assert node.nominal_inits[0] == 1.0
+        assert node.inits[0] == self._sample(9, "n", "init0", 1.0,
+                                             mm=(0.1, 0.0))
+
+    def test_ark_function_path(self):
+        from repro.core import function as F
+
+        lang = repro.Language("mm-fn")
+        lang.node_type("N", order=1, attrs=[
+            ("a", repro.real(0, 10, mm=(0, 0.1)))])
+        lang.edge_type("S")
+        lang.prod("prod(e:S,s:N->s:N) s<=-var(s)")
+        fn = F.ArkFunction("f", lang, statements=[
+            F.NodeStmt("n", "N"),
+            F.SetAttrStmt("n", "a", F.Literal(5.0)),
+            F.EdgeStmt("n", "n", "s", "S")])
+        assert fn.invoke(seed=11).node("n").attrs["a"] == \
+            self._sample(11, "n", "a", 5.0)
+
+    def test_rewrite_path(self, gmc, small_spec):
+        from repro.core.rewrite import substitute_types
+        from repro.paradigms.tln import linear_tline, mismatched_tline
+
+        rewritten = substitute_types(linear_tline(small_spec),
+                                     {"V": "Vm", "I": "Im"},
+                                     language=gmc, seed=7)
+        built = mismatched_tline("cint", small_spec, seed=7)
+        mismatched = 0
+        for node in built.nodes:
+            for attr, value in node.attrs.items():
+                if isinstance(value, float):
+                    assert rewritten.node(node.name).attrs[attr] == value
+                    mismatched += value != node.nominal_attrs[attr]
+        assert mismatched > 0

@@ -258,3 +258,86 @@ class TestWienerStreams:
         value = sampler.sample("el", "a", Mismatch(0.0, 0.1), 1.0)
         expected = float(stream(3, "el", "a").normal(1.0, 0.1))
         assert value == pytest.approx(expected)
+
+
+class TestBulkSeeding:
+    """``seed_words``/``streams`` reproduce numpy's own per-seed
+    seeding bit for bit: one vectorized pass, the same generators."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    @classmethod
+    def _seeds(cls):
+        rng = np.random.default_rng(2024)
+        drawn = rng.integers(0, 2**64 - 1, size=200, dtype=np.uint64,
+                             endpoint=True)
+        return cls.EDGE_SEEDS + [int(seed) for seed in drawn]
+
+    def test_seed_words_match_seed_sequence(self):
+        from repro.core.noise import seed_words
+
+        seeds = self._seeds()
+        words = seed_words(seeds)
+        assert words.shape == (len(seeds), 4)
+        assert words.dtype == np.uint64
+        for seed, row in zip(seeds, words):
+            expected = np.random.SeedSequence(seed).generate_state(
+                4, np.uint64)
+            assert np.array_equal(row, expected), seed
+
+    def test_bit_generators_match_pcg64_state(self):
+        from repro.core.noise import bit_generators
+
+        seeds = self._seeds()
+        for seed, bits in zip(seeds, bit_generators(seeds)):
+            assert bits.state == np.random.PCG64(seed).state, seed
+
+    def test_streams_match_per_triple_generators(self):
+        from repro.core.noise import streams
+
+        keys = [("5:3", "E_1", "w0"), (7, "x", "tau"), (-3, "y", "init0"),
+                ("0:31", "$shared", "supply"), (None, "n", "a")]
+        for key, generator in zip(keys, streams(keys)):
+            reference = np.random.Generator(
+                np.random.PCG64(stream_seed(*key)))
+            assert generator.bit_generator.state == \
+                reference.bit_generator.state
+            assert np.array_equal(generator.standard_normal(16),
+                                  reference.standard_normal(16))
+
+    def test_stream_is_a_batch_of_one(self):
+        from repro.core.noise import streams
+
+        (batched,) = streams([("5:3", "E_1", "w0")])
+        single = stream("5:3", "E_1", "w0")
+        assert np.array_equal(batched.standard_normal(8),
+                              single.standard_normal(8))
+
+    def test_bridge_bits_match_pcg64(self):
+        from repro.core.noise import bridge_bits, bridge_seed
+
+        for level in (0, 1, 7):
+            bits = bridge_bits("2:5", "E_4", "w0", level)
+            reference = np.random.PCG64(bridge_seed("2:5", "E_4", "w0",
+                                                    level))
+            assert bits.state == reference.state
+            bits.advance(1000)
+            reference.advance(1000)
+            assert bits.random_raw() == reference.random_raw()
+
+    def test_empty_and_out_of_range(self):
+        from repro.core.noise import seed_words, streams
+
+        assert seed_words([]).shape == (0, 4)
+        assert streams([]) == []
+        with pytest.raises(OverflowError):
+            seed_words([-1])
+        with pytest.raises(OverflowError):
+            seed_words([2**64])
+
+    def test_words_serve_pcg64_only(self):
+        from repro.core.noise import bit_generators
+
+        seed_seq = bit_generators([5])[0].seed_seq
+        with pytest.raises(NotImplementedError):
+            seed_seq.generate_state(8, np.uint32)

@@ -38,6 +38,17 @@ class TestSeededReadoutNoise:
         c = encode_response(samples, noise_sigma=1.0, seed=6)
         assert not np.array_equal(a, c)
 
+    def test_readout_stream_is_the_keyed_stream(self):
+        from repro.core.noise import stream_seed
+        from repro.puf.response import _readout_rng
+
+        for seed, challenge, trial in ((2, 1, 0), (-4, 3, 7), (0, 0, 31)):
+            reference = np.random.Generator(np.random.PCG64(stream_seed(
+                seed, "readout", f"{challenge}:{trial}")))
+            assert np.array_equal(
+                _readout_rng(seed, challenge, trial).normal(0.0, 1.0, 12),
+                reference.normal(0.0, 1.0, 12))
+
     def test_evaluate_puf_derives_reproducible_rng(self, quiet_design):
         a = evaluate_puf(quiet_design, 1, seed=2, noise_sigma=2e-3,
                          **EVAL)

@@ -335,6 +335,40 @@ class TestScatterAccumulator:
         acc(first_in)
         assert acc.allocs == 2  # buffers are reused from call 3 on
 
+    @staticmethod
+    def _add_at(contrib, state_index, n_states):
+        acc = np.zeros((n_states, contrib.shape[0]), dtype=contrib.dtype)
+        np.add.at(acc, state_index, contrib.T)
+        return acc.T
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_duplicate_targets_match_add_at_bytes(self, dtype):
+        """Layered fancy-index adds replay np.add.at's per-state order:
+        same bytes with repeated targets, signed zeros and cancellation."""
+        from repro.sim.array_api import resolve_array_backend
+
+        backend = resolve_array_backend(f"numpy:{np.dtype(dtype).name}")
+        state_index = np.array([2, 0, 2, 1, 2])
+        rng = np.random.default_rng(7)
+        contrib = (rng.normal(size=(6, 5)) * 10.0 ** rng.integers(
+            -8, 8, size=(6, 5))).astype(dtype)
+        contrib[0] = -0.0
+        contrib[1, [0, 2]] = [1e16, -1e16]
+        contrib[2, 4] = -0.0
+        expected = self._add_at(contrib, state_index, 4)
+        got = _scatter(contrib, state_index, 4, backend)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        acc = _ScatterAccumulator(state_index, 4, 6, backend)
+        acc(rng.normal(size=(6, 5)).astype(dtype))
+        acc(rng.normal(size=(6, 5)).astype(dtype))
+        assert acc(contrib).tobytes() == expected.tobytes()
+        assert np.signbit(got[0]).sum() == 0  # 0.0 + -0.0 is +0.0
+
+    def test_no_terms_scatter_zeros(self):
+        got = _scatter(np.zeros((3, 0)), np.array([], dtype=int), 2)
+        assert np.array_equal(got, np.zeros((3, 2)))
+
     def test_solve_allocates_exactly_two_buffers(self):
         batch = compile_batch([_ou_system(nsig=0.5)])
         report = RunReport()

@@ -217,6 +217,22 @@ class TestCounters:
         merged = report.merged_worker_counters()
         assert merged["nfev"] > 0
 
+    @pytest.mark.parametrize("method", ["heun", "heun-adaptive"])
+    @pytest.mark.parametrize("engine", ["batch", "pool"])
+    def test_wiener_seconds(self, method, engine):
+        """The Wiener source's seeding + draw seconds are counted once
+        per solve, in-process and merged back from pool workers."""
+        factory = NoisyTlineFactory(TLineSpec(n_segments=3),
+                                    noise=1e-9)
+        result = run_ensemble(factory, range(2), SPAN, trials=2,
+                              n_points=20, sde_method=method,
+                              rtol=1e-3, atol=1e-6, reference=False,
+                              cache=TrajectoryCache(), telemetry=True,
+                              **ENGINE_KWARGS[engine])
+        report = result.telemetry
+        assert report.counter("sde.wiener_seconds") > 0.0
+        assert report.counter("sde.wiener_seconds") < report.wall_seconds
+
     def test_stream_gauges_monotone(self):
         """Chunk arrivals are monotone in delivery order; TTFC is the
         first arrival; per-chunk stats ride on the chunk itself."""
