@@ -83,9 +83,8 @@ from repro.errors import (
     ValidationError,
 )
 from repro.framework import RunResult, run
-from repro.sim import (BatchTrajectory, EnsembleResult,
-                       NoisyEnsembleResult, run_ensemble, simulate_sde,
-                       solve_sde, stream_ensemble)
+from repro.sim import (BatchTrajectory, EnsembleResult, run_ensemble,
+                       simulate_sde, solve_sde)
 
 __version__ = "1.0.0"
 
@@ -140,7 +139,5 @@ __all__ = [
     "run_ensemble",
     "simulate_sde",
     "solve_sde",
-    "stream_ensemble",
-    "NoisyEnsembleResult",
     "__version__",
 ]

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.noisy import NoisyEnsembleResult
+from repro.sim.ensemble import EnsembleResult
 
 
-def trial_matrix(result: NoisyEnsembleResult, chip_index: int,
+def trial_matrix(result: EnsembleResult, chip_index: int,
                  node: str, times: np.ndarray) -> np.ndarray:
     """One chip's noise trials sampled at common times:
     shape (trials, n_t)."""
@@ -24,7 +24,7 @@ def trial_matrix(result: NoisyEnsembleResult, chip_index: int,
     return batch.sample(node, times)[rows]
 
 
-def trial_spread(result: NoisyEnsembleResult, node: str,
+def trial_spread(result: EnsembleResult, node: str,
                  window: tuple[float, float],
                  n_samples: int = 100) -> np.ndarray:
     """Per-chip scalar noise spread: the mean pointwise standard
@@ -34,17 +34,17 @@ def trial_spread(result: NoisyEnsembleResult, node: str,
     times = np.linspace(window[0], window[1], n_samples)
     return np.array([
         trial_matrix(result, chip, node, times).std(axis=0).mean()
-        for chip in range(result.n_chips)])
+        for chip in range(len(result.seeds))])
 
 
-def noise_snr(result: NoisyEnsembleResult, node: str,
+def noise_snr(result: EnsembleResult, node: str,
               window: tuple[float, float],
               n_samples: int = 100) -> np.ndarray:
     """Per-chip signal-to-noise ratio inside the window: RMS of the
     deterministic reference over the mean trial deviation from it."""
     times = np.linspace(window[0], window[1], n_samples)
     ratios = []
-    for chip in range(result.n_chips):
+    for chip in range(len(result.seeds)):
         reference = result.reference(chip).sample(node, times)
         trials = trial_matrix(result, chip, node, times)
         signal = float(np.sqrt(np.mean(reference ** 2)))

@@ -226,7 +226,7 @@ def cmd_ensemble(args) -> int:
     transient-noise sweeps with ``--trials``."""
     import time
 
-    from repro.sim import ExecutionPlan
+    from repro.sim import ExecutionPlan, execute_plan, stream_plan
 
     if args.seeds < 1:
         raise ArkError(f"--seeds must be >= 1, got {args.seeds}")
@@ -254,11 +254,10 @@ def cmd_ensemble(args) -> int:
                    engine=args.engine, dense=args.dense,
                    processes=args.processes, cache=args.cache_dir or None,
                    max_step=args.max_step, freeze_tol=args.freeze_tol,
+                   rtol=args.rtol, atol=args.atol,
                    trials=args.trials, noise_seed=args.noise_seed,
                    sde_method=args.sde_method,
                    array_backend=args.array_backend)
-    if noisy:
-        options.update(rtol=args.sde_rtol, atol=args.sde_atol)
     plan = ExecutionPlan(
         factory=factory, seeds=list(seeds), t_span=(0.0, args.t_end),
         **{key: value for key, value in options.items()
@@ -288,8 +287,8 @@ def cmd_ensemble(args) -> int:
         window = contextlib.nullcontext()
     start = time.perf_counter()
     with window:
-        result = (plan.stream(progress=progress) if args.stream
-                  else plan.run(progress=progress))
+        result = (stream_plan(plan, progress=progress) if args.stream
+                  else execute_plan(plan, progress=progress))
         if args.stream:
             # Drain the chunk stream, narrating each finished group,
             # then reassemble — the emitted statistics/CSV are
@@ -299,47 +298,30 @@ def cmd_ensemble(args) -> int:
             chunks = []
             for chunk in result:
                 chunks.append(chunk)
-                rows = chunk.batches[0].n_instances if chunk.batches \
-                    else len(chunk.indices)
-                flavor = "serial" if not chunk.batches else (
-                    "SDE" if noisy else "batched")
-                print(f"[stream] group {chunk.order}: {rows} {flavor} "
-                      f"row(s) covering {len(chunk.indices)} seed(s) "
-                      f"at {time.perf_counter() - start:.2f}s")
+                flavor = "batched" if chunk.batches else "serial"
+                print(f"[stream] group {chunk.order}: {len(chunk)} "
+                      f"{flavor} row(s) covering {len(chunk.indices)} "
+                      f"seed(s) at {time.perf_counter() - start:.2f}s")
             result = assemble_chunks(chunks, plan.seeds,
                                      trials=plan.trials)
     elapsed = time.perf_counter() - start
 
+    from repro.analysis import ensemble_matrix
+
     nodes = args.node or [
         node.name for node in first.nodes if node.type.order >= 1]
-    if noisy:
-        grid = result.batches[0].t
-        stacked = {node: np.concatenate([batch.state(node)
-                                         for batch in result.batches])
-                   for node in nodes}
-        header, matrix = _stats_columns(nodes, grid, stacked.__getitem__)
-        total = args.seeds * args.trials
-        print(f"{args.seeds} chip(s) x {args.trials} trial(s) = "
-              f"{total} noisy runs in {elapsed:.2f}s "
-              f"({len(result.batches)} SDE batch(es), method "
-              f"{plan.sde_method})")
-    else:
-        from repro.analysis import ensemble_matrix
-
-        grid = result.trajectories[0].t
-        # The fully batched common case already holds stacked storage;
-        # mixed serial/batched ensembles are sampled onto the shared
-        # grid.
-        fully_batched = len(result.batches) == 1 and \
-            not result.serial_indices
-        header, matrix = _stats_columns(
-            nodes, grid,
-            lambda node: result.batches[0].state(node) if fully_batched
-            else ensemble_matrix(result.trajectories, node, grid))
-        print(f"{len(result)} instances in {elapsed:.2f}s "
-              f"({result.batched_fraction * 100:.0f}% batched: "
-              f"{len(result.batches)} batch(es), "
-              f"{len(result.serial_indices)} serial)")
+    # Every (chip, trial) row, in seed order, on the shared grid.
+    grid = result.trajectories[0].t
+    header, matrix = _stats_columns(
+        nodes, grid,
+        lambda node: ensemble_matrix(result.trajectories, node, grid))
+    runs = (f"{args.seeds} chip(s) x {args.trials} trial(s) = "
+            f"{len(result)} noisy runs" if noisy
+            else f"{len(result)} instances")
+    print(f"{runs} in {elapsed:.2f}s "
+          f"({result.batched_fraction * 100:.0f}% batched: "
+          f"{len(result.batches)} batch(es), "
+          f"{len(result.serial_indices)} serial)")
     if args.csv:
         np.savetxt(args.csv, matrix, delimiter=",",
                    header=",".join(header), comments="")
@@ -541,13 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SDE method with --trials: "
                        f"{', '.join(SDE_METHODS)}; default "
                        f"{ExecutionPlan.sde_method}")
-    p_ens.add_argument("--sde-rtol", type=float,
-                       help="relative tolerance of the adaptive SDE "
-                       "controller (heun-adaptive/em-adaptive; "
-                       f"default {ExecutionPlan.rtol:g})")
-    p_ens.add_argument("--sde-atol", type=float,
-                       help="absolute tolerance of the adaptive SDE "
-                       f"controller (default {ExecutionPlan.atol:g})")
+    p_ens.add_argument("--rtol", type=float,
+                       help="relative tolerance of every sweep: the "
+                       "ODE solvers, the adaptive SDE controller "
+                       "(heun-adaptive/em-adaptive) and the freeze "
+                       f"criterion (default {ExecutionPlan.rtol:g})")
+    p_ens.add_argument("--atol", type=float,
+                       help="absolute tolerance, likewise (default "
+                       f"{ExecutionPlan.atol:g})")
     p_ens.add_argument("--max-step", type=float,
                        help="solver step cap (default span/64)")
     p_ens.add_argument("--freeze-tol", type=float,

@@ -292,9 +292,9 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
         :func:`repro.sim.solve_sde`); an approximation knob, off by
         default.
     """
-    from repro.sim import compile_batch, solve_sde
     from repro.core.compiler import compile_graph
     from repro.paradigms.obc.noisy import MaxcutTrialFactory
+    from repro.sim.plan import solve_rows
 
     rng = np.random.default_rng(seed)
     initials = rng.uniform(0.0, 2.0 * math.pi, (trials, n_vertices))
@@ -308,18 +308,12 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
             noise_sigma=float(sigma))
         systems = [compile_graph(factory(trial))
                    for trial in range(trials)]
-        if sigma > 0.0:
-            tokens = [f"{seed}:{k}" for k in range(trials)]
-            batch = solve_sde(compile_batch(systems), (0.0, t_end),
-                              noise_seeds=tokens, n_points=n_points,
-                              method=method, max_step=max_step,
-                              freeze_tol=freeze_tol)
-        else:
-            from repro.sim import solve_batch
-            batch = solve_batch(compile_batch(systems), (0.0, t_end),
-                                n_points=n_points, method="rk4",
-                                max_step=max_step,
-                                freeze_tol=freeze_tol)
+        # A noise-free amplitude is the Wiener-free case: batched rk4.
+        tokens = ([f"{seed}:{k}" for k in range(trials)]
+                  if sigma > 0.0 else None)
+        batch = solve_rows(systems, tokens, (0.0, t_end), dict(
+            n_points=n_points, method=method if tokens else "rk4",
+            max_step=max_step, freeze_tol=freeze_tol))
         point = NoisePoint(noise_sigma=float(sigma))
         for trial in range(trials):
             result = MaxcutResult(edges=edges, n_vertices=n_vertices,

@@ -11,7 +11,7 @@ them to be, so uniformity stays a meaningful metric.
 Reliability is probed with **transient noise** by default: a
 ``PufDesign(noise=...)`` chip is a stochastic system, and repeated
 noisy SDE evaluations of one chip (:func:`evaluate_puf_noisy`, on the
-batched engine of :mod:`repro.sim.noisy`) perturb the *dynamics*, not
+batched engine of :mod:`repro.sim.ensemble`) perturb the *dynamics*, not
 just the readout. The legacy readout-noise model — additive Gaussian
 noise on the sampled voltages — is kept as an explicit option
 (``mode="readout"`` in :func:`puf_reliability`); either way every
@@ -147,11 +147,8 @@ def evaluate_puf_population(design: PufDesign, challenge, seeds, *,
         ChipFactory(design, challenge), seeds,
         (0.0, horizon), n_points=n_points, processes=processes)
     times = _window_times(window, n_bits)
-    if len(result.batches) == 1 and not result.serial_indices:
-        samples = result.batches[0].sample("OUT_V", times)
-    else:
-        samples = np.stack([trajectory.sample("OUT_V", times)
-                            for trajectory in result.trajectories])
+    samples = np.stack([trajectory.sample("OUT_V", times)
+                        for trajectory in result.trajectories])
     bits = []
     for row, seed in enumerate(seeds):
         rng = (_readout_rng(seed, challenge)

@@ -14,9 +14,11 @@ implementation runs them as vectorized batches (``--vectorize --bz
 * :mod:`repro.sim.plan` — the unified execution-plan layer: an
   :class:`~repro.sim.plan.ExecutionPlan`, whose fields are the one
   definition of every sweep option, dispatched per group on one of
-  three engines (``batch``/``serial``/``pool``); every driver compiles
-  into it, so pooling, caching, and per-instance step masks cover the
-  deterministic and the SDE path identically;
+  three engines (``batch``/``serial``/``pool``). A deterministic sweep
+  is the one-trial, Wiener-free case of the noisy one: one row
+  expansion (chip × trial), one result type, one recovery rule, so
+  pooling, caching, and per-instance step masks cover both
+  identically;
 * :mod:`repro.sim.pool` / :mod:`repro.sim.shm` — the persistent
   worker pool, the engine's one process model: each batched group
   splits into ``processes`` near-equal contiguous shards
@@ -24,13 +26,12 @@ implementation runs them as vectorized batches (``--vectorize --bz
   memory, the serial fan-out through the result queue;
 * :mod:`repro.sim.ensemble` — :func:`~repro.sim.ensemble.run_ensemble`,
   the one driver for mismatch sweeps *and* (with ``trials=K``)
-  transient-noise sweeps;
+  transient-noise sweeps, with their one (chip, trial)-indexed result
+  type :class:`~repro.sim.ensemble.EnsembleResult`;
 * :mod:`repro.sim.sde_solver` — batched transient-noise (SDE)
   integration: deterministic per-``(seed, element, path)`` Wiener
   streams plus vectorized Euler–Maruyama / stochastic Heun solvers over
   the same ``(n_instances, n_states)`` storage;
-* :mod:`repro.sim.noisy` — the (chip seed × noise trial) result
-  types of ``run_ensemble(..., trials=K)``;
 * :mod:`repro.sim.array_api` — the pluggable array-namespace layer:
   an :class:`~repro.sim.array_api.ArrayBackend` seam with the numpy
   backend (bit-identical float64 default, float32 opt-in), selected per
@@ -62,12 +63,10 @@ from repro.sim.cache import CacheStats, TrajectoryCache, default_cache
 from repro.sim.plan import (BATCH_METHODS, ENGINES, ExecutionPlan,
                             NoiseSpec, assemble_chunks, execute_plan,
                             stream_plan)
-from repro.sim.ensemble import (EnsembleChunk, EnsembleResult,
-                                run_ensemble, stream_ensemble)
+from repro.sim.ensemble import EnsembleChunk, EnsembleResult, run_ensemble
 from repro.sim.pool import even_parts
 from repro.sim.sde_solver import (SDE_METHODS, WienerSource,
                                   simulate_sde, solve_sde)
-from repro.sim.noisy import NoisyEnsembleChunk, NoisyEnsembleResult
 
 __all__ = [
     "ArrayBackend",
@@ -80,8 +79,6 @@ __all__ = [
     "EnsembleResult",
     "ExecutionPlan",
     "NoiseSpec",
-    "NoisyEnsembleChunk",
-    "NoisyEnsembleResult",
     "NumpyBackend",
     "SDE_METHODS",
     "TrajectoryCache",
@@ -100,6 +97,5 @@ __all__ = [
     "simulate_sde",
     "solve_batch",
     "solve_sde",
-    "stream_ensemble",
     "stream_plan",
 ]

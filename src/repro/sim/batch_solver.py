@@ -206,6 +206,26 @@ def _resolve_max_step(max_step, span: float) -> float:
     return max_step
 
 
+def _solve_grids(t_span, n_points, t_eval, max_step, freeze_tol):
+    """The checks and grids every batched solve (ODE and SDE) starts
+    from: ``(grid, work_grid, max_step)``. ``y0`` is the state at
+    ``t_span[0]``, so a later-starting output grid still integrates
+    from there (matching scipy's ``t_eval`` semantics): the work grid
+    then carries a pre-roll column, dropped afterwards."""
+    grid = _output_grid(t_span, n_points, t_eval)
+    t0 = float(t_span[0])
+    if grid[0] < t0:
+        raise SimulationError(
+            f"t_eval starts at {grid[0]} before the span start {t0}")
+    work_grid = np.concatenate(([t0], grid)) if grid[0] > t0 else grid
+    max_step = _resolve_max_step(max_step,
+                                 work_grid[-1] - work_grid[0])
+    if freeze_tol is not None and freeze_tol <= 0.0:
+        raise SimulationError(
+            f"freeze_tol must be > 0 (or None), got {freeze_tol}")
+    return grid, work_grid, max_step
+
+
 def _batch_backend(batch, array_backend):
     """Resolve the array backend a solve runs on. A precompiled
     :class:`BatchRhs` carries its own (its kernels were emitted for
@@ -615,21 +635,9 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
     backend = _batch_backend(batch, array_backend)
     if not isinstance(batch, BatchRhs):
         batch = compile_batch(batch, array_backend=backend)
-    grid = _output_grid(t_span, n_points, t_eval)
-    t0 = float(t_span[0])
-    if grid[0] < t0:
-        raise SimulationError(
-            f"t_eval starts at {grid[0]} before the span start {t0}")
-    # y0 is the state at t_span[0]; a later-starting output grid still
-    # integrates from t0 (matching scipy's t_eval semantics), the
-    # pre-roll column is dropped afterwards.
-    preroll = grid[0] > t0
-    work_grid = np.concatenate(([t0], grid)) if preroll else grid
-    max_step = _resolve_max_step(max_step,
-                                 work_grid[-1] - work_grid[0])
-    if freeze_tol is not None and freeze_tol <= 0.0:
-        raise SimulationError(
-            f"freeze_tol must be > 0 (or None), got {freeze_tol}")
+    grid, work_grid, max_step = _solve_grids(t_span, n_points, t_eval,
+                                             max_step, freeze_tol)
+    preroll = len(work_grid) > len(grid)
     name = method.lower()
     if name == "rk4":
         y_out, frozen, nfev, accepted, rejected = _rk4_batch(

@@ -337,56 +337,6 @@ class TrajectoryCache:
         self._entries.clear()
 
 
-def cache_lookup(store: TrajectoryCache | None, systems, kind,
-                 options: dict):
-    """The lookup half of the caching protocol: returns ``(key,
-    trajectory-or-None)``. ``key`` is ``None`` for an absent store or
-    an unstable batch identity (then nothing may be stored either); a
-    non-``None`` trajectory is the rebuilt hit."""
-    from repro.sim.batch_solver import BatchTrajectory
-
-    if store is None:
-        return None, None
-    key = store.key_for(systems, kind, options)
-    if key is None:
-        return None, None
-    hit = store.get(key)
-    if hit is None:
-        return key, None
-    return key, BatchTrajectory(t=hit[0], y=hit[1],
-                                systems=list(systems))
-
-
-def cache_store(store: TrajectoryCache | None, key,
-                trajectory, storable: bool) -> None:
-    """The store half of the protocol: persist a solved batch under a
-    key obtained from :func:`cache_lookup`. ``storable=False`` vetoes
-    storing a result an uncached rerun could not reproduce bit-for-bit
-    (e.g. a shard-split adaptive solve, whose step control differs
-    from the whole-group integration)."""
-    if store is not None and key is not None and storable:
-        store.put(key, trajectory.t, trajectory.y)
-
-
-def cached_batch_solve(store: TrajectoryCache | None, systems, kind,
-                       options: dict, solve):
-    """Run one batched solve through an optional cache: key, get,
-    rebuild-on-hit, else solve and store — the shared sequence of the
-    ensemble and noisy drivers (the streaming executor uses the
-    :func:`cache_lookup`/:func:`cache_store` halves directly, because
-    its solve happens asynchronously between them).
-
-    ``solve()`` must return ``(BatchTrajectory, storable)``; solver
-    exceptions propagate to the caller unchanged.
-    """
-    key, hit = cache_lookup(store, systems, kind, options)
-    if hit is not None:
-        return hit
-    trajectory, storable = solve()
-    cache_store(store, key, trajectory, storable)
-    return trajectory
-
-
 _DEFAULT_CACHE: TrajectoryCache | None = None
 
 

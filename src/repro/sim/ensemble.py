@@ -7,7 +7,9 @@ signature, and integrates each compatible group through one batched RHS
 the unified execution-plan layer (:mod:`repro.sim.plan`) it is also the
 single driver for transient-noise sweeps: ``run_ensemble(...,
 trials=K)`` realizes K independent Wiener trials per fabricated chip
-through the batched SDE engine.
+through the batched SDE engine. Both return one
+:class:`EnsembleResult` indexed by (chip, trial); a deterministic sweep
+is its one-trial case.
 
 The common case — N mismatch seeds of one Ark function invocation —
 lands in a single batch and runs orders of magnitude faster than N
@@ -20,27 +22,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.simulator import Trajectory
+from repro.errors import SimulationError
 from repro.telemetry import RunReport, collect_metrics
 
 from repro.sim.batch_solver import BatchTrajectory
-from repro.sim.plan import ExecutionPlan
+from repro.sim.plan import ExecutionPlan, execute_plan, stream_plan
 
 __all__ = [
     "EnsembleChunk",
     "EnsembleResult",
     "run_ensemble",
-    "stream_ensemble",
 ]
 
 
 @dataclass
 class EnsembleResult:
-    """Outcome of an ensemble run.
+    """Outcome of a sweep, indexed by (chip, trial); a deterministic
+    sweep is the one-trial case.
 
-    ``trajectories`` is ordered like the input seeds (batched instances
-    are unpacked back into serial :class:`Trajectory` views), so callers
-    of the legacy list-based API keep working; ``batches`` exposes the
-    stacked storage for vectorized analysis.
+    ``trajectories`` holds every row as a serial :class:`Trajectory`
+    view, chip-major and trial-minor in seed order; ``batches`` expose
+    the stacked storage for vectorized analysis, each chip's trials in
+    consecutive rows; ``references`` (noisy sweeps with
+    ``reference=True``) hold one noise-free run per chip.
     """
 
     trajectories: list[Trajectory] = field(default_factory=list)
@@ -49,9 +53,15 @@ class EnsembleResult:
     groups: list[list[int]] = field(default_factory=list)
     #: Seed-list indices that took the serial scipy path.
     serial_indices: list[int] = field(default_factory=list)
+    seeds: list = field(default_factory=list)
+    trials: int = 1
+    references: list[Trajectory] | None = None
     #: The run's :class:`~repro.telemetry.RunReport` when the driver was
     #: called with ``telemetry=`` (``None`` otherwise).
     telemetry: RunReport | None = None
+    #: chip index -> (batch number, first row of its trial block), for
+    #: the chips of ``batches``.
+    _rows: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -69,27 +79,58 @@ class EnsembleResult:
         return (total - len(self.serial_indices)) / total if total \
             else 0.0
 
+    def trajectory(self, chip_index: int, trial: int = 0) -> Trajectory:
+        """One (chip, trial) run as a serial :class:`Trajectory`."""
+        if not 0 <= trial < self.trials:
+            raise IndexError(f"trial {trial} outside 0..{self.trials - 1}")
+        return self.trajectories[chip_index * self.trials + trial]
+
+    def trial_rows(self, chip_index: int):
+        """The (batch, row slice) holding one chip's trials — for
+        vectorized readout without unpacking to serial trajectories."""
+        if chip_index not in self._rows:
+            raise SimulationError(
+                f"chip {chip_index} took the serial path; it has no "
+                "batch rows")
+        batch_number, row = self._rows[chip_index]
+        return self.batches[batch_number], slice(row, row + self.trials)
+
+    def reference(self, chip_index: int) -> Trajectory:
+        """The chip's deterministic (noise-free) run."""
+        if self.references is None:
+            raise SimulationError(
+                "this sweep kept no deterministic references (they "
+                "are run for trials=K sweeps unless reference=False)")
+        return self.references[chip_index]
+
 
 @dataclass
 class EnsembleChunk(EnsembleResult):
-    """One finished slice of a *streamed* deterministic sweep: either a
-    batched structural group or the serial-fallback remainder.
+    """One finished slice of a *streamed* sweep: either a batched
+    structural group or the serial-fallback remainder.
 
-    Unlike the full :class:`EnsembleResult`, ``trajectories`` here is
-    chunk-local — ``trajectories[k]`` belongs to seed index
-    ``indices[k]`` of the original seed list. ``order`` is the group's
-    submission position; :func:`repro.sim.plan.assemble_chunks` sorts
-    by it so a drained stream reassembles bit-identically to the
-    barriered run no matter the completion order the pool delivered.
+    Unlike the full :class:`EnsembleResult`, the chunk is chunk-local:
+    chip ``k`` of the chunk (``trajectory(k, trial)``,
+    ``trial_rows(k)``, ``reference(k)``, the ``k``-th trial block of
+    ``trajectories``) is seed index ``indices[k]`` of the original seed
+    list. ``order`` is the group's submission position;
+    :func:`repro.sim.plan.assemble_chunks` sorts by it so a drained
+    stream reassembles bit-identically to the barriered run no matter
+    the completion order the pool delivered.
     """
 
-    #: Seed-list indices covered by this chunk, one per trajectory.
+    #: Seed-list indices covered by this chunk, one per chip.
     indices: list[int] = field(default_factory=list)
     #: Submission order of the chunk's group (serial remainder last).
     order: int = 0
     #: Chunk-level stream stats (arrival time, order, rows) when the
     #: stream ran inside a telemetry collection window; else ``None``.
     stats: dict | None = None
+
+    def __post_init__(self):
+        if self.batches and not self._rows:
+            self._rows = {local: (0, local * self.trials)
+                          for local in range(len(self.indices))}
 
 
 def run_ensemble(factory, seeds, t_span, *, stream: bool = False,
@@ -107,17 +148,20 @@ def run_ensemble(factory, seeds, t_span, *, stream: bool = False,
         :class:`~repro.sim.plan.ExecutionPlan`, whose docstring gives
         each one's default and meaning; bad values raise
         :class:`~repro.errors.SimulationError` before the first
-        ``factory`` call. With ``trials=K`` the result is a
-        :class:`~repro.sim.noisy.NoisyEnsembleResult`, else an
-        :class:`EnsembleResult`.
+        ``factory`` call. The result is an :class:`EnsembleResult`
+        with ``trials`` rows per chip (1 without ``trials``).
     :param stream: return an *iterator of per-group chunks* instead of
         the barriered result: each finished structural group yields an
-        :class:`EnsembleChunk` (or, with ``trials=K``, a
-        :class:`~repro.sim.noisy.NoisyEnsembleChunk`) as soon as it
-        completes — pool-routed groups in worker-completion order —
-        so analysis can start before the stiffest group finishes.
+        :class:`EnsembleChunk` as soon as it completes — pool-routed
+        groups in worker-completion order — so analysis can start
+        before the stiffest group finishes.
         :func:`repro.sim.plan.assemble_chunks` folds a drained stream
-        back into the barriered result, bit-identically.
+        back into the barriered result, bit-identically::
+
+            for chunk in run_ensemble(factory, range(1000), span,
+                                      processes=8, stream=True):
+                for chip, index in enumerate(chunk.indices):
+                    score(index, chunk.trajectory(chip))
     :param telemetry: metric collection for this run. ``None``/``False``
         (default) disables it at single-context-var-check cost;
         ``True`` collects into a fresh
@@ -140,8 +184,8 @@ def run_ensemble(factory, seeds, t_span, *, stream: bool = False,
     plan = ExecutionPlan(factory=factory, seeds=list(seeds),
                          t_span=t_span, **options)
     if telemetry is None or telemetry is False:
-        return (plan.stream(progress=progress) if stream
-                else plan.run(progress=progress))
+        return (stream_plan(plan, progress=progress) if stream
+                else execute_plan(plan, progress=progress))
     if isinstance(telemetry, RunReport):
         report = telemetry
     elif telemetry is True:
@@ -165,7 +209,7 @@ def run_ensemble(factory, seeds, t_span, *, stream: bool = False,
     if stream:
         return _collected_stream(plan, report, meta, progress)
     with collect_metrics(into=report, meta=meta):
-        result = plan.run(progress=progress)
+        result = execute_plan(plan, progress=progress)
     result.telemetry = report
     return result
 
@@ -174,20 +218,5 @@ def _collected_stream(plan, report, meta, progress=None):
     """Stream a plan inside its own collection window: the report is
     finalized when the stream is exhausted (or closed early)."""
     with collect_metrics(into=report, meta=meta):
-        yield from plan.stream(progress=progress)
+        yield from stream_plan(plan, progress=progress)
 
-
-def stream_ensemble(factory, seeds, t_span, **kwargs):
-    """Streaming form of :func:`run_ensemble`: returns the chunk
-    iterator directly (exactly ``run_ensemble(..., stream=True)``).
-
-    The first chunk arrives after one structural group finishes — not
-    after the whole sweep — so spread/BER analysis can overlap the
-    remaining integration::
-
-        for chunk in stream_ensemble(factory, range(1000), span,
-                                     processes=8):
-            for row, index in enumerate(chunk.indices):
-                score(index, chunk.batches[0].instance(row))
-    """
-    return run_ensemble(factory, seeds, t_span, stream=True, **kwargs)

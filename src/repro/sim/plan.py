@@ -2,29 +2,48 @@
 
 The paper's evaluation workflow is one story — sweep fabrication
 mismatch (§4.3) and transient noise over a compiled dynamical system —
-and this module tells it through one architecture. An
+and this module tells it through one sweep path. An
 :class:`ExecutionPlan` captures *what* to integrate (a ``factory(seed)``
 per fabricated chip, the seed list, the time span), *how* (grid, solver
-options, ``trials`` for SDE sweeps, per-instance freeze masks) and
+options, ``trials`` for transient noise, per-instance freeze masks) and
 *where* (an engine plus cache/pool policy). Its fields are the one
 definition of every sweep option: :func:`repro.sim.run_ensemble`,
 :func:`repro.simulate_ensemble` and ``repro ensemble`` forward their
-options into a plan unchanged and funnel through :func:`execute_plan`,
-so features land once and cover both the deterministic and the
-stochastic path.
+options into a plan unchanged and funnel through :func:`execute_plan`.
+
+A deterministic sweep is a noisy sweep with one trial and no Wiener
+source, so the path has one of each part:
+
+* **one row expansion** (:func:`_expand`) — chips grouped by
+  structural signature, each group expanded to chip-major,
+  trial-minor rows (a :class:`GroupTask`); the solver
+  (:func:`~repro.sim.batch_solver.solve_batch` or
+  :func:`~repro.sim.sde_solver.solve_sde`, see :func:`solve_rows`)
+  follows from ``trials``. What still differs: structurally unique
+  ODE instances and scipy methods take the serial ``solve_ivp`` path,
+  and a noisy sweep also integrates each chip's deterministic
+  reference;
+* **one result type** — :class:`~repro.sim.ensemble.EnsembleResult`,
+  indexed by (chip, trial), streamed in
+  :class:`~repro.sim.ensemble.EnsembleChunk` slices;
+* **one recovery rule** — a group whose pool died re-runs in-process
+  over the pool's own slices (:func:`_drive_groups`, counted in
+  ``plan.rerun_rows``), bit-identical to the pooled run by
+  construction; only a batched method that itself raises under the
+  deterministic ``auto`` method is demoted to serial scipy RK45
+  (``plan.demoted_rows``).
 
 Each structurally compatible group is dispatched by one choice on
 ``plan.engine`` (:data:`ENGINES`):
 
-* ``batch``  — the default: one vectorized solve per group
-  (:func:`~repro.sim.batch_solver.solve_batch` /
-  :func:`~repro.sim.sde_solver.solve_sde`), run on the worker pool when
-  one is requested (``processes > 1``) and the group has at least
-  :data:`DEFAULT_SHARD_MIN` integrated rows, in-process otherwise;
+* ``batch``  — the default: one vectorized solve per group, run on the
+  worker pool when one is requested (``processes > 1``) and the group
+  has at least :data:`DEFAULT_SHARD_MIN` integrated rows, in-process
+  otherwise;
 * ``serial`` — one solve per instance: scipy ``solve_ivp`` per seed on
-  the deterministic path (fanned out over the worker pool when
+  a deterministic sweep (fanned out over the worker pool when
   ``processes > 1``), a batch-of-one SDE solve per (chip, trial) row on
-  the noisy path (the reference the batched engines are benchmarked
+  a noisy one (the reference the batched engines are benchmarked
   against);
 * ``pool``   — every group's batched solve split into per-core
   sub-batches on the **persistent zero-copy pool**
@@ -46,15 +65,15 @@ pool-routed groups are all submitted up front and their chunks arrive
 in completion order, so spread/BER analysis can start on the
 first group while the stiffest one is still integrating.
 :func:`execute_plan` is the barriered form: it drains the stream and
-reassembles the chunks (:func:`assemble_chunks`) into the classic
-result objects, bit-identical to the pre-streaming driver.
+reassembles the chunks (:func:`assemble_chunks`) into the result,
+bit-identical to the pre-streaming driver.
 
 Trajectory caching (:mod:`repro.sim.cache`) is applied uniformly in the
-executor — the noisy path is keyed and replayed exactly like the
-deterministic one, including pooled fixed-step SDE results
-(bit-identical, hence storable); pool-split *adaptive* solves remain
-uncachable because per-shard step control may differ from the
-whole-group run.
+executor — a noisy group is keyed and replayed exactly like a
+deterministic one, plus its per-row Wiener tokens, including pooled
+fixed-step SDE results (bit-identical, hence storable); pool-split
+*adaptive* solves remain uncachable because per-shard step control may
+differ from the whole-group run.
 """
 
 from __future__ import annotations
@@ -81,8 +100,7 @@ from repro.sim.batch_codegen import (compile_batch, group_by_signature,
                                      surviving_diffusion)
 from repro.sim.batch_solver import (BatchTrajectory, _output_grid,
                                     solve_batch)
-from repro.sim.cache import (cache_lookup, cache_store,
-                             cached_batch_solve, resolve_cache)
+from repro.sim.cache import resolve_cache
 from repro.sim.sde_solver import (ADAPTIVE_SDE_METHODS, SDE_METHODS,
                                   solve_sde)
 
@@ -156,7 +174,7 @@ class ExecutionPlan:
         cannot integrate is demoted to serial scipy RK45),
         ``rkf45``/``rk4`` (force a batch solver), or a scipy
         ``solve_ivp`` name (:data:`SCIPY_METHODS`; forces the serial
-        path for every instance). Ignored on the noisy path (see
+        path for every instance). Ignored on a noisy sweep (see
         ``sde_method``).
     :param rtol: relative tolerance (ODE solvers, the adaptive SDE
         controller, and the freeze-mask criterion).
@@ -187,19 +205,20 @@ class ExecutionPlan:
         :class:`~repro.sim.array_api.ArrayBackend`. The serial scipy
         ODE path always runs numpy float64.
     :param trials: ``None`` (default) runs the deterministic mismatch
-        sweep (an :class:`~repro.sim.ensemble.EnsembleResult`). An
-        integer K >= 1 switches to the transient-noise path: every chip
-        is replicated K times inside the batch, each row drawing the
-        Wiener realization of ``"<chip_seed>:<noise_seed + trial>"``
-        (a :class:`~repro.sim.noisy.NoisyEnsembleResult`).
-    :param noise_seed: first trial index of the noisy path (``None``
+        sweep, one row per chip. An integer K >= 1 adds transient
+        noise: every chip is replicated K times inside the batch, each
+        row drawing the Wiener realization of
+        ``"<chip_seed>:<noise_seed + trial>"``. Either way the result
+        is an :class:`~repro.sim.ensemble.EnsembleResult` indexed by
+        (chip, trial).
+    :param noise_seed: first trial index of a noisy sweep (``None``
         means 0) — shift it to draw fresh realizations for the same
         chips. Requires ``trials``.
-    :param sde_method: SDE solver of the noisy path — ``heun``
+    :param sde_method: SDE solver of a noisy sweep — ``heun``
         (default), ``em``, ``milstein``, or the adaptive pair
         ``heun-adaptive``/``em-adaptive`` (see
         :mod:`repro.sim.sde_solver`).
-    :param reference: on the noisy path, also integrate each chip once
+    :param reference: on a noisy sweep, also integrate each chip once
         deterministically (batched rk4 on the same grid) as its
         reliability reference.
     """
@@ -287,14 +306,6 @@ class ExecutionPlan:
                 f"processes must be >= 1 (or None), got "
                 f"{self.processes}")
 
-    def run(self, progress=None):
-        """Execute the plan (see :func:`execute_plan`)."""
-        return execute_plan(self, progress=progress)
-
-    def stream(self, progress=None):
-        """Stream the plan (see :func:`stream_plan`)."""
-        return stream_plan(self, progress=progress)
-
 
 # ----------------------------------------------------------------------
 # Shared machinery
@@ -311,55 +322,52 @@ def _compile_target(target) -> OdeSystem:
         f"got {type(target).__name__}")
 
 
-def _pickled_common(*payload) -> bytes | None:
-    """Serialize the group-wide head of a pool payload — factory, span,
-    solver options — exactly once, returning the bytes (or ``None``
-    when unpicklable, e.g. a lambda factory: callers then fall back to
-    in-process execution). The bytes double as the payload shipped to
-    the workers, so a sweep never pays the factory's serialization
-    twice (it used to be pickled once by the pre-flight probe and again
-    by the pool, per task)."""
+def _pool_payload(common: tuple, rows) -> bytes | None:
+    """Pickle the group-wide head of a pool payload — factory, span,
+    solver options — exactly once, returning the bytes shipped to the
+    workers, so a sweep never pays the factory's serialization twice.
+    ``None`` when it or the small per-task remainder ``rows`` (seeds,
+    noise tokens) does not pickle, e.g. a lambda factory: the caller
+    then runs in-process. Probing ``rows`` up front — instead of
+    catching the pool's errors — keeps genuine worker exceptions
+    propagating to the caller instead of being silently retried
+    in-process."""
     try:
-        return pickle.dumps(payload)
+        payload = pickle.dumps(common)
+        pickle.dumps(rows)
     except Exception:
         return None
+    return payload
 
 
-def _pickles(payload) -> bool:
-    """Cheap probe for the small per-task remainder (seed lists, noise
-    tokens). Probing up front — instead of catching the pool's errors —
-    keeps genuine worker exceptions propagating to the caller instead
-    of being silently retried in-process."""
-    try:
-        pickle.dumps(payload)
-    except Exception:
-        return False
-    return True
-
-
-def _run_serial(factory, seeds, indices, systems, t_span, options,
-                processes):
+def _run_serial(plan: ExecutionPlan, indices, systems) -> dict:
     """Serial scipy path for structurally unique instances, optionally
     fanned out one seed per task over the persistent worker pool.
-    Returns {index: Trajectory}."""
-    results: dict[int, Trajectory] = {}
-    pending = list(indices)
-    telemetry.add("serial.solves", len(pending))
-    if processes and processes > 1 and len(pending) > 1:
-        common = _pickled_common(factory, t_span, options, None)
-        job_seeds = [seeds[i] for i in pending]
-        if common is not None and _pickles(job_seeds):
+    When the pool dies mid-fan-out the instances re-run in-process
+    (the workers ran the same ``simulate`` call). Returns
+    {index: Trajectory}."""
+    options = dict(n_points=plan.n_points, rtol=plan.rtol,
+                   atol=plan.atol, t_eval=plan.t_eval,
+                   max_step=plan.max_step, method="RK45"
+                   if plan.method in BATCH_METHODS else plan.method)
+    telemetry.add("serial.solves", len(indices))
+    if plan.processes and plan.processes > 1 and len(indices) > 1:
+        job_seeds = [plan.seeds[i] for i in indices]
+        common = _pool_payload((plan.factory, plan.t_span, options, None),
+                               job_seeds)
+        if common is not None:
             from repro.sim import pool as pool_module
 
-            rows = pool_module.map_serial(int(processes), common,
-                                          job_seeds)
-            for index, (t, y) in zip(pending, rows):
-                results[index] = Trajectory(t=t, y=y,
-                                            system=systems[index])
-            return results
-    for index in pending:
-        results[index] = simulate(systems[index], t_span, **options)
-    return results
+            try:
+                rows = pool_module.map_serial(int(plan.processes), common,
+                                              job_seeds)
+            except pool_module.PoolBrokenError:
+                telemetry.add("plan.rerun_rows", len(indices))
+            else:
+                return {index: Trajectory(t=t, y=y, system=systems[index])
+                        for index, (t, y) in zip(indices, rows)}
+    return {index: simulate(systems[index], plan.t_span, **options)
+            for index in indices}
 
 
 def _whole_group_fuse(n_rows: int, lead: OdeSystem) -> bool:
@@ -372,26 +380,39 @@ def _whole_group_fuse(n_rows: int, lead: OdeSystem) -> bool:
             <= batch_codegen.FUSE_DENSE_LIMIT)
 
 
-def _compile_sde_rows(factory, rows):
-    """Worker-side rebuild of one SDE shard: every chip is rebuilt
-    through the factory exactly once per shard and *replicated* for its
-    trial rows; the Wiener realization of a row depends only on its
-    token, never on the batch layout, so shard rows are bit-identical
-    to the unsharded solve. ``rows`` is a list of ``(chip_key,
-    chip_seed, noise_token)``; returns ``(replicated, tokens)``."""
+def _compile_rows(factory, rows):
+    """Worker-side rebuild of one shard: every chip is rebuilt through
+    the factory exactly once per shard and *replicated* for its trial
+    rows; the Wiener realization of a row depends only on its token,
+    never on the batch layout. ``rows`` is a list of ``(chip_key,
+    chip_seed, noise_token)``; returns ``(systems, tokens)``."""
     compiled: dict = {}
-    replicated, tokens = [], []
+    systems, tokens = [], []
     for chip_key, chip_seed, token in rows:
         if chip_key not in compiled:
             compiled[chip_key] = _compile_target(factory(chip_seed))
-        replicated.append(compiled[chip_key])
+        systems.append(compiled[chip_key])
         tokens.append(token)
-    return replicated, tokens
+    return systems, tokens
 
 
-def _sde_rows(chip_seeds, chip_keys, noise_seeds) -> list[tuple]:
-    return [(chip_keys[r], chip_seeds[chip_keys[r]], noise_seeds[r])
-            for r in range(len(noise_seeds))]
+def solve_rows(systems, tokens, t_span, options, fuse=True):
+    """The batched solve of one group or pool shard: compile the rows
+    into one RHS and integrate them — with
+    :func:`~repro.sim.batch_solver.solve_batch` when ``tokens`` is
+    ``None`` (a deterministic sweep), else with
+    :func:`~repro.sim.sde_solver.solve_sde`, row ``r`` drawing the
+    Wiener realization of ``tokens[r]``.
+
+    Pool workers solve their shard through it, and so does the
+    in-process re-run of a group whose pool died
+    (:func:`_drive_groups`), so the two agree bit for bit by
+    construction."""
+    batch = compile_batch(systems, fuse=fuse,
+                          array_backend=options.get("array_backend"))
+    if tokens is None:
+        return solve_batch(batch, t_span, **options)
+    return solve_sde(batch, t_span, noise_seeds=tokens, **options)
 
 
 # ----------------------------------------------------------------------
@@ -403,26 +424,52 @@ def _sde_rows(chip_seeds, chip_keys, noise_seeds) -> list[tuple]:
 class GroupTask:
     """One structurally compatible group, ready to solve.
 
-    For ODE groups ``group_systems`` holds one system per chip and
-    ``noise_seeds`` is ``None``; for SDE groups ``group_systems`` holds
-    the chip-major, trial-minor *replicated* batch, ``chip_keys[r]``
-    names the chip (an index into ``chip_indices``) of each row, and
-    ``noise_seeds[r]`` its Wiener token. ``options`` are the solver
-    keyword arguments of :func:`~repro.sim.batch_solver.solve_batch` /
-    :func:`~repro.sim.sde_solver.solve_sde` respectively.
+    ``systems`` holds one compiled system per chip (``indices`` into
+    the plan's seeds). The group integrates them expanded to
+    chip-major, trial-minor rows: ``trials`` rows per chip, row ``r``
+    drawing the Wiener realization of ``tokens[r]``. A deterministic
+    group is the one-trial case without tokens. ``options`` are the
+    solver keyword arguments of :func:`solve_rows`.
     """
 
     plan: ExecutionPlan
     indices: list[int]
-    group_systems: list[OdeSystem]
+    systems: list[OdeSystem]
     options: dict
-    noise_seeds: list[str] | None = None
-    chip_keys: list[int] | None = None
+    tokens: list[str] | None = None
 
     @property
-    def chip_seeds(self) -> list:
-        seeds = list(self.plan.seeds)
-        return [seeds[i] for i in self.indices]
+    def trials(self) -> int:
+        return len(self.tokens) // len(self.indices) if self.tokens else 1
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indices) * self.trials
+
+    @property
+    def row_systems(self) -> list[OdeSystem]:
+        return [system for system in self.systems
+                for _ in range(self.trials)]
+
+    def solve(self, parts, fuse=True):
+        """Solve the group as one :func:`solve_rows` call per slice of
+        its rows (``parts``, row-index lists), stacked in row order.
+        One slice is the whole-group batch; the pool's
+        :func:`~repro.sim.pool.even_parts` slices with the whole-group
+        fuse decision are what the workers solve."""
+        systems, tokens = self.row_systems, self.tokens
+        pieces = [solve_rows([systems[r] for r in part],
+                             tokens and [tokens[r] for r in part],
+                             self.plan.t_span, self.options, fuse)
+                  for part in parts]
+        if len(pieces) == 1:
+            return pieces[0]
+        frozen = None if pieces[0].frozen is None else \
+            np.concatenate([piece.frozen for piece in pieces])
+        return BatchTrajectory(
+            t=pieces[0].t, y=np.concatenate([piece.y for piece in pieces]),
+            systems=systems, frozen=frozen,
+            nfev=sum(piece.nfev or 0 for piece in pieces))
 
 
 def _pooled(plan: ExecutionPlan, rows: int) -> bool:
@@ -436,40 +483,6 @@ def _pooled(plan: ExecutionPlan, rows: int) -> bool:
             and plan.processes > 1 and rows >= DEFAULT_SHARD_MIN)
 
 
-def _solve_in_process(task: GroupTask, kind: str):
-    """Solve one group in this process, returning ``(BatchTrajectory,
-    storable)``. ``kind`` is ``"ode"`` or ``"sde"``. Under the
-    ``serial`` engine SDE groups run one batch-of-one solve per (chip,
-    trial) row, each consuming the identical per-token Wiener stream
-    the batched solve uses, so the rows agree bit for bit."""
-    plan = task.plan
-    array_backend = task.options.get("array_backend")
-    if kind == "ode":
-        batch = compile_batch(task.group_systems,
-                              array_backend=array_backend)
-        return solve_batch(batch, plan.t_span, **task.options), True
-    if plan.engine != "serial":
-        batch = compile_batch(task.group_systems,
-                              array_backend=array_backend)
-        return solve_sde(batch, plan.t_span,
-                         noise_seeds=task.noise_seeds,
-                         **task.options), True
-    singles: dict[int, object] = {}
-    rows = []
-    for row, system in enumerate(task.group_systems):
-        chip = task.chip_keys[row]
-        if chip not in singles:
-            singles[chip] = compile_batch([system],
-                                          array_backend=array_backend)
-        trajectory = solve_sde(singles[chip], plan.t_span,
-                               noise_seeds=[task.noise_seeds[row]],
-                               **task.options)
-        rows.append(trajectory.y)
-    return BatchTrajectory(t=trajectory.t,
-                           y=np.concatenate(rows, axis=0),
-                           systems=list(task.group_systems)), True
-
-
 def _pool_width(plan: ExecutionPlan) -> int:
     """The plan's pool width: ``processes`` when given, else the CPUs
     this process may run on (its affinity mask, not the host's CPU
@@ -481,13 +494,13 @@ def _pool_width(plan: ExecutionPlan) -> int:
     return os.cpu_count() or 1
 
 
-def _submit_pool(task: GroupTask, kind: str):
+def _submit_pool(task: GroupTask):
     """Submit one pool-routed group (see :func:`_pooled`) to the
-    persistent zero-copy pool: its rows split into ``processes`` contiguous near-equal shards
-    (:func:`~repro.sim.pool.even_parts`) executed on reused workers
-    (:mod:`repro.sim.pool`), with results returned through shared
-    memory (:mod:`repro.sim.shm`) instead of pickle. Every shard
-    inherits the whole-group fuse decision.
+    persistent zero-copy pool: its rows split into ``processes``
+    contiguous near-equal shards (:func:`~repro.sim.pool.even_parts`)
+    executed on reused workers (:mod:`repro.sim.pool`), with results
+    returned through shared memory (:mod:`repro.sim.shm`) instead of
+    pickle. Every shard inherits the whole-group fuse decision.
 
     Returns a :class:`~repro.sim.pool.PoolHandle`, or ``None`` when the
     group runs in-process: the engine does not route it to the pool, or
@@ -501,29 +514,27 @@ def _submit_pool(task: GroupTask, kind: str):
     from repro.sim.shm import ShmBlock
 
     plan = task.plan
-    if not _pooled(plan, len(task.group_systems)):
+    if not _pooled(plan, task.n_rows):
         return None
-    method = task.options.get("method")
-    if kind == "ode":
-        rows = task.chip_seeds
-        storable = method == "rk4"
-    else:
-        rows = _sde_rows(task.chip_seeds, task.chip_keys,
-                         task.noise_seeds)
-        storable = method not in ADAPTIVE_SDE_METHODS
     processes = _pool_width(plan)
-    parts = pool_module.even_parts(len(rows), processes)
+    parts = pool_module.even_parts(task.n_rows, processes)
     if not parts:
         return None
-    fuse = _whole_group_fuse(len(rows), task.group_systems[0])
-    common = _pickled_common(plan.factory, plan.t_span, task.options,
-                             fuse)
-    if common is None or not _pickles(rows):
+    # A shard's work list: (chip_key, chip_seed, token) per row, which
+    # the worker rebuilds through the factory (_compile_rows).
+    rows = [(row // task.trials,
+             plan.seeds[task.indices[row // task.trials]],
+             task.tokens and task.tokens[row])
+            for row in range(task.n_rows)]
+    fuse = _whole_group_fuse(task.n_rows, task.systems[0])
+    common = _pool_payload((plan.factory, plan.t_span, task.options,
+                            fuse), rows)
+    if common is None:
         return None
     grid = _output_grid(plan.t_span, task.options.get("n_points", 500),
                         task.options.get("t_eval"))
     worker_pool = pool_module.get_pool(processes)
-    shape = (len(rows), task.group_systems[0].n_states, len(grid))
+    shape = (task.n_rows, task.systems[0].n_states, len(grid))
     try:
         block = ShmBlock.create(shape)
     except OSError as exc:
@@ -539,32 +550,20 @@ def _submit_pool(task: GroupTask, kind: str):
         return None
     handle = pool_module.PoolHandle(
         pool=worker_pool, block=block, grid=grid,
-        systems=list(task.group_systems), storable=storable,
+        systems=task.row_systems,
+        storable=task.options["method"] not in ("rkf45",
+                                                *ADAPTIVE_SDE_METHODS),
         masked=task.options.get("freeze_tol") is not None)
     offset = 0
     try:
         for part in parts:
-            worker_pool.submit(handle, kind, common,
-                               [rows[r] for r in part], offset)
+            worker_pool.submit(handle, "sde" if task.tokens else "ode",
+                               common, [rows[r] for r in part], offset)
             offset += len(part)
     except BaseException:
         handle.discard()
         raise
     return handle
-
-
-def _solve_group(task: GroupTask, kind: str):
-    """Solve one group synchronously wherever the engine routes it
-    (pool or in-process), returning ``(BatchTrajectory, storable)``."""
-    handle = _submit_pool(task, kind)
-    if handle is None:
-        return _solve_in_process(task, kind)
-    try:
-        handle.wait()
-    except BaseException:
-        handle.discard()
-        raise
-    return handle.result()
 
 
 # ----------------------------------------------------------------------
@@ -576,9 +575,8 @@ def execute_plan(plan: ExecutionPlan, progress=None):
     """Compile every instance, group by structural signature, and
     integrate each group through the plan's engine (with uniform
     trajectory caching). Returns an
-    :class:`~repro.sim.ensemble.EnsembleResult` for deterministic plans
-    and a :class:`~repro.sim.noisy.NoisyEnsembleResult` for plans with
-    ``trials``.
+    :class:`~repro.sim.ensemble.EnsembleResult` with ``plan.trials``
+    rows per chip (one without ``trials``).
 
     This is the barriered form of :func:`stream_plan`: it drains the
     chunk stream and reassembles it, bit-identically to the historical
@@ -586,15 +584,14 @@ def execute_plan(plan: ExecutionPlan, progress=None):
     :class:`~repro.telemetry.progress.ProgressSink`) still fires per
     finished group — barriered callers get live progress too."""
     seeds = list(plan.seeds)
-    plan = replace(plan, seeds=seeds)
-    return assemble_chunks(stream_plan(plan, progress=progress), seeds,
-                           trials=plan.trials)
+    return assemble_chunks(
+        stream_plan(replace(plan, seeds=seeds), progress=progress),
+        seeds, trials=plan.trials)
 
 
 def stream_plan(plan: ExecutionPlan, progress=None):
     """Execute the plan as a stream: an iterator of per-group chunks
-    (:class:`~repro.sim.ensemble.EnsembleChunk` /
-    :class:`~repro.sim.noisy.NoisyEnsembleChunk`), each one finished
+    (:class:`~repro.sim.ensemble.EnsembleChunk`), each one finished
     structurally compatible group, yielded as it completes instead of
     barriering the whole sweep.
 
@@ -621,37 +618,22 @@ def stream_plan(plan: ExecutionPlan, progress=None):
     return _stream(plan, seeds, progress)
 
 
-def _progress_totals(plan: ExecutionPlan, systems: list) -> tuple:
-    """(total chunks, total instance-rows) the stream will deliver —
-    mirrors the grouping the ODE/SDE streams apply, computed only when
-    a progress sink is attached."""
-    groups = group_by_signature(systems)
-    if plan.trials is not None:
-        return len(groups), len(systems) * plan.trials
-    if plan.engine != "serial" and plan.method in BATCH_METHODS:
-        batched = [g for g in groups if len(g) > 1]
-        n_serial = len(systems) - sum(len(g) for g in batched)
-        return len(batched) + (1 if n_serial else 0), len(systems)
-    return 1, len(systems)
-
-
 def _stream(plan: ExecutionPlan, seeds: list, progress=None):
     with telemetry.span("plan.build"):
         targets = [plan.factory(seed) for seed in seeds]
     with telemetry.span("plan.compile"):
         systems = [_compile_target(target) for target in targets]
     telemetry.add("plan.instances", len(systems))
+    tasks, serial = _expand(plan, seeds, systems)
     if progress is not None:
-        total_chunks, total_rows = _progress_totals(plan, systems)
-        progress.begin(groups=total_chunks, instances=total_rows)
-    inner = (_stream_ode(plan, seeds, systems) if plan.trials is None
-             else _stream_sde(plan, seeds, systems))
+        progress.begin(groups=len(tasks) + (1 if serial else 0),
+                       instances=len(systems) * (plan.trials or 1))
     start = time.monotonic()
-    first = True
-    chunks_done = 0
-    rows_done = 0
+    chunks_done = rows_done = 0
     try:
-        for chunk in inner:
+        for chunk in _chunks(plan, seeds, systems, tasks, serial):
+            chunks_done += 1
+            rows_done += len(chunk)
             if telemetry.enabled():
                 # Chunk-arrival accounting: the time-to-first-chunk
                 # gauge is the streaming executor's headline number,
@@ -659,10 +641,9 @@ def _stream(plan: ExecutionPlan, seeds: list, progress=None):
                 # The same numbers ride on the chunk itself for
                 # consumers of stream_plan.
                 arrival = time.monotonic() - start
-                if first:
+                if chunks_done == 1:
                     telemetry.gauge(
                         "stream.time_to_first_chunk_seconds", arrival)
-                    first = False
                 telemetry.append("stream.chunk_arrival_seconds",
                                  arrival)
                 telemetry.add("stream.chunks")
@@ -670,8 +651,6 @@ def _stream(plan: ExecutionPlan, seeds: list, progress=None):
                                "order": chunk.order,
                                "rows": len(chunk.indices)}
             if progress is not None:
-                chunks_done += 1
-                rows_done += len(chunk.indices) * (plan.trials or 1)
                 progress.advance(groups_done=chunks_done,
                                  instances_done=rows_done,
                                  backend=plan.engine)
@@ -681,306 +660,248 @@ def _stream(plan: ExecutionPlan, seeds: list, progress=None):
             progress.finish()
 
 
-def _span_key(t_span) -> tuple[float, float]:
-    return (float(t_span[0]), float(t_span[1]))
+def _solver_options(plan: ExecutionPlan, **solver) -> dict:
+    """The keyword arguments of every batched solve of the plan, plus
+    ``solver``'s. rtol/atol drive the ODE solvers, the embedded-pair
+    controller of the adaptive SDE methods and the freeze-mask
+    criterion everywhere, so the same freeze_tol masks identically on
+    both halves of a mixed sweep. The array backend travels as its
+    canonical spec string — a picklable token the pool workers
+    resolve locally, and the cache keys discriminate on."""
+    options = dict(n_points=plan.n_points, t_eval=plan.t_eval,
+                   max_step=plan.max_step, rtol=plan.rtol,
+                   atol=plan.atol, freeze_tol=plan.freeze_tol,
+                   array_backend=plan.array_spec())
+    return {**options, **solver}
 
 
-def _drive_groups(plan, tasks, store, kind, key_options, on_error):
-    """The executor's scheduling core: run every :class:`GroupTask` of
-    ``kind`` (``"ode"`` or ``"sde"``), yielding ``(order, task,
-    BatchTrajectory)`` as groups finish.
+def _expand(plan: ExecutionPlan, seeds, systems):
+    """The sweep's one row expansion: group the chips by structural
+    signature and expand every group to chip × trial rows, one trial
+    and no Wiener tokens for a deterministic sweep. Returns ``(tasks,
+    serial)``: the :class:`GroupTask` list and the seed indices left
+    to the serial scipy path (deterministic sweeps only: every
+    instance under the ``serial`` engine or a scipy method, else the
+    structurally unique ones)."""
+    noise = plan.noise
+    groups = group_by_signature(systems)
+    if noise is not None:
+        if not any(surviving_diffusion([systems[i] for i in indices])
+                   for indices in groups):
+            raise SimulationError(
+                "transient-noise trials were requested (trials="
+                f"{noise.trials}) but every instance compiles to a "
+                "deterministic system — no live noise() terms or ns "
+                "annotations survive; drop trials=/noise_seed= or add "
+                "noise sources to the design")
+        options = _solver_options(plan, method=noise.method,
+                                  block=noise.block)
+    elif plan.engine == "serial" or plan.method not in BATCH_METHODS:
+        return [], list(range(len(systems)))
+    else:
+        options = _solver_options(
+            plan, dense=plan.dense,
+            method="rkf45" if plan.method == "auto" else plan.method)
+    tasks, serial = [], []
+    for indices in groups:
+        if noise is None and len(indices) == 1:
+            # A structurally unique instance is not worth a batched
+            # compile.
+            serial.extend(indices)
+            continue
+        tokens = None if noise is None else \
+            [token for i in indices for token in noise.tokens(seeds[i])]
+        tasks.append(GroupTask(plan=plan, indices=list(indices),
+                               systems=[systems[i] for i in indices],
+                               options=options, tokens=tokens))
+    return tasks, serial
+
+
+def _chunks(plan: ExecutionPlan, seeds, systems, tasks, serial):
+    """Drive the tasks and yield one
+    :class:`~repro.sim.ensemble.EnsembleChunk` per finished group, then
+    one for the serial remainder (the structurally unique instances
+    plus any demoted group). A noisy sweep with ``reference`` also
+    integrates each group's chips once deterministically."""
+    from repro.sim.ensemble import EnsembleChunk
+
+    store = resolve_cache(plan.cache)
+    # References are the chips' deterministic baselines: batched rk4 on
+    # the same grid, freeze masks intentionally off, so reliability
+    # metrics always compare against the exact noise-free transient.
+    reference_options = _solver_options(plan, method="rk4",
+                                        dense=plan.dense, freeze_tol=None)
+    for order, task, trajectory in _drive_groups(plan, tasks, store):
+        if trajectory is None:
+            telemetry.add("plan.demoted_rows", len(task.indices))
+            serial.extend(task.indices)
+            continue
+        references = None
+        if task.tokens and plan.reference:
+            reference = GroupTask(plan=plan, indices=task.indices,
+                                  systems=task.systems,
+                                  options=reference_options)
+            with telemetry.span(f"group[{order}].reference"):
+                [(_, _, batch)] = _drive_groups(plan, [reference], store)
+            references = batch.trajectories()
+        yield EnsembleChunk(
+            order=order, indices=list(task.indices),
+            seeds=[seeds[i] for i in task.indices], trials=task.trials,
+            trajectories=trajectory.trajectories(), batches=[trajectory],
+            groups=[list(task.indices)], references=references)
+    if serial:
+        with telemetry.span("serial.fanout"):
+            solved = _run_serial(plan, serial, systems)
+        ordered = sorted(serial)
+        yield EnsembleChunk(order=len(tasks), indices=ordered,
+                            seeds=[seeds[i] for i in ordered],
+                            trajectories=[solved[i] for i in ordered],
+                            serial_indices=ordered)
+
+
+def _settle(plan, store, key, solve):
+    """Finish one group: ``solve()`` returns ``(BatchTrajectory,
+    storable)``, and a storable result lands in the cache under
+    ``key`` (``storable=False`` vetoes a result an uncached rerun could
+    not reproduce bit for bit, e.g. a shard-split adaptive solve).
+
+    When the batched method itself raises under the deterministic
+    ``auto`` method (e.g. a stiff outlier underflowing the rkf45 step
+    floor) this returns ``None``: the group is demoted to the serial
+    scipy RK45 path. An explicit method is the caller's choice, and a
+    noisy sweep has no scipy counterpart, so there the error
+    propagates."""
+    try:
+        trajectory, storable = solve()
+    except SimulationError:
+        if plan.trials is not None or plan.method != "auto":
+            raise
+        return None
+    if key is not None and storable:
+        store.put(key, trajectory.t, trajectory.y)
+    return trajectory
+
+
+def _drive_groups(plan, tasks, store):
+    """The executor's scheduling core: run every :class:`GroupTask`,
+    yielding ``(order, task, BatchTrajectory | None)`` as groups
+    finish (``None``: demoted to the serial path, see :func:`_settle`).
 
     Cache hits yield first (they cost a key + load). Pool-routed groups
     are submitted asynchronously *up front* — workers start integrating
     immediately — and yield in completion order; everything else solves
-    synchronously and lazily in group order. ``on_error(task, exc)``
-    returns True to swallow a group's :class:`SimulationError` (the ODE
-    path demotes the group to the serial fallback); storable results
-    land in the trajectory cache exactly as the synchronous driver
-    stored them. Any teardown — consumer abandoning the stream, a
-    worker crash, ``KeyboardInterrupt`` — discards the in-flight
-    handles, which releases their shared-memory blocks."""
-    cache_kind = "batch" if kind == "ode" else "sde"
+    synchronously and lazily in group order. Any teardown — consumer
+    abandoning the stream, ``KeyboardInterrupt`` — discards the
+    in-flight handles, which releases their shared-memory blocks."""
+    from repro.sim import pool as pool_module
+
     label = "serial" if plan.engine == "serial" else "batch"
     hits, sync, runs = [], [], []
     try:
         for order, task in enumerate(tasks):
-            key, hit = cache_lookup(store, task.group_systems,
-                                    cache_kind, key_options(task))
+            # `block` is left out of the key: the Wiener realization is
+            # block-size independent, so it cannot change the result.
+            options = {name: value for name, value in task.options.items()
+                       if name != "block"}
+            if task.tokens:
+                options["noise_seeds"] = tuple(task.tokens)
+            # No key: no store, or an unstable batch identity (then
+            # nothing may be stored either).
+            key = None if store is None else store.key_for(
+                task.row_systems, "sde" if task.tokens else "batch",
+                {**options, "t_span": (float(plan.t_span[0]),
+                                       float(plan.t_span[1]))})
+            hit = None if key is None else store.get(key)
             if hit is not None:
-                hits.append((order, task, hit))
+                hits.append((order, task, BatchTrajectory(
+                    t=hit[0], y=hit[1], systems=task.row_systems)))
                 continue
-            handle = _submit_pool(task, kind)
+            handle = _submit_pool(task)
             if handle is not None:
                 runs.append((order, task, key, handle))
             else:
                 sync.append((order, task, key))
         yield from hits
         for order, task, key in sync:
-            try:
-                with telemetry.span(f"group[{order}].solve:{label}"):
-                    trajectory, storable = _solve_in_process(task, kind)
-            except SimulationError as exc:
-                if not on_error(task, exc):
-                    raise
-                continue
-            cache_store(store, key, trajectory, storable)
+            # The serial engine solves a noisy group one batch-of-one
+            # row at a time, each row consuming the per-token Wiener
+            # stream the batched solve uses, so the rows agree bit for
+            # bit.
+            parts = ([[row] for row in range(task.n_rows)]
+                     if task.tokens and plan.engine == "serial"
+                     else [range(task.n_rows)])
+            with telemetry.span(f"group[{order}].solve:{label}"):
+                trajectory = _settle(plan, store, key,
+                                     lambda: (task.solve(parts), True))
             yield (order, task, trajectory)
         while runs:
-            from repro.sim import pool as pool_module
-
             try:
                 with telemetry.span("pool.wait"):
                     handle = pool_module.wait_any(
                         [run[3] for run in runs])
-            except pool_module.PoolBrokenError as exc:
-                # A dying worker takes every in-flight group with it.
-                # Consult on_error for each — the ODE auto path demotes
-                # them all to the serial fallback, so a hard crash
-                # degrades the sweep instead of killing it; explicit
-                # methods and the SDE path re-raise.
-                pending = runs[:]
-                runs.clear()
-                for _order, _task, _key, broken in pending:
-                    broken.discard()
-                if not all(on_error(task, exc)
-                           for _order, task, _key, _handle in pending):
-                    raise
+            except pool_module.PoolBrokenError:
+                # The one recovery rule: a dying worker takes every
+                # in-flight group with it, and each re-runs in-process
+                # over its pool's even slices with the whole-group fuse
+                # decision — the solve_rows calls the workers would
+                # have made, so the result (adaptive methods included)
+                # is the one the pool would have returned, and as
+                # storable.
+                broken, runs = runs, []
+                for *_, lost in broken:
+                    lost.discard()
+                for order, task, key, lost in broken:
+                    telemetry.add("plan.rerun_rows", task.n_rows)
+                    parts = pool_module.even_parts(task.n_rows,
+                                                   _pool_width(plan))
+                    fuse = _whole_group_fuse(task.n_rows, task.systems[0])
+                    with telemetry.span(f"group[{order}].rerun"):
+                        trajectory = _settle(
+                            plan, store, key,
+                            lambda: (task.solve(parts, fuse),
+                                     lost.storable))
+                    yield (order, task, trajectory)
                 break
             position = next(index for index, run in enumerate(runs)
                             if run[3] is handle)
             order, task, key, handle = runs.pop(position)
-            try:
-                trajectory, storable = handle.result()
-            except SimulationError as exc:
-                if not on_error(task, exc):
-                    raise
-                continue
-            cache_store(store, key, trajectory, storable)
-            yield (order, task, trajectory)
+            yield (order, task, _settle(plan, store, key, handle.result))
     except BaseException:
         for run in runs:
             run[3].discard()
         raise
 
 
-def _stream_ode(plan: ExecutionPlan, seeds, systems):
-    from repro.sim.ensemble import EnsembleChunk
-
-    store = resolve_cache(plan.cache)
-
-    batchable = plan.engine != "serial" and plan.method in BATCH_METHODS
-    serial_method = "RK45" if plan.method in BATCH_METHODS \
-        else plan.method
-    serial_options = dict(n_points=plan.n_points, method=serial_method,
-                          rtol=plan.rtol, atol=plan.atol,
-                          t_eval=plan.t_eval, max_step=plan.max_step)
-
-    serial_indices: list[int] = []
-    tasks: list[GroupTask] = []
-    if batchable:
-        batch_method = "rkf45" if plan.method == "auto" else plan.method
-        # The array backend travels as its canonical spec string — a
-        # picklable token the pool workers resolve locally, and the
-        # component cache keys discriminate on.
-        solver_options = dict(n_points=plan.n_points,
-                              method=batch_method, rtol=plan.rtol,
-                              atol=plan.atol, t_eval=plan.t_eval,
-                              max_step=plan.max_step, dense=plan.dense,
-                              freeze_tol=plan.freeze_tol,
-                              array_backend=plan.array_spec())
-        for indices in group_by_signature(systems):
-            if len(indices) == 1:
-                # A structurally unique instance is not worth a
-                # batched compile.
-                serial_indices.extend(indices)
-                continue
-            tasks.append(GroupTask(
-                plan=plan, indices=list(indices),
-                group_systems=[systems[i] for i in indices],
-                options=solver_options))
-    else:
-        serial_indices = list(range(len(systems)))
-
-    fanout = [plan.processes]
-
-    def on_error(task, exc):
-        # A group the batch path cannot integrate (e.g. a stiff
-        # outlier underflowing the rkf45 step floor) is demoted to the
-        # serial scipy path rather than failing the whole ensemble —
-        # unless the caller forced a batch method explicitly.
-        if plan.method != "auto":
-            return False
-        from repro.sim.pool import PoolBrokenError
-
-        if isinstance(exc, PoolBrokenError):
-            # Whatever killed the worker (OOM, a crashing factory)
-            # would kill the serial fan-out's pool workers too — finish
-            # the demoted instances in-process.
-            fanout[0] = None
-        serial_indices.extend(task.indices)
-        return True
-
-    for order, task, trajectory in _drive_groups(
-            plan, tasks, store, "ode",
-            lambda task: {**task.options,
-                          "t_span": _span_key(plan.t_span)},
-            on_error):
-        yield EnsembleChunk(order=order, indices=list(task.indices),
-                            trajectories=trajectory.trajectories(),
-                            batches=[trajectory],
-                            groups=[list(task.indices)])
-
-    if serial_indices:
-        with telemetry.span("serial.fanout"):
-            serial = _run_serial(plan.factory, seeds, serial_indices,
-                                 systems, plan.t_span, serial_options,
-                                 fanout[0])
-        ordered = sorted(serial_indices)
-        yield EnsembleChunk(order=len(tasks), indices=ordered,
-                            trajectories=[serial[i] for i in ordered],
-                            serial_indices=ordered)
-
-
-def _group_has_noise(group_systems) -> bool:
-    """Whether the group carries diffusion terms that survive
-    shared-value folding (a ``noise(0)`` annotation compiles away)."""
-    return bool(surviving_diffusion(group_systems))
-
-
-def _stream_sde(plan: ExecutionPlan, seeds, systems):
-    from repro.sim.noisy import NoisyEnsembleChunk
-
-    noise = plan.noise
-    store = resolve_cache(plan.cache)
-    groups = group_by_signature(systems)
-
-    if not any(_group_has_noise([systems[i] for i in indices])
-               for indices in groups):
-        raise SimulationError(
-            "transient-noise trials were requested (trials="
-            f"{noise.trials}) but every instance compiles to a "
-            "deterministic system — no live noise() terms or ns "
-            "annotations survive; drop trials=/noise_seed= or add "
-            "noise sources to the design")
-
-    # rtol/atol drive the embedded-pair controller on the adaptive SDE
-    # methods and the freeze-mask criterion everywhere; they must
-    # follow the plan so the same freeze_tol masks identically on both
-    # halves of a mixed sweep.
-    solver_options = dict(n_points=plan.n_points, method=noise.method,
-                          t_eval=plan.t_eval, max_step=plan.max_step,
-                          block=noise.block, rtol=plan.rtol,
-                          atol=plan.atol, freeze_tol=plan.freeze_tol,
-                          array_backend=plan.array_spec())
-    tasks: list[GroupTask] = []
-    for indices in groups:
-        replicated: list[OdeSystem] = []
-        noise_seeds: list[str] = []
-        chip_keys: list[int] = []
-        for row_base, index in enumerate(indices):
-            replicated.extend([systems[index]] * noise.trials)
-            noise_seeds.extend(noise.tokens(seeds[index]))
-            chip_keys.extend([row_base] * noise.trials)
-        tasks.append(GroupTask(plan=plan, indices=list(indices),
-                               group_systems=replicated,
-                               options=solver_options,
-                               noise_seeds=noise_seeds,
-                               chip_keys=chip_keys))
-
-    # References are the chips' deterministic baselines: freeze masks
-    # are intentionally not applied, so reliability metrics always
-    # compare against the exact noise-free transient.
-    reference_options = dict(n_points=plan.n_points, method="rk4",
-                             rtol=plan.rtol, atol=plan.atol,
-                             t_eval=plan.t_eval, max_step=plan.max_step,
-                             dense=plan.dense, freeze_tol=None,
-                             array_backend=plan.array_spec())
-
-    def key_options(task):
-        # `block` is excluded from the key on purpose: the Wiener
-        # realization is block-size independent, so it cannot change
-        # the result.
-        trimmed = {k: v for k, v in task.options.items()
-                   if k != "block"}
-        return {**trimmed, "noise_seeds": tuple(task.noise_seeds),
-                "t_span": _span_key(plan.t_span)}
-
-    for order, task, batch in _drive_groups(
-            plan, tasks, store, "sde", key_options,
-            lambda task, exc: False):
-        indices = task.indices
-        references = None
-        if noise.reference:
-            group_systems = [systems[i] for i in indices]
-            reference_task = GroupTask(plan=plan, indices=list(indices),
-                                       group_systems=group_systems,
-                                       options=reference_options)
-            with telemetry.span(f"group[{order}].reference"):
-                reference_batch = cached_batch_solve(
-                    store, group_systems, "batch",
-                    {**reference_options,
-                     "t_span": _span_key(plan.t_span)},
-                    lambda task=reference_task:
-                    _solve_group(task, "ode"))
-            references = [reference_batch.instance(row)
-                          for row in range(len(indices))]
-        yield NoisyEnsembleChunk(
-            order=order, indices=list(indices),
-            seeds=[seeds[i] for i in indices], trials=noise.trials,
-            batches=[batch],
-            groups=[list(range(len(indices)))],
-            references=references,
-            _rows={local: (0, local * noise.trials)
-                   for local in range(len(indices))})
-
-
 def assemble_chunks(chunks, seeds, trials: int | None = None):
-    """Fold a (drained) chunk stream back into the barriered result —
-    the exact :class:`~repro.sim.ensemble.EnsembleResult` /
-    :class:`~repro.sim.noisy.NoisyEnsembleResult` the pre-streaming
+    """Fold a (drained) chunk stream back into the barriered
+    :class:`~repro.sim.ensemble.EnsembleResult` the pre-streaming
     driver returned, independent of chunk arrival order (chunks are
-    re-sorted by submission order). ``trials`` disambiguates an empty
-    noisy stream; it is ignored when chunks are present."""
+    re-sorted by submission order). Chunks carry their own trial
+    count; ``trials`` gives it for an empty stream."""
     from repro.sim.ensemble import EnsembleResult
-    from repro.sim.noisy import NoisyEnsembleChunk, NoisyEnsembleResult
 
     seeds = list(seeds)
     chunks = sorted(chunks, key=lambda chunk: chunk.order)
-    noisy = trials is not None or any(
-        isinstance(chunk, NoisyEnsembleChunk) for chunk in chunks)
-    if noisy:
-        if chunks:
-            trials = chunks[0].trials
-        result = NoisyEnsembleResult(seeds=seeds, trials=trials or 0)
-        with_references = bool(chunks) and all(
-            chunk.references is not None for chunk in chunks)
-        if with_references:
-            result.references = [None] * len(seeds)
-        for chunk in chunks:
-            batch_number = len(result.batches)
-            result.batches.append(chunk.batches[0])
-            result.groups.append(list(chunk.indices))
-            for row_base, index in enumerate(chunk.indices):
-                result._rows[index] = (batch_number,
-                                       row_base * result.trials)
-                if with_references:
-                    result.references[index] = \
-                        chunk.references[row_base]
-        return result
-
-    result = EnsembleResult(trajectories=[None] * len(seeds))
-    serial_indices: list[int] = []
+    trials = chunks[0].trials if chunks else trials or 1
+    result = EnsembleResult(trajectories=[None] * (len(seeds) * trials),
+                            seeds=seeds, trials=trials)
+    if chunks and all(chunk.references is not None for chunk in chunks):
+        result.references = [None] * len(seeds)
     for chunk in chunks:
         if chunk.batches:
+            for local, index in enumerate(chunk.indices):
+                result._rows[index] = (len(result.batches),
+                                       local * trials)
             result.batches.append(chunk.batches[0])
             result.groups.append(list(chunk.indices))
         else:
-            serial_indices.extend(chunk.serial_indices)
-        # The chunk already unpacked its per-instance views — reuse
-        # them instead of materializing a second set.
-        for index, trajectory in zip(chunk.indices,
-                                     chunk.trajectories):
-            result.trajectories[index] = trajectory
-    result.serial_indices = sorted(serial_indices)
+            result.serial_indices.extend(chunk.serial_indices)
+        # The chunk already unpacked its per-row views — reuse them
+        # instead of materializing a second set.
+        for local, index in enumerate(chunk.indices):
+            result.trajectories[index * trials:(index + 1) * trials] = \
+                chunk.trajectories[local * trials:(local + 1) * trials]
+            if result.references is not None:
+                result.references[index] = chunk.references[local]
+    result.serial_indices.sort()
     return result

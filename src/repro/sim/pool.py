@@ -30,10 +30,11 @@ finished groups while the stiffest group is still integrating.
 Failure contract: an exception inside a task travels back pickled and
 re-raises in the parent (so the plan layer's demote-to-serial handling
 keeps working); a *dying* worker (hard crash, ``os._exit``) breaks the
-whole pool — it is torn down, evicted from the registry, and
-:class:`PoolBrokenError` raised; the next :func:`get_pool` call spawns
-a fresh one. Every path discards the group's shared block, so no
-``/dev/shm`` segment outlives its sweep.
+whole pool — it is torn down, evicted from the registry, counted in
+``pool.breaks``, and :class:`PoolBrokenError` raised; the plan layer
+then re-runs the lost groups in-process, and the next
+:func:`get_pool` call spawns a fresh pool. Every path discards the
+group's shared block, so no ``/dev/shm`` segment outlives its sweep.
 """
 
 from __future__ import annotations
@@ -53,9 +54,7 @@ from repro.core.simulator import simulate
 from repro.errors import SimulationError
 
 from repro.sim import shm as shm_module
-from repro.sim.batch_codegen import compile_batch
-from repro.sim.batch_solver import BatchTrajectory, solve_batch
-from repro.sim.sde_solver import solve_sde
+from repro.sim.batch_solver import BatchTrajectory
 
 
 class PoolBrokenError(SimulationError):
@@ -76,10 +75,11 @@ class ShardTask:
     options, fuse)`` tuple — serialized once per group and cached
     per-worker, so the factory's (possibly large) attribute payload is
     not re-pickled for every shard. ``rows`` is the shard's work list:
-    mismatch seeds for ODE and serial tasks, ``(chip_key, chip_seed,
-    token)`` triples for SDE shards. ``header``/``row_offset`` name the
-    shared block and the shard's slice of it (``header`` is ``None``
-    for serial tasks, whose trajectories return in the result meta).
+    mismatch seeds for serial tasks, ``(chip_key, chip_seed, token)``
+    triples for batched shards (``None`` tokens on ODE shards).
+    ``header``/``row_offset`` name the shared block and the shard's
+    slice of it (``header`` is ``None`` for serial tasks, whose
+    trajectories return in the result meta).
     """
 
     task_id: int
@@ -121,15 +121,15 @@ def _load_common(blob: bytes) -> tuple[tuple, bool]:
 
 
 def _run_shard(task: ShardTask) -> dict:
-    """Run one task. Batched shards store their rows into the shared
-    block; the rebuild helpers are shared with :mod:`repro.sim.plan`
-    (same whole-group fuse decision), so fixed-step shards are
-    bit-identical to the in-process ``batch`` solve. Serial tasks run
-    one scipy solve per seed and return the trajectories in the meta."""
-    # Lazy import: plan.py is the registry module and imports this one
-    # inside functions only, so importing it here (in the worker) is
-    # cycle-free.
-    from repro.sim.plan import _compile_sde_rows, _compile_target
+    """Run one task. Batched shards rebuild their rows through the
+    factory and integrate them with :func:`repro.sim.plan.solve_rows`
+    — the call the parent makes when it re-runs a group of a dead
+    pool in-process — under the whole-group fuse decision, storing the
+    rows into the shared block. Serial tasks run one scipy solve per
+    seed and return the trajectories in the meta."""
+    # Lazy import: plan.py imports this module inside functions only,
+    # so importing it here (in the worker) is cycle-free.
+    from repro.sim.plan import _compile_rows, solve_rows
 
     started = time.monotonic() if task.collect else 0.0
     wiener_seconds = 0.0
@@ -141,26 +141,19 @@ def _run_shard(task: ShardTask) -> dict:
         meta = {"n_rows": len(solved), "nfev": None, "frozen": None,
                 "trajectories": [(item.t, item.y) for item in solved]}
     else:
-        array_backend = options.get("array_backend")
+        systems, tokens = _compile_rows(factory, task.rows)
         if task.kind == "ode":
-            systems = [_compile_target(factory(seed))
-                       for seed in task.rows]
-            batch = compile_batch(systems, fuse=fuse,
-                                  array_backend=array_backend)
-            trajectory = solve_batch(batch, t_span, **options)
-        else:
-            replicated, tokens = _compile_sde_rows(factory, task.rows)
-            batch = compile_batch(replicated, fuse=fuse,
-                                  array_backend=array_backend)
-            # The solver's own counters land in a worker-local window;
-            # its Wiener seconds ride home with the shard's block.
-            window = (telemetry.collect_metrics() if task.collect
-                      else contextlib.nullcontext())
-            with window as report:
-                trajectory = solve_sde(batch, t_span, noise_seeds=tokens,
-                                       **options)
-            if report is not None:
-                wiener_seconds = report.counter("sde.wiener_seconds")
+            tokens = None
+        # An SDE solve's own counters land in a worker-local window;
+        # its Wiener seconds ride home with the shard's block.
+        window = (telemetry.collect_metrics()
+                  if task.collect and tokens is not None
+                  else contextlib.nullcontext())
+        with window as report:
+            trajectory = solve_rows(systems, tokens, t_span, options,
+                                    fuse)
+        if report is not None:
+            wiener_seconds = report.counter("sde.wiener_seconds")
         block = shm_module.ShmBlock.attach(task.header)
         try:
             block.write_rows(task.row_offset, trajectory.y)
@@ -271,11 +264,6 @@ class PoolHandle:
         elif self.error is None:
             self.error = _decode_error(payload)
 
-    def wait(self) -> None:
-        """Block until every shard reported (or the pool broke)."""
-        while self.pending:
-            self.pool.drain_one()
-
     def result(self):
         """The group's ``(BatchTrajectory, storable)`` — call when
         :attr:`done`. Raises the first shard error (after releasing the
@@ -310,7 +298,8 @@ class PoolHandle:
         """One meta entry per task, in submission order — how the
         serial fan-out collects its per-seed trajectories. Raises the
         first task error like :meth:`result`."""
-        self.wait()
+        while self.pending:
+            self.pool.drain_one()
         if self.error is not None:
             raise self.error
         if telemetry.enabled():
@@ -434,6 +423,8 @@ class WorkerPool:
         return all(worker.is_alive() for worker in self._workers)
 
     def _break(self) -> None:
+        if not self.broken:
+            telemetry.add("pool.breaks")
         self.broken = True
         for worker in self._workers:
             if worker.is_alive():

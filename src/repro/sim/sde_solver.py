@@ -73,8 +73,8 @@ from repro.errors import SimulationError
 from repro.sim.array_api import resolve_array_backend
 from repro.sim.batch_codegen import BatchRhs, compile_batch
 from repro.sim.batch_solver import (BatchTrajectory, _batch_backend,
-                                    _error_norms, _output_grid,
-                                    _resolve_max_step, freeze_converged)
+                                    _error_norms, _solve_grids,
+                                    freeze_converged)
 
 #: Fixed-step methods: the step sequence is fully determined by the
 #: grid and ``max_step``, so results are partition- and
@@ -682,20 +682,10 @@ def solve_sde(batch: BatchRhs | list[OdeSystem],
         raise SimulationError(
             f"{len(noise_seeds)} noise seeds for "
             f"{batch.n_instances} instances")
-    grid = _output_grid(t_span, n_points, t_eval)
-    t0 = float(t_span[0])
-    if grid[0] < t0:
-        raise SimulationError(
-            f"t_eval starts at {grid[0]} before the span start {t0}")
-    preroll = grid[0] > t0
-    work_grid = np.concatenate(([t0], grid)) if preroll else grid
-    max_step = _resolve_max_step(max_step,
-                                 work_grid[-1] - work_grid[0])
-
+    grid, work_grid, max_step = _solve_grids(t_span, n_points, t_eval,
+                                             max_step, freeze_tol)
+    preroll = len(work_grid) > len(grid)
     noisy = batch.has_noise
-    if freeze_tol is not None and freeze_tol <= 0.0:
-        raise SimulationError(
-            f"freeze_tol must be > 0 (or None), got {freeze_tol}")
 
     scatter = _ScatterAccumulator(batch.term_state_index,
                                   batch.n_states, batch.n_instances,

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro ensemble`` subcommand."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,8 @@ class TestEnsembleCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [["--engine", "auto"],
-                                       ["--shard-min", "4"]])
+                                       ["--shard-min", "4"],
+                                       ["--sde-rtol", "1e-2"]])
     def test_removed_flags_are_rejected(self, program_file, capsys,
                                         flags):
         with pytest.raises(SystemExit) as excinfo:
@@ -176,13 +179,11 @@ class TestAdaptiveSdeFlags:
                                              tmp_path, capsys):
         code, loose_csv = self._run(
             noisy_file, tmp_path, "loose", "--sde-method",
-            "heun-adaptive", "--sde-rtol", "1e-2", "--sde-atol",
-            "1e-4")
+            "heun-adaptive", "--rtol", "1e-2", "--atol", "1e-4")
         assert code == 0
         code, tight_csv = self._run(
             noisy_file, tmp_path, "tight", "--sde-method",
-            "heun-adaptive", "--sde-rtol", "1e-7", "--sde-atol",
-            "1e-10")
+            "heun-adaptive", "--rtol", "1e-7", "--atol", "1e-10")
         assert code == 0
         loose = np.genfromtxt(loose_csv, delimiter=",", names=True)
         tight = np.genfromtxt(tight_csv, delimiter=",", names=True)
@@ -193,3 +194,41 @@ class TestAdaptiveSdeFlags:
         # ... but refine the SAME Wiener path, so they agree closely.
         np.testing.assert_allclose(loose["x_mean"], tight["x_mean"],
                                    atol=0.05)
+
+
+class TestToleranceFlags:
+    """``--rtol``/``--atol`` set the plan's tolerances for every sweep,
+    deterministic or noisy."""
+
+    #: SHA-256 of the CSV that ``--seeds 2 --trials 4 --sde-method
+    #: heun-adaptive`` with a relative tolerance of 1e-2 wrote when the
+    #: flag was still spelled ``--sde-rtol``.
+    ADAPTIVE_CSV_DIGEST = ("d5e7be95c593ad8ff4b283238b1d65df"
+                           "4668ca4cc6c9bc820615703111f726e1")
+
+    def test_ode_sweep_honors_rtol(self, program_file, tmp_path):
+        def sweep(name, *extra):
+            path = tmp_path / f"{name}.csv"
+            assert main(["ensemble", program_file, "--arg", "w=1.0",
+                         "--t-end", "20.0", "--seeds", "4", "--node",
+                         "x1", "--csv", str(path), *extra]) == 0
+            return path.read_bytes()
+
+        default = sweep("default")
+        loose = sweep("loose", "--rtol", "1e-3")
+        assert loose != default
+        np.testing.assert_allclose(
+            np.genfromtxt(loose.decode().splitlines(), delimiter=",",
+                          skip_header=1),
+            np.genfromtxt(default.decode().splitlines(), delimiter=",",
+                          skip_header=1), atol=1e-2)
+
+    def test_adaptive_sde_rtol_output_is_unchanged(self, noisy_file,
+                                                   tmp_path):
+        path = tmp_path / "adaptive.csv"
+        assert main(["ensemble", noisy_file, "--t-end", "1.0",
+                     "--seeds", "2", "--trials", "4", "--node", "x",
+                     "--sde-method", "heun-adaptive", "--rtol", "1e-2",
+                     "--csv", str(path)]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.ADAPTIVE_CSV_DIGEST

@@ -31,6 +31,22 @@ def _pair_factory(seed, coupled=True):
     return builder.finish()
 
 
+_NOISY_LANG = repro.Language("mm-ens-noisy")
+_NOISY_LANG.node_type("X", order=1,
+                      attrs=[("tau", repro.real(0.2, 5.0,
+                                                mm=(0.0, 0.1)))])
+_NOISY_LANG.edge_type("W")
+_NOISY_LANG.prod("prod(e:W,s:X->s:X) s <= -var(s)/s.tau + noise(0.3)")
+
+
+def _noisy_pair_factory(seed):
+    builder = repro.GraphBuilder(_NOISY_LANG, "noisy", seed=seed)
+    builder.node("a", "X").set_attr("a", "tau", 1.0)
+    builder.edge("a", "a", "la", "W")
+    builder.set_init("a", 1.0)
+    return builder.finish()
+
+
 # Module-level so it pickles into a multiprocessing pool.
 def _picklable_factory(seed):
     return _pair_factory(seed)
@@ -89,6 +105,32 @@ class TestRunEnsemble:
         assert result.batches == []
         assert result.serial_indices == [0, 1, 2]
         assert all(t is not None for t in result.trajectories)
+
+    def test_demoted_group_is_counted(self, monkeypatch, tmp_path,
+                                      capsys):
+        # A stiff group whose batched rkf45 underflows is demoted to
+        # scipy: the demotion is a counter in the run's report, and
+        # `repro report` shows it.
+        from repro.cli import main
+        from repro.errors import SimulationError
+        from repro.sim import plan as plan_module
+
+        def underflow(*args, **kwargs):
+            raise SimulationError("rkf45 step size underflow (forced)")
+
+        monkeypatch.setattr(plan_module, "solve_batch", underflow)
+        result = run_ensemble(
+            lambda seed: _pair_factory(seed, coupled=seed != 4),
+            range(5), (0.0, 1.0), n_points=40, telemetry=True)
+        assert result.serial_indices == [0, 1, 2, 3, 4]
+        assert result.telemetry.counter("plan.demoted_rows") == 4
+        assert result.telemetry.counter("plan.rerun_rows") == 0
+        path = tmp_path / "report.json"
+        result.telemetry.save(path)
+        assert main(["report", str(path)]) == 0
+        shown = [line.split() for line in
+                 capsys.readouterr().out.splitlines()]
+        assert ["plan.demoted_rows", "4"] in shown
 
     def test_batch_failure_with_explicit_method_raises(self,
                                                        monkeypatch):
@@ -305,3 +347,19 @@ class TestSimulateEnsembleCompat:
                                          (0.0, 1.0), n_points=50,
                                          engine="serial")
         assert len(trajectories) == 3
+
+    def test_noisy_sweep_returns_chip_major_trial_rows(self):
+        # Regression: with trials=K the legacy list API used to run the
+        # whole sweep and then fail on the noisy result type.
+        factory = _noisy_pair_factory
+        trajectories = simulate_ensemble(factory, range(3), (0.0, 1.0),
+                                         n_points=50, trials=2)
+        result = run_ensemble(factory, range(3), (0.0, 1.0),
+                              n_points=50, trials=2)
+        assert len(trajectories) == 6
+        for chip in range(3):
+            for trial in range(2):
+                np.testing.assert_array_equal(
+                    trajectories[chip * 2 + trial].y,
+                    result.trajectory(chip, trial).y)
+        assert not np.array_equal(trajectories[0].y, trajectories[1].y)

@@ -8,7 +8,8 @@ import pytest
 import repro
 from repro.errors import SimulationError
 from repro.lang import parse_program
-from repro.sim import ENGINES, ExecutionPlan, NoiseSpec, run_ensemble
+from repro.sim import (ENGINES, ExecutionPlan, NoiseSpec, execute_plan,
+                       run_ensemble)
 
 OU_SOURCE = """
 lang ou {
@@ -55,7 +56,7 @@ class TestValidation:
         plan = ExecutionPlan(factory=_ou_factory(), seeds=[0],
                              t_span=(0.0, 1.0), engine="nope")
         with pytest.raises(SimulationError, match="unknown engine"):
-            plan.run()
+            execute_plan(plan)
 
     def test_trials_below_one(self):
         with pytest.raises(SimulationError, match="trials"):

@@ -57,6 +57,21 @@ class CrashFactory:
         return mismatched_tline("gm", seed=seed)
 
 
+NOISY = NoisyTlineFactory(TLineSpec(n_segments=4), noise=1e-9)
+
+
+class CrashNoisyFactory:
+    """:class:`CrashFactory` for a transiently noisy line."""
+
+    def __init__(self):
+        self.parent_pid = os.getpid()
+
+    def __call__(self, seed):
+        if os.getpid() != self.parent_pid:
+            os._exit(13)
+        return NOISY(seed)
+
+
 class PoisonFactory:
     """Raises a (picklable) SimulationError inside workers only — the
     soft-failure path: the worker survives and reports the error."""
@@ -87,6 +102,13 @@ def _even_slice_reference(systems, solve, processes=2):
         solve(compile_batch([systems[row] for row in part], fuse=fuse),
               part).y
         for part in even_parts(len(systems), processes)])
+
+
+def _assert_same_rows(result, expected):
+    assert result.groups == expected.groups
+    for a, b in zip(result.batches, expected.batches):
+        np.testing.assert_array_equal(a.t, b.t)
+        np.testing.assert_array_equal(a.y, b.y)
 
 
 def _assert_partition(parts, n_rows):
@@ -336,11 +358,19 @@ class TestFallbacks:
 
 
 class TestFailureHygiene:
-    def test_worker_crash_raises_and_unlinks(self):
-        factory = CrashFactory()
-        with pytest.raises(PoolBrokenError, match="died"):
-            run_ensemble(factory, range(6), SPAN, engine="pool",
-                         processes=2, n_points=30, method="rk4")
+    def test_worker_crash_reruns_in_process_and_unlinks(self):
+        # A dying worker costs speed, never the sweep: the group re-runs
+        # in-process over the pool's slices, bit-identical to the
+        # in-process solve (rk4 rows are partition-independent).
+        result = run_ensemble(CrashFactory(), range(6), SPAN,
+                              engine="pool", processes=2, n_points=30,
+                              method="rk4", telemetry=True)
+        batch = run_ensemble(TlineFactory(), range(6), SPAN,
+                             n_points=30, method="rk4")
+        _assert_same_rows(result, batch)
+        assert result.telemetry.counter("pool.breaks") == 1
+        assert result.telemetry.counter("plan.rerun_rows") == 6
+        assert result.telemetry.counter("plan.demoted_rows") == 0
         _assert_no_leaks()
         # The broken pool was evicted; the next run gets fresh workers
         # and succeeds.
@@ -350,15 +380,50 @@ class TestFailureHygiene:
         assert len(result.batches) == 1
         _assert_no_leaks()
 
-    def test_worker_crash_with_auto_method_demotes_to_serial(self):
-        # A PoolBrokenError is a SimulationError, so the auto method's
-        # demote-to-serial resilience covers hard crashes too: the
-        # sweep completes through scipy instead of dying.
-        factory = CrashFactory()
-        result = run_ensemble(factory, range(6), SPAN, engine="pool",
-                              processes=2, n_points=30)
-        assert result.serial_indices == list(range(6))
-        assert all(t is not None for t in result.trajectories)
+    def test_worker_crash_with_auto_method_reruns_batched(self):
+        # The auto method re-runs a crashed group with its batched
+        # rkf45 over the pool's even slices (no scipy demotion), so the
+        # result is the one a healthy pool returns.
+        result = run_ensemble(CrashFactory(), range(6), SPAN,
+                              engine="pool", processes=2, n_points=30,
+                              telemetry=True)
+        healthy = run_ensemble(TlineFactory(), range(6), SPAN,
+                               engine="pool", processes=2, n_points=30)
+        assert result.serial_indices == []
+        _assert_same_rows(result, healthy)
+        systems = [compile_graph(mismatched_tline("gm", seed=seed))
+                   for seed in range(6)]
+        np.testing.assert_array_equal(
+            result.batches[0].y,
+            _even_slice_reference(
+                systems, lambda batch, part: solve_batch(
+                    batch, SPAN, n_points=30, method="rkf45")))
+        assert result.telemetry.counter("plan.rerun_rows") == 6
+        assert result.telemetry.counter("plan.demoted_rows") == 0
+        _assert_no_leaks()
+
+    @pytest.mark.parametrize("method", ["heun", "heun-adaptive"])
+    def test_noisy_worker_crash_reruns_in_process(self, method):
+        # One killed worker no longer loses a noisy sweep: the group and
+        # the chips' rk4 references (pooled too under engine="pool")
+        # re-run in-process, bit-identical to a healthy pool run (and,
+        # for the fixed-step method, to the in-process run).
+        kwargs = dict(trials=4, n_points=30, sde_method=method,
+                      rtol=1e-4, atol=1e-7)
+        result = run_ensemble(CrashNoisyFactory(), range(4), SPAN,
+                              engine="pool", processes=2,
+                              telemetry=True, **kwargs)
+        healthy = run_ensemble(NOISY, range(4), SPAN, engine="pool",
+                               processes=2, **kwargs)
+        _assert_same_rows(result, healthy)
+        if method == "heun":
+            _assert_same_rows(result, run_ensemble(NOISY, range(4), SPAN,
+                                                   **kwargs))
+        for chip in range(4):
+            np.testing.assert_array_equal(result.reference(chip).y,
+                                          healthy.reference(chip).y)
+        assert result.telemetry.counter("pool.breaks") == 2
+        assert result.telemetry.counter("plan.rerun_rows") == 16 + 4
         _assert_no_leaks()
 
     def test_soft_worker_error_propagates_and_unlinks(self):
@@ -455,12 +520,21 @@ class TestSerialFanOut:
             np.testing.assert_array_equal(a.t, b.t)
         _assert_no_leaks()
 
-    def test_serial_fan_out_worker_crash_raises_and_recovers(self):
+    def test_serial_fan_out_worker_crash_reruns_in_process(self):
         # A dying worker breaks the pool instead of hanging the fan-out;
+        # the seeds re-run in-process with the same scipy solve, and
         # the next fan-out spawns fresh workers.
-        with pytest.raises(PoolBrokenError, match="died"):
-            run_ensemble(CrashFactory(), range(3), SPAN, n_points=30,
-                         engine="serial", processes=2)
+        result = run_ensemble(CrashFactory(), range(3), SPAN,
+                              n_points=30, engine="serial", processes=2,
+                              telemetry=True)
+        local = run_ensemble(TlineFactory(), range(3), SPAN, n_points=30,
+                             engine="serial")
+        assert result.serial_indices == [0, 1, 2]
+        for a, b in zip(result, local):
+            np.testing.assert_array_equal(a.y, b.y)
+            np.testing.assert_array_equal(a.t, b.t)
+        assert result.telemetry.counter("pool.breaks") == 1
+        assert result.telemetry.counter("plan.rerun_rows") == 3
         _assert_no_leaks()
         result = run_ensemble(TlineFactory(), range(3), SPAN,
                               n_points=30, engine="serial", processes=2)

@@ -217,10 +217,12 @@ class TestNoisyEnsembleDriver:
         result = run_ensemble(self._factory, seeds=[0, 1, 2],
                               t_span=(0.0, 2.0), trials=4,
                               n_points=80)
-        assert result.n_chips == 3 and result.trials == 4
+        assert result.seeds == [0, 1, 2] and result.trials == 4
         assert len(result.batches) == 1
         assert result.batches[0].n_instances == 12
-        assert len(result.trials_of(2)) == 4
+        assert len(result.trajectories) == 12
+        np.testing.assert_array_equal(result.trajectory(2, 3).y,
+                                      result.batches[0].y[11])
         batch, rows = result.trial_rows(1)
         assert rows == slice(4, 8)
 

@@ -11,9 +11,8 @@ import pytest
 import repro
 from repro.paradigms.tln import TLineSpec, mismatched_tline
 from repro.paradigms.tln.noisy import NoisyTlineFactory
-from repro.sim import (EnsembleChunk, ExecutionPlan, NoisyEnsembleChunk,
-                       assemble_chunks, run_ensemble, stream_ensemble,
-                       stream_plan)
+from repro.sim import (EnsembleChunk, ExecutionPlan, assemble_chunks,
+                       run_ensemble, stream_plan)
 from repro.sim import plan as plan_module
 from repro.sim.batch_solver import solve_batch
 from repro.sim.sde_solver import solve_sde
@@ -72,7 +71,7 @@ class TestFirstChunkBeforeCompletion:
                               n_points=30, stream=True, reference=False)
         assert solved == []
         first = next(stream)
-        assert isinstance(first, NoisyEnsembleChunk)
+        assert isinstance(first, EnsembleChunk)
         assert solved == [6]  # the one group: 3 chips x 2 trials
 
 
@@ -81,8 +80,8 @@ class TestUnionEqualsBarrier:
         seeds = list(range(6))
         barrier = run_ensemble(_two_group_factory, seeds, SPAN,
                                n_points=30)
-        chunks = list(stream_ensemble(_two_group_factory, seeds, SPAN,
-                                      n_points=30))
+        chunks = list(run_ensemble(_two_group_factory, seeds, SPAN,
+                                   n_points=30, stream=True))
         assert len(chunks) == 2
         result = assemble_chunks(chunks, seeds)
         assert result.groups == barrier.groups
@@ -96,8 +95,8 @@ class TestUnionEqualsBarrier:
         seeds = list(range(6))
         barrier = run_ensemble(_two_group_factory, seeds, SPAN,
                                n_points=30)
-        chunks = list(stream_ensemble(_two_group_factory, seeds, SPAN,
-                                      n_points=30))
+        chunks = list(run_ensemble(_two_group_factory, seeds, SPAN,
+                                   n_points=30, stream=True))
         random.Random(7).shuffle(chunks)
         result = assemble_chunks(chunks, seeds)
         assert result.groups == barrier.groups
@@ -113,8 +112,8 @@ class TestUnionEqualsBarrier:
         seeds = list(range(5))
         barrier = run_ensemble(factory, seeds, SPAN, n_points=30)
         assert barrier.serial_indices == [2]
-        chunks = list(stream_ensemble(factory, seeds, SPAN,
-                                      n_points=30))
+        chunks = list(run_ensemble(factory, seeds, SPAN,
+                                   n_points=30, stream=True))
         serial_chunks = [c for c in chunks if not c.batches]
         assert len(serial_chunks) == 1
         assert serial_chunks[0].indices == [2]
@@ -155,7 +154,7 @@ class TestUnionEqualsBarrier:
                                 trials=2, n_points=30,
                                 stream=True)
         assert chunk.indices == [0, 1, 2]
-        assert chunk.n_chips == 3
+        assert chunk.seeds == [0, 1, 2]
         np.testing.assert_array_equal(chunk.trajectory(1, 1).y,
                                       barrier.trajectory(1, 1).y)
         np.testing.assert_array_equal(chunk.reference(2).y,
@@ -173,9 +172,9 @@ class TestPoolStreaming:
         seeds = list(range(8))
         barrier = run_ensemble(factory, seeds, SPAN, n_points=30,
                                engine="pool", processes=2)
-        chunks = list(stream_ensemble(factory, seeds, SPAN,
-                                      n_points=30, engine="pool",
-                                      processes=2))
+        chunks = list(run_ensemble(factory, seeds, SPAN,
+                                   n_points=30, engine="pool",
+                                   processes=2, stream=True))
         assert sorted(chunk.order for chunk in chunks) == [0, 1]
         result = assemble_chunks(chunks, seeds)
         for a, b in zip(barrier.batches, result.batches):
@@ -186,9 +185,9 @@ class TestPoolStreaming:
         from repro.sim import shm
 
         factory = PicklableTwoGroupFactory()
-        stream = stream_ensemble(factory, list(range(8)), SPAN,
-                                 n_points=30, engine="pool",
-                                 processes=2)
+        stream = run_ensemble(factory, list(range(8)), SPAN,
+                              n_points=30, engine="pool", processes=2,
+                              stream=True)
         next(stream)
         stream.close()  # consumer walks away mid-sweep
         assert shm.active_blocks() == []
@@ -264,8 +263,8 @@ func cell (nsig:real[0,inf]) uses leaky-noise {
 class TestStreamValidation:
     def test_validation_raises_at_call_time(self):
         with pytest.raises(repro.SimulationError, match="unknown engine"):
-            stream_ensemble(_two_group_factory, range(2), SPAN,
-                            engine="bogus")
+            run_ensemble(_two_group_factory, range(2), SPAN,
+                         engine="bogus", stream=True)
 
     def test_trials_guard_still_applies(self):
         with pytest.raises(repro.SimulationError, match="trials"):
