@@ -544,10 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "serial: one solve per instance; pool: every "
                        f"group on the pool; default {ExecutionPlan.engine}")
     p_ens.add_argument("--array-backend",
-                       metavar="NAME[:DTYPE]",
-                       help="array namespace for the batched kernels "
-                       "and solver loops: numpy (default, "
-                       "bit-identical) or numpy:float32")
+                       metavar="numpy[:DTYPE]",
+                       help="precision of the batched solves: numpy or "
+                       "numpy:float64 (default) or numpy:float32")
     p_ens.add_argument("--backend", default="milp",
                        choices=("milp", "flow"))
     p_ens.add_argument("--processes", type=int,

@@ -14,13 +14,12 @@ varying the mismatch seed models independent fabricated chips.
 noisy-ensemble driver uses ``"<chip_seed>:<trial>"`` so every
 (fabricated chip, noise trial) pair owns an independent realization.
 
-Array backends: these streams are *always* drawn on the host PCG64
-generator, whatever array backend the solver loops run on — a float32
-run consumes the same float64 increments as the float64 run (the
-backend's :meth:`~repro.sim.array_api.ArrayBackend.wiener_source`
-adapter converts draws at the dtype boundary). The noise
-*realization* is therefore backend-independent by construction; only
-the arithmetic that consumes it is subject to the backend's dtype.
+Precision: these streams are *always* drawn in float64, whatever
+precision the solver loops run at — a float32 run consumes the float64
+increments cast to float32 (see
+:class:`~repro.sim.sde_solver.WienerSource`). The noise *realization*
+is therefore precision-independent by construction; only the
+arithmetic that consumes it runs at the solve's dtype.
 
 Bulk seeding: a stream's generator is exactly ``PCG64(stream_seed(...))``
 — but numpy seeds each PCG64 through a ``SeedSequence`` whose mixing

@@ -7,7 +7,10 @@ implementation runs them as vectorized batches (``--vectorize --bz
 
 * :mod:`repro.sim.batch_codegen` — one compiled RHS evaluating an
   ``(n_instances, n_states)`` state matrix, per-instance attributes
-  stacked as constant arrays;
+  stacked as constant arrays, at float64 (default) or float32
+  precision, selected per run via ``run_ensemble(...,
+  array_backend="numpy:float32")`` / ``--array-backend`` (see
+  :func:`~repro.sim.batch_codegen.array_dtype`);
 * :mod:`repro.sim.batch_solver` — vectorized RK4 / adaptive RKF45 with
   per-instance error control on a shared output grid, returning a
   :class:`~repro.sim.batch_solver.BatchTrajectory`;
@@ -31,12 +34,7 @@ implementation runs them as vectorized batches (``--vectorize --bz
 * :mod:`repro.sim.sde_solver` — batched transient-noise (SDE)
   integration: deterministic per-``(seed, element, path)`` Wiener
   streams plus vectorized Euler–Maruyama / stochastic Heun solvers over
-  the same ``(n_instances, n_states)`` storage;
-* :mod:`repro.sim.array_api` — the pluggable array-namespace layer:
-  an :class:`~repro.sim.array_api.ArrayBackend` seam with the numpy
-  backend (bit-identical float64 default, float32 opt-in), selected per
-  run via ``run_ensemble(..., array_backend=...)`` /
-  ``--array-backend``.
+  the same ``(n_instances, n_states)`` storage.
 
 Quickstart::
 
@@ -52,10 +50,8 @@ Quickstart::
 legacy list-of-trajectories API.
 """
 
-from repro.sim.array_api import (ArrayBackend, NumpyBackend,
-                                 array_backend_names, canonical_spec,
-                                 resolve_array_backend)
-from repro.sim.batch_codegen import (BatchRhs, compile_batch,
+from repro.sim.batch_codegen import (BatchRhs, array_dtype,
+                                     canonical_spec, compile_batch,
                                      generate_batch_source,
                                      group_by_signature)
 from repro.sim.batch_solver import BatchTrajectory, solve_batch
@@ -69,7 +65,6 @@ from repro.sim.sde_solver import (SDE_METHODS, WienerSource,
                                   simulate_sde, solve_sde)
 
 __all__ = [
-    "ArrayBackend",
     "BATCH_METHODS",
     "BatchRhs",
     "BatchTrajectory",
@@ -79,11 +74,10 @@ __all__ = [
     "EnsembleResult",
     "ExecutionPlan",
     "NoiseSpec",
-    "NumpyBackend",
     "SDE_METHODS",
     "TrajectoryCache",
     "WienerSource",
-    "array_backend_names",
+    "array_dtype",
     "assemble_chunks",
     "canonical_spec",
     "compile_batch",
@@ -92,7 +86,6 @@ __all__ = [
     "execute_plan",
     "generate_batch_source",
     "group_by_signature",
-    "resolve_array_backend",
     "run_ensemble",
     "simulate_sde",
     "solve_batch",

@@ -27,13 +27,11 @@ compiles to the same code — :class:`~repro.core.simulator.Trajectory`
 reuses it with *time* as the batch axis to vectorize algebraic-node
 readout.
 
-Kernels are emitted against an injected array namespace (see
-:mod:`repro.sim.array_api`): ``_np`` in the emitted source is the
-backend's ``xp`` handle, attribute/coefficient arrays are built on the
-host and converted through the backend's dtype policy before ``exec``,
-and compiled code objects are cached by source. Kernels fill
-preallocated ``dy``/``out`` buffers in place; every backend and dtype
-receives the exact byte-identical source this module always emitted.
+A batch runs at one precision, float64 (the default) or float32 (see
+:func:`array_dtype`): attribute/coefficient arrays are built in float64
+and cast to the batch's dtype before ``exec``, and compiled code objects
+are cached by source. Kernels fill preallocated ``dy``/``out`` buffers
+in place, and the emitted source does not depend on the precision.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from repro.core import expr as E
 from repro.core.odesystem import ChainRhs, OdeSystem, optimize_terms
 from repro.core.types import Reduction
 from repro.errors import CompileError, SimulationError
-from repro.sim.array_api import resolve_array_backend
 
 #: NumPy counterparts of the scalar builtins in
 #: :data:`repro.core.expr.BUILTIN_FUNCTIONS`. Only used when the
@@ -132,12 +129,9 @@ class _BatchCodegen(E.CodegenContext):
     arrays, control flow to elementwise NumPy."""
 
     def __init__(self, systems: list[OdeSystem],
-                 namespace: dict[str, object],
-                 vector_functions: dict[str, object] | None = None):
+                 namespace: dict[str, object]):
         self._systems = systems
         self._namespace = namespace
-        self._vector_functions = VECTOR_FUNCTIONS \
-            if vector_functions is None else vector_functions
         self._alg_names: dict[str, str] = {}
         self._attr_slots: dict[tuple, str] = {}
 
@@ -200,7 +194,7 @@ class _BatchCodegen(E.CodegenContext):
             except KeyError:
                 raise CompileError(
                     f"batch codegen: unknown function {name}") from None
-            vector = self._vector_functions.get(name)
+            vector = VECTOR_FUNCTIONS.get(name)
             if vector is not None and fn is E.BUILTIN_FUNCTIONS.get(name):
                 self._namespace[alias] = vector
             else:
@@ -482,8 +476,7 @@ def _compile_source(source: str, filename: str):
 
 def generate_batch_source(systems: list[OdeSystem],
                           namespace: dict[str, object],
-                          survivors=None, fuse: bool = True,
-                          vector_functions=None) -> str:
+                          survivors=None, fuse: bool = True) -> str:
     """Emit the source of the batched RHS (``_rhs``), the batched
     algebraic-readout function (``_alg``), and — for stochastic systems
     — the batched diffusion-amplitude function (``_dif``) for a
@@ -502,11 +495,9 @@ def generate_batch_source(systems: list[OdeSystem],
 
     ``survivors`` is a precomputed :func:`surviving_diffusion` result;
     pass it when the caller also needs the diffusion layout (as
-    :class:`BatchRhs` does) so the shared-value pass runs once.
-    ``vector_functions`` overrides the namespace's ufunc map (defaults
-    to the numpy :data:`VECTOR_FUNCTIONS`)."""
+    :class:`BatchRhs` does) so the shared-value pass runs once."""
     lead = systems[0]
-    codegen = _BatchCodegen(systems, namespace, vector_functions)
+    codegen = _BatchCodegen(systems, namespace)
     lookup = _shared_lookup(systems)
 
     algebraic_lines: list[str] = []
@@ -583,19 +574,16 @@ class BatchRhs:
                     "compatible; use the serial path or group by "
                     "structural_signature()")
         self.systems = list(systems)
-        #: The array backend the kernels are emitted against (see
-        #: :mod:`repro.sim.array_api`); solvers run on its arrays.
-        self.backend = resolve_array_backend(array_backend)
-        backend = self.backend
-        namespace: dict[str, object] = {"_np": backend.xp}
+        #: The precision the solvers integrate this batch at (see
+        #: :func:`array_dtype`).
+        self.dtype = array_dtype(array_backend)
+        namespace: dict[str, object] = {"_np": np}
         survivors = surviving_diffusion(self.systems)
         self.source = generate_batch_source(
-            self.systems, namespace, survivors=survivors, fuse=fuse,
-            vector_functions=backend.vector_functions())
+            self.systems, namespace, survivors=survivors, fuse=fuse)
         #: True when the emitted RHS drives a fused coefficient matmul.
         self.fused = "_lin_A" in namespace
         telemetry.add("codegen.batch_compiles")
-        telemetry.add(f"codegen.backend.{backend.name}")
         telemetry.add("codegen.fused_rhs" if self.fused
                       else "codegen.unfused_rhs")
         # Residual ``dy[:, i] +=`` stores are what the fuser could not
@@ -604,14 +592,10 @@ class BatchRhs:
         telemetry.add("codegen.residual_lines",
                       self.source.count("dy[:, ") - 1
                       if self.fused else self.source.count("dy[:, "))
-        # Host-built constant tensors (per-instance attributes, fused
-        # coefficients, residual scales) cross onto the backend at the
-        # policy dtype here; on numpy/float64 the conversion is the
-        # identity, so the namespace — like the source — is exactly the
-        # pre-abstraction one.
-        for slot, value in list(namespace.items()):
-            if isinstance(value, np.ndarray):
-                namespace[slot] = backend.asarray(value)
+        # Constant tensors (per-instance attributes, fused coefficients,
+        # residual scales) are built in float64 and cast to the batch's
+        # dtype here; at float64 the cast is the identity.
+        self._cast_arrays(namespace)
         exec(_compile_source(self.source,
                              f"<ark-batch:{systems[0].graph.name}>"),
              namespace)
@@ -643,6 +627,11 @@ class BatchRhs:
             [term.state_index for term in self.diffusion_terms],
             dtype=int)
 
+    def _cast_arrays(self, namespace: dict) -> None:
+        for slot, value in list(namespace.items()):
+            if isinstance(value, np.ndarray):
+                namespace[slot] = np.asarray(value, dtype=self.dtype)
+
     @property
     def n_instances(self) -> int:
         return len(self.systems)
@@ -665,9 +654,8 @@ class BatchRhs:
                 f"batch {self.systems[0].graph.name} has no diffusion "
                 "terms; integrate it with a deterministic solver")
         if out is None:
-            out = self.backend.xp.empty(
-                (y.shape[0], len(self.diffusion_terms)),
-                dtype=self.backend.dtype)
+            out = np.empty((y.shape[0], len(self.diffusion_terms)),
+                           dtype=self.dtype)
         return self._dif_inner(t, y, out)
 
     def _ensure_dif_prime(self):
@@ -705,10 +693,8 @@ class BatchRhs:
             # zero and ``milstein`` degenerates to ``em`` exactly.
             return
         self._milstein_trivial = False
-        backend = self.backend
-        namespace: dict[str, object] = {"_np": backend.xp}
-        codegen = _BatchCodegen(self.systems, namespace,
-                                backend.vector_functions())
+        namespace: dict[str, object] = {"_np": np}
+        codegen = _BatchCodegen(self.systems, namespace)
         lines = ["def _dif_prime(t, y, out):"]
         for column, derivative in enumerate(derivatives):
             body = ("0.0" if derivative is None
@@ -717,9 +703,7 @@ class BatchRhs:
         lines.append("    return out")
         source = "\n".join(lines)
         telemetry.add("codegen.dif_prime_compiles")
-        for slot, value in list(namespace.items()):
-            if isinstance(value, np.ndarray):
-                namespace[slot] = backend.asarray(value)
+        self._cast_arrays(namespace)
         exec(_compile_source(
             source, f"<ark-batch-dprime:{lead.graph.name}>"), namespace)
         self._dif_prime_inner = namespace["_dif_prime"]
@@ -748,42 +732,36 @@ class BatchRhs:
                 f"batch {self.systems[0].graph.name} has no diffusion "
                 "terms; there is nothing to differentiate")
         self._ensure_dif_prime()
+        shape = (y.shape[0], len(self.diffusion_terms))
         if self._dif_prime_inner is None:
-            zeros = self.backend.xp.zeros(
-                (y.shape[0], len(self.diffusion_terms)),
-                dtype=self.backend.dtype)
-            return zeros
+            return np.zeros(shape, dtype=self.dtype)
         if out is None:
-            out = self.backend.xp.empty(
-                (y.shape[0], len(self.diffusion_terms)),
-                dtype=self.backend.dtype)
+            out = np.empty(shape, dtype=self.dtype)
         return self._dif_prime_inner(t, y, out)
 
     @property
     def y0(self) -> np.ndarray:
-        """Stacked initial states, shape (n_instances, n_states), as a
-        backend array at the policy dtype."""
-        return self.backend.asarray(
-            np.stack([system.y0 for system in self.systems]))
+        """Stacked initial states, shape (n_instances, n_states), at the
+        batch's dtype."""
+        return np.asarray(np.stack([system.y0 for system in self.systems]),
+                          dtype=self.dtype)
 
     def __call__(self, t: float, y: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
         """Evaluate the batched RHS; ``y`` and the result have shape
         ``(n_instances, n_states)``."""
         if out is None:
-            out = self.backend.empty_like(y)
+            out = np.empty_like(y)
         return self._rhs_inner(t, y, out)
 
     def algebraic_values(self, t, y: np.ndarray) -> dict[str, np.ndarray]:
         """Order-0 node values for the whole batch, each broadcast to
         ``(n_instances,)`` (or to ``len(y)`` when another axis — e.g.
-        time — plays the batch role). Always host numpy float64 —
-        algebraic readout is an assembly boundary."""
+        time — plays the batch role). Always float64."""
         values = self._alg_inner(t, y)
         n = y.shape[0]
-        return {name: np.broadcast_to(
-                    np.asarray(self.backend.to_numpy(value), dtype=float),
-                    (n,)).copy()
+        return {name: np.broadcast_to(np.asarray(value, dtype=float),
+                                      (n,)).copy()
                 for name, value in values.items()}
 
     def __repr__(self) -> str:
@@ -795,12 +773,38 @@ def compile_batch(systems: list[OdeSystem], fuse: bool = True,
                   array_backend=None) -> BatchRhs:
     """Compile a structurally compatible batch of systems into one
     vectorized RHS. ``fuse`` enables the fused affine emitter (see
-    :func:`generate_batch_source`); ``array_backend`` selects the array
-    namespace the kernels are emitted against — a spec string
-    (``"numpy"``, ``"numpy:float32"``), an
-    :class:`~repro.sim.array_api.ArrayBackend`, or ``None`` for the
-    numpy default."""
+    :func:`generate_batch_source`); ``array_backend`` is the precision
+    the batch is integrated at (see :func:`array_dtype`)."""
     return BatchRhs(list(systems), fuse=fuse, array_backend=array_backend)
+
+
+#: The ``array_backend`` spellings and the precision each names.
+_PRECISIONS = {None: np.dtype(np.float64), "numpy": np.dtype(np.float64),
+               "numpy:float64": np.dtype(np.float64),
+               "numpy:float32": np.dtype(np.float32)}
+
+
+def array_dtype(array_backend=None) -> np.dtype:
+    """The numpy dtype an ``array_backend`` option names: ``None`` or
+    ``"numpy"`` (float64, the default), ``"numpy:float64"`` or
+    ``"numpy:float32"``. Anything else raises
+    :class:`~repro.errors.SimulationError` listing those spellings —
+    the solvers' error control and the cache's key hashing are only
+    specified for these two precisions."""
+    try:
+        return _PRECISIONS[array_backend]
+    except (KeyError, TypeError):
+        raise SimulationError(
+            f"unknown array backend {array_backend!r}; expected "
+            "numpy, numpy:float64 or numpy:float32") from None
+
+
+def canonical_spec(array_backend=None) -> str:
+    """The canonical ``"numpy:<dtype>"`` spelling of an
+    ``array_backend`` option. Plan options, worker payloads and cache
+    keys carry it, so every spelling of the default shares one cache
+    entry while float32 gets its own."""
+    return f"numpy:{array_dtype(array_backend).name}"
 
 
 def group_by_signature(systems: list[OdeSystem]) -> list[list[int]]:

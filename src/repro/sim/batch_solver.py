@@ -21,16 +21,13 @@ return a :class:`BatchTrajectory` with ``(n_instances, n_states, n_t)``
 storage plus the ensemble accessors (mean/std/percentile bands) the
 paper's Fig. 4c/4d-style mismatch studies read.
 
-The step loops run on the batch's array backend (see
-:mod:`repro.sim.array_api`): state matrices live as backend arrays, the
-per-instance freeze masks are applied through value-identical
-``xp.where`` selects, and host transfer happens only where accepted states land in the
-preallocated numpy output buffer — the trajectory-assembly boundary.
-Step-size control stays host-side python-float math, which also keeps
-the float32 dtype policy intact (python scalars are weak under NEP 50
-promotion; numpy float64 scalars are not). On the default numpy
-backend every arithmetic operation is exactly the pre-abstraction one —
-results are bit-identical (test-enforced).
+The step loops run at the batch's dtype (float64 by default, float32
+on request — see :func:`~repro.sim.batch_codegen.array_dtype`): state
+matrices and the output buffer carry it, and the per-instance freeze
+masks are applied through value-identical ``np.where`` selects.
+Step-size control stays python-float math, which keeps float32 states
+float32 (python scalars are weak under NEP 50 promotion; numpy float64
+scalars are not).
 """
 
 from __future__ import annotations
@@ -46,8 +43,7 @@ from repro.core.odesystem import OdeSystem
 from repro.core.simulator import Trajectory, check_sample_times
 from repro.errors import SimulationError
 
-from repro.sim.array_api import resolve_array_backend
-from repro.sim.batch_codegen import BatchRhs, compile_batch
+from repro.sim.batch_codegen import BatchRhs, array_dtype, compile_batch
 
 #: Fehlberg 4(5) tableau — stage nodes, stage weights, and the 5th/4th
 #: order solution weights.
@@ -226,29 +222,25 @@ def _solve_grids(t_span, n_points, t_eval, max_step, freeze_tol):
     return grid, work_grid, max_step
 
 
-def _batch_backend(batch, array_backend):
-    """Resolve the array backend a solve runs on. A precompiled
-    :class:`BatchRhs` carries its own (its kernels were emitted for
-    that namespace), so an explicit *conflicting* request is an error
-    rather than a silent mixed-namespace run; system lists and
-    duck-typed rhs objects take the requested backend, defaulting to
-    numpy."""
-    compiled = getattr(batch, "backend", None)
-    if array_backend is None:
-        return compiled if compiled is not None \
-            else resolve_array_backend(None)
-    requested = resolve_array_backend(array_backend)
-    if compiled is not None and compiled.spec() != requested.spec():
+def _as_batch(batch, array_backend) -> BatchRhs:
+    """The compiled batch a solve runs: a system list compiles at the
+    requested precision; a precompiled :class:`BatchRhs` keeps its own,
+    so an explicit *conflicting* request is an error rather than a
+    silent mixed-precision run."""
+    if not isinstance(batch, BatchRhs):
+        return compile_batch(batch, array_backend=array_backend)
+    if array_backend is not None and \
+            array_dtype(array_backend) != batch.dtype:
         raise SimulationError(
-            f"array_backend {requested.spec()!r} conflicts with the "
-            f"precompiled batch's backend {compiled.spec()!r}; "
-            "recompile the batch on the requested backend (or drop "
-            "the argument to use the batch's own)")
-    return requested
+            f"array_backend {array_backend!r} conflicts with the "
+            f"precompiled batch's dtype {batch.dtype.name}; recompile "
+            "the batch at the requested precision (or drop the argument "
+            "to use the batch's own)")
+    return batch
 
 
 def freeze_converged(y, f, remaining: float, rtol: float, atol: float,
-                     freeze_tol: float, xp=np):
+                     freeze_tol: float):
     """Per-instance convergence test of the step-mask machinery: an
     instance may freeze when extrapolating its current drift over the
     *entire remaining span* moves every state by less than
@@ -256,21 +248,18 @@ def freeze_converged(y, f, remaining: float, rtol: float, atol: float,
     instance has settled and, left alone, would stay put to within the
     requested accuracy. Returns the boolean ``(n_instances,)`` mask."""
     remaining = float(remaining)
-    scale = atol + rtol * xp.abs(y)
-    drift = xp.abs(f) * remaining
-    return xp.sqrt(xp.mean((drift / scale) ** 2, axis=1)) <= freeze_tol
+    scale = atol + rtol * np.abs(y)
+    drift = np.abs(f) * remaining
+    return np.sqrt(np.mean((drift / scale) ** 2, axis=1)) <= freeze_tol
 
 
 def _rk4_batch(rhs: BatchRhs, grid: np.ndarray, max_step: float,
                rtol: float, atol: float,
-               freeze_tol: float | None, backend=None):
-    B = backend if backend is not None else resolve_array_backend(None)
-    xp = B.xp
-    y = B.asarray(rhs.y0)
-    out = np.empty((y.shape[0], y.shape[1], len(grid)),
-                   dtype=B.dtype)  # ark: host-boundary
-    out[:, :, 0] = B.to_numpy(y)
-    frozen = xp.zeros(y.shape[0], dtype=bool)
+               freeze_tol: float | None):
+    y = rhs.y0
+    out = np.empty((y.shape[0], y.shape[1], len(grid)), dtype=y.dtype)
+    out[:, :, 0] = y
+    frozen = np.zeros(y.shape[0], dtype=bool)
     nfev = 0
     accepted = 0
     t_end = grid[-1]
@@ -278,7 +267,7 @@ def _rk4_batch(rhs: BatchRhs, grid: np.ndarray, max_step: float,
         if bool(frozen.all()):
             # Every instance holds constant: fill the rest of the grid
             # without evaluating the RHS again.
-            out[:, :, k + 1:] = B.to_numpy(y)[:, :, None]
+            out[:, :, k + 1:] = y[:, :, None]
             break
         dt = float(grid[k + 1] - grid[k])
         substeps = max(1, math.ceil(dt / max_step))
@@ -297,21 +286,21 @@ def _rk4_batch(rhs: BatchRhs, grid: np.ndarray, max_step: float,
                 # Pinned rows: frozen instances hold their value (the
                 # batch RHS is row-local, so their columns cannot
                 # influence active siblings).
-                y = xp.where(frozen[:, None], hold, y)
+                y = np.where(frozen[:, None], hold, y)
             t += h
-        out[:, :, k + 1] = B.to_numpy(y)
+        out[:, :, k + 1] = y
         if freeze_tol is not None and grid[k + 1] < t_end:
             f = rhs(float(grid[k + 1]), y)
             nfev += 1
             frozen = frozen | freeze_converged(
-                y, f, t_end - grid[k + 1], rtol, atol, freeze_tol, xp)
+                y, f, t_end - grid[k + 1], rtol, atol, freeze_tol)
     return out, frozen, nfev, accepted, 0
 
 
-def _error_norms(error, y_old, y_new, rtol: float, atol: float, xp=np):
+def _error_norms(error, y_old, y_new, rtol: float, atol: float):
     """Per-instance RMS error norm (scipy's scaling convention)."""
-    scale = atol + rtol * xp.maximum(xp.abs(y_old), xp.abs(y_new))
-    return xp.sqrt(xp.mean((error / scale) ** 2, axis=1))
+    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
+    return np.sqrt(np.mean((error / scale) ** 2, axis=1))
 
 
 def _rkf45_stages(rhs: BatchRhs, t: float, y: np.ndarray, h: float,
@@ -350,7 +339,7 @@ def _step_factor(worst: float) -> float:
         min(5.0, max(0.2, 0.9 * worst ** -0.2))
 
 
-def _freeze_offenders(frozen, norms, freeze_tol: float | None, xp=np):
+def _freeze_offenders(frozen, norms, freeze_tol: float | None):
     """Step-size underflow handling with masks enabled: the instances
     whose error refuses to drop below tolerance at the step floor (the
     out-of-tolerance outliers forcing the worst-case step on the whole
@@ -361,7 +350,7 @@ def _freeze_offenders(frozen, norms, freeze_tol: float | None, xp=np):
     classic underflow error)."""
     if freeze_tol is None or norms is None:
         return frozen, False
-    offenders = ~frozen & ~(xp.asarray(norms) <= 1.0)
+    offenders = ~frozen & ~(norms <= 1.0)
     if not bool(offenders.any()):
         return frozen, False
     return frozen | offenders, True
@@ -369,19 +358,16 @@ def _freeze_offenders(frozen, norms, freeze_tol: float | None, xp=np):
 
 def _rkf45_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
                  atol: float, max_step: float,
-                 freeze_tol: float | None, backend=None):
+                 freeze_tol: float | None):
     """Grid-clipped RKF45: every step lands exactly on the next output
     point, so a fine grid forces extra (small) steps. Kept as the
     ``dense=False`` reference path."""
-    B = backend if backend is not None else resolve_array_backend(None)
-    xp = B.xp
     span = float(grid[-1] - grid[0])
     min_step = 1e-14 * span
-    y = B.asarray(rhs.y0)
-    out = np.empty((y.shape[0], y.shape[1], len(grid)),
-                   dtype=B.dtype)  # ark: host-boundary
-    out[:, :, 0] = B.to_numpy(y)
-    frozen = xp.zeros(y.shape[0], dtype=bool)
+    y = rhs.y0
+    out = np.empty((y.shape[0], y.shape[1], len(grid)), dtype=y.dtype)
+    out[:, :, 0] = y
+    frozen = np.zeros(y.shape[0], dtype=bool)
     nfev = 0
     accepted = 0
     rejected = 0
@@ -390,7 +376,7 @@ def _rkf45_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
     t_end = grid[-1]
     for k in range(1, len(grid)):
         if bool(frozen.all()):
-            out[:, :, k:] = B.to_numpy(y)[:, :, None]
+            out[:, :, k:] = y[:, :, None]
             break
         t_next = float(grid[k])
         last_norms = None
@@ -398,7 +384,7 @@ def _rkf45_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
             h = min(h, max_step, t_next - t)
             if h < min_step:
                 frozen, changed = _freeze_offenders(
-                    frozen, last_norms, freeze_tol, xp)
+                    frozen, last_norms, freeze_tol)
                 if changed:
                     h = min(max_step, span / 100.0)
                     continue
@@ -410,9 +396,9 @@ def _rkf45_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
                 # Pinned rows are excluded from error control (their
                 # y5 - y4 is forced to 0) and held at their frozen
                 # state.
-                y5 = xp.where(frozen[:, None], y, y5)
-                y4 = xp.where(frozen[:, None], y, y4)
-            norms = _error_norms(y5 - y4, y, y5, rtol, atol, xp)
+                y5 = np.where(frozen[:, None], y, y5)
+                y4 = np.where(frozen[:, None], y, y4)
+            norms = _error_norms(y5 - y4, y, y5, rtol, atol)
             last_norms = norms
             worst = float(norms.max()) if norms.size else 0.0
             if not math.isfinite(worst):
@@ -427,12 +413,12 @@ def _rkf45_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
             else:
                 rejected += 1
                 h *= max(0.2, 0.9 * worst ** -0.2)
-        out[:, :, k] = B.to_numpy(y)
+        out[:, :, k] = y
         if freeze_tol is not None and t_next < t_end:
             f = rhs(t_next, y)
             nfev += 1
             frozen = frozen | freeze_converged(
-                y, f, t_end - t_next, rtol, atol, freeze_tol, xp)
+                y, f, t_end - t_next, rtol, atol, freeze_tol)
     return out, frozen, nfev, accepted, rejected
 
 
@@ -492,7 +478,7 @@ def _quartic_eval(theta, y_old, coefficients):
 
 def _rkf45_dense_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
                        atol: float, max_step: float,
-                       freeze_tol: float | None, backend=None):
+                       freeze_tol: float | None):
     """Dense-output RKF45: step control is decoupled from the output
     grid. Steps are sized by the error estimate alone (never clipped to
     grid points); every output sample inside an accepted step is filled
@@ -502,16 +488,13 @@ def _rkf45_dense_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
     derivative doubles as the next step's ``k1`` (first-same-as-last),
     so dense output costs at most one extra RHS evaluation per
     *output-producing* step — fine grids stop forcing small steps."""
-    B = backend if backend is not None else resolve_array_backend(None)
-    xp = B.xp
     t_end = float(grid[-1])
     span = t_end - float(grid[0])
     min_step = 1e-14 * span
-    y = B.asarray(rhs.y0)
-    out = np.empty((y.shape[0], y.shape[1], len(grid)),
-                   dtype=B.dtype)  # ark: host-boundary
-    out[:, :, 0] = B.to_numpy(y)
-    frozen = xp.zeros(y.shape[0], dtype=bool)
+    y = rhs.y0
+    out = np.empty((y.shape[0], y.shape[1], len(grid)), dtype=y.dtype)
+    out[:, :, 0] = y
+    frozen = np.zeros(y.shape[0], dtype=bool)
     nfev = 1
     accepted = 0
     rejected = 0
@@ -522,12 +505,12 @@ def _rkf45_dense_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
     next_index = 1
     while next_index < len(grid):
         if bool(frozen.all()):
-            out[:, :, next_index:] = B.to_numpy(y)[:, :, None]
+            out[:, :, next_index:] = y[:, :, None]
             break
         h = min(h, max_step)
         if h < min_step:
             frozen, changed = _freeze_offenders(
-                frozen, last_norms, freeze_tol, xp)
+                frozen, last_norms, freeze_tol)
             if changed:
                 h = min(max_step, span / 100.0)
                 continue
@@ -543,9 +526,9 @@ def _rkf45_dense_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
             # Pinned rows: held constant and excluded from error
             # control, so a converged stiff instance stops dictating
             # the shared step size.
-            y5 = xp.where(frozen[:, None], y, y5)
-            y4 = xp.where(frozen[:, None], y, y4)
-        norms = _error_norms(y5 - y4, y, y5, rtol, atol, xp)
+            y5 = np.where(frozen[:, None], y, y5)
+            y4 = np.where(frozen[:, None], y, y4)
+        norms = _error_norms(y5 - y4, y, y5, rtol, atol)
         last_norms = norms
         worst = float(norms.max()) if norms.size else 0.0
         if not math.isfinite(worst):
@@ -568,19 +551,19 @@ def _rkf45_dense_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
             nfev += 1
             coefficients = _quartic_coefficients(y, y5, k1, f_node,
                                                  f_new, h)
-            theta = B.asarray((grid[next_index:stop] - t) / h)
+            theta = np.asarray((grid[next_index:stop] - t) / h,
+                               dtype=y.dtype)
             values = _quartic_eval(theta, y, coefficients)
             if bool(frozen.any()):
                 # The interpolant would wiggle frozen rows by their
                 # (tolerance-bounded) residual drift; pin them exactly.
-                values = xp.where(frozen[None, :, None], y[None, :, :],
+                values = np.where(frozen[None, :, None], y[None, :, :],
                                   values)
-            out[:, :, next_index:stop] = B.to_numpy(
-                xp.moveaxis(values, 0, 2))
+            out[:, :, next_index:stop] = np.moveaxis(values, 0, 2)
             next_index = stop
         if freeze_tol is not None and t_new < t_end:
             frozen = frozen | freeze_converged(
-                y5, f_new, t_end - t_new, rtol, atol, freeze_tol, xp)
+                y5, f_new, t_end - t_new, rtol, atol, freeze_tol)
         t = t_new
         y = y5
         k1 = f_new
@@ -625,37 +608,31 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
         further RHS evaluations. ``None`` (default) disables masking —
         the exact legacy behavior. The returned trajectory carries the
         final ``frozen`` mask and the ``nfev`` evaluation count.
-    :param array_backend: array namespace the solve runs on — a spec
-        string (``"numpy"``, ``"numpy:float32"``), an
-        :class:`~repro.sim.array_api.ArrayBackend`, or ``None`` for the
-        numpy default. A precompiled ``batch`` carries its own backend;
-        passing a *different* one here is an error (the kernels were
-        emitted for the other namespace).
+    :param array_backend: the precision the solve runs at — ``None``
+        or ``"numpy"`` (float64), ``"numpy:float64"`` or
+        ``"numpy:float32"`` (see
+        :func:`~repro.sim.batch_codegen.array_dtype`). A precompiled
+        ``batch`` carries its own; passing a *different* one here is an
+        error.
     """
-    backend = _batch_backend(batch, array_backend)
-    if not isinstance(batch, BatchRhs):
-        batch = compile_batch(batch, array_backend=backend)
+    batch = _as_batch(batch, array_backend)
     grid, work_grid, max_step = _solve_grids(t_span, n_points, t_eval,
                                              max_step, freeze_tol)
     preroll = len(work_grid) > len(grid)
     name = method.lower()
     if name == "rk4":
         y_out, frozen, nfev, accepted, rejected = _rk4_batch(
-            batch, work_grid, max_step, rtol, atol, freeze_tol,
-            backend)
+            batch, work_grid, max_step, rtol, atol, freeze_tol)
     elif name == "rkf45":
         solver = _rkf45_dense_batch if dense else _rkf45_batch
         y_out, frozen, nfev, accepted, rejected = solver(
-            batch, work_grid, rtol, atol, max_step, freeze_tol,
-            backend)
+            batch, work_grid, rtol, atol, max_step, freeze_tol)
     else:
         raise SimulationError(
             f"unknown batch method {method!r}; expected 'rkf45' or "
             "'rk4' (scipy methods run through the serial path)")
-    frozen = backend.to_numpy(frozen)
     if telemetry.enabled():
         telemetry.add("solver.solves")
-        telemetry.add(f"solver.array_backend.{backend.name}")
         telemetry.add("solver.nfev", nfev)
         telemetry.add("solver.steps_accepted", accepted)
         telemetry.add("solver.steps_rejected", rejected)

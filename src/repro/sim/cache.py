@@ -16,8 +16,8 @@ solves keyed by *everything that determines the result bit-for-bit*:
 * the output grid (``t_span``/``n_points`` or an explicit ``t_eval``)
   and every solver option that steers the integrator (method, rtol,
   atol, max_step, dense flag, SDE noise seeds, and the canonical
-  array-backend spec — backend name plus dtype — so numerically
-  different executions never collide).
+  ``array_backend`` spelling — ``numpy:float64`` or ``numpy:float32``
+  — so numerically different executions never collide).
 
 A batch whose identity cannot be established *stably* — e.g. a
 registered closure with no ``_ark_vector_key`` — is reported as
@@ -46,7 +46,7 @@ import numpy as np
 from repro import telemetry
 from repro.core import expr as E
 from repro.core.odesystem import OdeSystem
-from repro.sim.array_api import canonical_spec
+from repro.sim.batch_codegen import canonical_spec
 
 
 #: Folded into every key: bump whenever solver numerics change in a
@@ -214,8 +214,8 @@ class TrajectoryCache:
             if name == "array_backend":
                 # Canonicalize so every spelling of the default
                 # (None, "numpy", "numpy:float64") shares one key while
-                # any other backend or dtype gets its own; see
-                # :func:`repro.sim.array_api.canonical_spec`.
+                # float32 gets its own; see
+                # :func:`repro.sim.batch_codegen.canonical_spec`.
                 value = canonical_spec(value)
             hasher.update(name.encode())
             if isinstance(value, np.ndarray):

@@ -94,9 +94,8 @@ from repro.core.simulator import Trajectory, simulate
 from repro.errors import SimulationError
 
 from repro.sim import batch_codegen
-from repro.sim.array_api import (array_backend_names, canonical_spec,
-                                 parse_backend_spec)
-from repro.sim.batch_codegen import (compile_batch, group_by_signature,
+from repro.sim.batch_codegen import (array_dtype, canonical_spec,
+                                     compile_batch, group_by_signature,
                                      surviving_diffusion)
 from repro.sim.batch_solver import (BatchTrajectory, _output_grid,
                                     solve_batch)
@@ -199,11 +198,11 @@ class ExecutionPlan:
         identical structure, attributes, grid and solver options reuse
         the stored integration bit-for-bit; noisy sweeps key the
         per-(chip, trial) Wiener tokens identically.
-    :param array_backend: array namespace of the batched solvers (see
-        :mod:`repro.sim.array_api`): ``None``/``"numpy"`` (default,
-        float64), a spec string like ``"numpy:float32"``, or an
-        :class:`~repro.sim.array_api.ArrayBackend`. The serial scipy
-        ODE path always runs numpy float64.
+    :param array_backend: precision of the batched solvers:
+        ``None``/``"numpy"`` (default, float64), ``"numpy:float64"`` or
+        ``"numpy:float32"`` (see
+        :func:`~repro.sim.batch_codegen.array_dtype`). The serial scipy
+        ODE path always runs float64.
     :param trials: ``None`` (default) runs the deterministic mismatch
         sweep, one row per chip. An integer K >= 1 adds transient
         noise: every chip is replicated K times inside the batch, each
@@ -254,8 +253,8 @@ class ExecutionPlan:
                          reference=self.reference)
 
     def array_spec(self) -> str:
-        """The plan's canonical array-backend spec string
-        (``"name:dtype"``) — what travels through solver options,
+        """The plan's canonical ``array_backend`` spelling
+        (``"numpy:<dtype>"``) — what travels through solver options,
         worker payloads, and cache keys."""
         return canonical_spec(self.array_backend)
 
@@ -267,15 +266,8 @@ class ExecutionPlan:
         if self.engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {self.engine!r}; expected one of "
-                f"{', '.join(ENGINES)}; registered array backends "
-                f"(array_backend=/--array-backend): "
-                f"{', '.join(array_backend_names())}")
-        array_name, _ = parse_backend_spec(self.array_spec())
-        if array_name not in array_backend_names():
-            raise SimulationError(
-                f"unknown array backend {array_name!r}; registered "
-                f"array backends: {', '.join(array_backend_names())}; "
-                f"engines (engine=/--engine): {', '.join(ENGINES)}")
+                f"{', '.join(ENGINES)}")
+        array_dtype(self.array_backend)
         if self.trials is None:
             if self.noise_seed is not None:
                 raise SimulationError(
@@ -665,9 +657,8 @@ def _solver_options(plan: ExecutionPlan, **solver) -> dict:
     ``solver``'s. rtol/atol drive the ODE solvers, the embedded-pair
     controller of the adaptive SDE methods and the freeze-mask
     criterion everywhere, so the same freeze_tol masks identically on
-    both halves of a mixed sweep. The array backend travels as its
-    canonical spec string — a picklable token the pool workers
-    resolve locally, and the cache keys discriminate on."""
+    both halves of a mixed sweep. The precision travels as its
+    canonical spelling, which the cache keys discriminate on."""
     options = dict(n_points=plan.n_points, t_eval=plan.t_eval,
                    max_step=plan.max_step, rtol=plan.rtol,
                    atol=plan.atol, freeze_tol=plan.freeze_tol,

@@ -33,7 +33,8 @@ keeps working); a *dying* worker (hard crash, ``os._exit``) breaks the
 whole pool — it is torn down, evicted from the registry, counted in
 ``pool.breaks``, and :class:`PoolBrokenError` raised; the plan layer
 then re-runs the lost groups in-process, and the next
-:func:`get_pool` call spawns a fresh pool. Every path discards the
+:func:`get_pool` call spawns a fresh pool, counted in
+``pool.respawns``. Every path discards the
 group's shared block, so no ``/dev/shm`` segment outlives its sweep.
 """
 
@@ -432,6 +433,7 @@ class WorkerPool:
         for key, pool in list(_POOLS.items()):
             if pool is self:
                 del _POOLS[key]
+                _BROKEN_WIDTHS.add(key)
 
     def close(self) -> None:
         """Orderly shutdown: sentinel every worker, then join."""
@@ -496,6 +498,10 @@ def map_serial(processes: int, common: bytes, seeds: list) -> list[tuple]:
 
 _POOLS: dict[int, WorkerPool] = {}
 
+#: Widths whose pool broke and has not been replaced yet: the next
+#: :func:`get_pool` of such a width is a respawn.
+_BROKEN_WIDTHS: set[int] = set()
+
 
 def active_tasks() -> int:
     """Shard tasks currently in flight across every registered pool —
@@ -523,6 +529,9 @@ def get_pool(processes: int) -> WorkerPool:
             other.close()
     pool = _POOLS.get(processes)
     if pool is None or pool.broken:
+        if processes in _BROKEN_WIDTHS:
+            _BROKEN_WIDTHS.discard(processes)
+            telemetry.add("pool.respawns")
         pool = WorkerPool(processes)
         _POOLS[processes] = pool
     return pool
@@ -540,6 +549,7 @@ def shutdown_pools() -> None:
     for pool in list(_POOLS.values()):
         pool.close()
     _POOLS.clear()
+    _BROKEN_WIDTHS.clear()
     if had_pools:
         shm_module.warn_leaked_blocks("pool shutdown")
 

@@ -70,9 +70,8 @@ from repro.core.odesystem import OdeSystem
 from repro.core.simulator import Trajectory
 from repro.errors import SimulationError
 
-from repro.sim.array_api import resolve_array_backend
 from repro.sim.batch_codegen import BatchRhs, compile_batch
-from repro.sim.batch_solver import (BatchTrajectory, _batch_backend,
+from repro.sim.batch_solver import (BatchTrajectory, _as_batch,
                                     _error_norms, _solve_grids,
                                     freeze_converged)
 
@@ -332,14 +331,13 @@ def _occurrence_layers(state_index) -> list:
     return layers
 
 
-def _scatter(contrib, state_index: np.ndarray, n_states: int,
-             backend=None):
+def _scatter(contrib, state_index: np.ndarray, n_states: int):
     """Accumulate per-term contributions ``(n_instances, n_terms)`` onto
-    their target states: returns ``(n_instances, n_states)``. Multiple
-    terms may share a state (see :func:`_occurrence_layers`)."""
-    B = backend if backend is not None else resolve_array_backend(None)
+    their target states: returns ``(n_instances, n_states)`` at
+    ``contrib``'s dtype. Multiple terms may share a state (see
+    :func:`_occurrence_layers`)."""
     return _ScatterAccumulator(state_index, n_states, contrib.shape[0],
-                               B)(contrib)
+                               contrib.dtype)(contrib)
 
 
 class _ScatterAccumulator:
@@ -360,8 +358,8 @@ class _ScatterAccumulator:
     """
 
     def __init__(self, state_index, n_states: int, n_instances: int,
-                 backend):
-        self._B = backend
+                 dtype):
+        self._dtype = dtype
         self._layers = _occurrence_layers(state_index)
         self._shape = (n_states, n_instances)
         self._buffers = [None, None]
@@ -369,10 +367,9 @@ class _ScatterAccumulator:
         self.allocs = 0
 
     def __call__(self, contrib):
-        B = self._B
         acc = self._buffers[self._turn]
         if acc is None:
-            acc = B.xp.zeros(self._shape, dtype=B.dtype)
+            acc = np.zeros(self._shape, dtype=self._dtype)
             self._buffers[self._turn] = acc
             self.allocs += 1
         else:
@@ -386,37 +383,34 @@ class _ScatterAccumulator:
 
 def _noise_settle(batch: BatchRhs, scatter, y, t_next: float,
                   remaining: float, rtol: float, atol: float,
-                  freeze_tol: float, noisy: bool, xp):
+                  freeze_tol: float, noisy: bool):
     """Rows whose drift *and* noise can no longer move them beyond
     tolerance over the remaining span (the caller accounts one drift
     evaluation for the probe)."""
     f = batch(t_next, y)
     settle = freeze_converged(y, f, remaining, rtol, atol,
-                              freeze_tol, xp)
+                              freeze_tol)
     if noisy and bool(settle.any()):
         # The drift has settled — but freeze only where the noise
         # cannot move the instance beyond tolerance either: |g| scaled
         # by the remaining span's Wiener deviation must stay below the
         # same bound.
-        amplitude = xp.abs(batch.diffusion(t_next, y))
+        amplitude = np.abs(batch.diffusion(t_next, y))
         g_state = scatter(amplitude)
-        scale = atol + rtol * xp.abs(y)
+        scale = atol + rtol * np.abs(y)
         wiggle = g_state * math.sqrt(remaining)
         settle = settle & (
-            xp.sqrt(xp.mean((wiggle / scale) ** 2, axis=1))
+            np.sqrt(np.mean((wiggle / scale) ** 2, axis=1))
             <= freeze_tol)
     return settle
 
 
 def _sde_loop(batch: BatchRhs, work_grid: np.ndarray, plan, wiener,
               method: str, noisy: bool, freeze_tol: float | None,
-              rtol: float, atol: float, scatter, backend):
+              rtol: float, atol: float, scatter):
     """The fixed-step Euler–Maruyama / Milstein / stochastic-Heun sweep
-    over one substep plan: backend arrays throughout, value-identical
-    ``xp.where`` row pinning for the freeze masks, host transfer only
-    where accepted grid states land in the output buffer."""
-    B = backend
-    xp = B.xp
+    over one substep plan, with value-identical ``np.where`` row
+    pinning for the freeze masks."""
     n_states = batch.n_states
     path_index = batch.term_path_index
     heun = method == "heun"
@@ -424,25 +418,26 @@ def _sde_loop(batch: BatchRhs, work_grid: np.ndarray, plan, wiener,
     # exactly (bit-identical), so skip the correction kernel entirely.
     milstein = noisy and method == "milstein" \
         and not batch.milstein_trivial
-    y = B.asarray(batch.y0)
-    out = np.empty((y.shape[0], n_states, len(work_grid)),
-                   dtype=B.dtype)  # ark: host-boundary
-    out[:, :, 0] = B.to_numpy(y)
-    frozen = xp.zeros(y.shape[0], dtype=bool)
+    y = batch.y0
+    out = np.empty((y.shape[0], n_states, len(work_grid)), dtype=y.dtype)
+    out[:, :, 0] = y
+    frozen = np.zeros(y.shape[0], dtype=bool)
     nfev = 0
     t_end = work_grid[-1]
     for k, (t_start, h, n_sub, offset) in enumerate(plan):
         if bool(frozen.all()):
             # Every instance holds constant: fill the remaining grid
             # without stepping (frozen rows would be pinned anyway).
-            out[:, :, k + 1:] = B.to_numpy(y)[:, :, None]
+            out[:, :, k + 1:] = y[:, :, None]
             break
         t = t_start
         sqrt_h = math.sqrt(h)
         hold = y if bool(frozen.any()) else None
         for sub in range(n_sub):
             if noisy:
-                xi = wiener.normals(offset + sub)
+                # Draws are float64; a float32 solve takes them rounded.
+                xi = wiener.normals(offset + sub).astype(y.dtype,
+                                                          copy=False)
                 dw = sqrt_h * xi[:, path_index]
                 g0 = scatter(batch.diffusion(t, y) * dw)
             else:
@@ -472,22 +467,22 @@ def _sde_loop(batch: BatchRhs, work_grid: np.ndarray, plan, wiener,
                 # Pinned rows: frozen instances hold their value (all
                 # batch arithmetic is row-local, so their columns
                 # cannot perturb active siblings).
-                y = xp.where(frozen[:, None], hold, y)
+                y = np.where(frozen[:, None], hold, y)
             t += h
         if freeze_tol is not None:
             # Diverged rows (a stiff outlier going non-finite) freeze
             # at their last grid value instead of failing the batch.
-            bad = ~frozen & ~xp.all(xp.isfinite(y), axis=1)
+            bad = ~frozen & ~np.all(np.isfinite(y), axis=1)
             if bool(bad.any()):
-                y = xp.where(bad[:, None], B.asarray(out[:, :, k]), y)
+                y = np.where(bad[:, None], out[:, :, k], y)
                 frozen = frozen | bad
-        out[:, :, k + 1] = B.to_numpy(y)
+        out[:, :, k + 1] = y
         t_next = float(work_grid[k + 1])
         if freeze_tol is not None and t_next < t_end and \
                 not bool(frozen.all()):
             remaining = float(t_end - t_next)
             settle = _noise_settle(batch, scatter, y, t_next, remaining,
-                                   rtol, atol, freeze_tol, noisy, xp)
+                                   rtol, atol, freeze_tol, noisy)
             nfev += 1
             frozen = frozen | (~frozen & settle)
     return out, frozen, nfev
@@ -496,7 +491,7 @@ def _sde_loop(batch: BatchRhs, work_grid: np.ndarray, plan, wiener,
 def _sde_adaptive_loop(batch: BatchRhs, work_grid: np.ndarray, wiener,
                        heun: bool, noisy: bool,
                        freeze_tol: float | None, rtol: float,
-                       atol: float, max_step: float, scatter, backend):
+                       atol: float, max_step: float, scatter):
     """The embedded-pair adaptive sweep: EM predictor inside the
     stochastic-Heun corrector, their gap as the local error estimate.
 
@@ -515,21 +510,18 @@ def _sde_adaptive_loop(batch: BatchRhs, work_grid: np.ndarray, wiener,
     ``freeze_tol`` is set, else the step is accepted as-is (a
     non-finite result still fails the solve afterwards).
     """
-    B = backend
-    xp = B.xp
     n_states = batch.n_states
     path_index = batch.term_path_index
-    y = B.asarray(batch.y0)
-    out = np.empty((y.shape[0], n_states, len(work_grid)),
-                   dtype=B.dtype)  # ark: host-boundary
-    out[:, :, 0] = B.to_numpy(y)
-    frozen = xp.zeros(y.shape[0], dtype=bool)
+    y = batch.y0
+    out = np.empty((y.shape[0], n_states, len(work_grid)), dtype=y.dtype)
+    out[:, :, 0] = y
+    frozen = np.zeros(y.shape[0], dtype=bool)
     nfev = accepted = rejected = 0
     t_end = work_grid[-1]
     level = 0
     for k in range(len(work_grid) - 1):
         if bool(frozen.all()):
-            out[:, :, k + 1:] = B.to_numpy(y)[:, :, None]
+            out[:, :, k + 1:] = y[:, :, None]
             break
         t_start = float(work_grid[k])
         dt = float(work_grid[k + 1]) - t_start
@@ -548,8 +540,9 @@ def _sde_adaptive_loop(batch: BatchRhs, work_grid: np.ndarray, wiener,
                 if noisy:
                     amp0 = batch.diffusion(t, y)
             if noisy:
-                dw_paths = B.asarray(wiener.increment(k, level, j))
-                dw = dw_paths[:, path_index]
+                # Bridge increments are formed in float64, then rounded.
+                dw = wiener.increment(k, level, j)[:, path_index] \
+                    .astype(y.dtype, copy=False)
                 g0 = scatter(amp0 * dw)
             else:
                 g0 = 0.0
@@ -561,11 +554,10 @@ def _sde_adaptive_loop(batch: BatchRhs, work_grid: np.ndarray, wiener,
             else:
                 g1 = 0.0
             y_heun = y + 0.5 * h * (f0 + f1) + 0.5 * (g0 + g1)
-            norms = _error_norms(y_heun - y_em, y, y_heun, rtol, atol,
-                                 xp)
-            norms = xp.where(frozen, 0.0, norms)
-            finite = xp.isfinite(norms)
-            worst = float(xp.max(xp.where(finite, norms,
+            norms = _error_norms(y_heun - y_em, y, y_heun, rtol, atol)
+            norms = np.where(frozen, 0.0, norms)
+            finite = np.isfinite(norms)
+            worst = float(np.max(np.where(finite, norms,
                                           float("inf")))) \
                 if norms.shape[0] else 0.0
             if worst > 1.0 and level < MAX_BRIDGE_LEVEL:
@@ -583,7 +575,7 @@ def _sde_adaptive_loop(batch: BatchRhs, work_grid: np.ndarray, wiener,
             accepted += 1
             y_new = y_heun if heun else y_em
             if bool(frozen.any()):
-                y_new = xp.where(frozen[:, None], y, y_new)
+                y_new = np.where(frozen[:, None], y, y_new)
             y = y_new
             f0 = amp0 = None
             j += 1
@@ -592,17 +584,17 @@ def _sde_adaptive_loop(batch: BatchRhs, work_grid: np.ndarray, wiener,
                 level -= 1
                 j >>= 1
         if freeze_tol is not None:
-            bad = ~frozen & ~xp.all(xp.isfinite(y), axis=1)
+            bad = ~frozen & ~np.all(np.isfinite(y), axis=1)
             if bool(bad.any()):
-                y = xp.where(bad[:, None], B.asarray(out[:, :, k]), y)
+                y = np.where(bad[:, None], out[:, :, k], y)
                 frozen = frozen | bad
-        out[:, :, k + 1] = B.to_numpy(y)
+        out[:, :, k + 1] = y
         t_next = float(work_grid[k + 1])
         if freeze_tol is not None and t_next < t_end and \
                 not bool(frozen.all()):
             remaining = float(t_end - t_next)
             settle = _noise_settle(batch, scatter, y, t_next, remaining,
-                                   rtol, atol, freeze_tol, noisy, xp)
+                                   rtol, atol, freeze_tol, noisy)
             nfev += 1
             frozen = frozen | (~frozen & settle)
     return out, frozen, nfev, accepted, rejected
@@ -659,12 +651,11 @@ def solve_sde(batch: BatchRhs | list[OdeSystem],
         adaptive methods (the embedded EM/Heun gap, scipy's scaling
         convention), and the tolerance scale of the freeze criterion.
         On the fixed-step methods only ``freeze_tol`` consumes them.
-    :param array_backend: array namespace the solve runs on (spec
-        string, :class:`~repro.sim.array_api.ArrayBackend`, or ``None``
-        for numpy). Wiener draws always come from the host-side
-        deterministic streams, so the *realization* is backend-
-        independent; a precompiled ``batch`` carries its own backend
-        and a conflicting request raises.
+    :param array_backend: the precision the solve runs at (see
+        :func:`~repro.sim.batch_solver.solve_batch`). Wiener draws are
+        always made in float64 and cast, so the *realization* does not
+        depend on the precision; a precompiled ``batch`` carries its
+        own and a conflicting request raises.
     """
     if method not in SDE_METHODS:
         # Validate before compiling anything: an unknown method should
@@ -672,9 +663,7 @@ def solve_sde(batch: BatchRhs | list[OdeSystem],
         raise SimulationError(
             f"unknown SDE method {method!r}; expected one of "
             f"{', '.join(SDE_METHODS)}")
-    backend = _batch_backend(batch, array_backend)
-    if not isinstance(batch, BatchRhs):
-        batch = compile_batch(batch, array_backend=backend)
+    batch = _as_batch(batch, array_backend)
     if noise_seeds is None:
         noise_seeds = range(batch.n_instances)
     noise_seeds = list(noise_seeds)
@@ -689,26 +678,24 @@ def solve_sde(batch: BatchRhs | list[OdeSystem],
 
     scatter = _ScatterAccumulator(batch.term_state_index,
                                   batch.n_states, batch.n_instances,
-                                  backend)
+                                  batch.dtype)
     adaptive = method in ADAPTIVE_SDE_METHODS
     if adaptive:
         wiener = BridgeWienerSource(
             noise_seeds, batch.wiener_paths if noisy else [], work_grid)
         out, frozen, nfev, n_acc, n_rej = _sde_adaptive_loop(
             batch, work_grid, wiener, method == "heun-adaptive", noisy,
-            freeze_tol, rtol, atol, max_step, scatter, backend)
+            freeze_tol, rtol, atol, max_step, scatter)
     else:
-        wiener = backend.wiener_source(
+        wiener = WienerSource(
             noise_seeds, batch.wiener_paths if noisy else [],
             block=block)
         plan, _total = _substep_plan(work_grid, max_step)
         out, frozen, nfev = _sde_loop(batch, work_grid, plan, wiener,
                                       method, noisy, freeze_tol,
-                                      rtol, atol, scatter, backend)
-    frozen = backend.to_numpy(frozen)
+                                      rtol, atol, scatter)
     if telemetry.enabled():
         telemetry.add("solver.sde_solves")
-        telemetry.add(f"solver.array_backend.{backend.name}")
         telemetry.add("solver.nfev", nfev)
         telemetry.add("sde.scatter_allocs", scatter.allocs)
         telemetry.add("sde.wiener_seconds", wiener.seconds)

@@ -55,8 +55,9 @@ class TestObcMaxcutEquivalence:
 
 
 class TestArrayBackendEquivalence:
-    """The default backend must be *bit-identical* under every
-    spelling, on arbitrary mismatch draws."""
+    """The default ``array_backend`` (float64) must be
+    *bit-identical* under every spelling, on arbitrary mismatch
+    draws."""
 
     @given(kind=st.sampled_from(["cint", "gm"]),
            base_seed=st.integers(0, 10_000))

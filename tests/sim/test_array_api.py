@@ -1,16 +1,16 @@
-"""Tests for the pluggable array-namespace layer
-(:mod:`repro.sim.array_api`).
+"""Tests for the ``array_backend`` precision option
+(:func:`repro.sim.array_dtype`).
 
-The abstraction's contract has two tiers, both covered here:
+The option's contract has two tiers, both covered here:
 
-* **numpy/float64 is bit-identical** — the default backend (and every
-  spelling of it) reproduces the pre-abstraction engine exactly, on
-  the ODE and the SDE path;
+* **float64 is bit-identical** — every spelling of the default
+  (``None``, ``"numpy"``, ``"numpy:float64"``) gives the same results,
+  on the ODE and the SDE path;
 * **float32 is tolerance-gated** — self-consistent, and tracking
   float64 within a documented band on the paper's workloads.
 
-Plus the plumbing: registry/spec behavior, rejection of unregistered
-backends, Wiener backend-independence, and telemetry tags.
+Plus the plumbing: the accepted spellings, up-front rejection of every
+other spec, and Wiener precision-independence.
 """
 
 import numpy as np
@@ -22,11 +22,9 @@ from repro.errors import SimulationError
 from repro.lang import parse_program
 from repro.paradigms.obc import maxcut_network
 from repro.paradigms.tln import mismatched_tline
-from repro.sim import (ExecutionPlan, NumpyBackend, array_backend_names,
-                       canonical_spec, compile_batch,
-                       resolve_array_backend, run_ensemble, solve_batch,
+from repro.sim import (ExecutionPlan, array_dtype, canonical_spec,
+                       compile_batch, run_ensemble, solve_batch,
                        solve_sde)
-from repro.sim.array_api import parse_backend_spec
 
 OU_SOURCE = """
 lang ou {
@@ -63,64 +61,52 @@ def _maxcut_systems(n=3):
 
 
 # ----------------------------------------------------------------------
-# Registry / spec plumbing
+# Accepted spellings
 # ----------------------------------------------------------------------
 
+#: What every rejected spec's message lists.
+SPELLINGS = "expected numpy, numpy:float64 or numpy:float32"
+
+
 class TestRegistry:
-    def test_names_are_numpy_only(self):
-        assert array_backend_names() == ("numpy",)
-
     def test_resolve_default_is_shared_numpy_float64(self):
-        a = resolve_array_backend(None)
-        b = resolve_array_backend("numpy")
-        c = resolve_array_backend("numpy:float64")
-        assert a is b is c
-        assert a.name == "numpy"
-        assert a.dtype == np.float64
-
-    def test_instance_passes_through(self):
-        backend = NumpyBackend("float32")
-        assert resolve_array_backend(backend) is backend
+        assert array_dtype(None) == array_dtype("numpy") \
+            == array_dtype("numpy:float64") == np.float64
+        assert array_dtype("numpy:float32") == np.float32
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(SimulationError,
-                           match="unknown array backend 'torch'.*"
-                                 "registered array backends"):
-            resolve_array_backend("torch")
+                           match=f"unknown array backend 'torch'; "
+                                 f"{SPELLINGS}"):
+            array_dtype("torch")
 
     def test_unsupported_dtype_rejected(self):
-        with pytest.raises(SimulationError, match="dtype"):
-            resolve_array_backend("numpy:int32")
-        with pytest.raises(SimulationError, match="dtype"):
-            NumpyBackend("complex128")
+        for spec in ("numpy:int32", "numpy:complex128", "numpy:foo",
+                     "numpy:", " numpy"):
+            with pytest.raises(SimulationError, match=SPELLINGS):
+                array_dtype(spec)
 
     def test_non_spec_type_rejected(self):
-        with pytest.raises(SimulationError, match="spec string"):
-            resolve_array_backend(42)
+        for spec in (42, np.float32, ["numpy"]):
+            with pytest.raises(SimulationError, match=SPELLINGS):
+                array_dtype(spec)
 
     def test_canonical_spec(self):
         assert canonical_spec(None) == "numpy:float64"
         assert canonical_spec("numpy") == "numpy:float64"
+        assert canonical_spec("numpy:float64") == "numpy:float64"
         assert canonical_spec("numpy:float32") == "numpy:float32"
-        assert canonical_spec("jax") == "jax:float64"  # not validated
-        assert (canonical_spec(NumpyBackend("float32"))
-                == "numpy:float32")
-
-    def test_parse_backend_spec(self):
-        assert parse_backend_spec("numpy") == ("numpy", None)
-        assert parse_backend_spec("jax:float32") == ("jax", "float32")
-        assert parse_backend_spec(" cupy : float64 ") == ("cupy",
-                                                          "float64")
+        with pytest.raises(SimulationError, match=SPELLINGS):
+            canonical_spec("jax")
 
     def test_optional_backends_raise_clear_error_when_absent(self):
-        # jax/cupy are not registered backends: resolving them names
-        # the registry instead of failing on an import.
-        for name in ("jax", "cupy"):
+        # jax/cupy are not array backends: naming them lists the
+        # accepted spellings instead of failing on an import.
+        for name in ("jax", "cupy", "jax:float32"):
             with pytest.raises(SimulationError,
-                               match=f"unknown array backend '{name}'"
-                                     ".*registered array backends: "
-                                     "numpy"):
-                resolve_array_backend(name)
+                               match=f"unknown array backend '{name}'; "
+                                     f"{SPELLINGS}"):
+                array_dtype(name)
 
 # ----------------------------------------------------------------------
 # numpy/float64 bit-identity (the tentpole's hard gate)
@@ -192,8 +178,10 @@ class TestNumpyBitIdentity:
                         array_backend="numpy:float64")
 
     def test_precompiled_batch_carries_its_backend(self):
+        # Its dtype, that is: the one array_backend it was compiled at.
         batch = compile_batch(_tline_systems(2),
                               array_backend="numpy:float32")
+        assert batch.dtype == np.float32
         trajectory = solve_batch(batch, (0.0, 8e-8), n_points=50)
         assert trajectory.y.dtype == np.float32
 
@@ -213,7 +201,7 @@ class TestDtypePolicy:
         assert a.y.dtype == np.float32
 
     def test_float32_tracks_float64_on_tline(self):
-        # Documented band (README "Array backends"): single precision
+        # Documented band (README "Precision"): single precision
         # carries ~7 significant digits; after adaptive integration
         # the paper's tline transient stays within 1e-3 relative of
         # the float64 trajectory.
@@ -248,9 +236,9 @@ class TestDtypePolicy:
             np.testing.assert_array_equal(batch_a.y, batch_b.y)
 
     def test_sde_float32_wiener_backend_independent(self):
-        # The float32 run consumes the same host PCG64 realization as
-        # the float64 run (converted at the boundary), so the noisy
-        # trajectories track at single-precision tolerance.
+        # The float32 run consumes the float64 PCG64 realization cast
+        # to float32, so the noisy trajectories track at
+        # single-precision tolerance.
         systems = [_ou_system(name=f"ou{k}") for k in range(2)]
         seeds = ["a", "b"]
         double = solve_sde(compile_batch(systems), (0.0, 1.0),
@@ -274,15 +262,15 @@ class TestPlanIntegration:
             return mismatched_tline("gm", seed=seed)
 
         with pytest.raises(SimulationError,
-                           match="unknown array backend 'jax'; "
-                                 "registered array backends: numpy"):
+                           match=f"unknown array backend 'jax'; "
+                                 f"{SPELLINGS}"):
             run_ensemble(factory, range(2), (0.0, 8e-8),
                          engine=engine, array_backend="jax")
 
     def test_auto_engine_stays_in_process_on_non_numpy(self):
         # A non-numpy array backend never reaches the batch engine's
-        # pool routing (plan validation rejects it); numpy groups big
-        # enough go to the pool.
+        # pool routing (plan validation rejects it); groups big enough
+        # go to the pool.
         from repro.sim.plan import _pooled
 
         plan = ExecutionPlan(
@@ -296,26 +284,30 @@ class TestPlanIntegration:
         assert _pooled(numpy_plan, 64)
         assert not _pooled(numpy_plan, 63)
 
-    def test_unknown_array_backend_lists_both_registries(self):
+    def test_unknown_array_backend_lists_spellings(self):
+        calls = []
+
         def factory(seed):
+            calls.append(seed)
             return mismatched_tline("gm", seed=seed)
 
-        with pytest.raises(SimulationError,
-                           match="registered array backends.*"
-                                 "engines.*batch, serial, pool"):
-            run_ensemble(factory, range(2), (0.0, 8e-8),
-                         array_backend="torch")
+        for spec in ("torch", "numpy:foo", "numpy:int64"):
+            with pytest.raises(SimulationError,
+                               match=f"unknown array backend '{spec}'; "
+                                     f"{SPELLINGS}$"):
+                run_ensemble(factory, range(2), (0.0, 8e-8),
+                             array_backend=spec)
+        assert calls == []  # rejected before the first factory call
 
-    def test_unknown_execution_backend_lists_both_registries(self):
+    def test_unknown_engine_lists_engines(self):
         plan = ExecutionPlan(factory=lambda s: None, seeds=[0],
                              t_span=(0.0, 1.0), engine="bogus")
         with pytest.raises(SimulationError,
-                           match="unknown engine 'bogus'.*"
-                                 "registered array backends"):
+                           match="unknown engine 'bogus'; expected one "
+                                 "of batch, serial, pool$"):
             plan.validate()
 
     def test_float32_pool_allowed(self):
-        # numpy:float32 is host memory and pools fine.
         def factory(seed):
             return mismatched_tline("gm", seed=seed)
 
@@ -326,8 +318,7 @@ class TestPlanIntegration:
 
     def test_missing_optional_backend_fails_eagerly(self):
         # Plan validation rejects the name before any solve: a
-        # solve-time error would be swallowed by the auto-method serial
-        # fallback and the sweep would silently run on numpy.
+        # solve-time error must not turn into a silent float64 run.
         def factory(seed):
             return mismatched_tline("gm", seed=seed)
 
@@ -336,18 +327,3 @@ class TestPlanIntegration:
             run_ensemble(factory, range(4), (0.0, 8e-8), n_points=50,
                          array_backend="jax")
 
-
-# ----------------------------------------------------------------------
-# Telemetry tags
-# ----------------------------------------------------------------------
-
-class TestTelemetryTags:
-    def test_backend_tags_recorded(self):
-        def factory(seed):
-            return mismatched_tline("gm", seed=seed)
-
-        result = run_ensemble(factory, range(2), (0.0, 8e-8),
-                              n_points=50, telemetry=True)
-        counters = result.telemetry.counters
-        assert counters.get("codegen.backend.numpy", 0) >= 1
-        assert counters.get("solver.array_backend.numpy", 0) >= 1

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.core.compiler import compile_graph
+from repro.errors import SimulationError
 from repro.sim import TrajectoryCache, run_ensemble
 from repro.sim.cache import resolve_cache
 from repro.telemetry import RunReport, collect_metrics
@@ -77,15 +78,19 @@ class TestKeying:
             assert spelled == base, spelling
 
     def test_array_backend_name_and_dtype_change_key(self):
-        # ...while a different backend or dtype policy — numerically
-        # different results — can never collide with the default.
+        # ...while float32 — numerically different results — can never
+        # collide with the default, and a spec outside the accepted
+        # spellings never reaches a key at all.
         cache = TrajectoryCache()
         base = cache.key_for(_systems(range(3)), "batch",
                              dict(_OPTIONS, array_backend=None))
-        for spec in ("numpy:float32", "jax", "jax:float32", "cupy"):
-            other = cache.key_for(_systems(range(3)), "batch",
-                                  dict(_OPTIONS, array_backend=spec))
-            assert other != base, spec
+        other = cache.key_for(_systems(range(3)), "batch",
+                              dict(_OPTIONS, array_backend="numpy:float32"))
+        assert other != base
+        for spec in ("jax", "jax:float32", "cupy", "numpy:float16"):
+            with pytest.raises(SimulationError, match="unknown array"):
+                cache.key_for(_systems(range(3)), "batch",
+                              dict(_OPTIONS, array_backend=spec))
 
     def test_ndarray_option_values_hash(self):
         cache = TrajectoryCache()

@@ -135,6 +135,9 @@ class TestEnsembleCommand:
         (["--freeze-tol", "0"], "freeze_tol must be > 0"),
         (["--engine", "pool", "--processes", "0"],
          "processes must be >= 1"),
+        (["--array-backend", "numpy:foo"],
+         "unknown array backend 'numpy:foo'"),
+        (["--array-backend", "jax"], "unknown array backend 'jax'"),
     ])
     def test_bad_option_values_exit_2(self, program_file, capsys, flags,
                                       message):

@@ -92,7 +92,7 @@ class TestValidation:
             with pytest.raises(SimulationError,
                                match=f"unknown engine '{removed}'; "
                                      "expected one of batch, serial, "
-                                     "pool;"):
+                                     "pool$"):
                 run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
                              engine=removed)
 

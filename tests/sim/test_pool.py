@@ -17,6 +17,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.compiler import compile_graph
 from repro.errors import SimulationError
 from repro.paradigms.tln import TLineSpec, mismatched_tline
@@ -358,7 +359,8 @@ class TestFallbacks:
 
 
 class TestFailureHygiene:
-    def test_worker_crash_reruns_in_process_and_unlinks(self):
+    def test_worker_crash_reruns_in_process_and_unlinks(self, tmp_path,
+                                                        capsys):
         # A dying worker costs speed, never the sweep: the group re-runs
         # in-process over the pool's slices, bit-identical to the
         # in-process solve (rk4 rows are partition-independent).
@@ -372,12 +374,17 @@ class TestFailureHygiene:
         assert result.telemetry.counter("plan.rerun_rows") == 6
         assert result.telemetry.counter("plan.demoted_rows") == 0
         _assert_no_leaks()
-        # The broken pool was evicted; the next run gets fresh workers
-        # and succeeds.
+        # The broken pool was evicted; the next run gets fresh workers,
+        # counts the respawn, and succeeds.
         result = run_ensemble(TlineFactory(), range(4), SPAN,
                               engine="pool", processes=2, n_points=30,
-                              method="rk4")
+                              method="rk4", telemetry=True)
         assert len(result.batches) == 1
+        assert result.telemetry.counter("pool.respawns") == 1
+        result.telemetry.save(tmp_path / "run.json")
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "run.json")]) == 0
+        assert "pool.respawns" in capsys.readouterr().out
         _assert_no_leaks()
 
     def test_worker_crash_with_auto_method_reruns_batched(self):

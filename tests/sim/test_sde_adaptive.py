@@ -317,12 +317,9 @@ class TestFreezeNoiseInterplay:
 
 class TestScatterAccumulator:
     def test_bitwise_equal_to_fresh_zeros(self):
-        from repro.sim.array_api import resolve_array_backend
-
-        backend = resolve_array_backend(None)
         rng = np.random.default_rng(0)
         state_index = np.array([0, 2, 2, 1])
-        acc = _ScatterAccumulator(state_index, 3, 5, backend)
+        acc = _ScatterAccumulator(state_index, 3, 5, np.float64)
         first_in = rng.normal(size=(5, 4))
         second_in = rng.normal(size=(5, 4))
         first = acc(first_in)
@@ -345,9 +342,6 @@ class TestScatterAccumulator:
     def test_duplicate_targets_match_add_at_bytes(self, dtype):
         """Layered fancy-index adds replay np.add.at's per-state order:
         same bytes with repeated targets, signed zeros and cancellation."""
-        from repro.sim.array_api import resolve_array_backend
-
-        backend = resolve_array_backend(f"numpy:{np.dtype(dtype).name}")
         state_index = np.array([2, 0, 2, 1, 2])
         rng = np.random.default_rng(7)
         contrib = (rng.normal(size=(6, 5)) * 10.0 ** rng.integers(
@@ -356,10 +350,10 @@ class TestScatterAccumulator:
         contrib[1, [0, 2]] = [1e16, -1e16]
         contrib[2, 4] = -0.0
         expected = self._add_at(contrib, state_index, 4)
-        got = _scatter(contrib, state_index, 4, backend)
+        got = _scatter(contrib, state_index, 4)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
-        acc = _ScatterAccumulator(state_index, 4, 6, backend)
+        acc = _ScatterAccumulator(state_index, 4, 6, dtype)
         acc(rng.normal(size=(6, 5)).astype(dtype))
         acc(rng.normal(size=(6, 5)).astype(dtype))
         assert acc(contrib).tobytes() == expected.tobytes()
