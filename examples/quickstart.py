@@ -18,8 +18,8 @@ import repro
 from repro.lang import parse_program
 
 
-def programmatic() -> None:
-    print("=== programmatic API ===")
+def api_language() -> repro.Language:
+    """The leaky language, declared through the programmatic API."""
     lang = repro.Language("leaky")
     lang.node_type("X", order=1, reduction="sum",
                    attrs=[("tau", repro.real(0.1, 10.0))])
@@ -28,6 +28,27 @@ def programmatic() -> None:
     lang.prod("prod(e:W, s:X->t:X) t <= e.w*var(s)/t.tau")
     lang.cstr("cstr X {acc[match(1,1,W,X), match(0,inf,W,X->[X]),"
               " match(0,inf,W,[X]->X)]}")
+    return lang
+
+
+#: The same language in the paper's concrete syntax. Rule strings and
+#: ``.ark`` rules share one grammar, so both routes yield equal rules.
+LEAKY_ARK = """
+    lang leaky {
+        ntyp(1,sum) X {attr tau=real[0.1,10]};
+        etyp W {attr w=real[-5,5]};
+        prod(e:W, s:X->s:X) s <= -var(s)/s.tau;
+        prod(e:W, s:X->t:X) t <= e.w*var(s)/t.tau;
+        cstr X {acc[match(1,1,W,X),
+                    match(0,inf,W,X->[X]),
+                    match(0,inf,W,[X]->X)]};
+    }
+"""
+
+
+def programmatic() -> None:
+    print("=== programmatic API ===")
+    lang = api_language()
 
     builder = repro.GraphBuilder(lang, "two-pole")
     builder.node("x0", "X").set_attr("x0", "tau", 1.0)
@@ -54,17 +75,7 @@ def programmatic() -> None:
 
 def textual() -> None:
     print("\n=== textual front-end ===")
-    program = parse_program("""
-        lang leaky {
-            ntyp(1,sum) X {attr tau=real[0.1,10]};
-            etyp W {attr w=real[-5,5]};
-            prod(e:W, s:X->s:X) s <= -var(s)/s.tau;
-            prod(e:W, s:X->t:X) t <= e.w*var(s)/t.tau;
-            cstr X {acc[match(1,1,W,X),
-                        match(0,inf,W,X->[X]),
-                        match(0,inf,W,[X]->X)]};
-        }
-
+    program = parse_program(LEAKY_ARK + """
         func two-pole (w:real[-5,5], coupled:int[0,1]) uses leaky {
             node x0:X; node x1:X;
             edge <x0,x0> leak0:W; edge <x1,x1> leak1:W;

@@ -9,8 +9,15 @@ Accepts the paper's concrete syntax as it appears in the language listings:
 * boolean operators ``and``/``or``/``not`` (also ``&&``/``||``/``!``)
 
 Both ``time`` and ``times`` (Fig. 14 uses the latter) resolve to the
-simulation time. The parser is shared by the production-rule API and the
-textual front-end in :mod:`repro.lang`.
+simulation time.
+
+The lexer and :class:`TokenStream` are the token layer of every Ark
+grammar: the rule readers in :mod:`repro.core` and the program parser
+of :mod:`repro.lang` read from a stream. The stream owns the paper's
+dashed names (``br-func``): the lexer emits dashes as operators so that
+``a-b`` subtracts, and :meth:`TokenStream.dashed_name` re-joins
+*adjacent* ``ident - ident`` runs in name positions, so both front ends
+accept the same names.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core import expr as E
-from repro.errors import ParseError
+from repro.errors import LanguageError, ParseError
 
 _TWO_CHAR_OPS = ("<=", ">=", "==", "!=", "&&", "||", "->")
 _SINGLE_CHAR = "+-*/^().,<>!:[]{};="
@@ -84,7 +91,7 @@ def tokenize(source: str) -> list[Token]:
             # must tokenize as a subtraction so expressions like
             # `s.z-var(s)` (Fig. 10a) parse correctly. Dashed names from
             # the paper (br-func, gmc-tln, node-type...) are re-joined by
-            # the program parser from *adjacent* tokens.
+            # TokenStream.dashed_name from *adjacent* tokens.
             j = i
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
@@ -152,6 +159,32 @@ class TokenStream:
     def error(self, message: str):
         token = self.peek()
         raise ParseError(message, token.line, token.column)
+
+    def expect_end(self):
+        """Raise unless every token has been consumed."""
+        if not self.at("eof"):
+            self.error(f"unexpected trailing input {self.peek().text!r}")
+
+    def dashed_name(self) -> str:
+        """An identifier possibly containing glued dashes (br-func)."""
+        token = self.expect("ident")
+        name = token.text
+        while (self.at("op", "-") and _adjacent(token, self.peek())
+               and self.peek(1).kind == "ident"
+               and _adjacent(self.peek(), self.peek(1))):
+            self.next()  # the dash
+            token = self.next()
+            name += "-" + token.text
+        return name
+
+    def skip_separators(self):
+        """Skip a run of ``,``/``;`` separators (the listings use both)."""
+        while self.accept("op", ";") or self.accept("op", ","):
+            pass
+
+
+def _adjacent(first: Token, second: Token) -> bool:
+    return second.pos == first.pos + len(first.text)
 
 
 class ExpressionParser:
@@ -310,11 +343,23 @@ def parse_expression(source) -> E.Expr:
     if isinstance(source, E.Expr):
         return source
     stream = TokenStream(tokenize(source))
-    parser = ExpressionParser(stream)
-    tree = parser.parse()
-    trailing = stream.peek()
-    if trailing.kind != "eof":
-        raise ParseError(
-            f"unexpected trailing input {trailing.text!r}",
-            trailing.line, trailing.column)
+    tree = ExpressionParser(stream).parse()
+    stream.expect_end()
     return tree
+
+
+def parse_text(text: str, reader, keyword: str | None = None):
+    """Run ``reader`` over all of ``text`` (a Python API rule string),
+    allowing a leading ``keyword`` and a trailing ``;``. Syntax errors
+    become :class:`~repro.errors.LanguageError`, keeping the offending
+    token's line and column."""
+    try:
+        stream = TokenStream(tokenize(text))
+        if keyword is not None:
+            stream.accept("ident", keyword)
+        result = reader(stream)
+        stream.accept("op", ";")
+        stream.expect_end()
+    except ParseError as err:
+        raise LanguageError(str(err)) from None
+    return result

@@ -10,15 +10,19 @@ Lookup (§5): for a concrete connection the most specific rule is applied;
 if none matches the actual types exactly, the compiler walks the inheritance
 chains to find the closest parent rule. Ambiguities (two incomparable rules
 at the same specificity) are an error.
+
+:func:`read_production` is the rule's one grammar: the ``.ark`` parser
+calls it after the ``prod`` keyword, and :func:`parse_production` (behind
+``Language.prod("...")``) runs it over a whole string.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core import expr as E
-from repro.core.exprparse import parse_expression
+from repro.core.exprparse import ExpressionParser, TokenStream, parse_text
 from repro.core.types import EdgeType, NodeType
 from repro.errors import CompileError, LanguageError
 
@@ -92,64 +96,39 @@ class ProductionRule:
         return self.describe()
 
 
+def read_production(stream: TokenStream) -> ProductionRule:
+    """Read ``(e:ET, s:ST->t:DT) target <= expr [off]`` — a rule after
+    its ``prod`` keyword."""
+    stream.expect("op", "(")
+    edge = _binding(stream)
+    stream.expect("op", ",")
+    src = _binding(stream)
+    stream.expect("op", "->")
+    dst = _binding(stream)
+    stream.expect("op", ")")
+    target = stream.dashed_name()
+    stream.expect("op", "<=")
+    expr = ExpressionParser(stream).parse()
+    off = bool(stream.accept("ident", "off"))
+    return ProductionRule(*edge, *src, *dst, target, expr, off)
+
+
+def _binding(stream: TokenStream) -> tuple[str, str]:
+    """``role:Type``"""
+    role = stream.dashed_name()
+    stream.expect("op", ":")
+    return role, stream.dashed_name()
+
+
 def parse_production(text: str, off: bool | None = None) -> ProductionRule:
     """Parse the paper's concrete rule syntax.
 
     Accepts strings like ``prod(e:E,s:V->t:I) s<=-var(t)/s.c`` (the leading
-    ``prod`` is optional, a trailing ``off`` marks an off rule).
+    ``prod`` is optional, a trailing ``off`` marks an off rule). ``off``,
+    when given, overrides the suffix.
     """
-    body = text.strip()
-    if body.startswith("prod"):
-        body = body[len("prod"):].lstrip()
-    if not body.startswith("("):
-        raise LanguageError(
-            f"production rule must start with a (e:ET,...) clause: {text!r}")
-    depth = 0
-    close = -1
-    for index, char in enumerate(body):
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-            if depth == 0:
-                close = index
-                break
-    if close < 0:
-        raise LanguageError(f"unbalanced parentheses in rule {text!r}")
-    head = body[1:close]
-    tail = body[close + 1:].strip()
-    if tail.endswith(";"):
-        tail = tail[:-1].rstrip()
-    rule_off = off
-    if tail.endswith(" off"):
-        tail = tail[:-4].rstrip()
-        if rule_off is None:
-            rule_off = True
-    if rule_off is None:
-        rule_off = False
-
-    # Head: e:ET , s:ST -> t:DT   (or s:ST->s:ST for self rules)
-    try:
-        edge_part, conn_part = head.split(",", 1)
-        edge_role, edge_type = (p.strip() for p in edge_part.split(":"))
-        src_part, dst_part = conn_part.split("->")
-        src_role, src_type = (p.strip() for p in src_part.split(":"))
-        dst_role, dst_type = (p.strip() for p in dst_part.split(":"))
-    except ValueError:
-        raise LanguageError(
-            f"malformed production clause {head!r}; expected "
-            "e:ET,s:ST->t:DT") from None
-
-    if "<=" not in tail:
-        raise LanguageError(
-            f"production rule is missing a `target <= expr` body: {text!r}")
-    target, expr_text = tail.split("<=", 1)
-    return ProductionRule(
-        edge_role=edge_role, edge_type=edge_type,
-        src_role=src_role, src_type=src_type,
-        dst_role=dst_role, dst_type=dst_type,
-        target=target.strip(), expr=parse_expression(expr_text),
-        off=rule_off)
+    rule = parse_text(text, read_production, keyword="prod")
+    return rule if off is None else replace(rule, off=off)
 
 
 class RuleTable:

@@ -13,14 +13,20 @@ Clause forms (Fig. 6 lines 11-13):
   types;
 * ``match(lo,hi,ET, [NT*]->vn)`` — incoming edges from the listed types;
 * ``match(lo,hi,ET)`` / ``match(lo,hi,ET,vn)`` — self-referencing edges.
+
+``lo`` is a non-negative integer and ``hi`` one or ``inf``.
+:func:`read_constraint` and :func:`read_match` are the rule's one
+grammar: the ``.ark`` parser calls them after the ``cstr`` keyword, and
+:func:`parse_constraint`/:func:`parse_match` (behind
+``Language.cstr("...")``) run them over a whole string.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
+from repro.core.exprparse import TokenStream, parse_text
 from repro.errors import LanguageError
 
 #: Direction of a match clause relative to the constrained node.
@@ -102,76 +108,87 @@ class ConstraintRule:
         return self.describe()
 
 
-_MATCH_RE = re.compile(r"match\s*\(", re.S)
+def read_constraint(stream: TokenStream) -> ConstraintRule:
+    """Read ``[vn:]NT { acc[...] rej[...] }`` — a rule after its
+    ``cstr`` keyword. Only the type name matters; ``vn`` is implied."""
+    node_type = stream.dashed_name()
+    if stream.accept("op", ":"):
+        node_type = stream.dashed_name()
+    stream.expect("op", "{")
+    patterns: list[Pattern] = []
+    while not stream.at("op", "}"):
+        polarity = stream.expect("ident").text
+        if polarity not in ("acc", "rej"):
+            stream.error(f"expected acc or rej, found {polarity!r}")
+        stream.expect("op", "[")
+        clauses: list[MatchClause] = []
+        if not stream.at("op", "]"):
+            clauses.append(read_match(stream))
+            while stream.accept("op", ","):
+                clauses.append(read_match(stream))
+        stream.expect("op", "]")
+        patterns.append(Pattern(polarity, tuple(clauses)))
+        stream.skip_separators()
+    stream.expect("op", "}")
+    return ConstraintRule(node_type, tuple(patterns))
 
 
-def _parse_atom(text: str) -> float:
-    text = text.strip()
-    if text == "inf":
-        return math.inf
-    try:
-        return int(text)
-    except ValueError:
-        raise LanguageError(f"match cardinality must be an integer or inf, "
-                            f"got {text!r}") from None
-
-
-def _split_args(body: str) -> list[str]:
-    """Split a match(...) argument list on top-level commas."""
-    parts: list[str] = []
-    depth = 0
-    current = []
-    for char in body:
-        if char in "([":
-            depth += 1
-        elif char in ")]":
-            depth -= 1
-        if char == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    if current:
-        parts.append("".join(current).strip())
-    return parts
-
-
-def parse_match(text: str) -> MatchClause:
-    """Parse one ``match(...)`` clause from the paper's syntax.
-
-    Handles all three forms::
+def read_match(stream: TokenStream) -> MatchClause:
+    """Read one ``match(...)`` clause in any of its three forms::
 
         match(0,inf,E,V->[I])      outgoing
         match(0,inf,E,[I]->V)      incoming
         match(1,1,E)  /  match(1,1,E,V)   self-edge
     """
-    text = text.strip()
-    if not text.startswith("match"):
-        raise LanguageError(f"expected a match clause, got {text!r}")
-    inner = text[text.index("(") + 1:text.rindex(")")]
-    args = _split_args(inner)
-    if len(args) < 3:
-        raise LanguageError(f"match clause needs at least 3 arguments: "
-                            f"{text!r}")
-    lo = _parse_atom(args[0])
-    hi = _parse_atom(args[1])
-    edge_type = args[2]
-    if len(args) == 3:
+    stream.expect("ident", "match")
+    stream.expect("op", "(")
+    lo = _cardinality(stream)
+    stream.expect("op", ",")
+    hi = _cardinality(stream)
+    stream.expect("op", ",")
+    edge_type = stream.dashed_name()
+    if stream.accept("op", ")"):
         return MatchClause(lo, hi, edge_type, SELF)
-    rest = ",".join(args[3:])
-    if "->" in rest:
-        left, right = rest.split("->", 1)
-        left, right = left.strip(), right.strip()
-        if left.startswith("["):
-            types = tuple(t.strip() for t in left.strip("[]").split(",")
-                          if t.strip())
-            return MatchClause(lo, hi, edge_type, IN, types)
-        types = tuple(t.strip() for t in right.strip("[]").split(",")
-                      if t.strip())
-        return MatchClause(lo, hi, edge_type, OUT, types)
-    # Fourth argument without an arrow: Fig. 13's self-edge form
-    # match(1,1,Cpl_l,Osc_G0).
-    return MatchClause(lo, hi, edge_type, SELF)
+    stream.expect("op", ",")
+    if stream.at("op", "["):
+        types = _type_list(stream)
+        stream.expect("op", "->")
+        stream.dashed_name()  # vn, implied by the enclosing cstr
+        stream.expect("op", ")")
+        return MatchClause(lo, hi, edge_type, IN, types)
+    stream.dashed_name()  # vn
+    if stream.accept("op", ")"):
+        # Fig. 13 form: match(lo,hi,ET,vn) — self-edges.
+        return MatchClause(lo, hi, edge_type, SELF)
+    stream.expect("op", "->")
+    types = _type_list(stream)
+    stream.expect("op", ")")
+    return MatchClause(lo, hi, edge_type, OUT, types)
+
+
+def _cardinality(stream: TokenStream) -> float:
+    if stream.accept("ident", "inf"):
+        return math.inf
+    token = stream.peek()
+    if token.kind != "num" or not token.text.isdecimal():
+        stream.error(f"match cardinality must be a non-negative integer "
+                     f"or inf, found {token.text or token.kind!r}")
+    stream.next()
+    return int(token.text)
+
+
+def _type_list(stream: TokenStream) -> tuple[str, ...]:
+    stream.expect("op", "[")
+    types = [stream.dashed_name()]
+    while stream.accept("op", ","):
+        types.append(stream.dashed_name())
+    stream.expect("op", "]")
+    return tuple(types)
+
+
+def parse_match(text: str) -> MatchClause:
+    """Parse one ``match(...)`` clause from the paper's syntax."""
+    return parse_text(text, read_match)
 
 
 def parse_constraint(text: str) -> ConstraintRule:
@@ -179,53 +196,4 @@ def parse_constraint(text: str) -> ConstraintRule:
 
         cstr V {acc[match(0,inf,E,V->[I]), match(1,1,E,V)]}
     """
-    stripped = text.strip()
-    if stripped.startswith("cstr"):
-        stripped = stripped[len("cstr"):].strip()
-    brace = stripped.index("{")
-    node_type = stripped[:brace].strip()
-    if ":" in node_type:
-        # Grammar form `cstr vn:v1`; only the type name matters here.
-        node_type = node_type.split(":", 1)[1].strip()
-    body = stripped[brace + 1:stripped.rindex("}")]
-
-    patterns: list[Pattern] = []
-    index = 0
-    while index < len(body):
-        rest = body[index:].lstrip()
-        offset = len(body) - index - len(rest)
-        index += offset
-        if not rest:
-            break
-        if rest.startswith("acc") or rest.startswith("rej"):
-            polarity = rest[:3]
-            open_bracket = body.index("[", index)
-            depth = 0
-            close = -1
-            for scan in range(open_bracket, len(body)):
-                if body[scan] == "[":
-                    depth += 1
-                elif body[scan] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        close = scan
-                        break
-            if close < 0:
-                raise LanguageError(f"unbalanced brackets in cstr {text!r}")
-            group = body[open_bracket + 1:close]
-            # _MATCH_RE consumes the "match(" prefix, so re-prepend it to
-            # each split piece before parsing the clause.
-            pieces = _MATCH_RE.split(group)[1:]
-            clauses = tuple(parse_match("match(" + piece)
-                            for piece in pieces)
-            if len(clauses) != len(_MATCH_RE.findall(group)):
-                raise LanguageError(f"malformed match list in {text!r}")
-            patterns.append(Pattern(polarity, clauses))
-            index = close + 1
-            if index < len(body) and body[index] == ",":
-                index += 1
-        else:
-            raise LanguageError(
-                f"expected acc[...] or rej[...] in cstr body, got "
-                f"{rest[:30]!r}")
-    return ConstraintRule(node_type, tuple(patterns))
+    return parse_text(text, read_constraint, keyword="cstr")

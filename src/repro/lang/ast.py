@@ -4,6 +4,11 @@ The parser produces these plain dataclasses; :mod:`repro.lang.lowering`
 turns them into :class:`~repro.core.language.Language` and
 :class:`~repro.core.function.ArkFunction` objects. Keeping the two stages
 separate lets tests inspect the syntax tree without touching semantics.
+
+Rules have no mirror class here: the core rule readers build
+:class:`~repro.core.production.ProductionRule` and
+:class:`~repro.core.validation.ConstraintRule` objects while parsing, so
+:class:`LangAst` holds those, and a malformed rule fails at parse time.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core import expr as E
+from repro.core.production import ProductionRule
+from repro.core.validation import ConstraintRule
 
 
 @dataclass(frozen=True)
@@ -67,48 +74,6 @@ class EdgeTypeAst:
 
 
 @dataclass(frozen=True)
-class ProdAst:
-    """``prod(e:ET, s:ST->t:DT) v <= expr [off]``"""
-
-    edge_role: str
-    edge_type: str
-    src_role: str
-    src_type: str
-    dst_role: str
-    dst_type: str
-    target: str
-    expr: E.Expr
-    off: bool
-
-
-@dataclass(frozen=True)
-class MatchAst:
-    """One ``match(...)`` clause."""
-
-    lo: float
-    hi: float
-    edge_type: str
-    kind: str  # "in" | "out" | "self"
-    node_types: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PatternAst:
-    """``acc[...]`` or ``rej[...]``"""
-
-    polarity: str
-    clauses: tuple[MatchAst, ...]
-
-
-@dataclass(frozen=True)
-class CstrAst:
-    """``cstr [vn:]NT { acc[...] rej[...] }``"""
-
-    node_type: str
-    patterns: tuple[PatternAst, ...]
-
-
-@dataclass(frozen=True)
 class ExternAst:
     """``extern-func name``"""
 
@@ -123,8 +88,8 @@ class LangAst:
     inherits: str | None
     node_types: tuple[NodeTypeAst, ...]
     edge_types: tuple[EdgeTypeAst, ...]
-    prods: tuple[ProdAst, ...]
-    cstrs: tuple[CstrAst, ...]
+    prods: tuple[ProductionRule, ...]
+    cstrs: tuple[ConstraintRule, ...]
     externs: tuple[ExternAst, ...]
 
 

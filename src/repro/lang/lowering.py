@@ -4,7 +4,9 @@ This stage resolves language inheritance (including languages provided by
 the caller), binds ``extern-func`` names to Python callables, registers
 expression functions, and re-checks everything through the same code paths
 the programmatic API uses — so a parsed language obeys exactly the same
-§4.1.1 rules as a hand-built one.
+§4.1.1 rules as a hand-built one. Rules arrive as core objects already
+(the parser reads them with the core rule grammar) and are added as they
+are.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from repro.core import function as F
 from repro.core.attributes import AttrDecl, InitDecl
 from repro.core.datatypes import integer, lambd, real
 from repro.core.language import Language
-from repro.core.production import ProductionRule
-from repro.core.validation import (ConstraintRule, MatchClause, Pattern)
 from repro.errors import LanguageError, ParseError
 from repro.lang import ast
 from repro.lang.parser import parse
@@ -69,21 +69,10 @@ def _lower_language(lang_ast: ast.LangAst,
             edge_ast.name,
             attrs=[_lower_attr(a) for a in edge_ast.attrs],
             fixed=edge_ast.fixed, inherits=edge_ast.inherits)
-    for prod_ast in lang_ast.prods:
-        language.prod(ProductionRule(
-            edge_role=prod_ast.edge_role, edge_type=prod_ast.edge_type,
-            src_role=prod_ast.src_role, src_type=prod_ast.src_type,
-            dst_role=prod_ast.dst_role, dst_type=prod_ast.dst_type,
-            target=prod_ast.target, expr=prod_ast.expr,
-            off=prod_ast.off))
-    for cstr_ast in lang_ast.cstrs:
-        patterns = tuple(
-            Pattern(p.polarity,
-                    tuple(MatchClause(c.lo, c.hi, c.edge_type, c.kind,
-                                      c.node_types)
-                          for c in p.clauses))
-            for p in cstr_ast.patterns)
-        language.cstr(ConstraintRule(cstr_ast.node_type, patterns))
+    for rule in lang_ast.prods:
+        language.prod(rule)
+    for rule in lang_ast.cstrs:
+        language.cstr(rule)
     for extern_ast in lang_ast.externs:
         binding = extern.get(extern_ast.name)
         if binding is None:

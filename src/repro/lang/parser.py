@@ -7,19 +7,26 @@ abbreviations and spelling variants:
 * ``inherit`` / ``inherits`` for both types and languages;
 * ``set-switch`` (prose) / ``set-edge`` (grammar);
 * ``fn(...)`` (Fig. 7) / ``lambd(...)`` (grammar) for function datatypes;
-* dashed names (``gmc-tln``, ``br-func``): the lexer emits dashes as
-  operators so that subtraction works, and the parser re-joins *adjacent*
-  ``ident - ident`` runs in name positions;
+* dashed names (``gmc-tln``, ``br-func``), re-joined by
+  :meth:`~repro.core.exprparse.TokenStream.dashed_name`;
 * ``,`` and ``;`` are interchangeable statement separators, as the
   listings use both.
+
+``prod`` and ``cstr`` rules are read by the core rule readers
+(:func:`~repro.core.production.read_production`,
+:func:`~repro.core.validation.read_constraint`) — the same grammar the
+Python API's rule strings go through — so a language's syntax tree
+holds core :class:`~repro.core.production.ProductionRule` and
+:class:`~repro.core.validation.ConstraintRule` objects directly.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.core.exprparse import ExpressionParser, Token, TokenStream, \
-    tokenize
+from repro.core.exprparse import ExpressionParser, TokenStream, tokenize
+from repro.core.production import ProductionRule, read_production
+from repro.core.validation import ConstraintRule, read_constraint
 from repro.lang import ast
 
 
@@ -31,34 +38,6 @@ class ProgramParser:
         self.exprs = ExpressionParser(self.stream)
 
     # ------------------------------------------------------------------
-    # Name handling
-    # ------------------------------------------------------------------
-
-    def _adjacent(self, first: Token, second: Token) -> bool:
-        return second.pos == first.pos + len(first.text)
-
-    def dashed_name(self) -> str:
-        """An identifier possibly containing glued dashes (br-func)."""
-        token = self.stream.expect("ident")
-        name = token.text
-        last = token
-        while (self.stream.at("op", "-")
-               and self._adjacent(last, self.stream.peek())
-               and self.stream.peek(1).kind == "ident"
-               and self._adjacent(self.stream.peek(),
-                                  self.stream.peek(1))):
-            self.stream.next()  # the dash
-            part = self.stream.next()
-            name += "-" + part.text
-            last = part
-        return name
-
-    def _separator(self):
-        while self.stream.accept("op", ";") or self.stream.accept("op",
-                                                                  ","):
-            pass
-
-    # ------------------------------------------------------------------
     # Program
     # ------------------------------------------------------------------
 
@@ -66,7 +45,7 @@ class ProgramParser:
         languages: list[ast.LangAst] = []
         functions: list[ast.FuncAst] = []
         while not self.stream.at("eof"):
-            keyword = self.dashed_name()
+            keyword = self.stream.dashed_name()
             if keyword == "lang":
                 languages.append(self._lang_body())
             elif keyword == "func":
@@ -74,7 +53,7 @@ class ProgramParser:
             else:
                 self.stream.error(
                     f"expected `lang` or `func`, found {keyword!r}")
-            self._separator()
+            self.stream.skip_separators()
         return ast.ProgramAst(tuple(languages), tuple(functions))
 
     # ------------------------------------------------------------------
@@ -82,38 +61,41 @@ class ProgramParser:
     # ------------------------------------------------------------------
 
     def _lang_body(self) -> ast.LangAst:
-        name = self.dashed_name()
-        inherits = None
-        if self.stream.at("ident", "inherits") or \
-                self.stream.at("ident", "inherit"):
-            self.stream.next()
-            inherits = self.dashed_name()
+        name = self.stream.dashed_name()
+        inherits = self._inherits()
         self.stream.expect("op", "{")
         node_types: list[ast.NodeTypeAst] = []
         edge_types: list[ast.EdgeTypeAst] = []
-        prods: list[ast.ProdAst] = []
-        cstrs: list[ast.CstrAst] = []
+        prods: list[ProductionRule] = []
+        cstrs: list[ConstraintRule] = []
         externs: list[ast.ExternAst] = []
         while not self.stream.at("op", "}"):
-            keyword = self.dashed_name()
+            keyword = self.stream.dashed_name()
             if keyword in ("ntyp", "node-type"):
                 node_types.append(self._node_type())
             elif keyword in ("etyp", "edge-type"):
                 edge_types.append(self._edge_type())
             elif keyword == "prod":
-                prods.append(self._prod())
+                prods.append(read_production(self.stream))
             elif keyword == "cstr":
-                cstrs.append(self._cstr())
+                cstrs.append(read_constraint(self.stream))
             elif keyword == "extern-func":
-                externs.append(ast.ExternAst(self.dashed_name()))
+                externs.append(ast.ExternAst(self.stream.dashed_name()))
             else:
                 self.stream.error(
                     f"unknown language statement {keyword!r}")
-            self._separator()
+            self.stream.skip_separators()
         self.stream.expect("op", "}")
         return ast.LangAst(name, inherits, tuple(node_types),
                            tuple(edge_types), tuple(prods), tuple(cstrs),
                            tuple(externs))
+
+    def _inherits(self) -> str | None:
+        """An optional ``inherit``/``inherits parent`` clause."""
+        if self.stream.accept("ident", "inherit") or \
+                self.stream.accept("ident", "inherits"):
+            return self.stream.dashed_name()
+        return None
 
     def _node_type(self) -> ast.NodeTypeAst:
         self.stream.expect("op", "(")
@@ -121,12 +103,8 @@ class ProgramParser:
         self.stream.expect("op", ",")
         reduction = self.stream.expect("ident").text
         self.stream.expect("op", ")")
-        name = self.dashed_name()
-        inherits = None
-        if self.stream.at("ident", "inherit") or \
-                self.stream.at("ident", "inherits"):
-            self.stream.next()
-            inherits = self.dashed_name()
+        name = self.stream.dashed_name()
+        inherits = self._inherits()
         attrs, inits = self._type_body(allow_init=True)
         return ast.NodeTypeAst(name, order, reduction, inherits,
                                tuple(attrs), tuple(inits))
@@ -136,16 +114,12 @@ class ProgramParser:
         if self.stream.at("ident", "fixed"):
             self.stream.next()
             fixed = True
-        name = self.dashed_name()
+        name = self.stream.dashed_name()
         if self.stream.at("ident", "fixed"):
             # `edge-type fixed` may follow the name in the grammar.
             self.stream.next()
             fixed = True
-        inherits = None
-        if self.stream.at("ident", "inherit") or \
-                self.stream.at("ident", "inherits"):
-            self.stream.next()
-            inherits = self.dashed_name()
+        inherits = self._inherits()
         attrs, inits = self._type_body(allow_init=False)
         if inits:
             self.stream.error("edge types cannot declare initial values")
@@ -158,7 +132,7 @@ class ProgramParser:
         while not self.stream.at("op", "}"):
             keyword = self.stream.expect("ident").text
             if keyword == "attr":
-                attr_name = self.dashed_name()
+                attr_name = self.stream.dashed_name()
                 self.stream.expect("op", "=")
                 attrs.append(ast.AttrAst(attr_name, self._sig_type()))
             elif keyword == "init" and allow_init:
@@ -170,7 +144,7 @@ class ProgramParser:
             else:
                 self.stream.error(
                     f"unexpected {keyword!r} in type body")
-            self._separator()
+            self.stream.skip_separators()
         self.stream.expect("op", "}")
         return attrs, inits
 
@@ -236,93 +210,12 @@ class ProgramParser:
         token = self.stream.expect("num")
         return sign * float(token.text)
 
-    def _prod(self) -> ast.ProdAst:
-        self.stream.expect("op", "(")
-        edge_role = self.dashed_name()
-        self.stream.expect("op", ":")
-        edge_type = self.dashed_name()
-        self.stream.expect("op", ",")
-        src_role = self.dashed_name()
-        self.stream.expect("op", ":")
-        src_type = self.dashed_name()
-        self.stream.expect("op", "->")
-        dst_role = self.dashed_name()
-        self.stream.expect("op", ":")
-        dst_type = self.dashed_name()
-        self.stream.expect("op", ")")
-        target = self.dashed_name()
-        self.stream.expect("op", "<=")
-        expr = self.exprs.parse()
-        off = bool(self.stream.accept("ident", "off"))
-        return ast.ProdAst(edge_role, edge_type, src_role, src_type,
-                           dst_role, dst_type, target, expr, off)
-
-    def _cstr(self) -> ast.CstrAst:
-        first = self.dashed_name()
-        if self.stream.accept("op", ":"):
-            node_type = self.dashed_name()
-        else:
-            node_type = first
-        self.stream.expect("op", "{")
-        patterns: list[ast.PatternAst] = []
-        while not self.stream.at("op", "}"):
-            polarity = self.stream.expect("ident").text
-            if polarity not in ("acc", "rej"):
-                self.stream.error(
-                    f"expected acc or rej, found {polarity!r}")
-            self.stream.expect("op", "[")
-            clauses: list[ast.MatchAst] = []
-            if not self.stream.at("op", "]"):
-                clauses.append(self._match())
-                while self.stream.accept("op", ","):
-                    clauses.append(self._match())
-            self.stream.expect("op", "]")
-            patterns.append(ast.PatternAst(polarity, tuple(clauses)))
-            self._separator()
-        self.stream.expect("op", "}")
-        return ast.CstrAst(node_type, tuple(patterns))
-
-    def _match(self) -> ast.MatchAst:
-        self.stream.expect("ident", "match")
-        self.stream.expect("op", "(")
-        lo = self._number()
-        self.stream.expect("op", ",")
-        hi = self._number()
-        self.stream.expect("op", ",")
-        edge_type = self.dashed_name()
-        if self.stream.accept("op", ")"):
-            return ast.MatchAst(lo, hi, edge_type, "self", ())
-        self.stream.expect("op", ",")
-        if self.stream.at("op", "["):
-            # match(lo,hi,ET,[NT*]->vn): incoming
-            types = self._type_list()
-            self.stream.expect("op", "->")
-            self.dashed_name()  # vn, implied by the enclosing cstr
-            self.stream.expect("op", ")")
-            return ast.MatchAst(lo, hi, edge_type, "in", types)
-        self.dashed_name()  # vn
-        if self.stream.accept("op", ")"):
-            # Fig. 13 form: match(lo,hi,ET,vn) — self-edges.
-            return ast.MatchAst(lo, hi, edge_type, "self", ())
-        self.stream.expect("op", "->")
-        types = self._type_list()
-        self.stream.expect("op", ")")
-        return ast.MatchAst(lo, hi, edge_type, "out", types)
-
-    def _type_list(self) -> tuple[str, ...]:
-        self.stream.expect("op", "[")
-        types = [self.dashed_name()]
-        while self.stream.accept("op", ","):
-            types.append(self.dashed_name())
-        self.stream.expect("op", "]")
-        return tuple(types)
-
     # ------------------------------------------------------------------
     # Function definitions
     # ------------------------------------------------------------------
 
     def _func_body(self) -> ast.FuncAst:
-        name = self.dashed_name()
+        name = self.stream.dashed_name()
         self.stream.expect("op", "(")
         args: list[ast.FuncArgAst] = []
         if not self.stream.at("op", ")"):
@@ -331,20 +224,20 @@ class ProgramParser:
                 args.append(self._func_arg())
         self.stream.expect("op", ")")
         self.stream.expect("ident", "uses")
-        uses = self.dashed_name()
+        uses = self.stream.dashed_name()
         self.stream.expect("op", "{")
         statements: list[ast.FuncStmtAst] = []
         while not self.stream.at("op", "}"):
             statements.append(self._func_stmt())
-            self._separator()
+            self.stream.skip_separators()
         self.stream.expect("op", "}")
         return ast.FuncAst(name, tuple(args), uses, tuple(statements))
 
     def _func_arg(self) -> ast.FuncArgAst:
-        name = self.dashed_name()
+        name = self.stream.dashed_name()
         applies_to = None
         if self.stream.accept("op", "."):
-            attr = self.dashed_name()
+            attr = self.stream.dashed_name()
             applies_to = (name, attr)
             name = f"{name}.{attr}"
         self.stream.expect("op", ":")
@@ -352,35 +245,35 @@ class ProgramParser:
         return ast.FuncArgAst(name, sig, applies_to)
 
     def _func_stmt(self) -> ast.FuncStmtAst:
-        keyword = self.dashed_name()
+        keyword = self.stream.dashed_name()
         if keyword == "node":
-            name = self.dashed_name()
+            name = self.stream.dashed_name()
             self.stream.expect("op", ":")
-            return ast.NodeStmtAst(name, self.dashed_name())
+            return ast.NodeStmtAst(name, self.stream.dashed_name())
         if keyword == "edge":
             self.stream.expect("op", "<")
-            src = self.dashed_name()
+            src = self.stream.dashed_name()
             self.stream.expect("op", ",")
-            dst = self.dashed_name()
+            dst = self.stream.dashed_name()
             self.stream.expect("op", ">")
-            name = self.dashed_name()
+            name = self.stream.dashed_name()
             self.stream.expect("op", ":")
-            return ast.EdgeStmtAst(src, dst, name, self.dashed_name())
+            return ast.EdgeStmtAst(src, dst, name, self.stream.dashed_name())
         if keyword == "set-attr":
-            owner = self.dashed_name()
+            owner = self.stream.dashed_name()
             self.stream.expect("op", ".")
-            attr = self.dashed_name()
+            attr = self.stream.dashed_name()
             self.stream.expect("op", "=")
             return ast.SetAttrAst(owner, attr, self._func_val())
         if keyword == "set-init":
-            node = self.dashed_name()
+            node = self.stream.dashed_name()
             self.stream.expect("op", "(")
             index = int(self._number())
             self.stream.expect("op", ")")
             self.stream.expect("op", "=")
             return ast.SetInitAst(node, index, self._func_val())
         if keyword in ("set-switch", "set-edge"):
-            edge = self.dashed_name()
+            edge = self.stream.dashed_name()
             self.stream.expect("ident", "when")
             condition = self.exprs.parse()
             return ast.SetSwitchAst(edge, condition)
@@ -394,16 +287,16 @@ class ProgramParser:
             self.stream.expect("op", "(")
             params: list[str] = []
             if not self.stream.at("op", ")"):
-                params.append(self.dashed_name())
+                params.append(self.stream.dashed_name())
                 while self.stream.accept("op", ","):
-                    params.append(self.dashed_name())
+                    params.append(self.stream.dashed_name())
             self.stream.expect("op", ")")
             self.stream.expect("op", ":")
             body = self.exprs.parse()
             return ast.FuncValAst(
                 "lambda", ast.LambdaAst(tuple(params), body))
         if self.stream.at("ident"):
-            return ast.FuncValAst("arg", self.dashed_name())
+            return ast.FuncValAst("arg", self.stream.dashed_name())
         return ast.FuncValAst("literal", self._number())
 
 

@@ -675,7 +675,8 @@ def _expand(plan: ExecutionPlan, seeds, systems):
     instance under the ``serial`` engine or a scipy method, else the
     structurally unique ones)."""
     noise = plan.noise
-    groups = group_by_signature(systems)
+    with telemetry.span("plan.signature"):
+        groups = group_by_signature(systems)
     if noise is not None:
         if not any(surviving_diffusion([systems[i] for i in indices])
                    for indices in groups):

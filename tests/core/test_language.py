@@ -55,6 +55,15 @@ class TestDeclaration:
         with pytest.raises(LanguageError):
             lang.prod("prod(e:E,s:V->t:I) t<=2*var(s)/t.l")
 
+    def test_dashed_names_in_rule_strings(self):
+        lang = Language("l")
+        lang.node_type("br-V", order=1, reduction="sum")
+        lang.edge_type("br-E")
+        rule = lang.prod("prod(e:br-E,s:br-V->s:br-V) s<=-var(s)")
+        assert (rule.edge_type, rule.src_type) == ("br-E", "br-V")
+        cstr = lang.cstr("cstr br-V {acc[match(1,1,br-E,br-V)]}")
+        assert cstr.accepted[0].clauses[0].edge_type == "br-E"
+
     def test_cstr_references_checked(self):
         lang = _base()
         with pytest.raises(LanguageError):

@@ -31,6 +31,11 @@ class TestParseProduction:
     def test_off_rule(self):
         rule = parse_production("prod(e:E,s:V->t:I) t<=1e-12*var(s) off")
         assert rule.off
+        # An explicit off= overrides the suffix either way.
+        assert not parse_production("prod(e:E,s:V->t:I) t<=var(s) off",
+                                    off=False).off
+        assert parse_production("prod(e:E,s:V->t:I) t<=var(s)",
+                                off=True).off
 
     def test_trailing_semicolon(self):
         rule = parse_production("prod(e:E,s:V->t:I) s<=-var(t)/s.c;")
@@ -39,6 +44,9 @@ class TestParseProduction:
     def test_missing_body_rejected(self):
         with pytest.raises(LanguageError):
             parse_production("prod(e:E,s:V->t:I) novalue")
+        # The column counts from the start of the rule text.
+        with pytest.raises(LanguageError, match="line 1, column 30"):
+            parse_production("prod(e:E,s:V->t:I) s<=var(t) garbage")
 
     def test_malformed_head_rejected(self):
         with pytest.raises(LanguageError):
@@ -47,6 +55,8 @@ class TestParseProduction:
     def test_unbalanced_parens_rejected(self):
         with pytest.raises(LanguageError):
             parse_production("prod(e:E,s:V->t:I s<=1")
+        with pytest.raises(LanguageError, match="column"):
+            parse_production("prod(e:E,s:V->t:I) t<=var(s")
 
 
 class TestRuleSemantics:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.language import Language
 from repro.core.validation import (IN, OUT, SELF, ConstraintRule,
                                    MatchClause, Pattern, parse_constraint,
                                    parse_match)
@@ -64,6 +65,12 @@ class TestParseMatch:
             parse_match("match(1)")
         with pytest.raises(LanguageError):
             parse_match("notmatch(1,1,E)")
+        with pytest.raises(LanguageError):
+            parse_match("match(1,1,E,V->[I]) extra")
+        with pytest.raises(LanguageError, match="line 1, column 7"):
+            parse_match("match(0.5,1.5,E,V)")
+        with pytest.raises(LanguageError, match="1e0"):
+            parse_match("match(1e0,2,E,V)")
 
 
 class TestParseConstraint:
@@ -101,6 +108,12 @@ class TestParseConstraint:
     def test_rejects_bad_body(self):
         with pytest.raises(LanguageError):
             parse_constraint("cstr V {nonsense[match(1,1,E)]}")
+        with pytest.raises(LanguageError):
+            parse_constraint("cstr V {acc[match(1,1,E,V)]} trailing junk")
+        with pytest.raises(LanguageError):
+            parse_constraint("cstr V {acc[match(1,1,E,V) junk]}")
+        with pytest.raises(LanguageError):
+            Language("l").cstr("cstr V {acc[match(1,1,E,V->[I]]}")
 
 
 class TestConstraintRule:

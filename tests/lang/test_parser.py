@@ -138,6 +138,15 @@ class TestCstrSyntax:
         clause = program.languages[0].cstrs[0].patterns[0].clauses[0]
         assert clause.kind == "self"
 
+    @pytest.mark.parametrize("bounds", ["0.5,1.5", "1e0,2"])
+    def test_fractional_cardinality_rejected(self, bounds):
+        # A cardinality is a non-negative integer or inf: printing a
+        # fractional one would silently change the rule.
+        with pytest.raises(ParseError, match="line 3"):
+            parse("lang l { ntyp(1,sum) O {}; etyp C {};\n"
+                  " cstr O {acc[match(1,1,C,O),\n"
+                  f" match({bounds},C,O->[O])]}}; }}")
+
     def test_extern_func(self):
         program = parse("lang l { ntyp(1,sum) V {};"
                         " extern-func grid_check; }")

@@ -38,8 +38,10 @@ def random_language(draw):
     src = draw(st.sampled_from(node_types))
     dst = draw(st.sampled_from(node_types))
     lang.prod(f"prod(e:E,s:{src}->t:{dst}) t <= e.w*var(s)")
+    lo = draw(st.integers(0, 3))
+    hi = draw(st.one_of(st.just("inf"), st.integers(lo, 5).map(str)))
     lang.cstr(f"cstr {node_types[0]} "
-              f"{{acc[match(0,inf,E,{node_types[0]}->"
+              f"{{acc[match({lo},{hi},E,{node_types[0]}->"
               f"[{','.join(node_types)}]),"
               f" match(0,inf,E,[{','.join(node_types)}]->"
               f"{node_types[0]}), match(0,inf,E,{node_types[0]})]}}")
@@ -56,6 +58,11 @@ def test_round_trip_structure(case):
     assert set(reparsed.edge_types()) == set(lang.edge_types())
     assert len(reparsed.productions()) == len(lang.productions())
     assert len(reparsed.constraints()) == len(lang.constraints())
+    # Both front ends read rules with one grammar: the reparsed rules
+    # equal the API-built ones, cardinalities included.
+    assert [r.describe() for r in reparsed.productions()] == \
+        [r.describe() for r in lang.productions()]
+    assert reparsed.constraints() == lang.constraints()
     for name, node_type in lang.node_types().items():
         again = reparsed.find_node_type(name)
         assert again.order == node_type.order

@@ -166,6 +166,7 @@ class TestCounters:
         # Spans nest under real names.
         names = [node["name"] for node in report.spans]
         assert "plan.compile" in names
+        assert "plan.signature" in names
         assert any(name.startswith("group[0].solve") for name in names)
 
     def test_cache_hit_counters_on_rerun(self):
