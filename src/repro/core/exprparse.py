@@ -160,6 +160,17 @@ class TokenStream:
         token = self.peek()
         raise ParseError(message, token.line, token.column)
 
+    def natural(self, what: str) -> int:
+        """Read a non-negative integer literal: digits only, with no
+        sign, fraction or exponent. ``what`` names the field in the
+        error, which points at the offending token."""
+        token = self.peek()
+        if token.kind != "num" or not token.text.isdecimal():
+            self.error(f"expected a non-negative integer {what}, found "
+                       f"{token.text or token.kind!r}")
+        self.next()
+        return int(token.text)
+
     def expect_end(self):
         """Raise unless every token has been consumed."""
         if not self.at("eof"):

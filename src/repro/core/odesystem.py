@@ -1,18 +1,21 @@
-"""Compiled ODE systems with two evaluation backends.
+"""Compiled ODE systems and their two right-hand-side evaluators.
 
 An :class:`OdeSystem` holds the output of the §5 compiler: the state
 vector layout, per-state right-hand sides (chain equations or reduced
 production terms), algebraic (order-0) node definitions in dependency
 order, resolved attribute values, and the function registry.
 
-Two interchangeable right-hand-side backends are provided:
+:meth:`OdeSystem.rhs` selects how the right-hand side is evaluated:
 
-* ``interpreter`` — walks the expression trees; simple, easy to audit;
-* ``codegen`` — emits a flat Python function (attributes inlined as
-  constants, states as ``y[i]`` reads) and ``exec``-compiles it once.
-
-The test suite cross-checks them on random states, and an ablation
-benchmark measures the speedup.
+* ``codegen`` (the default) — the one-row kernel of the repository's
+  single emitter, :mod:`repro.sim.batch_codegen`: states as ``y[i]``
+  reads, attributes inlined as constants, the affine part fused into one
+  matmul where that eliminates at least two lines. Compiled once per
+  system;
+* ``interpreter`` — walks the unsimplified expression trees. Simple and
+  easy to audit, it is the independent oracle the property tests check
+  every compiled kernel against; :meth:`OdeSystem.algebraic_values` and
+  :meth:`OdeSystem.diffusion_values` evaluate through the same walk.
 """
 
 from __future__ import annotations
@@ -94,20 +97,39 @@ class DiffusionTerm:
         return (self.element, self.path)
 
 
+def _reduce_terms(terms, reduction: Reduction, context) -> float:
+    """Evaluate ``terms`` in ``context`` and fold them with
+    ``reduction``, starting from its identity."""
+    value = reduction.identity
+    if reduction is Reduction.SUM:
+        for term in terms:
+            value += term.evaluate(context)
+    else:
+        for term in terms:
+            value *= term.evaluate(context)
+    return value
+
+
 class _RhsContext(E.EvalContext):
-    """Interpreter evaluation context bound to (t, y) plus the computed
-    algebraic node values."""
+    """Interpreter evaluation context bound to (t, y) plus the algebraic
+    node values computed from them."""
 
     def __init__(self, system: "OdeSystem"):
         self._system = system
         self._t = 0.0
         self._y: np.ndarray | None = None
-        self._alg: dict[str, float] = {}
+        self.algebraic: dict[str, float] = {}
 
-    def bind(self, t: float, y: np.ndarray):
+    def bind(self, t: float, y: np.ndarray) -> "_RhsContext":
+        """Bind the state and evaluate every algebraic node, in
+        dependency order."""
         self._t = t
         self._y = y
-        self._alg = {}
+        self.algebraic = {}
+        for spec in self._system.algebraic:
+            self.algebraic[spec.name] = _reduce_terms(
+                spec.terms, spec.reduction, self)
+        return self
 
     def time(self) -> float:
         return self._t
@@ -116,8 +138,8 @@ class _RhsContext(E.EvalContext):
         index = self._system.state_index.get((node, 0))
         if index is not None:
             return float(self._y[index])
-        if node in self._alg:
-            return self._alg[node]
+        if node in self.algebraic:
+            return self.algebraic[node]
         raise CompileError(
             f"var({node}) does not name a state or a computed algebraic "
             "node; algebraic dependencies must be evaluated in order")
@@ -134,9 +156,6 @@ class _RhsContext(E.EvalContext):
             return self._system.functions[name]
         except KeyError:
             raise CompileError(f"unknown function {name}") from None
-
-    def set_algebraic(self, name: str, value: float):
-        self._alg[name] = value
 
 
 def optimize_terms(terms: tuple[E.Expr, ...], reduction: Reduction,
@@ -159,53 +178,6 @@ def optimize_terms(terms: tuple[E.Expr, ...], reduction: Reduction,
         return [E.Const(0.0)]
     return [term for term in optimized
             if not (isinstance(term, E.Const) and term.value == 1.0)]
-
-
-class _Codegen(E.CodegenContext):
-    """Codegen context: states to ``y[i]``, algebraic nodes to locals,
-    numeric attributes inlined, callables routed through the namespace."""
-
-    def __init__(self, system: "OdeSystem", namespace: dict[str, object]):
-        self._system = system
-        self._namespace = namespace
-        self._alg_names: dict[str, str] = {}
-
-    def register_algebraic(self, node: str) -> str:
-        local = f"_alg_{len(self._alg_names)}"
-        self._alg_names[node] = local
-        return local
-
-    def var_source(self, node: str) -> str:
-        index = self._system.state_index.get((node, 0))
-        if index is not None:
-            return f"y[{index}]"
-        if node in self._alg_names:
-            return self._alg_names[node]
-        raise CompileError(f"codegen: var({node}) is neither a state nor "
-                           "an algebraic node")
-
-    def attr_source(self, kind: str, owner: str, attr: str) -> str:
-        key = (kind, owner, attr)
-        try:
-            value = self._system.attr_values[key]
-        except KeyError:
-            raise CompileError(
-                f"codegen: unresolved attribute {owner}.{attr}") from None
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return repr(float(value))
-        name = f"_attr_{len([k for k in self._namespace if k.startswith('_attr_')])}"
-        self._namespace[name] = value
-        return name
-
-    def function_source(self, name: str) -> str:
-        alias = f"_fn_{name}"
-        if alias not in self._namespace:
-            try:
-                self._namespace[alias] = self._system.functions[name]
-            except KeyError:
-                raise CompileError(
-                    f"codegen: unknown function {name}") from None
-        return alias
 
 
 def symbolic_signature(states, rhs_specs, algebraic, attr_keys,
@@ -358,156 +330,54 @@ class OdeSystem:
         return lines
 
     # ------------------------------------------------------------------
-    # Interpreter backend
+    # Evaluation
     # ------------------------------------------------------------------
+
+    def rhs(self, backend: str = "codegen"):
+        """The right-hand side ``rhs(t, y) -> dy`` through ``backend``:
+        ``codegen`` (default; the compiled one-row kernel, memoized) or
+        ``interpreter`` (the tree walk)."""
+        if backend == "codegen":
+            if self._compiled_rhs is None:
+                from repro.sim.batch_codegen import compile_row
+                self._compiled_rhs = compile_row(self)
+            return self._compiled_rhs
+        if backend == "interpreter":
+            return self.rhs_interpreted()
+        raise CompileError(f"unknown RHS backend {backend!r}")
 
     def rhs_interpreted(self):
         """Right-hand side evaluated by walking the expression trees."""
         context = _RhsContext(self)
         specs = self.rhs_specs
-        algebraic = self.algebraic
         n = self.n_states
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
             context.bind(t, y)
-            for spec in algebraic:
-                value = spec.reduction.identity
-                if spec.reduction is Reduction.SUM:
-                    for term in spec.terms:
-                        value += term.evaluate(context)
-                else:
-                    for term in spec.terms:
-                        value *= term.evaluate(context)
-                context.set_algebraic(spec.name, value)
             dy = np.empty(n)
             for index, spec in enumerate(specs):
                 if isinstance(spec, ChainRhs):
                     dy[index] = y[spec.next_index]
                 else:
-                    value = spec.reduction.identity
-                    if spec.reduction is Reduction.SUM:
-                        for term in spec.terms:
-                            value += term.evaluate(context)
-                    else:
-                        for term in spec.terms:
-                            value *= term.evaluate(context)
-                    dy[index] = value
+                    dy[index] = _reduce_terms(spec.terms, spec.reduction,
+                                              context)
             return dy
 
         return rhs
-
-    # ------------------------------------------------------------------
-    # Codegen backend
-    # ------------------------------------------------------------------
-
-    def _optimized_terms(self, terms: tuple[E.Expr, ...],
-                         reduction: Reduction) -> list[E.Expr]:
-        """Inline numeric attributes, simplify, and drop terms that the
-        reduction's identity absorbs (see :func:`optimize_terms`)."""
-
-        def lookup(kind, owner, attr):
-            return self.attr_values.get((kind, owner, attr))
-
-        return optimize_terms(terms, reduction, lookup)
-
-    def generate_source(self, namespace: dict[str, object] | None = None,
-                        ) -> str:
-        """Emit the Python source of the flat RHS function (for tests and
-        curiosity; :meth:`rhs_codegen` compiles it).
-
-        Terms are optimized through :mod:`repro.core.simplify`: numeric
-        attributes become inlined constants, constant subtrees fold, and
-        identity-absorbed terms (zero-weight template edges, unit
-        factors) disappear from the generated code. The interpreter
-        backend keeps the raw trees, so the backend-equivalence property
-        tests exercise this pass.
-        """
-        namespace = namespace if namespace is not None else {}
-        codegen = _Codegen(self, namespace)
-        lines = ["def _rhs(t, y, dy):"]
-        for spec in self.algebraic:
-            local = codegen.register_algebraic(spec.name)
-            joiner = " + " if spec.reduction is Reduction.SUM else " * "
-            terms = self._optimized_terms(spec.terms, spec.reduction)
-            body = joiner.join(E.to_python(term, codegen)
-                               for term in terms) or \
-                repr(spec.reduction.identity)
-            lines.append(f"    {local} = {body}")
-        for index, spec in enumerate(self.rhs_specs):
-            if isinstance(spec, ChainRhs):
-                lines.append(f"    dy[{index}] = y[{spec.next_index}]")
-            else:
-                joiner = " + " if spec.reduction is Reduction.SUM \
-                    else " * "
-                terms = self._optimized_terms(spec.terms,
-                                              spec.reduction)
-                body = joiner.join(E.to_python(term, codegen)
-                                   for term in terms) or \
-                    repr(spec.reduction.identity)
-                lines.append(f"    dy[{index}] = {body}")
-        lines.append("    return dy")
-        return "\n".join(lines)
-
-    def rhs_codegen(self):
-        """Right-hand side compiled to a flat Python function."""
-        if self._compiled_rhs is None:
-            namespace: dict[str, object] = {}
-            source = self.generate_source(namespace)
-            exec(compile(source, f"<ark:{self.graph.name}>", "exec"),
-                 namespace)
-            inner = namespace["_rhs"]
-            n = self.n_states
-
-            def rhs(t: float, y: np.ndarray) -> np.ndarray:
-                return inner(t, y, np.empty(n))
-
-            self._compiled_rhs = rhs
-        return self._compiled_rhs
-
-    def rhs(self, backend: str = "codegen"):
-        """Select an RHS backend: ``codegen`` (default) or
-        ``interpreter``."""
-        if backend == "codegen":
-            return self.rhs_codegen()
-        if backend == "interpreter":
-            return self.rhs_interpreted()
-        raise CompileError(f"unknown RHS backend {backend!r}")
 
     def diffusion_values(self, t: float, y: np.ndarray) -> np.ndarray:
         """Interpret every diffusion amplitude at one state — the
         reference (unvectorized) evaluation the batched SDE codegen is
         cross-checked against. Returns one value per diffusion term."""
-        context = _RhsContext(self)
-        context.bind(t, np.asarray(y, dtype=float))
-        for spec in self.algebraic:
-            value = spec.reduction.identity
-            if spec.reduction is Reduction.SUM:
-                for term in spec.terms:
-                    value += term.evaluate(context)
-            else:
-                for term in spec.terms:
-                    value *= term.evaluate(context)
-            context.set_algebraic(spec.name, value)
+        context = _RhsContext(self).bind(t, np.asarray(y, dtype=float))
         return np.array([term.amplitude.evaluate(context)
                          for term in self.diffusion], dtype=float)
 
     def algebraic_values(self, t: float, y: np.ndarray) -> dict[str, float]:
         """Evaluate the order-0 node values at a given state — used to
         read outputs such as CNN ``Out`` nodes from trajectories."""
-        context = _RhsContext(self)
-        context.bind(t, np.asarray(y, dtype=float))
-        values: dict[str, float] = {}
-        for spec in self.algebraic:
-            value = spec.reduction.identity
-            if spec.reduction is Reduction.SUM:
-                for term in spec.terms:
-                    value += term.evaluate(context)
-            else:
-                for term in spec.terms:
-                    value *= term.evaluate(context)
-            context.set_algebraic(spec.name, value)
-            values[spec.name] = value
-        return values
+        return _RhsContext(self).bind(t, np.asarray(y, dtype=float)
+                                      ).algebraic
 
     def __repr__(self) -> str:
         return (f"<OdeSystem {self.graph.name} states={self.n_states} "

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from repro.core import expr as E
 from repro.core.exprparse import ExpressionParser, TokenStream, parse_text
 from repro.core.types import EdgeType, NodeType
-from repro.errors import CompileError, LanguageError
+from repro.errors import CompileError, LanguageError, ParseError
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,9 @@ class ProductionRule:
 
 def read_production(stream: TokenStream) -> ProductionRule:
     """Read ``(e:ET, s:ST->t:DT) target <= expr [off]`` — a rule after
-    its ``prod`` keyword."""
-    stream.expect("op", "(")
+    its ``prod`` keyword. A rule the constructor rejects is a
+    :class:`~repro.errors.ParseError` at the rule's first token."""
+    first = stream.expect("op", "(")
     edge = _binding(stream)
     stream.expect("op", ",")
     src = _binding(stream)
@@ -110,7 +111,10 @@ def read_production(stream: TokenStream) -> ProductionRule:
     stream.expect("op", "<=")
     expr = ExpressionParser(stream).parse()
     off = bool(stream.accept("ident", "off"))
-    return ProductionRule(*edge, *src, *dst, target, expr, off)
+    try:
+        return ProductionRule(*edge, *src, *dst, target, expr, off)
+    except LanguageError as err:
+        raise ParseError(str(err), first.line, first.column) from None
 
 
 def _binding(stream: TokenStream) -> tuple[str, str]:

@@ -125,7 +125,10 @@ def simulate(target: OdeSystem | DynamicalGraph, t_span: tuple[float, float],
     :param n_points: number of evenly spaced output samples (ignored when
         ``t_eval`` is provided).
     :param method: any solve_ivp method (RK45, LSODA, Radau, BDF...).
-    :param backend: RHS backend, ``codegen`` or ``interpreter``.
+    :param backend: RHS backend: ``codegen`` (default) compiles the
+        system through the one emitter's one-row layout
+        (:func:`repro.sim.batch_codegen.compile_row`), ``interpreter``
+        walks the expression trees (the reference oracle; slower).
     :param max_step: solver step cap. Defaults to 1/64 of the span so
         brief input events (e.g. a short pulse into a quiescent line,
         where ``f(t0, y0) = 0`` makes scipy pick a huge first step)

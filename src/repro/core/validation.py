@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.exprparse import TokenStream, parse_text
-from repro.errors import LanguageError
+from repro.errors import LanguageError, ParseError
 
 #: Direction of a match clause relative to the constrained node.
 OUT, IN, SELF = "out", "in", "self"
@@ -139,42 +139,43 @@ def read_match(stream: TokenStream) -> MatchClause:
         match(0,inf,E,V->[I])      outgoing
         match(0,inf,E,[I]->V)      incoming
         match(1,1,E)  /  match(1,1,E,V)   self-edge
+
+    A clause the constructor rejects is a
+    :class:`~repro.errors.ParseError` at its ``match`` token.
     """
-    stream.expect("ident", "match")
+    first = stream.expect("ident", "match")
     stream.expect("op", "(")
     lo = _cardinality(stream)
     stream.expect("op", ",")
     hi = _cardinality(stream)
     stream.expect("op", ",")
     edge_type = stream.dashed_name()
-    if stream.accept("op", ")"):
-        return MatchClause(lo, hi, edge_type, SELF)
-    stream.expect("op", ",")
-    if stream.at("op", "["):
-        types = _type_list(stream)
-        stream.expect("op", "->")
-        stream.dashed_name()  # vn, implied by the enclosing cstr
-        stream.expect("op", ")")
-        return MatchClause(lo, hi, edge_type, IN, types)
-    stream.dashed_name()  # vn
-    if stream.accept("op", ")"):
-        # Fig. 13 form: match(lo,hi,ET,vn) — self-edges.
-        return MatchClause(lo, hi, edge_type, SELF)
-    stream.expect("op", "->")
-    types = _type_list(stream)
-    stream.expect("op", ")")
-    return MatchClause(lo, hi, edge_type, OUT, types)
+    kind, types = SELF, ()
+    if not stream.accept("op", ")"):
+        stream.expect("op", ",")
+        if stream.at("op", "["):
+            kind, types = IN, _type_list(stream)
+            stream.expect("op", "->")
+            stream.dashed_name()  # vn, implied by the enclosing cstr
+            stream.expect("op", ")")
+        else:
+            stream.dashed_name()  # vn
+            # Without an arrow it is the Fig. 13 self form
+            # match(lo,hi,ET,vn).
+            if not stream.accept("op", ")"):
+                stream.expect("op", "->")
+                kind, types = OUT, _type_list(stream)
+                stream.expect("op", ")")
+    try:
+        return MatchClause(lo, hi, edge_type, kind, types)
+    except LanguageError as err:
+        raise ParseError(str(err), first.line, first.column) from None
 
 
 def _cardinality(stream: TokenStream) -> float:
     if stream.accept("ident", "inf"):
         return math.inf
-    token = stream.peek()
-    if token.kind != "num" or not token.text.isdecimal():
-        stream.error(f"match cardinality must be a non-negative integer "
-                     f"or inf, found {token.text or token.kind!r}")
-    stream.next()
-    return int(token.text)
+    return stream.natural("match cardinality or inf")
 
 
 def _type_list(stream: TokenStream) -> tuple[str, ...]:

@@ -99,7 +99,7 @@ class ProgramParser:
 
     def _node_type(self) -> ast.NodeTypeAst:
         self.stream.expect("op", "(")
-        order = int(self._number())
+        order = self.stream.natural("node order")
         self.stream.expect("op", ",")
         reduction = self.stream.expect("ident").text
         self.stream.expect("op", ")")
@@ -137,7 +137,7 @@ class ProgramParser:
                 attrs.append(ast.AttrAst(attr_name, self._sig_type()))
             elif keyword == "init" and allow_init:
                 self.stream.expect("op", "(")
-                index = int(self._number())
+                index = self.stream.natural("init index")
                 self.stream.expect("op", ")")
                 self.stream.accept("op", "=")
                 inits.append(ast.InitAst(index, self._sig_type()))
@@ -268,7 +268,7 @@ class ProgramParser:
         if keyword == "set-init":
             node = self.stream.dashed_name()
             self.stream.expect("op", "(")
-            index = int(self._number())
+            index = self.stream.natural("set-init index")
             self.stream.expect("op", ")")
             self.stream.expect("op", "=")
             return ast.SetInitAst(node, index, self._func_val())

@@ -1,14 +1,22 @@
-"""Batched RHS code generation for Monte-Carlo ensembles.
+"""Code generation for compiled RHS kernels: one emitter, two layouts.
 
-The serial codegen backend (:meth:`repro.core.odesystem.OdeSystem.
-rhs_codegen`) inlines every attribute value as a constant, so N mismatch
-seeds need N compiled functions and N solver runs. This module extends
-that scheme to a whole *batch* of structurally identical systems: one
-flat function evaluates an ``(n_instances, n_states)`` state matrix in a
-single NumPy pass, with per-instance attribute values stacked as
-``(n_instances,)`` constant arrays.
+Every compiled right-hand side in the repository comes from this
+module. The emitter lowers an :class:`~repro.core.odesystem.OdeSystem`'s
+expression trees after the shared :func:`~repro.core.odesystem.
+optimize_terms` pass (numeric attributes inlined where possible,
+constant folding, identity-absorbed terms dropped). Who calls picks the
+layout:
 
-Lowering rules (vs. the serial codegen):
+* **rows** — a list of structurally identical systems (a Monte-Carlo
+  batch, :func:`compile_batch`). One flat function evaluates an
+  ``(n_instances, n_states)`` state matrix in a single NumPy pass, with
+  per-instance attribute values stacked as ``(n_instances,)`` constant
+  arrays;
+* **one row** — a single system (:func:`compile_row`, the kernel behind
+  ``OdeSystem.rhs("codegen")`` and every serial scipy solve). ``y`` has
+  shape ``(n_states,)`` and the code is scalar Python.
+
+Lowering rules of the rows layout:
 
 * ``var(x)``        -> ``y[:, i]`` (a column of the batch state matrix);
 * attributes whose value is *shared* by every instance are inlined as
@@ -21,21 +29,36 @@ Lowering rules (vs. the serial codegen):
 * ``if/and/or/not`` lower to ``numpy.where``/``logical_*`` because the
   Python forms are ambiguous on arrays.
 
+The one-row layout differs only where arrays would cost more than they
+buy on a single state vector (the rows kernel at n=1 is ~10x slower per
+call on a 4-oscillator OBC network or a 12x12 CNN): ``var(x)`` ->
+``y[i]``; every numeric attribute is inlined (one system shares all its
+values with itself); registered functions and callable attributes are
+called directly, with no ufunc swap or elementwise wrapper;
+``if/and/or/not`` keep their Python forms. Both layouts fuse the affine
+part of the system into one matmul under the same rule (at least two
+lines eliminated) — rows drive an ``(n_instances, n_states, n_states)``
+tensor, one row emits ``dy[:] = _lin_A @ y`` with an ``(n_states,
+n_states)`` matrix — and keep per-line code otherwise.
+
 Broadcasting keeps scalars (e.g. an all-constant source term) valid
 wherever an ``(n_instances,)`` array is expected, so a batch of size one
-compiles to the same code — :class:`~repro.core.simulator.Trajectory`
-reuses it with *time* as the batch axis to vectorize algebraic-node
-readout.
+compiles to the same rows code — :class:`~repro.core.simulator.
+Trajectory` reuses it with *time* as the batch axis to vectorize
+algebraic-node readout.
 
 A batch runs at one precision, float64 (the default) or float32 (see
 :func:`array_dtype`): attribute/coefficient arrays are built in float64
-and cast to the batch's dtype before ``exec``, and compiled code objects
-are cached by source. Kernels fill preallocated ``dy``/``out`` buffers
-in place, and the emitted source does not depend on the precision.
+and cast to the batch's dtype before ``exec``, and compiled rows code
+objects are cached by source. Kernels fill preallocated ``dy``/``out``
+buffers in place, and the emitted source does not depend on the
+precision. One-row kernels run at float64 and compile outside the
+cache: their inlined per-seed constants make every source unique.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -109,13 +132,16 @@ def _shared_lookup(systems: list[OdeSystem]):
     """Attribute lookup resolving only values numerically identical in
     every instance — those are safe to inline and simplify against."""
 
+    values = systems[0].attr_values
+    rest = [system.attr_values for system in systems[1:]]
+
     def lookup(kind, owner, attr):
         key = (kind, owner, attr)
-        first = systems[0].attr_values.get(key)
+        first = values.get(key)
         if not _is_number(first):
             return None
-        for system in systems[1:]:
-            value = system.attr_values.get(key)
+        for other in rest:
+            value = other.get(key)
             if not _is_number(value) or float(value) != float(first):
                 return None
         return first
@@ -124,16 +150,23 @@ def _shared_lookup(systems: list[OdeSystem]):
 
 
 class _BatchCodegen(E.CodegenContext):
-    """Codegen context for the batched backend: states to ``y[:, i]``,
-    shared attributes inlined, per-instance attributes to namespace
-    arrays, control flow to elementwise NumPy."""
+    """Codegen context of both layouts (see the module docstring).
+    Rows: states to ``y[:, i]``, shared attributes inlined, per-instance
+    attributes to namespace arrays, control flow to elementwise NumPy.
+    One row: states to ``y[i]``, plain Python calls and control flow."""
 
     def __init__(self, systems: list[OdeSystem],
-                 namespace: dict[str, object]):
+                 namespace: dict[str, object], rows: bool = True):
         self._systems = systems
         self._namespace = namespace
+        self.rows = rows
         self._alg_names: dict[str, str] = {}
         self._attr_slots: dict[tuple, str] = {}
+
+    def slot(self, array: str, index) -> str:
+        """Source of state-axis entry ``index`` of ``array``."""
+        return f"{array}[:, {index}]" if self.rows \
+            else f"{array}[{index}]"
 
     def register_algebraic(self, node: str) -> str:
         local = f"_alg_{len(self._alg_names)}"
@@ -143,7 +176,7 @@ class _BatchCodegen(E.CodegenContext):
     def var_source(self, node: str) -> str:
         index = self._systems[0].state_index.get((node, 0))
         if index is not None:
-            return f"y[:, {index}]"
+            return self.slot("y", index)
         if node in self._alg_names:
             return self._alg_names[node]
         raise CompileError(f"batch codegen: var({node}) is neither a "
@@ -166,6 +199,9 @@ class _BatchCodegen(E.CodegenContext):
                 return repr(float(first))
             name = f"_attr_{len(self._attr_slots)}"
             self._namespace[name] = np.array([float(v) for v in values])
+        elif not self.rows:
+            name = f"_attr_{len(self._attr_slots)}"
+            self._namespace[name] = first
         elif all(callable(v) for v in values):
             name = f"_attr_{len(self._attr_slots)}"
             vector_key = getattr(first, "_ark_vector_key", None)
@@ -195,20 +231,28 @@ class _BatchCodegen(E.CodegenContext):
                 raise CompileError(
                     f"batch codegen: unknown function {name}") from None
             vector = VECTOR_FUNCTIONS.get(name)
-            if vector is not None and fn is E.BUILTIN_FUNCTIONS.get(name):
+            if not self.rows:
+                self._namespace[alias] = fn
+            elif vector is not None and fn is E.BUILTIN_FUNCTIONS.get(name):
                 self._namespace[alias] = vector
             else:
                 self._namespace[alias] = _AutoVector(fn)
         return alias
 
     def ifexp_source(self, cond: str, then: str, orelse: str) -> str:
+        if not self.rows:
+            return super().ifexp_source(cond, then, orelse)
         return f"_np.where({cond}, {then}, {orelse})"
 
     def boolop_source(self, op: str, left: str, right: str) -> str:
+        if not self.rows:
+            return super().boolop_source(op, left, right)
         fn = "logical_and" if op == "and" else "logical_or"
         return f"_np.{fn}({left}, {right})"
 
     def not_source(self, operand: str) -> str:
+        if not self.rows:
+            return super().not_source(operand)
         return f"_np.logical_not({operand})"
 
 
@@ -249,19 +293,19 @@ def _const_values(expr: E.Expr, systems: list[OdeSystem]):
     value is shared, else an ``(n_instances,)`` array. Raises
     :class:`_NotConst` when the expression is not constant (or its
     evaluation fails — such terms keep their runtime semantics)."""
-    out = np.empty(len(systems))
-    for row, system in enumerate(systems):
+    values = []
+    for system in systems:
         try:
-            out[row] = expr.evaluate(_AttrEval(system))
+            values.append(float(expr.evaluate(_AttrEval(system))))
         except _NotConst:
             raise
         except Exception:
             raise _NotConst() from None
-    if not np.all(np.isfinite(out)):
+    if not all(math.isfinite(value) for value in values):
         raise _NotConst()
-    if np.all(out == out[0]):
-        return float(out[0])
-    return out
+    if all(value == values[0] for value in values):
+        return values[0]
+    return np.array(values)
 
 
 #: Affine-decomposition piece tags (see :func:`_term_pieces`).
@@ -372,11 +416,12 @@ def surviving_diffusion(systems: list[OdeSystem]):
 
 def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
                      codegen: "_BatchCodegen",
-                     lookup) -> list[str] | None:
+                     line_terms: list) -> list[str] | None:
     """Body of the fused ``_rhs``: every affine contribution of every
     SUM-reduction (and chain) line stacked into one per-instance
     coefficient tensor driven by a single batched matmul, with only the
-    non-fusible residue emitted per line.
+    non-fusible residue emitted per line. ``line_terms`` holds each
+    line's optimized terms (``None`` for chain lines).
 
     Returns ``None`` when fusion is not worthwhile — fewer than two
     per-line statements would be eliminated, or the dense tensor would
@@ -398,7 +443,7 @@ def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
             matrix[:, index, spec.next_index] = 1.0
             eliminated += 1
             continue
-        terms = optimize_terms(spec.terms, spec.reduction, lookup)
+        terms = line_terms[index]
         if spec.reduction is not Reduction.SUM:
             product_rows.append((index, terms))
             continue
@@ -418,12 +463,16 @@ def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
             eliminated += 1
     if eliminated < 2:
         return None
-    namespace["_lin_A"] = matrix
-    fused = "(_lin_A @ y[:, :, None])[:, :, 0]"
+    if codegen.rows:
+        namespace["_lin_A"] = matrix
+        fused = "(_lin_A @ y[:, :, None])[:, :, 0]"
+    else:
+        namespace["_lin_A"], constant = matrix[0], constant[0]
+        fused = "_lin_A @ y"
     if use_constant:
         namespace["_lin_c"] = constant
         fused += " + _lin_c"
-    lines = [f"    dy[:, :] = {fused}"]
+    lines = [f"    {codegen.slot('dy', ':')} = {fused}"]
     scale_slots = 0
     for index, residuals in residual_rows:
         fragments = []
@@ -438,12 +487,12 @@ def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
                 source = f"{repr(float(scale))} * {source}"
             fragments.append(source)
         joined = " + ".join(fragments)
-        lines.append(f"    dy[:, {index}] += {joined}")
+        lines.append(f"    {codegen.slot('dy', index)} += {joined}")
     for index, terms in product_rows:
         body = " * ".join(E.to_python(term, codegen)
                           for term in terms) or \
             repr(Reduction.MUL.identity)
-        lines.append(f"    dy[:, {index}] = {body}")
+        lines.append(f"    {codegen.slot('dy', index)} = {body}")
     return lines
 
 
@@ -474,7 +523,7 @@ def _compile_source(source: str, filename: str):
     return code
 
 
-def generate_batch_source(systems: list[OdeSystem],
+def generate_batch_source(systems: list[OdeSystem] | OdeSystem,
                           namespace: dict[str, object],
                           survivors=None, fuse: bool = True) -> str:
     """Emit the source of the batched RHS (``_rhs``), the batched
@@ -483,6 +532,10 @@ def generate_batch_source(systems: list[OdeSystem],
     structurally compatible batch. All take ``y`` of shape
     ``(n_instances, n_states)``; ``_dif`` fills ``out`` of shape
     ``(n_instances, n_diffusion_terms)``.
+
+    Given one :class:`OdeSystem` instead of a list, emit its one-row
+    ``_rhs`` alone (see the module docstring): ``y`` and ``dy`` have
+    shape ``(n_states,)``.
 
     With ``fuse`` (the default) the SUM-reduction and chain lines whose
     terms are affine in the states — with compile-time per-instance
@@ -496,8 +549,11 @@ def generate_batch_source(systems: list[OdeSystem],
     ``survivors`` is a precomputed :func:`surviving_diffusion` result;
     pass it when the caller also needs the diffusion layout (as
     :class:`BatchRhs` does) so the shared-value pass runs once."""
+    rows = not isinstance(systems, OdeSystem)
+    if not rows:
+        systems = [systems]
     lead = systems[0]
-    codegen = _BatchCodegen(systems, namespace)
+    codegen = _BatchCodegen(systems, namespace, rows)
     lookup = _shared_lookup(systems)
 
     algebraic_lines: list[str] = []
@@ -510,8 +566,11 @@ def generate_batch_source(systems: list[OdeSystem],
             repr(spec.reduction.identity)
         algebraic_lines.append(f"    {local} = {body}")
 
+    line_terms = [None if isinstance(spec, ChainRhs)
+                  else optimize_terms(spec.terms, spec.reduction, lookup)
+                  for spec in lead.rhs_specs]
     fused_lines = _fused_rhs_lines(systems, namespace, codegen,
-                                   lookup) if fuse else None
+                                   line_terms) if fuse else None
     lines = ["def _rhs(t, y, dy):"]
     lines.extend(algebraic_lines)
     if fused_lines is not None:
@@ -519,17 +578,17 @@ def generate_batch_source(systems: list[OdeSystem],
     else:
         for index, spec in enumerate(lead.rhs_specs):
             if isinstance(spec, ChainRhs):
-                body = f"y[:, {spec.next_index}]"
+                body = codegen.slot("y", spec.next_index)
             else:
                 joiner = " + " if spec.reduction is Reduction.SUM \
                     else " * "
-                terms = optimize_terms(spec.terms, spec.reduction,
-                                       lookup)
                 body = joiner.join(E.to_python(term, codegen)
-                                   for term in terms) or \
+                                   for term in line_terms[index]) or \
                     repr(spec.reduction.identity)
-            lines.append(f"    dy[:, {index}] = {body}")
+            lines.append(f"    {codegen.slot('dy', index)} = {body}")
     lines.append("    return dy")
+    if not rows:
+        return "\n".join(lines)
 
     lines.append("")
     lines.append("def _alg(t, y):")
@@ -550,6 +609,23 @@ def generate_batch_source(systems: list[OdeSystem],
             lines.append(f"    out[:, {column}] = {body}")
         lines.append("    return out")
     return "\n".join(lines)
+
+
+def compile_row(system: OdeSystem):
+    """Compile one system's RHS in the one-row layout: a ``rhs(t, y)``
+    callable over a ``(n_states,)`` state, as scipy's ``solve_ivp``
+    expects. The code object is compiled directly, not through the
+    kernel cache (see the module docstring)."""
+    namespace: dict[str, object] = {}
+    source = generate_batch_source(system, namespace)
+    exec(compile(source, f"<ark:{system.graph.name}>", "exec"), namespace)
+    inner = namespace["_rhs"]
+    n = system.n_states
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return inner(t, y, np.empty(n))
+
+    return rhs
 
 
 class BatchRhs:
@@ -578,9 +654,18 @@ class BatchRhs:
         #: :func:`array_dtype`).
         self.dtype = array_dtype(array_backend)
         namespace: dict[str, object] = {"_np": np}
-        survivors = surviving_diffusion(self.systems)
-        self.source = generate_batch_source(
-            self.systems, namespace, survivors=survivors, fuse=fuse)
+        with telemetry.span("codegen.emit"):
+            survivors = surviving_diffusion(self.systems)
+            self.source = generate_batch_source(
+                self.systems, namespace, survivors=survivors, fuse=fuse)
+            # Constant tensors (per-instance attributes, fused
+            # coefficients, residual scales) are built in float64 and
+            # cast to the batch's dtype here; at float64 the cast is
+            # the identity.
+            self._cast_arrays(namespace)
+            exec(_compile_source(self.source,
+                                 f"<ark-batch:{systems[0].graph.name}>"),
+                 namespace)
         #: True when the emitted RHS drives a fused coefficient matmul.
         self.fused = "_lin_A" in namespace
         telemetry.add("codegen.batch_compiles")
@@ -592,13 +677,6 @@ class BatchRhs:
         telemetry.add("codegen.residual_lines",
                       self.source.count("dy[:, ") - 1
                       if self.fused else self.source.count("dy[:, "))
-        # Constant tensors (per-instance attributes, fused coefficients,
-        # residual scales) are built in float64 and cast to the batch's
-        # dtype here; at float64 the cast is the identity.
-        self._cast_arrays(namespace)
-        exec(_compile_source(self.source,
-                             f"<ark-batch:{systems[0].graph.name}>"),
-             namespace)
         self._rhs_inner = namespace["_rhs"]
         self._alg_inner = namespace["_alg"]
         self._dif_inner = namespace.get("_dif")

@@ -1,5 +1,5 @@
 """Unit tests for the compiled ODE system: both RHS backends, the
-generated source, and the equation pretty-printer."""
+generated one-row source, and the equation pretty-printer."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro.core.compiler import compile_graph
 from repro.errors import CompileError
+from repro.sim.batch_codegen import generate_batch_source
 from tests.conftest import build_leaky_language, build_two_pole
 
 
@@ -28,7 +29,7 @@ class TestBackends:
             system.rhs("julia")
 
     def test_codegen_cached(self, system):
-        assert system.rhs_codegen() is system.rhs_codegen()
+        assert system.rhs("codegen") is system.rhs("codegen")
 
     def test_expected_derivative_values(self, system):
         rhs = system.rhs("codegen")
@@ -40,17 +41,20 @@ class TestBackends:
 
 class TestGeneratedSource:
     def test_source_is_flat_python(self, system):
-        source = system.generate_source()
+        # The per-line one-row emission; the kernel itself fuses both
+        # linear lines into one matmul.
+        source = generate_batch_source(system, {}, fuse=False)
         assert source.startswith("def _rhs(t, y, dy):")
         assert "dy[0]" in source and "dy[1]" in source
         # Attribute values are inlined (no symbolic references remain;
         # tau=1.0 divisions are simplified away entirely).
         assert "tau" not in source
         assert "y[0]" in source
+        assert "_lin_A @ y" in generate_batch_source(system, {})
 
     def test_source_compiles_standalone(self, system):
         namespace = {}
-        source = system.generate_source(namespace)
+        source = generate_batch_source(system, namespace)
         exec(compile(source, "<test>", "exec"), namespace)
         dy = namespace["_rhs"](0.0, np.array([1.0, 0.0]),
                                np.empty(2))

@@ -11,6 +11,7 @@ from repro.core import expr as E
 from repro.core.compiler import compile_graph
 from repro.core.exprparse import parse_expression
 from repro.core.simplify import inline_attributes, simplify
+from repro.sim.batch_codegen import generate_batch_source
 
 
 def _lookup(values):
@@ -133,7 +134,7 @@ class TestCodegenIntegration:
         builder.edge("b", "b", "sb", "W").set_attr("sb", "w", 0.0)
         builder.edge("a", "b", "c", "W").set_attr("c", "w", 0.0)
         system = compile_graph(builder.finish())
-        source = system.generate_source({})
+        source = generate_batch_source(system, {}, fuse=False)
         # The zero-weight coupling must be gone from dy[1].
         dy1_line = [line for line in source.splitlines()
                     if line.strip().startswith("dy[1]")][0]
@@ -142,7 +143,7 @@ class TestCodegenIntegration:
     def test_cnn_codegen_shrinks(self):
         from repro.paradigms.cnn import default_image, edge_detector
         system = compile_graph(edge_detector(default_image(8)))
-        source = system.generate_source({})
+        source = generate_batch_source(system, {})
         # EDGE template: 8 of 9 A-template weights are zero, so the
         # optimized source must be much smaller than 1 term per edge.
         n_terms = source.count("y[")

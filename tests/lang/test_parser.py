@@ -1,6 +1,7 @@
 """Unit tests for the textual Ark parser (syntax level)."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +227,81 @@ class TestFuncSyntax:
             lang l { ntyp(1,sum) X {}; }
             func f () uses l { destroy x; }
             """)
+
+
+TWO_POLE = Path(__file__).parents[2] / "examples" / "ark" / "two_pole.ark"
+
+
+def _located(source: str, token: str) -> tuple[int, int]:
+    """1-based (line, column) of the first ``token`` in ``source``."""
+    for number, line in enumerate(source.splitlines(), start=1):
+        if token in line:
+            return number, line.index(token) + 1
+    raise AssertionError(f"{token!r} not in source")
+
+
+class TestIntegerFields:
+    """Node orders and init indices are non-negative integer literals:
+    a fraction, exponent or sign is an error at its token, never a
+    silently truncated float."""
+
+    SOURCES = {
+        "order": "lang l {\n ntyp(@,sum) X {}; }",
+        "init": "lang l {\n ntyp(1,sum) X {\n init(@)=real[0,1]}; }",
+        "set-init": ("lang l { ntyp(1,sum) X {}; }\n"
+                     "func f () uses l {\n node x:X;\n"
+                     " set-init x(@)=1.0; }"),
+    }
+
+    @pytest.mark.parametrize("text", ["1.7", "0.9", "1e0", "-1"])
+    @pytest.mark.parametrize("field", sorted(SOURCES))
+    def test_non_integer_rejected_at_token(self, field, text):
+        source = self.SOURCES[field].replace("@", text)
+        with pytest.raises(ParseError, match="non-negative integer") \
+                as info:
+            parse(source)
+        assert (info.value.line, info.value.column) == \
+            _located(source, text)
+
+    def test_integer_fields_read_exactly(self):
+        source = self.SOURCES["set-init"].replace("@", "1")
+        assert parse(source).functions[0].statements[-1].index == 1
+        source = self.SOURCES["init"].replace("@", "12")
+        node_type = parse(source).languages[0].node_types[0]
+        assert node_type.inits[0].index == 12
+
+    @pytest.mark.parametrize("edit", [("ntyp(1,sum)", "ntyp(1.7,sum)"),
+                                      ("x0(0)=1.0", "x0(0.9)=1.0")])
+    def test_cli_info_exits_2(self, edit, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "two_pole.ark"
+        path.write_text(TWO_POLE.read_text().replace(*edit))
+        assert main(["info", str(path)]) == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+
+class TestRulePositions:
+    """A rule the core constructors reject is reported at the rule's
+    first token, with the constructor's message unchanged."""
+
+    def test_production_target_error_has_line(self):
+        source = TWO_POLE.read_text().replace("s:X->s:X) s <=",
+                                              "s:X->s:X) q <=")
+        line, _column = _located(source, "q <=")
+        with pytest.raises(ParseError,
+                           match="production rule target `q` must be"
+                           ) as info:
+            parse(source)
+        assert info.value.line == line
+        assert f"at line {line}" in str(info.value)
+
+    def test_match_cardinality_error_has_line(self):
+        source = TWO_POLE.read_text().replace("match(1,1,W,X)",
+                                              "match(2,1,W,X)")
+        line, column = _located(source, "match(2,1")
+        with pytest.raises(ParseError,
+                           match=r"match cardinality \[2,1\] is invalid"
+                           ) as info:
+            parse(source)
+        assert (info.value.line, info.value.column) == (line, column)

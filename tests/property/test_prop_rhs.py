@@ -1,14 +1,19 @@
 """Property tests: the codegen RHS must match the interpreter RHS on
-randomly generated graphs and states — the two backends are independent
+randomly generated graphs and states, and on one system from each
+paradigm — the one-row kernel and the tree walk are independent
 implementations of the compiled equations."""
 
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro.core.builder import GraphBuilder
 from repro.core.compiler import compile_graph
+from repro.sim.batch_codegen import generate_batch_source
 
 
 def _random_language():
@@ -87,3 +92,48 @@ def test_short_simulations_agree(graph):
     b = repro.simulate(system, (0.0, 0.5), n_points=20,
                        backend="codegen")
     assert np.allclose(a.y, b.y, rtol=1e-8, atol=1e-10)
+
+
+@functools.cache
+def _paradigm_systems():
+    """One compiled system per paradigm, with the time scale of its
+    dynamics and whether its one-row kernel fuses the affine part."""
+    from repro.paradigms.cnn import default_image, edge_detector
+    from repro.paradigms.fhn import neuron_chain
+    from repro.paradigms.gpac import van_der_pol
+    from repro.paradigms.obc import maxcut_network
+    from repro.paradigms.tln import TLineSpec, mismatched_tline
+    from repro.puf import PufDesign
+
+    puf = PufDesign(spec=TLineSpec(n_segments=10),
+                    branch_positions=(3, 6), branch_lengths=(4, 6))
+    graphs = {
+        "tln": (mismatched_tline("gm", seed=5), 8e-8, True),
+        "obc": (maxcut_network([(0, 1), (1, 2), (2, 3), (3, 0)], 4),
+                1e-7, False),
+        "cnn": (edge_detector(default_image(8)), 10.0, False),
+        "fhn": (neuron_chain(4), 80.0, True),
+        "gpac": (van_der_pol(), 20.0, False),
+        "puf": (puf.build(2, seed=1), 8e-8, True),
+    }
+    return {name: (compile_graph(graph), span, fused)
+            for name, (graph, span, fused) in graphs.items()}
+
+
+@pytest.mark.parametrize("paradigm",
+                         ["cnn", "fhn", "gpac", "obc", "puf", "tln"])
+@given(state_seed=st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=10, deadline=None)
+def test_paradigm_codegen_matches_interpreter(paradigm, state_seed):
+    system, span, fused = _paradigm_systems()[paradigm]
+    source = generate_batch_source(system, {})
+    assert ("_lin_A @ y" in source) == fused
+    rng = np.random.default_rng(state_seed)
+    y = rng.normal(size=system.n_states)
+    t = float(rng.uniform(0.0, span))
+    dy_interp = system.rhs("interpreter")(t, y)
+    dy_codegen = system.rhs("codegen")(t, y)
+    # Fused lines sum in a different order than the interpreter.
+    scale = np.abs(dy_interp).max()
+    assert np.allclose(dy_interp, dy_codegen, rtol=1e-10,
+                       atol=1e-10 * scale)

@@ -9,6 +9,7 @@ from repro.errors import SimulationError
 from repro.sim import compile_batch, generate_batch_source, \
     group_by_signature
 from repro.sim.batch_codegen import _AutoVector, _PerInstanceFn
+from repro.telemetry import collect_metrics
 
 
 def _mismatch_language():
@@ -136,6 +137,68 @@ class TestBatchEvaluation:
         for row, system in enumerate(systems):
             expected = system.algebraic_values(0.0, y[row])["f"]
             assert values[row] == pytest.approx(expected)
+
+
+class TestOneRowLayout:
+    """One system compiles to the one-row layout; a batch, even of one,
+    to rows."""
+
+    @staticmethod
+    def _networks():
+        from repro.paradigms.cnn import default_image, edge_detector
+        from repro.paradigms.obc import maxcut_network
+
+        return [edge_detector(default_image(8)),
+                maxcut_network([(0, 1), (1, 2), (2, 3), (3, 0)], 4)]
+
+    def test_scalar_python_without_array_wrappers(self):
+        # The rows layout evaluated at n=1 is ~10x slower on these
+        # small nonlinear networks (ufunc dispatch, elementwise
+        # wrappers); the one-row kernel must stay plain Python.
+        for graph in self._networks():
+            system = compile_graph(graph)
+            namespace = {}
+            source = generate_batch_source(system, namespace)
+            assert "_np." not in source
+            assert "_AutoVector" not in source
+            assert "y[:, " not in source and "y[0]" in source
+            assert not any(isinstance(value, _AutoVector)
+                           for value in namespace.values())
+            assert "y[:, " in compile_batch([system]).source
+
+    def test_fused_kernel_is_a_matrix_vector_product(self):
+        lang = repro.Language("chain")
+        lang.node_type("X", order=1, attrs=[("g", repro.real(0, 5))])
+        lang.edge_type("W")
+        lang.prod("prod(e:W,s:X->s:X) s <= -s.g*var(s)")
+        lang.prod("prod(e:W,s:X->t:X) t <= var(s)")
+        builder = repro.GraphBuilder(lang, "chain")
+        for k in range(3):
+            builder.node(f"x{k}", "X").set_attr(f"x{k}", "g", k + 1.0)
+            builder.edge(f"x{k}", f"x{k}", f"s{k}", "W")
+        builder.edge("x0", "x1", "c", "W")
+        system = compile_graph(builder.finish())
+        namespace = {}
+        source = generate_batch_source(system, namespace)
+        assert "dy[:] = _lin_A @ y" in source
+        assert namespace["_lin_A"].shape == (3, 3)
+        y = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(system.rhs("codegen")(0.0, y),
+                                   [-1.0, -3.0, -9.0])
+
+    def test_compiles_outside_the_kernel_cache(self):
+        from repro.sim.batch_codegen import _CODE_CACHE
+
+        systems = [compile_graph(graph) for graph in self._networks()]
+        cached = len(_CODE_CACHE)
+        with collect_metrics() as report:
+            for system in systems:
+                system.rhs("codegen")
+        assert len(_CODE_CACHE) == cached
+        assert report.counter("codegen.kernel_cache_hits") == 0
+        assert report.counter("codegen.kernel_cache_misses") == 0
+        assert not any(node["name"] == "codegen.emit"
+                       for node in report.spans)
 
 
 class TestCallableAttributeSlots:

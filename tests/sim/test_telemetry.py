@@ -168,6 +168,14 @@ class TestCounters:
         assert "plan.compile" in names
         assert "plan.signature" in names
         assert any(name.startswith("group[0].solve") for name in names)
+        # The batched kernel's emission is one span per group.
+        nodes = list(report.spans)
+        emits = 0
+        while nodes:
+            node = nodes.pop()
+            emits += node["name"] == "codegen.emit"
+            nodes.extend(node.get("children", []))
+        assert emits == 1
 
     def test_cache_hit_counters_on_rerun(self):
         cache = TrajectoryCache()
