@@ -2,25 +2,36 @@
 
 :class:`GraphBuilder` is the programmatic equivalent of an Ark function
 body: it creates nodes and edges, writes attributes and initial values
-(sampling mismatch-annotated datatypes through a seeded
-:class:`~repro.core.mismatch.MismatchSampler`), and configures switches.
+(sampling mismatch-annotated datatypes, §4.3), and configures switches.
 The paradigm libraries (TLN, CNN, OBC) build their topologies with it; the
 statement-based :class:`~repro.core.function.ArkFunction` drives it when a
 textual Ark function is invoked.
 
-Mismatched writes are *deferred*: the builder queues them and draws
-them all in one :meth:`~repro.core.mismatch.MismatchSampler.
-resolve_many` call (one bulk stream-seeding pass) when the graph is
-finished or read through :attr:`GraphBuilder.graph`. Every draw is keyed
-by its ``(seed, element, attribute)`` triple, so deferral changes no
-value.
+Mismatched writes are *deferred*: the builder queues them as
+:class:`~repro.core.mismatch.MismatchSite` records and draws them all in
+one :func:`~repro.core.mismatch.draw` call (one bulk stream-seeding pass)
+when the graph is finished or read through :attr:`GraphBuilder.graph`.
+Every draw is keyed by its ``(seed, element, attribute)`` triple, so
+deferral changes no value.
+
+An instance is a template plus a seed. In §4.3 the seed only sets the
+mismatched values, so a builder run without a seed yields a
+:class:`GraphTemplate` (:meth:`GraphBuilder.template`): the nominal
+graph and its mismatch sites in write order. :meth:`GraphTemplate.
+instance` clones the graph and draws the sites under a seed through the
+same :func:`~repro.core.mismatch.draw` — equal, field for field, to a
+builder run with that seed. :func:`fabricate` memoizes one template per
+structure on the language's rule table, so a sweep of N seeds runs the
+builder once.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Hashable
+
 from repro.core.graph import DynamicalGraph
 from repro.core.language import Language
-from repro.core.mismatch import MismatchSampler, mismatch_annotation
+from repro.core.mismatch import draw, site_of
 from repro.errors import GraphError
 
 
@@ -36,10 +47,12 @@ class GraphBuilder:
                  seed: int | None = None):
         self.language = language
         self._graph = DynamicalGraph(language, name)
-        self.sampler = MismatchSampler(seed)
-        #: Queued mismatched writes, keyed by their slot (so a rewrite
-        #: replaces the earlier draw): ``(id(store), key) -> (store,
-        #: key, as_float, (element, attr, datatype, nominal))``.
+        self.seed = seed
+        #: Every mismatched write, keyed by its slot ``(kind, owner,
+        #: store, key)`` so a rewrite replaces the earlier site: the
+        #: sites of a template, in write order.
+        self._sites: dict = {}
+        #: The slots of ``_sites`` not yet drawn into the graph.
         self._pending: dict = {}
 
     @property
@@ -78,8 +91,8 @@ class GraphBuilder:
                 f"attribute {attr}")
         nominal = decl.datatype.check(value, f"{owner}.{attr}")
         element.nominal_attrs[attr] = nominal
-        self._write(element.attrs, attr, owner, attr, decl.datatype,
-                    nominal, as_float=False)
+        self._write((kind, owner, "attrs", attr), element.attrs,
+                    site_of(owner, attr, decl.datatype, nominal), nominal)
         return self
 
     def set_init(self, node_name: str, value, index: int = 0,
@@ -94,8 +107,9 @@ class GraphBuilder:
         nominal = decl.datatype.check(value,
                                       f"init({index}) of {node_name}")
         node.nominal_inits[index] = nominal
-        self._write(node.inits, index, node_name, f"init{index}",
-                    decl.datatype, nominal, as_float=True)
+        self._write(("node", node_name, "inits", index), node.inits,
+                    site_of(node_name, f"init{index}", decl.datatype,
+                            nominal), float(nominal))
         return self
 
     def set_switch(self, edge_name: str, on) -> "GraphBuilder":
@@ -116,33 +130,39 @@ class GraphBuilder:
             graph.check_complete()
         return graph
 
+    def template(self) -> "GraphTemplate":
+        """Finish an unseeded build as a :class:`GraphTemplate`: the
+        nominal graph plus its mismatch sites in write order."""
+        if self.seed is not None:
+            raise GraphError(
+                f"a template is the nominal graph; build it without a "
+                f"seed (got seed={self.seed!r})")
+        return GraphTemplate(self.finish(), self._sites.items())
+
     # ------------------------------------------------------------------
     # Internal
     # ------------------------------------------------------------------
 
-    def _write(self, store: dict, key, element: str, attr: str, datatype,
-               nominal, as_float: bool):
+    def _write(self, slot: tuple, store: dict, site, value):
         """Store a resolved value: unannotated values at once, mismatched
-        ones queued for :meth:`_flush` (absent from ``store`` until
-        then)."""
-        slot = (id(store), key)
+        ones (``site`` not ``None``) queued for :meth:`_flush` (absent
+        from ``store`` until then)."""
+        self._sites.pop(slot, None)
         self._pending.pop(slot, None)
-        if mismatch_annotation(datatype) is None:
-            store[key] = float(nominal) if as_float else nominal
+        key = slot[3]
+        if site is None:
+            store[key] = value
             return
         store.pop(key, None)
-        self._pending[slot] = (store, key, as_float,
-                               (element, attr, datatype, nominal))
+        self._sites[slot] = self._pending[slot] = site
 
     def _flush(self):
         """Draw every queued mismatched write in one bulk call."""
         if not self._pending:
             return
-        pending = list(self._pending.values())
+        slots, sites = zip(*self._pending.items())
         self._pending.clear()
-        values = self.sampler.resolve_many(write for *_, write in pending)
-        for (store, key, as_float, _), value in zip(pending, values):
-            store[key] = float(value) if as_float else value
+        _place(self._graph, slots, draw(self.seed, sites))
 
     def _find_owner(self, owner: str):
         if self._graph.has_node(owner):
@@ -150,3 +170,61 @@ class GraphBuilder:
         if self._graph.has_edge(owner):
             return self._graph.edge(owner), "edge"
         raise GraphError(f"unknown node or edge {owner}")
+
+
+def _place(graph: DynamicalGraph, slots, values):
+    """Write ``values`` into ``graph`` at their ``(kind, owner, store,
+    key)`` slots; initial values are stored as floats."""
+    for (kind, owner, store, key), value in zip(slots, values):
+        element = graph.node(owner) if kind == "node" else graph.edge(owner)
+        getattr(element, store)[key] = \
+            float(value) if store == "inits" else value
+
+
+class GraphTemplate:
+    """A finished nominal graph and its mismatch sites in write order.
+
+    :meth:`instance` is the graph fabricated under a seed: a clone with
+    fresh nodes, edges and value dicts (types shared, names not
+    re-validated) whose nonzero-deviation sites are drawn in one bulk
+    pass. It equals a :class:`GraphBuilder` run with that seed field for
+    field, dict insertion order included.
+    """
+
+    def __init__(self, graph: DynamicalGraph, sites):
+        self._graph = graph
+        drawn = [(slot, site) for slot, site in sites if site.sigma != 0.0]
+        self._slots = tuple(slot for slot, _ in drawn)
+        self._sites = tuple(site for _, site in drawn)
+
+    def instance(self, seed: int | None = None) -> DynamicalGraph:
+        """A fresh graph of this structure fabricated under ``seed``
+        (``None``: the nominal instance)."""
+        graph = self._graph.copy()
+        if seed is not None and self._sites:
+            _place(graph, self._slots, draw(seed, self._sites))
+        return graph
+
+
+def fabricate(language: Language, key: Hashable,
+              build: Callable[[int | None], GraphBuilder],
+              seed: int | None) -> DynamicalGraph:
+    """Instance ``seed`` of the structure ``build`` writes.
+
+    ``build(seed)`` writes a structure's statements into a
+    :class:`GraphBuilder` of ``seed`` and returns it unfinished;
+    ``build(seed).finish()`` is the direct seeded build. Here it runs
+    once without a seed, as a :class:`GraphTemplate` memoized per
+    ``key`` on ``language``'s rule table (:meth:`~repro.core.production.
+    RuleTable.memoized`), which a declaration in the language or any
+    ancestor replaces: a sweep of one structure runs ``build`` once
+    (``build.template_misses``) and clones the template for every other
+    seed (``build.template_hits``). ``key`` must name everything the
+    structure depends on except the seed; a key that does not hash
+    builds without being stored.
+    """
+    table = language.rule_table()
+    template = table.memoized(table.graph_templates, key,
+                              lambda: build(None).template(),
+                              "build.template")
+    return template.instance(seed)

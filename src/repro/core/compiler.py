@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import telemetry
 from repro.core import expr as E
 from repro.core.graph import DynamicalGraph, Edge, Node
 from repro.core.language import Language
@@ -56,11 +55,6 @@ from repro.errors import CompileError
 #: The reserved expression-level noise marker (drift mean 0; see
 #: :data:`repro.core.expr.BUILTIN_FUNCTIONS`).
 NOISE_FUNC = "noise"
-
-#: Graph structures whose symbolic compile a rule table remembers
-#: (least recently used dropped first; see :func:`compile_graph`).
-TEMPLATE_LIMIT = 64
-
 
 def _rewrite(rule: ProductionRule, edge: Edge) -> E.Expr:
     """`Rewrite` from Algorithm 1: bind the rule's roles to the concrete
@@ -550,15 +544,7 @@ def compile_graph(graph: DynamicalGraph,
     graph.check_complete()
 
     table = language.rule_table()
-    key = _structure_key(graph)
-    symbolic = table.templates.get(key)
-    if symbolic is None:
-        telemetry.add("compile.template_misses")
-        symbolic = _symbolic(graph, language, table)
-        table.templates[key] = symbolic
-        if len(table.templates) > TEMPLATE_LIMIT:
-            table.templates.popitem(last=False)
-    else:
-        telemetry.add("compile.template_hits")
-        table.templates.move_to_end(key)
+    symbolic = table.memoized(table.templates, _structure_key(graph),
+                              lambda: _symbolic(graph, language, table),
+                              "compile.template")
     return _instantiate(symbolic, graph, language)

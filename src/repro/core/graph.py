@@ -230,20 +230,19 @@ class DynamicalGraph:
     # ------------------------------------------------------------------
 
     def copy(self, name: str | None = None) -> "DynamicalGraph":
-        """Deep-enough copy (attribute dicts are copied, types shared)."""
+        """Deep-enough copy: fresh nodes, edges and value dicts, types
+        shared. The names are this graph's, so they are not checked
+        again."""
         clone = DynamicalGraph(self.language, name or self.name)
-        for node in self._nodes.values():
-            copied = clone.add_node(node.name, node.type)
-            copied.attrs = dict(node.attrs)
-            copied.nominal_attrs = dict(node.nominal_attrs)
-            copied.inits = dict(node.inits)
-            copied.nominal_inits = dict(node.nominal_inits)
-        for edge in self._edges.values():
-            copied = clone.add_edge(edge.name, edge.src, edge.dst,
-                                    edge.type)
-            copied.attrs = dict(edge.attrs)
-            copied.nominal_attrs = dict(edge.nominal_attrs)
-            copied.on = edge.on
+        clone._nodes = {
+            key: Node(node.name, node.type, dict(node.attrs),
+                      dict(node.nominal_attrs), dict(node.inits),
+                      dict(node.nominal_inits))
+            for key, node in self._nodes.items()}
+        clone._edges = {
+            key: Edge(edge.name, edge.type, edge.src, edge.dst,
+                      dict(edge.attrs), dict(edge.nominal_attrs), edge.on)
+            for key, edge in self._edges.items()}
         return clone
 
     def stats(self) -> dict[str, int]:

@@ -13,14 +13,16 @@ identical graphs regardless of construction order; different seeds model
 different fabricated chips.
 
 Because every draw owns its stream, many draws can be made at once:
-:meth:`MismatchSampler.sample_many` seeds all their streams in one bulk
-pass (:func:`repro.core.noise.streams`) — the graph builder queues an
-instance's mismatched writes and resolves them together. The keying and
-every sampled value are the same as one draw at a time.
+:func:`draw` resolves a list of :class:`MismatchSite` records with all
+their streams seeded in one bulk pass (:func:`repro.core.noise.streams`)
+— the graph builder queues an instance's mismatched writes as sites,
+and a graph template replays its recorded sites under a new seed. The
+keying and every sampled value are the same as one draw at a time.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
 
 from repro.core.datatypes import IntType, Mismatch, RealType
 from repro.core.noise import streams
@@ -33,6 +35,54 @@ def mismatch_annotation(datatype) -> Mismatch | None:
     if annotation is None or not isinstance(datatype, (RealType, IntType)):
         return None
     return annotation
+
+
+class MismatchSite(NamedTuple):
+    """One mismatched write: the stream it draws from and how.
+
+    ``element``/``attr`` name the ``(seed, element, attr)`` stream
+    (``attr`` is ``init<i>`` for initial value ``i``); ``sigma`` is
+    the annotation's deviation at ``nominal``; an ``integer`` site
+    rounds its sample."""
+
+    element: str
+    attr: str
+    nominal: float
+    sigma: float
+    integer: bool = False
+
+
+def draw(seed: int | None, sites) -> list:
+    """The value stored for each :class:`MismatchSite` of instance
+    ``seed``: ``N(nominal, sigma)`` from the site's own stream, the
+    nominal value without a seed or a deviation, rounded for integer
+    sites. Every stream is seeded in one bulk :func:`streams` pass —
+    the one draw path of graph builds and templates alike."""
+    sites = list(sites)
+    values = [site.nominal for site in sites]
+    if seed is not None:
+        drawn = [slot for slot, site in enumerate(sites)
+                 if site.sigma != 0.0]
+        if drawn:
+            rngs = streams([(seed, sites[slot].element, sites[slot].attr)
+                            for slot in drawn])
+            for slot, rng in zip(drawn, rngs):
+                values[slot] = float(rng.normal(values[slot],
+                                                sites[slot].sigma))
+    return [int(round(value)) if site.integer else value
+            for site, value in zip(sites, values)]
+
+
+def site_of(element: str, attr: str, datatype, nominal,
+            ) -> MismatchSite | None:
+    """The site a write of ``nominal`` to a ``datatype`` attribute
+    draws from, or ``None`` when the value is stored as written."""
+    annotation = mismatch_annotation(datatype)
+    if annotation is None:
+        return None
+    nominal = float(nominal)
+    return MismatchSite(element, attr, nominal, annotation.sigma(nominal),
+                        isinstance(datatype, IntType))
 
 
 class MismatchSampler:
@@ -51,20 +101,9 @@ class MismatchSampler:
         """:meth:`sample` of many ``(element, attr, annotation, nominal)``
         draws, their streams seeded in one bulk pass. A draw with no
         seed or a zero deviation returns its nominal value."""
-        draws = list(draws)
-        values = [nominal for _, _, _, nominal in draws]
-        if self.seed is None:
-            return values
-        keys, slots = [], []
-        for slot, (element, attr, annotation, nominal) in enumerate(draws):
-            sigma = annotation.sigma(nominal)
-            if sigma != 0.0:
-                keys.append((self.seed, element, attr))
-                slots.append((slot, sigma))
-        if keys:
-            for rng, (slot, sigma) in zip(streams(keys), slots):
-                values[slot] = float(rng.normal(values[slot], sigma))
-        return values
+        return draw(self.seed, [
+            MismatchSite(element, attr, nominal, annotation.sigma(nominal))
+            for element, attr, annotation, nominal in draws])
 
     def resolve(self, element: str, attr: str, datatype, nominal):
         """Apply mismatch if the datatype carries an annotation.
@@ -76,16 +115,12 @@ class MismatchSampler:
 
     def resolve_many(self, writes) -> list:
         """:meth:`resolve` of many ``(element, attr, datatype, nominal)``
-        writes, with every draw made by one :meth:`sample_many`."""
+        writes, with every draw made by one :func:`draw`."""
         writes = list(writes)
         values = [nominal for _, _, _, nominal in writes]
-        annotated = [
-            (slot, element, attr, annotation, float(nominal))
-            for slot, (element, attr, datatype, nominal) in enumerate(writes)
-            if (annotation := mismatch_annotation(datatype)) is not None]
-        samples = self.sample_many(draw[1:] for draw in annotated)
-        for (slot, *_), value in zip(annotated, samples):
-            if isinstance(writes[slot][2], IntType):
-                value = int(round(value))
+        annotated = [(slot, site) for slot, write in enumerate(writes)
+                     if (site := site_of(*write)) is not None]
+        samples = draw(self.seed, [site for _, site in annotated])
+        for (slot, _), value in zip(annotated, samples):
             values[slot] = value
         return values

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
+from repro import telemetry
 from repro.core import expr as E
 from repro.core.exprparse import ExpressionParser, TokenStream, parse_text
 from repro.core.types import EdgeType, NodeType
@@ -135,13 +136,21 @@ def parse_production(text: str, off: bool | None = None) -> ProductionRule:
     return rule if off is None else replace(rule, off=off)
 
 
+#: Structures each per-structure memo of a :class:`RuleTable` keeps;
+#: the least recently used one is dropped first.
+MEMO_LIMIT = 64
+
+
 class RuleTable:
     """All production rules of a language, with most-specific lookup.
 
-    The table also carries the compiler's per-structure memo
-    (``templates``, see :func:`repro.core.compiler.compile_graph`):
-    it is only valid for these rules, so it lives and dies with them.
-    It stays in-process — a pickled table arrives with an empty memo.
+    The table also carries the language's per-structure memos — the
+    compiler's symbolic systems (``templates``, see
+    :func:`repro.core.compiler.compile_graph`) and the factories' graph
+    templates (``graph_templates``, see
+    :func:`repro.core.builder.fabricate`): they are only valid for
+    these declarations, so they live and die with them. They stay
+    in-process — a pickled table arrives with empty memos.
     """
 
     def __init__(self, rules: list[ProductionRule],
@@ -151,11 +160,33 @@ class RuleTable:
         self._node_types = node_types
         self._edge_types = edge_types
         self.templates: OrderedDict = OrderedDict()
+        self.graph_templates: OrderedDict = OrderedDict()
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["templates"] = OrderedDict()
+        state["graph_templates"] = OrderedDict()
         return state
+
+    def memoized(self, memo: OrderedDict, key, build, counter: str):
+        """``memo[key]``, made by ``build()`` on a miss and kept as one
+        of the ``MEMO_LIMIT`` most recently used entries. Counts
+        ``<counter>_hits``/``<counter>_misses``; a key that does not
+        hash is built and not stored."""
+        try:
+            value = memo.get(key)
+        except TypeError:
+            telemetry.add(f"{counter}_misses")
+            return build()
+        if value is not None:
+            telemetry.add(f"{counter}_hits")
+            memo.move_to_end(key)
+            return value
+        telemetry.add(f"{counter}_misses")
+        value = memo[key] = build()
+        if len(memo) > MEMO_LIMIT:
+            memo.popitem(last=False)
+        return value
 
     @property
     def rules(self) -> list[ProductionRule]:

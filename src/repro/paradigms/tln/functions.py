@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.builder import GraphBuilder
+from repro.core.builder import GraphBuilder, fabricate
 from repro.core.datatypes import integer
 from repro.core.function import (ArkFunction, EdgeStmt, FuncArg, Literal,
                                  NodeStmt, SetAttrStmt, SetInitStmt,
@@ -164,18 +164,22 @@ class _LineBuilder:
         self.connect("InpI_0", target)
 
     def chain(self, start: str, end: str, n_segments: int,
-              prefix: str = "", first_edge_type: str | None = None):
-        """Alternating I/V ladder from ``start`` to ``end``.
+              prefix: str = "", first_edge_type: str | None = None,
+              ) -> str:
+        """Alternating I/V ladder from ``start`` to ``end``; returns the
+        name of its first (junction) edge ``start -> {prefix}I_0``.
 
-        ``first_edge_type`` overrides the type of the first (junction)
-        edge — e.g. the sw-tln ``Esw`` switch at a PUF branch root.
+        ``first_edge_type`` overrides the type of the junction edge —
+        e.g. the sw-tln ``Esw`` switch at a PUF branch root.
         """
         previous = start
+        junction = None
         for k in range(n_segments):
             i_name = f"{prefix}I_{k}"
             self.add_i(i_name)
-            self.connect(previous, i_name,
-                         first_edge_type if k == 0 else None)
+            edge = self.connect(previous, i_name,
+                                first_edge_type if k == 0 else None)
+            junction = junction or edge
             if k == n_segments - 1:
                 self.connect(i_name, end)
             else:
@@ -183,9 +187,7 @@ class _LineBuilder:
                 self.add_v(v_name)
                 self.connect(i_name, v_name)
                 previous = v_name
-
-    def finish(self) -> DynamicalGraph:
-        return self.builder.finish()
+        return junction
 
 
 def linear_tline(spec: TLineSpec = TLineSpec(), *,
@@ -213,14 +215,21 @@ def linear_tline(spec: TLineSpec = TLineSpec(), *,
             language = ns_tln_language()
         self_edge_type, self_edge_attrs = "En", {"nsig": noise}
     language = _pick_language(language, node_variant, edge_variant)
-    line = _LineBuilder(language, "linear-tline", spec, v_type, i_type,
-                        e_type, seed, self_edge_type=self_edge_type,
-                        self_edge_attrs=self_edge_attrs)
-    line.add_v("IN_V", g=0.0)
-    line.add_v("OUT_V", g=spec.termination)
-    line.add_source("IN_V", waveform)
-    line.chain("IN_V", "OUT_V", spec.n_segments)
-    return line.finish()
+
+    def build(seed) -> GraphBuilder:
+        line = _LineBuilder(language, "linear-tline", spec, v_type,
+                            i_type, e_type, seed,
+                            self_edge_type=self_edge_type,
+                            self_edge_attrs=self_edge_attrs)
+        line.add_v("IN_V", g=0.0)
+        line.add_v("OUT_V", g=spec.termination)
+        line.add_source("IN_V", waveform)
+        line.chain("IN_V", "OUT_V", spec.n_segments)
+        return line.builder
+
+    return fabricate(language, ("linear-tline", spec, node_variant,
+                                edge_variant, waveform, noise),
+                     build, seed)
 
 
 def branched_tline(spec: TLineSpec = TLineSpec(), *,
@@ -239,16 +248,22 @@ def branched_tline(spec: TLineSpec = TLineSpec(), *,
     """
     v_type, i_type, e_type = _variant_types(node_variant, edge_variant)
     language = _pick_language(language, node_variant, edge_variant)
-    line = _LineBuilder(language, "branched-tline", spec, v_type, i_type,
-                        e_type, seed)
-    line.add_v("IN_V", g=0.0)
-    line.add_v("OUT_V", g=spec.termination)
-    line.add_source("IN_V", waveform)
-    line.chain("IN_V", "OUT_V", spec.n_segments)
-    # Open-ended stub: its far V keeps g=0, so the wave reflects back.
-    line.add_v("Vb_end", g=0.0)
-    line.chain("IN_V", "Vb_end", branch_segments, prefix="b")
-    return line.finish()
+
+    def build(seed) -> GraphBuilder:
+        line = _LineBuilder(language, "branched-tline", spec, v_type,
+                            i_type, e_type, seed)
+        line.add_v("IN_V", g=0.0)
+        line.add_v("OUT_V", g=spec.termination)
+        line.add_source("IN_V", waveform)
+        line.chain("IN_V", "OUT_V", spec.n_segments)
+        # Open-ended stub: its far V keeps g=0, so the wave reflects back.
+        line.add_v("Vb_end", g=0.0)
+        line.chain("IN_V", "Vb_end", branch_segments, prefix="b")
+        return line.builder
+
+    return fabricate(language, ("branched-tline", spec, branch_segments,
+                                node_variant, edge_variant, waveform),
+                     build, seed)
 
 
 def mismatched_tline(kind: str, spec: TLineSpec = TLineSpec(), *,

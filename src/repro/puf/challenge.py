@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.builder import GraphBuilder, fabricate
 from repro.core.graph import DynamicalGraph
 from repro.core.language import Language
 from repro.errors import GraphError
@@ -60,6 +61,12 @@ class PufDesign:
     shared_supply: bool = False
 
     def __post_init__(self):
+        # Tuples whatever was passed: the design is a memo key
+        # (:func:`repro.core.builder.fabricate`), so it must hash.
+        object.__setattr__(self, "branch_positions",
+                           tuple(self.branch_positions))
+        object.__setattr__(self, "branch_lengths",
+                           tuple(self.branch_lengths))
         if self.shared_supply and self.noise <= 0.0:
             raise GraphError(
                 "shared_supply models correlated supply ripple over "
@@ -113,38 +120,33 @@ class PufDesign:
         junction_type = "Esw" if parasitic else None
         self_edge_type = "En" if noisy else "E"
         self_edge_attrs = {"nsig": self.noise} if noisy else None
-        line = _LineBuilder(language, "tln-puf", self.spec, v_type,
-                            i_type, e_type, seed,
-                            self_edge_type=self_edge_type,
-                            self_edge_attrs=self_edge_attrs)
-        line.add_v("IN_V", g=0.0)
-        line.add_v("OUT_V", g=self.spec.termination)
-        line.add_source("IN_V")
-        line.chain("IN_V", "OUT_V", self.spec.n_segments)
-        for index, (position, length) in enumerate(
-                zip(self.branch_positions, self.branch_lengths)):
-            root = f"V_{position}"
-            end = f"Vstub{index}_end"
-            line.add_v(end, g=0.0)
-            prefix = f"s{index}"
-            line.chain(root, end, length, prefix=prefix,
-                       first_edge_type=junction_type)
-            # chain() created the junction as the edge root -> s{index}I_0;
-            # switching it on/off realizes the challenge bit.
-            junction_edge = self._find_junction(line, root,
-                                                f"{prefix}I_0")
-            if parasitic:
-                line.builder.set_attr(junction_edge, "alpha",
-                                      self.switch_alpha)
-            line.builder.set_switch(junction_edge, bool(bits[index]))
-        return line.finish()
 
-    def _find_junction(self, line: _LineBuilder, src: str, dst: str,
-                       ) -> str:
-        for edge in line.builder.graph.edges:
-            if edge.src == src and edge.dst == dst:
-                return edge.name
-        raise GraphError(f"junction edge {src}->{dst} not found")
+        def lay_out(seed) -> GraphBuilder:
+            line = _LineBuilder(language, "tln-puf", self.spec, v_type,
+                                i_type, e_type, seed,
+                                self_edge_type=self_edge_type,
+                                self_edge_attrs=self_edge_attrs)
+            line.add_v("IN_V", g=0.0)
+            line.add_v("OUT_V", g=self.spec.termination)
+            line.add_source("IN_V")
+            line.chain("IN_V", "OUT_V", self.spec.n_segments)
+            for index, (position, length) in enumerate(
+                    zip(self.branch_positions, self.branch_lengths)):
+                end = f"Vstub{index}_end"
+                line.add_v(end, g=0.0)
+                # Switching the stub's junction edge on/off realizes
+                # the challenge bit.
+                junction = line.chain(f"V_{position}", end, length,
+                                      prefix=f"s{index}",
+                                      first_edge_type=junction_type)
+                if parasitic:
+                    line.builder.set_attr(junction, "alpha",
+                                          self.switch_alpha)
+                line.builder.set_switch(junction, bool(bits[index]))
+            return line.builder
+
+        return fabricate(language, ("tln-puf", self, tuple(bits)),
+                         lay_out, seed)
 
     def _challenge_bits(self, challenge) -> list[int]:
         if isinstance(challenge, int):

@@ -576,9 +576,10 @@ def execute_plan(plan: ExecutionPlan, progress=None):
     :class:`~repro.telemetry.progress.ProgressSink`) still fires per
     finished group — barriered callers get live progress too."""
     seeds = list(plan.seeds)
-    return assemble_chunks(
-        stream_plan(replace(plan, seeds=seeds), progress=progress),
-        seeds, trials=plan.trials)
+    chunks = list(stream_plan(replace(plan, seeds=seeds),
+                              progress=progress))
+    with telemetry.span("plan.assemble"):
+        return assemble_chunks(chunks, seeds, trials=plan.trials)
 
 
 def stream_plan(plan: ExecutionPlan, progress=None):
@@ -770,7 +771,8 @@ def _settle(plan, store, key, solve):
             raise
         return None
     if key is not None and storable:
-        store.put(key, trajectory.t, trajectory.y)
+        with telemetry.span("cache.put"):
+            store.put(key, trajectory.t, trajectory.y)
     return trajectory
 
 
@@ -799,11 +801,16 @@ def _drive_groups(plan, tasks, store):
                 options["noise_seeds"] = tuple(task.tokens)
             # No key: no store, or an unstable batch identity (then
             # nothing may be stored either).
-            key = None if store is None else store.key_for(
-                task.row_systems, "sde" if task.tokens else "batch",
-                {**options, "t_span": (float(plan.t_span[0]),
-                                       float(plan.t_span[1]))})
-            hit = None if key is None else store.get(key)
+            key = hit = None
+            if store is not None:
+                with telemetry.span("cache.key"):
+                    key = store.key_for(
+                        task.row_systems, "sde" if task.tokens else "batch",
+                        {**options, "t_span": (float(plan.t_span[0]),
+                                               float(plan.t_span[1]))})
+            if key is not None:
+                with telemetry.span("cache.get"):
+                    hit = store.get(key)
             if hit is not None:
                 hits.append((order, task, BatchTrajectory(
                     t=hit[0], y=hit[1], systems=task.row_systems)))

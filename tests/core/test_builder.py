@@ -194,6 +194,26 @@ class TestDeferredMismatch:
         assert recorder.calls == [[(3, "n0", "a"), (3, "n1", "a"),
                                    (3, "n2", "a")]]
 
+        # A PUF chip finds its branch junctions without reading the
+        # graph mid-build: a template instance and the direct seeded
+        # build each draw in one bulk call.
+        from repro.paradigms.tln import TLineSpec
+        from repro.puf import PufDesign, challenge
+
+        design = PufDesign(spec=TLineSpec(n_segments=10),
+                           branch_positions=(3, 6), branch_lengths=(4, 6))
+        recorder.calls.clear()
+        graph = design.build(2, seed=5)
+        monkeypatch.setattr(
+            challenge, "fabricate",
+            lambda language, key, build, seed: build(seed).finish())
+        design.build(2, seed=5)
+        assert len(recorder.calls) == 2
+        assert recorder.calls[0] == recorder.calls[1]
+        # Every Em edge's ws and wt, the branch junctions included.
+        assert len(recorder.calls[0]) == 2 * len(graph.edges) - \
+            2 * sum(edge.is_self for edge in graph.edges)
+
     def test_no_seed_and_zero_sigma_draw_nothing(self, mm_lang,
                                                   monkeypatch):
         recorder = _StreamRecorder(monkeypatch)

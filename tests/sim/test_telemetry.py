@@ -163,19 +163,31 @@ class TestCounters:
         assert report.counter("cache.stores") >= 1
         assert report.meta["driver"] == "run_ensemble"
         assert report.meta["seeds"] == 4
+        # One factory build per structure: every seed is a template
+        # hit but the first one the process builds.
+        hits = report.counter("build.template_hits")
+        misses = report.counter("build.template_misses")
+        assert hits + misses == 4
+        assert misses <= 1
         # Spans nest under real names.
         names = [node["name"] for node in report.spans]
         assert "plan.compile" in names
         assert "plan.signature" in names
+        assert "plan.assemble" in names
         assert any(name.startswith("group[0].solve") for name in names)
-        # The batched kernel's emission is one span per group.
+        # The batched kernel's emission is one span per group, and so
+        # is each cache step.
         nodes = list(report.spans)
-        emits = 0
+        spans = []
         while nodes:
             node = nodes.pop()
-            emits += node["name"] == "codegen.emit"
+            spans.append(node["name"])
             nodes.extend(node.get("children", []))
-        assert emits == 1
+        assert spans.count("codegen.emit") == 1
+        assert spans.count("cache.key") == 1
+        assert spans.count("cache.get") == 1
+        assert spans.count("cache.put") == 1
+        assert spans.count("plan.assemble") == 1
 
     def test_cache_hit_counters_on_rerun(self):
         cache = TrajectoryCache()
