@@ -9,6 +9,11 @@ compiler and the validator read from it — every production rule's
 peer types. Each case is a SHA-256 over that text, for the fifteen
 prelude paradigm languages and every language defined in
 ``examples/ark``.
+
+Functions are pinned the same way: for every ``func`` in
+``examples/ark``, a SHA-256 over the printed function and one over the
+``repr`` of each argument and statement, the core objects
+:meth:`~repro.core.function.ArkFunction.invoke` executes.
 """
 
 import hashlib
@@ -18,20 +23,30 @@ import pytest
 
 from repro.cli import _prelude_functions, _prelude_languages
 from repro.lang import parse_program
-from repro.lang.unparse import unparse_language
+from repro.lang.unparse import unparse_function, unparse_language
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples" / "ark"
 
 
+def _programs():
+    return {path.name: parse_program(path.read_text(),
+                                     languages=_prelude_languages(),
+                                     functions=_prelude_functions())
+            for path in sorted(EXAMPLES.glob("*.ark"))}
+
+
 def _languages():
     languages = dict(_prelude_languages())
-    for path in sorted(EXAMPLES.glob("*.ark")):
-        program = parse_program(path.read_text(),
-                                languages=_prelude_languages(),
-                                functions=_prelude_functions())
+    for file, program in _programs().items():
         for name, language in program.languages.items():
-            languages[f"{path.name}:{name}"] = language
+            languages[f"{file}:{name}"] = language
     return languages
+
+
+def _functions():
+    return {f"{file}:{name}": function
+            for file, program in _programs().items()
+            for name, function in program.functions.items()}
 
 
 def _structure(language) -> str:
@@ -105,6 +120,24 @@ GOLDEN = {
         "700332a9f34a16637f453afa15584edf9aa19aedebcb5588eb58a0c2a5ef1838"),
 }
 
+FUNCTION_GOLDEN = {
+    "br_func.ark:br-func": (
+        "545ee3b419c928bda16fe8bd9e0830b7c53f72b469e5fa11f0224fcc7d8c93f5",
+        "1b2279ad486fdb32994f7d9dc01c2df7bd2326f6203e3c231b63f834de8607c1"),
+    "maxcut.ark:maxcut": (
+        "d3912e92fd3bc1625cbe3289b34c93c50a03481270394476f6cc44c6967130db",
+        "e5bbbf1cfc8f190646beed10a8d58314ab6476f0ecefbf4f355860763f2b4109"),
+    "noisy_decay.ark:noisy-cell": (
+        "de79a58443e04bd6ffc3e84eb12195a5dbb5519c913c967a0b49173762b5b399",
+        "623172a6ba5071b414cc1a8d407a3ce30cde50f68abb698db57e46972c29c114"),
+    "two_pole.ark:two-pole": (
+        "5f708a82e82185e5d8b0e81e1a5d5db8386df379f5e2cfde2d0f50cff1c7c93b",
+        "3f119762d9c1675352d198e4132b270e36ecf3ea617e7e09068500385d46d375"),
+    "van_der_pol.ark:van-der-pol": (
+        "56ac0e62b9835bdb72aa3fd6213c3ab8883d6bcdbea93f311fceb8348b9014ac",
+        "c0913efa951ff8846b48c395754502d42e45653591e39aa7c1534396cc11b4d0"),
+}
+
 
 @pytest.fixture(scope="module")
 def languages():
@@ -120,3 +153,21 @@ def test_rule_digests(languages, name):
     language = languages[name]
     assert (_sha(unparse_language(language)),
             _sha(_structure(language))) == GOLDEN[name]
+
+
+@pytest.fixture(scope="module")
+def functions():
+    return _functions()
+
+
+def test_every_function_covered(functions):
+    assert set(functions) == set(FUNCTION_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTION_GOLDEN))
+def test_function_digests(functions, name):
+    function = functions[name]
+    body = "\n".join(repr(item)
+                     for item in function.args + function.statements)
+    assert (_sha(unparse_function(function)), _sha(body)) == \
+        FUNCTION_GOLDEN[name]
