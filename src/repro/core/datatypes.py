@@ -246,7 +246,11 @@ def real(lo: float, hi: float, mm: tuple[float, float] | None = None,
 
 def integer(lo: int, hi: int, mm: tuple[float, float] | None = None,
             ns: "Noise | float | tuple | None" = None) -> IntType:
-    """Convenience constructor mirroring ``int[lo,hi]``."""
+    """Convenience constructor mirroring ``int[lo,hi]``. The bounds must
+    be finite integers; integral floats such as ``3.0`` are accepted."""
+    if not all(float(bound).is_integer() for bound in (lo, hi)):
+        raise DatatypeError(
+            f"int bounds must be finite integers, got [{lo}, {hi}]")
     annotation = Mismatch(*mm) if mm is not None else None
     return IntType(int(lo), int(hi), annotation, _noise_annotation(ns))
 

@@ -7,8 +7,9 @@ argument values, executes the statements through a
 :class:`~repro.core.builder.GraphBuilder` (which performs datatype checks
 and seeded mismatch sampling), and returns the finished graph.
 
-Functions are constructed programmatically here; the textual front-end in
-:mod:`repro.lang` lowers ``func`` definitions to this representation.
+Functions are constructed programmatically here, or by the textual
+front-end in :mod:`repro.lang`, whose parser builds these statement and
+value objects directly while it reads a ``func`` definition.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Textual front-end for the Ark language (Fig. 6 grammar).
 
-Parses programs written in the paper's concrete syntax — ``lang``
+Reads programs written in the paper's concrete syntax — ``lang``
 definitions with ``ntyp``/``etyp``/``prod``/``cstr``/``extern-func``
-statements and ``func`` definitions — and lowers them onto the core
-objects of :mod:`repro.core`.
+statements and ``func`` definitions — and builds the core objects of
+:mod:`repro.core` directly: a :class:`~repro.core.language.Language`
+per ``lang`` and an :class:`~repro.core.function.ArkFunction` per
+``func``. :mod:`repro.lang.unparse` prints them back.
 
 Example::
 
@@ -20,17 +22,13 @@ Example::
     tln = program.languages["tln"]
 """
 
-from repro.lang.parser import parse
-from repro.lang.lowering import (ParsedProgram, lower_program,
-                                 parse_function, parse_language,
-                                 parse_program)
+from repro.lang.parser import (ParsedProgram, parse_function,
+                               parse_language, parse_program)
 from repro.lang.unparse import (unparse_chain, unparse_datatype,
                                 unparse_function, unparse_language)
 
 __all__ = [
     "ParsedProgram",
-    "lower_program",
-    "parse",
     "parse_function",
     "parse_language",
     "parse_program",

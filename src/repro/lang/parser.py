@@ -12,63 +12,108 @@ abbreviations and spelling variants:
 * ``,`` and ``;`` are interchangeable statement separators, as the
   listings use both.
 
+The parser builds the core objects as it reads, in one pass: datatypes
+through :func:`~repro.core.datatypes.real`/``integer``/``lambd``,
+attribute and init declarations, function arguments and statements.
 ``prod`` and ``cstr`` rules are read by the core rule readers
 (:func:`~repro.core.production.read_production`,
 :func:`~repro.core.validation.read_constraint`) — the same grammar the
-Python API's rule strings go through — so a language's syntax tree
-holds core :class:`~repro.core.production.ProductionRule` and
-:class:`~repro.core.validation.ConstraintRule` objects directly.
+Python API's rule strings go through. A datatype or rule the core
+constructors reject is a :class:`~repro.errors.ParseError` at its first
+token, with the constructor's message.
+
+A ``lang`` block becomes a :class:`~repro.core.language.Language` at
+its closing ``}``, declared through the same API a hand-built language
+uses, so it obeys the same §4.1.1 checks: expression functions first,
+then node types, edge types, ``prod`` and ``cstr`` rules and
+``extern-func`` bindings, so a rule may precede the types it names. Its
+parent is resolved among the caller's languages and those defined
+earlier in the source. Functions are built once the whole source has
+been read, since a ``func`` may precede the ``lang`` it ``uses``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.core import function as F
+from repro.core.attributes import AttrDecl, InitDecl
+from repro.core.datatypes import Datatype, integer, lambd, real
 from repro.core.exprparse import ExpressionParser, TokenStream, tokenize
-from repro.core.production import ProductionRule, read_production
-from repro.core.validation import ConstraintRule, read_constraint
-from repro.lang import ast
+from repro.core.language import Language
+from repro.core.production import read_production
+from repro.core.validation import read_constraint
+from repro.errors import DatatypeError, LanguageError, ParseError
+
+
+@dataclass
+class ParsedProgram:
+    """The languages and functions a textual Ark program defines."""
+
+    languages: dict[str, Language] = field(default_factory=dict)
+    functions: dict[str, F.ArkFunction] = field(default_factory=dict)
 
 
 class ProgramParser:
-    """Parses a whole Ark program (languages + functions)."""
+    """Parses a whole Ark program (languages + functions).
 
-    def __init__(self, source: str):
+    :param languages: already-constructed languages available for
+        ``inherits`` and ``uses`` resolution.
+    :param extern: Python callables for ``extern-func`` bindings.
+    :param functions: expression-level functions to register in every
+        language defined by the program (e.g. ``sat``, ``pulse``).
+    """
+
+    def __init__(self, source: str,
+                 languages: dict[str, Language] | None = None,
+                 extern: dict[str, Callable] | None = None,
+                 functions: dict[str, Callable] | None = None):
         self.stream = TokenStream(tokenize(source))
         self.exprs = ExpressionParser(self.stream)
+        self.known = dict(languages or {})
+        self.extern = dict(extern or {})
+        self.functions = dict(functions or {})
 
     # ------------------------------------------------------------------
     # Program
     # ------------------------------------------------------------------
 
-    def parse_program(self) -> ast.ProgramAst:
-        languages: list[ast.LangAst] = []
-        functions: list[ast.FuncAst] = []
+    def parse_program(self) -> ParsedProgram:
+        result = ParsedProgram()
+        functions = []
         while not self.stream.at("eof"):
             keyword = self.stream.dashed_name()
             if keyword == "lang":
-                languages.append(self._lang_body())
+                language = self._language()
+                result.languages[language.name] = language
             elif keyword == "func":
-                functions.append(self._func_body())
+                functions.append(self._function())
             else:
                 self.stream.error(
                     f"expected `lang` or `func`, found {keyword!r}")
             self.stream.skip_separators()
-        return ast.ProgramAst(tuple(languages), tuple(functions))
+        for name, uses, args, statements in functions:
+            if name in result.functions:
+                raise LanguageError(f"function {name} is defined twice")
+            language = self.known.get(uses)
+            if language is None:
+                raise LanguageError(
+                    f"function {name} uses unknown language {uses}")
+            result.functions[name] = F.ArkFunction(name, language, args,
+                                                   statements)
+        return result
 
     # ------------------------------------------------------------------
     # Language definitions
     # ------------------------------------------------------------------
 
-    def _lang_body(self) -> ast.LangAst:
+    def _language(self) -> Language:
         name = self.stream.dashed_name()
         inherits = self._inherits()
         self.stream.expect("op", "{")
-        node_types: list[ast.NodeTypeAst] = []
-        edge_types: list[ast.EdgeTypeAst] = []
-        prods: list[ProductionRule] = []
-        cstrs: list[ConstraintRule] = []
-        externs: list[ast.ExternAst] = []
+        node_types, edge_types, prods, cstrs, externs = [], [], [], [], []
         while not self.stream.at("op", "}"):
             keyword = self.stream.dashed_name()
             if keyword in ("ntyp", "node-type"):
@@ -80,15 +125,42 @@ class ProgramParser:
             elif keyword == "cstr":
                 cstrs.append(read_constraint(self.stream))
             elif keyword == "extern-func":
-                externs.append(ast.ExternAst(self.stream.dashed_name()))
+                externs.append(self.stream.dashed_name())
             else:
                 self.stream.error(
                     f"unknown language statement {keyword!r}")
             self.stream.skip_separators()
         self.stream.expect("op", "}")
-        return ast.LangAst(name, inherits, tuple(node_types),
-                           tuple(edge_types), tuple(prods), tuple(cstrs),
-                           tuple(externs))
+
+        if name in self.known:
+            raise LanguageError(f"language {name} is defined twice")
+        parent = None
+        if inherits is not None:
+            parent = self.known.get(inherits)
+            if parent is None:
+                raise LanguageError(
+                    f"language {name} inherits unknown language "
+                    f"{inherits}")
+        language = Language(name, parent=parent)
+        for function_name, fn in self.functions.items():
+            language.register_function(function_name, fn)
+        for declaration in node_types:
+            language.node_type(**declaration)
+        for declaration in edge_types:
+            language.edge_type(**declaration)
+        for rule in prods:
+            language.prod(rule)
+        for rule in cstrs:
+            language.cstr(rule)
+        for extern_name in externs:
+            binding = self.extern.get(extern_name)
+            if binding is None:
+                raise LanguageError(
+                    f"language {name} binds extern-func {extern_name} "
+                    "but no Python callable was provided for it")
+            language.extern_check(binding, name=extern_name)
+        self.known[name] = language
+        return language
 
     def _inherits(self) -> str | None:
         """An optional ``inherit``/``inherits parent`` clause."""
@@ -97,7 +169,9 @@ class ProgramParser:
             return self.stream.dashed_name()
         return None
 
-    def _node_type(self) -> ast.NodeTypeAst:
+    def _node_type(self) -> dict:
+        """``(p, Reduc) name [inherit parent] {...}`` as
+        :meth:`~repro.core.language.Language.node_type` arguments."""
         self.stream.expect("op", "(")
         order = self.stream.natural("node order")
         self.stream.expect("op", ",")
@@ -106,41 +180,38 @@ class ProgramParser:
         name = self.stream.dashed_name()
         inherits = self._inherits()
         attrs, inits = self._type_body(allow_init=True)
-        return ast.NodeTypeAst(name, order, reduction, inherits,
-                               tuple(attrs), tuple(inits))
+        return dict(name=name, order=order, reduction=reduction,
+                    attrs=attrs, inits=inits, inherits=inherits)
 
-    def _edge_type(self) -> ast.EdgeTypeAst:
-        fixed = False
-        if self.stream.at("ident", "fixed"):
-            self.stream.next()
-            fixed = True
+    def _edge_type(self) -> dict:
+        """``[fixed] name [fixed] [inherit parent] {...}`` as
+        :meth:`~repro.core.language.Language.edge_type` arguments."""
+        fixed = bool(self.stream.accept("ident", "fixed"))
         name = self.stream.dashed_name()
-        if self.stream.at("ident", "fixed"):
-            # `edge-type fixed` may follow the name in the grammar.
-            self.stream.next()
-            fixed = True
+        # `edge-type fixed` may follow the name in the grammar.
+        fixed = bool(self.stream.accept("ident", "fixed")) or fixed
         inherits = self._inherits()
-        attrs, inits = self._type_body(allow_init=False)
-        if inits:
-            self.stream.error("edge types cannot declare initial values")
-        return ast.EdgeTypeAst(name, fixed, inherits, tuple(attrs))
+        attrs, _inits = self._type_body(allow_init=False)
+        return dict(name=name, attrs=attrs, fixed=fixed, inherits=inherits)
 
     def _type_body(self, allow_init: bool):
-        attrs: list[ast.AttrAst] = []
-        inits: list[ast.InitAst] = []
+        attrs: list[AttrDecl] = []
+        inits: list[InitDecl] = []
         self.stream.expect("op", "{")
         while not self.stream.at("op", "}"):
             keyword = self.stream.expect("ident").text
             if keyword == "attr":
                 attr_name = self.stream.dashed_name()
                 self.stream.expect("op", "=")
-                attrs.append(ast.AttrAst(attr_name, self._sig_type()))
+                datatype, const = self._sig_type()
+                attrs.append(AttrDecl(attr_name, datatype, const=const))
             elif keyword == "init" and allow_init:
                 self.stream.expect("op", "(")
                 index = self.stream.natural("init index")
                 self.stream.expect("op", ")")
                 self.stream.accept("op", "=")
-                inits.append(ast.InitAst(index, self._sig_type()))
+                datatype, const = self._sig_type()
+                inits.append(InitDecl(index, datatype, const=const))
             else:
                 self.stream.error(
                     f"unexpected {keyword!r} in type body")
@@ -148,17 +219,19 @@ class ProgramParser:
         self.stream.expect("op", "}")
         return attrs, inits
 
-    def _sig_type(self) -> ast.SigTAst:
-        kind = self.stream.expect("ident").text
-        if kind == "real" or kind == "int":
+    def _sig_type(self) -> tuple[Datatype, bool]:
+        """A datatype ``real[a,b] mm(s0,s1) ns(sigma,kind)`` /
+        ``int[a,b] ...`` / ``lambd(a0,...)`` and whether a ``const``
+        marker follows it."""
+        first = self.stream.expect("ident")
+        if first.text in ("real", "int"):
             self.stream.expect("op", "[")
             lo = self._number()
             self.stream.expect("op", ",")
             hi = self._number()
             self.stream.expect("op", "]")
             mm = None
-            if self.stream.at("ident", "mm"):
-                self.stream.next()
+            if self.stream.accept("ident", "mm"):
                 self.stream.expect("op", "(")
                 s0 = self._number()
                 self.stream.expect("op", ",")
@@ -166,10 +239,9 @@ class ProgramParser:
                 self.stream.expect("op", ")")
                 mm = (s0, s1)
             ns = None
-            if self.stream.at("ident", "ns"):
+            if self.stream.accept("ident", "ns"):
                 # Transient-noise annotation ns(sigma[,kind]); the kind
                 # defaults to absolute amplitude.
-                self.stream.next()
                 self.stream.expect("op", "(")
                 sigma = self._number()
                 ns_kind = "abs"
@@ -177,10 +249,9 @@ class ProgramParser:
                     ns_kind = self.stream.expect("ident").text
                 self.stream.expect("op", ")")
                 ns = (sigma, ns_kind)
-            const = bool(self.stream.accept("ident", "const"))
-            return ast.SigTAst("real" if kind == "real" else "int",
-                               lo=lo, hi=hi, mm=mm, const=const, ns=ns)
-        if kind in ("lambd", "fn", "lambda"):
+            build = real if first.text == "real" else integer
+            arguments = (lo, hi, mm, ns)
+        elif first.text in ("lambd", "fn", "lambda"):
             self.stream.expect("op", "(")
             arity = 0
             if not self.stream.at("op", ")"):
@@ -190,10 +261,15 @@ class ProgramParser:
                     self.stream.expect("ident")
                     arity += 1
             self.stream.expect("op", ")")
-            const = bool(self.stream.accept("ident", "const"))
-            return ast.SigTAst("lambda", arity=arity, const=const)
-        self.stream.error(f"unknown datatype {kind!r}")
-        raise AssertionError("unreachable")
+            build, arguments = lambd, (arity,)
+        else:
+            raise ParseError(f"unknown datatype {first.text!r}",
+                             first.line, first.column)
+        try:
+            datatype = build(*arguments)
+        except DatatypeError as err:
+            raise ParseError(str(err), first.line, first.column) from None
+        return datatype, bool(self.stream.accept("ident", "const"))
 
     def _number(self) -> float:
         sign = 1.0
@@ -204,8 +280,7 @@ class ProgramParser:
                 pass
             else:
                 break
-        if self.stream.at("ident", "inf"):
-            self.stream.next()
+        if self.stream.accept("ident", "inf"):
             return sign * math.inf
         token = self.stream.expect("num")
         return sign * float(token.text)
@@ -214,10 +289,12 @@ class ProgramParser:
     # Function definitions
     # ------------------------------------------------------------------
 
-    def _func_body(self) -> ast.FuncAst:
+    def _function(self):
+        """``name (args) uses lang {...}`` as its name, the name of the
+        language it uses, its arguments and its statements."""
         name = self.stream.dashed_name()
         self.stream.expect("op", "(")
-        args: list[ast.FuncArgAst] = []
+        args: list[F.FuncArg] = []
         if not self.stream.at("op", ")"):
             args.append(self._func_arg())
             while self.stream.accept("op", ","):
@@ -226,14 +303,14 @@ class ProgramParser:
         self.stream.expect("ident", "uses")
         uses = self.stream.dashed_name()
         self.stream.expect("op", "{")
-        statements: list[ast.FuncStmtAst] = []
+        statements: list[F.Statement] = []
         while not self.stream.at("op", "}"):
             statements.append(self._func_stmt())
             self.stream.skip_separators()
         self.stream.expect("op", "}")
-        return ast.FuncAst(name, tuple(args), uses, tuple(statements))
+        return name, uses, args, statements
 
-    def _func_arg(self) -> ast.FuncArgAst:
+    def _func_arg(self) -> F.FuncArg:
         name = self.stream.dashed_name()
         applies_to = None
         if self.stream.accept("op", "."):
@@ -241,15 +318,15 @@ class ProgramParser:
             applies_to = (name, attr)
             name = f"{name}.{attr}"
         self.stream.expect("op", ":")
-        sig = self._sig_type()
-        return ast.FuncArgAst(name, sig, applies_to)
+        datatype, _const = self._sig_type()
+        return F.FuncArg(name, datatype, applies_to)
 
-    def _func_stmt(self) -> ast.FuncStmtAst:
+    def _func_stmt(self) -> F.Statement:
         keyword = self.stream.dashed_name()
         if keyword == "node":
             name = self.stream.dashed_name()
             self.stream.expect("op", ":")
-            return ast.NodeStmtAst(name, self.stream.dashed_name())
+            return F.NodeStmt(name, self.stream.dashed_name())
         if keyword == "edge":
             self.stream.expect("op", "<")
             src = self.stream.dashed_name()
@@ -258,32 +335,30 @@ class ProgramParser:
             self.stream.expect("op", ">")
             name = self.stream.dashed_name()
             self.stream.expect("op", ":")
-            return ast.EdgeStmtAst(src, dst, name, self.stream.dashed_name())
+            return F.EdgeStmt(src, dst, name, self.stream.dashed_name())
         if keyword == "set-attr":
             owner = self.stream.dashed_name()
             self.stream.expect("op", ".")
             attr = self.stream.dashed_name()
             self.stream.expect("op", "=")
-            return ast.SetAttrAst(owner, attr, self._func_val())
+            return F.SetAttrStmt(owner, attr, self._func_val())
         if keyword == "set-init":
             node = self.stream.dashed_name()
             self.stream.expect("op", "(")
             index = self.stream.natural("set-init index")
             self.stream.expect("op", ")")
             self.stream.expect("op", "=")
-            return ast.SetInitAst(node, index, self._func_val())
+            return F.SetInitStmt(node, index, self._func_val())
         if keyword in ("set-switch", "set-edge"):
             edge = self.stream.dashed_name()
             self.stream.expect("ident", "when")
-            condition = self.exprs.parse()
-            return ast.SetSwitchAst(edge, condition)
+            return F.SetSwitchStmt(edge, self.exprs.parse())
         self.stream.error(f"unknown function statement {keyword!r}")
         raise AssertionError("unreachable")
 
-    def _func_val(self) -> ast.FuncValAst:
-        if self.stream.at("ident", "lambd") or self.stream.at("ident",
-                                                              "fn"):
-            self.stream.next()
+    def _func_val(self) -> F.Literal | F.ArgRef | F.LambdaVal:
+        if self.stream.accept("ident", "lambd") or \
+                self.stream.accept("ident", "fn"):
             self.stream.expect("op", "(")
             params: list[str] = []
             if not self.stream.at("op", ")"):
@@ -292,15 +367,42 @@ class ProgramParser:
                     params.append(self.stream.dashed_name())
             self.stream.expect("op", ")")
             self.stream.expect("op", ":")
-            body = self.exprs.parse()
-            return ast.FuncValAst(
-                "lambda", ast.LambdaAst(tuple(params), body))
+            return F.LambdaVal(tuple(params), self.exprs.parse())
         if self.stream.at("ident"):
-            return ast.FuncValAst("arg", self.stream.dashed_name())
-        return ast.FuncValAst("literal", self._number())
+            return F.ArgRef(self.stream.dashed_name())
+        return F.Literal(self._number())
 
 
-def parse(source: str) -> ast.ProgramAst:
-    """Parse ``source`` into a :class:`~repro.lang.ast.ProgramAst`."""
-    parser = ProgramParser(source)
-    return parser.parse_program()
+def parse_program(source: str,
+                  languages: dict[str, Language] | None = None,
+                  extern: dict[str, Callable] | None = None,
+                  functions: dict[str, Callable] | None = None,
+                  ) -> ParsedProgram:
+    """Parse a textual Ark program into core languages and functions.
+
+    The options are those of :class:`ProgramParser`.
+    """
+    return ProgramParser(source, languages, extern,
+                         functions).parse_program()
+
+
+def parse_language(source: str, **options) -> Language:
+    """Parse a program that defines exactly one language and return it."""
+    program = parse_program(source, **options)
+    if len(program.languages) != 1:
+        raise ParseError(
+            f"expected exactly one language definition, found "
+            f"{len(program.languages)}")
+    return next(iter(program.languages.values()))
+
+
+def parse_function(source: str,
+                   languages: dict[str, Language] | None = None,
+                   **options) -> F.ArkFunction:
+    """Parse a program that defines exactly one function and return it."""
+    program = parse_program(source, languages=languages, **options)
+    if len(program.functions) != 1:
+        raise ParseError(
+            f"expected exactly one function definition, found "
+            f"{len(program.functions)}")
+    return next(iter(program.functions.values()))

@@ -83,6 +83,18 @@ class TestIntType:
         assert integer(1, 2).is_subrange_of(integer(0, 5))
         assert not integer(0, 9).is_subrange_of(integer(0, 5))
 
+    @pytest.mark.parametrize("bounds", [(0.5, 3), (0, 3.7), (0, INF),
+                                        (-INF, 0), (0, math.nan)])
+    def test_bounds_must_be_finite_integers(self, bounds):
+        # Truncating them would silently change the declared range.
+        with pytest.raises(DatatypeError, match="finite integers"):
+            integer(*bounds)
+
+    def test_integral_float_bounds_accepted(self):
+        datatype = integer(0.0, 3.0)
+        assert (datatype.lo, datatype.hi) == (0, 3)
+        assert type(datatype.lo) is int and type(datatype.hi) is int
+
 
 class TestLambdaType:
     def test_check_accepts_callable(self):

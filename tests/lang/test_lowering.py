@@ -1,9 +1,13 @@
-"""Unit tests for lowering parsed programs onto core objects."""
+"""Unit tests for the core languages and functions the parser builds:
+inheritance, extern bindings, forward references and the semantic
+checks the core declaration API runs on them."""
+
+import math
 
 import pytest
 
 import repro
-from repro.errors import LanguageError, ParseError
+from repro.errors import FunctionError, LanguageError, ParseError
 from repro.lang import (parse_function, parse_language, parse_program)
 
 
@@ -53,6 +57,14 @@ class TestLanguageLowering:
     def test_unknown_parent_language(self):
         with pytest.raises(LanguageError):
             parse_program("lang d inherits ghost { ntyp(1,sum) X {}; }")
+
+    def test_parent_defined_later_is_unknown(self):
+        # A language resolves its parent among the caller's languages
+        # and the ones defined before it.
+        with pytest.raises(LanguageError,
+                           match="inherits unknown language base"):
+            parse_program("lang d inherits base { ntyp(1,sum) Y {}; }"
+                          " lang base { ntyp(1,sum) X {}; }")
 
     def test_duplicate_language_rejected(self):
         with pytest.raises(LanguageError):
@@ -143,8 +155,40 @@ class TestFunctionLowering:
         graph = program.functions["f"]()
         assert graph.node("s").attrs["fn"](3.0) == 6.0
 
+    def test_forward_references(self):
+        # A func may precede the lang it uses, and a prod or cstr the
+        # types it names.
+        program = parse_program("""
+        func f (w:real[-5,5]) uses fwd {
+            node x:X; edge <x,x> s:W;
+            set-attr x.tau=1.0; set-attr s.w=w;
+            set-init x(0)=1.0;
+        }
+        lang fwd {
+            prod(e:W,s:X->s:X) s<=e.w*var(s)/s.tau;
+            cstr X {acc[match(1,1,W,X)]};
+            ntyp(1,sum) X {attr tau=real[0,10]};
+            etyp W {attr w=real[-5,5]};
+        }
+        """)
+        function = program.functions["f"]
+        assert function.language is program.languages["fwd"]
+        graph = function(w=-0.5)
+        repro.validate(graph)
+        assert graph.edge("s").attrs["w"] == -0.5
+        result = repro.simulate(graph, (0.0, 1.0), n_points=3)
+        assert result.final("x") == pytest.approx(math.exp(-0.5), rel=1e-3)
+
+    def test_duplicate_function_rejected(self):
+        with pytest.raises(LanguageError,
+                           match="function f is defined twice"):
+            parse_program(self.BASE + """
+            func f () uses l { node x:X; }
+            func f () uses l { node y:X; }
+            """)
+
     def test_static_checks_run_at_lowering(self):
-        with pytest.raises(Exception):
+        with pytest.raises(FunctionError):
             parse_program(self.BASE + """
             func f () uses l { set-attr ghost.tau = 1.0; }
             """)
