@@ -84,43 +84,3 @@ def site_of(element: str, attr: str, datatype, nominal,
     return MismatchSite(element, attr, nominal, annotation.sigma(nominal),
                         isinstance(datatype, IntType))
 
-
-class MismatchSampler:
-    """Samples mismatched attribute values for one fabricated instance."""
-
-    def __init__(self, seed: int | None):
-        #: None disables mismatch entirely (ideal instance).
-        self.seed = seed
-
-    def sample(self, element: str, attr: str, annotation: Mismatch,
-               nominal: float) -> float:
-        """Draw the mismatched value stored for ``element.attr``."""
-        return self.sample_many([(element, attr, annotation, nominal)])[0]
-
-    def sample_many(self, draws) -> list[float]:
-        """:meth:`sample` of many ``(element, attr, annotation, nominal)``
-        draws, their streams seeded in one bulk pass. A draw with no
-        seed or a zero deviation returns its nominal value."""
-        return draw(self.seed, [
-            MismatchSite(element, attr, nominal, annotation.sigma(nominal))
-            for element, attr, annotation, nominal in draws])
-
-    def resolve(self, element: str, attr: str, datatype, nominal):
-        """Apply mismatch if the datatype carries an annotation.
-
-        Returns the value to store as the *resolved* attribute; the nominal
-        value is kept separately by the graph.
-        """
-        return self.resolve_many([(element, attr, datatype, nominal)])[0]
-
-    def resolve_many(self, writes) -> list:
-        """:meth:`resolve` of many ``(element, attr, datatype, nominal)``
-        writes, with every draw made by one :func:`draw`."""
-        writes = list(writes)
-        values = [nominal for _, _, _, nominal in writes]
-        annotated = [(slot, site) for slot, write in enumerate(writes)
-                     if (site := site_of(*write)) is not None]
-        samples = draw(self.seed, [site for _, site in annotated])
-        for (slot, _), value in zip(annotated, samples):
-            values[slot] = value
-        return values

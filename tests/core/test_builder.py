@@ -150,10 +150,10 @@ class TestDeferredMismatch:
     @staticmethod
     def _sample(seed, element, attr, nominal, mm=(0.0, 0.1)):
         from repro.core.datatypes import Mismatch
-        from repro.core.mismatch import MismatchSampler
+        from repro.core.noise import stream
 
-        return MismatchSampler(seed).sample(element, attr, Mismatch(*mm),
-                                            nominal)
+        sigma = Mismatch(*mm).sigma(nominal)
+        return float(stream(seed, element, attr).normal(nominal, sigma))
 
     def test_graph_read_mid_build_is_resolved(self, mm_lang):
         builder = GraphBuilder(mm_lang, seed=42)

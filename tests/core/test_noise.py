@@ -251,11 +251,9 @@ class TestWienerStreams:
     def test_matches_mismatch_hash_scheme(self):
         # mismatch.py routes through the same helper, so §4.3 samples
         # are unchanged by the refactor.
-        from repro.core.mismatch import MismatchSampler
-        from repro.core.datatypes import Mismatch
+        from repro.core.mismatch import MismatchSite, draw
 
-        sampler = MismatchSampler(3)
-        value = sampler.sample("el", "a", Mismatch(0.0, 0.1), 1.0)
+        value, = draw(3, [MismatchSite("el", "a", 1.0, 0.1)])
         expected = float(stream(3, "el", "a").normal(1.0, 0.1))
         assert value == pytest.approx(expected)
 

@@ -1,190 +1,137 @@
-"""Integration tests: reduced-size versions of every paper experiment.
+"""Integration tests: every paper claim at CI size.
 
-Each test reproduces the *shape* of a published result (who wins, what
-fails, where the orderings fall) on sizes small enough for CI; the
-benchmarks regenerate the full-size numbers.
+``benchmarks/claims.py`` holds each claim of the paper's evaluation
+(and of this repository's extensions and ablations) once, with its one
+check; ``benchmarks/run_experiments.py`` prints the same verdicts at the
+``fast`` and ``full`` sizes. The per-figure tests below name the claims
+that make up each published result.
 """
 
-import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 import repro
-from repro.analysis import observation_window, window_spread
-from repro.circuits import compare_dg_netlist
 from repro.core.builder import GraphBuilder
-from repro.paradigms.cnn import (default_image, edge_detector,
-                                 expected_edges, run_cnn)
-from repro.paradigms.obc import (maxcut_experiment, random_graphs)
-from repro.paradigms.tln import (TLineSpec, branched_tline,
-                                 linear_tline, mismatched_tline)
+from repro.paradigms.tln import linear_tline
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]
+                       / "benchmarks"))
+import claims  # noqa: E402
+import run_experiments  # noqa: E402
+
+
+@pytest.mark.parametrize("claim", claims.CLAIMS, ids=lambda c: c.id)
+def test_claim(claim):
+    measured, verdict = claim.verdict("ci")
+    assert verdict != "FAIL", (
+        f"{claim.id}: measured {claims.show(measured)}, needs "
+        f"{claim.check.describe('ci')} ({claim.reason})")
+
+
+def holds(*ids):
+    for claim_id in ids:
+        test_claim(claims.BY_ID[claim_id])
 
 
 class TestFig2Validation:
-    """Fig. 2: the branched and linear lines validate; the malformed
-    V-V line is rejected."""
+    def test_linear_and_branched_validate(self):
+        holds("fig2.linear-valid", "fig2.branched-valid",
+              "ablation.validator-backends")
 
-    def test_linear_and_branched_validate(self, small_spec):
-        for graph in (linear_tline(small_spec),
-                      branched_tline(small_spec, branch_segments=3)):
-            report = repro.validate(graph, backend="flow")
-            assert report.valid, report.violations
-
-    def test_malformed_vv_line_rejected(self, tln, small_spec):
-        graph = linear_tline(small_spec)
-        # Short-circuit two V nodes: the hallmark of Fig. 2(iii).
-        graph.add_edge("bad", "IN_V", "V_0", "E")
-        report = repro.validate(graph, backend="flow")
-        assert not report.valid
-        assert any("V" in v for v in report.violations)
+    def test_malformed_vv_line_rejected(self):
+        holds("fig2.malformed-rejected")
 
 
 class TestFig4Trajectories:
-    """Fig. 4: pulse amplitudes, echo, and mismatch spread orderings."""
+    def test_linear_pulse_half_amplitude(self):
+        holds("fig4b.linear-peak")
 
-    SPEC = TLineSpec(n_segments=12, pulse_width=8e-9)
+    def test_branched_pulse_weaker(self):
+        holds("fig4a.branched-peak", "fig4a.branched-weaker")
 
-    @pytest.fixture(scope="class")
-    def linear_traj(self):
-        return repro.simulate(linear_tline(self.SPEC), (0.0, 6e-8),
-                              n_points=400)
+    def test_branched_echo_present(self):
+        holds("fig4a.echo")
 
-    @pytest.fixture(scope="class")
-    def branched_traj(self):
-        return repro.simulate(
-            branched_tline(self.SPEC, branch_segments=6), (0.0, 6e-8),
-            n_points=400)
-
-    def test_linear_pulse_half_amplitude(self, linear_traj):
-        assert linear_traj["OUT_V"].max() == pytest.approx(0.5,
-                                                           abs=0.12)
-
-    def test_branched_pulse_weaker(self, linear_traj, branched_traj):
-        assert branched_traj["OUT_V"].max() < \
-            linear_traj["OUT_V"].max()
-
-    def test_branched_echo_present(self, branched_traj):
-        # After the main pulse passes (~12 ns) + width, the echo
-        # arrives ~12 ns later.
-        t = branched_traj.t
-        late = np.abs(branched_traj["OUT_V"][t > 3.2e-8])
-        assert late.max() > 0.05
-
-    def test_branched_window_wider(self, linear_traj, branched_traj):
-        w_lin = observation_window(linear_traj, "OUT_V",
-                                   threshold=0.1)
-        w_brn = observation_window(branched_traj, "OUT_V",
-                                   threshold=0.1)
-        assert (w_brn[1] - w_brn[0]) > 1.2 * (w_lin[1] - w_lin[0])
+    def test_branched_window_wider(self):
+        holds("fig4a.window-wider")
 
     def test_gm_spread_exceeds_cint_spread(self):
-        spec = TLineSpec(n_segments=10)
-        window = (0.8e-8, 3e-8)
-        spreads = {}
-        for kind in ("cint", "gm"):
-            trajectories = repro.simulate_ensemble(
-                lambda seed, kind=kind: mismatched_tline(kind, spec,
-                                                         seed=seed),
-                seeds=range(15), t_span=(0.0, 4e-8), n_points=250)
-            spreads[kind] = window_spread(trajectories, "OUT_V",
-                                          window)
-        # Fig. 4d vs 4c: Gm mismatch dominates.
-        assert spreads["gm"] > 1.3 * spreads["cint"]
+        holds("fig4cd.gm-over-cint")
 
 
 class TestFig11Cnn:
-    """Fig. 11c: the four hardware variants of the edge detector."""
+    def test_ideal_correct(self):
+        holds("fig11.A-correct", "fig11.A-converges")
 
-    @pytest.fixture(scope="class")
-    def setup(self):
-        image = default_image(10)
-        return image, expected_edges(image)
+    def test_bias_mismatch_slower_but_correct(self):
+        holds("fig11.B-correct", "fig11.B-slower")
 
-    @pytest.fixture(scope="class")
-    def runs(self, setup):
-        image, expected = setup
-        results = {}
-        for variant in ("ideal", "bias_mismatch", "template_mismatch",
-                        "nonideal_sat"):
-            graph = edge_detector(image, variant, seed=3)
-            results[variant] = run_cnn(graph, 10, 10, variant=variant,
-                                       expected=expected)
-        return results
+    def test_template_mismatch_corrupts(self):
+        holds("fig11.C-incorrect")
 
-    def test_ideal_correct(self, runs):
-        assert runs["ideal"].errors == 0
-        assert runs["ideal"].converged
-
-    def test_bias_mismatch_slower_but_correct(self, runs):
-        assert runs["bias_mismatch"].errors == 0
-        assert runs["bias_mismatch"].converged_at > \
-            runs["ideal"].converged_at
-
-    def test_template_mismatch_corrupts(self, runs):
-        assert (runs["template_mismatch"].errors > 0
-                or not runs["template_mismatch"].converged)
-
-    def test_nonideal_sat_faster_and_correct(self, runs):
-        assert runs["nonideal_sat"].errors == 0
-        assert runs["nonideal_sat"].converged_at < \
-            runs["ideal"].converged_at
+    def test_nonideal_sat_faster_and_correct(self):
+        holds("fig11.D-correct", "fig11.D-faster")
 
 
 class TestTable1Maxcut:
-    """Table 1 orderings at reduced trial counts."""
+    def test_ideal_high_success(self):
+        holds("table1.obc-0.01pi", "table1.obc-0.1pi")
 
-    @pytest.fixture(scope="class")
-    def table(self):
-        graphs = random_graphs(30, 4, seed=5)
-        tolerances = (0.01 * math.pi, 0.1 * math.pi)
-        return (
-            maxcut_experiment(graphs, 4, tolerances=tolerances,
-                              edge_type="Cpl"),
-            maxcut_experiment(graphs, 4, tolerances=tolerances,
-                              edge_type="Cpl_ofs",
-                              mismatch_seeds=True),
-            tolerances,
-        )
+    def test_offset_degrades_tight_readout(self):
+        holds("table1.offset-degrades")
 
-    def test_ideal_high_success(self, table):
-        ideal, _, (tight, loose) = table
-        assert ideal[tight].solved_probability >= 0.8
-        assert ideal[loose].solved_probability >= 0.8
+    def test_mitigation_recovers(self):
+        holds("table1.mitigation-recovers", "table1.ofs-0.1pi")
 
-    def test_offset_degrades_tight_readout(self, table):
-        ideal, offset, (tight, _) = table
-        assert offset[tight].solved_probability < \
-            ideal[tight].solved_probability
-
-    def test_mitigation_recovers(self, table):
-        _, offset, (tight, loose) = table
-        assert offset[loose].solved_probability >= \
-            offset[tight].solved_probability + 0.1
-
-    def test_sync_implies_solved_rates_close(self, table):
-        # In Table 1 sync% and solved% track each other closely.
-        ideal, _, (tight, _) = table
-        assert abs(ideal[tight].sync_probability
-                   - ideal[tight].solved_probability) < 0.15
+    def test_sync_implies_solved_rates_close(self):
+        holds("table1.sync-tracks-solved")
 
 
 class TestSection45Netlists:
-    """§4.5: random valid GmC-TLN DGs map to netlists whose dynamics
-    match within 1% RMSE."""
-
     def test_random_population(self):
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for trial in range(10):
-            spec = TLineSpec(n_segments=int(rng.integers(3, 9)))
-            kind = ("gm", "cint")[trial % 2]
-            graph = mismatched_tline(kind, spec, seed=trial)
-            assert repro.validate(graph, backend="flow").valid
-            report = compare_dg_netlist(graph, (0.0, 3e-8),
-                                        n_points=150)
-            worst = max(worst, report.worst)
-        assert worst < 0.01
+        holds("sec45.all-valid", "sec45.rmse")
+
+
+def demo(claim_id, measured, check, deviation=""):
+    return claims.Claim(claim_id, "test", "1", lambda size: measured,
+                        check, "exact", deviation)
+
+
+class TestVerdicts:
+    """``run_experiments.main`` over a stand-in registry: no experiment
+    runs."""
+
+    def run(self, monkeypatch, capsys, *registry):
+        monkeypatch.setattr(claims, "CLAIMS", list(registry))
+        status = run_experiments.main(["--fast"])
+        return status, capsys.readouterr().out
+
+    def test_a_failing_claim_exits_nonzero(self, monkeypatch, capsys):
+        status, out = self.run(
+            monkeypatch, capsys, demo("demo.pass", 1.0, claims.Check("==", 1)),
+            demo("demo.fail", 2.0, claims.Check("==", 1)))
+        assert status == 1
+        assert "demo.pass | 1 | 1 | pass" in out
+        assert "demo.fail | 1 | 2 | FAIL (needs == 1)" in out
+
+    def test_a_documented_deviation_passes_within_its_value(
+            self, monkeypatch, capsys):
+        status, out = self.run(monkeypatch, capsys, demo(
+            "demo.dev", 2.7, claims.Check("~", 2.7, 0.1), "known"))
+        assert status == 0
+        assert "demo.dev | 1 | 2.7 | deviation: known" in out
+
+    def test_a_deviation_that_drifts_fails(self, monkeypatch, capsys):
+        status, _ = self.run(monkeypatch, capsys, demo(
+            "demo.dev", 3.0, claims.Check("~", 2.7, 0.1), "known"))
+        assert status == 1
+
+    def test_registry_ids_are_unique_and_reasoned(self):
+        assert len(claims.BY_ID) == len(claims.CLAIMS)
+        assert all(claim.reason for claim in claims.CLAIMS)
 
 
 class TestInheritanceGuarantees:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.datatypes import Mismatch, RealType, integer
-from repro.core.mismatch import MismatchSampler
+from repro.core.mismatch import MismatchSite, draw, site_of
 from repro.errors import DatatypeError
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -54,25 +54,24 @@ def test_subrange_transitive(a, b, c):
        st.floats(min_value=-100, max_value=100, allow_nan=False))
 @settings(max_examples=60)
 def test_mismatch_deterministic_per_key(seed, element, attr, nominal):
-    annotation = Mismatch(0.01, 0.05)
-    a = MismatchSampler(seed).sample(element, attr, annotation, nominal)
-    b = MismatchSampler(seed).sample(element, attr, annotation, nominal)
-    assert a == b
+    at = MismatchSite(element, attr, nominal,
+                      Mismatch(0.01, 0.05).sigma(nominal))
+    assert draw(seed, [at]) == draw(seed, [at])
 
 
 @given(st.integers(0, 2**31 - 1),
        st.floats(min_value=0.1, max_value=100, allow_nan=False))
 @settings(max_examples=60)
 def test_mismatch_within_ten_sigma(seed, nominal):
-    annotation = Mismatch(0.0, 0.1)
-    value = MismatchSampler(seed).sample("n", "a", annotation, nominal)
-    assert abs(value - nominal) <= 10 * annotation.sigma(nominal)
+    sigma = Mismatch(0.0, 0.1).sigma(nominal)
+    value, = draw(seed, [MismatchSite("n", "a", nominal, sigma)])
+    assert abs(value - nominal) <= 10 * sigma
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_integer_mismatch_stays_integer(seed):
-    value = MismatchSampler(seed).resolve(
-        "n", "k", integer(-1000, 1000, mm=(5.0, 0.0)), 10)
+    value, = draw(seed, [site_of(
+        "n", "k", integer(-1000, 1000, mm=(5.0, 0.0)), 10)])
     assert isinstance(value, int)
 
 
