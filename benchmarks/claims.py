@@ -195,7 +195,7 @@ def fig4_spread(size: str) -> dict:
     the window in which the nominal linear line's pulse arrives."""
     spreads = {}
     for kind in ("cint", "gm"):
-        runs = repro.simulate_ensemble(
+        runs = repro.run_ensemble(
             lambda seed, kind=kind: mismatched_tline(kind, seed=seed),
             seeds=range(SIZES[size]["chips"]), t_span=(0.0, T_END),
             n_points=300)
@@ -448,20 +448,21 @@ def solver_spread() -> float:
 
 @cache
 def ensemble_speedup() -> float:
-    """Serial over batched wall time of 32 fabricated Cpl_ofs instances
-    of the Table 1 4-cycle (fixed starting phases)."""
+    """Serial (scipy RK45 per instance) over batched (the default
+    route) wall time of 32 fabricated Cpl_ofs instances of the Table 1
+    4-cycle (fixed starting phases)."""
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
     phases = np.random.default_rng(7).uniform(0.0, 2.0 * math.pi, 4)
     seconds = {}
-    for engine in ("serial", "batch"):
+    for method in ("RK45", "auto"):
         started = time.perf_counter()
-        repro.simulate_ensemble(
+        repro.run_ensemble(
             lambda seed: maxcut_network(edges, 4, initial_phases=phases,
                                         edge_type="Cpl_ofs", seed=seed),
             seeds=range(32), t_span=(0.0, 100e-9), n_points=60,
-            engine=engine)
-        seconds[engine] = time.perf_counter() - started
-    return seconds["serial"] / seconds["batch"]
+            method=method)
+        seconds[method] = time.perf_counter() - started
+    return seconds["RK45"] / seconds["auto"]
 
 
 # --------------------------------------------------------------------------

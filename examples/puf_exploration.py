@@ -49,7 +49,7 @@ def explore_mismatch(chips: int) -> None:
     window = (1e-8, 3e-8)
     scores = {}
     for kind in ("cint", "gm"):
-        trajectories = repro.simulate_ensemble(
+        trajectories = repro.run_ensemble(
             lambda seed, kind=kind: mismatched_tline(kind, seed=seed),
             seeds=range(chips), t_span=(0.0, T_END), n_points=400)
         scores[kind] = window_spread(trajectories, "OUT_V", window)

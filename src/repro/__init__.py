@@ -67,7 +67,6 @@ from repro.core import (
     lambd,
     real,
     simulate,
-    simulate_ensemble,
     validate,
 )
 from repro.errors import (
@@ -120,7 +119,6 @@ __all__ = [
     "lambd",
     "real",
     "simulate",
-    "simulate_ensemble",
     "validate",
     "ArkError",
     "CompileError",

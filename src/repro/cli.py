@@ -12,7 +12,7 @@ Implements the §4.6 user workflow without writing Python::
     python -m repro ensemble program.ark --func noisy-cell \
         --t-end 5.0 --seeds 4 --trials 16 --node x --csv noise.csv
     python -m repro ensemble program.ark --func br-func --arg br=1 \
-        --t-end 8e-8 --seeds 256 --engine pool --processes 8 --stream
+        --t-end 8e-8 --seeds 256 --processes 8 --stream
     python -m repro dot program.ark --func br-func --arg br=1
 
 Paradigm languages ship with the package, so an ``.ark`` file may use
@@ -178,8 +178,8 @@ def cmd_simulate(args) -> int:
 
 class _CliFactory:
     """The ensemble command's ``factory(seed)`` as a module-level class
-    so it pickles — the persistent worker pool (``--engine pool`` /
-    ``--processes``) rebuilds instances inside worker processes. The
+    so it pickles — the persistent worker pool (``--processes``)
+    rebuilds instances inside worker processes. The
     parent reuses the already-validated first instance; that cached
     object is dropped from the pickled state — workers rebuild every
     seed through ``invoke``. Falls back gracefully: if the parsed
@@ -223,14 +223,16 @@ def _stats_columns(nodes, grid, matrix_for):
 def cmd_ensemble(args) -> int:
     """Monte-Carlo sweep through the unified execution-plan driver:
     deterministic mismatch ensembles by default, (chips x trials)
-    transient-noise sweeps with ``--trials``."""
+    transient-noise sweeps with ``--trials``. The sweep's own options
+    pick each group's route: a scipy ``--method`` solves per instance,
+    every other group is one batched solve, pooled when ``--processes``
+    > 1 and the group has at least 64 rows."""
     import time
 
     from repro.sim import ExecutionPlan, execute_plan, stream_plan
 
     if args.seeds < 1:
         raise ArkError(f"--seeds must be >= 1, got {args.seeds}")
-    noisy = args.trials is not None
     _, functions = _load(args)
     function = _pick_function(functions, args.func)
     arguments = {}
@@ -251,8 +253,8 @@ def cmd_ensemble(args) -> int:
     # meanings and checks live on ExecutionPlan (a bad value raises
     # SimulationError, an ArkError).
     options = dict(n_points=args.points, method=args.method,
-                   engine=args.engine, dense=args.dense,
-                   processes=args.processes, cache=args.cache_dir or None,
+                   dense=args.dense, processes=args.processes,
+                   cache=args.cache_dir or None,
                    max_step=args.max_step, freeze_tol=args.freeze_tol,
                    rtol=args.rtol, atol=args.atol,
                    trials=args.trials, noise_seed=args.noise_seed,
@@ -279,10 +281,10 @@ def cmd_ensemble(args) -> int:
         window = collect_metrics(
             into=report,
             meta={"driver": "cli.ensemble", "file": str(args.file),
-                  "engine": plan.engine, "seeds": args.seeds,
+                  "seeds": args.seeds,
                   **({"array_backend": args.array_backend}
                      if args.array_backend else {}),
-                  **({"trials": args.trials} if noisy else {})})
+                  **({"trials": args.trials} if args.trials else {})})
     else:
         window = contextlib.nullcontext()
     start = time.perf_counter()
@@ -315,10 +317,9 @@ def cmd_ensemble(args) -> int:
     header, matrix = _stats_columns(
         nodes, grid,
         lambda node: ensemble_matrix(result.trajectories, node, grid))
-    runs = (f"{args.seeds} chip(s) x {args.trials} trial(s) = "
-            f"{len(result)} noisy runs" if noisy
-            else f"{len(result)} instances")
-    print(f"{runs} in {elapsed:.2f}s "
+    # A deterministic sweep is the one-trial case.
+    print(f"{args.seeds} chip(s) x {result.trials} trial(s) = "
+          f"{len(result)} runs in {elapsed:.2f}s "
           f"({result.batched_fraction * 100:.0f}% batched: "
           f"{len(result.batches)} batch(es), "
           f"{len(result.serial_indices)} serial)")
@@ -505,8 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--points", type=int, default=200)
     # Sweep options default to None and are forwarded only when set:
     # their defaults live on ExecutionPlan, which the help text quotes.
-    from repro.sim import (BATCH_METHODS, ENGINES, SDE_METHODS,
-                           ExecutionPlan)
+    from repro.sim import BATCH_METHODS, SDE_METHODS, ExecutionPlan
     from repro.sim.plan import DEFAULT_SHARD_MIN
     p_ens.add_argument("--method",
                        help=f"{', '.join(BATCH_METHODS)}, or a scipy "
@@ -537,12 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-instance step masks: converged "
                        "instances freeze instead of forcing the "
                        "worst-case step on the whole batch")
-    p_ens.add_argument("--engine", choices=ENGINES,
-                       help="batch: one vectorized solve per group, on "
-                       f"the worker pool for groups of >= "
-                       f"{DEFAULT_SHARD_MIN} rows when --processes > 1; "
-                       "serial: one solve per instance; pool: every "
-                       f"group on the pool; default {ExecutionPlan.engine}")
     p_ens.add_argument("--array-backend",
                        metavar="numpy[:DTYPE]",
                        help="precision of the batched solves: numpy or "
@@ -550,12 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--backend", default="milp",
                        choices=("milp", "flow"))
     p_ens.add_argument("--processes", type=int,
-                       help="process-pool width: batched groups of >= "
-                       f"{DEFAULT_SHARD_MIN} rows run on the persistent "
-                       "zero-copy worker pool as per-core sub-batches "
-                       "and serial "
-                       "fallbacks fan out over the same pool one seed "
-                       "per task")
+                       help="worker-pool width (default: in-process): "
+                       f"a batched group of >= {DEFAULT_SHARD_MIN} rows "
+                       "(chips x trials) splits into this many shards "
+                       "on the persistent zero-copy pool, and a scipy "
+                       "--method fans out one seed per task")
     p_ens.add_argument("--stream", action="store_true",
                        help="stream per-group results as they finish "
                        "(prints one progress line per completed "

@@ -28,7 +28,7 @@ from repro.core.validator import ValidationReport, validate
 from repro.core.compiler import compile_graph
 from repro.core.odesystem import DiffusionTerm, OdeSystem
 from repro.core.dilation import TimeDilatedSystem, dilate
-from repro.core.simulator import Trajectory, simulate, simulate_ensemble
+from repro.core.simulator import Trajectory, simulate
 
 __all__ = [
     "INF",
@@ -64,5 +64,4 @@ __all__ = [
     "dilate",
     "Trajectory",
     "simulate",
-    "simulate_ensemble",
 ]

@@ -2,11 +2,11 @@
 
 Wraps :func:`scipy.integrate.solve_ivp` around an
 :class:`~repro.core.odesystem.OdeSystem` and packages the result as a
-:class:`Trajectory` addressable by node name. :func:`simulate_ensemble`
-runs seeded Monte-Carlo sweeps over fabricated instances — the workflow
-behind the paper's mismatch studies (Figs. 4c/4d, 11c, Table 1) — and
-delegates to the batched ensemble engine in :mod:`repro.sim`, which
-integrates structurally identical instances through one vectorized RHS.
+:class:`Trajectory` addressable by node name. Seeded Monte-Carlo
+sweeps over fabricated instances — the workflow behind the paper's
+mismatch studies (Figs. 4c/4d, 11c, Table 1) — run through
+:func:`repro.sim.run_ensemble`, which integrates structurally identical
+instances through one vectorized RHS.
 """
 
 from __future__ import annotations
@@ -129,67 +129,35 @@ def simulate(target: OdeSystem | DynamicalGraph, t_span: tuple[float, float],
         system through the one emitter's one-row layout
         (:func:`repro.sim.batch_codegen.compile_row`), ``interpreter``
         walks the expression trees (the reference oracle; slower).
-    :param max_step: solver step cap. Defaults to 1/64 of the span so
-        brief input events (e.g. a short pulse into a quiescent line,
-        where ``f(t0, y0) = 0`` makes scipy pick a huge first step)
-        cannot be stepped over. Pass ``numpy.inf`` to lift the cap.
+    :param max_step: solver step cap (> 0). Defaults to 1/64 of the
+        span so brief input events (e.g. a short pulse into a quiescent
+        line, where ``f(t0, y0) = 0`` makes scipy pick a huge first
+        step) cannot be stepped over. Pass ``numpy.inf`` to lift the
+        cap.
 
     Stochastic systems (``system.has_noise``) integrate *drift-only*
     here — the deterministic noise-free reference; use
     :func:`repro.sim.solve_sde` / :func:`repro.simulate_sde` to
     realize their transient noise.
     """
+    from repro.sim.batch_solver import _output_grid
+
     system = (compile_graph(target)
               if isinstance(target, DynamicalGraph) else target)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise SimulationError(f"empty time span [{t0}, {t1}]")
-    if t_eval is None:
-        if int(n_points) < 2:
-            raise SimulationError(
-                f"n_points must be >= 2 to span [{t0}, {t1}], got "
-                f"{n_points} (a degenerate grid would skip integration "
-                "and return only y0)")
-        t_eval = np.linspace(t0, t1, int(n_points))
+    grid = _output_grid(t_span, n_points, t_eval)
     options: dict = {}
     if max_step is None:
         max_step = (t1 - t0) / 64.0
+    elif not max_step > 0.0:  # also NaN, which isfinite would drop
+        raise SimulationError(f"max_step must be > 0, got {max_step}")
     if np.isfinite(max_step):
         options["max_step"] = max_step
     solution = solve_ivp(system.rhs(backend), (t0, t1), system.y0,
-                         method=method, t_eval=np.asarray(t_eval),
-                         rtol=rtol, atol=atol, **options)
+                         method=method, t_eval=grid, rtol=rtol,
+                         atol=atol, **options)
     if not solution.success:
         raise SimulationError(
             f"solve_ivp failed for {system.graph.name}: "
             f"{solution.message}")
     return Trajectory(t=solution.t, y=solution.y, system=system)
-
-
-def simulate_ensemble(factory, seeds, t_span,
-                      **options) -> list[Trajectory]:
-    """Simulate one fabricated instance per seed.
-
-    Built on the batched ensemble engine (:mod:`repro.sim`):
-    structurally identical instances — the common case for mismatch
-    seeds of one Ark function — are integrated through a single
-    vectorized RHS, while incompatible instances fall back to serial
-    scipy solves. The return value keeps the legacy shape (one
-    :class:`Trajectory` per seed, input order); use
-    :func:`repro.sim.run_ensemble` directly for the stacked
-    :class:`~repro.sim.batch_solver.BatchTrajectory` storage and
-    ensemble statistics.
-
-    :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem``; the
-        paper's workflow re-invokes an Ark function with varying seeds to
-        model multiple fabricated chips (§4.3).
-    :param seeds: iterable of mismatch seeds.
-    :param options: the sweep options of :func:`repro.sim.run_ensemble`
-        (the fields of :class:`~repro.sim.plan.ExecutionPlan`), e.g.
-        ``n_points``, ``method``, ``engine``, ``processes``. A scipy
-        method name (e.g. ``LSODA``) forces the serial path for every
-        instance.
-    """
-    from repro.sim.ensemble import run_ensemble
-
-    return run_ensemble(factory, seeds, t_span, **options).trajectories

@@ -16,14 +16,15 @@ implementation runs them as vectorized batches (``--vectorize --bz
   :class:`~repro.sim.batch_solver.BatchTrajectory`;
 * :mod:`repro.sim.plan` — the unified execution-plan layer: an
   :class:`~repro.sim.plan.ExecutionPlan`, whose fields are the one
-  definition of every sweep option, dispatched per group on one of
-  three engines (``batch``/``serial``/``pool``). A deterministic sweep
-  is the one-trial, Wiener-free case of the noisy one: one row
-  expansion (chip × trial), one result type, one recovery rule, so
-  pooling, caching, and per-instance step masks cover both
-  identically;
+  definition of every sweep option. The sweep's own inputs pick each
+  group's route: a scipy ``method`` runs per instance, every other
+  group is one batched solve, pooled when ``processes > 1`` and the
+  group has at least 64 rows. A deterministic sweep is the one-trial,
+  Wiener-free case of the noisy one: one row expansion (chip ×
+  trial), one result type, one recovery rule, so pooling, caching, and
+  per-instance step masks cover both identically;
 * :mod:`repro.sim.pool` / :mod:`repro.sim.shm` — the persistent
-  worker pool, the engine's one process model: each batched group
+  worker pool, the one process model: each batched group
   splits into ``processes`` near-equal contiguous shards
   (:func:`~repro.sim.pool.even_parts`) that return through shared
   memory, the serial fan-out through the result queue;
@@ -45,9 +46,6 @@ Quickstart::
         seeds=range(100), t_span=(0.0, 8e-8), n_points=300)
     batch = result.batches[0]           # (100, n_states, 300) storage
     band = batch.band("OUT_V")          # Fig. 4c/4d percentile envelope
-
-:func:`repro.simulate_ensemble` is built on this engine and keeps the
-legacy list-of-trajectories API.
 """
 
 from repro.sim.batch_codegen import (BatchRhs, array_dtype,
@@ -56,9 +54,8 @@ from repro.sim.batch_codegen import (BatchRhs, array_dtype,
                                      group_by_signature)
 from repro.sim.batch_solver import BatchTrajectory, solve_batch
 from repro.sim.cache import CacheStats, TrajectoryCache, default_cache
-from repro.sim.plan import (BATCH_METHODS, ENGINES, ExecutionPlan,
-                            NoiseSpec, assemble_chunks, execute_plan,
-                            stream_plan)
+from repro.sim.plan import (BATCH_METHODS, ExecutionPlan, NoiseSpec,
+                            assemble_chunks, execute_plan, stream_plan)
 from repro.sim.ensemble import EnsembleChunk, EnsembleResult, run_ensemble
 from repro.sim.pool import even_parts
 from repro.sim.sde_solver import (SDE_METHODS, WienerSource,
@@ -69,7 +66,6 @@ __all__ = [
     "BatchRhs",
     "BatchTrajectory",
     "CacheStats",
-    "ENGINES",
     "EnsembleChunk",
     "EnsembleResult",
     "ExecutionPlan",

@@ -166,6 +166,12 @@ class BatchTrajectory:
 
 
 def _output_grid(t_span, n_points, t_eval) -> np.ndarray:
+    """The output grid of a solve, and the one check of its inputs for
+    the batched solvers and the serial :func:`~repro.core.simulator.
+    simulate` alike: an increasing span, at least two points, and a
+    ``t_eval`` that increases strictly inside ``[t0, t1]``.
+    :meth:`~repro.sim.plan.ExecutionPlan.validate` runs it before the
+    first factory call."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise SimulationError(f"empty time span [{t0}, {t1}]")
@@ -180,6 +186,10 @@ def _output_grid(t_span, n_points, t_eval) -> np.ndarray:
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise SimulationError("t_eval must be strictly increasing with "
                               "at least two points")
+    if grid[0] < t0 or grid[-1] > t1:
+        raise SimulationError(
+            f"t_eval spans [{grid[0]}, {grid[-1]}], outside the time "
+            f"span [{t0}, {t1}]")
     return grid
 
 

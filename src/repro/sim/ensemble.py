@@ -140,11 +140,10 @@ def run_ensemble(factory, seeds, t_span, *, stream: bool = False,
     *and* transient-noise sweeps.
 
     :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem``.
-    :param options: the sweep options — ``engine``, ``n_points``,
-        ``t_eval``, ``method``, ``rtol``, ``atol``, ``max_step``,
-        ``dense``, ``freeze_tol``, ``processes``, ``cache``,
-        ``array_backend``, ``trials``, ``noise_seed``, ``sde_method``,
-        ``reference``. They are the fields of
+    :param options: the sweep options — ``n_points``, ``t_eval``,
+        ``method``, ``rtol``, ``atol``, ``max_step``, ``dense``,
+        ``freeze_tol``, ``processes``, ``cache``, ``array_backend``,
+        ``trials``, ``noise_seed``, ``sde_method``, ``reference``. They are the fields of
         :class:`~repro.sim.plan.ExecutionPlan`, whose docstring gives
         each one's default and meaning; bad values raise
         :class:`~repro.errors.SimulationError` before the first
@@ -200,8 +199,7 @@ def run_ensemble(factory, seeds, t_span, *, stream: bool = False,
         raise TypeError(
             f"telemetry must be None, bool, or a RunReport, got "
             f"{type(telemetry).__name__}")
-    meta = {"driver": "run_ensemble", "engine": plan.engine,
-            "seeds": len(plan.seeds)}
+    meta = {"driver": "run_ensemble", "seeds": len(plan.seeds)}
     if plan.array_spec() != "numpy:float64":
         meta["array_backend"] = plan.array_spec()
     if plan.trials is not None:

@@ -6,10 +6,10 @@ and this module tells it through one sweep path. An
 :class:`ExecutionPlan` captures *what* to integrate (a ``factory(seed)``
 per fabricated chip, the seed list, the time span), *how* (grid, solver
 options, ``trials`` for transient noise, per-instance freeze masks) and
-*where* (an engine plus cache/pool policy). Its fields are the one
-definition of every sweep option: :func:`repro.sim.run_ensemble`,
-:func:`repro.simulate_ensemble` and ``repro ensemble`` forward their
-options into a plan unchanged and funnel through :func:`execute_plan`.
+*where* (pool width and cache). Its fields are the one definition of
+every sweep option: :func:`repro.sim.run_ensemble` and ``repro
+ensemble`` forward their options into a plan unchanged and funnel
+through :func:`execute_plan`.
 
 A deterministic sweep is a noisy sweep with one trial and no Wiener
 source, so the path has one of each part:
@@ -33,31 +33,26 @@ source, so the path has one of each part:
   deterministic ``auto`` method is demoted to serial scipy RK45
   (``plan.demoted_rows``).
 
-Each structurally compatible group is dispatched by one choice on
-``plan.engine`` (:data:`ENGINES`):
+The sweep's own inputs choose each group's route; there is no route
+option:
 
-* ``batch``  — the default: one vectorized solve per group, run on the
-  worker pool when one is requested (``processes > 1``) and the group
-  has at least :data:`DEFAULT_SHARD_MIN` integrated rows, in-process
-  otherwise;
-* ``serial`` — one solve per instance: scipy ``solve_ivp`` per seed on
-  a deterministic sweep (fanned out over the worker pool when
-  ``processes > 1``), a batch-of-one SDE solve per (chip, trial) row on
-  a noisy one (the reference the batched engines are benchmarked
-  against);
-* ``pool``   — every group's batched solve split into per-core
-  sub-batches on the **persistent zero-copy pool**
-  (:mod:`repro.sim.pool`): workers are spawned once and reused across
-  solves, and shard results come back through shared memory
-  (:mod:`repro.sim.shm`) instead of pickle. Fixed-step methods
-  (``rk4`` and the fixed-step SDE trio ``em``/``heun``/``milstein``)
-  are bit-identical to the in-process solve because every instance's
-  arithmetic is row-local and Wiener streams are keyed by
-  ``(noise seed, element, path)`` — never by batch layout. The
-  adaptive methods (rkf45 and the adaptive SDE pair) run per-shard step
-  control; the pool's one row split
-  (:func:`repro.sim.pool.even_parts`) keeps their results reproducible,
-  and they are kept out of the cache.
+* a scipy ``method`` (:data:`SCIPY_METHODS`) runs every instance on the
+  serial ``solve_ivp`` path, fanned out one seed per task over the
+  worker pool when ``processes > 1``;
+* every other group is one batched solve, run on the **persistent
+  zero-copy pool** (:mod:`repro.sim.pool`) if and only if
+  ``processes > 1`` and the group has at least
+  :data:`DEFAULT_SHARD_MIN` integrated rows, in-process otherwise. The
+  pool splits the group's rows into ``processes`` contiguous near-equal
+  shards (:func:`repro.sim.pool.even_parts`) on reused workers, and the
+  shards come back through shared memory (:mod:`repro.sim.shm`).
+  Fixed-step methods (``rk4`` and the fixed-step SDE trio
+  ``em``/``heun``/``milstein``) are bit-identical to the in-process
+  solve because every instance's arithmetic is row-local and Wiener
+  streams are keyed by ``(noise seed, element, path)``, never by batch
+  layout. The adaptive methods (rkf45 and the adaptive SDE pair) run
+  per-shard step control; the one row split keeps their results
+  reproducible, and they are kept out of the cache.
 
 The executor itself is a *streaming* generator: :func:`stream_plan`
 yields one chunk per structurally compatible group as it finishes —
@@ -78,7 +73,6 @@ differ from the whole-group run.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 import warnings
@@ -109,13 +103,9 @@ BATCH_METHODS = ("auto", "rkf45", "rk4")
 #: scipy ``solve_ivp`` methods; any of them forces the serial path.
 SCIPY_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
 
-#: Execution engines (``engine=`` / ``--engine``); see the module
-#: docstring.
-ENGINES = ("batch", "serial", "pool")
-
-#: Smallest group (in integrated rows) the ``batch`` engine sends to the
-#: worker pool: pool dispatch and per-shard compiles amortize only on
-#: large groups.
+#: Smallest batched group (in integrated rows) that goes to the worker
+#: pool when ``processes > 1``: pool dispatch and per-shard compiles
+#: amortize only on large groups.
 DEFAULT_SHARD_MIN = 64
 
 
@@ -162,13 +152,9 @@ class ExecutionPlan:
     :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem``.
     :param seeds: mismatch seeds, one fabricated instance each.
     :param t_span: integration span ``(t0, t1)``.
-    :param engine: ``batch`` (default), ``serial`` or ``pool`` (see
-        :data:`ENGINES` and the module docstring). ``batch`` sends a
-        group to the worker pool when ``processes > 1`` and the group
-        has at least :data:`DEFAULT_SHARD_MIN` rows (chips on the ODE
-        path, chips x trials on the SDE path), else runs it in-process.
     :param n_points: output grid size (ignored when ``t_eval`` is set).
-    :param t_eval: explicit output grid.
+    :param t_eval: explicit output grid: at least two strictly
+        increasing points inside ``t_span``.
     :param method: ODE method — ``auto`` (batched rkf45, a group it
         cannot integrate is demoted to serial scipy RK45),
         ``rkf45``/``rk4`` (force a batch solver), or a scipy
@@ -186,12 +172,14 @@ class ExecutionPlan:
         converged (or, on the SDE path, diverged) instances freeze at
         their current state instead of forcing the worst-case step on
         the whole batch; ``None`` disables masking.
-    :param processes: worker-pool width (>= 1). Batched groups split
-        into ``processes`` contiguous near-equal shards on the
-        persistent zero-copy pool; serial instances fan out one seed
-        per task over the same pool. Both need a picklable factory and
-        run in-process otherwise. ``None`` under ``engine="pool"``
-        means the CPUs this process may run on.
+    :param processes: worker-pool width (>= 1; ``None`` or 1 runs
+        in-process). With ``processes > 1`` a batched group of at
+        least :data:`DEFAULT_SHARD_MIN` rows (chips on the ODE path,
+        chips x trials on the SDE path) splits into ``processes``
+        contiguous near-equal shards on the persistent zero-copy pool,
+        and serial instances fan out one seed per task over the same
+        pool. Both need a picklable factory and run in-process
+        otherwise.
     :param cache: trajectory cache — ``True`` (process-wide default
         cache), a directory path (disk backed), or a
         :class:`~repro.sim.cache.TrajectoryCache`. Repeated sweeps with
@@ -225,7 +213,6 @@ class ExecutionPlan:
     factory: object
     seeds: list
     t_span: tuple
-    engine: str = "batch"
     n_points: int = 500
     t_eval: object = None
     method: str = "auto"
@@ -263,10 +250,7 @@ class ExecutionPlan:
         ``factory`` call — instead of failing mid-sweep or silently
         running a different sweep than the one asked for. Raises
         :class:`~repro.errors.SimulationError`."""
-        if self.engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{', '.join(ENGINES)}")
+        _output_grid(self.t_span, self.n_points, self.t_eval)
         array_dtype(self.array_backend)
         if self.trials is None:
             if self.noise_seed is not None:
@@ -465,25 +449,11 @@ class GroupTask:
 
 
 def _pooled(plan: ExecutionPlan, rows: int) -> bool:
-    """Whether a group of ``rows`` integrated rows goes to the worker
-    pool: always under ``pool``; under ``batch`` when a pool was
-    requested (``processes > 1``) and the group has at least
-    :data:`DEFAULT_SHARD_MIN` rows; never under ``serial``."""
-    if plan.engine == "pool":
-        return True
-    return (plan.engine == "batch" and plan.processes is not None
-            and plan.processes > 1 and rows >= DEFAULT_SHARD_MIN)
-
-
-def _pool_width(plan: ExecutionPlan) -> int:
-    """The plan's pool width: ``processes`` when given, else the CPUs
-    this process may run on (its affinity mask, not the host's CPU
-    count — a container pinned to 2 of 64 CPUs gets 2 workers)."""
-    if plan.processes is not None:
-        return int(plan.processes)
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """Whether a batched group of ``rows`` integrated rows goes to the
+    worker pool: when a pool was requested (``processes > 1``) and the
+    group has at least :data:`DEFAULT_SHARD_MIN` rows."""
+    return (plan.processes is not None and plan.processes > 1
+            and rows >= DEFAULT_SHARD_MIN)
 
 
 def _submit_pool(task: GroupTask):
@@ -495,8 +465,8 @@ def _submit_pool(task: GroupTask):
     pickle. Every shard inherits the whole-group fuse decision.
 
     Returns a :class:`~repro.sim.pool.PoolHandle`, or ``None`` when the
-    group runs in-process: the engine does not route it to the pool, or
-    the pool cannot be used (no rows to split, an unpicklable factory,
+    group runs in-process: it is not routed to the pool, or the pool
+    cannot be used (no rows to split, an unpicklable factory,
     or no shared memory). Fixed-step
     results are bit-identical to the in-process solve and storable;
     adaptive methods (rkf45 and the adaptive SDE pair) run per-shard
@@ -508,7 +478,7 @@ def _submit_pool(task: GroupTask):
     plan = task.plan
     if not _pooled(plan, task.n_rows):
         return None
-    processes = _pool_width(plan)
+    processes = int(plan.processes)
     parts = pool_module.even_parts(task.n_rows, processes)
     if not parts:
         return None
@@ -565,8 +535,8 @@ def _submit_pool(task: GroupTask):
 
 def execute_plan(plan: ExecutionPlan, progress=None):
     """Compile every instance, group by structural signature, and
-    integrate each group through the plan's engine (with uniform
-    trajectory caching). Returns an
+    integrate each group on its route (with uniform trajectory
+    caching). Returns an
     :class:`~repro.sim.ensemble.EnsembleResult` with ``plan.trials``
     rows per chip (one without ``trials``).
 
@@ -645,8 +615,7 @@ def _stream(plan: ExecutionPlan, seeds: list, progress=None):
                                "rows": len(chunk.indices)}
             if progress is not None:
                 progress.advance(groups_done=chunks_done,
-                                 instances_done=rows_done,
-                                 backend=plan.engine)
+                                 instances_done=rows_done)
             yield chunk
     finally:
         if progress is not None:
@@ -673,8 +642,8 @@ def _expand(plan: ExecutionPlan, seeds, systems):
     and no Wiener tokens for a deterministic sweep. Returns ``(tasks,
     serial)``: the :class:`GroupTask` list and the seed indices left
     to the serial scipy path (deterministic sweeps only: every
-    instance under the ``serial`` engine or a scipy method, else the
-    structurally unique ones)."""
+    instance under a scipy method, else the structurally unique
+    ones)."""
     noise = plan.noise
     with telemetry.span("plan.signature"):
         groups = group_by_signature(systems)
@@ -689,7 +658,7 @@ def _expand(plan: ExecutionPlan, seeds, systems):
                 "noise sources to the design")
         options = _solver_options(plan, method=noise.method,
                                   block=noise.block)
-    elif plan.engine == "serial" or plan.method not in BATCH_METHODS:
+    elif plan.method not in BATCH_METHODS:
         return [], list(range(len(systems)))
     else:
         options = _solver_options(
@@ -789,7 +758,6 @@ def _drive_groups(plan, tasks, store):
     in-flight handles, which releases their shared-memory blocks."""
     from repro.sim import pool as pool_module
 
-    label = "serial" if plan.engine == "serial" else "batch"
     hits, sync, runs = [], [], []
     try:
         for order, task in enumerate(tasks):
@@ -822,16 +790,10 @@ def _drive_groups(plan, tasks, store):
                 sync.append((order, task, key))
         yield from hits
         for order, task, key in sync:
-            # The serial engine solves a noisy group one batch-of-one
-            # row at a time, each row consuming the per-token Wiener
-            # stream the batched solve uses, so the rows agree bit for
-            # bit.
-            parts = ([[row] for row in range(task.n_rows)]
-                     if task.tokens and plan.engine == "serial"
-                     else [range(task.n_rows)])
-            with telemetry.span(f"group[{order}].solve:{label}"):
-                trajectory = _settle(plan, store, key,
-                                     lambda: (task.solve(parts), True))
+            with telemetry.span(f"group[{order}].solve"):
+                trajectory = _settle(
+                    plan, store, key,
+                    lambda: (task.solve([range(task.n_rows)]), True))
             yield (order, task, trajectory)
         while runs:
             try:
@@ -852,7 +814,7 @@ def _drive_groups(plan, tasks, store):
                 for order, task, key, lost in broken:
                     telemetry.add("plan.rerun_rows", task.n_rows)
                     parts = pool_module.even_parts(task.n_rows,
-                                                   _pool_width(plan))
+                                                   int(plan.processes))
                     fuse = _whole_group_fuse(task.n_rows, task.systems[0])
                     with telemetry.span(f"group[{order}].rerun"):
                         trajectory = _settle(

@@ -46,8 +46,7 @@ class ProgressSink:
     def begin(self, *, groups: int, instances: int) -> None:
         """The sweep's totals, known at plan-compile time."""
 
-    def advance(self, *, groups_done: int, instances_done: int,
-                backend: str = "") -> None:
+    def advance(self, *, groups_done: int, instances_done: int) -> None:
         """One more group finished (``instances_done`` cumulative)."""
 
     def finish(self) -> None:
@@ -100,8 +99,7 @@ class _StatsSink(ProgressSink):
         except Exception:  # pragma: no cover - defensive
             return 0
 
-    def _line(self, groups_done: int, instances_done: int,
-              backend: str) -> str:
+    def _line(self, groups_done: int, instances_done: int) -> str:
         elapsed = max(self._clock() - self._t0, 1e-9)
         rate = instances_done / elapsed
         remaining = max(self._instances - instances_done, 0)
@@ -118,8 +116,6 @@ class _StatsSink(ProgressSink):
         if busy:
             parts.append(f"busy {busy}")
         parts.append(f"eta {_fmt_eta(eta)}")
-        if backend:
-            parts.append(f"({backend})")
         return "  ".join(parts)
 
 
@@ -134,14 +130,13 @@ class TtyProgress(_StatsSink):
         self._width = 0
         self._drew = False
 
-    def advance(self, *, groups_done: int, instances_done: int,
-                backend: str = "") -> None:
+    def advance(self, *, groups_done: int, instances_done: int) -> None:
         now = self._clock()
         final = groups_done >= self._groups
         if not final and now - self._last_draw < self._min_interval:
             return
         self._last_draw = now
-        line = self._line(groups_done, instances_done, backend)
+        line = self._line(groups_done, instances_done)
         pad = max(self._width - len(line), 0)
         self._stream.write("\r" + line + " " * pad)
         self._stream.flush()
@@ -163,14 +158,13 @@ class LogProgress(_StatsSink):
         self._interval = interval
         self._last_emit = float("-inf")
 
-    def advance(self, *, groups_done: int, instances_done: int,
-                backend: str = "") -> None:
+    def advance(self, *, groups_done: int, instances_done: int) -> None:
         now = self._clock()
         final = groups_done >= self._groups
         if not final and now - self._last_emit < self._interval:
             return
         self._last_emit = now
-        print(self._line(groups_done, instances_done, backend),
+        print(self._line(groups_done, instances_done),
               file=self._stream, flush=True)
 
     def finish(self) -> None:

@@ -11,7 +11,7 @@ out in the `Trace Event Format
 
 * **pid 0 / tid 0** — the parent process: the span tree as nested
   ``B``/``E`` (begin/end) duration events, so ``plan.build``,
-  ``plan.compile``, ``group[k].solve:<engine>``, ``pool.wait`` and
+  ``plan.compile``, ``group[k].solve``, ``pool.wait`` and
   friends appear as one stacked lane;
 * **pid 1 / tid k** — one lane per pool worker (``ark-pool-0``,
   ``ark-pool-1``, ...), each shard solve a ``B``/``E`` pair stamped

@@ -60,6 +60,14 @@ def gmc():
     return gmc_tln_language()
 
 
+@pytest.fixture()
+def small_pool_groups(monkeypatch):
+    """Send every batched group to the worker pool when ``processes >
+    1``, not only groups of 64 or more rows, so the pool's mechanics
+    can be tested on small sweeps."""
+    monkeypatch.setattr("repro.sim.plan.DEFAULT_SHARD_MIN", 1)
+
+
 @pytest.fixture(scope="session")
 def small_spec():
     from repro.paradigms.tln import TLineSpec

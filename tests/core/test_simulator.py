@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.simulator import simulate, simulate_ensemble
+from repro.core.simulator import simulate
 from repro.errors import SimulationError
 from tests.conftest import build_leaky_language, build_two_pole
 
@@ -39,6 +39,37 @@ class TestSimulate:
         # used to demote batched groups here, resurfacing the bug).
         with pytest.raises(SimulationError, match="n_points"):
             simulate(graph, (0.0, 1.0), n_points=n_points)
+
+    @pytest.mark.parametrize("max_step", [float("nan"), 0.0, -1e-3])
+    def test_bad_max_step_rejected(self, graph, max_step):
+        # NaN used to run with no step cap at all (isfinite(nan) is
+        # false); zero and negative caps reached scipy's raw ValueError.
+        with pytest.raises(SimulationError, match="max_step must be > 0"):
+            simulate(graph, (0.0, 1.0), max_step=max_step)
+
+    @pytest.mark.parametrize("max_step", [None, 0.01, np.inf])
+    def test_valid_max_step_reaches_scipy_unchanged(self, graph,
+                                                    max_step):
+        # None is span/64; inf lifts the cap (scipy's own default).
+        from scipy.integrate import solve_ivp
+
+        system = repro.compile_graph(graph)
+        grid = np.linspace(0.0, 1.0, 50)
+        cap = {None: 1.0 / 64.0, np.inf: None}.get(max_step, max_step)
+        direct = solve_ivp(system.rhs("codegen"), (0.0, 1.0), system.y0,
+                           t_eval=grid, rtol=1e-7, atol=1e-9,
+                           **({} if cap is None else {"max_step": cap}))
+        trajectory = simulate(system, (0.0, 1.0), n_points=50,
+                              max_step=max_step)
+        np.testing.assert_array_equal(trajectory.y, direct.y)
+
+    @pytest.mark.parametrize("t_eval", [[0.0, 0.5, 0.5, 1.0],
+                                        [0.0, 0.5, 1.5], [-0.5, 0.5]])
+    def test_bad_t_eval_rejected(self, graph, t_eval):
+        # The batched solvers' grid check: a clean SimulationError
+        # instead of scipy's raw ValueError.
+        with pytest.raises(SimulationError, match="t_eval"):
+            simulate(graph, (0.0, 1.0), t_eval=t_eval)
 
     def test_sample_outside_range_rejected(self, graph):
         trajectory = simulate(graph, (0.0, 1.0))
@@ -121,8 +152,8 @@ class TestEnsemble:
             builder.set_init("x", 1.0)
             return builder.finish()
 
-        trajectories = simulate_ensemble(factory, seeds=range(5),
-                                         t_span=(0.0, 1.0))
+        trajectories = repro.run_ensemble(factory, seeds=range(5),
+                                          t_span=(0.0, 1.0))
         finals = {t.final("x") for t in trajectories}
         assert len(trajectories) == 5
         assert len(finals) == 5  # each seed decays differently

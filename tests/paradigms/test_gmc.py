@@ -98,7 +98,7 @@ class TestFig4cd:
         window = (0.5e-8, 2.5e-8)
         spreads = {}
         for kind in ("cint", "gm"):
-            trajectories = repro.simulate_ensemble(
+            trajectories = repro.run_ensemble(
                 lambda seed, kind=kind: mismatched_tline(
                     kind, spec, seed=seed),
                 seeds=range(12), t_span=(0.0, 4e-8), n_points=200)

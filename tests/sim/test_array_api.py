@@ -256,8 +256,8 @@ class TestDtypePolicy:
 # ----------------------------------------------------------------------
 
 class TestPlanIntegration:
-    @pytest.mark.parametrize("engine", ["batch", "pool"])
-    def test_jax_array_backend_rejected(self, engine):
+    @pytest.mark.parametrize("route", ["batch", "pool"])
+    def test_jax_array_backend_rejected(self, route):
         def factory(seed):
             return mismatched_tline("gm", seed=seed)
 
@@ -265,12 +265,13 @@ class TestPlanIntegration:
                            match=f"unknown array backend 'jax'; "
                                  f"{SPELLINGS}"):
             run_ensemble(factory, range(2), (0.0, 8e-8),
-                         engine=engine, array_backend="jax")
+                         processes=2 if route == "pool" else None,
+                         array_backend="jax")
 
     def test_auto_engine_stays_in_process_on_non_numpy(self):
-        # A non-numpy array backend never reaches the batch engine's
-        # pool routing (plan validation rejects it); groups big enough
-        # go to the pool.
+        # A non-numpy array backend never reaches the pool routing
+        # (plan validation rejects it); groups big enough go to the
+        # pool.
         from repro.sim.plan import _pooled
 
         plan = ExecutionPlan(
@@ -299,20 +300,12 @@ class TestPlanIntegration:
                              array_backend=spec)
         assert calls == []  # rejected before the first factory call
 
-    def test_unknown_engine_lists_engines(self):
-        plan = ExecutionPlan(factory=lambda s: None, seeds=[0],
-                             t_span=(0.0, 1.0), engine="bogus")
-        with pytest.raises(SimulationError,
-                           match="unknown engine 'bogus'; expected one "
-                                 "of batch, serial, pool$"):
-            plan.validate()
-
-    def test_float32_pool_allowed(self):
+    def test_float32_pool_allowed(self, small_pool_groups):
         def factory(seed):
             return mismatched_tline("gm", seed=seed)
 
         result = run_ensemble(factory, range(2), (0.0, 8e-8),
-                              n_points=50, engine="pool", processes=2,
+                              n_points=50, processes=2,
                               array_backend="numpy:float32")
         assert result.batches[0].y.dtype == np.float32
 

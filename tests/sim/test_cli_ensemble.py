@@ -66,7 +66,8 @@ class TestEnsembleCommand:
                      "--node", "x0", "--csv", str(csv_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "6 instances" in out
+        # A deterministic sweep is the one-trial case.
+        assert "6 chip(s) x 1 trial(s) = 6 runs" in out
         assert "100% batched" in out
         data = np.genfromtxt(csv_path, delimiter=",", names=True)
         assert set(data.dtype.names) == {"t", "x0_mean", "x0_std",
@@ -79,15 +80,16 @@ class TestEnsembleCommand:
                                                     rel=0.5)
 
     def test_serial_engine_agrees(self, program_file, tmp_path, capsys):
+        # A scipy method takes the serial route, one solve per seed.
         paths = {}
-        for engine in ("batch", "serial"):
-            path = tmp_path / f"{engine}.csv"
+        for route, extra in (("batch", []), ("serial", ["--method", "RK45"])):
+            path = tmp_path / f"{route}.csv"
             assert main(["ensemble", program_file, "--arg", "w=1.0",
                          "--t-end", "1.0", "--seeds", "4",
-                         "--engine", engine, "--node", "x1",
-                         "--csv", str(path)]) == 0
-            paths[engine] = np.genfromtxt(path, delimiter=",",
-                                          names=True)
+                         "--node", "x1", "--csv", str(path)]
+                        + extra) == 0
+            paths[route] = np.genfromtxt(path, delimiter=",",
+                                         names=True)
         np.testing.assert_allclose(paths["batch"]["x1_mean"],
                                    paths["serial"]["x1_mean"],
                                    rtol=1e-4, atol=1e-7)
@@ -133,7 +135,7 @@ class TestEnsembleCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--max-step", "0"], "max_step must be > 0"),
         (["--freeze-tol", "0"], "freeze_tol must be > 0"),
-        (["--engine", "pool", "--processes", "0"],
+        (["--method", "RK45", "--processes", "0"],
          "processes must be >= 1"),
         (["--array-backend", "numpy:foo"],
          "unknown array backend 'numpy:foo'"),
@@ -151,14 +153,17 @@ class TestEnsembleCommand:
 
     @pytest.mark.parametrize("flags", [["--engine", "auto"],
                                        ["--shard-min", "4"],
-                                       ["--sde-rtol", "1e-2"]])
+                                       ["--sde-rtol", "1e-2"],
+                                       ["--engine", "pool"]])
     def test_removed_flags_are_rejected(self, program_file, capsys,
                                         flags):
         with pytest.raises(SystemExit) as excinfo:
             main(["ensemble", program_file, "--arg", "w=1.0",
                   "--t-end", "1.0", "--seeds", "2"] + flags)
         assert excinfo.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestAdaptiveSdeFlags:

@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.core.compiler import compile_graph
-from repro.core.simulator import Trajectory, simulate, simulate_ensemble
+from repro.core.simulator import Trajectory, simulate
 from repro.sim import run_ensemble
 
 _LANG = repro.Language("mm-ens")
@@ -156,7 +156,7 @@ class TestRunEnsemble:
         batch = run_ensemble(_pair_factory, range(4), (0.0, 2.0),
                              n_points=80)
         serial = run_ensemble(_pair_factory, range(4), (0.0, 2.0),
-                              n_points=80, engine="serial")
+                              n_points=80, method="RK45")
         for left, right in zip(batch, serial):
             np.testing.assert_allclose(left["b"], right["b"],
                                        rtol=1e-4, atol=1e-7)
@@ -193,7 +193,7 @@ class TestRunEnsemble:
         result = run_ensemble(_pair_factory, range(3), (0.0, 1.0),
                               t_eval=grid)
         serial = run_ensemble(_pair_factory, range(3), (0.0, 1.0),
-                              t_eval=grid, engine="serial")
+                              t_eval=grid, method="RK45")
         assert len(result.batches) == 1
         np.testing.assert_allclose(result.batches[0].t, grid)
         for left, right in zip(result, serial):
@@ -213,10 +213,10 @@ class TestRunEnsemble:
 
     def test_multiprocessing_pool_path(self):
         result = run_ensemble(_picklable_factory, range(3), (0.0, 1.0),
-                              n_points=30, engine="serial", processes=2)
+                              n_points=30, method="RK45", processes=2)
         reference = run_ensemble(_picklable_factory, range(3),
                                  (0.0, 1.0), n_points=30,
-                                 engine="serial")
+                                 method="RK45")
         for left, right in zip(result, reference):
             np.testing.assert_allclose(left["a"], right["a"],
                                        rtol=1e-9)
@@ -224,7 +224,7 @@ class TestRunEnsemble:
     def test_unpicklable_factory_degrades_gracefully(self):
         result = run_ensemble(lambda seed: _pair_factory(seed),
                               range(3), (0.0, 1.0), n_points=30,
-                              engine="serial", processes=2)
+                              method="RK45", processes=2)
         assert len(result) == 3
         assert all(isinstance(t, Trajectory) for t in result)
 
@@ -237,17 +237,21 @@ class TestRunEnsemble:
         try:
             with pytest.raises(TypeError, match="worker-side"):
                 run_ensemble(_boom_in_worker_factory, range(3),
-                             (0.0, 1.0), n_points=30, engine="serial",
+                             (0.0, 1.0), n_points=30, method="RK45",
                              processes=2)
         finally:
             del os.environ["ARK_ENSEMBLE_TEST_PID"]
 
 
 class TestBatchedSharding:
-    def test_sharded_rk4_is_bit_identical_to_single_process(self):
+    """Pool mechanics on small groups (``small_pool_groups`` lowers the
+    64-row threshold)."""
+
+    def test_sharded_rk4_is_bit_identical_to_single_process(
+            self, small_pool_groups):
         sharded = run_ensemble(_picklable_factory, range(8),
                                (0.0, 1.0), n_points=40, method="rk4",
-                               engine="pool", processes=2)
+                               processes=2)
         single = run_ensemble(_picklable_factory, range(8), (0.0, 1.0),
                               n_points=40, method="rk4")
         assert len(sharded.batches) == len(single.batches) == 1
@@ -258,12 +262,11 @@ class TestBatchedSharding:
         assert sharded.groups == single.groups
         assert sharded.serial_indices == []
 
-    def test_sharded_rkf45_matches_at_tolerance(self):
+    def test_sharded_rkf45_matches_at_tolerance(self, small_pool_groups):
         # rkf45's shared step control sees each shard separately, so
         # sharded results agree at tolerance level (not bitwise).
         sharded = run_ensemble(_picklable_factory, range(8),
-                               (0.0, 1.0), n_points=40, engine="pool",
-                               processes=2)
+                               (0.0, 1.0), n_points=40, processes=2)
         single = run_ensemble(_picklable_factory, range(8), (0.0, 1.0),
                               n_points=40)
         np.testing.assert_allclose(sharded.batches[0].y,
@@ -275,21 +278,23 @@ class TestBatchedSharding:
                               n_points=30, processes=2)
         assert len(result.batches) == 1  # one in-process batch
 
-    def test_unpicklable_factory_still_batches_in_process(self):
+    def test_unpicklable_factory_still_batches_in_process(
+            self, small_pool_groups):
         result = run_ensemble(lambda seed: _pair_factory(seed),
                               range(8), (0.0, 1.0), n_points=30,
-                              engine="pool", processes=2)
+                              processes=2)
         assert len(result.batches) == 1
         assert result.serial_indices == []
 
-    def test_sharded_rkf45_results_stay_out_of_the_cache(self):
+    def test_sharded_rkf45_results_stay_out_of_the_cache(
+            self, small_pool_groups):
         # Shard-split rkf45 runs per-shard step control, so its result
         # is not bit-reproducible by an unsharded rerun — storing it
         # would poison the cache's bit-for-bit replay contract.
         from repro.sim import TrajectoryCache
         cache = TrajectoryCache()
         run_ensemble(_picklable_factory, range(8), (0.0, 1.0),
-                     n_points=40, engine="pool", processes=2,
+                     n_points=40, processes=2,
                      cache=cache)
         assert cache.stats.stores == 0
         unsharded = run_ensemble(_picklable_factory, range(8),
@@ -300,8 +305,8 @@ class TestBatchedSharding:
         np.testing.assert_array_equal(unsharded.batches[0].y,
                                       rerun.batches[0].y)
 
-    def test_shards_follow_the_whole_group_fuse_decision(self,
-                                                         monkeypatch):
+    def test_shards_follow_the_whole_group_fuse_decision(
+            self, monkeypatch, small_pool_groups):
         # The fused emitter's dense memory guard depends on batch
         # size, so a shard deciding for itself could fuse where the
         # whole group would not — the parent's decision must win or
@@ -310,18 +315,18 @@ class TestBatchedSharding:
         monkeypatch.setattr(batch_codegen, "FUSE_DENSE_LIMIT", 1)
         sharded = run_ensemble(_picklable_factory, range(8),
                                (0.0, 1.0), n_points=40, method="rk4",
-                               engine="pool", processes=2)
+                               processes=2)
         single = run_ensemble(_picklable_factory, range(8), (0.0, 1.0),
                               n_points=40, method="rk4")
         np.testing.assert_array_equal(sharded.batches[0].y,
                                       single.batches[0].y)
 
-    def test_sharded_rk4_results_are_cached(self):
+    def test_sharded_rk4_results_are_cached(self, small_pool_groups):
         from repro.sim import TrajectoryCache
         cache = TrajectoryCache()
         sharded = run_ensemble(_picklable_factory, range(8),
                                (0.0, 1.0), n_points=40, method="rk4",
-                               engine="pool", processes=2, cache=cache)
+                               processes=2, cache=cache)
         assert cache.stats.stores == 1
         rerun = run_ensemble(_picklable_factory, range(8), (0.0, 1.0),
                              n_points=40, method="rk4", cache=cache)
@@ -331,9 +336,13 @@ class TestBatchedSharding:
 
 
 class TestSimulateEnsembleCompat:
+    """The result serves the list-of-trajectories use the removed
+    ``simulate_ensemble`` wrapper gave: it has a length, iterates and
+    indexes its rows in seed order."""
+
     def test_returns_ordered_trajectory_list(self):
-        trajectories = simulate_ensemble(_pair_factory, range(4),
-                                         (0.0, 1.0), n_points=50)
+        trajectories = run_ensemble(_pair_factory, range(4), (0.0, 1.0),
+                                    n_points=50)
         assert len(trajectories) == 4
         assert all(isinstance(t, Trajectory) for t in trajectories)
         for seed, trajectory in enumerate(trajectories):
@@ -343,19 +352,16 @@ class TestSimulateEnsembleCompat:
                                        rtol=1e-4, atol=1e-7)
 
     def test_serial_engine_keeps_legacy_path(self):
-        trajectories = simulate_ensemble(_pair_factory, range(3),
-                                         (0.0, 1.0), n_points=50,
-                                         engine="serial")
+        trajectories = run_ensemble(_pair_factory, range(3), (0.0, 1.0),
+                                    n_points=50, method="RK45")
         assert len(trajectories) == 3
+        assert trajectories.serial_indices == [0, 1, 2]
 
     def test_noisy_sweep_returns_chip_major_trial_rows(self):
-        # Regression: with trials=K the legacy list API used to run the
-        # whole sweep and then fail on the noisy result type.
         factory = _noisy_pair_factory
-        trajectories = simulate_ensemble(factory, range(3), (0.0, 1.0),
-                                         n_points=50, trials=2)
         result = run_ensemble(factory, range(3), (0.0, 1.0),
                               n_points=50, trials=2)
+        trajectories = list(result)
         assert len(trajectories) == 6
         for chip in range(3):
             for trial in range(2):

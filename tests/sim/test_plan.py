@@ -1,6 +1,6 @@
 """Tests for the unified execution-plan layer (:mod:`repro.sim.plan`):
-shim equivalence (the legacy drivers must be bit-identical delegates),
-plan validation, and pooled-SDE bit-identity."""
+plan validation, the routes a sweep's own options choose, the noisy
+batch against per-row solves, and pooled-SDE bit-identity."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,9 @@ import pytest
 import repro
 from repro.errors import SimulationError
 from repro.lang import parse_program
-from repro.sim import (ENGINES, ExecutionPlan, NoiseSpec, execute_plan,
-                       run_ensemble)
+from repro.sim import (ExecutionPlan, NoiseSpec, execute_plan,
+                       run_ensemble, simulate_sde)
+from repro.sim.pool import shutdown_pools
 
 OU_SOURCE = """
 lang ou {
@@ -39,23 +40,27 @@ def _ou_factory(nsig=0.3):
     return factory
 
 
+class _PicklableOu:
+    """Module-level (picklable) noise-free OU factory, so pooled sweeps
+    can ship it to the workers."""
+
+    def __call__(self, seed):
+        return _ou_factory(0.0)(seed)
+
+
 class TestValidation:
-    def test_unknown_engine_raises_value_error(self):
-        with pytest.raises(SimulationError, match="unknown engine"):
+    def test_engine_option_is_gone(self):
+        # The route follows from method and processes; there is no
+        # engine option, and simulate_ensemble is run_ensemble.
+        with pytest.raises(TypeError, match="engine"):
             run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
-                         engine="bogus")
-
-    def test_unknown_engine_in_simulate_ensemble(self):
-        from repro.core.simulator import simulate_ensemble
-
-        with pytest.raises(SimulationError, match="unknown engine"):
-            simulate_ensemble(_ou_factory(0.0), range(2), (0.0, 1.0),
-                              engine="parallel")
+                         engine="pool")
+        assert not hasattr(repro, "simulate_ensemble")
 
     def test_unknown_backend_in_plan(self):
         plan = ExecutionPlan(factory=_ou_factory(), seeds=[0],
-                             t_span=(0.0, 1.0), engine="nope")
-        with pytest.raises(SimulationError, match="unknown engine"):
+                             t_span=(0.0, 1.0), array_backend="numpy:foo")
+        with pytest.raises(SimulationError, match="unknown array"):
             execute_plan(plan)
 
     def test_trials_below_one(self):
@@ -86,24 +91,25 @@ class TestValidation:
             run_ensemble(_ou_factory(0.0), range(2), (0.0, 1.0),
                          freeze_tol=-1.0)
 
-    def test_removed_engine_lists_valid_choices(self):
-        assert ENGINES == ("batch", "serial", "pool")
-        for removed in ("shard", "auto"):
-            with pytest.raises(SimulationError,
-                               match=f"unknown engine '{removed}'; "
-                                     "expected one of batch, serial, "
-                                     "pool$"):
-                run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
-                             engine=removed)
-
     @pytest.mark.parametrize("options, message", [
         (dict(max_step=0.0), "max_step must be > 0"),
         (dict(max_step=-1e-3), "max_step must be > 0"),
         (dict(freeze_tol=0.0), "freeze_tol must be > 0"),
         (dict(processes=0), "processes must be >= 1"),
-        (dict(engine="pool", processes=0), "processes must be >= 1"),
+        (dict(method="RK45", processes=0), "processes must be >= 1"),
         (dict(noise_seed=1), "noise_seed was given without trials"),
-        (dict(engine="auto"), "unknown engine 'auto'"),
+        (dict(method="bogus"), "unknown method 'bogus'"),
+        # The grid is checked up front too, by the one grid check the
+        # solvers use.
+        (dict(t_span=(1.0, 0.0)), "empty time span"),
+        (dict(n_points=1), "n_points must be >= 2"),
+        (dict(t_eval=[0.0, 0.5, 0.5, 1.0]), "strictly increasing"),
+        (dict(t_eval=[0.0, 0.5, 0.4]), "strictly increasing"),
+        (dict(t_eval=[0.0, 0.5, 1.5]), "outside the time span"),
+        (dict(t_eval=[-0.5, 0.5]), "outside the time span"),
+        (dict(t_eval=[0.0, 0.5, 1.5], method="RK45"),
+         "outside the time span"),
+        (dict(t_eval=[0.0, 1.0, 0.5], trials=2), "strictly increasing"),
     ])
     def test_bad_options_rejected_before_any_factory_call(self, options,
                                                           message):
@@ -113,8 +119,10 @@ class TestValidation:
             calls.append(seed)
             return _ou_factory(0.0)(seed)
 
+        options = dict(options)
+        span = options.pop("t_span", (0.0, 1.0))
         with pytest.raises(SimulationError, match=message):
-            run_ensemble(factory, range(2), (0.0, 1.0), **options)
+            run_ensemble(factory, range(2), span, **options)
         assert calls == []
 
     def test_noise_is_derived_from_trials(self):
@@ -138,32 +146,51 @@ class TestValidation:
 
 
 class TestShimEquivalence:
-    """The legacy entrypoints are delegating shims: outputs must be
-    bit-identical to the unified driver."""
-
-    def test_simulate_ensemble_is_bit_identical(self):
-        from repro.core.simulator import simulate_ensemble
-
-        factory = _ou_factory(0.0)
-        legacy = simulate_ensemble(factory, range(4), (0.0, 1.0),
-                                   n_points=50)
-        unified = run_ensemble(factory, range(4), (0.0, 1.0),
-                               n_points=50)
-        for a, b in zip(legacy, unified.trajectories):
-            np.testing.assert_array_equal(a.y, b.y)
+    """The noisy batch against its per-row reference."""
 
     def test_serial_backend_sde_matches_batch(self):
+        # Each (chip, trial) row solved alone, on its own Wiener token,
+        # is the row the batched solve returns.
         factory = _ou_factory()
         batched = run_ensemble(factory, [0, 1], (0.0, 2.0), trials=2,
                                n_points=50)
-        serial = run_ensemble(factory, [0, 1], (0.0, 2.0), trials=2,
-                              n_points=50, engine="serial")
-        np.testing.assert_array_equal(batched.batches[0].y,
-                                      serial.batches[0].y)
+        for chip in (0, 1):
+            tokens = NoiseSpec(trials=2).tokens(chip)
+            for trial, token in enumerate(tokens):
+                row = simulate_sde(factory(chip), (0.0, 2.0),
+                                   noise_seed=token, n_points=50)
+                np.testing.assert_array_equal(
+                    batched.trajectory(chip, trial).y, row.y)
+
+
+class TestRouting:
+    """The sweep's own inputs choose each group's route: a scipy
+    method runs per instance, every other group is one batched solve,
+    pooled if and only if ``processes > 1`` and it has at least
+    ``DEFAULT_SHARD_MIN`` (64) rows."""
+
+    @pytest.mark.parametrize("seeds, method, route", [
+        (63, "rk4", (0, 0)),
+        (64, "rk4", (2, 0)),
+        (64, "RK45", (0, 64)),
+    ])
+    def test_route_follows_rows_and_method(self, seeds, method, route):
+        try:
+            result = run_ensemble(_PicklableOu(), range(seeds), (0.0, 1.0),
+                                  n_points=20, method=method, processes=2,
+                                  telemetry=True)
+        finally:
+            shutdown_pools()
+        report = result.telemetry
+        assert (report.counter("pool.shards"),
+                report.counter("serial.solves")) == route
+        assert result.batched_fraction == (0.0 if method == "RK45"
+                                           else 1.0)
 
 
 class TestShardedSde:
-    def test_sharded_bit_identical_at_two_processes(self):
+    def test_sharded_bit_identical_at_two_processes(self,
+                                                    small_pool_groups):
         from repro.paradigms.tln import TLineSpec
         from repro.paradigms.tln.noisy import NoisyTlineFactory
 
@@ -173,14 +200,14 @@ class TestShardedSde:
         unsharded = run_ensemble(factory, range(4), span, trials=2,
                                  n_points=40)
         sharded = run_ensemble(factory, range(4), span, trials=2,
-                               n_points=40, engine="pool", processes=2)
+                               n_points=40, processes=2)
         np.testing.assert_array_equal(unsharded.batches[0].y,
                                       sharded.batches[0].y)
         for chip in range(4):
             np.testing.assert_array_equal(
                 unsharded.reference(chip).y, sharded.reference(chip).y)
 
-    def test_pool_engine_shards_small_groups(self):
+    def test_pool_engine_shards_small_groups(self, small_pool_groups):
         from repro.paradigms.tln import TLineSpec
         from repro.paradigms.tln.noisy import NoisyTlineFactory
 
@@ -189,23 +216,25 @@ class TestShardedSde:
         span = (0.0, 4e-8)
         unsharded = run_ensemble(factory, range(2), span, trials=2,
                                  n_points=30)
-        # engine="pool" skips the batch engine's 64-row pool threshold
-        # and shards whatever it can (here 4 rows over 2 workers).
+        # With the 64-row threshold lowered, the pool shards whatever
+        # it can (here 4 rows over 2 workers).
         sharded = run_ensemble(factory, range(2), span, trials=2,
-                               n_points=30, engine="pool", processes=2)
+                               n_points=30, processes=2)
         np.testing.assert_array_equal(unsharded.batches[0].y,
                                       sharded.batches[0].y)
 
-    def test_unpicklable_factory_falls_back_in_process(self):
+    def test_unpicklable_factory_falls_back_in_process(
+            self, small_pool_groups):
         factory = _ou_factory()  # closure: not picklable
         sharded = run_ensemble(factory, range(3), (0.0, 1.0), trials=2,
-                               n_points=30, engine="pool", processes=2)
+                               n_points=30, processes=2)
         unsharded = run_ensemble(factory, range(3), (0.0, 1.0),
                                  trials=2, n_points=30)
         np.testing.assert_array_equal(unsharded.batches[0].y,
                                       sharded.batches[0].y)
 
-    def test_sharded_sde_result_is_cachable(self, tmp_path):
+    def test_sharded_sde_result_is_cachable(self, tmp_path,
+                                            small_pool_groups):
         from repro.paradigms.tln import TLineSpec
         from repro.paradigms.tln.noisy import NoisyTlineFactory
         from repro.sim import TrajectoryCache
@@ -215,7 +244,7 @@ class TestShardedSde:
         span = (0.0, 4e-8)
         cache = TrajectoryCache(directory=tmp_path)
         sharded = run_ensemble(factory, range(4), span, trials=2,
-                               n_points=30, engine="pool", processes=2,
+                               n_points=30, processes=2,
                                cache=cache, reference=False)
         assert cache.stats.stores >= 1
         replay = run_ensemble(factory, range(4), span, trials=2,

@@ -1,10 +1,13 @@
 """Tests for the persistent zero-copy worker pool (:mod:`repro.sim.
-pool` + :mod:`repro.sim.shm` + the ``pool`` execution backend):
-the one row split, bit-identity against ``batch`` (fixed-step) and
-in-process even-slice solves (adaptive), the serial fan-out, worker
-reuse, shared-memory hygiene on success / worker crash /
-KeyboardInterrupt, resource-tracker hygiene, and graceful fallbacks
-(including a failed shared-memory allocation)."""
+pool` + :mod:`repro.sim.shm` + pooled routing): the one row split,
+bit-identity against the in-process batch (fixed-step) and in-process
+even-slice solves (adaptive), the serial fan-out, worker reuse,
+shared-memory hygiene on success / worker crash / KeyboardInterrupt,
+resource-tracker hygiene, and graceful fallbacks (including a failed
+shared-memory allocation).
+
+Most sweeps here are small, so the ``small_pool_groups`` fixture lowers
+the 64-row pool threshold for them."""
 
 import errno
 import glob
@@ -24,7 +27,7 @@ from repro.paradigms.tln import TLineSpec, mismatched_tline
 from repro.paradigms.tln.noisy import NoisyTlineFactory
 from repro.sim import (compile_batch, even_parts, run_ensemble, shm,
                        solve_batch, solve_sde)
-from repro.sim.plan import ExecutionPlan, _pool_width, _whole_group_fuse
+from repro.sim.plan import _whole_group_fuse
 from repro.sim.pool import (PoolBrokenError, WorkerPool, get_pool,
                             _POOLS)
 from repro.sim.shm import ShmBlock
@@ -141,6 +144,7 @@ class TestEvenParts:
         assert even_parts(10, 1) == []
 
 
+@pytest.mark.usefixtures("small_pool_groups")
 class TestRowSplit:
     @pytest.mark.parametrize("method", ["rk4", "rkf45", "heun",
                                         "heun-adaptive"])
@@ -150,7 +154,7 @@ class TestRowSplit:
         # shards.
         if method in ("rk4", "rkf45"):
             result = run_ensemble(TwoGroupFactory(), range(7), SPAN,
-                                  engine="pool", processes=2,
+                                  processes=2,
                                   n_points=30, method=method,
                                   telemetry=True)
             rows = [len(group) for group in result.groups]
@@ -158,7 +162,7 @@ class TestRowSplit:
             trials = 2
             result = run_ensemble(
                 NoisyTlineFactory(TLineSpec(n_segments=4), noise=1e-9),
-                range(3), SPAN, engine="pool", processes=2,
+                range(3), SPAN, processes=2,
                 n_points=30, trials=trials, sde_method=method,
                 rtol=1e-4, atol=1e-7, reference=False, telemetry=True)
             rows = [len(group) * trials for group in result.groups]
@@ -167,33 +171,23 @@ class TestRowSplit:
         assert result.telemetry.counter("pool.shards") == expected
         _assert_no_leaks()
 
-    def test_default_width_follows_the_affinity_mask(self, monkeypatch):
-        # A container pinned to 3 of 64 host CPUs gets 3 workers.
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: {0, 1, 2}, raising=False)
-        plan = ExecutionPlan(factory=TlineFactory(), seeds=[0],
-                             t_span=SPAN, engine="pool")
-        assert _pool_width(plan) == 3
-
 
 class TestBitIdentity:
-    def test_pool_matches_batch_rk4(self):
+    def test_pool_matches_batch_rk4(self, small_pool_groups):
         factory = TlineFactory()
         kwargs = dict(n_points=40, method="rk4")
         batch = run_ensemble(factory, range(6), SPAN, **kwargs)
-        pool = run_ensemble(factory, range(6), SPAN, engine="pool",
-                            processes=2, **kwargs)
+        pool = run_ensemble(factory, range(6), SPAN, processes=2, **kwargs)
         np.testing.assert_array_equal(batch.batches[0].y,
                                       pool.batches[0].y)
         _assert_no_leaks()
 
-    def test_pool_matches_even_slices_rkf45(self):
+    def test_pool_matches_even_slices_rkf45(self, small_pool_groups):
         # Adaptive steps depend on shard membership, so rkf45 is the
         # strict test that the pool runs the canonical even split.
         factory = TwoGroupFactory()
-        pool = run_ensemble(factory, range(8), SPAN, engine="pool",
-                            processes=2, n_points=40)
+        pool = run_ensemble(factory, range(8), SPAN, processes=2,
+                            n_points=40)
         assert len(pool.batches) == 2
         for group, batch in zip(pool.groups, pool.batches):
             systems = [compile_graph(factory(seed)) for seed in group]
@@ -204,7 +198,8 @@ class TestBitIdentity:
         _assert_no_leaks()
 
     @pytest.mark.parametrize("method", ["heun", "heun-adaptive"])
-    def test_pool_sde_matches_in_process(self, method):
+    def test_pool_sde_matches_in_process(self, method,
+                                         small_pool_groups):
         # Fixed-step heun equals the whole-group batch; the adaptive
         # pair equals in-process solves over the even slices.
         factory = NoisyTlineFactory(TLineSpec(n_segments=4),
@@ -212,8 +207,7 @@ class TestBitIdentity:
         kwargs = dict(trials=2, n_points=40, sde_method=method,
                       rtol=1e-4, atol=1e-7)
         batch = run_ensemble(factory, range(4), SPAN, **kwargs)
-        pool = run_ensemble(factory, range(4), SPAN, engine="pool",
-                            processes=2, **kwargs)
+        pool = run_ensemble(factory, range(4), SPAN, processes=2, **kwargs)
         if method == "heun":
             np.testing.assert_array_equal(batch.batches[0].y,
                                           pool.batches[0].y)
@@ -234,8 +228,8 @@ class TestBitIdentity:
 
     def test_auto_prefers_pool_and_stays_bit_identical(self):
         # processes>1 + a group of DEFAULT_SHARD_MIN rows (32 chips x 2
-        # trials): the default batch engine routes it through the
-        # persistent pool; outputs must equal the in-process batch.
+        # trials) goes through the persistent pool; outputs must equal
+        # the in-process batch.
         factory = NoisyTlineFactory(TLineSpec(n_segments=4),
                                     noise=1e-9)
         batch = run_ensemble(factory, range(32), SPAN, trials=2,
@@ -248,14 +242,13 @@ class TestBitIdentity:
                                       auto.batches[0].y)
         _assert_no_leaks()
 
-    def test_pool_freeze_masks_survive_transport(self):
+    def test_pool_freeze_masks_survive_transport(self, small_pool_groups):
         # frozen/nfev metadata rides the result queue, not the shm
         # block; masked pool runs must agree with the masked batch.
         factory = TlineFactory()
         kwargs = dict(n_points=40, method="rk4", freeze_tol=1e3)
         batch = run_ensemble(factory, range(6), SPAN, **kwargs)
-        pool = run_ensemble(factory, range(6), SPAN, engine="pool",
-                            processes=2, **kwargs)
+        pool = run_ensemble(factory, range(6), SPAN, processes=2, **kwargs)
         np.testing.assert_array_equal(batch.batches[0].y,
                                       pool.batches[0].y)
         assert pool.batches[0].frozen is not None
@@ -263,16 +256,17 @@ class TestBitIdentity:
         _assert_no_leaks()
 
 
+@pytest.mark.usefixtures("small_pool_groups")
 class TestPersistence:
     def test_workers_are_reused_across_solves(self):
         factory = TlineFactory()
-        run_ensemble(factory, range(4), SPAN, engine="pool",
-                     processes=2, n_points=30, method="rk4")
+        run_ensemble(factory, range(4), SPAN, processes=2, n_points=30,
+                     method="rk4")
         first = _POOLS.get(2)
         assert first is not None
         pids = sorted(worker.pid for worker in first._workers)
-        run_ensemble(factory, range(4), SPAN, engine="pool",
-                     processes=2, n_points=30, method="rk4")
+        run_ensemble(factory, range(4), SPAN, processes=2, n_points=30,
+                     method="rk4")
         second = _POOLS.get(2)
         assert second is first
         assert sorted(w.pid for w in second._workers) == pids
@@ -303,8 +297,8 @@ class TestPersistence:
                                     noise=1e-9)
         cache = TrajectoryCache(directory=tmp_path)
         pooled = run_ensemble(factory, range(4), SPAN, trials=2,
-                              n_points=30, processes=2, engine="pool",
-                              cache=cache, reference=False)
+                              n_points=30, processes=2, cache=cache,
+                              reference=False)
         assert cache.stats.stores >= 1
         replay = run_ensemble(factory, range(4), SPAN, trials=2,
                               n_points=30, cache=cache,
@@ -315,13 +309,14 @@ class TestPersistence:
         _assert_no_leaks()
 
 
+@pytest.mark.usefixtures("small_pool_groups")
 class TestFallbacks:
     def test_unpicklable_factory_falls_back_to_batch(self):
         spec = TLineSpec(n_segments=4)
         factory = lambda seed: mismatched_tline("gm", seed=seed,  # noqa: E731
                                                 spec=spec)
-        pooled = run_ensemble(factory, range(4), SPAN, engine="pool",
-                              processes=2, n_points=30)
+        pooled = run_ensemble(factory, range(4), SPAN, processes=2,
+                              n_points=30)
         batch = run_ensemble(factory, range(4), SPAN, n_points=30)
         np.testing.assert_array_equal(batch.batches[0].y,
                                       pooled.batches[0].y)
@@ -336,12 +331,11 @@ class TestFallbacks:
 
         factory = TlineFactory()
         kwargs = dict(n_points=30, method="rk4")
-        batch = run_ensemble(factory, range(6), SPAN, engine="batch",
-                             **kwargs)
+        batch = run_ensemble(factory, range(6), SPAN, **kwargs)
         monkeypatch.setattr(shm.ShmBlock, "create", no_space)
         with pytest.warns(RuntimeWarning, match="shared-memory"):
             pooled = run_ensemble(factory, range(6), SPAN,
-                                  engine="pool", processes=2,
+                                  processes=2,
                                   telemetry=True, **kwargs)
         np.testing.assert_array_equal(batch.batches[0].y,
                                       pooled.batches[0].y)
@@ -350,14 +344,15 @@ class TestFallbacks:
 
     def test_single_process_falls_back_to_batch(self):
         factory = TlineFactory()
-        pooled = run_ensemble(factory, range(4), SPAN, engine="pool",
-                              processes=1, n_points=30)
+        pooled = run_ensemble(factory, range(4), SPAN, processes=1,
+                              n_points=30)
         batch = run_ensemble(factory, range(4), SPAN, n_points=30)
         np.testing.assert_array_equal(batch.batches[0].y,
                                       pooled.batches[0].y)
         _assert_no_leaks()
 
 
+@pytest.mark.usefixtures("small_pool_groups")
 class TestFailureHygiene:
     def test_worker_crash_reruns_in_process_and_unlinks(self, tmp_path,
                                                         capsys):
@@ -365,7 +360,7 @@ class TestFailureHygiene:
         # in-process over the pool's slices, bit-identical to the
         # in-process solve (rk4 rows are partition-independent).
         result = run_ensemble(CrashFactory(), range(6), SPAN,
-                              engine="pool", processes=2, n_points=30,
+                              processes=2, n_points=30,
                               method="rk4", telemetry=True)
         batch = run_ensemble(TlineFactory(), range(6), SPAN,
                              n_points=30, method="rk4")
@@ -377,7 +372,7 @@ class TestFailureHygiene:
         # The broken pool was evicted; the next run gets fresh workers,
         # counts the respawn, and succeeds.
         result = run_ensemble(TlineFactory(), range(4), SPAN,
-                              engine="pool", processes=2, n_points=30,
+                              processes=2, n_points=30,
                               method="rk4", telemetry=True)
         assert len(result.batches) == 1
         assert result.telemetry.counter("pool.respawns") == 1
@@ -392,10 +387,10 @@ class TestFailureHygiene:
         # rkf45 over the pool's even slices (no scipy demotion), so the
         # result is the one a healthy pool returns.
         result = run_ensemble(CrashFactory(), range(6), SPAN,
-                              engine="pool", processes=2, n_points=30,
+                              processes=2, n_points=30,
                               telemetry=True)
         healthy = run_ensemble(TlineFactory(), range(6), SPAN,
-                               engine="pool", processes=2, n_points=30)
+                               processes=2, n_points=30)
         assert result.serial_indices == []
         _assert_same_rows(result, healthy)
         systems = [compile_graph(mismatched_tline("gm", seed=seed))
@@ -412,16 +407,15 @@ class TestFailureHygiene:
     @pytest.mark.parametrize("method", ["heun", "heun-adaptive"])
     def test_noisy_worker_crash_reruns_in_process(self, method):
         # One killed worker no longer loses a noisy sweep: the group and
-        # the chips' rk4 references (pooled too under engine="pool")
+        # the chips' rk4 references (pooled too, being small groups here)
         # re-run in-process, bit-identical to a healthy pool run (and,
         # for the fixed-step method, to the in-process run).
         kwargs = dict(trials=4, n_points=30, sde_method=method,
                       rtol=1e-4, atol=1e-7)
         result = run_ensemble(CrashNoisyFactory(), range(4), SPAN,
-                              engine="pool", processes=2,
+                              processes=2,
                               telemetry=True, **kwargs)
-        healthy = run_ensemble(NOISY, range(4), SPAN, engine="pool",
-                               processes=2, **kwargs)
+        healthy = run_ensemble(NOISY, range(4), SPAN, processes=2, **kwargs)
         _assert_same_rows(result, healthy)
         if method == "heun":
             _assert_same_rows(result, run_ensemble(NOISY, range(4), SPAN,
@@ -436,8 +430,8 @@ class TestFailureHygiene:
     def test_soft_worker_error_propagates_and_unlinks(self):
         factory = PoisonFactory()
         with pytest.raises(SimulationError, match="poisoned"):
-            run_ensemble(factory, range(6), SPAN, engine="pool",
-                         processes=2, n_points=30, method="rk4")
+            run_ensemble(factory, range(6), SPAN, processes=2,
+                         n_points=30, method="rk4")
         _assert_no_leaks()
         # Soft errors keep the workers alive: the pool is NOT broken.
         assert 2 in _POOLS and not _POOLS[2].broken
@@ -473,14 +467,14 @@ class TestFailureHygiene:
 
         monkeypatch.setattr(WorkerPool, "drain_one", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_ensemble(factory, range(6), SPAN, engine="pool",
-                         processes=2, n_points=30, method="rk4")
+            run_ensemble(factory, range(6), SPAN, processes=2,
+                         n_points=30, method="rk4")
         _assert_no_leaks()
         monkeypatch.undo()
         # The pool survives an interrupt (stale results are dropped on
         # the next drain) and still produces correct runs.
-        result = run_ensemble(factory, range(6), SPAN, engine="pool",
-                              processes=2, n_points=30, method="rk4")
+        result = run_ensemble(factory, range(6), SPAN, processes=2,
+                              n_points=30, method="rk4")
         batch = run_ensemble(factory, range(6), SPAN, n_points=30,
                              method="rk4")
         np.testing.assert_array_equal(batch.batches[0].y,
@@ -518,10 +512,10 @@ class TestSerialFanOut:
     def test_serial_fan_out_runs_on_the_pool(self):
         factory = TlineFactory()
         fanned = run_ensemble(factory, range(3), SPAN, n_points=30,
-                              engine="serial", processes=2)
+                              method="RK45", processes=2)
         assert 2 in _POOLS and not _POOLS[2].broken
         local = run_ensemble(factory, range(3), SPAN, n_points=30,
-                             engine="serial")
+                             method="RK45")
         for a, b in zip(fanned, local):
             np.testing.assert_array_equal(a.y, b.y)
             np.testing.assert_array_equal(a.t, b.t)
@@ -532,10 +526,10 @@ class TestSerialFanOut:
         # the seeds re-run in-process with the same scipy solve, and
         # the next fan-out spawns fresh workers.
         result = run_ensemble(CrashFactory(), range(3), SPAN,
-                              n_points=30, engine="serial", processes=2,
+                              n_points=30, method="RK45", processes=2,
                               telemetry=True)
         local = run_ensemble(TlineFactory(), range(3), SPAN, n_points=30,
-                             engine="serial")
+                             method="RK45")
         assert result.serial_indices == [0, 1, 2]
         for a, b in zip(result, local):
             np.testing.assert_array_equal(a.y, b.y)
@@ -544,7 +538,7 @@ class TestSerialFanOut:
         assert result.telemetry.counter("plan.rerun_rows") == 3
         _assert_no_leaks()
         result = run_ensemble(TlineFactory(), range(3), SPAN,
-                              n_points=30, engine="serial", processes=2)
+                              n_points=30, method="RK45", processes=2)
         assert len(result) == 3 and result.serial_indices == [0, 1, 2]
         _assert_no_leaks()
 
@@ -553,7 +547,7 @@ class TestSerialFanOut:
 
         report = RunReport()
         run_ensemble(TlineFactory(), range(3), SPAN, n_points=30,
-                     engine="serial", processes=2, telemetry=report)
+                     method="RK45", processes=2, telemetry=report)
         assert report.counter("serial.solves") == 3
         assert sum(block["shards"]
                    for block in report.workers.values()) == 3
@@ -576,9 +570,10 @@ class TestResourceTracker:
                     return mismatched_tline("gm", seed=seed)
 
             ShmBlock.create((2, 2)).discard()
-            result = run_ensemble(Factory(), range(4), (0.0, 4e-8),
-                                  engine="pool", processes=2,
-                                  n_points=30, method="rk4")
+            # 64 rows: the group takes the pool.
+            result = run_ensemble(Factory(), range(64), (0.0, 4e-8),
+                                  processes=2, n_points=30,
+                                  method="rk4")
             assert len(result.batches) == 1
             shutdown_pools()
         """)

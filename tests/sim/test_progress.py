@@ -56,8 +56,8 @@ class RecordingSink(ProgressSink):
     def begin(self, *, groups, instances):
         self.begins.append((groups, instances))
 
-    def advance(self, *, groups_done, instances_done, backend=""):
-        self.advances.append((groups_done, instances_done, backend))
+    def advance(self, *, groups_done, instances_done):
+        self.advances.append((groups_done, instances_done))
 
     def finish(self):
         self.finishes += 1
@@ -81,17 +81,17 @@ class TestLogProgress:
         sink = LogProgress(stream, clock, interval=2.0)
         sink.begin(groups=4, instances=40)
         clock.tick(1.0)
-        sink.advance(groups_done=1, instances_done=10, backend="pool")
+        sink.advance(groups_done=1, instances_done=10)
         clock.tick(0.5)  # inside the interval, not final -> suppressed
-        sink.advance(groups_done=2, instances_done=20, backend="pool")
+        sink.advance(groups_done=2, instances_done=20)
         clock.tick(2.0)
-        sink.advance(groups_done=3, instances_done=30, backend="pool")
-        sink.advance(groups_done=4, instances_done=40, backend="pool")
+        sink.advance(groups_done=3, instances_done=30)
+        sink.advance(groups_done=4, instances_done=40)
         sink.finish()
         lines = stream.getvalue().splitlines()
         assert len(lines) == 3  # throttled one dropped, final kept
         assert lines[0] == ("[stream] groups 1/4  inst 10/40  10.0/s  "
-                            "eta 0:03  (pool)")
+                            "eta 0:03")
         assert lines[-1].startswith("[stream] groups 4/4  inst 40/40")
 
     def test_no_output_without_advance(self):
@@ -108,11 +108,11 @@ class TestTtyProgress:
         sink = TtyProgress(stream, clock, min_interval=0.1)
         sink.begin(groups=2, instances=8)
         clock.tick(1.0)
-        sink.advance(groups_done=1, instances_done=4, backend="batch")
+        sink.advance(groups_done=1, instances_done=4)
         clock.tick(0.01)  # throttled (not final)
-        sink.advance(groups_done=1, instances_done=5, backend="batch")
+        sink.advance(groups_done=1, instances_done=5)
         clock.tick(1.0)
-        sink.advance(groups_done=2, instances_done=8, backend="batch")
+        sink.advance(groups_done=2, instances_done=8)
         sink.finish()
         text = stream.getvalue()
         assert text.count("\r") == 2  # throttled draw suppressed
@@ -176,8 +176,8 @@ class TestExecutorProtocol:
         assert sink.begins == [(2, 4)]
         assert sink.finishes == 1
         assert len(sink.advances) == 2
-        assert sink.advances[-1][:2] == (2, 4)
-        done = [groups for groups, _, _ in sink.advances]
+        assert sink.advances[-1] == (2, 4)
+        done = [groups for groups, _ in sink.advances]
         assert done == sorted(done)
 
     def test_barriered_run_also_reports(self):
@@ -187,7 +187,7 @@ class TestExecutorProtocol:
                               progress=sink)
         assert len(result.trajectories) == 3
         assert sink.begins == [(1, 3)]
-        assert sink.advances[-1][:2] == (1, 3)
+        assert sink.advances[-1] == (1, 3)
         assert sink.finishes == 1
 
     def test_noisy_totals_count_trials(self):
@@ -197,7 +197,7 @@ class TestExecutorProtocol:
         run_ensemble(factory, range(2), SPAN, trials=3, n_points=30,
                      cache=TrajectoryCache(), progress=sink)
         assert sink.begins == [(1, 6)]  # instances = chips x trials
-        assert sink.advances[-1][:2] == (1, 6)
+        assert sink.advances[-1] == (1, 6)
         assert sink.finishes == 1
 
     def test_abandoned_stream_still_finishes(self):

@@ -478,7 +478,7 @@ class TestAdaptiveEnsemble:
         assert np.array_equal(first.batches[0].y,
                               second.batches[0].y)
 
-    def test_sharded_adaptive_reproducible(self):
+    def test_sharded_adaptive_reproducible(self, small_pool_groups):
         """The pool splits every group into the canonical even
         shards, so a pooled adaptive run is reproducible run-to-run and
         equals in-process solves over the even slices."""
@@ -486,7 +486,7 @@ class TestAdaptiveEnsemble:
         kwargs = dict(n_points=17, trials=2,
                       sde_method="em-adaptive",
                       rtol=1e-4, atol=1e-7, reference=False,
-                      engine="pool", processes=2)
+                      processes=2)
         first = run_ensemble(factory, [0, 1], (0.0, 1.0), **kwargs)
         second = run_ensemble(factory, [0, 1], (0.0, 1.0), **kwargs)
         assert np.array_equal(first.batches[0].y,

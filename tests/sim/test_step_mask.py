@@ -184,7 +184,7 @@ class TestDivergenceContainment:
 
 
 class TestMaskedShardIdentity:
-    def test_masked_sde_sharded_bit_identical(self):
+    def test_masked_sde_sharded_bit_identical(self, small_pool_groups):
         from repro.paradigms.tln import TLineSpec
         from repro.paradigms.tln.noisy import NoisyTlineFactory
         from repro.sim import run_ensemble
@@ -195,8 +195,8 @@ class TestMaskedShardIdentity:
         kwargs = dict(trials=2, n_points=30, freeze_tol=1e2,
                       reference=False)
         unsharded = run_ensemble(factory, range(4), span, **kwargs)
-        sharded = run_ensemble(factory, range(4), span, engine="pool",
-                               processes=2, **kwargs)
+        sharded = run_ensemble(factory, range(4), span, processes=2,
+                               **kwargs)
         np.testing.assert_array_equal(unsharded.batches[0].y,
                                       sharded.batches[0].y)
 

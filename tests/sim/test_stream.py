@@ -161,9 +161,10 @@ class TestUnionEqualsBarrier:
                                       barrier.reference(2).y)
 
 
+@pytest.mark.usefixtures("small_pool_groups")
 class TestPoolStreaming:
-    """Chunks under the pool backend arrive in completion order while
-    other groups are still in flight."""
+    """Pooled chunks arrive in completion order while other groups are
+    still in flight."""
 
     def test_pool_stream_union_and_hygiene(self):
         from repro.sim import shm
@@ -171,9 +172,8 @@ class TestPoolStreaming:
         factory = PicklableTwoGroupFactory()
         seeds = list(range(8))
         barrier = run_ensemble(factory, seeds, SPAN, n_points=30,
-                               engine="pool", processes=2)
-        chunks = list(run_ensemble(factory, seeds, SPAN,
-                                   n_points=30, engine="pool",
+                               processes=2)
+        chunks = list(run_ensemble(factory, seeds, SPAN, n_points=30,
                                    processes=2, stream=True))
         assert sorted(chunk.order for chunk in chunks) == [0, 1]
         result = assemble_chunks(chunks, seeds)
@@ -186,8 +186,7 @@ class TestPoolStreaming:
 
         factory = PicklableTwoGroupFactory()
         stream = run_ensemble(factory, list(range(8)), SPAN,
-                              n_points=30, engine="pool", processes=2,
-                              stream=True)
+                              n_points=30, processes=2, stream=True)
         next(stream)
         stream.close()  # consumer walks away mid-sweep
         assert shm.active_blocks() == []
@@ -238,7 +237,7 @@ func cell (nsig:real[0,inf]) uses leaky-noise {
         assert streamed.read_bytes() == barriered.read_bytes()
 
     def test_stream_with_pool_engine(self, noisy_file, tmp_path,
-                                     capsys):
+                                     capsys, small_pool_groups):
         from repro.cli import main
 
         streamed = tmp_path / "pool.csv"
@@ -246,7 +245,7 @@ func cell (nsig:real[0,inf]) uses leaky-noise {
         assert main(["ensemble", noisy_file, "--arg", "nsig=0.3",
                      "--t-end", "2.0", "--seeds", "2", "--trials", "3",
                      "--points", "40", "--node", "x", "--stream",
-                     "--engine", "pool", "--processes", "2",
+                     "--processes", "2",
                      "--csv", str(streamed)]) == 0
         capsys.readouterr()
         assert main(["ensemble", noisy_file, "--arg", "nsig=0.3",
@@ -262,9 +261,9 @@ func cell (nsig:real[0,inf]) uses leaky-noise {
 
 class TestStreamValidation:
     def test_validation_raises_at_call_time(self):
-        with pytest.raises(repro.SimulationError, match="unknown engine"):
+        with pytest.raises(repro.SimulationError, match="unknown method"):
             run_ensemble(_two_group_factory, range(2), SPAN,
-                         engine="bogus", stream=True)
+                         method="bogus", stream=True)
 
     def test_trials_guard_still_applies(self):
         with pytest.raises(repro.SimulationError, match="trials"):

@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.telemetry`: zero-perturbation collection.
 
 The non-negotiable property: trajectories are bit-identical with
-collection on or off, across every engine x (ODE, SDE) combination —
+collection on or off, across every route x (ODE, SDE) combination —
 telemetry observes the run, it never steers it. On top of that the
 suite covers the RunReport schema round trip, worker-counter merging
 from a >=2-process pool run, stream-gauge monotonicity, the cache and
@@ -41,11 +41,13 @@ class TwoGroupFactory:
 
 SPAN = (0.0, 4e-8)
 
-ENGINE_KWARGS = {
-    "serial": dict(engine="serial"),
-    "batch": dict(engine="batch"),
-    "serial-fanout": dict(engine="serial", processes=2),
-    "pool": dict(engine="pool", processes=2),
+#: Sweep options per route. "pool" relies on the ``small_pool_groups``
+#: fixture, which the pooled tests request.
+ROUTE_KWARGS = {
+    "serial": dict(method="RK45"),
+    "batch": dict(),
+    "serial-fanout": dict(method="RK45", processes=2),
+    "pool": dict(processes=2),
 }
 
 
@@ -61,9 +63,9 @@ def _stacked(result):
 class TestBitIdentity:
     """Telemetry on vs off must not move a single bit."""
 
-    @pytest.mark.parametrize("engine", list(ENGINE_KWARGS))
-    def test_ode(self, engine):
-        kwargs = dict(n_points=40, **ENGINE_KWARGS[engine])
+    @pytest.mark.parametrize("route", list(ROUTE_KWARGS))
+    def test_ode(self, route, small_pool_groups):
+        kwargs = dict(n_points=40, **ROUTE_KWARGS[route])
         off = run_ensemble(TlineFactory(), range(4), SPAN,
                            cache=TrajectoryCache(), **kwargs)
         on = run_ensemble(TlineFactory(), range(4), SPAN,
@@ -77,11 +79,11 @@ class TestBitIdentity:
         for a, b in zip(off.trajectories, on.trajectories):
             np.testing.assert_array_equal(a.y, b.y)
 
-    @pytest.mark.parametrize("engine", list(ENGINE_KWARGS))
-    def test_sde(self, engine):
+    @pytest.mark.parametrize("route", list(ROUTE_KWARGS))
+    def test_sde(self, route, small_pool_groups):
         factory = NoisyTlineFactory(TLineSpec(n_segments=3),
                                     noise=1e-9)
-        kwargs = dict(trials=2, n_points=30, **ENGINE_KWARGS[engine])
+        kwargs = dict(trials=2, n_points=30, **ROUTE_KWARGS[route])
         off = run_ensemble(factory, range(3), SPAN,
                            cache=TrajectoryCache(), **kwargs)
         on = run_ensemble(factory, range(3), SPAN,
@@ -199,15 +201,14 @@ class TestCounters:
         assert report.counter("cache.hits") >= 1
         assert report.counter("solver.solves") == 0
 
-    def test_pool_sde_counters_and_worker_merge(self):
+    def test_pool_sde_counters_and_worker_merge(self, small_pool_groups):
         """The acceptance-critical run: pool SDE sweep on >=2
         processes, bit-identical to the unsharded batch, with non-zero
         solver/cache/shm/pool counters and per-worker blocks merged
         back from the workers."""
         factory = NoisyTlineFactory(TLineSpec(n_segments=3),
                                     noise=1e-9)
-        kwargs = dict(trials=4, n_points=30, engine="pool",
-                      processes=2)
+        kwargs = dict(trials=4, n_points=30, processes=2)
         off = run_ensemble(factory, range(4), SPAN,
                            cache=TrajectoryCache(), **kwargs)
         on = run_ensemble(factory, range(4), SPAN,
@@ -239,8 +240,8 @@ class TestCounters:
         assert merged["nfev"] > 0
 
     @pytest.mark.parametrize("method", ["heun", "heun-adaptive"])
-    @pytest.mark.parametrize("engine", ["batch", "pool"])
-    def test_wiener_seconds(self, method, engine):
+    @pytest.mark.parametrize("route", ["batch", "pool"])
+    def test_wiener_seconds(self, method, route, small_pool_groups):
         """The Wiener source's seeding + draw seconds are counted once
         per solve, in-process and merged back from pool workers."""
         factory = NoisyTlineFactory(TLineSpec(n_segments=3),
@@ -249,7 +250,7 @@ class TestCounters:
                               n_points=20, sde_method=method,
                               rtol=1e-3, atol=1e-6, reference=False,
                               cache=TrajectoryCache(), telemetry=True,
-                              **ENGINE_KWARGS[engine])
+                              **ROUTE_KWARGS[route])
         report = result.telemetry
         assert report.counter("sde.wiener_seconds") > 0.0
         assert report.counter("sde.wiener_seconds") < report.wall_seconds

@@ -42,7 +42,7 @@ def synthetic_report():
              "children": []},
             {"name": "plan.solve", "seconds": 0.3, "start": 0.1,
              "children": [
-                 {"name": "group[0].solve:pool", "seconds": 0.2,
+                 {"name": "group[0].solve", "seconds": 0.2,
                   "start": 0.15, "children": []},
              ]},
         ],
@@ -91,7 +91,7 @@ class TestSyntheticTrace:
         assert_valid_trace(trace)
         events = trace["traceEvents"]
         names = {e["name"] for e in events if e["ph"] == "B"}
-        assert {"plan.compile", "plan.solve", "group[0].solve:pool",
+        assert {"plan.compile", "plan.solve", "group[0].solve",
                 "shard.solve:ode"} <= names
         # 3 span nodes + 3 worker events = 6 B/E pairs.
         assert sum(1 for e in events if e["ph"] == "B") == 6
@@ -219,9 +219,10 @@ class TestSchemaMigration:
 class TestLiveTrace:
     """A real pool run produces a valid trace with worker lanes."""
 
-    def test_pool_run_traces_worker_lanes(self, tmp_path):
+    def test_pool_run_traces_worker_lanes(self, tmp_path,
+                                          small_pool_groups):
         result = run_ensemble(TlineFactory(), range(8), SPAN,
-                              n_points=40, engine="pool", processes=2,
+                              n_points=40, processes=2,
                               cache=TrajectoryCache(),
                               telemetry=True)
         report = result.telemetry

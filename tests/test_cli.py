@@ -220,7 +220,7 @@ class TestNoise:
                      "--t-end", "2.0", "--seeds", "2", "--trials", "4",
                      "--points", "60", "--node", "x"]) == 0
         out = capsys.readouterr().out
-        assert "2 chip(s) x 4 trial(s) = 8 noisy runs" in out
+        assert "2 chip(s) x 4 trial(s) = 8 runs" in out
         assert "x_mean" in out and "x_p95" in out
 
     def test_writes_csv(self, noisy_file, tmp_path, capsys):
