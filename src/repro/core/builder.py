@@ -18,11 +18,14 @@ An instance is a template plus a seed. In §4.3 the seed only sets the
 mismatched values, so a builder run without a seed yields a
 :class:`GraphTemplate` (:meth:`GraphBuilder.template`): the nominal
 graph and its mismatch sites in write order. :meth:`GraphTemplate.
-instance` clones the graph and draws the sites under a seed through the
-same :func:`~repro.core.mismatch.draw` — equal, field for field, to a
-builder run with that seed. :func:`fabricate` memoizes one template per
-structure on the language's rule table, so a sweep of N seeds runs the
-builder once.
+instance` draws the sites under a seed through the same
+:func:`~repro.core.mismatch.draw` and returns a *lazy* graph holding
+only the template and that value row. Read, it materializes into the
+template's clone with the row placed — equal, field for field, to a
+builder run with that seed; compiled unread, it is bound from its row
+(:func:`~repro.core.compiler.compile_graph`) and no graph is built.
+:func:`fabricate` memoizes one template per structure on the language's
+rule table, so a sweep of N seeds runs the builder once.
 """
 
 from __future__ import annotations
@@ -184,26 +187,39 @@ def _place(graph: DynamicalGraph, slots, values):
 class GraphTemplate:
     """A finished nominal graph and its mismatch sites in write order.
 
-    :meth:`instance` is the graph fabricated under a seed: a clone with
-    fresh nodes, edges and value dicts (types shared, names not
-    re-validated) whose nonzero-deviation sites are drawn in one bulk
-    pass. It equals a :class:`GraphBuilder` run with that seed field for
-    field, dict insertion order included.
+    :meth:`instance` is the graph fabricated under a seed: a lazy
+    :class:`DynamicalGraph` holding this template and the row of its
+    nonzero-deviation sites drawn in one bulk pass. :meth:`elements`
+    materializes it: a clone with fresh nodes, edges and value dicts
+    (types shared, names not re-validated) with the row placed, equal
+    to a :class:`GraphBuilder` run with that seed field for field, dict
+    insertion order included.
+
+    ``graph`` (the nominal graph) and ``slots`` (the ``(kind, owner,
+    store, key)`` slot of each row entry) are read by the compiler's
+    row bind; neither may be mutated.
     """
 
     def __init__(self, graph: DynamicalGraph, sites):
-        self._graph = graph
+        self.graph = graph
         drawn = [(slot, site) for slot, site in sites if site.sigma != 0.0]
-        self._slots = tuple(slot for slot, _ in drawn)
+        self.slots = tuple(slot for slot, _ in drawn)
         self._sites = tuple(site for _, site in drawn)
 
     def instance(self, seed: int | None = None) -> DynamicalGraph:
-        """A fresh graph of this structure fabricated under ``seed``
+        """A lazy graph of this structure fabricated under ``seed``
         (``None``: the nominal instance)."""
-        graph = self._graph.copy()
+        row = None
         if seed is not None and self._sites:
-            _place(graph, self._slots, draw(seed, self._sites))
-        return graph
+            row = draw(seed, self._sites)
+        return DynamicalGraph.fabricated(self, row)
+
+    def elements(self, row) -> tuple[dict, dict]:
+        """Fresh node and edge dicts of the instance with ``row``."""
+        graph = self.graph.copy()
+        if row is not None:
+            _place(graph, self.slots, row)
+        return graph._nodes, graph._edges
 
 
 def fabricate(language: Language, key: Hashable,

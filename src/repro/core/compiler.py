@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import telemetry
 from repro.core import expr as E
 from repro.core.graph import DynamicalGraph, Edge, Node
 from repro.core.language import Language
@@ -474,28 +475,43 @@ def _symbolic(graph: DynamicalGraph, language: Language,
         functions=tuple(needed))
 
 
-def _instantiate(symbolic: SymbolicSystem, graph: DynamicalGraph,
-                 language: Language) -> OdeSystem:
-    """The per-instance stage: bind ``graph``'s attribute values,
-    initial conditions and ``language``'s current functions to the
-    shared symbolic system."""
-    for (kind, owner, attr), sigma in symbolic.absolute_noise.items():
-        value = _element(graph, kind, owner).attrs.get(attr)
-        if isinstance(value, (int, float)) and float(value) == 0.0:
-            raise CompileError(
-                f"ns({sigma}) on {owner}.{attr}: absolute noise on a "
-                "zero-valued parameter has an undefined relative factor "
-                "sigma/|a|; use ns(sigma,rel) or an explicit noise(...) "
-                "term")
-
+def _read_values(symbolic: SymbolicSystem, graph: DynamicalGraph,
+                 ) -> tuple[dict, list]:
+    """``graph``'s value of every attribute key it sets (in key order)
+    and its initial value of every state."""
     attr_values: dict[tuple, object] = {}
     for key in symbolic.attr_keys:
         kind, owner, attr = key
         attrs = _element(graph, kind, owner).attrs
-        if attr not in attrs:
+        if attr in attrs:
+            attr_values[key] = attrs[attr]
+    y0 = [graph.node(state.node).inits.get(state.deriv, 0.0)
+          for state in symbolic.states]
+    return attr_values, y0
+
+
+def _instantiate(symbolic: SymbolicSystem, graph: DynamicalGraph,
+                 language: Language, values: tuple | None = None,
+                 ) -> OdeSystem:
+    """The per-instance stage: bind attribute values, initial
+    conditions and ``language``'s current functions to the shared
+    symbolic system. The values are ``graph``'s own, or ``values`` —
+    ``(attr_values, y0)`` of a row bind (:class:`_BindPlan`), which
+    reads no graph structure."""
+    attr_values, y0 = values or _read_values(symbolic, graph)
+    for key, sigma in symbolic.absolute_noise.items():
+        value = attr_values.get(key)
+        if isinstance(value, (int, float)) and float(value) == 0.0:
             raise CompileError(
-                f"{kind} {owner} has no value for attribute {attr}")
-        attr_values[key] = attrs[attr]
+                f"ns({sigma}) on {key[1]}.{key[2]}: absolute noise on a "
+                "zero-valued parameter has an undefined relative factor "
+                "sigma/|a|; use ns(sigma,rel) or an explicit noise(...) "
+                "term")
+    if len(attr_values) != len(symbolic.attr_keys):
+        kind, owner, attr = next(key for key in symbolic.attr_keys
+                                 if key not in attr_values)
+        raise CompileError(
+            f"{kind} {owner} has no value for attribute {attr}")
 
     functions = language.functions()
     missing = set(symbolic.functions) - set(functions)
@@ -503,9 +519,6 @@ def _instantiate(symbolic: SymbolicSystem, graph: DynamicalGraph,
         raise CompileError(
             f"compiled expressions call unknown function(s) "
             f"{sorted(missing)}")
-
-    y0 = [graph.node(state.node).inits.get(state.deriv, 0.0)
-          for state in symbolic.states]
 
     return OdeSystem(
         graph=graph,
@@ -522,6 +535,42 @@ def _instantiate(symbolic: SymbolicSystem, graph: DynamicalGraph,
     )
 
 
+class _BindPlan:
+    """How a template's drawn rows bind (see :func:`compile_graph`).
+
+    Holds the symbolic system of the template's structure, the values
+    its nominal instance binds, and, for each drawn site that the
+    compiled system reads, its row index and its place: an
+    ``attr_values`` key or a ``y0`` index. Other sites are dropped.
+    """
+
+    def __init__(self, template, language: Language, table: RuleTable):
+        nominal = template.graph
+        self.symbolic = table.memoized(
+            table.templates, _structure_key(nominal),
+            lambda: _symbolic(nominal, language, table), None)
+        self.attr_values, self.y0 = _read_values(self.symbolic, nominal)
+        self.attr_sites: list[tuple[int, tuple]] = []
+        self.init_sites: list[tuple[int, int]] = []
+        for index, (kind, owner, store, key) in enumerate(template.slots):
+            if store == "attrs" and (kind, owner, key) in self.attr_values:
+                self.attr_sites.append((index, (kind, owner, key)))
+            elif store == "inits" and (owner, key) in \
+                    self.symbolic.state_index:
+                self.init_sites.append(
+                    (index, self.symbolic.state_index[(owner, key)]))
+
+    def values(self, row) -> tuple[dict, list]:
+        """``(attr_values, y0)`` of the instance with ``row``."""
+        attr_values, y0 = dict(self.attr_values), list(self.y0)
+        if row is not None:
+            for index, key in self.attr_sites:
+                attr_values[key] = row[index]
+            for index, state in self.init_sites:
+                y0[state] = float(row[index])
+        return attr_values, y0
+
+
 def compile_graph(graph: DynamicalGraph,
                   language: Language | None = None) -> OdeSystem:
     """Compile ``graph`` into an :class:`OdeSystem` (Algorithm 1).
@@ -534,16 +583,35 @@ def compile_graph(graph: DynamicalGraph,
     functions, so mismatch seeds of one Ark function share all
     structural work.
 
+    An unmaterialized fabricated instance (:meth:`DynamicalGraph.
+    fabrication`) compiled in its own language is not walked: it is
+    bound from its drawn row (``compile.row_binds``) through its
+    template's :class:`_BindPlan`, memoized per template on the same
+    rule table. ``compile.template_hits``/``_misses`` count, per
+    compile, whether its per-structure stage — symbolic system or bind
+    plan — was reused or built. Any read of the graph's structure
+    first materializes it, so a lazy graph always equals its template
+    plus its row, and both paths give the same system.
+
     :param language: language whose rules drive compilation; defaults to
         the graph's own language. Passing a derived language compiles the
         same graph under the extended semantics — the inheritance rules
         guarantee identical dynamics when the graph only uses parent types.
     """
     language = language or graph.language
+    table = language.rule_table()
+    fabrication = graph.fabrication()
+    if fabrication is not None and language is graph.language:
+        template, row = fabrication
+        plan = table.memoized(table.bind_plans, template,
+                              lambda: _BindPlan(template, language, table),
+                              "compile.template")
+        telemetry.add("compile.row_binds")
+        return _instantiate(plan.symbolic, graph, language,
+                            plan.values(row))
+
     graph.apply_defaults()
     graph.check_complete()
-
-    table = language.rule_table()
     symbolic = table.memoized(table.templates, _structure_key(graph),
                               lambda: _symbolic(graph, language, table),
                               "compile.template")

@@ -10,12 +10,20 @@ Edges are switchable unless their type is ``fixed`` (§4.3): an edge that is
 switched off is excluded from the realized topology, but still contributes
 the language's ``off`` production rules (modeling, e.g., leakage through an
 open switch).
+
+A fabricated instance (:meth:`repro.core.builder.GraphTemplate.instance`)
+starts *lazy*: it holds its template and its drawn value row, besides
+its ``name`` and ``language``, and no nodes or edges. The first read of
+its structure materializes it once; until then it is template + row by
+construction, which is what lets :func:`repro.core.compiler.
+compile_graph` bind it from its row without building a graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import telemetry
 from repro.core.language import Language
 from repro.core.types import EdgeType, NodeType
 from repro.errors import GraphError
@@ -60,13 +68,57 @@ class Edge:
 
 
 class DynamicalGraph:
-    """A dynamical graph bound to the language that produced it."""
+    """A dynamical graph bound to the language that produced it.
+
+    A lazy fabricated instance (:meth:`fabricated`) has no element dicts
+    yet: the first read of ``_nodes`` or ``_edges`` — every accessor
+    below, :meth:`copy`, :meth:`stats`, ``repr``,
+    :meth:`apply_defaults` and pickling — materializes it through its
+    template (``build.materialized``), after which it is an ordinary
+    graph. So a graph that was never materialized always equals its
+    template plus its row, and no write can bypass that.
+    """
 
     def __init__(self, language: Language, name: str = "dg"):
         self.language = language
         self.name = name
         self._nodes: dict[str, Node] = {}
         self._edges: dict[str, Edge] = {}
+
+    @classmethod
+    def fabricated(cls, template, row) -> "DynamicalGraph":
+        """A lazy instance of ``template`` (a :class:`~repro.core.
+        builder.GraphTemplate`) with its drawn value ``row`` (``None``:
+        the nominal values)."""
+        graph = cls.__new__(cls)
+        graph.language = template.graph.language
+        graph.name = template.graph.name
+        graph._fabrication = (template, row)
+        return graph
+
+    def fabrication(self) -> tuple | None:
+        """``(template, row)`` while this is an unmaterialized
+        fabricated instance, else ``None``."""
+        return self.__dict__.get("_fabrication")
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: the element
+        # dicts of a lazy fabricated instance.
+        if name in ("_nodes", "_edges") and self.fabrication() is not None:
+            self._materialize()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _materialize(self):
+        template, row = self.__dict__.pop("_fabrication")
+        telemetry.add("build.materialized")
+        self._nodes, self._edges = template.elements(row)
+
+    def __getstate__(self):
+        if self.fabrication() is not None:
+            self._materialize()
+        return self.__dict__
 
     # ------------------------------------------------------------------
     # Construction

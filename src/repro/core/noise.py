@@ -31,7 +31,8 @@ over a whole batch of seeds, and every generator here —
 :func:`streams`, :func:`stream` (a batch of one), :func:`bridge_bits` —
 is built from its precomputed words, which are numpy's own
 ``SeedSequence(seed).generate_state(4, np.uint64)``: every drawn value
-is that of ``PCG64(seed)``.
+is that of ``PCG64(seed)``. The triples' own hashes are bulk too:
+:func:`stream_seeds` digests a shared ``seed|`` prefix once.
 """
 
 from __future__ import annotations
@@ -64,56 +65,62 @@ _POOL = 4
 _STATE_WORDS = 8
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """The running hash constant: it starts at ``init`` and is
-    multiplied by ``mult`` once per use, the same for every seed."""
+    multiplied by ``mult`` once per use, the same for every seed. As a
+    column, so row ``i`` scales the ``i``-th call's batch."""
     constants = [init]
     for _ in range(count):
         constants.append(constants[-1] * mult & _MASK32)
-    return [np.uint32(value) for value in constants]
+    return np.array(constants, dtype=np.uint32)[:, None]
 
 
 #: ``mix_entropy`` makes 4 pool fills + 4·3 cross mixes = 16 hashmix
 #: calls; ``generate_state`` makes one per output word.
 _HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, _STATE_WORDS)
+_SHIFT = np.uint32(16)
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray, first: int,
+             calls: int) -> np.ndarray:
+    """``hashmix`` calls ``first, ..., first + calls - 1``, one per row
+    of ``values`` (or each on ``values``, a single row), in wrapping
+    uint32 arithmetic."""
+    mixed = (values ^ constants[first:first + calls]) \
+        * constants[first + 1:first + calls + 1]
+    return mixed ^ (mixed >> _SHIFT)
 
 
 def seed_words(seeds) -> np.ndarray:
     """numpy's PCG64 seeding words for many 64-bit seeds at once.
 
     Row ``i`` equals ``SeedSequence(seeds[i]).generate_state(4,
-    np.uint64)`` bit for bit: the same hashmix/mix schedule, run as one
-    wrapping uint32 pass over the whole batch. A seed below ``2**32``
-    is one entropy word to numpy and two here (high word zero); both
-    mix identically, because numpy pads a short pool with
-    ``hashmix(0)``. Returns shape ``(n, 4)`` uint64.
+    np.uint64)`` bit for bit: the same hashmix/mix schedule, run as
+    wrapping uint32 passes over the whole batch — and over every call
+    of the schedule that does not depend on an earlier one (the four
+    pool fills, the three mixes of one source word, the eight output
+    words). A seed below ``2**32`` is one entropy word to numpy and two
+    here (high word zero); both mix identically, because numpy pads a
+    short pool with ``hashmix(0)``. Returns shape ``(n, 4)`` uint64.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    u32 = np.uint32
-    shift = u32(16)
-    constants = iter(zip(_HASH_A, _HASH_A[1:]))
-
-    def hashmix(value):
-        xor, mult = next(constants)
-        value = (value ^ xor) * mult
-        return value ^ (value >> shift)
-
-    low = (seeds & np.uint64(_MASK32)).astype(u32)
-    high = (seeds >> np.uint64(32)).astype(u32)
-    zeros = np.zeros_like(low)
-    pool = [hashmix(word) for word in (low, high, zeros, zeros)]
+    entropy = np.zeros((_POOL, seeds.shape[0]), dtype=np.uint32)
+    entropy[0] = seeds & np.uint64(_MASK32)
+    entropy[1] = seeds >> np.uint64(32)
+    pool = _hashmix(entropy, _HASH_A, 0, _POOL)
+    call = _POOL
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                mixed = u32(_MIX_MULT_L) * pool[dst] \
-                    - u32(_MIX_MULT_R) * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> shift)
-    state = np.empty((seeds.shape[0], _STATE_WORDS), dtype="<u4")
-    for word in range(_STATE_WORDS):
-        value = (pool[word % _POOL] ^ _HASH_B[word]) * _HASH_B[word + 1]
-        state[:, word] = value ^ (value >> shift)
-    return state.view("<u8").astype(np.uint64)
+        dst = [word for word in range(_POOL) if word != src]
+        hashed = _hashmix(pool[src], _HASH_A, call, _POOL - 1)
+        call += _POOL - 1
+        mixed = np.uint32(_MIX_MULT_L) * pool[dst] \
+            - np.uint32(_MIX_MULT_R) * hashed
+        pool[dst] = mixed ^ (mixed >> _SHIFT)
+    state = _hashmix(pool[np.arange(_STATE_WORDS) % _POOL], _HASH_B, 0,
+                     _STATE_WORDS)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8") \
+        .astype(np.uint64)
 
 
 class _SeedWords(ISeedSequence):
@@ -139,11 +146,26 @@ def bit_generators(seeds) -> list[np.random.PCG64]:
             for words in seed_words(seeds)]
 
 
+def stream_seeds(keys) -> list[int]:
+    """:func:`stream_seed` of many ``(seed, element, path)`` triples.
+    A run of triples sharing one ``seed`` object (an instance's mismatch
+    sites) hashes its ``seed|`` prefix once and copies the digest."""
+    last = prefix = None
+    words = []
+    for seed, element, path in keys:
+        if prefix is None or seed is not last:
+            last, prefix = seed, hashlib.sha256(f"{seed}|".encode())
+        digest = prefix.copy()
+        digest.update(f"{element}|{path}".encode())
+        words.append(int.from_bytes(digest.digest()[:8], "little"))
+    return words
+
+
 def streams(keys) -> list[np.random.Generator]:
     """The random streams owned by many ``(seed, element, path)``
     triples, seeded in bulk. Each equals :func:`stream` of its triple."""
-    return [np.random.Generator(bits) for bits in bit_generators(
-        [stream_seed(seed, element, path) for seed, element, path in keys])]
+    return [np.random.Generator(bits)
+            for bits in bit_generators(stream_seeds(keys))]
 
 
 def stream(seed, element: str, path: str) -> np.random.Generator:

@@ -141,13 +141,18 @@ def parse_production(text: str, off: bool | None = None) -> ProductionRule:
 MEMO_LIMIT = 64
 
 
+def _count(counter: str | None, outcome: str):
+    if counter is not None:
+        telemetry.add(f"{counter}_{outcome}")
+
+
 class RuleTable:
     """All production rules of a language, with most-specific lookup.
 
     The table also carries the language's per-structure memos — the
-    compiler's symbolic systems (``templates``, see
-    :func:`repro.core.compiler.compile_graph`) and the factories' graph
-    templates (``graph_templates``, see
+    compiler's symbolic systems (``templates``) and row-bind plans
+    (``bind_plans``, see :func:`repro.core.compiler.compile_graph`) and
+    the factories' graph templates (``graph_templates``, see
     :func:`repro.core.builder.fabricate`): they are only valid for
     these declarations, so they live and die with them. They stay
     in-process — a pickled table arrives with empty memos.
@@ -160,29 +165,31 @@ class RuleTable:
         self._node_types = node_types
         self._edge_types = edge_types
         self.templates: OrderedDict = OrderedDict()
+        self.bind_plans: OrderedDict = OrderedDict()
         self.graph_templates: OrderedDict = OrderedDict()
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state["templates"] = OrderedDict()
-        state["graph_templates"] = OrderedDict()
+        for memo in ("templates", "bind_plans", "graph_templates"):
+            state[memo] = OrderedDict()
         return state
 
-    def memoized(self, memo: OrderedDict, key, build, counter: str):
+    def memoized(self, memo: OrderedDict, key, build,
+                 counter: str | None):
         """``memo[key]``, made by ``build()`` on a miss and kept as one
         of the ``MEMO_LIMIT`` most recently used entries. Counts
-        ``<counter>_hits``/``<counter>_misses``; a key that does not
-        hash is built and not stored."""
+        ``<counter>_hits``/``<counter>_misses`` (nothing for a ``None``
+        counter); a key that does not hash is built and not stored."""
         try:
             value = memo.get(key)
         except TypeError:
-            telemetry.add(f"{counter}_misses")
+            _count(counter, "misses")
             return build()
         if value is not None:
-            telemetry.add(f"{counter}_hits")
+            _count(counter, "hits")
             memo.move_to_end(key)
             return value
-        telemetry.add(f"{counter}_misses")
+        _count(counter, "misses")
         value = memo[key] = build()
         if len(memo) > MEMO_LIMIT:
             memo.popitem(last=False)

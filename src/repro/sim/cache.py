@@ -68,6 +68,9 @@ from repro.sim.batch_codegen import canonical_spec
 #: noisy entries must not replay.
 CACHE_SCHEMA = 4
 
+#: Value types a key hashes as plain numbers without a per-value check.
+_PLAIN_NUMBERS = {float, int}
+
 
 def _function_token(name: str, fn) -> tuple | None:
     """A process-independent identity for a registered function, or
@@ -196,8 +199,11 @@ class TrajectoryCache:
         hasher.update(repr(stable).encode())
         for key in sorted(lead.attr_values):
             values = [system.attr_values.get(key) for system in systems]
-            if all(isinstance(v, (int, float, np.floating, np.integer))
-                   and not isinstance(v, bool) for v in values):
+            # One type check per column; the per-value check only runs
+            # for columns holding other types (numpy scalars, bools...).
+            if set(map(type, values)) <= _PLAIN_NUMBERS or all(
+                    isinstance(v, (int, float, np.floating, np.integer))
+                    and not isinstance(v, bool) for v in values):
                 hasher.update(repr(key).encode())
                 hasher.update(np.asarray(values, dtype=float).tobytes())
                 continue

@@ -25,15 +25,23 @@ Counter namespaces: ``compile.*`` (per-structure template hits and
 misses), ``solver.*`` (nfev, frozen rows), ``cache.*``,
 ``pool.*`` (shards, shm/pickle bytes, per-worker queue/busy/payload
 aggregates, ``pool.shm_alloc_failed`` when a group fell back to
-in-process for want of shared memory), ``shm.*``, ``stream.*`` and
-``serial.*``. Per-worker busy time renders under ``workers:`` in
-``repro report``.
+in-process for want of shared memory), ``shm.*``, ``stream.*``,
+``serial.*`` and ``gc.*``. Per-worker busy time renders under
+``workers:`` in ``repro report``.
+
+Garbage collection is the one cost no span can own: a collection runs
+wherever an allocation happens to trigger it. While a window is open,
+a :data:`gc.callbacks` hook counts the collections of each generation
+(``gc.collections.gen0``/``1``/``2``) and their seconds
+(``gc.seconds``) into it. The hook is removed when the window closes,
+so with no window open none is registered.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import gc
 import time
 
 from .report import RunReport
@@ -298,6 +306,30 @@ def merge_worker(info: dict) -> None:
             counters[pooled] = counters.get(pooled, 0) + info[key]
 
 
+def _gc_hook(collector: Collector):
+    """A :data:`gc.callbacks` hook counting the collections that run
+    in ``collector``'s own context. It writes the counters directly,
+    not through :func:`add`: a collection is not an instrumentation
+    call, so it must not move ``ops``."""
+    started = []
+
+    def hook(phase: str, info: dict) -> None:
+        if _COLLECTOR.get() is not collector:
+            return
+        if phase == "start":
+            started.append(time.perf_counter())
+            return
+        if not started:
+            return
+        seconds = time.perf_counter() - started.pop()
+        counters = collector.counters
+        name = f"gc.collections.gen{info['generation']}"
+        counters[name] = counters.get(name, 0) + 1
+        counters["gc.seconds"] = counters.get("gc.seconds", 0) + seconds
+
+    return hook
+
+
 @contextlib.contextmanager
 def collect_metrics(*, meta: dict | None = None,
                     into: RunReport | None = None):
@@ -318,8 +350,11 @@ def collect_metrics(*, meta: dict | None = None,
         report.meta.update(meta)
     collector = Collector()
     token = _COLLECTOR.set(collector)
+    hook = _gc_hook(collector)
+    gc.callbacks.append(hook)
     try:
         yield report
     finally:
+        gc.callbacks.remove(hook)
         _COLLECTOR.reset(token)
         collector.finalize(report)

@@ -303,6 +303,16 @@ class TestBulkSeeding:
             assert np.array_equal(generator.standard_normal(16),
                                   reference.standard_normal(16))
 
+    def test_stream_seeds_match_per_triple_seeds(self):
+        from repro.core.noise import stream_seeds
+
+        seed = 2**40
+        keys = [(seed, "E_1", "ws"), (seed, "E_1", "wt"), (1, "a", "b"),
+                (True, "a", "b"), (1.0, "a", "b"), ("1", "a", "b"),
+                (True, "x", "y"), (None, "n", "a"), (seed, "E_2", "ws")]
+        assert stream_seeds(keys) == [stream_seed(*key) for key in keys]
+        assert stream_seeds([]) == []
+
     def test_stream_is_a_batch_of_one(self):
         from repro.core.noise import streams
 

@@ -8,6 +8,7 @@ from a >=2-process pool run, stream-gauge monotonicity, the cache and
 shm satellites, and the ``repro report`` CLI surface.
 """
 
+import gc
 import json
 import warnings
 
@@ -148,6 +149,49 @@ class TestHookCount:
         large = _hook_ops(factory, 320, **kwargs)
         assert large[1] > 2 * small[1]
         assert large[0] == small[0]
+
+
+class TestGcHook:
+    """Collections are counted into the open window by a
+    ``gc.callbacks`` hook that exists only while a window is open."""
+
+    def test_collections_counted_and_rendered(self):
+        report = RunReport()
+        with collect_metrics(into=report):
+            gc.collect()
+        assert report.counter("gc.collections.gen2") >= 1
+        assert report.counter("gc.seconds") > 0.0
+        assert "gc.collections.gen2" in render_report(report)
+
+    def test_hook_removed_on_exit(self):
+        before = list(gc.callbacks)
+        with collect_metrics():
+            assert len(gc.callbacks) == len(before) + 1
+        assert gc.callbacks == before
+        with pytest.raises(RuntimeError):
+            with collect_metrics():
+                raise RuntimeError("boom")
+        assert gc.callbacks == before
+
+    def test_nothing_registered_with_telemetry_off(self):
+        before = list(gc.callbacks)
+        seen = []
+
+        def factory(seed):
+            seen.append(list(gc.callbacks))
+            return mismatched_tline("gm", seed=seed)
+
+        run_ensemble(factory, range(2), SPAN, n_points=20)
+        assert seen == [before, before]
+        assert gc.callbacks == before
+
+    def test_nested_windows_count_once(self):
+        outer, inner = RunReport(), RunReport()
+        with collect_metrics(into=outer):
+            with collect_metrics(into=inner):
+                gc.collect()
+        assert inner.counter("gc.collections.gen2") >= 1
+        assert outer.counter("gc.collections.gen2") == 0
 
 
 class TestCounters:
