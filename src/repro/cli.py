@@ -111,16 +111,21 @@ def _pick_function(functions: dict, name: str | None) -> ArkFunction:
                        f"{', '.join(functions) or 'none'}") from None
 
 
-def _invoke(args) -> "DynamicalGraph":  # noqa: F821 (doc only)
-    _, functions = _load(args)
-    function = _pick_function(functions, args.func)
+def _arguments(args) -> dict:
+    """The function arguments of the repeated ``--arg name=value``."""
     arguments = {}
     for pair in args.arg or []:
         if "=" not in pair:
             raise ArkError(f"--arg expects name=value, got {pair!r}")
         key, value = pair.split("=", 1)
         arguments[key] = _parse_value(value)
-    return function.invoke(arguments, seed=args.seed)
+    return arguments
+
+
+def _invoke(args) -> "DynamicalGraph":  # noqa: F821 (doc only)
+    _, functions = _load(args)
+    function = _pick_function(functions, args.func)
+    return function.invoke(_arguments(args), seed=args.seed)
 
 
 def cmd_info(args) -> int:
@@ -235,12 +240,7 @@ def cmd_ensemble(args) -> int:
         raise ArkError(f"--seeds must be >= 1, got {args.seeds}")
     _, functions = _load(args)
     function = _pick_function(functions, args.func)
-    arguments = {}
-    for pair in args.arg or []:
-        if "=" not in pair:
-            raise ArkError(f"--arg expects name=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        arguments[key] = _parse_value(value)
+    arguments = _arguments(args)
     seeds = range(args.seed_base, args.seed_base + args.seeds)
 
     first = function.invoke(arguments, seed=args.seed_base)
@@ -253,7 +253,7 @@ def cmd_ensemble(args) -> int:
     # meanings and checks live on ExecutionPlan (a bad value raises
     # SimulationError, an ArkError).
     options = dict(n_points=args.points, method=args.method,
-                   dense=args.dense, processes=args.processes,
+                   processes=args.processes,
                    cache=args.cache_dir or None,
                    max_step=args.max_step, freeze_tol=args.freeze_tol,
                    rtol=args.rtol, atol=args.atol,
@@ -559,10 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "cache; reruns with identical structure, "
                        "attributes, grid, and options reuse stored "
                        "integrations bit-for-bit")
-    p_ens.add_argument("--no-dense", dest="dense",
-                       action="store_false", default=None,
-                       help="disable rkf45 dense output (clip every "
-                       "step to the output grid, the legacy behavior)")
     p_ens.add_argument("--node", action="append",
                        help="node to aggregate (repeatable; default: "
                        "all dynamic nodes)")

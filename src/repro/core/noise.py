@@ -237,7 +237,7 @@ def share_wiener(system, label: str, match=None):
         string (terms whose ``element`` starts with it), or a
         predicate ``match(term) -> bool``.
     """
-    from repro.core.odesystem import DiffusionTerm, OdeSystem
+    from repro.core.odesystem import OdeSystem
 
     if not isinstance(system, OdeSystem):
         raise TypeError(
@@ -249,13 +249,6 @@ def share_wiener(system, label: str, match=None):
         chosen = lambda term: term.element.startswith(match)  # noqa: E731
     else:
         chosen = match
-    rekeyed = tuple(
-        DiffusionTerm(state_index=term.state_index,
-                      amplitude=term.amplitude,
-                      element=SHARED_ELEMENT, path=str(label))
-        if chosen(term) else term
-        for term in system.diffusion)
-    return OdeSystem(system.graph, system.language, system.states,
-                     system.state_index, system.rhs_specs,
-                     system.algebraic, system.attr_values,
-                     system.functions, system.y0, diffusion=rekeyed)
+    return system.with_stream_keys(
+        (SHARED_ELEMENT, str(label)) if chosen(term)
+        else term.stream_key() for term in system.diffusion)

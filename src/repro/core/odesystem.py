@@ -20,7 +20,7 @@ order, resolved attribute values, and the function registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -303,6 +303,31 @@ class OdeSystem:
         self._signature = (labels, spec_keys, algebraic_keys, attr_keys,
                            function_keys, diffusion_keys)
         return self._signature
+
+    def with_stream_keys(self, stream_keys) -> "OdeSystem":
+        """A copy of the system whose ``k``-th diffusion term draws the
+        Wiener process ``stream_keys[k]``, an ``(element, path)`` pair
+        (see :meth:`DiffusionTerm.stream_key`); everything else is
+        shared. The copy's structural signature is this one's with
+        only those stream identities rewritten, so no expression is
+        rendered again."""
+        stream_keys = [tuple(key) for key in stream_keys]
+        if len(stream_keys) != len(self.diffusion):
+            raise ValueError(
+                f"{len(stream_keys)} stream keys for "
+                f"{len(self.diffusion)} diffusion terms")
+        signature = self.structural_signature()
+        clone = OdeSystem(
+            self.graph, self.language, self.states, self.state_index,
+            self.rhs_specs, self.algebraic, self.attr_values,
+            self.functions, self.y0,
+            diffusion=tuple(replace(term, element=element, path=path)
+                            for term, (element, path)
+                            in zip(self.diffusion, stream_keys)))
+        clone._signature = signature[:5] + (tuple(
+            key[:2] + stream_key
+            for key, stream_key in zip(signature[5], stream_keys)),)
+        return clone
 
     def equations(self) -> list[str]:
         """Human-readable rendering of the compiled system, e.g. for

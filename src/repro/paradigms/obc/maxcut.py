@@ -290,7 +290,13 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
     :param freeze_tol: per-instance step masks — settled trials freeze
         instead of stepping to the horizon (see
         :func:`repro.sim.solve_sde`); an approximation knob, off by
-        default.
+        default. It pays on the noise-free amplitude, whose trials all
+        settle: for 64 trials of a 5-vertex, 7-edge graph at the
+        default grid, ``freeze_tol=1`` freezes every row, cuts the
+        batched rk4 from 1652 to 290 RHS evaluations (0.19 to 0.04 s on
+        a 2-CPU host) and moves no phase by more than 3.4e-9 rad. At
+        sigma 0.05 or 0.2 no trial freezes, and the per-interval
+        convergence checks add 58 evaluations to heun's 826.
     """
     from repro.core.compiler import compile_graph
     from repro.paradigms.obc.noisy import MaxcutTrialFactory

@@ -12,11 +12,10 @@ state matrix at once:
   cannot silently degrade its siblings' accuracy.
 
 Both land exactly on a shared output grid. ``rk4`` substeps each grid
-interval; ``rkf45`` defaults to *dense output* — steps are sized by the
+interval; ``rkf45`` uses *dense output* — steps are sized by the
 error estimate alone and grid samples are filled by a bootstrapped
 quartic interpolant (order-consistent with the propagated solution), so
-fine output grids no longer force extra RHS evaluations
-(``dense=False`` restores the legacy clip-to-grid stepping). Both
+fine output grids do not force extra RHS evaluations. Both
 return a :class:`BatchTrajectory` with ``(n_instances, n_states, n_t)``
 storage plus the ensemble accessors (mean/std/percentile bands) the
 paper's Fig. 4c/4d-style mismatch studies read.
@@ -366,72 +365,6 @@ def _freeze_offenders(frozen, norms, freeze_tol: float | None):
     return frozen | offenders, True
 
 
-def _rkf45_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
-                 atol: float, max_step: float,
-                 freeze_tol: float | None):
-    """Grid-clipped RKF45: every step lands exactly on the next output
-    point, so a fine grid forces extra (small) steps. Kept as the
-    ``dense=False`` reference path."""
-    span = float(grid[-1] - grid[0])
-    min_step = 1e-14 * span
-    y = rhs.y0
-    out = np.empty((y.shape[0], y.shape[1], len(grid)), dtype=y.dtype)
-    out[:, :, 0] = y
-    frozen = np.zeros(y.shape[0], dtype=bool)
-    nfev = 0
-    accepted = 0
-    rejected = 0
-    h = min(max_step, span / 100.0)
-    t = float(grid[0])
-    t_end = grid[-1]
-    for k in range(1, len(grid)):
-        if bool(frozen.all()):
-            out[:, :, k:] = y[:, :, None]
-            break
-        t_next = float(grid[k])
-        last_norms = None
-        while t < t_next:
-            h = min(h, max_step, t_next - t)
-            if h < min_step:
-                frozen, changed = _freeze_offenders(
-                    frozen, last_norms, freeze_tol)
-                if changed:
-                    h = min(max_step, span / 100.0)
-                    continue
-                raise _underflow(t, h)
-            k1 = rhs(t, y)
-            y5, y4 = _rkf45_stages(rhs, t, y, h, k1)
-            nfev += 6
-            if bool(frozen.any()):
-                # Pinned rows are excluded from error control (their
-                # y5 - y4 is forced to 0) and held at their frozen
-                # state.
-                y5 = np.where(frozen[:, None], y, y5)
-                y4 = np.where(frozen[:, None], y, y4)
-            norms = _error_norms(y5 - y4, y, y5, rtol, atol)
-            last_norms = norms
-            worst = float(norms.max()) if norms.size else 0.0
-            if not math.isfinite(worst):
-                rejected += 1
-                h *= 0.2
-                continue
-            if worst <= 1.0:
-                accepted += 1
-                t += h
-                y = y5
-                h *= _step_factor(worst)
-            else:
-                rejected += 1
-                h *= max(0.2, 0.9 * worst ** -0.2)
-        out[:, :, k] = y
-        if freeze_tol is not None and t_next < t_end:
-            f = rhs(t_next, y)
-            nfev += 1
-            frozen = frozen | freeze_converged(
-                y, f, t_end - t_next, rtol, atol, freeze_tol)
-    return out, frozen, nfev, accepted, rejected
-
-
 #: Collocation node of the bootstrapped quartic interpolant. theta=1/2
 #: makes the Hermite-Birkhoff system singular; 1/3 is well conditioned
 #: (determinant 4/27).
@@ -598,14 +531,11 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
     :param max_step: step cap; defaults to 1/64 of the span, matching
         the serial :func:`~repro.core.simulator.simulate` so brief input
         events cannot be stepped over.
-    :param dense: (rkf45 only) fill the output grid by quartic dense
-        output so step control is decoupled from the grid — the
-        default, matching scipy's ``t_eval`` semantics (accuracy is
-        governed by rtol/atol of the free-running solver).
-        ``dense=False`` restores the legacy behavior of clipping every
-        step to the next grid point, which on fine grids effectively
-        integrates tighter than the requested tolerance at
-        proportionally higher cost.
+    :param dense: retired; only ``True`` is accepted. rkf45 always fills
+        the output grid from its quartic dense output, so step control
+        is decoupled from the grid (scipy's ``t_eval`` semantics). The
+        keyword stays until the benchmark's t-line options stop
+        passing it.
     :param freeze_tol: per-instance step masks. When set, an instance
         whose extrapolated drift over the whole remaining span stays
         below ``freeze_tol`` times the tolerance scale *freezes* — its
@@ -625,6 +555,10 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
         ``batch`` carries its own; passing a *different* one here is an
         error.
     """
+    if dense is not True:
+        raise SimulationError(
+            f"dense={dense!r}: the clip-to-grid rkf45 loop was removed; "
+            "rkf45 always uses dense output")
     batch = _as_batch(batch, array_backend)
     grid, work_grid, max_step = _solve_grids(t_span, n_points, t_eval,
                                              max_step, freeze_tol)
@@ -634,8 +568,7 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
         y_out, frozen, nfev, accepted, rejected = _rk4_batch(
             batch, work_grid, max_step, rtol, atol, freeze_tol)
     elif name == "rkf45":
-        solver = _rkf45_dense_batch if dense else _rkf45_batch
-        y_out, frozen, nfev, accepted, rejected = solver(
+        y_out, frozen, nfev, accepted, rejected = _rkf45_dense_batch(
             batch, work_grid, rtol, atol, max_step, freeze_tol)
     else:
         raise SimulationError(

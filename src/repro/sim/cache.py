@@ -15,9 +15,16 @@ solves keyed by *everything that determines the result bit-for-bit*:
 * the stacked initial states;
 * the output grid (``t_span``/``n_points`` or an explicit ``t_eval``)
   and every solver option that steers the integrator (method, rtol,
-  atol, max_step, dense flag, SDE noise seeds, and the canonical
+  atol, max_step, SDE noise seeds, and the canonical
   ``array_backend`` spelling — ``numpy:float64`` or ``numpy:float32``
   — so numerically different executions never collide).
+
+``dense`` is a retired key entry: the batched rkf45 once had a
+clip-to-grid mode, and every deterministic (``"batch"``) key hashed its
+``dense=True`` flag. The flag is gone from the solver options, so
+:meth:`TrajectoryCache.key_for` folds in :data:`RETIRED_BATCH_OPTIONS`
+when it is absent, and every key, stored disk entries included, keeps
+its bytes.
 
 A batch whose identity cannot be established *stably* — e.g. a
 registered closure with no ``_ark_vector_key`` — is reported as
@@ -67,6 +74,10 @@ from repro.sim.batch_codegen import canonical_spec
 #: stream identities — both change what an option set means, so older
 #: noisy entries must not replay.
 CACHE_SCHEMA = 4
+
+#: Option entries every ``"batch"`` key hashes although no solve
+#: passes them any more (see the module docstring).
+RETIRED_BATCH_OPTIONS = {"dense": True}
 
 #: Value types a key hashes as plain numbers without a per-value check.
 _PLAIN_NUMBERS = {float, int}
@@ -215,6 +226,8 @@ class TrajectoryCache:
             hasher.update(repr((key, tokens)).encode())
         hasher.update(np.stack([system.y0 for system in systems])
                       .tobytes())
+        if kind == "batch":
+            options = {**RETIRED_BATCH_OPTIONS, **options}
         for name in sorted(options):
             value = options[name]
             if name == "array_backend":

@@ -141,9 +141,9 @@ def run_ensemble(factory, seeds, t_span, *, stream: bool = False,
 
     :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem``.
     :param options: the sweep options — ``n_points``, ``t_eval``,
-        ``method``, ``rtol``, ``atol``, ``max_step``, ``dense``,
-        ``freeze_tol``, ``processes``, ``cache``, ``array_backend``,
-        ``trials``, ``noise_seed``, ``sde_method``, ``reference``. They are the fields of
+        ``method``, ``rtol``, ``atol``, ``max_step``, ``freeze_tol``,
+        ``processes``, ``cache``, ``array_backend``, ``trials``,
+        ``noise_seed``, ``sde_method``, ``reference``. They are the fields of
         :class:`~repro.sim.plan.ExecutionPlan`, whose docstring gives
         each one's default and meaning; bad values raise
         :class:`~repro.errors.SimulationError` before the first

@@ -166,8 +166,6 @@ class ExecutionPlan:
     :param atol: absolute tolerance, likewise.
     :param max_step: solver step cap (> 0; ``inf`` lifts it);
         ``None`` = span/64.
-    :param dense: use dense-output interpolation in the batched rkf45
-        (see :func:`~repro.sim.batch_solver.solve_batch`).
     :param freeze_tol: per-instance step mask tolerance (> 0) —
         converged (or, on the SDE path, diverged) instances freeze at
         their current state instead of forcing the worst-case step on
@@ -219,7 +217,6 @@ class ExecutionPlan:
     rtol: float = 1e-7
     atol: float = 1e-9
     max_step: float | None = None
-    dense: bool = True
     freeze_tol: float | None = None
     processes: int | None = None
     cache: object = None
@@ -662,8 +659,7 @@ def _expand(plan: ExecutionPlan, seeds, systems):
         return [], list(range(len(systems)))
     else:
         options = _solver_options(
-            plan, dense=plan.dense,
-            method="rkf45" if plan.method == "auto" else plan.method)
+            plan, method="rkf45" if plan.method == "auto" else plan.method)
     tasks, serial = [], []
     for indices in groups:
         if noise is None and len(indices) == 1:
@@ -691,8 +687,7 @@ def _chunks(plan: ExecutionPlan, seeds, systems, tasks, serial):
     # References are the chips' deterministic baselines: batched rk4 on
     # the same grid, freeze masks intentionally off, so reliability
     # metrics always compare against the exact noise-free transient.
-    reference_options = _solver_options(plan, method="rk4",
-                                        dense=plan.dense, freeze_tol=None)
+    reference_options = _solver_options(plan, method="rk4", freeze_tol=None)
     for order, task, trajectory in _drive_groups(plan, tasks, store):
         if trajectory is None:
             telemetry.add("plan.demoted_rows", len(task.indices))

@@ -130,14 +130,6 @@ class TestNumpyBitIdentity:
                                n_points=120, array_backend="numpy")
         np.testing.assert_array_equal(default.y, explicit.y)
 
-    def test_rkf45_clipped_explicit_spec_identical(self):
-        systems = _tline_systems(2)
-        default = solve_batch(compile_batch(systems), (0.0, 8e-8),
-                              n_points=120, dense=False)
-        explicit = solve_batch(systems, (0.0, 8e-8), n_points=120,
-                               dense=False, array_backend="numpy")
-        np.testing.assert_array_equal(default.y, explicit.y)
-
     @pytest.mark.parametrize("method", ["em", "heun"])
     def test_sde_explicit_spec_identical(self, method):
         systems = [_ou_system(name=f"ou{k}") for k in range(3)]

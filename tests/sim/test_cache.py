@@ -62,6 +62,20 @@ class TestKeying:
             assert cache.key_for(_systems(range(3)), "batch",
                                  changed) != base
 
+    def test_retired_dense_entry_keeps_batch_keys(self):
+        # Batch keys hashed dense=True while rkf45 had a clip-to-grid
+        # mode; they still do without it, so stored entries (and the
+        # benchmark's traced replay, which passes dense=True) keep
+        # hitting. SDE keys never carried the entry.
+        cache = TrajectoryCache()
+        systems = _systems(range(3))
+        options = {name: value for name, value in _OPTIONS.items()
+                   if name != "dense"}
+        assert cache.key_for(systems, "batch", options) == \
+            cache.key_for(systems, "batch", {**options, "dense": True})
+        assert cache.key_for(systems, "sde", options) != \
+            cache.key_for(systems, "sde", {**options, "dense": True})
+
     def test_array_backend_spellings_share_one_key(self):
         # Regression (CACHE_SCHEMA 3): the array_backend option is
         # canonicalized before hashing, so every spelling of the

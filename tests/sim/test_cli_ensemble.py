@@ -118,20 +118,6 @@ class TestEnsembleCommand:
             np.testing.assert_array_equal(stats["cold"][name],
                                           stats["warm"][name])
 
-    def test_no_dense_flag_agrees(self, program_file, tmp_path):
-        paths = {}
-        for flag, extra in (("dense", []), ("clipped", ["--no-dense"])):
-            path = tmp_path / f"{flag}.csv"
-            assert main(["ensemble", program_file, "--arg", "w=1.0",
-                         "--t-end", "1.0", "--seeds", "4",
-                         "--node", "x0", "--csv", str(path)]
-                        + extra) == 0
-            paths[flag] = np.genfromtxt(path, delimiter=",",
-                                        names=True)
-        np.testing.assert_allclose(paths["dense"]["x0_mean"],
-                                   paths["clipped"]["x0_mean"],
-                                   rtol=1e-5, atol=1e-8)
-
     @pytest.mark.parametrize("flags, message", [
         (["--max-step", "0"], "max_step must be > 0"),
         (["--freeze-tol", "0"], "freeze_tol must be > 0"),
@@ -154,7 +140,8 @@ class TestEnsembleCommand:
     @pytest.mark.parametrize("flags", [["--engine", "auto"],
                                        ["--shard-min", "4"],
                                        ["--sde-rtol", "1e-2"],
-                                       ["--engine", "pool"]])
+                                       ["--engine", "pool"],
+                                       ["--no-dense"]])
     def test_removed_flags_are_rejected(self, program_file, capsys,
                                         flags):
         with pytest.raises(SystemExit) as excinfo:

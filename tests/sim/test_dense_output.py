@@ -1,17 +1,26 @@
-"""Dense-output (Hermite) vs grid-clipped RKF45 equivalence.
+"""Dense-output RKF45 accuracy and cost.
 
-The dense path changes *which* points the solver steps through, so the
-two paths cannot be bit-identical — but on the paper's workloads they
-must agree at tolerance level, and the dense path must not pay extra
-RHS evaluations for fine output grids.
+Dense output decouples step control from the output grid, so the
+batched rkf45 is checked against an independent reference — scipy's
+DOP853 at rtol 1e-12 — on the paper's workloads, at tolerance level,
+and it must not pay extra RHS evaluations for fine output grids.
 """
 
 import numpy as np
 
 from repro.core.compiler import compile_graph
+from repro.core.simulator import simulate
 from repro.paradigms.obc import maxcut_network
 from repro.paradigms.tln import mismatched_tline
 from repro.sim import compile_batch, solve_batch
+
+
+def _reference(batch, t_span, **grid):
+    """Every row of ``batch`` solved by scipy DOP853 at rtol 1e-12:
+    ``(n_instances, n_states, n_t)``."""
+    return np.stack([simulate(system, t_span, method="DOP853",
+                              rtol=1e-12, atol=1e-14, **grid).y
+                     for system in batch.systems])
 
 
 def _counting(batch):
@@ -43,21 +52,22 @@ def _maxcut_batch(n=4):
 
 
 class TestDenseVsClipped:
+    """The class keeps its name so the test ids stay stable; its
+    accuracy checks compare with the DOP853 reference."""
+
     def test_tline_tolerance_agreement(self):
         batch = _tline_batch()
         dense = solve_batch(batch, (0.0, 8e-8), n_points=300)
-        clipped = solve_batch(batch, (0.0, 8e-8), n_points=300,
-                              dense=False)
-        scale = np.max(np.abs(clipped.y))
-        assert np.max(np.abs(dense.y - clipped.y)) < 1e-4 * scale
+        reference = _reference(batch, (0.0, 8e-8), n_points=300)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(dense.y - reference)) < 1e-4 * scale
 
     def test_maxcut_tolerance_agreement(self):
         batch = _maxcut_batch()
         dense = solve_batch(batch, (0.0, 100e-9), n_points=60)
-        clipped = solve_batch(batch, (0.0, 100e-9), n_points=60,
-                              dense=False)
-        scale = np.max(np.abs(clipped.y))
-        assert np.max(np.abs(dense.y - clipped.y)) < 1e-4 * scale
+        reference = _reference(batch, (0.0, 100e-9), n_points=60)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(dense.y - reference)) < 1e-4 * scale
 
     def test_grid_endpoints_exact(self):
         batch = _tline_batch(2)
@@ -68,27 +78,21 @@ class TestDenseVsClipped:
 
     def test_fine_grid_costs_no_extra_rhs_evals(self):
         # Step control is decoupled from the grid: a 10x finer output
-        # grid may not trigger (meaningfully) more RHS work. The
-        # clipped path degrades linearly with grid density.
+        # grid may not trigger (meaningfully) more RHS work.
         coarse = _counting(_tline_batch(2))
         solve_batch(coarse, (0.0, 8e-8), n_points=60)
         fine = _counting(_tline_batch(2))
         solve_batch(fine, (0.0, 8e-8), n_points=600)
         assert fine.calls <= coarse.calls * 1.2
-        clipped_fine = _counting(_tline_batch(2))
-        solve_batch(clipped_fine, (0.0, 8e-8), n_points=600,
-                    dense=False)
-        assert fine.calls < clipped_fine.calls
 
     def test_dense_respects_t_eval_window(self):
         batch = _tline_batch(2)
         grid = np.linspace(2e-8, 6e-8, 25)
         dense = solve_batch(batch, (0.0, 8e-8), t_eval=grid)
-        clipped = solve_batch(batch, (0.0, 8e-8), t_eval=grid,
-                              dense=False)
+        reference = _reference(batch, (0.0, 8e-8), t_eval=grid)
         np.testing.assert_array_equal(dense.t, grid)
-        scale = np.max(np.abs(clipped.y))
-        assert np.max(np.abs(dense.y - clipped.y)) < 1e-4 * scale
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(dense.y - reference)) < 1e-4 * scale
 
     def test_oscillator_accuracy_matches_scipy_dense(self):
         # The quartic interpolant is order-consistent with the

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.compiler import compile_graph
 from repro.errors import SimulationError
 from repro.lang import parse_program
 from repro.sim import (ExecutionPlan, NoiseSpec, execute_plan,
-                       run_ensemble, simulate_sde)
+                       run_ensemble, simulate_sde, solve_batch)
 from repro.sim.pool import shutdown_pools
 
 OU_SOURCE = """
@@ -56,6 +57,23 @@ class TestValidation:
             run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
                          engine="pool")
         assert not hasattr(repro, "simulate_ensemble")
+
+    def test_dense_option_is_gone(self):
+        # rkf45 has one step loop, with dense output: there is no
+        # option that selects another.
+        with pytest.raises(TypeError, match="dense"):
+            run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
+                         dense=False)
+
+    def test_solve_batch_rejects_clipped_stepping(self):
+        systems = [compile_graph(_ou_factory(0.0)(seed))
+                   for seed in range(2)]
+        with pytest.raises(SimulationError, match="clip-to-grid"):
+            solve_batch(systems, (0.0, 1.0), n_points=20, dense=False)
+        full = solve_batch(systems, (0.0, 1.0), n_points=20)
+        explicit = solve_batch(systems, (0.0, 1.0), n_points=20,
+                               dense=True)
+        np.testing.assert_array_equal(full.y, explicit.y)
 
     def test_unknown_backend_in_plan(self):
         plan = ExecutionPlan(factory=_ou_factory(), seeds=[0],

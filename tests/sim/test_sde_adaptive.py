@@ -460,6 +460,32 @@ class TestPufSharedSupply:
             == {(SHARED_ELEMENT, "supply")}
 
 
+    def test_factory_signature_matches_a_fresh_one(self):
+        # The aliased chip's signature is derived from its source
+        # system's, not recomputed; it must equal the one recomputed
+        # from the expression trees, and still differ from the
+        # independent build's.
+        from dataclasses import replace
+
+        from repro.core.odesystem import symbolic_signature
+        from repro.paradigms.tln import TLineSpec
+        from repro.puf import PufDesign
+        from repro.puf.response import ChipFactory
+
+        design = PufDesign(spec=TLineSpec(n_segments=6),
+                           branch_positions=(2,), branch_lengths=(3,),
+                           noise=1e-8, shared_supply=True)
+        independent = ChipFactory(replace(design, shared_supply=False), 1)
+        for seed in (0, 1, 2):
+            system = ChipFactory(design, 1)(seed)
+            signature = system.structural_signature()
+            assert signature[:4] + signature[5:] == symbolic_signature(
+                system.states, system.rhs_specs, system.algebraic,
+                system.attr_values, system.diffusion)
+            assert signature != compile_graph(
+                independent(seed)).structural_signature()
+
+
 class _AdaptiveOuFactory:
     """Picklable factory for the ensemble-driver tests."""
 

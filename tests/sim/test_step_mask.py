@@ -62,14 +62,6 @@ class TestMaskedAccuracy:
                              dense=True, freeze_tol=1.0)
         assert np.abs(full.y - masked.y).max() < 1e-6
 
-    def test_masked_clipped_rkf45_matches(self):
-        batch = _decay_batch()
-        full = solve_batch(batch, (0.0, 10.0), n_points=200,
-                           dense=False)
-        masked = solve_batch(batch, (0.0, 10.0), n_points=200,
-                             dense=False, freeze_tol=1.0)
-        assert np.abs(full.y - masked.y).max() < 1e-6
-
     def test_masked_sde_matches_within_tolerance(self):
         systems = [_ou_system(tau=0.05, nsig=1e-9, name="nf"),
                    _ou_system(tau=0.2, nsig=1e-9, name="ns")]
