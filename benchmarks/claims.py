@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import pathlib
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -39,13 +40,15 @@ from repro.paradigms.fhn import (NeuronSpec, fhn_reference, neuron_chain,
 from repro.paradigms.gpac import (harmonic_oscillator, leaky,
                                   limit_cycle_amplitude, van_der_pol)
 from repro.paradigms.obc import (maxcut_experiment, maxcut_network,
-                                 place_greedy, place_kernighan_lin,
+                                 maxcut_noise_sweep, place_greedy, place_kernighan_lin,
                                  place_random, placed_network,
                                  random_graphs, random_weights,
                                  solve_coloring, solve_maxcut)
 from repro.paradigms.tln import (TLineSpec, branched_tline, linear_tline,
                                  mismatched_tline)
-from repro.puf import PufDesign, cross_validate, evaluate_puf, uniqueness
+from repro.lang import parse_program
+from repro.puf import (PufDesign, cross_validate, evaluate_puf,
+                       puf_reliability, uniqueness)
 from repro.puf.metrics import hamming_fraction
 
 #: Population counts per size: fabricated chips (Fig. 4c/4d, PUF),
@@ -395,6 +398,65 @@ def placement() -> dict:
     return costs
 
 
+NOISY_DECAY = (pathlib.Path(__file__).resolve().parents[1] / "examples"
+               / "ark" / "noisy_decay.ark")
+OU_TRIALS = 4000  # noise trials of the one noisy-decay chip
+
+
+@cache
+def ou_moments() -> float:
+    """Largest gap, in standard errors, between the heun ensemble of
+    one ``noisy-cell`` chip (``tau=1, nsig=0.3``, mismatch seed 0) and
+    the Ornstein-Uhlenbeck closed form ``x0 e^(-t/tau)`` (mean) and
+    ``nsig^2 tau/2 (1 - e^(-2t/tau))`` (variance), over the 5 grid
+    points after t = 0 of a 6-point grid on (0, 5). ``tau`` is the
+    chip's drawn value, read from its compiled system."""
+    function = parse_program(NOISY_DECAY.read_text()).functions[
+        "noisy-cell"]
+    nsig = 0.3
+
+    def factory(seed):
+        return function.invoke({"tau": 1.0, "nsig": nsig}, seed=seed)
+
+    tau = repro.compile_graph(factory(0)).attr_values[("node", "x", "tau")]
+    batch = repro.run_ensemble(factory, [0], (0.0, 5.0), trials=OU_TRIALS,
+                               n_points=6, sde_method="heun",
+                               reference=False).batches[0]
+    t, x = np.asarray(batch.t)[1:], batch.y[:, 0, 1:]
+    mean = np.exp(-t / tau)
+    var = nsig ** 2 * tau / 2 * (1 - np.exp(-2 * t / tau))
+    # Standard errors of a Gaussian sample's mean and variance.
+    z_mean = (x.mean(axis=0) - mean) / np.sqrt(var / OU_TRIALS)
+    z_var = (x.var(axis=0, ddof=1) - var) / (
+        var * np.sqrt(2 / (OU_TRIALS - 1)))
+    return float(np.max(np.abs(np.concatenate([z_mean, z_var]))))
+
+
+PUF_NOISE = (1e-9, 1e-8, 1e-7)  # transient-noise amplitudes
+
+
+@cache
+def puf_noise_reliability() -> list[float]:
+    """Mean transient-noise reliability of 4 chips x 16 trials of the
+    10-segment PUF, challenge ``10``, per amplitude of
+    :data:`PUF_NOISE`."""
+    return [puf_reliability(
+        PufDesign(spec=TLineSpec(n_segments=10), noise=noise,
+                  branch_positions=(3, 6), branch_lengths=(4, 6)),
+        "10", range(4), trials=16).mean for noise in PUF_NOISE]
+
+
+OBC_NOISE = (0.0, 0.05, 0.2, 2e4, 2e5)  # phase-noise amplitudes, rad/sqrt(s)
+
+
+@cache
+def obc_noise_solved() -> list[float]:
+    """Solved rate of 32 noisy 4-cycle max-cut trials (Table 1 readout
+    at d = 0.1 pi) per amplitude of :data:`OBC_NOISE`."""
+    return [point.solved_probability for point in maxcut_noise_sweep(
+        [(0, 1), (1, 2), (2, 3), (3, 0)], 4, OBC_NOISE, trials=32)]
+
+
 WEIGHTED = 40  # weighted max-cut instances
 
 
@@ -648,6 +710,27 @@ CLAIMS = [
           "mismatch-free chips are clones",
           lambda size: puf_uniqueness(size)["ideal"], Check("==", 0.0),
           EXACT),
+    Claim("ext.ou-moments", "extension: transient noise",
+          "heun reproduces the OU mean and variance",
+          lambda size: ou_moments(), Check("<=", 4.0),
+          "4 standard errors of a 4000-trial sample: the 10 moments "
+          "exceed it by chance with probability < 1e-3, and heun's "
+          "bias at its 1/13 substep is < 0.11 standard errors"),
+    Claim("ext.puf-noise-monotone", "extension: transient noise",
+          "more transient noise, less PUF reliability",
+          lambda size: max(np.diff(puf_noise_reliability())),
+          Check("<=", 0.0),
+          "an ordering of means over 4 chips; amplitudes a decade "
+          "apart drive the same Wiener paths. One chip alone need not "
+          "order (chip 2: 0.844 at 1e-9, 0.848 at 1e-8)"),
+    Claim("ext.obc-noise-monotone", "extension: transient noise",
+          "more phase noise, fewer max-cuts solved",
+          lambda size: max(np.diff(obc_noise_solved())),
+          Check("<=", 0.0),
+          "an ordering of solved rates over the same 32 starts. At "
+          "0.05 and 0.2 rad/sqrt(s) a phase wanders < 1e-4 rad over "
+          "the 100 ns transient and every trial solves; 2e4 and 2e5 "
+          "move the rate"),
     Claim("ext.puf-attack", "extension: PUF attack",
           "hard to predict (Sec. 2)",
           lambda size: max(attack_advantage()),
