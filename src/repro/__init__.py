@@ -50,7 +50,6 @@ from repro.core import (
     LambdaType,
     MatchClause,
     Mismatch,
-    Noise,
     Node,
     NodeType,
     OdeSystem,
@@ -102,7 +101,6 @@ __all__ = [
     "LambdaType",
     "MatchClause",
     "Mismatch",
-    "Noise",
     "Node",
     "NodeType",
     "OdeSystem",

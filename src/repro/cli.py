@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--rtol", type=float,
                        help="relative tolerance of every sweep: the "
                        "ODE solvers, the adaptive SDE controller "
-                       "(heun-adaptive/em-adaptive) and the freeze "
+                       "(heun-adaptive) and the freeze "
                        f"criterion (default {ExecutionPlan.rtol:g})")
     p_ens.add_argument("--atol", type=float,
                        help="absolute tolerance, likewise (default "

@@ -10,7 +10,6 @@ from repro.core.datatypes import (
     IntType,
     LambdaType,
     Mismatch,
-    Noise,
     RealType,
     integer,
     lambd,
@@ -35,7 +34,6 @@ __all__ = [
     "IntType",
     "LambdaType",
     "Mismatch",
-    "Noise",
     "RealType",
     "integer",
     "lambd",

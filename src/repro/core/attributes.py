@@ -6,13 +6,9 @@ value. Both may be ``const`` (non-programmable, §4.3): a const attribute must
 be bound to a constant at instantiation time and may not be wired to a
 function argument.
 
-Nonideality annotations ride on the datatype: a hardware-extension type
-typically *adds* them when overriding a parent attribute (the GmC-TLN
-``Vm`` overrides ``V.c`` with ``mm(0,0.1)``; a noisy extension overrides
-with ``ns(sigma,kind)``). Overrides may add or strengthen annotations,
-but must not flip the noise *kind* declared by a parent — absolute and
-relative amplitudes have different semantics and silently swapping them
-would change the compiled diffusion terms of every inherited graph.
+The mismatch annotation rides on the datatype: a hardware-extension type
+typically *adds* it when overriding a parent attribute (the GmC-TLN
+``Vm`` overrides ``V.c`` with ``mm(0,0.1)``).
 """
 
 from __future__ import annotations
@@ -66,13 +62,6 @@ class AttrDecl:
             raise InheritanceError(
                 f"attribute `{self.name}` override drops `const` from the "
                 "parent declaration")
-        parent_noise = getattr(parent.datatype, "noise", None)
-        own_noise = getattr(self.datatype, "noise", None)
-        if parent_noise is not None and own_noise is not None and \
-                own_noise.kind != parent_noise.kind:
-            raise InheritanceError(
-                f"attribute `{self.name}` override changes the noise "
-                f"kind from {parent_noise.kind} to {own_noise.kind}")
 
 
 @dataclass(frozen=True)

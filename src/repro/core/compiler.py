@@ -16,21 +16,15 @@ first-order differential (or stochastic-differential) equations:
 * switched-off edges contribute only the language's ``off`` rules (§4.3).
 
 Transient noise (the second half of the paper's nonideality story, next
-to §4.3 mismatch) enters in two ways and is compiled into
-:class:`~repro.core.odesystem.DiffusionTerm` entries of the resulting
-system ``dy = f(t,y) dt + Σ b_k(t,y) dW_k``:
-
-* an explicit ``noise(amp)`` call in a production term: each additive
-  addend containing one is moved from the drift into the diffusion with
-  amplitude equal to the addend with ``noise(a)`` replaced by ``a``
-  (so ``-v/c + noise(s.nsig/c)`` keeps the drift ``-v/c`` and gains a
-  diffusion amplitude ``s.nsig/c``). Only sum-reduction differential
-  nodes may carry noise terms;
-* a ``ns(sigma[,kind])`` annotation on an attribute's datatype: every
-  drift term referencing the attribute gains a first-order diffusion
-  term (``term * sigma`` for relative noise, ``term * sigma/|a|`` for
-  absolute), all driven by one shared Wiener path per ``(element,
-  attribute)`` — a fluctuating parameter perturbs its terms coherently.
+to §4.3 mismatch) is declared one way: an explicit ``noise(amp)`` call in
+a production term. Each additive addend containing one is moved from
+the drift into a :class:`~repro.core.odesystem.DiffusionTerm` of the
+resulting system ``dy = f(t,y) dt + Σ b_k(t,y) dW_k``, with amplitude
+equal to the addend with ``noise(a)`` replaced by ``a`` (so
+``-v/c + noise(s.nsig/c)`` keeps the drift ``-v/c`` and gains a
+diffusion amplitude ``s.nsig/c``). Only sum-reduction differential
+nodes may carry noise terms. A relative fluctuation ``sigma`` of a
+parameter that scales a term ``T`` is the addend ``noise(sigma*T)``.
 
 The result is an :class:`~repro.core.odesystem.OdeSystem` ready for
 simulation (deterministic solvers integrate the drift;
@@ -239,110 +233,6 @@ def _element(graph: DynamicalGraph, kind: str, owner: str) -> Node | Edge:
     return graph.node(owner) if kind == "node" else graph.edge(owner)
 
 
-def _noisy_attr_refs(term: E.Expr, graph: DynamicalGraph):
-    """Distinct noise-annotated attribute references inside ``term``:
-    yields ``(kind, owner, attr, annotation)`` tuples."""
-    seen: set[tuple] = set()
-    for node in term.walk():
-        if not isinstance(node, E.AttrRef):
-            continue
-        kind = node.kind or "node"
-        key = (kind, node.owner, node.attr)
-        if key in seen:
-            continue
-        seen.add(key)
-        decl = _element(graph, kind, node.owner).type.attrs.get(node.attr)
-        if decl is None:
-            continue
-        annotation = getattr(decl.datatype, "noise", None)
-        if annotation is not None and annotation.sigma > 0.0:
-            yield kind, node.owner, node.attr, annotation
-
-
-def _multiplicative_power(term: E.Expr, owner: str, attr: str,
-                          ) -> int | None:
-    """±1 when the attribute enters ``term`` exactly once as a pure
-    multiplicative factor (numerator or denominator, possibly negated);
-    ``None`` otherwise. This is the structural condition under which
-    the first-order linearization ``b = term * sigma_rel`` is exact."""
-    hits: list[int] = []  # power of each occurrence, or 0 = nonlinear
-
-    def visit(node: E.Expr, power: int, linear: bool):
-        if isinstance(node, E.AttrRef):
-            if node.owner == owner and node.attr == attr:
-                hits.append(power if linear else 0)
-            return
-        if isinstance(node, E.UnOp) and node.op == "-":
-            visit(node.operand, power, linear)
-            return
-        if isinstance(node, E.BinOp) and node.op == "*":
-            visit(node.left, power, linear)
-            visit(node.right, power, linear)
-            return
-        if isinstance(node, E.BinOp) and node.op == "/":
-            visit(node.left, power, linear)
-            visit(node.right, -power, linear)
-            return
-        # Any other enclosing node (+, -, ^, calls, conditionals...)
-        # breaks the pure-product structure.
-        for child in node.children():
-            visit(child, power, False)
-
-    visit(term, 1, True)
-    if len(hits) == 1 and hits[0] in (1, -1):
-        return hits[0]
-    return None
-
-
-def _annotation_diffusion(node: Node, drift_terms: list[E.Expr],
-                          state_index: int, graph: DynamicalGraph,
-                          diffusion: list[DiffusionTerm],
-                          absolute: dict[tuple, float]):
-    """First-order diffusion for ``ns``-annotated attributes: each drift
-    term referencing a fluctuating parameter ``a`` gains the amplitude
-    ``term * sigma`` (relative) or ``term * sigma/|a|`` (absolute).
-    All terms touched by one ``(element, attribute)`` share one Wiener
-    path, so the parameter's fluctuation acts coherently.
-
-    The linearization is only exact when the parameter enters the term
-    as a pure ±1-power factor (true for every conductance /
-    capacitance / coupling form in the shipped languages); other usages
-    are rejected with a pointer to the explicit ``noise()`` escape
-    hatch rather than silently mis-scaled. Absolute-kind annotations
-    are recorded in ``absolute`` (attribute key -> sigma): a
-    zero-valued parameter makes ``sigma/|a|`` undefined, and since
-    that depends on the value, :func:`_instantiate` checks it per
-    instance."""
-    for term in drift_terms:
-        for kind, owner, attr, annotation in \
-                _noisy_attr_refs(term, graph):
-            if node.type.reduction is not Reduction.SUM:
-                raise CompileError(
-                    f"ns-annotated attribute {owner}.{attr} feeds the "
-                    f"{node.type.reduction.value}-reduction node "
-                    f"{node.name}; transient noise is only supported "
-                    "on sum-reduction nodes")
-            if _multiplicative_power(term, owner, attr) is None:
-                raise CompileError(
-                    f"ns-annotated attribute {owner}.{attr} does not "
-                    f"enter the production term {term} of {node.name} "
-                    "as a single multiplicative factor, so the "
-                    "first-order diffusion term would be mis-scaled; "
-                    "model this source with an explicit noise(...) "
-                    "term instead")
-            if annotation.kind == "rel":
-                factor: E.Expr = E.Const(annotation.sigma)
-            else:
-                absolute.setdefault((kind, owner, attr), annotation.sigma)
-                factor = E.BinOp(
-                    "/", E.Const(annotation.sigma),
-                    E.Call("abs", (E.AttrRef(owner, attr, kind),)))
-            amplitude = simplify(E.BinOp("*", term, factor))
-            diffusion.append(DiffusionTerm(
-                state_index=state_index, amplitude=amplitude,
-                element=owner, path=f"a:{attr}"))
-
-
 def _attr_keys(exprs: list[E.Expr]) -> tuple[tuple[str, str, str], ...]:
     """Every attribute reference in the compiled expressions, as
     ``(kind, owner, attr)`` keys in first-reference order."""
@@ -366,8 +256,6 @@ class SymbolicSystem:
     :param attr_keys: the attribute references of the compiled
         expressions, in first-reference order — the order of every
         instance's ``attr_values``.
-    :param absolute_noise: attribute key -> sigma of each
-        absolute-kind ``ns`` annotation feeding a diffusion term.
     :param functions: names of the functions the expressions call.
     """
 
@@ -377,7 +265,6 @@ class SymbolicSystem:
     algebraic: tuple[AlgebraicSpec, ...]
     diffusion: tuple[DiffusionTerm, ...]
     attr_keys: tuple[tuple[str, str, str], ...]
-    absolute_noise: dict[tuple[str, str, str], float]
     functions: tuple[str, ...]
     _signature: tuple | None = field(default=None, repr=False)
 
@@ -423,7 +310,6 @@ def _symbolic(graph: DynamicalGraph, language: Language,
     # Right-hand sides, with the drift/diffusion split of any noise.
     rhs: list[ChainRhs | TermsRhs] = []
     diffusion: list[DiffusionTerm] = []
-    absolute: dict[tuple, float] = {}
     path_counters: dict[str, int] = {}
     for state in states:
         node = graph.node(state.node)
@@ -435,8 +321,6 @@ def _symbolic(graph: DynamicalGraph, language: Language,
             drift = _split_noise_terms(node, terms[state.node],
                                        state.index, path_counters,
                                        diffusion)
-            _annotation_diffusion(node, drift, state.index, graph,
-                                  diffusion, absolute)
             rhs.append(TermsRhs(tuple(drift), node.type.reduction))
 
     algebraic = []
@@ -447,16 +331,6 @@ def _symbolic(graph: DynamicalGraph, language: Language,
                 raise CompileError(
                     f"noise() is only supported on differential nodes; "
                     f"{name} is an order-0 (algebraic) node")
-            for _kind, owner, attr, _ann in _noisy_attr_refs(expr, graph):
-                # Same policing as explicit noise(): an order-0 node is
-                # instantaneous, so a declared fluctuation feeding it
-                # cannot be realized — refuse rather than silently
-                # dropping the user's nonideality.
-                raise CompileError(
-                    f"ns-annotated attribute {owner}.{attr} is "
-                    f"referenced by the order-0 (algebraic) node "
-                    f"{name}; transient noise is only supported on "
-                    "differential nodes")
         algebraic.append(AlgebraicSpec(name, tuple(exprs),
                                        graph.node(name).type.reduction))
 
@@ -471,8 +345,7 @@ def _symbolic(graph: DynamicalGraph, language: Language,
     return SymbolicSystem(
         states=tuple(states), state_index=state_index, rhs=tuple(rhs),
         algebraic=tuple(algebraic), diffusion=tuple(diffusion),
-        attr_keys=_attr_keys(all_exprs), absolute_noise=absolute,
-        functions=tuple(needed))
+        attr_keys=_attr_keys(all_exprs), functions=tuple(needed))
 
 
 def _read_values(symbolic: SymbolicSystem, graph: DynamicalGraph,
@@ -499,14 +372,6 @@ def _instantiate(symbolic: SymbolicSystem, graph: DynamicalGraph,
     ``(attr_values, y0)`` of a row bind (:class:`_BindPlan`), which
     reads no graph structure."""
     attr_values, y0 = values or _read_values(symbolic, graph)
-    for key, sigma in symbolic.absolute_noise.items():
-        value = attr_values.get(key)
-        if isinstance(value, (int, float)) and float(value) == 0.0:
-            raise CompileError(
-                f"ns({sigma}) on {key[1]}.{key[2]}: absolute noise on a "
-                "zero-valued parameter has an undefined relative factor "
-                "sigma/|a|; use ns(sigma,rel) or an explicit noise(...) "
-                "term")
     if len(attr_values) != len(symbolic.attr_keys):
         kind, owner, attr = next(key for key in symbolic.attr_keys
                                  if key not in attr_values)

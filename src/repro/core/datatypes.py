@@ -6,19 +6,15 @@ carry a mismatch annotation ``mm(s0,s1)`` (§4.3) that models process
 variation: assigning a nominal value ``x`` to a mismatched attribute stores a
 sample from ``N(x, s0 + |x|*s1)`` instead.
 
-They may additionally carry a *transient-noise* annotation
-``ns(sigma[,kind])``: where mismatch perturbs the stored value once at
-fabrication time, noise makes the parameter fluctuate *during* the
-transient. The compiler lowers each production term that references a
-noise-annotated attribute to a diffusion term of a stochastic
-differential equation (see :mod:`repro.core.compiler` and
-:mod:`repro.sim.sde_solver`), to first order in the fluctuation.
-
 The paper's §4.3 prose writes the standard deviation as ``x*s0 + s1``, but
 every usage in the paper (``mm(0,0.1)`` described as "10% relative
 mismatch", ``mm(0.02,0)`` producing a real offset on a nominal-0 attribute)
 is only consistent with ``s0`` absolute and ``s1`` relative. We implement
 ``sigma = s0 + |x|*s1``; see DESIGN.md §5.1.
+
+Mismatch is fixed at fabrication time. Noise that acts *during* the
+transient is not a datatype annotation: a production rule declares it
+with an additive ``noise(amp)`` term (see :mod:`repro.core.compiler`).
 """
 
 from __future__ import annotations
@@ -58,60 +54,12 @@ class Mismatch:
 
 
 @dataclass(frozen=True)
-class Noise:
-    """Transient-noise annotation ``ns(sigma, kind)``.
-
-    Models thermal fluctuation of a device parameter during the
-    transient: the annotated attribute's value ``a`` is read as
-    ``a + amplitude(a) * xi(t)`` with ``xi`` white noise, so every
-    production term referencing it picks up a diffusion term (to first
-    order, i.e. assuming the term has power ±1 in the parameter — true
-    for the conductance/capacitance/coupling forms of the shipped
-    paradigm languages).
-
-    :param sigma: fluctuation strength (units of the attribute per
-        √second for ``abs``, dimensionless per √second for ``rel``).
-    :param kind: ``"abs"`` — amplitude is ``sigma`` regardless of the
-        stored value; ``"rel"`` — amplitude is ``sigma * |a|`` (the
-        well-conditioned common case, e.g. 1% RMS parameter
-        fluctuation).
-    """
-
-    sigma: float
-    kind: str = "abs"
-
-    KINDS = ("abs", "rel")
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise DatatypeError(
-                f"noise deviation must be non-negative, got "
-                f"ns({self.sigma}, {self.kind})")
-        if self.kind not in self.KINDS:
-            raise DatatypeError(
-                f"unknown noise kind {self.kind!r}; expected one of "
-                f"{', '.join(self.KINDS)}")
-
-    def amplitude(self, value: float) -> float:
-        """Fluctuation amplitude when the stored value is ``value``."""
-        if self.kind == "rel":
-            return self.sigma * abs(value)
-        return self.sigma
-
-    def __str__(self) -> str:
-        if self.kind == "abs":
-            return f"ns({self.sigma})"
-        return f"ns({self.sigma},{self.kind})"
-
-
-@dataclass(frozen=True)
 class RealType:
     """Bounded real datatype ``real[lo,hi]`` with optional mismatch."""
 
     lo: float
     hi: float
     mismatch: Mismatch | None = None
-    noise: Noise | None = None
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -151,8 +99,6 @@ class RealType:
         base = f"real[{self.lo},{self.hi}]"
         if self.mismatch is not None:
             base += f" {self.mismatch}"
-        if self.noise is not None:
-            base += f" {self.noise}"
         return base
 
 
@@ -163,7 +109,6 @@ class IntType:
     lo: int
     hi: int
     mismatch: Mismatch | None = None
-    noise: Noise | None = None
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -190,8 +135,6 @@ class IntType:
         base = f"int[{self.lo},{self.hi}]"
         if self.mismatch is not None:
             base += f" {self.mismatch}"
-        if self.noise is not None:
-            base += f" {self.noise}"
         return base
 
 
@@ -226,33 +169,22 @@ class LambdaType:
 Datatype = RealType | IntType | LambdaType
 
 
-def _noise_annotation(ns) -> Noise | None:
-    if ns is None or isinstance(ns, Noise):
-        return ns
-    if isinstance(ns, (int, float)):
-        return Noise(float(ns))
-    return Noise(*ns)
-
-
-def real(lo: float, hi: float, mm: tuple[float, float] | None = None,
-         ns: "Noise | float | tuple | None" = None) -> RealType:
-    """Convenience constructor mirroring ``real[lo,hi] mm(s0,s1)
-    ns(sigma,kind)``; ``ns`` accepts a :class:`Noise`, a bare sigma, or
-    a ``(sigma, kind)`` tuple."""
+def real(lo: float, hi: float,
+         mm: tuple[float, float] | None = None) -> RealType:
+    """Convenience constructor mirroring ``real[lo,hi] mm(s0,s1)``."""
     annotation = Mismatch(*mm) if mm is not None else None
-    return RealType(float(lo), float(hi), annotation,
-                    _noise_annotation(ns))
+    return RealType(float(lo), float(hi), annotation)
 
 
-def integer(lo: int, hi: int, mm: tuple[float, float] | None = None,
-            ns: "Noise | float | tuple | None" = None) -> IntType:
+def integer(lo: int, hi: int,
+            mm: tuple[float, float] | None = None) -> IntType:
     """Convenience constructor mirroring ``int[lo,hi]``. The bounds must
     be finite integers; integral floats such as ``3.0`` are accepted."""
     if not all(float(bound).is_integer() for bound in (lo, hi)):
         raise DatatypeError(
             f"int bounds must be finite integers, got [{lo}, {hi}]")
     annotation = Mismatch(*mm) if mm is not None else None
-    return IntType(int(lo), int(hi), annotation, _noise_annotation(ns))
+    return IntType(int(lo), int(hi), annotation)
 
 
 def lambd(arity: int) -> LambdaType:

@@ -493,93 +493,6 @@ def uses_time(expr: Expr) -> bool:
     return any(isinstance(n, Time) for n in expr.walk())
 
 
-#: d f(x)/dx for the differentiable scalar builtins, as expression
-#: constructors. ``abs``/``sgn`` use the a.e.-derivative (``sgn``/0),
-#: matching the first-order linearization the ``rel`` noise annotations
-#: are built on.
-_CALL_DERIVATIVES = {
-    "sin": lambda a: Call("cos", (a,)),
-    "cos": lambda a: UnOp("-", Call("sin", (a,))),
-    "tan": lambda a: BinOp("+", Const(1.0),
-                           BinOp("*", Call("tan", (a,)),
-                                 Call("tan", (a,)))),
-    "exp": lambda a: Call("exp", (a,)),
-    "ln": lambda a: BinOp("/", Const(1.0), a),
-    "log": lambda a: BinOp("/", Const(1.0), a),
-    "sqrt": lambda a: BinOp("/", Const(0.5), Call("sqrt", (a,))),
-    "tanh": lambda a: BinOp("-", Const(1.0),
-                            BinOp("*", Call("tanh", (a,)),
-                                  Call("tanh", (a,)))),
-    "abs": lambda a: Call("sgn", (a,)),
-    "sgn": lambda a: Const(0.0),
-}
-
-
-def differentiate(expr: Expr, node: str) -> Expr:
-    """Symbolic partial derivative of ``expr`` w.r.t. ``var(node)``.
-
-    Built for the diagonal Milstein correction: diffusion amplitudes
-    are ordinary drift-shaped expressions, so their state derivative is
-    computable at compile time and lowered by the same batched codegen.
-    Constants, attributes, ``time`` and foreign states differentiate to
-    0; unsupported constructs (lambda-valued attributes, comparisons
-    feeding values, non-constant exponents, non-differentiable
-    builtins) raise :class:`~repro.errors.CompileError` so the caller
-    can point at the derivative-free methods instead of silently
-    mis-correcting.
-    """
-    if isinstance(expr, (Const, Time, NameRef, AttrRef, BoolConst)):
-        return Const(0.0)
-    if isinstance(expr, VarOf):
-        return Const(1.0 if expr.node == node else 0.0)
-    if isinstance(expr, UnOp):
-        return UnOp(expr.op, differentiate(expr.operand, node))
-    if isinstance(expr, BinOp):
-        left, right = expr.left, expr.right
-        dl = differentiate(left, node)
-        if expr.op in ("+", "-"):
-            return BinOp(expr.op, dl, differentiate(right, node))
-        if expr.op == "*":
-            return BinOp("+", BinOp("*", dl, right),
-                         BinOp("*", left, differentiate(right, node)))
-        if expr.op == "/":
-            dr = differentiate(right, node)
-            return BinOp("/",
-                         BinOp("-", BinOp("*", dl, right),
-                               BinOp("*", left, dr)),
-                         BinOp("*", right, right))
-        if expr.op == "^":
-            if not isinstance(right, Const):
-                raise CompileError(
-                    "differentiate: non-constant exponent in "
-                    f"{expr}; the Milstein correction needs a "
-                    "compile-time derivative")
-            power = float(right.value)
-            return BinOp("*", BinOp("*", Const(power),
-                                    BinOp("^", left,
-                                          Const(power - 1.0))), dl)
-        raise CompileError(
-            f"differentiate: unsupported operator {expr.op!r}")
-    if isinstance(expr, Call):
-        if expr.func == "pow" and len(expr.args) == 2:
-            return differentiate(BinOp("^", expr.args[0],
-                                       expr.args[1]), node)
-        rule = _CALL_DERIVATIVES.get(expr.func)
-        if rule is None or len(expr.args) != 1:
-            raise CompileError(
-                f"differentiate: no derivative rule for call "
-                f"{expr}; use an em/heun SDE method for this "
-                "diffusion amplitude")
-        arg = expr.args[0]
-        return BinOp("*", rule(arg), differentiate(arg, node))
-    if isinstance(expr, IfThenElse):
-        return IfThenElse(expr.cond, differentiate(expr.then, node),
-                          differentiate(expr.orelse, node))
-    raise CompileError(
-        f"differentiate: unsupported expression node {expr!r}; use an "
-        "em/heun SDE method for this diffusion amplitude")
-
-
 # --------------------------------------------------------------------------
 # Code generation
 # --------------------------------------------------------------------------

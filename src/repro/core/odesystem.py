@@ -79,12 +79,11 @@ class DiffusionTerm:
     :param amplitude: the ``b_k(t, y)`` expression (attributes still
         symbolic, so batches across mismatch seeds share structure).
     :param element: graph element that physically owns the noise source
-        (the edge whose production rule wrote ``noise(...)``, or the
-        node/edge carrying a noise-annotated attribute).
+        (the edge whose production rule wrote ``noise(...)``).
     :param path: stable label distinguishing multiple sources on one
         element. Terms sharing ``(element, path)`` are driven by the
-        *same* Wiener process — a fluctuating parameter referenced by
-        several production terms perturbs them coherently.
+        *same* Wiener process (see
+        :func:`repro.core.noise.share_wiener`).
     """
 
     state_index: int

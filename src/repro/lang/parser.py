@@ -199,7 +199,8 @@ class ProgramParser:
         inits: list[InitDecl] = []
         self.stream.expect("op", "{")
         while not self.stream.at("op", "}"):
-            keyword = self.stream.expect("ident").text
+            token = self.stream.expect("ident")
+            keyword = token.text
             if keyword == "attr":
                 attr_name = self.stream.dashed_name()
                 self.stream.expect("op", "=")
@@ -213,14 +214,14 @@ class ProgramParser:
                 datatype, const = self._sig_type()
                 inits.append(InitDecl(index, datatype, const=const))
             else:
-                self.stream.error(
-                    f"unexpected {keyword!r} in type body")
+                raise ParseError(f"unexpected {keyword!r} in type body",
+                                 token.line, token.column)
             self.stream.skip_separators()
         self.stream.expect("op", "}")
         return attrs, inits
 
     def _sig_type(self) -> tuple[Datatype, bool]:
-        """A datatype ``real[a,b] mm(s0,s1) ns(sigma,kind)`` /
+        """A datatype ``real[a,b] mm(s0,s1)`` /
         ``int[a,b] ...`` / ``lambd(a0,...)`` and whether a ``const``
         marker follows it."""
         first = self.stream.expect("ident")
@@ -238,19 +239,8 @@ class ProgramParser:
                 s1 = self._number()
                 self.stream.expect("op", ")")
                 mm = (s0, s1)
-            ns = None
-            if self.stream.accept("ident", "ns"):
-                # Transient-noise annotation ns(sigma[,kind]); the kind
-                # defaults to absolute amplitude.
-                self.stream.expect("op", "(")
-                sigma = self._number()
-                ns_kind = "abs"
-                if self.stream.accept("op", ","):
-                    ns_kind = self.stream.expect("ident").text
-                self.stream.expect("op", ")")
-                ns = (sigma, ns_kind)
             build = real if first.text == "real" else integer
-            arguments = (lo, hi, mm, ns)
+            arguments = (lo, hi, mm)
         elif first.text in ("lambd", "fn", "lambda"):
             self.stream.expect("op", "(")
             arity = 0

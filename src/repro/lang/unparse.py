@@ -47,11 +47,6 @@ def unparse_datatype(datatype) -> str:
     if datatype.mismatch is not None:
         text += (f" mm({_bound(datatype.mismatch.s0)},"
                  f"{_bound(datatype.mismatch.s1)})")
-    if datatype.noise is not None:
-        text += f" ns({_bound(datatype.noise.sigma)}"
-        if datatype.noise.kind != "abs":
-            text += f",{datatype.noise.kind}"
-        text += ")"
     return text
 
 

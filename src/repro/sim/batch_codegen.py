@@ -156,7 +156,7 @@ class _BatchCodegen(E.CodegenContext):
     One row: states to ``y[i]``, plain Python calls and control flow."""
 
     def __init__(self, systems: list[OdeSystem],
-                 namespace: dict[str, object], rows: bool = True):
+                 namespace: dict[str, object], rows: bool):
         self._systems = systems
         self._namespace = namespace
         self.rows = rows
@@ -401,7 +401,7 @@ def surviving_diffusion(systems: list[OdeSystem]):
     simplification, paired with their optimized amplitude expressions.
 
     An amplitude that folds to the constant 0 for every instance (e.g.
-    a noise annotation with the shared sigma attribute set to 0) drops
+    a ``noise(s.nsig)`` term with the shared ``nsig`` set to 0) drops
     out of the emitted diffusion function entirely — zero-noise batches
     compile to plain deterministic systems."""
     lookup = _shared_lookup(systems)
@@ -662,7 +662,9 @@ class BatchRhs:
             # coefficients, residual scales) are built in float64 and
             # cast to the batch's dtype here; at float64 the cast is
             # the identity.
-            self._cast_arrays(namespace)
+            for slot, value in list(namespace.items()):
+                if isinstance(value, np.ndarray):
+                    namespace[slot] = np.asarray(value, dtype=self.dtype)
             exec(_compile_source(self.source,
                                  f"<ark-batch:{systems[0].graph.name}>"),
                  namespace)
@@ -683,12 +685,6 @@ class BatchRhs:
         #: Diffusion terms that survived shared-value folding (see
         #: :func:`surviving_diffusion`); column order of ``diffusion``.
         self.diffusion_terms = [term for term, _amp in survivors]
-        # Survivor amplitudes kept for the lazily compiled Milstein
-        # derivative kernel (most solves never ask for it).
-        self._survivor_amplitudes = [amp for _term, amp in survivors]
-        self._dif_prime_inner = None
-        self._dif_prime_done = False
-        self._milstein_trivial = True
         #: Distinct Wiener-process identities, first-appearance order.
         self.wiener_paths: list[tuple[str, str]] = []
         path_index: dict[tuple[str, str], int] = {}
@@ -704,11 +700,6 @@ class BatchRhs:
         self.term_state_index = np.array(
             [term.state_index for term in self.diffusion_terms],
             dtype=int)
-
-    def _cast_arrays(self, namespace: dict) -> None:
-        for slot, value in list(namespace.items()):
-            if isinstance(value, np.ndarray):
-                namespace[slot] = np.asarray(value, dtype=self.dtype)
 
     @property
     def n_instances(self) -> int:
@@ -735,87 +726,6 @@ class BatchRhs:
             out = np.empty((y.shape[0], len(self.diffusion_terms)),
                            dtype=self.dtype)
         return self._dif_inner(t, y, out)
-
-    def _ensure_dif_prime(self):
-        """Lazily differentiate and compile the diagonal diffusion
-        derivative ``∂b_k/∂y_{target(k)}`` (one column per surviving
-        term). A separate source/namespace from the main kernels, so
-        the bytes of every pre-existing emission stay untouched; only
-        the Milstein method pays the extra compile."""
-        if self._dif_prime_done:
-            return
-        self._dif_prime_done = True
-        lead = self.systems[0]
-        lookup = _shared_lookup(self.systems)
-        node_of_index = {index: name
-                         for (name, deriv), index in
-                         lead.state_index.items() if deriv == 0}
-        derivatives: list = []
-        for term, amplitude in zip(self.diffusion_terms,
-                                   self._survivor_amplitudes):
-            for name in E.referenced_vars(amplitude):
-                if (name, 0) not in lead.state_index:
-                    raise CompileError(
-                        f"milstein: diffusion amplitude {amplitude} "
-                        f"reads algebraic node {name}; its state "
-                        "dependence is not differentiable at compile "
-                        "time — use an em/heun SDE method")
-            target = node_of_index.get(term.state_index)
-            derivative = (E.differentiate(amplitude, target)
-                          if target is not None else E.Const(0.0))
-            optimized = optimize_terms((derivative,), Reduction.SUM,
-                                       lookup)
-            derivatives.append(optimized[0] if optimized else None)
-        if all(derivative is None for derivative in derivatives):
-            # Additive noise everywhere: the correction is identically
-            # zero and ``milstein`` degenerates to ``em`` exactly.
-            return
-        self._milstein_trivial = False
-        namespace: dict[str, object] = {"_np": np}
-        codegen = _BatchCodegen(self.systems, namespace)
-        lines = ["def _dif_prime(t, y, out):"]
-        for column, derivative in enumerate(derivatives):
-            body = ("0.0" if derivative is None
-                    else E.to_python(derivative, codegen))
-            lines.append(f"    out[:, {column}] = {body}")
-        lines.append("    return out")
-        source = "\n".join(lines)
-        telemetry.add("codegen.dif_prime_compiles")
-        self._cast_arrays(namespace)
-        exec(_compile_source(
-            source, f"<ark-batch-dprime:{lead.graph.name}>"), namespace)
-        self._dif_prime_inner = namespace["_dif_prime"]
-
-    @property
-    def milstein_trivial(self) -> bool:
-        """True when every surviving diffusion amplitude is
-        state-independent (additive noise): the Milstein correction is
-        identically zero and ``milstein`` reproduces ``em`` bit for
-        bit. Raises :class:`~repro.errors.CompileError` when an
-        amplitude is state-dependent in a non-differentiable way."""
-        self._ensure_dif_prime()
-        return self._milstein_trivial
-
-    def diffusion_derivative(self, t: float, y: np.ndarray,
-                             out: np.ndarray | None = None
-                             ) -> np.ndarray:
-        """Evaluate ``∂b_k/∂y_{target(k)}`` for every surviving
-        diffusion term: shape ``(n_instances, len(diffusion_terms))``.
-        Zero columns (additive terms) are emitted as constants; a batch
-        whose correction is identically zero (see
-        :attr:`milstein_trivial`) returns zeros without compiling a
-        kernel."""
-        if self._dif_inner is None:
-            raise SimulationError(
-                f"batch {self.systems[0].graph.name} has no diffusion "
-                "terms; there is nothing to differentiate")
-        self._ensure_dif_prime()
-        shape = (y.shape[0], len(self.diffusion_terms))
-        if self._dif_prime_inner is None:
-            return np.zeros(shape, dtype=self.dtype)
-        if out is None:
-            out = np.empty(shape, dtype=self.dtype)
-        return self._dif_prime_inner(t, y, out)
 
     @property
     def y0(self) -> np.ndarray:

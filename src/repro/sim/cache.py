@@ -67,8 +67,8 @@ from repro.sim.batch_codegen import canonical_spec
 #: dtype, e.g. ``numpy:float64``), so a float32 or jax solve can never
 #: replay a float64/numpy entry — and ``None``/``"numpy"``/
 #: ``"numpy:float64"`` spellings of the default all share one key.
-#: 4: the adaptive SDE methods (``heun-adaptive``/``em-adaptive``)
-#: land ``rtol``/``atol`` a *solver-accuracy* role on the noisy path
+#: 4: the adaptive SDE method ``heun-adaptive`` lends
+#: ``rtol``/``atol`` a *solver-accuracy* role on the noisy path
 #: (previously they only steered the freeze criterion there), and
 #: correlated-noise aliasing (``share_wiener``) rekeys diffusion
 #: stream identities — both change what an option set means, so older

@@ -46,13 +46,13 @@ option:
   pool splits the group's rows into ``processes`` contiguous near-equal
   shards (:func:`repro.sim.pool.even_parts`) on reused workers, and the
   shards come back through shared memory (:mod:`repro.sim.shm`).
-  Fixed-step methods (``rk4`` and the fixed-step SDE trio
-  ``em``/``heun``/``milstein``) are bit-identical to the in-process
-  solve because every instance's arithmetic is row-local and Wiener
-  streams are keyed by ``(noise seed, element, path)``, never by batch
-  layout. The adaptive methods (rkf45 and the adaptive SDE pair) run
-  per-shard step control; the one row split keeps their results
-  reproducible, and they are kept out of the cache.
+  Fixed-step methods (``rk4`` and ``heun``) are bit-identical to the
+  in-process solve because every instance's arithmetic is row-local
+  and Wiener streams are keyed by ``(noise seed, element, path)``,
+  never by batch layout. The adaptive methods (rkf45 and
+  ``heun-adaptive``) run per-shard step control; the one row split
+  keeps their results reproducible, and they are kept out of the
+  cache.
 
 The executor itself is a *streaming* generator: :func:`stream_plan`
 yields one chunk per structurally compatible group as it finishes —
@@ -66,7 +66,7 @@ bit-identical to the pre-streaming driver.
 Trajectory caching (:mod:`repro.sim.cache`) is applied uniformly in the
 executor — a noisy group is keyed and replayed exactly like a
 deterministic one, plus its per-row Wiener tokens, including pooled
-fixed-step SDE results (bit-identical, hence storable); pool-split
+``heun`` results (bit-identical, hence storable); pool-split
 *adaptive* solves remain uncachable because per-shard step control may
 differ from the whole-group run.
 """
@@ -94,8 +94,7 @@ from repro.sim.batch_codegen import (array_dtype, canonical_spec,
 from repro.sim.batch_solver import (BatchTrajectory, _output_grid,
                                     solve_batch)
 from repro.sim.cache import resolve_cache
-from repro.sim.sde_solver import (ADAPTIVE_SDE_METHODS, SDE_METHODS,
-                                  solve_sde)
+from repro.sim.sde_solver import SDE_METHODS, solve_sde
 
 #: Methods handled natively by the batched ODE solver.
 BATCH_METHODS = ("auto", "rkf45", "rk4")
@@ -200,8 +199,7 @@ class ExecutionPlan:
         means 0) — shift it to draw fresh realizations for the same
         chips. Requires ``trials``.
     :param sde_method: SDE solver of a noisy sweep — ``heun``
-        (default), ``em``, ``milstein``, or the adaptive pair
-        ``heun-adaptive``/``em-adaptive`` (see
+        (default) or its adaptive form ``heun-adaptive`` (see
         :mod:`repro.sim.sde_solver`).
     :param reference: on a noisy sweep, also integrate each chip once
         deterministically (batched rk4 on the same grid) as its
@@ -511,7 +509,7 @@ def _submit_pool(task: GroupTask):
         pool=worker_pool, block=block, grid=grid,
         systems=task.row_systems,
         storable=task.options["method"] not in ("rkf45",
-                                                *ADAPTIVE_SDE_METHODS),
+                                                "heun-adaptive"),
         masked=task.options.get("freeze_tol") is not None)
     offset = 0
     try:
@@ -622,7 +620,7 @@ def _stream(plan: ExecutionPlan, seeds: list, progress=None):
 def _solver_options(plan: ExecutionPlan, **solver) -> dict:
     """The keyword arguments of every batched solve of the plan, plus
     ``solver``'s. rtol/atol drive the ODE solvers, the embedded-pair
-    controller of the adaptive SDE methods and the freeze-mask
+    controller of ``heun-adaptive`` and the freeze-mask
     criterion everywhere, so the same freeze_tol masks identically on
     both halves of a mixed sweep. The precision travels as its
     canonical spelling, which the cache keys discriminate on."""

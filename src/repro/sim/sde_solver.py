@@ -7,23 +7,17 @@ hashed exactly like §4.3 mismatch streams — see :mod:`repro.core.noise`)
 and the batched solvers operating on the whole ``(n_instances,
 n_states)`` state matrix at once:
 
-* ``em``   — Euler–Maruyama: strong order 0.5, cheapest per step;
-* ``heun`` — stochastic Heun (drift-and-diffusion predictor/corrector):
-  deterministic order 2, so its zero-noise limit tracks the RK solvers
-  closely; converges to the Stratonovich solution for state-dependent
-  noise. This is the default — the shipped paradigm dynamics
-  (transmission lines, Kuramoto networks) have oscillatory Jacobians
-  that marginally destabilize plain Euler–Maruyama.
-* ``milstein`` — Euler–Maruyama plus the diagonal Milstein correction
-  ``0.5 * b * (∂b/∂y) * (ΔW² − h)``: strong order 1.0 in the Itô sense
-  for state-dependent (``rel``) diffusion, where plain EM degrades to
-  order 0.5. The amplitude derivative is differentiated symbolically
-  and batch-compiled (see
-  :meth:`~repro.sim.batch_codegen.BatchRhs.diffusion_derivative`);
-  additive-noise systems have a zero correction and reproduce ``em``
-  bit for bit.
-* ``heun-adaptive`` / ``em-adaptive`` — the same predictor/corrector
-  pair run as an *embedded pair*: the gap between the EM predictor and
+* ``heun`` — stochastic Heun (drift-and-diffusion predictor/corrector,
+  with Euler–Maruyama as the predictor): deterministic order 2, so its
+  zero-noise limit tracks the RK solvers closely. The shipped paradigm
+  dynamics (transmission lines, Kuramoto networks) have oscillatory
+  Jacobians that marginally destabilize plain Euler–Maruyama. Heun
+  converges to the Stratonovich solution; for additive noise, which
+  every shipped language declares (``noise(amp)`` with a
+  state-independent ``amp``), the Itô and Stratonovich solutions
+  coincide. This is the default.
+* ``heun-adaptive`` — the same predictor/corrector pair run as an
+  *embedded pair*: the gap between the Euler–Maruyama predictor and
   the Heun corrector estimates the local (drift-dominated) error, and
   a per-instance controller halves or doubles the step along the
   dyadic lattice of each output-grid interval, so stiff transients
@@ -33,18 +27,17 @@ n_states)`` state matrix at once:
   :class:`BridgeWienerSource`, so the realized path is invariant to
   the accept/reject sequence.
 
-All methods substep each output-grid interval and land exactly on the
-grid, and all return the same
+Both methods substep each output-grid interval and land exactly on the
+grid, and both return the same
 :class:`~repro.sim.batch_solver.BatchTrajectory` the deterministic batch
 solvers produce — ensemble statistics, percentile bands, and the spread
 helpers all work unchanged on noisy ensembles.
 
-Reproducibility contract: a *fixed-step* Wiener stream is fully
+Reproducibility contract: a ``heun`` Wiener stream is fully
 determined by ``(noise_seed, element, path)`` and the step sequence;
 with an unchanged output grid and ``max_step``, rerunning a trial
-replays the identical noise realization, and the pre-existing
-fixed-step methods stay bit-identical to their historical results. The
-*adaptive* methods strengthen the contract: increments come from
+replays the identical noise realization. ``heun-adaptive``
+strengthens the contract: increments come from
 Brownian-bridge refinement streams keyed by ``(seed, element, path,
 level, index)`` (see :func:`repro.core.noise.bridge_seed`), so the
 realized Wiener path depends only on the keys — never on which steps
@@ -75,17 +68,12 @@ from repro.sim.batch_solver import (BatchTrajectory, _as_batch,
                                     _error_norms, _solve_grids,
                                     freeze_converged)
 
-#: Fixed-step methods: the step sequence is fully determined by the
-#: grid and ``max_step``, so results are partition- and
-#: tolerance-independent (and bit-identical under sharding).
-FIXED_SDE_METHODS = ("heun", "em", "milstein")
-
-#: Adaptive methods: embedded-pair (EM-inside-Heun) error control over
-#: the dyadic step lattice; ``rtol``/``atol`` steer the controller.
-ADAPTIVE_SDE_METHODS = ("heun-adaptive", "em-adaptive")
-
-#: Methods handled by :func:`solve_sde`.
-SDE_METHODS = FIXED_SDE_METHODS + ADAPTIVE_SDE_METHODS
+#: Methods handled by :func:`solve_sde`: fixed-step ``heun``, whose
+#: step sequence is fully determined by the grid and ``max_step`` (so
+#: results are partition- and tolerance-independent, and bit-identical
+#: under sharding), and ``heun-adaptive``, whose embedded-pair error
+#: control over the dyadic step lattice ``rtol``/``atol`` steer.
+SDE_METHODS = ("heun", "heun-adaptive")
 
 
 class WienerSource:
@@ -349,9 +337,8 @@ class _ScatterAccumulator:
     array as scattering into fresh zeros, and the occurrence layers are
     computed once. Two buffers rotate because
     the Heun corrector needs the predictor's scatter alive while the
-    corrector's is formed (and Milstein needs the increment scatter
-    alive under the correction scatter); callers therefore must not
-    hold more than two results at once. ``allocs`` counts real
+    corrector's is formed; callers therefore must not hold more than
+    two results at once. ``allocs`` counts real
     allocations — the fixed-step sweep used to pay one per scatter
     call, now at most two per solve (reported as
     ``sde.scatter_allocs``).
@@ -406,18 +393,12 @@ def _noise_settle(batch: BatchRhs, scatter, y, t_next: float,
 
 
 def _sde_loop(batch: BatchRhs, work_grid: np.ndarray, plan, wiener,
-              method: str, noisy: bool, freeze_tol: float | None,
-              rtol: float, atol: float, scatter):
-    """The fixed-step Euler–Maruyama / Milstein / stochastic-Heun sweep
-    over one substep plan, with value-identical ``np.where`` row
-    pinning for the freeze masks."""
+              noisy: bool, freeze_tol: float | None, rtol: float,
+              atol: float, scatter):
+    """The fixed-step stochastic-Heun sweep over one substep plan, with
+    value-identical ``np.where`` row pinning for the freeze masks."""
     n_states = batch.n_states
     path_index = batch.term_path_index
-    heun = method == "heun"
-    # Additive noise has a zero derivative term: Milstein folds to EM
-    # exactly (bit-identical), so skip the correction kernel entirely.
-    milstein = noisy and method == "milstein" \
-        and not batch.milstein_trivial
     y = batch.y0
     out = np.empty((y.shape[0], n_states, len(work_grid)), dtype=y.dtype)
     out[:, :, 0] = y
@@ -443,26 +424,14 @@ def _sde_loop(batch: BatchRhs, work_grid: np.ndarray, plan, wiener,
             else:
                 g0 = 0.0
             f0 = batch(t, y)
-            nfev += 1
-            if heun:
-                y_pred = y + h * f0 + g0
-                f1 = batch(t + h, y_pred)
-                nfev += 1
-                if noisy:
-                    g1 = scatter(batch.diffusion(t + h, y_pred) * dw)
-                else:
-                    g1 = 0.0
-                y = y + 0.5 * h * (f0 + f1) + 0.5 * (g0 + g1)
-            elif milstein:
-                # Diagonal Itô correction 0.5·b·(∂b/∂y)·(ΔW²−h),
-                # scattered per term onto its target state.
-                corr = scatter(
-                    0.5 * batch.diffusion(t, y)
-                    * batch.diffusion_derivative(t, y)
-                    * (dw * dw - h))
-                y = y + h * f0 + g0 + corr
+            y_pred = y + h * f0 + g0
+            f1 = batch(t + h, y_pred)
+            nfev += 2
+            if noisy:
+                g1 = scatter(batch.diffusion(t + h, y_pred) * dw)
             else:
-                y = y + h * f0 + g0
+                g1 = 0.0
+            y = y + 0.5 * h * (f0 + f1) + 0.5 * (g0 + g1)
             if hold is not None:
                 # Pinned rows: frozen instances hold their value (all
                 # batch arithmetic is row-local, so their columns
@@ -489,8 +458,7 @@ def _sde_loop(batch: BatchRhs, work_grid: np.ndarray, plan, wiener,
 
 
 def _sde_adaptive_loop(batch: BatchRhs, work_grid: np.ndarray, wiener,
-                       heun: bool, noisy: bool,
-                       freeze_tol: float | None, rtol: float,
+                       noisy: bool, freeze_tol: float | None, rtol: float,
                        atol: float, max_step: float, scatter):
     """The embedded-pair adaptive sweep: EM predictor inside the
     stochastic-Heun corrector, their gap as the local error estimate.
@@ -573,7 +541,7 @@ def _sde_adaptive_loop(batch: BatchRhs, work_grid: np.ndarray, wiener,
                 offenders = ~frozen & ((norms > 1.0) | ~finite)
                 frozen = frozen | offenders
             accepted += 1
-            y_new = y_heun if heun else y_em
+            y_new = y_heun
             if bool(frozen.any()):
                 y_new = np.where(frozen[:, None], y, y_new)
             y = y_new
@@ -621,18 +589,17 @@ def solve_sde(batch: BatchRhs | list[OdeSystem],
     :param batch: a compiled :class:`BatchRhs` or a list of systems.
     :param noise_seeds: one noise-seed token per instance (defaults to
         ``0..n-1``). Instances with equal tokens see identical noise.
-    :param method: ``heun`` (default), ``em``, ``milstein``,
-        ``heun-adaptive``, or ``em-adaptive`` — see the module
-        docstring for the trade-offs.
+    :param method: ``heun`` (default) or ``heun-adaptive`` — see the
+        module docstring for the trade-offs.
     :param max_step: substep cap; defaults to 1/64 of the span like the
-        deterministic solvers. For the fixed-step methods accuracy is
-        step-limited, so dense output grids double as accuracy
-        control; for the adaptive methods this only bounds the
-        *coarsest* step the controller may take.
-    :param block: Wiener pre-draw block length of the fixed-step
-        sequential streams (memory/speed knob; the realization is
-        block-size independent). Ignored by the adaptive methods,
-        whose bridge streams are random-access.
+        deterministic solvers. For ``heun`` accuracy is step-limited, so
+        dense output grids double as accuracy control; for
+        ``heun-adaptive`` this only bounds the *coarsest* step the
+        controller may take.
+    :param block: Wiener pre-draw block length of ``heun``'s sequential
+        streams (memory/speed knob; the realization is block-size
+        independent). Ignored by ``heun-adaptive``, whose bridge
+        streams are random-access.
     :param freeze_tol: per-instance step masks. An instance freezes —
         its row is pinned at the current state — when both its drift
         extrapolated over the remaining span *and* its diffusion
@@ -647,10 +614,10 @@ def solve_sde(batch: BatchRhs | list[OdeSystem],
         decided per row from row-local data only, so masked runs stay
         bit-identical under sharding. ``None`` (default) disables
         masking — exact legacy behavior.
-    :param rtol:/:param atol: per-instance error control of the
-        adaptive methods (the embedded EM/Heun gap, scipy's scaling
+    :param rtol:/:param atol: per-instance error control of
+        ``heun-adaptive`` (the embedded EM/Heun gap, scipy's scaling
         convention), and the tolerance scale of the freeze criterion.
-        On the fixed-step methods only ``freeze_tol`` consumes them.
+        On ``heun`` only ``freeze_tol`` consumes them.
     :param array_backend: the precision the solve runs at (see
         :func:`~repro.sim.batch_solver.solve_batch`). Wiener draws are
         always made in float64 and cast, so the *realization* does not
@@ -679,21 +646,21 @@ def solve_sde(batch: BatchRhs | list[OdeSystem],
     scatter = _ScatterAccumulator(batch.term_state_index,
                                   batch.n_states, batch.n_instances,
                                   batch.dtype)
-    adaptive = method in ADAPTIVE_SDE_METHODS
+    adaptive = method == "heun-adaptive"
     if adaptive:
         wiener = BridgeWienerSource(
             noise_seeds, batch.wiener_paths if noisy else [], work_grid)
         out, frozen, nfev, n_acc, n_rej = _sde_adaptive_loop(
-            batch, work_grid, wiener, method == "heun-adaptive", noisy,
-            freeze_tol, rtol, atol, max_step, scatter)
+            batch, work_grid, wiener, noisy, freeze_tol, rtol, atol,
+            max_step, scatter)
     else:
         wiener = WienerSource(
             noise_seeds, batch.wiener_paths if noisy else [],
             block=block)
         plan, _total = _substep_plan(work_grid, max_step)
         out, frozen, nfev = _sde_loop(batch, work_grid, plan, wiener,
-                                      method, noisy, freeze_tol,
-                                      rtol, atol, scatter)
+                                      noisy, freeze_tol, rtol, atol,
+                                      scatter)
     if telemetry.enabled():
         telemetry.add("solver.sde_solves")
         telemetry.add("solver.nfev", nfev)
@@ -726,7 +693,7 @@ def simulate_sde(target: OdeSystem | DynamicalGraph,
     """One noisy transient of a single system — the serial counterpart
     of :func:`solve_sde` (and the baseline the batched path is
     benchmarked against). ``noise_seed`` selects the realization;
-    ``rtol``/``atol`` steer the adaptive methods."""
+    ``rtol``/``atol`` steer ``heun-adaptive``."""
     system = (compile_graph(target)
               if isinstance(target, DynamicalGraph) else target)
     batch = solve_sde(compile_batch([system]), t_span,

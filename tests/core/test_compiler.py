@@ -336,36 +336,6 @@ class TestStructureMemo:
         assert (hits, misses) == (0, 1)
         _assert_same_system(warm, cold)
 
-    def test_absolute_noise_on_zero_value_still_rejected_on_hit(self):
-        from repro.lang import parse_program
-
-        source = """
-        lang oun {
-            ntyp(1,sum) X {attr tau=real[0,10] ns(0.1)};
-            etyp R {};
-            prod(e:R, s:X->s:X) s <= -var(s)/s.tau;
-        }
-        """
-        language = parse_program(source).languages["oun"]
-
-        def build(tau):
-            builder = GraphBuilder(language, "abs-noise")
-            builder.node("x", "X").set_attr("x", "tau", tau)
-            builder.edge("x", "x", "r0", "R").set_init("x", 1.0)
-            return builder.finish()
-
-        _system, counts = _metered_compile(build(1.0))
-        assert counts == (0, 1)
-        report = RunReport()
-        with collect_metrics(into=report):
-            with pytest.raises(CompileError, match="zero-valued") as warm:
-                compile_graph(build(0.0))
-        assert report.counter("compile.template_hits") == 1
-        language._invalidate()
-        with pytest.raises(CompileError) as cold:
-            compile_graph(build(0.0))
-        assert str(warm.value) == str(cold.value)
-
     def test_structure_changes_miss(self):
         lang = build_leaky_language()
         lang.node_type("Y", inherits="X")

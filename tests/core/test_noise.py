@@ -1,17 +1,16 @@
-"""Tests for the transient-noise core: the ``Noise`` annotation, the
-``noise()`` expression term, the drift/diffusion split, and the
-deterministic Wiener streams."""
+"""Tests for the transient-noise core: the ``noise()`` expression term
+(the one way to declare transient noise), the drift/diffusion split,
+and the deterministic Wiener streams."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro.core.compiler import compile_graph
-from repro.core.datatypes import Noise
 from repro.core.noise import stream, stream_seed
-from repro.errors import CompileError, DatatypeError, InheritanceError
+from repro.errors import CompileError, ParseError
 from repro.lang import parse_program
-from repro.lang.unparse import unparse_datatype, unparse_language
+from repro.lang.unparse import unparse_language
 
 OU_SOURCE = """
 lang ou {
@@ -42,55 +41,29 @@ def _ou_graph(tau=1.0, nsig=0.5, name="ou"):
 
 
 class TestNoiseAnnotation:
-    def test_validation(self):
-        with pytest.raises(DatatypeError):
-            Noise(-0.1)
-        with pytest.raises(DatatypeError):
-            Noise(0.1, "pink")
-
-    def test_amplitude(self):
-        assert Noise(0.5).amplitude(3.0) == 0.5
-        assert Noise(0.1, "rel").amplitude(-4.0) == pytest.approx(0.4)
+    """The removed ``ns(sigma[,kind])`` datatype annotation fails
+    cleanly; an explicit ``noise(...)`` addend replaces it (see
+    ``TestDriftDiffusionSplit.test_annotation_diffusion``)."""
 
     def test_real_constructor_forms(self):
-        a = repro.real(0, 1, ns=0.2)
-        b = repro.real(0, 1, ns=(0.2, "abs"))
-        c = repro.real(0, 1, ns=Noise(0.2))
-        assert a == b == c
-        assert repro.real(0, 1, ns=(0.3, "rel")).noise.kind == "rel"
-
-    def test_str_roundtrip(self):
-        assert "ns(0.1,rel)" in str(repro.real(0, 1, ns=(0.1, "rel")))
-        assert unparse_datatype(repro.real(0, 1, ns=0.2)) == \
-            "real[0,1] ns(0.2)"
+        for build in (repro.real, repro.integer):
+            for ns in (0.2, (0.2, "abs"), (0.3, "rel")):
+                with pytest.raises(TypeError, match="ns"):
+                    build(0, 1, ns=ns)
 
     def test_parse_unparse_language(self):
-        lang = parse_program(ANNOT_SOURCE).languages["oun"]
+        with pytest.raises(ParseError, match="unexpected 'ns'") as info:
+            parse_program(ANNOT_SOURCE)
+        line = ANNOT_SOURCE.splitlines().index(next(
+            text for text in ANNOT_SOURCE.splitlines() if "ns(" in text))
+        column = ANNOT_SOURCE.splitlines()[line].index("ns(") + 1
+        assert (info.value.line, info.value.column) == (line + 1, column)
+        source = ANNOT_SOURCE.replace(" ns(0.1,rel)", "")
+        lang = parse_program(source).languages["oun"]
         decl = lang.find_node_type("X").attrs["tau"]
-        assert decl.datatype.noise == Noise(0.1, "rel")
-        text = unparse_language(lang)
-        reparsed = parse_program(text).languages["oun"]
+        reparsed = parse_program(unparse_language(lang)).languages["oun"]
         assert reparsed.find_node_type("X").attrs["tau"].datatype \
             == decl.datatype
-
-    def test_override_cannot_flip_kind(self):
-        lang = repro.Language("flip")
-        lang.node_type("X", order=1, reduction="sum",
-                       attrs=[("a", repro.real(0, 1, ns=(0.1, "rel")))])
-        with pytest.raises(InheritanceError):
-            lang.node_type("Y", order=1, reduction="sum",
-                           attrs=[("a", repro.real(0, 1, ns=0.1))],
-                           inherits="X")
-
-    def test_override_may_add_noise(self):
-        lang = repro.Language("add")
-        lang.node_type("X", order=1, reduction="sum",
-                       attrs=[("a", repro.real(0, 1))])
-        derived = lang.node_type(
-            "Y", order=1, reduction="sum",
-            attrs=[("a", repro.real(0, 1, ns=(0.1, "rel")))],
-            inherits="X")
-        assert derived.attrs["a"].datatype.noise is not None
 
 
 class TestDriftDiffusionSplit:
@@ -121,18 +94,26 @@ class TestDriftDiffusionSplit:
         assert system.has_noise
 
     def test_annotation_diffusion(self):
-        lang = parse_program(ANNOT_SOURCE).languages["oun"]
+        """An ``ns(0.1,rel)`` annotation on ``tau`` in ``T = -var(s)/
+        s.tau`` migrates to the addend ``noise(0.1*T)``: the same
+        diffusion amplitude ``T * 0.1``."""
+        source = ANNOT_SOURCE.replace(" ns(0.1,rel)", "").replace(
+            "s <= -var(s)/s.tau;",
+            "s <= -var(s)/s.tau + noise(0.1*(-var(s)/s.tau));")
+        lang = parse_program(source).languages["oun"]
         g = repro.GraphBuilder(lang, "oun1")
         g.node("x", "X").set_attr("x", "tau", 2.0)
         g.edge("x", "x", "r0", "R").set_init("x", 1.0)
         system = compile_graph(g.finish())
         assert system.has_noise
-        term = system.diffusion[0]
-        assert term.element == "x"
-        assert term.path == "a:tau"
+        term, = system.diffusion
+        assert (term.element, term.path) == ("r0", "w0")
         # b(y) = (-y/tau) * 0.1 -> at y=4, tau=2: -0.2
         assert system.diffusion_values(0.0, np.array([4.0]))[0] == \
             pytest.approx(-0.2)
+        # The drift keeps the decay: f(4) = -4/2.
+        assert system.rhs()(0.0, np.array([4.0]))[0] == \
+            pytest.approx(-2.0)
 
     def test_signature_distinguishes_noise(self):
         noisy = compile_graph(_ou_graph())
@@ -182,47 +163,6 @@ class TestDriftDiffusionSplit:
         g.edge("x", "x", "rs", "R")
         g.edge("x", "a", "ra", "R")
         with pytest.raises(CompileError):
-            compile_graph(g.finish())
-
-    def test_abs_annotation_on_zero_value_rejected(self):
-        src = ANNOT_SOURCE.replace("ns(0.1,rel)", "ns(0.1)").replace(
-            "real[1e-3,10]", "real[0,10]")
-        lang = parse_program(src).languages["oun"]
-        g = repro.GraphBuilder(lang, "zero")
-        g.node("x", "X").set_attr("x", "tau", 0.0)
-        g.edge("x", "x", "r0", "R").set_init("x", 1.0)
-        with pytest.raises(CompileError, match="zero-valued"):
-            compile_graph(g.finish())
-
-    def test_nonlinear_annotation_rejected(self):
-        # tau enters additively -> the first-order product
-        # linearization would be mis-scaled; must refuse, not guess.
-        src = ANNOT_SOURCE.replace("-var(s)/s.tau",
-                                   "-var(s)+s.tau")
-        lang = parse_program(src).languages["oun"]
-        g = repro.GraphBuilder(lang, "addtau")
-        g.node("x", "X").set_attr("x", "tau", 1.0)
-        g.edge("x", "x", "r0", "R").set_init("x", 1.0)
-        with pytest.raises(CompileError, match="multiplicative"):
-            compile_graph(g.finish())
-
-    def test_annotation_on_algebraic_rejected(self):
-        src = """
-        lang alg {
-            ntyp(1,sum) X {};
-            ntyp(0,sum) A {attr gain=real[0,10] ns(0.1,rel)};
-            etyp R {};
-            prod(e:R, s:X->t:A) t <= t.gain*var(s);
-            prod(e:R, s:X->s:X) s <= -var(s);
-        }
-        """
-        lang = parse_program(src).languages["alg"]
-        g = repro.GraphBuilder(lang, "alg2")
-        g.node("x", "X").set_init("x", 1.0)
-        g.node("a", "A").set_attr("a", "gain", 2.0)
-        g.edge("x", "x", "rs", "R")
-        g.edge("x", "a", "ra", "R")
-        with pytest.raises(CompileError, match="order-0"):
             compile_graph(g.finish())
 
     def test_noise_arity_checked(self):

@@ -95,7 +95,7 @@ GOLDEN = {
         "0e73c221c978faa358976f58b1a8520c7e61db25c1897737a2cc1112a1812933",
         "7318aedf13cc457ffe5d1fe7133a8ebb0e4764243c13d44f0a51d288df480c54"),
     "noisy_decay.ark:leaky-noise": (
-        "a0827e26d0f471d1327a873a3d0447981ab7871c6219ab67de87ec1270cdd53b",
+        "84a9b81c34507e60d2ea64ee73b61b3af00d1be1e2c7050799977d85a62ce164",
         "0a4710f38d0817ac65081d7a305f6ea1d66568cc093abf8772f635a0b5af7538"),
     "ns-obc": (
         "2c6c9e0aabb13a6a4d554133921e7988ee7bb9b235612fd648d39f1f9614f0e5",
@@ -123,19 +123,19 @@ GOLDEN = {
 FUNCTION_GOLDEN = {
     "br_func.ark:br-func": (
         "545ee3b419c928bda16fe8bd9e0830b7c53f72b469e5fa11f0224fcc7d8c93f5",
-        "1b2279ad486fdb32994f7d9dc01c2df7bd2326f6203e3c231b63f834de8607c1"),
+        "b2264def4733616719156c3e3611cd06fecc979c7fe6bc01cc79e4e41c859ea9"),
     "maxcut.ark:maxcut": (
         "d3912e92fd3bc1625cbe3289b34c93c50a03481270394476f6cc44c6967130db",
-        "e5bbbf1cfc8f190646beed10a8d58314ab6476f0ecefbf4f355860763f2b4109"),
+        "98b52f2656069f0ae2403a33d681b304f962ebfd1355ae743fb300d8183f1080"),
     "noisy_decay.ark:noisy-cell": (
         "de79a58443e04bd6ffc3e84eb12195a5dbb5519c913c967a0b49173762b5b399",
-        "623172a6ba5071b414cc1a8d407a3ce30cde50f68abb698db57e46972c29c114"),
+        "35d188d746935ac49f34e4de930d60e61a259ddde54358b622e31139374b2afd"),
     "two_pole.ark:two-pole": (
         "5f708a82e82185e5d8b0e81e1a5d5db8386df379f5e2cfde2d0f50cff1c7c93b",
-        "3f119762d9c1675352d198e4132b270e36ecf3ea617e7e09068500385d46d375"),
+        "7fc30cec043d61941a0867266aaaaa5d59c5f2b3343caef66f18cc1f2491b0df"),
     "van_der_pol.ark:van-der-pol": (
         "56ac0e62b9835bdb72aa3fd6213c3ab8883d6bcdbea93f311fceb8348b9014ac",
-        "c0913efa951ff8846b48c395754502d42e45653591e39aa7c1534396cc11b4d0"),
+        "a7ac5fbfc94842b76fa904c8a509379a17dfb18210c3356e3c16626634ad6e69"),
 }
 
 

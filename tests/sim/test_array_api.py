@@ -130,7 +130,7 @@ class TestNumpyBitIdentity:
                                n_points=120, array_backend="numpy")
         np.testing.assert_array_equal(default.y, explicit.y)
 
-    @pytest.mark.parametrize("method", ["em", "heun"])
+    @pytest.mark.parametrize("method", ["heun", "heun-adaptive"])
     def test_sde_explicit_spec_identical(self, method):
         systems = [_ou_system(name=f"ou{k}") for k in range(3)]
         seeds = ["a", "b", "c"]

@@ -163,12 +163,15 @@ class TestAdaptiveSdeFlags:
 
     def test_unknown_sde_method_exits_2(self, noisy_file, tmp_path,
                                         capsys):
-        code, _ = self._run(noisy_file, tmp_path, "bad",
-                            "--sde-method", "euler")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "heun-adaptive" in err  # names the alternatives
+        # A removed method ("milstein") fails like an unknown one.
+        for method in ("euler", "milstein"):
+            code, _ = self._run(noisy_file, tmp_path, "bad",
+                                "--sde-method", method)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "heun-adaptive" in err  # names the alternatives
+            assert "Traceback" not in err
 
     def test_adaptive_method_with_tolerances(self, noisy_file,
                                              tmp_path, capsys):

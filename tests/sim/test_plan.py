@@ -103,6 +103,13 @@ class TestValidation:
         with pytest.raises(SimulationError, match="SDE method"):
             run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
                          trials=2, sde_method="euler")
+        # The removed methods name the two that remain.
+        for method in ("em", "milstein", "em-adaptive"):
+            with pytest.raises(SimulationError,
+                               match=f"'{method}'; expected one of "
+                               "heun, heun-adaptive$"):
+                run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
+                             trials=2, sde_method=method)
 
     def test_bad_freeze_tol(self):
         with pytest.raises(SimulationError, match="freeze_tol"):
@@ -147,9 +154,10 @@ class TestValidation:
         plan = ExecutionPlan(factory=None, seeds=[0], t_span=(0.0, 1.0))
         assert plan.noise is None
         plan = ExecutionPlan(factory=None, seeds=[0], t_span=(0.0, 1.0),
-                             trials=3, noise_seed=4, sde_method="em",
+                             trials=3, noise_seed=4,
+                             sde_method="heun-adaptive",
                              reference=False)
-        assert plan.noise == NoiseSpec(trials=3, method="em",
+        assert plan.noise == NoiseSpec(trials=3, method="heun-adaptive",
                                        noise_seed=4, reference=False)
 
     @pytest.mark.parametrize("method", ["rk45", "RKF45", "euler"])

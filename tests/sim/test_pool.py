@@ -10,7 +10,6 @@ Most sweeps here are small, so the ``small_pool_groups`` fixture lowers
 the 64-row pool threshold for them."""
 
 import errno
-import glob
 import os
 import pickle
 import subprocess
@@ -92,9 +91,33 @@ class PoisonFactory:
 SPAN = (0.0, 4e-8)
 
 
+#: Names of the shared-memory segments this process created during the
+#: current test (filled by the ``_record_shm_segments`` spy).
+_CREATED: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def _record_shm_segments(monkeypatch):
+    """Spy on :meth:`ShmBlock.create` so the leak check covers exactly
+    this process's segments: another process's pool may own
+    ``arkshm_`` segments under ``/dev/shm`` at the same time."""
+    create = ShmBlock.create.__func__
+
+    def spy(cls, *args, **kwargs):
+        block = create(cls, *args, **kwargs)
+        _CREATED.append(block.header[0])
+        return block
+
+    _CREATED.clear()
+    monkeypatch.setattr(ShmBlock, "create", classmethod(spy))
+    yield
+    _CREATED.clear()
+
+
 def _assert_no_leaks():
     assert shm.active_blocks() == []
-    assert glob.glob("/dev/shm/arkshm_*") == []
+    assert [name for name in _CREATED
+            if os.path.exists(os.path.join("/dev/shm", name))] == []
 
 
 def _even_slice_reference(systems, solve, processes=2):

@@ -25,15 +25,6 @@ lang ou {
 }
 """
 
-GBM_SOURCE = """
-lang gbm {
-    ntyp(1,sum) X {attr mu=real[-10,10], attr nsig=real[0,inf]};
-    etyp R {};
-    prod(e:R, s:X->s:X) s <= s.mu*var(s) + noise(s.nsig*var(s));
-    cstr X {acc[match(1,1,R,X)]};
-}
-"""
-
 PAIR_SOURCE = """
 lang oupair {
     ntyp(1,sum) X {attr tau=real[1e-3,10], attr nsig=real[0,inf]};
@@ -48,15 +39,6 @@ def _ou_system(tau=1.0, nsig=0.5, name="ou", x0=1.0):
     lang = parse_program(OU_SOURCE).languages["ou"]
     g = repro.GraphBuilder(lang, name)
     g.node("x", "X").set_attr("x", "tau", tau)
-    g.set_attr("x", "nsig", nsig)
-    g.edge("x", "x", "r0", "R").set_init("x", x0)
-    return compile_graph(g.finish())
-
-
-def _gbm_system(mu=-1.0, nsig=0.3, name="gbm", x0=1.0):
-    lang = parse_program(GBM_SOURCE).languages["gbm"]
-    g = repro.GraphBuilder(lang, name)
-    g.node("x", "X").set_attr("x", "mu", mu)
     g.set_attr("x", "nsig", nsig)
     g.edge("x", "x", "r0", "R").set_init("x", x0)
     return compile_graph(g.finish())
@@ -180,7 +162,7 @@ class TestAdaptiveController:
     def test_rerun_bitwise_identical(self):
         batch = compile_batch([_ou_system(nsig=0.4)])
         kwargs = dict(noise_seeds=[3], n_points=33,
-                      method="em-adaptive", rtol=1e-4, atol=1e-7)
+                      method="heun-adaptive", rtol=1e-4, atol=1e-7)
         first = solve_sde(batch, (0.0, 1.0), **kwargs)
         second = solve_sde(batch, (0.0, 1.0), **kwargs)
         assert np.array_equal(first.y, second.y)
@@ -195,17 +177,16 @@ class TestAdaptiveController:
         assert report.counter("sde.scatter_allocs") == 2
 
     def test_fixed_step_ignores_tolerances(self):
-        """The fixed-step contract: rtol/atol must not perturb heun/em
+        """The fixed-step contract: rtol/atol must not perturb heun
         results (they only feed the freeze criterion)."""
         batch = compile_batch([_ou_system(nsig=0.4)])
-        for method in ("heun", "em"):
-            loose = solve_sde(batch, (0.0, 1.0), noise_seeds=[0],
-                              n_points=33, method=method,
-                              rtol=1e-2, atol=1e-3)
-            tight = solve_sde(batch, (0.0, 1.0), noise_seeds=[0],
-                              n_points=33, method=method,
-                              rtol=1e-10, atol=1e-12)
-            assert np.array_equal(loose.y, tight.y)
+        loose = solve_sde(batch, (0.0, 1.0), noise_seeds=[0],
+                          n_points=33, method="heun",
+                          rtol=1e-2, atol=1e-3)
+        tight = solve_sde(batch, (0.0, 1.0), noise_seeds=[0],
+                          n_points=33, method="heun",
+                          rtol=1e-10, atol=1e-12)
+        assert np.array_equal(loose.y, tight.y)
 
     def test_max_step_bounds_coarsest_level(self):
         """With a max_step below the grid spacing, even a loose-
@@ -216,65 +197,6 @@ class TestAdaptiveController:
         capped = _uniform_bridge(batch, (0.0, 1.0), [0], 3, points)
         free = _uniform_bridge(batch, (0.0, 1.0), [0], 0, points)
         assert capped.nfev >= free.nfev * 8
-
-
-class TestMilstein:
-    def test_additive_noise_equals_em_bitwise(self):
-        """Constant diffusion: every derivative folds to zero, so the
-        correction kernel is skipped and milstein IS em."""
-        batch = compile_batch([_ou_system(nsig=0.5)])
-        assert batch.milstein_trivial
-        kwargs = dict(noise_seeds=[0], n_points=65)
-        em = solve_sde(batch, (0.0, 1.0), method="em", **kwargs)
-        mil = solve_sde(batch, (0.0, 1.0), method="milstein", **kwargs)
-        assert np.array_equal(em.y, mil.y)
-
-    def test_multiplicative_derivative_emitted(self):
-        """GBM amplitude nsig*x differentiates to the constant nsig."""
-        batch = compile_batch([_gbm_system(nsig=0.3)])
-        assert not batch.milstein_trivial
-        y = np.array([[2.0]])
-        deriv = batch.diffusion_derivative(0.0, y)
-        np.testing.assert_allclose(np.asarray(deriv), 0.3)
-
-    def test_milstein_beats_em_on_gbm(self):
-        """Strong order: against the exact GBM solution driven by the
-        *same* realized increments, Milstein's pathwise error must be
-        well below Euler-Maruyama's at the same step."""
-        from repro.sim.sde_solver import WienerSource
-
-        mu, nsig, x0 = -1.0, 0.4, 1.0
-        batch = compile_batch([_gbm_system(mu=mu, nsig=nsig, x0=x0)])
-        n_points = 65
-        t_end = 1.0
-        h = t_end / (n_points - 1)
-        kwargs = dict(noise_seeds=[0], n_points=n_points,
-                      max_step=h * 1.0001)
-        em = solve_sde(batch, (0.0, t_end), method="em", **kwargs)
-        mil = solve_sde(batch, (0.0, t_end), method="milstein",
-                        **kwargs)
-        # Replay the solver's Wiener draws (one substep per interval)
-        # and evaluate the closed form on the realized path.
-        source = WienerSource([0], batch.wiener_paths)
-        w = np.concatenate(([0.0], np.cumsum(
-            [np.sqrt(h) * source.normals(k)[0, 0]
-             for k in range(n_points - 1)])))
-        t = np.linspace(0.0, t_end, n_points)
-        exact = x0 * np.exp((mu - 0.5 * nsig ** 2) * t + nsig * w)
-        em_err = float(np.max(np.abs(em.y[0, 0] - exact)))
-        mil_err = float(np.max(np.abs(mil.y[0, 0] - exact)))
-        assert mil_err < 0.5 * em_err
-
-    def test_unknown_call_derivative_refused(self):
-        """Amplitudes the symbolic differentiator cannot handle must
-        point at the em/heun fallback instead of mis-correcting."""
-        from repro.core import expr as E
-        from repro.errors import CompileError
-
-        node = object()
-        unknown = E.Call("floor", (E.VarOf(node),))
-        with pytest.raises(CompileError, match="em/heun"):
-            E.differentiate(unknown, node)
 
 
 class TestFreezeNoiseInterplay:
@@ -510,7 +432,7 @@ class TestAdaptiveEnsemble:
         equals in-process solves over the even slices."""
         factory = _AdaptiveOuFactory()
         kwargs = dict(n_points=17, trials=2,
-                      sde_method="em-adaptive",
+                      sde_method="heun-adaptive",
                       rtol=1e-4, atol=1e-7, reference=False,
                       processes=2)
         first = run_ensemble(factory, [0, 1], (0.0, 1.0), **kwargs)
@@ -520,7 +442,7 @@ class TestAdaptiveEnsemble:
         tokens = ["0:0", "0:1", "1:0", "1:1"]
         slices = [solve_sde([factory(0)] * len(part), (0.0, 1.0),
                             noise_seeds=[tokens[r] for r in part],
-                            n_points=17, method="em-adaptive",
+                            n_points=17, method="heun-adaptive",
                             rtol=1e-4, atol=1e-7).y
                   for part in even_parts(len(tokens), 2)]
         assert np.array_equal(np.concatenate(slices),

@@ -62,8 +62,7 @@ class TestZeroDiffusionEquivalence:
     plain fixed-step ODE solvers and must track RK4 within solver
     tolerance — on the OU cell and on real paradigm workloads."""
 
-    @pytest.mark.parametrize("method,atol", [("em", 2e-2),
-                                             ("heun", 2e-4)])
+    @pytest.mark.parametrize("method,atol", [("heun", 2e-4)])
     def test_ou_matches_rk4(self, method, atol):
         system = _ou_system(nsig=0.0)
         batch = compile_batch([system])
@@ -172,6 +171,13 @@ class TestSolverValidation:
         with pytest.raises(SimulationError, match="rk99.*expected one"):
             solve_sde(compile_batch([_ou_system()]), (0.0, 1.0),
                       method="rk99")
+        # The removed methods name the two that remain.
+        for method in ("em", "milstein", "em-adaptive"):
+            with pytest.raises(SimulationError,
+                               match=f"'{method}'; expected one of "
+                               "heun, heun-adaptive$"):
+                solve_sde(compile_batch([_ou_system()]), (0.0, 1.0),
+                          method=method)
 
     def test_unknown_method_rejected_before_compile(self):
         # Validation must fire even on an uncompiled system list (no

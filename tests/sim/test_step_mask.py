@@ -119,13 +119,13 @@ class TestMaskedSavings:
 
 class TestDivergenceContainment:
     def test_sde_diverged_instance_freezes_instead_of_failing(self):
-        # tau=1e-6 under the default substep makes plain EM violently
-        # unstable; without masks the whole batch dies.
+        # tau=1e-6 under the default substep makes the explicit heun
+        # step violently unstable; without masks the whole batch dies.
         systems = [_ou_system(tau=1e-6, name="boom"),
                    _ou_system(tau=0.5, name="ok")]
         batch = compile_batch(systems)
         kwargs = dict(noise_seeds=["a", "b"], n_points=50,
-                      method="em")
+                      method="heun")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(SimulationError, match="non-finite"):
@@ -136,7 +136,7 @@ class TestDivergenceContainment:
         # The healthy sibling is untouched: bit-identical to its own
         # solo integration.
         solo = solve_sde(compile_batch([systems[1]]), (0.0, 4.0),
-                         noise_seeds=["b"], n_points=50, method="em")
+                         noise_seeds=["b"], n_points=50, method="heun")
         np.testing.assert_array_equal(masked.y[1], solo.y[0])
 
     def test_rkf45_out_of_tolerance_instance_freezes_at_floor(self):

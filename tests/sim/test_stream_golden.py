@@ -31,15 +31,8 @@ READOUT_DIGEST = \
 TRAJECTORY_DIGESTS = {
     "heun":
         "a47bab39f273f32e3647568dbd42955cc8536469b74201154182675b1910b8ec",
-    "em":
-        "3f44fdc2c14f51f608d98d88618545b17cc3d1105896399cd83296da7a8f49c3",
-    # Additive noise: Milstein's correction vanishes, so it is em.
-    "milstein":
-        "3f44fdc2c14f51f608d98d88618545b17cc3d1105896399cd83296da7a8f49c3",
     "heun-adaptive":
         "cc3a1c0b3c38c7f0290fe7d183a0179b528bb5a8d2eb9ad51062647b858c3168",
-    "em-adaptive":
-        "c84d4e8503d0716c25fdfb49ddf6abb50a3dfbe957e3b092621de849f6755f81",
 }
 
 
