@@ -416,7 +416,8 @@ def surviving_diffusion(systems: list[OdeSystem]):
 
 def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
                      codegen: "_BatchCodegen",
-                     line_terms: list) -> list[str] | None:
+                     line_terms: list,
+                     n_rows: int | None = None) -> list[str] | None:
     """Body of the fused ``_rhs``: every affine contribution of every
     SUM-reduction (and chain) line stacked into one per-instance
     coefficient tensor driven by a single batched matmul, with only the
@@ -430,7 +431,7 @@ def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
     """
     lead = systems[0]
     n, s = len(systems), len(lead.rhs_specs)
-    if n * s * s > FUSE_DENSE_LIMIT:
+    if (n_rows or n) * s * s > FUSE_DENSE_LIMIT:
         return None
     matrix = np.zeros((n, s, s))
     constant = np.zeros((n, s))
@@ -525,7 +526,8 @@ def _compile_source(source: str, filename: str):
 
 def generate_batch_source(systems: list[OdeSystem] | OdeSystem,
                           namespace: dict[str, object],
-                          survivors=None, fuse: bool = True) -> str:
+                          survivors=None, fuse: bool = True,
+                          n_rows: int | None = None) -> str:
     """Emit the source of the batched RHS (``_rhs``), the batched
     algebraic-readout function (``_alg``), and — for stochastic systems
     — the batched diffusion-amplitude function (``_dif``) for a
@@ -570,7 +572,7 @@ def generate_batch_source(systems: list[OdeSystem] | OdeSystem,
                   else optimize_terms(spec.terms, spec.reduction, lookup)
                   for spec in lead.rhs_specs]
     fused_lines = _fused_rhs_lines(systems, namespace, codegen,
-                                   line_terms) if fuse else None
+                                   line_terms, n_rows) if fuse else None
     lines = ["def _rhs(t, y, dy):"]
     lines.extend(algebraic_lines)
     if fused_lines is not None:
@@ -641,8 +643,18 @@ class BatchRhs:
                  array_backend=None):
         if not systems:
             raise SimulationError("cannot batch an empty system list")
-        signature = systems[0].structural_signature()
-        for system in systems[1:]:
+        # Values are resolved once per distinct system object: a noisy
+        # sweep repeats each chip for every trial row.
+        position: dict[int, int] = {}
+        distinct: list[OdeSystem] = []
+        rows = []
+        for system in systems:
+            index = position.setdefault(id(system), len(distinct))
+            if index == len(distinct):
+                distinct.append(system)
+            rows.append(index)
+        signature = distinct[0].structural_signature()
+        for system in distinct[1:]:
             if system.structural_signature() != signature:
                 raise SimulationError(
                     f"systems {systems[0].graph.name} and "
@@ -653,18 +665,27 @@ class BatchRhs:
         #: The precision the solvers integrate this batch at (see
         #: :func:`array_dtype`).
         self.dtype = array_dtype(array_backend)
+        expand = None if len(distinct) == len(systems) else np.array(rows)
         namespace: dict[str, object] = {"_np": np}
         with telemetry.span("codegen.emit"):
-            survivors = surviving_diffusion(self.systems)
+            survivors = surviving_diffusion(distinct)
             self.source = generate_batch_source(
-                self.systems, namespace, survivors=survivors, fuse=fuse)
+                distinct, namespace, survivors=survivors, fuse=fuse,
+                n_rows=len(systems))
             # Constant tensors (per-instance attributes, fused
-            # coefficients, residual scales) are built in float64 and
+            # coefficients, residual scales) are built in float64 over
+            # the distinct systems, expanded to one entry per row and
             # cast to the batch's dtype here; at float64 the cast is
             # the identity.
             for slot, value in list(namespace.items()):
                 if isinstance(value, np.ndarray):
+                    if expand is not None:
+                        value = value[expand]
                     namespace[slot] = np.asarray(value, dtype=self.dtype)
+                elif isinstance(value, _PerInstanceFn) \
+                        and expand is not None:
+                    namespace[slot] = _PerInstanceFn(
+                        value._fns[row] for row in rows)
             exec(_compile_source(self.source,
                                  f"<ark-batch:{systems[0].graph.name}>"),
                  namespace)

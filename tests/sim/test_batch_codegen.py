@@ -1,5 +1,7 @@
 """Unit tests for the batched RHS code generator."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,78 @@ class TestCallableAttributeSlots:
         assert "_attr_1" not in batch.source
         np.testing.assert_allclose(batch(0.0, np.zeros((1, 1)))[:, 0],
                                    [6.0])
+
+
+class TestRepeatedSystems:
+    """A batch that repeats one system object, as a noisy sweep repeats
+    each chip for every trial row, resolves its values once per distinct
+    object. It must compile what the same rows as distinct copies
+    compile: the same source and byte-identical namespace arrays."""
+
+    @staticmethod
+    def _sourced_systems():
+        lang = repro.Language("repeat-src")
+        lang.node_type("X", order=1,
+                       attrs=[("tau", repro.real(0.5, 2.0, mm=(0.0, 0.1))),
+                              ("f", repro.lambd(1))])
+        lang.edge_type("S")
+        lang.prod("prod(e:S,s:X->s:X) s <= -var(s)/s.tau + s.f(time)")
+        lang.prod("prod(e:S,s:X->t:X) t <= var(s)")
+        systems = []
+        for seed in range(3):
+            builder = repro.GraphBuilder(lang, "repeat", seed=seed)
+            for k in range(3):
+                builder.node(f"x{k}", "X").set_attr(f"x{k}", "tau", 1.0)
+                builder.set_attr(f"x{k}", "f",
+                                 lambda t, k=k, seed=seed: k + seed * t)
+                builder.edge(f"x{k}", f"x{k}", f"s{k}", "S")
+                builder.set_init(f"x{k}", 0.1 * k)
+            builder.edge("x0", "x1", "c0", "S")
+            builder.edge("x1", "x2", "c1", "S")
+            systems.append(compile_graph(builder.finish()))
+        return systems
+
+    @staticmethod
+    def _noisy_chips():
+        from repro.paradigms.tln import TLineSpec
+        from repro.puf import PufDesign
+        from repro.puf.response import ChipFactory
+        design = PufDesign(spec=TLineSpec(n_segments=4), noise=1e-8,
+                           branch_positions=(2,), branch_lengths=(3,))
+        factory = ChipFactory(design, 1)
+        return [compile_graph(factory(seed)) for seed in range(3)]
+
+    @pytest.mark.parametrize("build", ["_sourced_systems", "_noisy_chips"])
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("dtype", ["numpy:float64", "numpy:float32"])
+    def test_repeats_compile_like_distinct_copies(self, build, fuse,
+                                                  dtype):
+        systems = getattr(self, build)()
+        rows = [0, 0, 0, 1, 2, 2, 1, 0]
+        repeated = compile_batch([systems[row] for row in rows],
+                                 fuse=fuse, array_backend=dtype)
+        copies = compile_batch([copy.copy(systems[row]) for row in rows],
+                               fuse=fuse, array_backend=dtype)
+        assert repeated.source == copies.source
+        left = repeated._rhs_inner.__globals__
+        right = copies._rhs_inner.__globals__
+        assert left.keys() == right.keys()
+        checked = 0
+        for name, value in left.items():
+            other = right[name]
+            if isinstance(value, np.ndarray):
+                assert value.dtype == other.dtype
+                assert value.shape == other.shape
+                assert value.tobytes() == other.tobytes()
+                checked += 1
+            elif isinstance(value, _PerInstanceFn):
+                assert value._fns == other._fns
+                checked += 1
+        assert checked
+        y = np.random.default_rng(1).normal(
+            size=(len(rows), repeated.n_states)).astype(repeated.dtype)
+        np.testing.assert_array_equal(repeated(0.3, y.copy()),
+                                      copies(0.3, y.copy()))
 
 
 class TestVectorWrappers:
