@@ -18,6 +18,7 @@ trajectory is re-read with a wider ``d``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,9 +237,13 @@ def maxcut_experiment(graphs: list[list[tuple[int, int]]],
     return sweeps
 
 
-#: Fixed-step cap for the explicit SDE solvers on Kuramoto dynamics:
-#: the Jacobian reaches ~5e9 rad/s (C1*k*cos + 2*C2*cos), so explicit
-#: steps must stay below ~2/5e9.
+#: Fixed-step cap of the explicit SDE solvers on Kuramoto dynamics of
+#: maximum vertex degree 2 (cycles and paths). A vertex of degree k
+#: puts ~C1*k + 2*C2 rad/s on the Jacobian diagonal (5.2e9 at k = 2)
+#: and its coupling rows grow with k too, so :func:`maxcut_noise_sweep`
+#: scales the cap by ``2 / max(2, k)``. At 2.5e-10 s heun on a
+#: 5-vertex graph of degree 3 settles on non-binary phases that rk4
+#: does not.
 NOISE_MAX_STEP = 2.5e-10
 
 
@@ -273,7 +278,7 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
                        d: float = 0.1 * math.pi,
                        t_end: float = DEFAULT_T_END,
                        n_points: int = 60,
-                       max_step: float = NOISE_MAX_STEP,
+                       max_step: float | None = None,
                        method: str = "heun",
                        seed: int = 0,
                        freeze_tol: float | None = None,
@@ -287,6 +292,9 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
     synchronizes when every phase bins within ``d`` of {0, pi} and is
     solved when its cut is maximal.
 
+    :param max_step: the solvers' step cap; by default
+        :data:`NOISE_MAX_STEP` scaled by ``2 / max(2, k)`` for the
+        graph's maximum vertex degree ``k``.
     :param freeze_tol: per-instance step masks — settled trials freeze
         instead of stepping to the horizon (see
         :func:`repro.sim.solve_sde`); an approximation knob, off by
@@ -302,6 +310,9 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
     from repro.paradigms.obc.noisy import MaxcutTrialFactory
     from repro.sim.plan import solve_rows
 
+    if max_step is None:
+        degree = Counter(vertex for edge in edges for vertex in edge)
+        max_step = NOISE_MAX_STEP * 2 / max([2, *degree.values()])
     rng = np.random.default_rng(seed)
     initials = rng.uniform(0.0, 2.0 * math.pi, (trials, n_vertices))
     optimal = brute_force_maxcut(edges, n_vertices)

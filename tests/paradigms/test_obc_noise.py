@@ -59,6 +59,15 @@ class TestNoiseSweep:
         assert a[0].synchronized == b[0].synchronized
         assert a[0].cut_ratios == b[0].cut_ratios
 
+    def test_default_cap_follows_vertex_degree(self):
+        # On this graph of maximum degree 3, heun at the degree-2 cap
+        # settles on non-binary phases (solved rate 0 from sigma=1e-9
+        # up); the degree-scaled default cap solves what rk4 solves.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)]
+        noise_free, noisy = maxcut_noise_sweep(edges, 5, [0.0, 1e-9],
+                                               trials=16, seed=0)
+        assert noisy.solved_probability == noise_free.solved_probability
+
     def test_max_step_guards_stability(self):
         # The Kuramoto Jacobian (~5e9 rad/s) demands sub-4e-10 steps;
         # the sweep's default cap must respect that.
