@@ -10,8 +10,8 @@ order, resolved attribute values, and the function registry.
 * ``codegen`` (the default) — the one-row kernel of the repository's
   single emitter, :mod:`repro.sim.batch_codegen`: states as ``y[i]``
   reads, attributes inlined as constants, the affine part fused into one
-  matmul where that eliminates at least two lines. Compiled once per
-  system;
+  sparse product where that eliminates at least two lines. Compiled once
+  per system;
 * ``interpreter`` — walks the unsimplified expression trees. Simple and
   easy to audit, it is the independent oracle the property tests check
   every compiled kernel against; :meth:`OdeSystem.algebraic_values` and

@@ -36,10 +36,15 @@ call on a 4-oscillator OBC network or a 12x12 CNN): ``var(x)`` ->
 values with itself); registered functions and callable attributes are
 called directly, with no ufunc swap or elementwise wrapper;
 ``if/and/or/not`` keep their Python forms. Both layouts fuse the affine
-part of the system into one matmul under the same rule (at least two
-lines eliminated) — rows drive an ``(n_instances, n_states, n_states)``
-tensor, one row emits ``dy[:] = _lin_A @ y`` with an ``(n_states,
-n_states)`` matrix — and keep per-line code otherwise.
+part of the system into one sparse product under the same rule (at
+least two lines eliminated): each line's affine entries, in ascending
+state order, fill per-slot value arrays, and the kernel sums one
+elementwise gather per slot — ``_acc = _lin_val0 * y.take(_lin_col0)``,
+then ``+=`` for each further slot (the rows layout gathers from the
+transposed state, see :func:`_fused_rhs_lines`). Memory is linear in
+the number of instances and entries, no kernel calls BLAS, and a fused
+row's result depends only on IEEE elementwise order, never on its
+batch-mates. Systems with nothing to fuse keep per-line code.
 
 Broadcasting keeps scalars (e.g. an all-constant source term) valid
 wherever an ``(n_instances,)`` array is expected, so a batch of size one
@@ -49,16 +54,18 @@ algebraic-node readout.
 
 A batch runs at one precision, float64 (the default) or float32 (see
 :func:`array_dtype`): attribute/coefficient arrays are built in float64
-and cast to the batch's dtype before ``exec``, and compiled rows code
-objects are cached by source. Kernels fill preallocated ``dy``/``out``
-buffers in place, and the emitted source does not depend on the
-precision. One-row kernels run at float64 and compile outside the
-cache: their inlined per-seed constants make every source unique.
+with the instance axis last and cast to the batch's dtype before
+``exec``, and compiled rows code objects are cached by source. Kernels
+fill preallocated ``dy``/``out`` buffers in place, and the emitted
+source does not depend on the precision. One-row kernels run at
+float64 and compile outside the cache: their inlined per-seed constants
+make every source unique.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import OrderedDict
 
 import numpy as np
@@ -389,13 +396,6 @@ def _term_pieces(expr: E.Expr, systems: list[OdeSystem],
         return [(_RES, expr, None)]
 
 
-#: Largest dense ``(n_instances, n_states, n_states)`` coefficient
-#: tensor the fused emitter will allocate (in doubles). Bigger systems
-#: (e.g. 64x64 CNN grids) keep the per-line emission, whose cost scales
-#: with the term count instead of n_states**2.
-FUSE_DENSE_LIMIT = 1 << 22
-
-
 def surviving_diffusion(systems: list[OdeSystem]):
     """The lead system's diffusion terms that survive shared-value
     simplification, paired with their optimized amplitude expressions.
@@ -416,32 +416,42 @@ def surviving_diffusion(systems: list[OdeSystem]):
 
 def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
                      codegen: "_BatchCodegen",
-                     line_terms: list,
-                     n_rows: int | None = None) -> list[str] | None:
+                     line_terms: list) -> list[str] | None:
     """Body of the fused ``_rhs``: every affine contribution of every
-    SUM-reduction (and chain) line stacked into one per-instance
-    coefficient tensor driven by a single batched matmul, with only the
-    non-fusible residue emitted per line. ``line_terms`` holds each
-    line's optimized terms (``None`` for chain lines).
+    SUM-reduction (and chain) line gathered into one sparse product of
+    per-slot coefficient arrays, with only the non-fusible residue
+    emitted per line. ``line_terms`` holds each line's optimized terms
+    (``None`` for chain lines).
 
-    Returns ``None`` when fusion is not worthwhile — fewer than two
-    per-line statements would be eliminated, or the dense tensor would
-    exceed :data:`FUSE_DENSE_LIMIT` — in which case the caller keeps the
-    classic per-line emission.
+    The sparsity pattern comes from the decomposition's structure, not
+    its values, so every instance of a group (and every pool shard)
+    shares it. Each line keeps its entries in ascending state order;
+    slot ``k`` holds the ``k``-th entry of every line that has one: a
+    ``(width, n_instances)`` value array ``_lin_val{k}`` and an integer
+    state-column array ``_lin_col{k}``. Lines are ordered by entry
+    count, so slot ``k`` covers a prefix of the accumulator ``_acc``;
+    the integer array ``_lin_line`` maps it back to state order unless
+    that order is the identity. The slots sum in order, then the
+    constant ``_lin_c``, then each line's residue, all elementwise: a
+    row's result does not depend on its batch-mates, and memory is
+    ``O(n_instances * entries)``. A line with no affine entry
+    (``_lin_empty``) gets an exact 0.0.
+
+    Returns ``None`` when fusion is not worthwhile — no affine entry, or
+    fewer than two per-line statements eliminated — in which case the
+    caller keeps the classic per-line emission.
     """
     lead = systems[0]
     n, s = len(systems), len(lead.rhs_specs)
-    if (n_rows or n) * s * s > FUSE_DENSE_LIMIT:
-        return None
-    matrix = np.zeros((n, s, s))
-    constant = np.zeros((n, s))
+    entries: list[dict[int, object]] = [{} for _ in range(s)]
+    constant = np.zeros((s, n))
     use_constant = False
     residual_rows: list[tuple[int, list]] = []
     product_rows: list[tuple[int, list]] = []
     eliminated = 0
     for index, spec in enumerate(lead.rhs_specs):
         if isinstance(spec, ChainRhs):
-            matrix[:, index, spec.next_index] = 1.0
+            entries[index][spec.next_index] = 1.0
             eliminated += 1
             continue
         terms = line_terms[index]
@@ -449,12 +459,13 @@ def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
             product_rows.append((index, terms))
             continue
         residuals: list = []
+        line = entries[index]
         for term in terms:
             for piece in _term_pieces(term, systems, lead.state_index):
                 if piece[0] == _LIN:
-                    matrix[:, index, piece[1]] += piece[2]
+                    line[piece[1]] = line.get(piece[1], 0.0) + piece[2]
                 elif piece[0] == _CONST:
-                    constant[:, index] += piece[1]
+                    constant[index] += piece[1]
                     use_constant = True
                 else:
                     residuals.append(piece)
@@ -462,18 +473,53 @@ def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
             residual_rows.append((index, residuals))
         else:
             eliminated += 1
-    if eliminated < 2:
+    width = max(len(line) for line in entries)
+    if eliminated < 2 or width == 0:
         return None
+    columns = [sorted(line) for line in entries]
+    # Lines with entries, most entries first (ties in state order):
+    # every slot is then a prefix of this order and updates ``_acc`` in
+    # place; one store puts the accumulator back in state order. The
+    # rows layout accumulates transposed, one contiguous row of
+    # instances per line, which makes every gather and update
+    # contiguous.
+    filled = sorted((line for line in range(s) if columns[line]),
+                    key=lambda line: -len(columns[line]))
     if codegen.rows:
-        namespace["_lin_A"] = matrix
-        fused = "(_lin_A @ y[:, :, None])[:, :, 0]"
+        lines = ["    _yT = y.T.copy()"]
+        gather, back = "_yT.take(_lin_col{}, axis=0)", "_acc.T"
     else:
-        namespace["_lin_A"], constant = matrix[0], constant[0]
-        fused = "_lin_A @ y"
+        lines = []
+        gather, back = "y.take(_lin_col{})", "_acc"
+    for k in range(width):
+        prefix = [line for line in filled if len(columns[line]) > k]
+        values = np.empty((len(prefix), n))
+        for slot, line in enumerate(prefix):
+            values[slot] = entries[line][columns[line][k]]
+        namespace[f"_lin_val{k}"] = values if codegen.rows \
+            else values[:, 0]
+        namespace[f"_lin_col{k}"] = np.array(
+            [columns[line][k] for line in prefix], dtype=np.intp)
+        product = f"_lin_val{k} * {gather.format(k)}"
+        if k == 0:
+            lines.append(f"    _acc = {product}")
+        elif len(prefix) == len(filled):
+            lines.append(f"    _acc += {product}")
+        else:
+            lines.append(f"    _acc[:{len(prefix)}] += {product}")
+    if filled == list(range(s)):
+        lines.append(f"    {codegen.slot('dy', ':')} = {back}")
+    else:
+        namespace["_lin_line"] = np.array(filled, dtype=np.intp)
+        lines.append(f"    {codegen.slot('dy', '_lin_line')} = {back}")
+        if len(filled) < s:
+            namespace["_lin_empty"] = np.array(
+                [line for line in range(s) if not columns[line]],
+                dtype=np.intp)
+            lines.append(f"    {codegen.slot('dy', '_lin_empty')} = 0.0")
     if use_constant:
-        namespace["_lin_c"] = constant
-        fused += " + _lin_c"
-    lines = [f"    {codegen.slot('dy', ':')} = {fused}"]
+        namespace["_lin_c"] = constant if codegen.rows else constant[:, 0]
+        lines.append(f"    dy += {'_lin_c.T' if codegen.rows else '_lin_c'}")
     scale_slots = 0
     for index, residuals in residual_rows:
         fragments = []
@@ -526,8 +572,7 @@ def _compile_source(source: str, filename: str):
 
 def generate_batch_source(systems: list[OdeSystem] | OdeSystem,
                           namespace: dict[str, object],
-                          survivors=None, fuse: bool = True,
-                          n_rows: int | None = None) -> str:
+                          survivors=None, fuse: bool = True) -> str:
     """Emit the source of the batched RHS (``_rhs``), the batched
     algebraic-readout function (``_alg``), and — for stochastic systems
     — the batched diffusion-amplitude function (``_dif``) for a
@@ -541,9 +586,9 @@ def generate_batch_source(systems: list[OdeSystem] | OdeSystem,
 
     With ``fuse`` (the default) the SUM-reduction and chain lines whose
     terms are affine in the states — with compile-time per-instance
-    coefficients — collapse into one batched matmul against a stacked
-    ``(n_instances, n_states, n_states)`` coefficient tensor, cutting
-    the per-step NumPy dispatch from one-per-term to one-per-residual;
+    coefficients — collapse into one sparse product, one gather per
+    entry slot (see :func:`_fused_rhs_lines`), cutting the per-step
+    NumPy dispatch from one-per-term to one-per-slot-and-residual;
     non-fusible terms (nonlinear, time-dependent, callable-attribute)
     keep the per-line emission. ``fuse=False`` restores the pure
     per-line emitter.
@@ -572,7 +617,7 @@ def generate_batch_source(systems: list[OdeSystem] | OdeSystem,
                   else optimize_terms(spec.terms, spec.reduction, lookup)
                   for spec in lead.rhs_specs]
     fused_lines = _fused_rhs_lines(systems, namespace, codegen,
-                                   line_terms, n_rows) if fuse else None
+                                   line_terms) if fuse else None
     lines = ["def _rhs(t, y, dy):"]
     lines.extend(algebraic_lines)
     if fused_lines is not None:
@@ -670,18 +715,21 @@ class BatchRhs:
         with telemetry.span("codegen.emit"):
             survivors = surviving_diffusion(distinct)
             self.source = generate_batch_source(
-                distinct, namespace, survivors=survivors, fuse=fuse,
-                n_rows=len(systems))
+                distinct, namespace, survivors=survivors, fuse=fuse)
             # Constant tensors (per-instance attributes, fused
             # coefficients, residual scales) are built in float64 over
-            # the distinct systems, expanded to one entry per row and
-            # cast to the batch's dtype here; at float64 the cast is
-            # the identity.
+            # the distinct systems with the instance axis last, expanded
+            # to one entry per row and cast to the batch's dtype here;
+            # at float64 the cast is the identity. Integer arrays are
+            # the fused product's structural indices, shared by every
+            # row.
             for slot, value in list(namespace.items()):
-                if isinstance(value, np.ndarray):
+                if isinstance(value, np.ndarray) \
+                        and value.dtype.kind == "f":
                     if expand is not None:
-                        value = value[expand]
-                    namespace[slot] = np.asarray(value, dtype=self.dtype)
+                        value = value[..., expand]
+                    namespace[slot] = np.ascontiguousarray(
+                        value, dtype=self.dtype)
                 elif isinstance(value, _PerInstanceFn) \
                         and expand is not None:
                     namespace[slot] = _PerInstanceFn(
@@ -689,17 +737,16 @@ class BatchRhs:
             exec(_compile_source(self.source,
                                  f"<ark-batch:{systems[0].graph.name}>"),
                  namespace)
-        #: True when the emitted RHS drives a fused coefficient matmul.
-        self.fused = "_lin_A" in namespace
+        #: True when the emitted RHS drives the fused sparse product.
+        self.fused = "_lin_col0" in namespace
         telemetry.add("codegen.batch_compiles")
         telemetry.add("codegen.fused_rhs" if self.fused
                       else "codegen.unfused_rhs")
-        # Residual ``dy[:, i] +=`` stores are what the fuser could not
-        # fold into the matmul — their count is the per-step dispatch
-        # cost the fused path still pays.
+        # Per-line ``dy[:, i]`` stores are what the fuser could not fold
+        # into the sparse product — their count is the per-step
+        # dispatch cost the fused path still pays.
         telemetry.add("codegen.residual_lines",
-                      self.source.count("dy[:, ") - 1
-                      if self.fused else self.source.count("dy[:, "))
+                      len(re.findall(r"dy\[:, \d", self.source)))
         self._rhs_inner = namespace["_rhs"]
         self._alg_inner = namespace["_alg"]
         self._dif_inner = namespace.get("_dif")

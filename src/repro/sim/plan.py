@@ -87,7 +87,6 @@ from repro.core.odesystem import OdeSystem
 from repro.core.simulator import Trajectory, simulate
 from repro.errors import SimulationError
 
-from repro.sim import batch_codegen
 from repro.sim.batch_codegen import (array_dtype, canonical_spec,
                                      compile_batch, group_by_signature,
                                      surviving_diffusion)
@@ -324,7 +323,7 @@ def _run_serial(plan: ExecutionPlan, indices, systems) -> dict:
     telemetry.add("serial.solves", len(indices))
     if plan.processes and plan.processes > 1 and len(indices) > 1:
         job_seeds = [plan.seeds[i] for i in indices]
-        common = _pool_payload((plan.factory, plan.t_span, options, None),
+        common = _pool_payload((plan.factory, plan.t_span, options),
                                job_seeds)
         if common is not None:
             from repro.sim import pool as pool_module
@@ -339,16 +338,6 @@ def _run_serial(plan: ExecutionPlan, indices, systems) -> dict:
                         for index, (t, y) in zip(indices, rows)}
     return {index: simulate(systems[index], plan.t_span, **options)
             for index in indices}
-
-
-def _whole_group_fuse(n_rows: int, lead: OdeSystem) -> bool:
-    """The fuse decision the *unsharded* batch would make. Pool
-    workers must inherit it: the emitter's dense-tensor memory guard
-    depends on batch size, so a shard deciding for itself could compile
-    a fused RHS where the whole group would not, breaking
-    pool-vs-batch bit-identity for fixed-step methods."""
-    return (n_rows * lead.n_states * lead.n_states
-            <= batch_codegen.FUSE_DENSE_LIMIT)
 
 
 def _compile_rows(factory, rows):
@@ -367,7 +356,7 @@ def _compile_rows(factory, rows):
     return systems, tokens
 
 
-def solve_rows(systems, tokens, t_span, options, fuse=True):
+def solve_rows(systems, tokens, t_span, options):
     """The batched solve of one group or pool shard: compile the rows
     into one RHS and integrate them — with
     :func:`~repro.sim.batch_solver.solve_batch` when ``tokens`` is
@@ -379,7 +368,7 @@ def solve_rows(systems, tokens, t_span, options, fuse=True):
     in-process re-run of a group whose pool died
     (:func:`_drive_groups`), so the two agree bit for bit by
     construction."""
-    batch = compile_batch(systems, fuse=fuse,
+    batch = compile_batch(systems,
                           array_backend=options.get("array_backend"))
     if tokens is None:
         return solve_batch(batch, t_span, **options)
@@ -422,16 +411,16 @@ class GroupTask:
         return [system for system in self.systems
                 for _ in range(self.trials)]
 
-    def solve(self, parts, fuse=True):
+    def solve(self, parts):
         """Solve the group as one :func:`solve_rows` call per slice of
         its rows (``parts``, row-index lists), stacked in row order.
         One slice is the whole-group batch; the pool's
-        :func:`~repro.sim.pool.even_parts` slices with the whole-group
-        fuse decision are what the workers solve."""
+        :func:`~repro.sim.pool.even_parts` slices are what the workers
+        solve."""
         systems, tokens = self.row_systems, self.tokens
         pieces = [solve_rows([systems[r] for r in part],
                              tokens and [tokens[r] for r in part],
-                             self.plan.t_span, self.options, fuse)
+                             self.plan.t_span, self.options)
                   for part in parts]
         if len(pieces) == 1:
             return pieces[0]
@@ -457,7 +446,7 @@ def _submit_pool(task: GroupTask):
     contiguous near-equal shards (:func:`~repro.sim.pool.even_parts`)
     executed on reused workers (:mod:`repro.sim.pool`), with results
     returned through shared memory (:mod:`repro.sim.shm`) instead of
-    pickle. Every shard inherits the whole-group fuse decision.
+    pickle.
 
     Returns a :class:`~repro.sim.pool.PoolHandle`, or ``None`` when the
     group runs in-process: it is not routed to the pool, or the pool
@@ -483,9 +472,8 @@ def _submit_pool(task: GroupTask):
              plan.seeds[task.indices[row // task.trials]],
              task.tokens and task.tokens[row])
             for row in range(task.n_rows)]
-    fuse = _whole_group_fuse(task.n_rows, task.systems[0])
-    common = _pool_payload((plan.factory, plan.t_span, task.options,
-                            fuse), rows)
+    common = _pool_payload((plan.factory, plan.t_span, task.options),
+                           rows)
     if common is None:
         return None
     grid = _output_grid(plan.t_span, task.options.get("n_points", 500),
@@ -796,9 +784,8 @@ def _drive_groups(plan, tasks, store):
             except pool_module.PoolBrokenError:
                 # The one recovery rule: a dying worker takes every
                 # in-flight group with it, and each re-runs in-process
-                # over its pool's even slices with the whole-group fuse
-                # decision — the solve_rows calls the workers would
-                # have made, so the result (adaptive methods included)
+                # over its pool's even slices — the solve_rows calls the
+                # workers would have made, so the result (adaptive methods included)
                 # is the one the pool would have returned, and as
                 # storable.
                 broken, runs = runs, []
@@ -808,11 +795,10 @@ def _drive_groups(plan, tasks, store):
                     telemetry.add("plan.rerun_rows", task.n_rows)
                     parts = pool_module.even_parts(task.n_rows,
                                                    int(plan.processes))
-                    fuse = _whole_group_fuse(task.n_rows, task.systems[0])
                     with telemetry.span(f"group[{order}].rerun"):
                         trajectory = _settle(
                             plan, store, key,
-                            lambda: (task.solve(parts, fuse),
+                            lambda: (task.solve(parts),
                                      lost.storable))
                     yield (order, task, trajectory)
                 break

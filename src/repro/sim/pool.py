@@ -73,7 +73,7 @@ class ShardTask:
     """One shard of a batched group, as shipped to a worker.
 
     ``common`` is the pickle of the group-wide ``(factory, t_span,
-    options, fuse)`` tuple — serialized once per group and cached
+    options)`` tuple — serialized once per group and cached
     per-worker, so the factory's (possibly large) attribute payload is
     not re-pickled for every shard. ``rows`` is the shard's work list:
     mismatch seeds for serial tasks, ``(chip_key, chip_seed, token)``
@@ -125,9 +125,9 @@ def _run_shard(task: ShardTask) -> dict:
     """Run one task. Batched shards rebuild their rows through the
     factory and integrate them with :func:`repro.sim.plan.solve_rows`
     — the call the parent makes when it re-runs a group of a dead
-    pool in-process — under the whole-group fuse decision, storing the
-    rows into the shared block. Serial tasks run one scipy solve per
-    seed and return the trajectories in the meta."""
+    pool in-process — storing the rows into the shared block. Serial
+    tasks run one scipy solve per seed and return the trajectories in
+    the meta."""
     # Lazy import: plan.py imports this module inside functions only,
     # so importing it here (in the worker) is cycle-free.
     from repro.sim.plan import _compile_rows, solve_rows
@@ -135,7 +135,7 @@ def _run_shard(task: ShardTask) -> dict:
     started = time.monotonic() if task.collect else 0.0
     wiener_seconds = 0.0
     factory_common, payload_hit = _load_common(task.common)
-    factory, t_span, options, fuse = factory_common
+    factory, t_span, options = factory_common
     if task.kind == "serial":
         solved = [simulate(factory(seed), t_span, **options)
                   for seed in task.rows]
@@ -151,8 +151,7 @@ def _run_shard(task: ShardTask) -> dict:
                   if task.collect and tokens is not None
                   else contextlib.nullcontext())
         with window as report:
-            trajectory = solve_rows(systems, tokens, t_span, options,
-                                    fuse)
+            trajectory = solve_rows(systems, tokens, t_span, options)
         if report is not None:
             wiener_seconds = report.counter("sde.wiener_seconds")
         block = shm_module.ShmBlock.attach(task.header)

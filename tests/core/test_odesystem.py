@@ -42,7 +42,7 @@ class TestBackends:
 class TestGeneratedSource:
     def test_source_is_flat_python(self, system):
         # The per-line one-row emission; the kernel itself fuses both
-        # linear lines into one matmul.
+        # linear lines into one sparse product.
         source = generate_batch_source(system, {}, fuse=False)
         assert source.startswith("def _rhs(t, y, dy):")
         assert "dy[0]" in source and "dy[1]" in source
@@ -50,7 +50,7 @@ class TestGeneratedSource:
         # tau=1.0 divisions are simplified away entirely).
         assert "tau" not in source
         assert "y[0]" in source
-        assert "_lin_A @ y" in generate_batch_source(system, {})
+        assert "y.take(_lin_col0)" in generate_batch_source(system, {})
 
     def test_source_compiles_standalone(self, system):
         namespace = {}

@@ -182,8 +182,13 @@ class TestOneRowLayout:
         system = compile_graph(builder.finish())
         namespace = {}
         source = generate_batch_source(system, namespace)
-        assert "dy[:] = _lin_A @ y" in source
-        assert namespace["_lin_A"].shape == (3, 3)
+        assert "_acc = _lin_val0 * y.take(_lin_col0)" in source
+        assert "@" not in source
+        # x1 reads x0 and itself, so it leads the line order; x0 and x2
+        # read only themselves.
+        assert namespace["_lin_line"].tolist() == [1, 0, 2]
+        assert namespace["_lin_col0"].tolist() == [0, 0, 2]
+        assert namespace["_lin_col1"].tolist() == [1]
         y = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(system.rhs("codegen")(0.0, y),
                                    [-1.0, -3.0, -9.0])

@@ -306,13 +306,11 @@ class TestBatchedSharding:
                                       rerun.batches[0].y)
 
     def test_shards_follow_the_whole_group_fuse_decision(
-            self, monkeypatch, small_pool_groups):
-        # The fused emitter's dense memory guard depends on batch
-        # size, so a shard deciding for itself could fuse where the
-        # whole group would not — the parent's decision must win or
-        # rk4 shard bit-identity (and cache storability) breaks.
-        from repro.sim import batch_codegen
-        monkeypatch.setattr(batch_codegen, "FUSE_DENSE_LIMIT", 1)
+            self, small_pool_groups):
+        # The fuse decision and the fused sparsity pattern depend on
+        # structure only, never on batch size, so every shard compiles
+        # the whole group's kernel and rk4 shards stay bit-identical
+        # to the unsharded batch (which keeps them storable).
         sharded = run_ensemble(_picklable_factory, range(8),
                                (0.0, 1.0), n_points=40, method="rk4",
                                processes=2)

@@ -26,7 +26,6 @@ from repro.paradigms.tln import TLineSpec, mismatched_tline
 from repro.paradigms.tln.noisy import NoisyTlineFactory
 from repro.sim import (compile_batch, even_parts, run_ensemble, shm,
                        solve_batch, solve_sde)
-from repro.sim.plan import _whole_group_fuse
 from repro.sim.pool import (PoolBrokenError, WorkerPool, get_pool,
                             _POOLS)
 from repro.sim.shm import ShmBlock
@@ -122,11 +121,10 @@ def _assert_no_leaks():
 
 def _even_slice_reference(systems, solve, processes=2):
     """What the pool computes for an adaptive method: the canonical
-    even split, each slice solved in-process with the whole-group fuse
-    decision, stacked back in row order."""
-    fuse = _whole_group_fuse(len(systems), systems[0])
+    even split, each slice solved in-process, stacked back in row
+    order."""
     return np.concatenate([
-        solve(compile_batch([systems[row] for row in part], fuse=fuse),
+        solve(compile_batch([systems[row] for row in part]),
               part).y
         for part in even_parts(len(systems), processes)])
 
