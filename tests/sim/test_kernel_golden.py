@@ -52,7 +52,7 @@ WORKLOADS = {"tline_gm": _tline, "maxcut_4": _maxcut, "puf_noisy": _puf}
 
 SOURCE_DIGESTS = {
     ("tline_gm", True):
-        "89faea0500a4162a59bfc68a1b783223cbf6724726ea6c5bec2d082aba223820",
+        "1de8aa2114a462346ced161a2f626f187d0821f6191238a1900ff0f7313d1642",
     ("tline_gm", False):
         "4833ca5fe9b4afc072c86c475ef697cb46c6f68bf8555e960aaaeb1be6f14d8f",
     # The max-cut coupling is nonlinear in the phases: nothing fuses,
@@ -62,16 +62,16 @@ SOURCE_DIGESTS = {
     ("maxcut_4", False):
         "b7faaef5748fc6d4b5690fa638497138243f2423ee76450b476f6b3d04ce8a01",
     ("puf_noisy", True):
-        "aab91136609225d13de067af4d460078bc79fa7a6311bfe32134c673d6bf80bd",
+        "aba3177c45d4a00f40b4926ca9f4cec236c5f2d14a6c9ccfa8280b3598b0b77f",
     ("puf_noisy", False):
         "37e32f1e06a1281ec2fed22f35777933791341677b02362b6ccdbcd9cd394e1d",
 }
 
 TRAJECTORY_DIGESTS = {
     "tline_rkf45_float32":
-        "34ac6d0f31345a709133a07bba609559bce506eac76802d950724c4442b20de5",
+        "0b3d9551cfd5c00ffb4d961a19abdb5ce672f97afb7840b521bd9415ce99b78f",
     "puf_heun_float32":
-        "b3e1d3838ce474d4ce4de6923e875a7fee530a65d68568b15e0779f145be04d7",
+        "d2f5687ce93bcf80c4a8ced06143ecf1454d2616b2bb3e748f012464d5777f7b",
 }
 
 

@@ -67,18 +67,18 @@ CASES = {
 
 GOLDEN = {
     "auto-16":
-        "937332717a23828edfedebfd226ab0eb4845a474b00d53a1d7d30afb610cc885",
+        "cf3a98d9a0653f9b41c957a87db50428d7c285008041263dec15e5386497f4f1",
     "rk4-64-pooled":
-        "db17d18ad55712166eb60885bb3dbc0cf22f83ac842f98db1e55ed86c404a35f",
+        "accf9f1ed7174da86a4c55e0f2b549511a410c315e9682d456210586066fc71b",
     "rk45-serial":
-        "1ce2c75b8f60f3727fb2baaabc7e904e480d225949128006fa446fcad3280f55",
+        "9afad0684b82290b06b4aae23651ab219fd513530116b00248d346ca8ccb1b45",
     # The pool fan-out runs the same simulate call per seed.
     "rk45-serial-pooled":
-        "1ce2c75b8f60f3727fb2baaabc7e904e480d225949128006fa446fcad3280f55",
+        "9afad0684b82290b06b4aae23651ab219fd513530116b00248d346ca8ccb1b45",
     "heun-4x32-pooled":
-        "5b37385290093034d35550a3625f386eb5cead7c01a93ca879380501c5d27a5c",
+        "0ced0ba2a605f4c25e24b09da6d7d29b52cbbe32dcb330bb9b5808b5caabbf3a",
     "heun-adaptive-4x32-pooled":
-        "165a7f6a62cea34d5ec4eb06516246c6b9cf2a7cee23d65ac514a8bfa3582bf8",
+        "2bb9e755948c9807a28a4b53f483880f44ee2a8667519c8815176091f0e3f3a9",
 }
 
 

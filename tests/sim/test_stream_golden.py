@@ -30,9 +30,9 @@ READOUT_DIGEST = \
     "a587cad466ff6c19905556d1dbff3069397e09b7e45e544bd100628c0ce6a48b"
 TRAJECTORY_DIGESTS = {
     "heun":
-        "a47bab39f273f32e3647568dbd42955cc8536469b74201154182675b1910b8ec",
+        "575970a872ffff2ad16424e84d9028ccef186795369964de264930d683c58e21",
     "heun-adaptive":
-        "cc3a1c0b3c38c7f0290fe7d183a0179b528bb5a8d2eb9ad51062647b858c3168",
+        "f5af610c279b7976d612ddac02dfc068ca7100aafc613207cc12f710f45ecdb1",
 }
 
 
