@@ -39,7 +39,7 @@ called directly, with no ufunc swap or elementwise wrapper;
 part of the system into one sparse product under the same rule (at
 least two lines eliminated): each line's affine entries, in ascending
 state order, fill per-slot value arrays, and the kernel sums one
-elementwise gather per slot — ``_acc = _lin_val0 * y.take(_lin_col0)``,
+elementwise gather per slot — ``_acc = _lin_val0 * y[_lin_col0]``,
 then ``+=`` for each further slot (the rows layout gathers from the
 transposed state, see :func:`_fused_rhs_lines`). Memory is linear in
 the number of instances and entries, no kernel calls BLAS, and a fused
@@ -490,7 +490,7 @@ def _fused_rhs_lines(systems: list[OdeSystem], namespace: dict,
         gather, back = "_yT.take(_lin_col{}, axis=0)", "_acc.T"
     else:
         lines = []
-        gather, back = "y.take(_lin_col{})", "_acc"
+        gather, back = "y[_lin_col{}]", "_acc"
     for k in range(width):
         prefix = [line for line in filled if len(columns[line]) > k]
         values = np.empty((len(prefix), n))

@@ -50,7 +50,7 @@ class TestGeneratedSource:
         # tau=1.0 divisions are simplified away entirely).
         assert "tau" not in source
         assert "y[0]" in source
-        assert "y.take(_lin_col0)" in generate_batch_source(system, {})
+        assert "y[_lin_col0]" in generate_batch_source(system, {})
 
     def test_source_compiles_standalone(self, system):
         namespace = {}

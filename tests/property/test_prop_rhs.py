@@ -127,7 +127,7 @@ def _paradigm_systems():
 def test_paradigm_codegen_matches_interpreter(paradigm, state_seed):
     system, span, fused = _paradigm_systems()[paradigm]
     source = generate_batch_source(system, {})
-    assert ("y.take(_lin_col0)" in source) == fused
+    assert ("y[_lin_col0]" in source) == fused
     rng = np.random.default_rng(state_seed)
     y = rng.normal(size=system.n_states)
     t = float(rng.uniform(0.0, span))

@@ -182,7 +182,7 @@ class TestOneRowLayout:
         system = compile_graph(builder.finish())
         namespace = {}
         source = generate_batch_source(system, namespace)
-        assert "_acc = _lin_val0 * y.take(_lin_col0)" in source
+        assert "_acc = _lin_val0 * y[_lin_col0]" in source
         assert "@" not in source
         # x1 reads x0 and itself, so it leads the line order; x0 and x2
         # read only themselves.
