@@ -57,6 +57,8 @@ CASES = {
     "rk45-serial": (lambda: _tline(4, method="RK45"), (False, 0, 4)),
     "rk45-serial-pooled": (
         lambda: _tline(4, method="RK45", processes=2), (True, 0, 4)),
+    "rk45-64-pooled": (
+        lambda: _tline(64, method="RK45", processes=2), (True, 0, 64)),
     # 128 noisy rows take the pool; the 4 reference rows do not.
     "heun-4x32-pooled": (lambda: _puf("heun", processes=2),
                          (True, 2, 0)),
@@ -75,6 +77,9 @@ GOLDEN = {
     # The pool fan-out runs the same simulate call per seed.
     "rk45-serial-pooled":
         "9afad0684b82290b06b4aae23651ab219fd513530116b00248d346ca8ccb1b45",
+    # Recorded in-process: every row is the same simulate call.
+    "rk45-64-pooled":
+        "dc8115c108349e196fa98ce28606f2a7586cf232553ed53cc3e79d77cd7f21b6",
     "heun-4x32-pooled":
         "0ced0ba2a605f4c25e24b09da6d7d29b52cbbe32dcb330bb9b5808b5caabbf3a",
     "heun-adaptive-4x32-pooled":
