@@ -646,14 +646,42 @@ def generate_batch_source(systems: list[OdeSystem] | OdeSystem,
     if survivors is None:
         survivors = surviving_diffusion(systems)
     if survivors:
+        bodies = [E.to_python(amplitude, codegen)
+                  for _term, amplitude in survivors]
+        if all(isinstance(amplitude, E.Const)
+               for _term, amplitude in survivors):
+            # Every amplitude is a shared literal: one store. Distinct
+            # literals ride as a constant matrix, instance axis last
+            # like every namespace array.
+            if len(set(bodies)) == 1:
+                stores = [f"    out[:, :] = {bodies[0]}"]
+            else:
+                column = np.array([float(amplitude.value)
+                                   for _term, amplitude in survivors])
+                namespace["_dif_c"] = np.repeat(
+                    column[:, None], len(systems), axis=1)
+                stores = ["    out[:, :] = _dif_c.T"]
+        else:
+            stores = [f"    out[:, {column}] = {body}"
+                      for column, body in enumerate(bodies)]
         lines.append("")
         lines.append("def _dif(t, y, out):")
-        lines.extend(algebraic_lines)
-        for column, (_term, amplitude) in enumerate(survivors):
-            body = E.to_python(amplitude, codegen)
-            lines.append(f"    out[:, {column}] = {body}")
+        lines.extend(_lines_read(algebraic_lines, stores))
+        lines.extend(stores)
         lines.append("    return out")
     return "\n".join(lines)
+
+
+def _lines_read(algebraic_lines: list[str], body: list[str]) -> list[str]:
+    """The algebraic lines that ``body`` reads, directly or through
+    another algebraic local, in their original order."""
+    text, kept = "\n".join(body), []
+    for line in reversed(algebraic_lines):
+        local = line.split("=", 1)[0].strip()
+        if re.search(rf"\b{local}\b", text):
+            kept.append(line)
+            text += "\n" + line
+    return kept[::-1]
 
 
 def compile_row(system: OdeSystem):

@@ -215,6 +215,58 @@ class TestSolverValidation:
                       n_points=n_points)
 
 
+def _ou_pair(nsig_x, nsig_y, name="pair"):
+    lang = parse_program(OU_SOURCE).languages["ou"]
+    g = repro.GraphBuilder(lang, name)
+    for node, nsig in (("x", nsig_x), ("y", nsig_y)):
+        g.node(node, "X").set_attr(node, "tau", 1.0)
+        g.set_attr(node, "nsig", nsig)
+        g.edge(node, node, f"r{node}", "R").set_init(node, 1.0)
+    return compile_graph(g.finish())
+
+
+class TestDiffusionSource:
+    """Shared literal amplitudes fill ``out`` with one store; the
+    values are those of the per-column stores they replace."""
+
+    @pytest.mark.parametrize("dtype", ["numpy:float64", "numpy:float32"])
+    def test_equal_literals_are_one_scalar_store(self, dtype):
+        batch = compile_batch([_ou_pair(0.3, 0.3)] * 3, array_backend=dtype)
+        body = batch.source[batch.source.index("def _dif"):]
+        assert body.splitlines()[1:] == ["    out[:, :] = 0.3",
+                                         "    return out"]
+        out = batch.diffusion(0.0, batch.y0)
+        assert out.dtype == batch.dtype
+        np.testing.assert_array_equal(out, np.full((3, 2), 0.3,
+                                                   dtype=batch.dtype))
+
+    @pytest.mark.parametrize("dtype", ["numpy:float64", "numpy:float32"])
+    def test_distinct_literals_are_one_matrix_store(self, dtype):
+        # A repeated system exercises the row expansion of the
+        # namespace's instance axis.
+        a, b = _ou_pair(0.3, 0.7, "a"), _ou_pair(0.3, 0.7, "b")
+        batch = compile_batch([a, a, b], array_backend=dtype)
+        assert "    out[:, :] = _dif_c.T" in batch.source
+        out = batch.diffusion(0.0, batch.y0)
+        expected = np.array([[0.3, 0.7]] * 3, dtype=batch.dtype)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_per_instance_amplitudes_keep_column_stores(self):
+        batch = compile_batch([_ou_pair(0.3, 0.7), _ou_pair(0.4, 0.7)])
+        assert "out[:, 0] = " in batch.source
+        np.testing.assert_array_equal(
+            batch.diffusion(0.0, batch.y0), [[0.3, 0.7], [0.4, 0.7]])
+
+    def test_only_read_algebraic_lines_are_emitted(self):
+        from repro.sim.batch_codegen import _lines_read
+
+        algebraic = ["    _alg_0 = 1.0", "    _alg_1 = (_alg_0 * 2.0)",
+                     "    _alg_10 = 3.0"]
+        assert _lines_read(algebraic, ["    out[:, 0] = _alg_1"]) == \
+            algebraic[:2]
+        assert _lines_read(algebraic, ["    out[:, :] = 1.0"]) == []
+
+
 class TestNoisyEnsembleDriver:
     def _factory(self, seed):
         return _ou_system(nsig=0.3, name=f"chip{seed}")
