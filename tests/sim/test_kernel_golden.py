@@ -61,10 +61,12 @@ SOURCE_DIGESTS = {
         "b7faaef5748fc6d4b5690fa638497138243f2423ee76450b476f6b3d04ce8a01",
     ("maxcut_4", False):
         "b7faaef5748fc6d4b5690fa638497138243f2423ee76450b476f6b3d04ce8a01",
+    # Both emitters share one _dif, which fills its constant
+    # amplitudes with a single store.
     ("puf_noisy", True):
-        "aba3177c45d4a00f40b4926ca9f4cec236c5f2d14a6c9ccfa8280b3598b0b77f",
+        "131692538396a272efcded40ac3a79085df71aca302889763c7bcdf3ccd71c96",
     ("puf_noisy", False):
-        "37e32f1e06a1281ec2fed22f35777933791341677b02362b6ccdbcd9cd394e1d",
+        "4a059c7413ea0e19f66dfbe83e875485fae813f082b5260f17847ebdb05d140e",
 }
 
 TRAJECTORY_DIGESTS = {
