@@ -510,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.sim.plan import DEFAULT_SHARD_MIN
     p_ens.add_argument("--method",
                        help=f"{', '.join(BATCH_METHODS)}, or a scipy "
-                       "method name (forces the serial path); default "
+                       "method name (one solve per instance); default "
                        f"{ExecutionPlan.method}")
     p_ens.add_argument("--trials", type=int,
                        help="noise realizations per chip: switches to "
@@ -545,10 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("milp", "flow"))
     p_ens.add_argument("--processes", type=int,
                        help="worker-pool width (default: in-process): "
-                       f"a batched group of >= {DEFAULT_SHARD_MIN} rows "
+                       f"a group of >= {DEFAULT_SHARD_MIN} rows "
                        "(chips x trials) splits into this many shards "
-                       "on the persistent zero-copy pool, and a scipy "
-                       "--method fans out one seed per task")
+                       "on the persistent zero-copy pool")
     p_ens.add_argument("--stream", action="store_true",
                        help="stream per-group results as they finish "
                        "(prints one progress line per completed "

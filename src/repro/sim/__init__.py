@@ -17,17 +17,17 @@ implementation runs them as vectorized batches (``--vectorize --bz
 * :mod:`repro.sim.plan` — the unified execution-plan layer: an
   :class:`~repro.sim.plan.ExecutionPlan`, whose fields are the one
   definition of every sweep option. The sweep's own inputs pick each
-  group's route: a scipy ``method`` runs per instance, every other
-  group is one batched solve, pooled when ``processes > 1`` and the
-  group has at least 64 rows. A deterministic sweep is the one-trial,
+  group's route: a scipy ``method`` solves the group's rows one at a
+  time, every other method in one batched solve, and any group is
+  pooled when ``processes > 1`` and it has at least 64 rows. A deterministic sweep is the one-trial,
   Wiener-free case of the noisy one: one row expansion (chip ×
   trial), one result type, one recovery rule, so pooling, caching, and
   per-instance step masks cover both identically;
 * :mod:`repro.sim.pool` / :mod:`repro.sim.shm` — the persistent
-  worker pool, the one process model: each batched group
+  worker pool, the one process model: each pooled group
   splits into ``processes`` near-equal contiguous shards
   (:func:`~repro.sim.pool.even_parts`) that return through shared
-  memory, the serial fan-out through the result queue;
+  memory;
 * :mod:`repro.sim.ensemble` — :func:`~repro.sim.ensemble.run_ensemble`,
   the one driver for mismatch sweeps *and* (with ``trials=K``)
   transient-noise sweeps, with their one (chip, trial)-indexed result

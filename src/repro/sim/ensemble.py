@@ -51,7 +51,7 @@ class EnsembleResult:
     batches: list[BatchTrajectory] = field(default_factory=list)
     #: Seed-list indices of each batched group (parallel to batches).
     groups: list[list[int]] = field(default_factory=list)
-    #: Seed-list indices that took the serial scipy path.
+    #: Seed-list indices solved by a scipy method, one row at a time.
     serial_indices: list[int] = field(default_factory=list)
     seeds: list = field(default_factory=list)
     trials: int = 1
@@ -106,8 +106,9 @@ class EnsembleResult:
 
 @dataclass
 class EnsembleChunk(EnsembleResult):
-    """One finished slice of a *streamed* sweep: either a batched
-    structural group or the serial-fallback remainder.
+    """One finished structural group of a *streamed* sweep: a batch,
+    or rows solved one at a time by a scipy method (listed in
+    ``serial_indices``).
 
     Unlike the full :class:`EnsembleResult`, the chunk is chunk-local:
     chip ``k`` of the chunk (``trajectory(k, trial)``,
@@ -121,7 +122,7 @@ class EnsembleChunk(EnsembleResult):
 
     #: Seed-list indices covered by this chunk, one per chip.
     indices: list[int] = field(default_factory=list)
-    #: Submission order of the chunk's group (serial remainder last).
+    #: Submission order of the chunk's group.
     order: int = 0
     #: Chunk-level stream stats (arrival time, order, rows) when the
     #: stream ran inside a telemetry collection window; else ``None``.

@@ -15,44 +15,42 @@ A deterministic sweep is a noisy sweep with one trial and no Wiener
 source, so the path has one of each part:
 
 * **one row expansion** (:func:`_expand`) — chips grouped by
-  structural signature, each group expanded to chip-major,
-  trial-minor rows (a :class:`GroupTask`); the solver
-  (:func:`~repro.sim.batch_solver.solve_batch` or
-  :func:`~repro.sim.sde_solver.solve_sde`, see :func:`solve_rows`)
-  follows from ``trials``. What still differs: structurally unique
-  ODE instances and scipy methods take the serial ``solve_ivp`` path,
-  and a noisy sweep also integrates each chip's deterministic
-  reference;
+  structural signature, every group (a structurally unique chip
+  included) expanded to chip-major, trial-minor rows (a
+  :class:`GroupTask`) and solved by :func:`solve_rows`: one scipy
+  ``solve_ivp`` per row under a scipy method, else one batched
+  :func:`~repro.sim.batch_solver.solve_batch` or
+  :func:`~repro.sim.sde_solver.solve_sde` call. A noisy sweep also
+  integrates each chip's deterministic reference;
 * **one result type** — :class:`~repro.sim.ensemble.EnsembleResult`,
   indexed by (chip, trial), streamed in
-  :class:`~repro.sim.ensemble.EnsembleChunk` slices;
+  :class:`~repro.sim.ensemble.EnsembleChunk` slices, one per group;
 * **one recovery rule** — a group whose pool died re-runs in-process
   over the pool's own slices (:func:`_drive_groups`, counted in
   ``plan.rerun_rows``), bit-identical to the pooled run by
-  construction; only a batched method that itself raises under the
-  deterministic ``auto`` method is demoted to serial scipy RK45
-  (``plan.demoted_rows``).
+  construction; only batched rkf45 that itself raises under the
+  deterministic ``auto`` method is demoted: the group re-solves
+  in-process with scipy RK45 (``plan.demoted_rows``).
 
-The sweep's own inputs choose each group's route; there is no route
-option:
+The sweep's own inputs choose each group's method and route; there is
+no route option:
 
-* a scipy ``method`` (:data:`SCIPY_METHODS`) runs every instance on the
-  serial ``solve_ivp`` path, fanned out one seed per task over the
-  worker pool when ``processes > 1``;
-* every other group is one batched solve, run on the **persistent
-  zero-copy pool** (:mod:`repro.sim.pool`) if and only if
-  ``processes > 1`` and the group has at least
-  :data:`DEFAULT_SHARD_MIN` integrated rows, in-process otherwise. The
-  pool splits the group's rows into ``processes`` contiguous near-equal
-  shards (:func:`repro.sim.pool.even_parts`) on reused workers, and the
-  shards come back through shared memory (:mod:`repro.sim.shm`).
-  Fixed-step methods (``rk4`` and ``heun``) are bit-identical to the
-  in-process solve because every instance's arithmetic is row-local
-  and Wiener streams are keyed by ``(noise seed, element, path)``,
-  never by batch layout. The adaptive methods (rkf45 and
-  ``heun-adaptive``) run per-shard step control; the one row split
-  keeps their results reproducible, and they are kept out of the
-  cache.
+* the method is the plan's ``method``, except that ``auto`` is batched
+  rkf45 for a group of two or more chips and scipy RK45 for a
+  structurally unique one (:func:`_ode_method`);
+* a group runs on the **persistent zero-copy pool**
+  (:mod:`repro.sim.pool`) if and only if ``processes > 1`` and it has
+  at least :data:`DEFAULT_SHARD_MIN` integrated rows, in-process
+  otherwise. The pool splits the group's rows into ``processes``
+  contiguous near-equal shards (:func:`repro.sim.pool.even_parts`) on
+  reused workers, and the shards come back through shared memory
+  (:mod:`repro.sim.shm`). Scipy and fixed-step methods (``rk4`` and
+  ``heun``) are bit-identical to the in-process solve because every
+  instance's arithmetic is row-local and Wiener streams are keyed by
+  ``(noise seed, element, path)``, never by batch layout. The adaptive
+  batched methods (rkf45 and ``heun-adaptive``) run per-shard step
+  control; the one row split keeps their results reproducible, and
+  they are kept out of the cache.
 
 The executor itself is a *streaming* generator: :func:`stream_plan`
 yields one chunk per structurally compatible group as it finishes —
@@ -64,11 +62,11 @@ reassembles the chunks (:func:`assemble_chunks`) into the result,
 bit-identical to the pre-streaming driver.
 
 Trajectory caching (:mod:`repro.sim.cache`) is applied uniformly in the
-executor — a noisy group is keyed and replayed exactly like a
-deterministic one, plus its per-row Wiener tokens, including pooled
-``heun`` results (bit-identical, hence storable); pool-split
-*adaptive* solves remain uncachable because per-shard step control may
-differ from the whole-group run.
+executor — every group is keyed by its rows and solver options, the
+method included; a noisy group adds its per-row Wiener tokens. Pooled
+scipy and fixed-step results are bit-identical, hence storable;
+pool-split *adaptive* solves remain uncachable because per-shard step
+control may differ from the whole-group run.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ from repro import telemetry
 from repro.core.compiler import compile_graph
 from repro.core.graph import DynamicalGraph
 from repro.core.odesystem import OdeSystem
-from repro.core.simulator import Trajectory, simulate
+from repro.core.simulator import simulate
 from repro.errors import SimulationError
 
 from repro.sim.batch_codegen import (array_dtype, canonical_spec,
@@ -98,11 +96,11 @@ from repro.sim.sde_solver import SDE_METHODS, solve_sde
 #: Methods handled natively by the batched ODE solver.
 BATCH_METHODS = ("auto", "rkf45", "rk4")
 
-#: scipy ``solve_ivp`` methods; any of them forces the serial path.
+#: scipy ``solve_ivp`` methods, solved one row at a time.
 SCIPY_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
 
-#: Smallest batched group (in integrated rows) that goes to the worker
-#: pool when ``processes > 1``: pool dispatch and per-shard compiles
+#: Smallest group (in integrated rows) that goes to the worker pool
+#: when ``processes > 1``: pool dispatch and per-shard compiles
 #: amortize only on large groups.
 DEFAULT_SHARD_MIN = 64
 
@@ -153,12 +151,12 @@ class ExecutionPlan:
     :param n_points: output grid size (ignored when ``t_eval`` is set).
     :param t_eval: explicit output grid: at least two strictly
         increasing points inside ``t_span``.
-    :param method: ODE method — ``auto`` (batched rkf45, a group it
-        cannot integrate is demoted to serial scipy RK45),
-        ``rkf45``/``rk4`` (force a batch solver), or a scipy
-        ``solve_ivp`` name (:data:`SCIPY_METHODS`; forces the serial
-        path for every instance). Ignored on a noisy sweep (see
-        ``sde_method``).
+    :param method: ODE method — ``auto`` (batched rkf45; scipy RK45
+        for a structurally unique instance and for a group rkf45
+        cannot integrate), ``rkf45``/``rk4`` (a batch solver for every
+        group, a one-row group included), or a scipy ``solve_ivp``
+        name (:data:`SCIPY_METHODS`; one solve per instance). Ignored
+        on a noisy sweep (see ``sde_method``).
     :param rtol: relative tolerance (ODE solvers, the adaptive SDE
         controller, and the freeze-mask criterion).
     :param atol: absolute tolerance, likewise.
@@ -169,13 +167,11 @@ class ExecutionPlan:
         their current state instead of forcing the worst-case step on
         the whole batch; ``None`` disables masking.
     :param processes: worker-pool width (>= 1; ``None`` or 1 runs
-        in-process). With ``processes > 1`` a batched group of at
-        least :data:`DEFAULT_SHARD_MIN` rows (chips on the ODE path,
-        chips x trials on the SDE path) splits into ``processes``
-        contiguous near-equal shards on the persistent zero-copy pool,
-        and serial instances fan out one seed per task over the same
-        pool. Both need a picklable factory and run in-process
-        otherwise.
+        in-process). With ``processes > 1`` a group of at least
+        :data:`DEFAULT_SHARD_MIN` rows (chips on the ODE path, chips x
+        trials on the SDE path) splits into ``processes`` contiguous
+        near-equal shards on the persistent zero-copy pool. That needs
+        a picklable factory; the group runs in-process otherwise.
     :param cache: trajectory cache — ``True`` (process-wide default
         cache), a directory path (disk backed), or a
         :class:`~repro.sim.cache.TrajectoryCache`. Repeated sweeps with
@@ -185,8 +181,8 @@ class ExecutionPlan:
     :param array_backend: precision of the batched solvers:
         ``None``/``"numpy"`` (default, float64), ``"numpy:float64"`` or
         ``"numpy:float32"`` (see
-        :func:`~repro.sim.batch_codegen.array_dtype`). The serial scipy
-        ODE path always runs float64.
+        :func:`~repro.sim.batch_codegen.array_dtype`). Scipy methods
+        always run float64.
     :param trials: ``None`` (default) runs the deterministic mismatch
         sweep, one row per chip. An integer K >= 1 adds transient
         noise: every chip is replicated K times inside the batch, each
@@ -310,36 +306,6 @@ def _pool_payload(common: tuple, rows) -> bytes | None:
     return payload
 
 
-def _run_serial(plan: ExecutionPlan, indices, systems) -> dict:
-    """Serial scipy path for structurally unique instances, optionally
-    fanned out one seed per task over the persistent worker pool.
-    When the pool dies mid-fan-out the instances re-run in-process
-    (the workers ran the same ``simulate`` call). Returns
-    {index: Trajectory}."""
-    options = dict(n_points=plan.n_points, rtol=plan.rtol,
-                   atol=plan.atol, t_eval=plan.t_eval,
-                   max_step=plan.max_step, method="RK45"
-                   if plan.method in BATCH_METHODS else plan.method)
-    telemetry.add("serial.solves", len(indices))
-    if plan.processes and plan.processes > 1 and len(indices) > 1:
-        job_seeds = [plan.seeds[i] for i in indices]
-        common = _pool_payload((plan.factory, plan.t_span, options),
-                               job_seeds)
-        if common is not None:
-            from repro.sim import pool as pool_module
-
-            try:
-                rows = pool_module.map_serial(int(plan.processes), common,
-                                              job_seeds)
-            except pool_module.PoolBrokenError:
-                telemetry.add("plan.rerun_rows", len(indices))
-            else:
-                return {index: Trajectory(t=t, y=y, system=systems[index])
-                        for index, (t, y) in zip(indices, rows)}
-    return {index: simulate(systems[index], plan.t_span, **options)
-            for index in indices}
-
-
 def _compile_rows(factory, rows):
     """Worker-side rebuild of one shard: every chip is rebuilt through
     the factory exactly once per shard and *replicated* for its trial
@@ -357,8 +323,10 @@ def _compile_rows(factory, rows):
 
 
 def solve_rows(systems, tokens, t_span, options):
-    """The batched solve of one group or pool shard: compile the rows
-    into one RHS and integrate them — with
+    """The solve of one group or pool shard. Under a scipy method every
+    row is its own :func:`~repro.core.simulator.simulate` call, stacked
+    into one :class:`~repro.sim.batch_solver.BatchTrajectory`. Else the
+    rows compile into one RHS and integrate together — with
     :func:`~repro.sim.batch_solver.solve_batch` when ``tokens`` is
     ``None`` (a deterministic sweep), else with
     :func:`~repro.sim.sde_solver.solve_sde`, row ``r`` drawing the
@@ -368,6 +336,14 @@ def solve_rows(systems, tokens, t_span, options):
     in-process re-run of a group whose pool died
     (:func:`_drive_groups`), so the two agree bit for bit by
     construction."""
+    if options["method"] in SCIPY_METHODS:
+        rows = [simulate(system, t_span, **{
+            name: options[name] for name in ("n_points", "t_eval", "rtol",
+                                             "atol", "max_step", "method")})
+            for system in systems]
+        return BatchTrajectory(t=rows[0].t,
+                               y=np.stack([row.y for row in rows]),
+                               systems=list(systems))
     batch = compile_batch(systems,
                           array_backend=options.get("array_backend"))
     if tokens is None:
@@ -433,7 +409,7 @@ class GroupTask:
 
 
 def _pooled(plan: ExecutionPlan, rows: int) -> bool:
-    """Whether a batched group of ``rows`` integrated rows goes to the
+    """Whether a group of ``rows`` integrated rows goes to the
     worker pool: when a pool was requested (``processes > 1``) and the
     group has at least :data:`DEFAULT_SHARD_MIN` rows."""
     return (plan.processes is not None and plan.processes > 1
@@ -451,7 +427,7 @@ def _submit_pool(task: GroupTask):
     Returns a :class:`~repro.sim.pool.PoolHandle`, or ``None`` when the
     group runs in-process: it is not routed to the pool, or the pool
     cannot be used (no rows to split, an unpicklable factory,
-    or no shared memory). Fixed-step
+    or no shared memory). Scipy and fixed-step
     results are bit-identical to the in-process solve and storable;
     adaptive methods (rkf45 and the adaptive SDE pair) run per-shard
     step control, so an uncached whole-group rerun would not reproduce
@@ -570,14 +546,14 @@ def _stream(plan: ExecutionPlan, seeds: list, progress=None):
     with telemetry.span("plan.compile"):
         systems = [_compile_target(target) for target in targets]
     telemetry.add("plan.instances", len(systems))
-    tasks, serial = _expand(plan, seeds, systems)
+    tasks = _expand(plan, seeds, systems)
     if progress is not None:
-        progress.begin(groups=len(tasks) + (1 if serial else 0),
+        progress.begin(groups=len(tasks),
                        instances=len(systems) * (plan.trials or 1))
     start = time.monotonic()
     chunks_done = rows_done = 0
     try:
-        for chunk in _chunks(plan, seeds, systems, tasks, serial):
+        for chunk in _chunks(plan, seeds, tasks):
             chunks_done += 1
             rows_done += len(chunk)
             if telemetry.enabled():
@@ -619,14 +595,21 @@ def _solver_options(plan: ExecutionPlan, **solver) -> dict:
     return {**options, **solver}
 
 
-def _expand(plan: ExecutionPlan, seeds, systems):
+def _ode_method(plan: ExecutionPlan, chips: int) -> str:
+    """The solver method of a deterministic group of ``chips`` chips:
+    the plan's own, except that ``auto`` is batched rkf45 for a group
+    of two or more and scipy RK45 for a structurally unique chip
+    (batched rkf45 at one row costs about twice scipy's RK45)."""
+    if plan.method != "auto":
+        return plan.method
+    return "rkf45" if chips > 1 else "RK45"
+
+
+def _expand(plan: ExecutionPlan, seeds, systems) -> list[GroupTask]:
     """The sweep's one row expansion: group the chips by structural
     signature and expand every group to chip × trial rows, one trial
-    and no Wiener tokens for a deterministic sweep. Returns ``(tasks,
-    serial)``: the :class:`GroupTask` list and the seed indices left
-    to the serial scipy path (deterministic sweeps only: every
-    instance under a scipy method, else the structurally unique
-    ones)."""
+    and no Wiener tokens for a deterministic sweep. Returns one
+    :class:`GroupTask` per group."""
     noise = plan.noise
     with telemetry.span("plan.signature"):
         groups = group_by_signature(systems)
@@ -636,37 +619,33 @@ def _expand(plan: ExecutionPlan, seeds, systems):
             raise SimulationError(
                 "transient-noise trials were requested (trials="
                 f"{noise.trials}) but every instance compiles to a "
-                "deterministic system — no live noise() terms or ns "
-                "annotations survive; drop trials=/noise_seed= or add "
+                "deterministic system — no live noise() terms "
+                "survive; drop trials=/noise_seed= or add "
                 "noise sources to the design")
         options = _solver_options(plan, method=noise.method,
                                   block=noise.block)
-    elif plan.method not in BATCH_METHODS:
-        return [], list(range(len(systems)))
-    else:
-        options = _solver_options(
-            plan, method="rkf45" if plan.method == "auto" else plan.method)
-    tasks, serial = [], []
+    tasks = []
     for indices in groups:
-        if noise is None and len(indices) == 1:
-            # A structurally unique instance is not worth a batched
-            # compile.
-            serial.extend(indices)
-            continue
-        tokens = None if noise is None else \
-            [token for i in indices for token in noise.tokens(seeds[i])]
+        tokens = None
+        if noise is None:
+            options = _solver_options(
+                plan, method=_ode_method(plan, len(indices)))
+        else:
+            tokens = [token for i in indices
+                      for token in noise.tokens(seeds[i])]
         tasks.append(GroupTask(plan=plan, indices=list(indices),
                                systems=[systems[i] for i in indices],
                                options=options, tokens=tokens))
-    return tasks, serial
+    return tasks
 
 
-def _chunks(plan: ExecutionPlan, seeds, systems, tasks, serial):
+def _chunks(plan: ExecutionPlan, seeds, tasks):
     """Drive the tasks and yield one
-    :class:`~repro.sim.ensemble.EnsembleChunk` per finished group, then
-    one for the serial remainder (the structurally unique instances
-    plus any demoted group). A noisy sweep with ``reference`` also
-    integrates each group's chips once deterministically."""
+    :class:`~repro.sim.ensemble.EnsembleChunk` per finished group. A
+    group solved by a scipy method lists its chips in
+    ``serial_indices`` instead of carrying a batch. A noisy sweep with
+    ``reference`` also integrates each group's chips once
+    deterministically."""
     from repro.sim.ensemble import EnsembleChunk
 
     store = resolve_cache(plan.cache)
@@ -675,61 +654,60 @@ def _chunks(plan: ExecutionPlan, seeds, systems, tasks, serial):
     # metrics always compare against the exact noise-free transient.
     reference_options = _solver_options(plan, method="rk4", freeze_tol=None)
     for order, task, trajectory in _drive_groups(plan, tasks, store):
-        if trajectory is None:
-            telemetry.add("plan.demoted_rows", len(task.indices))
-            serial.extend(task.indices)
-            continue
+        indices = list(task.indices)
+        scipy = task.options["method"] in SCIPY_METHODS
         references = None
         if task.tokens and plan.reference:
-            reference = GroupTask(plan=plan, indices=task.indices,
+            reference = GroupTask(plan=plan, indices=indices,
                                   systems=task.systems,
                                   options=reference_options)
             with telemetry.span(f"group[{order}].reference"):
                 [(_, _, batch)] = _drive_groups(plan, [reference], store)
             references = batch.trajectories()
         yield EnsembleChunk(
-            order=order, indices=list(task.indices),
-            seeds=[seeds[i] for i in task.indices], trials=task.trials,
-            trajectories=trajectory.trajectories(), batches=[trajectory],
-            groups=[list(task.indices)], references=references)
-    if serial:
-        with telemetry.span("serial.fanout"):
-            solved = _run_serial(plan, serial, systems)
-        ordered = sorted(serial)
-        yield EnsembleChunk(order=len(tasks), indices=ordered,
-                            seeds=[seeds[i] for i in ordered],
-                            trajectories=[solved[i] for i in ordered],
-                            serial_indices=ordered)
+            order=order, indices=indices,
+            seeds=[seeds[i] for i in indices], trials=task.trials,
+            trajectories=trajectory.trajectories(),
+            batches=[] if scipy else [trajectory],
+            groups=[] if scipy else [indices],
+            serial_indices=indices if scipy else [],
+            references=references)
 
 
-def _settle(plan, store, key, solve):
+def _settle(plan, store, key, task, solve):
     """Finish one group: ``solve()`` returns ``(BatchTrajectory,
     storable)``, and a storable result lands in the cache under
     ``key`` (``storable=False`` vetoes a result an uncached rerun could
     not reproduce bit for bit, e.g. a shard-split adaptive solve).
+    Returns ``(task, trajectory)``, the task that ran and its result.
 
-    When the batched method itself raises under the deterministic
-    ``auto`` method (e.g. a stiff outlier underflowing the rkf45 step
-    floor) this returns ``None``: the group is demoted to the serial
-    scipy RK45 path. An explicit method is the caller's choice, and a
-    noisy sweep has no scipy counterpart, so there the error
-    propagates."""
+    When batched rkf45 raises under the deterministic ``auto`` method
+    (e.g. a stiff outlier underflowing the rkf45 step floor), the group
+    is demoted: it re-solves in-process with scipy RK45, is counted in
+    ``plan.demoted_rows`` and is not stored, and the demoted task is
+    returned. An explicit method is the caller's choice, and a noisy
+    sweep has no scipy counterpart, so there the error propagates."""
     try:
         trajectory, storable = solve()
     except SimulationError:
-        if plan.trials is not None or plan.method != "auto":
+        if plan.method != "auto" or task.options["method"] != "rkf45":
             raise
-        return None
+        telemetry.add("plan.demoted_rows", len(task.indices))
+        task = replace(task, options={**task.options, "method": "RK45"})
+        trajectory, storable = task.solve([range(task.n_rows)]), False
+    if task.options["method"] in SCIPY_METHODS:
+        telemetry.add("serial.solves", len(task.indices))
     if key is not None and storable:
         with telemetry.span("cache.put"):
             store.put(key, trajectory.t, trajectory.y)
-    return trajectory
+    return task, trajectory
 
 
 def _drive_groups(plan, tasks, store):
     """The executor's scheduling core: run every :class:`GroupTask`,
-    yielding ``(order, task, BatchTrajectory | None)`` as groups
-    finish (``None``: demoted to the serial path, see :func:`_settle`).
+    yielding ``(order, task, BatchTrajectory)`` as groups finish —
+    ``task`` is the task that ran, a demoted one included (see
+    :func:`_settle`).
 
     Cache hits yield first (they cost a key + load). Pool-routed groups
     are submitted asynchronously *up front* — workers start integrating
@@ -772,10 +750,10 @@ def _drive_groups(plan, tasks, store):
         yield from hits
         for order, task, key in sync:
             with telemetry.span(f"group[{order}].solve"):
-                trajectory = _settle(
-                    plan, store, key,
+                settled = _settle(
+                    plan, store, key, task,
                     lambda: (task.solve([range(task.n_rows)]), True))
-            yield (order, task, trajectory)
+            yield (order, *settled)
         while runs:
             try:
                 with telemetry.span("pool.wait"):
@@ -796,16 +774,17 @@ def _drive_groups(plan, tasks, store):
                     parts = pool_module.even_parts(task.n_rows,
                                                    int(plan.processes))
                     with telemetry.span(f"group[{order}].rerun"):
-                        trajectory = _settle(
-                            plan, store, key,
+                        settled = _settle(
+                            plan, store, key, task,
                             lambda: (task.solve(parts),
                                      lost.storable))
-                    yield (order, task, trajectory)
+                    yield (order, *settled)
                 break
             position = next(index for index, run in enumerate(runs)
                             if run[3] is handle)
             order, task, key, handle = runs.pop(position)
-            yield (order, task, _settle(plan, store, key, handle.result))
+            yield (order, *_settle(plan, store, key, task,
+                                   handle.result))
     except BaseException:
         for run in runs:
             run[3].discard()

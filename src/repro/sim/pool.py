@@ -1,10 +1,10 @@
 """Persistent zero-copy worker pool: the engine's one process model.
 
-Every multi-process solve in the engine runs here — pool-routed
-batched ODE and SDE groups split into per-core shards and the serial
-scipy fan-out of structurally unique instances
-(:func:`map_serial`). Two per-solve overheads the paper's large-scale
-mismatch/noise sweeps could not amortize are gone by construction:
+Every multi-process solve in the engine runs here: a pool-routed
+group — batched ODE or SDE rows, or per-row scipy solves — splits into
+per-core shards, each solved by :func:`repro.sim.plan.solve_rows`. Two
+per-solve overheads the paper's large-scale mismatch/noise sweeps
+could not amortize are gone by construction:
 
 * **Persistent workers** — :class:`WorkerPool` spawns its processes
   once and reuses them across solves (and across sweeps inside one
@@ -13,23 +13,22 @@ mismatch/noise sweeps could not amortize are gone by construction:
   the batch-codegen kernel cache (:mod:`repro.sim.batch_codegen`)
   means a structural group's RHS source is compiled at most once per
   worker no matter how many shards or reruns it serves.
-* **Shared-memory results** — every batched task carries a tiny
+* **Shared-memory results** — every task carries a tiny
   :class:`~repro.sim.shm.ShmBlock` header; the worker integrates its
   shard and stores the rows straight into the shared tensor. Only a
   small metadata dict (nfev, freeze mask) rides back on the result
   queue, so ``(n_instances, n_points, n_states)``-scale arrays never
-  pass through pickle. (Per-seed scipy trajectories of the serial
-  fan-out are small and ride the result queue.)
+  pass through pickle.
 
-The parent-side unit of work is a :class:`PoolHandle`: one batched
-group, split into per-worker shard tasks, all writing disjoint row
+The parent-side unit of work is a :class:`PoolHandle`: one group,
+split into per-worker shard tasks, all writing disjoint row
 slices of one shared block. Handles complete asynchronously —
 :func:`wait_any` is what lets the plan layer's streaming executor yield
 finished groups while the stiffest group is still integrating.
 
 Failure contract: an exception inside a task travels back pickled and
-re-raises in the parent (so the plan layer's demote-to-serial handling
-keeps working); a *dying* worker (hard crash, ``os._exit``) breaks the
+re-raises in the parent (so the plan layer's demotion of a failed
+rkf45 group keeps working); a *dying* worker (hard crash, ``os._exit``) breaks the
 whole pool — it is torn down, evicted from the registry, counted in
 ``pool.breaks``, and :class:`PoolBrokenError` raised; the plan layer
 then re-runs the lost groups in-process, and the next
@@ -51,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro.core.simulator import simulate
 from repro.errors import SimulationError
 
 from repro.sim import shm as shm_module
@@ -70,17 +68,15 @@ class PoolBrokenError(SimulationError):
 
 @dataclass
 class ShardTask:
-    """One shard of a batched group, as shipped to a worker.
+    """One shard of a group, as shipped to a worker.
 
     ``common`` is the pickle of the group-wide ``(factory, t_span,
     options)`` tuple — serialized once per group and cached
     per-worker, so the factory's (possibly large) attribute payload is
-    not re-pickled for every shard. ``rows`` is the shard's work list:
-    mismatch seeds for serial tasks, ``(chip_key, chip_seed, token)``
-    triples for batched shards (``None`` tokens on ODE shards).
-    ``header``/``row_offset`` name the shared block and the shard's
-    slice of it (``header`` is ``None`` for serial tasks, whose
-    trajectories return in the result meta).
+    not re-pickled for every shard. ``rows`` is the shard's work list
+    of ``(chip_key, chip_seed, token)`` triples (``None`` tokens on ODE
+    shards). ``header``/``row_offset`` name the shared block and the
+    shard's slice of it.
     """
 
     task_id: int
@@ -122,12 +118,10 @@ def _load_common(blob: bytes) -> tuple[tuple, bool]:
 
 
 def _run_shard(task: ShardTask) -> dict:
-    """Run one task. Batched shards rebuild their rows through the
-    factory and integrate them with :func:`repro.sim.plan.solve_rows`
-    — the call the parent makes when it re-runs a group of a dead
-    pool in-process — storing the rows into the shared block. Serial
-    tasks run one scipy solve per seed and return the trajectories in
-    the meta."""
+    """Run one shard: rebuild its rows through the factory and solve
+    them with :func:`repro.sim.plan.solve_rows` — the call the parent
+    makes when it re-runs a group of a dead pool in-process — storing
+    the rows into the shared block."""
     # Lazy import: plan.py imports this module inside functions only,
     # so importing it here (in the worker) is cycle-free.
     from repro.sim.plan import _compile_rows, solve_rows
@@ -136,35 +130,29 @@ def _run_shard(task: ShardTask) -> dict:
     wiener_seconds = 0.0
     factory_common, payload_hit = _load_common(task.common)
     factory, t_span, options = factory_common
-    if task.kind == "serial":
-        solved = [simulate(factory(seed), t_span, **options)
-                  for seed in task.rows]
-        meta = {"n_rows": len(solved), "nfev": None, "frozen": None,
-                "trajectories": [(item.t, item.y) for item in solved]}
-    else:
-        systems, tokens = _compile_rows(factory, task.rows)
-        if task.kind == "ode":
-            tokens = None
-        # An SDE solve's own counters land in a worker-local window;
-        # its Wiener seconds ride home with the shard's block.
-        window = (telemetry.collect_metrics()
-                  if task.collect and tokens is not None
-                  else contextlib.nullcontext())
-        with window as report:
-            trajectory = solve_rows(systems, tokens, t_span, options)
-        if report is not None:
-            wiener_seconds = report.counter("sde.wiener_seconds")
-        block = shm_module.ShmBlock.attach(task.header)
-        try:
-            block.write_rows(task.row_offset, trajectory.y)
-        finally:
-            block.close()
-        meta = {
-            "n_rows": trajectory.y.shape[0],
-            "nfev": trajectory.nfev,
-            "frozen": None if trajectory.frozen is None
-            else np.asarray(trajectory.frozen, dtype=bool),
-        }
+    systems, tokens = _compile_rows(factory, task.rows)
+    if task.kind == "ode":
+        tokens = None
+    # An SDE solve's own counters land in a worker-local window; its
+    # Wiener seconds ride home with the shard's block.
+    window = (telemetry.collect_metrics()
+              if task.collect and tokens is not None
+              else contextlib.nullcontext())
+    with window as report:
+        trajectory = solve_rows(systems, tokens, t_span, options)
+    if report is not None:
+        wiener_seconds = report.counter("sde.wiener_seconds")
+    block = shm_module.ShmBlock.attach(task.header)
+    try:
+        block.write_rows(task.row_offset, trajectory.y)
+    finally:
+        block.close()
+    meta = {
+        "n_rows": trajectory.y.shape[0],
+        "nfev": trajectory.nfev,
+        "frozen": None if trajectory.frozen is None
+        else np.asarray(trajectory.frozen, dtype=bool),
+    }
     if task.collect:
         # Workers have no ContextVar collector (they outlive any single
         # collection window), so counters are computed directly and
@@ -237,13 +225,12 @@ class PoolHandle:
     """Parent-side state of one in-flight group of tasks.
 
     Tracks the group's pending task ids, accumulates the small per-task
-    metadata, and owns the group's shared block (``None`` for the
-    serial fan-out) until :meth:`result` (success) or :meth:`discard`
-    (any failure path) releases it.
+    metadata, and owns the group's shared block until :meth:`result`
+    (success) or :meth:`discard` (any failure path) releases it.
     """
 
     pool: "WorkerPool"
-    block: shm_module.ShmBlock | None
+    block: shm_module.ShmBlock
     grid: np.ndarray | None = None
     systems: list = field(default_factory=list)
     storable: bool = False
@@ -294,19 +281,6 @@ class PoolHandle:
                                systems=list(self.systems),
                                frozen=frozen, nfev=nfev), self.storable
 
-    def outputs(self, key: str) -> list:
-        """One meta entry per task, in submission order — how the
-        serial fan-out collects its per-seed trajectories. Raises the
-        first task error like :meth:`result`."""
-        while self.pending:
-            self.pool.drain_one()
-        if self.error is not None:
-            raise self.error
-        if telemetry.enabled():
-            self._merge_workers()
-        return [self.metas[task_id][key]
-                for task_id, _offset in self.offsets]
-
     def _merge_workers(self) -> None:
         for meta in self.metas.values():
             info = meta.get("telemetry")
@@ -320,8 +294,7 @@ class PoolHandle:
         for task_id in self.pending:
             self.pool._handles.pop(task_id, None)
         self.pending.clear()
-        if self.block is not None:
-            self.block.discard()
+        self.block.discard()
 
 
 class WorkerPool:
@@ -363,10 +336,9 @@ class WorkerPool:
         handle.offsets.append((task_id, row_offset))
         self._handles[task_id] = handle
         collect = telemetry.enabled()
-        header = None if handle.block is None else handle.block.header
         self._tasks.put(ShardTask(task_id=task_id, kind=kind,
                                   common=common, rows=rows,
-                                  header=header,
+                                  header=handle.block.header,
                                   row_offset=row_offset,
                                   collect=collect,
                                   submitted_at=time.monotonic()
@@ -471,24 +443,6 @@ def wait_any(handles: list[PoolHandle]) -> PoolHandle:
             if handle.done:
                 return handle
         handles[0].pool.drain_one()
-
-
-def map_serial(processes: int, common: bytes, seeds: list) -> list[tuple]:
-    """Fan per-seed scipy solves out over the persistent pool — one
-    task per seed, pulled from the shared queue, so one slow instance
-    never holds a batch of fast ones hostage. ``common`` is the pickled
-    ``(factory, t_span, options, None)`` payload. Returns ``(t, y)``
-    per seed in input order; a task error re-raises here, a dying
-    worker raises :class:`PoolBrokenError`."""
-    pool = get_pool(processes)
-    handle = PoolHandle(pool=pool, block=None)
-    try:
-        for offset, seed in enumerate(seeds):
-            pool.submit(handle, "serial", common, [seed], offset)
-        return [pair for (pair,) in handle.outputs("trajectories")]
-    except BaseException:
-        handle.discard()
-        raise
 
 
 # ----------------------------------------------------------------------

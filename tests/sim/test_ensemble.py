@@ -89,6 +89,27 @@ class TestRunEnsemble:
         assert len(result.batches) == 1
         assert result.batched_fraction == pytest.approx(0.8)
 
+    def test_explicit_rk4_singleton_is_its_batched_row(self):
+        # An explicit batch method holds for a one-row group too: the
+        # singleton is byte for byte its row of a 2-seed sweep.
+        from repro.paradigms.tln import mismatched_tline
+
+        def factory(seed):
+            return mismatched_tline("gm", seed=seed)
+
+        span = (0.0, 8e-8)
+        alone = run_ensemble(factory, [5], span, n_points=60,
+                             method="rk4")
+        pair = run_ensemble(factory, [4, 5], span, n_points=60,
+                            method="rk4")
+        assert alone.batched_fraction == 1.0
+        assert alone.serial_indices == []
+        assert alone[0].y.tobytes() == pair[1].y.tobytes()
+        assert alone[0].t.tobytes() == pair[1].t.tobytes()
+        # Under auto a structurally unique chip still runs scipy RK45.
+        assert run_ensemble(factory, [5], span, n_points=60)\
+            .serial_indices == [0]
+
     def test_batch_failure_demotes_group_to_serial(self, monkeypatch):
         # The auto method must not let a batched-solve failure kill the
         # whole ensemble; the group falls back to the serial scipy path.
@@ -110,21 +131,35 @@ class TestRunEnsemble:
                                       capsys):
         # A stiff group whose batched rkf45 underflows is demoted to
         # scipy: the demotion is a counter in the run's report, and
-        # `repro report` shows it.
+        # `repro report` shows it. The demoted group is solved exactly
+        # as an explicit RK45 sweep solves it, and it is not stored.
         from repro.cli import main
         from repro.errors import SimulationError
+        from repro.sim import TrajectoryCache
         from repro.sim import plan as plan_module
+
+        def factory(seed):
+            return _pair_factory(seed, coupled=seed != 4)
+
+        explicit = run_ensemble(factory, range(5), (0.0, 1.0),
+                                n_points=40, method="RK45")
 
         def underflow(*args, **kwargs):
             raise SimulationError("rkf45 step size underflow (forced)")
 
         monkeypatch.setattr(plan_module, "solve_batch", underflow)
-        result = run_ensemble(
-            lambda seed: _pair_factory(seed, coupled=seed != 4),
-            range(5), (0.0, 1.0), n_points=40, telemetry=True)
+        cache = TrajectoryCache()
+        result = run_ensemble(factory, range(5), (0.0, 1.0),
+                              n_points=40, telemetry=True, cache=cache)
         assert result.serial_indices == [0, 1, 2, 3, 4]
+        assert result.batches == []
         assert result.telemetry.counter("plan.demoted_rows") == 4
         assert result.telemetry.counter("plan.rerun_rows") == 0
+        assert result.telemetry.counter("serial.solves") == 5
+        # Only the auto singleton (scipy RK45 by choice) is stored.
+        assert cache.stats.stores == 1
+        for demoted, reference in zip(result, explicit):
+            assert demoted.y.tobytes() == reference.y.tobytes()
         path = tmp_path / "report.json"
         result.telemetry.save(path)
         assert main(["report", str(path)]) == 0
@@ -211,7 +246,7 @@ class TestRunEnsemble:
         with pytest.raises(SimulationError, match="factory"):
             run_ensemble(lambda seed: 42, range(2), (0.0, 1.0))
 
-    def test_multiprocessing_pool_path(self):
+    def test_multiprocessing_pool_path(self, small_pool_groups):
         result = run_ensemble(_picklable_factory, range(3), (0.0, 1.0),
                               n_points=30, method="RK45", processes=2)
         reference = run_ensemble(_picklable_factory, range(3),
@@ -221,18 +256,20 @@ class TestRunEnsemble:
             np.testing.assert_allclose(left["a"], right["a"],
                                        rtol=1e-9)
 
-    def test_unpicklable_factory_degrades_gracefully(self):
+    def test_unpicklable_factory_degrades_gracefully(self, small_pool_groups):
         result = run_ensemble(lambda seed: _pair_factory(seed),
                               range(3), (0.0, 1.0), n_points=30,
                               method="RK45", processes=2)
         assert len(result) == 3
         assert all(isinstance(t, Trajectory) for t in result)
 
-    def test_worker_type_error_propagates(self):
+    def test_worker_type_error_propagates(self, small_pool_groups):
         # Regression: the pool wrapper used to catch TypeError (as a
         # proxy for "unpicklable factory") around pool.map, so a
         # *genuine* worker TypeError was swallowed and every seed was
         # silently rerun in-process — masking the failure entirely.
+        # The lowered pool threshold sends the 3-row scipy group to the
+        # pool.
         os.environ["ARK_ENSEMBLE_TEST_PID"] = str(os.getpid())
         try:
             with pytest.raises(TypeError, match="worker-side"):

@@ -190,15 +190,15 @@ class TestShimEquivalence:
 
 
 class TestRouting:
-    """The sweep's own inputs choose each group's route: a scipy
-    method runs per instance, every other group is one batched solve,
-    pooled if and only if ``processes > 1`` and it has at least
-    ``DEFAULT_SHARD_MIN`` (64) rows."""
+    """The sweep's own inputs choose each group's route: every group,
+    scipy methods included, is pooled if and only if ``processes > 1``
+    and it has at least ``DEFAULT_SHARD_MIN`` (64) rows. A scipy
+    group still counts one serial solve per instance."""
 
     @pytest.mark.parametrize("seeds, method, route", [
         (63, "rk4", (0, 0)),
         (64, "rk4", (2, 0)),
-        (64, "RK45", (0, 64)),
+        (64, "RK45", (2, 64)),
     ])
     def test_route_follows_rows_and_method(self, seeds, method, route):
         try:

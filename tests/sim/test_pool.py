@@ -1,7 +1,7 @@
 """Tests for the persistent zero-copy worker pool (:mod:`repro.sim.
 pool` + :mod:`repro.sim.shm` + pooled routing): the one row split,
 bit-identity against the in-process batch (fixed-step) and in-process
-even-slice solves (adaptive), the serial fan-out, worker reuse,
+even-slice solves (adaptive), scipy groups on the pool, worker reuse,
 shared-memory hygiene on success / worker crash / KeyboardInterrupt,
 resource-tracker hygiene, and graceful fallbacks (including a failed
 shared-memory allocation).
@@ -530,7 +530,10 @@ class TestShmBlock:
 
 
 class TestSerialFanOut:
-    def test_serial_fan_out_runs_on_the_pool(self):
+    """A scipy-method group is sharded over the pool like any other
+    group, one ``simulate`` call per row."""
+
+    def test_serial_fan_out_runs_on_the_pool(self, small_pool_groups):
         factory = TlineFactory()
         fanned = run_ensemble(factory, range(3), SPAN, n_points=30,
                               method="RK45", processes=2)
@@ -542,10 +545,11 @@ class TestSerialFanOut:
             np.testing.assert_array_equal(a.t, b.t)
         _assert_no_leaks()
 
-    def test_serial_fan_out_worker_crash_reruns_in_process(self):
-        # A dying worker breaks the pool instead of hanging the fan-out;
-        # the seeds re-run in-process with the same scipy solve, and
-        # the next fan-out spawns fresh workers.
+    def test_serial_fan_out_worker_crash_reruns_in_process(
+            self, small_pool_groups):
+        # A dying worker breaks the pool instead of hanging the group;
+        # the rows re-run in-process with the same scipy solve, and
+        # the next pooled group spawns fresh workers.
         result = run_ensemble(CrashFactory(), range(3), SPAN,
                               n_points=30, method="RK45", processes=2,
                               telemetry=True)
@@ -563,15 +567,17 @@ class TestSerialFanOut:
         assert len(result) == 3 and result.serial_indices == [0, 1, 2]
         _assert_no_leaks()
 
-    def test_serial_fan_out_reports_worker_telemetry(self):
+    def test_serial_fan_out_reports_worker_telemetry(
+            self, small_pool_groups):
         from repro.telemetry import RunReport
 
         report = RunReport()
         run_ensemble(TlineFactory(), range(3), SPAN, n_points=30,
                      method="RK45", processes=2, telemetry=report)
+        # The parent counts the solves; the 3 rows ran as 2 shards.
         assert report.counter("serial.solves") == 3
         assert sum(block["shards"]
-                   for block in report.workers.values()) == 3
+                   for block in report.workers.values()) == 2
 
 
 class TestResourceTracker:

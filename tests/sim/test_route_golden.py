@@ -1,6 +1,7 @@
 """Golden digests of every sweep route: the default in-process batch,
-the pooled batch, the serial scipy path (in-process and fanned out over
-the pool) and the pooled noisy batch with its references.
+the pooled batch, scipy groups (in-process, and sharded over the pool
+once they reach 64 rows) and the pooled noisy batch with its
+references.
 
 A sweep's route follows from its own inputs — the method, the number of
 rows and ``processes`` — and a change to how that route is chosen must
@@ -47,18 +48,18 @@ def _puf(sde_method, **options):
 
 
 #: case -> (sweep, route). The route is (pool started, pool shards,
-#: serial solves): the pooled batch runs 2 shards, the serial path
-#: counts one solve per instance and fans out over the pool only when
-#: one was started; the in-process batch shows none of the three.
+#: serial solves): a pooled group runs 2 shards, a scipy group counts
+#: one solve per instance wherever it runs, and a group below 64 rows
+#: stays in-process even with processes=2.
 CASES = {
     "auto-16": (lambda: _tline(16), (False, 0, 0)),
     "rk4-64-pooled": (lambda: _tline(64, method="rk4", processes=2),
                       (True, 2, 0)),
     "rk45-serial": (lambda: _tline(4, method="RK45"), (False, 0, 4)),
     "rk45-serial-pooled": (
-        lambda: _tline(4, method="RK45", processes=2), (True, 0, 4)),
+        lambda: _tline(4, method="RK45", processes=2), (False, 0, 4)),
     "rk45-64-pooled": (
-        lambda: _tline(64, method="RK45", processes=2), (True, 0, 64)),
+        lambda: _tline(64, method="RK45", processes=2), (True, 2, 64)),
     # 128 noisy rows take the pool; the 4 reference rows do not.
     "heun-4x32-pooled": (lambda: _puf("heun", processes=2),
                          (True, 2, 0)),
@@ -74,10 +75,11 @@ GOLDEN = {
         "accf9f1ed7174da86a4c55e0f2b549511a410c315e9682d456210586066fc71b",
     "rk45-serial":
         "9afad0684b82290b06b4aae23651ab219fd513530116b00248d346ca8ccb1b45",
-    # The pool fan-out runs the same simulate call per seed.
+    # Below 64 rows the scipy group runs in-process.
     "rk45-serial-pooled":
         "9afad0684b82290b06b4aae23651ab219fd513530116b00248d346ca8ccb1b45",
-    # Recorded in-process: every row is the same simulate call.
+    # Recorded in-process: each pool shard makes the same simulate
+    # call per row.
     "rk45-64-pooled":
         "dc8115c108349e196fa98ce28606f2a7586cf232553ed53cc3e79d77cd7f21b6",
     "heun-4x32-pooled":
