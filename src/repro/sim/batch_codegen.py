@@ -730,7 +730,7 @@ class BatchRhs:
                 raise SimulationError(
                     f"systems {systems[0].graph.name} and "
                     f"{system.graph.name} are not structurally "
-                    "compatible; use the serial path or group by "
+                    "compatible; solve them apart or group by "
                     "structural_signature()")
         self.systems = list(systems)
         #: The precision the solvers integrate this batch at (see

@@ -339,8 +339,8 @@ def _underflow(t: float, h: float) -> SimulationError:
     return SimulationError(
         f"rkf45 step size underflow at t={t:.3e} "
         f"(h={h:.3e}); the batch may contain a stiff "
-        "instance — use the serial path with an implicit "
-        "method")
+        "instance — use an implicit scipy method "
+        "(e.g. method='Radau')")
 
 
 def _step_factor(worst: float) -> float:
@@ -573,7 +573,7 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
     else:
         raise SimulationError(
             f"unknown batch method {method!r}; expected 'rkf45' or "
-            "'rk4' (scipy methods run through the serial path)")
+            "'rk4' (run_ensemble solves a scipy method row by row)")
     if telemetry.enabled():
         telemetry.add("solver.solves")
         telemetry.add("solver.nfev", nfev)

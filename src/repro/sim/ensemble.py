@@ -90,8 +90,8 @@ class EnsembleResult:
         vectorized readout without unpacking to serial trajectories."""
         if chip_index not in self._rows:
             raise SimulationError(
-                f"chip {chip_index} took the serial path; it has no "
-                "batch rows")
+                f"chip {chip_index} was solved by a scipy method; it "
+                "has no batch rows")
         batch_number, row = self._rows[chip_index]
         return self.batches[batch_number], slice(row, row + self.trials)
 

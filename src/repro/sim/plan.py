@@ -337,10 +337,9 @@ def solve_rows(systems, tokens, t_span, options):
     (:func:`_drive_groups`), so the two agree bit for bit by
     construction."""
     if options["method"] in SCIPY_METHODS:
-        rows = [simulate(system, t_span, **{
-            name: options[name] for name in ("n_points", "t_eval", "rtol",
-                                             "atol", "max_step", "method")})
-            for system in systems]
+        scipy = {name: options[name] for name in (
+            "n_points", "t_eval", "rtol", "atol", "max_step", "method")}
+        rows = [simulate(system, t_span, **scipy) for system in systems]
         return BatchTrajectory(t=rows[0].t,
                                y=np.stack([row.y for row in rows]),
                                systems=list(systems))
