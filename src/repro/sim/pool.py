@@ -28,13 +28,13 @@ finished groups while the stiffest group is still integrating.
 
 Failure contract: an exception inside a task travels back pickled and
 re-raises in the parent (so the plan layer's demotion of a failed
-rkf45 group keeps working); a *dying* worker (hard crash, ``os._exit``) breaks the
-whole pool — it is torn down, evicted from the registry, counted in
-``pool.breaks``, and :class:`PoolBrokenError` raised; the plan layer
-then re-runs the lost groups in-process, and the next
-:func:`get_pool` call spawns a fresh pool, counted in
-``pool.respawns``. Every path discards the
-group's shared block, so no ``/dev/shm`` segment outlives its sweep.
+rkf45 group keeps working); a *dying* worker (hard crash,
+``os._exit``) breaks the whole pool — it is torn down, evicted from
+the registry, counted in ``pool.breaks``, and :class:`PoolBrokenError`
+raised; the plan layer then re-runs the lost groups in-process, and
+the next :func:`get_pool` call spawns a fresh pool, counted in
+``pool.respawns``. Every path discards the group's shared block, so
+no ``/dev/shm`` segment outlives its sweep.
 """
 
 from __future__ import annotations
