@@ -46,6 +46,9 @@ class Trajectory:
     t: np.ndarray
     y: np.ndarray  # shape (n_states, len(t))
     system: OdeSystem
+    #: RHS evaluations the solve spent (``solve_ivp``'s ``nfev``);
+    #: ``None`` when the trajectory did not come from a solve.
+    nfev: int | None = None
 
     def __getitem__(self, node: str) -> np.ndarray:
         """Trajectory of a node's value (0th derivative)."""
@@ -160,4 +163,5 @@ def simulate(target: OdeSystem | DynamicalGraph, t_span: tuple[float, float],
         raise SimulationError(
             f"solve_ivp failed for {system.graph.name}: "
             f"{solution.message}")
-    return Trajectory(t=solution.t, y=solution.y, system=system)
+    return Trajectory(t=solution.t, y=solution.y, system=system,
+                      nfev=int(solution.nfev))

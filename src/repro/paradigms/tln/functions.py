@@ -35,7 +35,7 @@ from repro.core.language import Language
 from repro.errors import GraphError
 from repro.paradigms.tln.gmc import gmc_tln_language
 from repro.paradigms.tln.language import tln_language
-from repro.paradigms.tln.waveforms import pulse
+from repro.paradigms.tln.waveforms import pulse, pulse_breakpoints
 
 #: Default segment count: IN_V + 26 I segments + 25 interior V + OUT_V
 #: equals the paper's 53-node line (the input source is not counted).
@@ -62,8 +62,11 @@ class TLineSpec:
         waveform = lambda t: pulse(t, t0, width)  # noqa: E731
         # Equal-parameter waveforms are interchangeable: the tag lets
         # the batched ensemble codegen share one callable across
-        # instances instead of dispatching per instance.
+        # instances instead of dispatching per instance. Its kinks
+        # follow from the same parameters; the batched adaptive solver
+        # lands its steps on them.
         waveform._ark_vector_key = ("tln-pulse", t0, width)
+        waveform._ark_breakpoints = pulse_breakpoints(t0, width)
         return waveform
 
 

@@ -41,6 +41,14 @@ def pulse(t: float, t0: float, width: float) -> float:
     return trapezoid(t, t0, width, rise=0.2 * width, amplitude=1.0)
 
 
+def pulse_breakpoints(t0: float, width: float) -> tuple[float, ...]:
+    """The times where ``pulse(t, t0, width)``'s slope jumps: its start,
+    the ends of its rise and of its plateau, and its end. An adaptive
+    solver that lands a step on each never straddles a kink."""
+    rise = 0.2 * width
+    return (t0, t0 + rise, t0 + (width - rise), t0 + width)
+
+
 def step(t: float, t0: float, amplitude: float = 1.0) -> float:
     """Heaviside step at ``t0``."""
     return amplitude if t >= t0 else 0.0

@@ -130,6 +130,22 @@ class _PerInstanceFn:
         return out
 
 
+def _breakpoints(values) -> tuple[float, ...]:
+    """The sorted union of the ``_ark_breakpoints`` tags of the callable
+    attributes among a kernel namespace's ``values``."""
+    points = set()
+    for value in values:
+        if isinstance(value, _AutoVector):
+            fns = (value._fn,)
+        elif isinstance(value, _PerInstanceFn):
+            fns = value._fns
+        else:
+            continue
+        for fn in fns:
+            points.update(getattr(fn, "_ark_breakpoints", ()))
+    return tuple(sorted(map(float, points)))
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float, np.floating, np.integer)) \
         and not isinstance(value, bool)
@@ -765,6 +781,11 @@ class BatchRhs:
                  namespace)
         #: True when the emitted RHS drives the fused sparse product.
         self.fused = "_lin_col0" in namespace
+        #: Sorted union of the ``_ark_breakpoints`` tags (input-waveform
+        #: kinks) of the callable attributes the RHS reads; the adaptive
+        #: solver lands its steps on them. A tag is a function of the
+        #: callable's ``_ark_vector_key``, which cache keys already hash.
+        self.breakpoints = _breakpoints(namespace.values())
         telemetry.add("codegen.batch_compiles")
         telemetry.add("codegen.fused_rhs" if self.fused
                       else "codegen.unfused_rhs")

@@ -1,29 +1,35 @@
 """Vectorized batch integration of compiled ensembles.
 
-Two fixed-grid solvers operate on the whole ``(n_instances, n_states)``
-state matrix at once:
+Two solvers operate on the whole ``(n_instances, n_states)`` state
+matrix at once:
 
-* ``rk4``   — classic fixed-step Runge-Kutta 4, substepped to respect
+* ``rk4``    — classic fixed-step Runge-Kutta 4, substepped to respect
   ``max_step``; cheapest when the dynamics are smooth and the grid is
   dense enough;
-* ``rkf45`` — adaptive Runge-Kutta-Fehlberg 4(5) with *per-instance*
-  error control: the embedded error estimate is normalized per instance
-  and the shared step obeys the worst one, so a single stiff outlier
-  cannot silently degrade its siblings' accuracy.
+* ``dopri5`` — adaptive Dormand–Prince 5(4), the tableau of scipy's
+  ``RK45``, with *per-instance* error control: the embedded error
+  estimate is normalized per instance and the shared step obeys the
+  worst one, so a single stiff outlier cannot silently degrade its
+  siblings' accuracy.
 
 Both land exactly on a shared output grid. ``rk4`` substeps each grid
-interval; ``rkf45`` uses *dense output* — steps are sized by the
-error estimate alone and grid samples are filled by a bootstrapped
-quartic interpolant (order-consistent with the propagated solution), so
-fine output grids do not force extra RHS evaluations. Both
-return a :class:`BatchTrajectory` with ``(n_instances, n_states, n_t)``
-storage plus the ensemble accessors (mean/std/percentile bands) the
-paper's Fig. 4c/4d-style mismatch studies read.
+interval; ``dopri5`` sizes its steps by the error estimate alone and
+fills the grid samples from the pair's own quartic interpolant, which
+costs no RHS evaluation, so fine output grids do not force extra work.
+Its steps do land exactly on the batch's input breakpoints
+(:attr:`~repro.sim.batch_codegen.BatchRhs.breakpoints`, e.g. the kinks
+of the t-line's trapezoidal pulse): a step that straddles a kink would
+integrate a non-smooth right-hand side and misjudge its own error.
+Both return a :class:`BatchTrajectory` with
+``(n_instances, n_states, n_t)`` storage plus the ensemble accessors
+(mean/std/percentile bands) the paper's Fig. 4c/4d-style mismatch
+studies read.
 
 The step loops run at the batch's dtype (float64 by default, float32
 on request — see :func:`~repro.sim.batch_codegen.array_dtype`): state
 matrices and the output buffer carry it, and the per-instance freeze
-masks are applied through value-identical ``np.where`` selects.
+masks are applied through value-identical selects. RHS evaluations
+write into buffers allocated once per solve.
 Step-size control stays python-float math, which keeps float32 states
 float32 (python scalars are weak under NEP 50 promotion; numpy float64
 scalars are not).
@@ -36,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import RK45
 
 from repro import telemetry
 from repro.core.odesystem import OdeSystem
@@ -44,20 +51,18 @@ from repro.errors import SimulationError
 
 from repro.sim.batch_codegen import BatchRhs, array_dtype, compile_batch
 
-#: Fehlberg 4(5) tableau — stage nodes, stage weights, and the 5th/4th
-#: order solution weights.
-_RKF_C = (0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
-_RKF_A = (
-    (0.25,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-)
-_RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
-           -9.0 / 50.0, 2.0 / 55.0)
-_RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0,
-           -1.0 / 5.0, 0.0)
+#: Dormand–Prince 5(4), scipy's ``RK45`` tableau, one coefficient row
+#: per combination of the 7-stage buffer: rows 1-5 form the stage
+#: inputs, row 6 the 5th-order solution and row 7 its error estimate
+#: (5th minus embedded 4th order; the last column weighs the
+#: first-same-as-last stage). ``_DP_P`` maps the stages to the pair's
+#: quartic dense output.
+_DP_C = tuple(float(node) for node in RK45.C)
+_DP_W = np.zeros((8, 7))
+_DP_W[:6, :5] = RK45.A
+_DP_W[6, :6] = RK45.B
+_DP_W[7] = RK45.E
+_DP_P = RK45.P
 
 
 @dataclass
@@ -265,9 +270,13 @@ def freeze_converged(y, f, remaining: float, rtol: float, atol: float,
 def _rk4_batch(rhs: BatchRhs, grid: np.ndarray, max_step: float,
                rtol: float, atol: float,
                freeze_tol: float | None):
-    y = rhs.y0
+    y = rhs.y0.copy()
     out = np.empty((y.shape[0], y.shape[1], len(grid)), dtype=y.dtype)
     out[:, :, 0] = y
+    # The stages, the stage input and the update accumulate in buffers
+    # allocated once; each operation is the one the plain expression
+    # ``y + (h/6)(k1 + 2k2 + 2k3 + k4)`` performs, in the same order.
+    k1, k2, k3, k4, stage, update = (np.empty_like(y) for _ in range(6))
     frozen = np.zeros(y.shape[0], dtype=bool)
     nfev = 0
     accepted = 0
@@ -282,24 +291,30 @@ def _rk4_batch(rhs: BatchRhs, grid: np.ndarray, max_step: float,
         substeps = max(1, math.ceil(dt / max_step))
         h = dt / substeps
         t = float(grid[k])
-        hold = y if bool(frozen.any()) else None
+        hold = y.copy() if bool(frozen.any()) else None
         for _ in range(substeps):
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
+            rhs(t, y, out=k1)
+            np.add(y, np.multiply(k1, 0.5 * h, out=stage), out=stage)
+            rhs(t + 0.5 * h, stage, out=k2)
+            np.add(y, np.multiply(k2, 0.5 * h, out=stage), out=stage)
+            rhs(t + 0.5 * h, stage, out=k3)
+            np.add(y, np.multiply(k3, h, out=stage), out=stage)
+            rhs(t + h, stage, out=k4)
             nfev += 4
             accepted += 1
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.add(k1, np.multiply(k2, 2.0, out=update), out=update)
+            np.add(update, np.multiply(k3, 2.0, out=stage), out=update)
+            np.add(update, k4, out=update)
+            np.add(y, np.multiply(update, h / 6.0, out=update), out=y)
             if hold is not None:
                 # Pinned rows: frozen instances hold their value (the
                 # batch RHS is row-local, so their columns cannot
                 # influence active siblings).
-                y = np.where(frozen[:, None], hold, y)
+                np.copyto(y, hold, where=frozen[:, None])
             t += h
         out[:, :, k + 1] = y
         if freeze_tol is not None and grid[k + 1] < t_end:
-            f = rhs(float(grid[k + 1]), y)
+            f = rhs(float(grid[k + 1]), y, out=k1)
             nfev += 1
             frozen = frozen | freeze_converged(
                 y, f, t_end - grid[k + 1], rtol, atol, freeze_tol)
@@ -312,32 +327,9 @@ def _error_norms(error, y_old, y_new, rtol: float, atol: float):
     return np.sqrt(np.mean((error / scale) ** 2, axis=1))
 
 
-def _rkf45_stages(rhs: BatchRhs, t: float, y: np.ndarray, h: float,
-                  k1: np.ndarray):
-    """One embedded RKF45 step from an already-evaluated ``k1``:
-    returns (y5, y4)."""
-    k2 = rhs(t + _RKF_C[0] * h, y + h * (_RKF_A[0][0] * k1))
-    k3 = rhs(t + _RKF_C[1] * h,
-             y + h * (_RKF_A[1][0] * k1 + _RKF_A[1][1] * k2))
-    k4 = rhs(t + _RKF_C[2] * h,
-             y + h * (_RKF_A[2][0] * k1 + _RKF_A[2][1] * k2
-                      + _RKF_A[2][2] * k3))
-    k5 = rhs(t + _RKF_C[3] * h,
-             y + h * (_RKF_A[3][0] * k1 + _RKF_A[3][1] * k2
-                      + _RKF_A[3][2] * k3 + _RKF_A[3][3] * k4))
-    k6 = rhs(t + _RKF_C[4] * h,
-             y + h * (_RKF_A[4][0] * k1 + _RKF_A[4][1] * k2
-                      + _RKF_A[4][2] * k3 + _RKF_A[4][3] * k4
-                      + _RKF_A[4][4] * k5))
-    stages = (k1, k2, k3, k4, k5, k6)
-    y5 = y + h * sum(b * s for b, s in zip(_RKF_B5, stages))
-    y4 = y + h * sum(b * s for b, s in zip(_RKF_B4, stages))
-    return y5, y4
-
-
 def _underflow(t: float, h: float) -> SimulationError:
     return SimulationError(
-        f"rkf45 step size underflow at t={t:.3e} "
+        f"dopri5 step size underflow at t={t:.3e} "
         f"(h={h:.3e}); the batch may contain a stiff "
         "instance — use an implicit scipy method "
         "(e.g. method='Radau')")
@@ -365,85 +357,42 @@ def _freeze_offenders(frozen, norms, freeze_tol: float | None):
     return frozen | offenders, True
 
 
-#: Collocation node of the bootstrapped quartic interpolant. theta=1/2
-#: makes the Hermite-Birkhoff system singular; 1/3 is well conditioned
-#: (determinant 4/27).
-_DENSE_NODE = 1.0 / 3.0
-
-
-def _hermite_point(theta: float, y_old: np.ndarray, y_new: np.ndarray,
-                   f_old: np.ndarray, f_new: np.ndarray,
-                   h: float) -> np.ndarray:
-    """Cubic Hermite predictor at one normalized position (the
-    bootstrap's collocation point; O(h^4) accurate)."""
-    t2 = theta * theta
-    t3 = t2 * theta
-    return ((2.0 * t3 - 3.0 * t2 + 1.0) * y_old
-            + (t3 - 2.0 * t2 + theta) * (h * f_old)
-            + (-2.0 * t3 + 3.0 * t2) * y_new
-            + (t3 - t2) * (h * f_new))
-
-
-def _quartic_coefficients(y_old: np.ndarray, y_new: np.ndarray,
-                          f_old: np.ndarray, f_mid: np.ndarray,
-                          f_new: np.ndarray, h: float):
-    """Coefficients (a, b, c, d) of the bootstrapped quartic
-    ``y(theta) = y_old + a th + b th^2 + c th^3 + d th^4`` matching
-    value+derivative at both endpoints and the derivative ``f_mid``
-    collocated at ``theta = _DENSE_NODE = 1/3``:
-
-        a           = h f_old
-        b + c + d   = (y_new - y_old) - a
-        2b + 3c + 4d = h f_new - a
-        (2/3)b + (1/3)c + (4/27)d = h f_mid - a
-
-    Because ``f_mid`` is evaluated on the O(h^4) cubic predictor, the
-    quartic's local error is O(h^5) — the same order as the propagated
-    RKF45 solution, so dense output no longer dilutes the tolerance.
-    """
-    a = h * f_old
-    p = (y_new - y_old) - a
-    q = h * f_new - a
-    r = h * f_mid - a
-    b = (27.0 * r - 24.0 * p + 5.0 * q) / 4.0
-    c = 4.0 * p - q - 2.0 * b
-    d = p - b - c
-    return a, b, c, d
-
-
-def _quartic_eval(theta, y_old, coefficients):
-    """Evaluate the quartic at positions ``theta`` (shape (m,));
-    result (m, n_instances, n_states)."""
-    a, b, c, d = coefficients
-    theta = theta[:, None, None]
-    return y_old + theta * (a + theta * (b + theta * (c + theta * d)))
-
-
-def _rkf45_dense_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
-                       atol: float, max_step: float,
-                       freeze_tol: float | None):
-    """Dense-output RKF45: step control is decoupled from the output
-    grid. Steps are sized by the error estimate alone (never clipped to
-    grid points); every output sample inside an accepted step is filled
-    by a bootstrapped quartic interpolant (endpoint values/derivatives
-    plus one collocated derivative on the cubic predictor — local error
-    O(h^5), the same order as the propagated solution). The endpoint
-    derivative doubles as the next step's ``k1`` (first-same-as-last),
-    so dense output costs at most one extra RHS evaluation per
-    *output-producing* step — fine grids stop forcing small steps."""
+def _dopri5_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
+                  atol: float, max_step: float,
+                  freeze_tol: float | None):
+    """Dormand–Prince 5(4) over the whole batch with one shared step.
+    Steps are sized by the per-instance error estimate alone and clipped
+    only to land on the batch's input breakpoints (``rhs.breakpoints``,
+    the kinks of its input waveforms) and on the end of the span; every
+    output sample inside an accepted step is read off the pair's quartic
+    interpolant, which costs no RHS evaluation. The 7 stages live in one
+    preallocated ``(7, n, s)`` buffer, each stage input and the error
+    estimate is one matrix product over it, and the last stage is the
+    next step's first (first-same-as-last): 6 RHS evaluations a step."""
     t_end = float(grid[-1])
-    span = t_end - float(grid[0])
+    t = float(grid[0])
+    span = t_end - t
     min_step = 1e-14 * span
-    y = rhs.y0
+    # The step ends it may not cross: the breakpoints inside the span,
+    # then the end of the span.
+    stops = [point for point in getattr(rhs, "breakpoints", ())
+             if t < point < t_end] + [t_end]
+    y = rhs.y0.copy()
+    y_new = np.empty_like(y)
+    stages = np.empty((7,) + y.shape, dtype=y.dtype)
+    flat = stages.reshape(7, -1)
+    y_flat, y_new_flat = y.reshape(-1), y_new.reshape(-1)
+    stage_input = np.empty_like(y)
+    combination = stage_input.reshape(-1)
+    error = np.empty_like(y)
     out = np.empty((y.shape[0], y.shape[1], len(grid)), dtype=y.dtype)
     out[:, :, 0] = y
     frozen = np.zeros(y.shape[0], dtype=bool)
     nfev = 1
     accepted = 0
     rejected = 0
-    t = float(grid[0])
     h = min(max_step, span / 100.0)
-    k1 = rhs(t, y)
+    rhs(t, y, out=stages[0])
     last_norms = None
     next_index = 1
     while next_index < len(grid):
@@ -458,20 +407,30 @@ def _rkf45_dense_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
                 h = min(max_step, span / 100.0)
                 continue
             raise _underflow(t, h)
-        if t + h >= t_end:
-            h = t_end - t
-            t_new = t_end
+        if t + h >= stops[0]:
+            h = stops[0] - t
+            t_new = stops[0]
         else:
             t_new = t + h
-        y5, y4 = _rkf45_stages(rhs, t, y, h, k1)
-        nfev += 5
-        if bool(frozen.any()):
+        weights = (h * _DP_W).astype(y.dtype, copy=False)
+        for i in range(1, 6):
+            np.dot(weights[i, :i], flat[:i], out=combination)
+            np.add(y_flat, combination, out=combination)
+            rhs(t + _DP_C[i] * h, stage_input, out=stages[i])
+        np.dot(weights[6, :6], flat[:6], out=y_new_flat)
+        np.add(y_flat, y_new_flat, out=y_new_flat)
+        pinned = bool(frozen.any())
+        if pinned:
             # Pinned rows: held constant and excluded from error
             # control, so a converged stiff instance stops dictating
             # the shared step size.
-            y5 = np.where(frozen[:, None], y, y5)
-            y4 = np.where(frozen[:, None], y, y4)
-        norms = _error_norms(y5 - y4, y, y5, rtol, atol)
+            np.copyto(y_new, y, where=frozen[:, None])
+        rhs(t_new, y_new, out=stages[6])
+        nfev += 6
+        np.dot(weights[7], flat, out=error.reshape(-1))
+        norms = _error_norms(error, y, y_new, rtol, atol)
+        if pinned:
+            norms[frozen] = 0.0
         last_norms = norms
         worst = float(norms.max()) if norms.size else 0.0
         if not math.isfinite(worst):
@@ -483,21 +442,19 @@ def _rkf45_dense_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
             h *= max(0.2, 0.9 * worst ** -0.2)
             continue
         accepted += 1
-        f_new = rhs(t_new, y5)
-        nfev += 1
         stop = next_index
         while stop < len(grid) and grid[stop] <= t_new:
             stop += 1
         if stop > next_index:
-            y_node = _hermite_point(_DENSE_NODE, y, y5, k1, f_new, h)
-            f_node = rhs(t + _DENSE_NODE * h, y_node)
-            nfev += 1
-            coefficients = _quartic_coefficients(y, y5, k1, f_node,
-                                                 f_new, h)
-            theta = np.asarray((grid[next_index:stop] - t) / h,
-                               dtype=y.dtype)
-            values = _quartic_eval(theta, y, coefficients)
-            if bool(frozen.any()):
+            theta = (grid[next_index:stop] - t) / h
+            powers = np.cumprod(np.repeat(theta[:, None], 4, axis=1),
+                                axis=1)
+            slopes = np.dot((h * _DP_P.T).astype(y.dtype, copy=False),
+                            flat)
+            values = y_flat + np.dot(powers.astype(y.dtype, copy=False),
+                                     slopes)
+            values = values.reshape((len(theta),) + y.shape)
+            if pinned:
                 # The interpolant would wiggle frozen rows by their
                 # (tolerance-bounded) residual drift; pin them exactly.
                 values = np.where(frozen[None, :, None], y[None, :, :],
@@ -506,17 +463,20 @@ def _rkf45_dense_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
             next_index = stop
         if freeze_tol is not None and t_new < t_end:
             frozen = frozen | freeze_converged(
-                y5, f_new, t_end - t_new, rtol, atol, freeze_tol)
+                y_new, stages[6], t_end - t_new, rtol, atol, freeze_tol)
+        if t_new == stops[0]:
+            stops.pop(0)
         t = t_new
-        y = y5
-        k1 = f_new
+        y, y_new = y_new, y
+        y_flat, y_new_flat = y_new_flat, y_flat
+        stages[0] = stages[6]
         h *= _step_factor(worst)
     return out, frozen, nfev, accepted, rejected
 
 
 def solve_batch(batch: BatchRhs | list[OdeSystem],
                 t_span: tuple[float, float], n_points: int = 500,
-                method: str = "rkf45", rtol: float = 1e-7,
+                method: str = "dopri5", rtol: float = 1e-7,
                 atol: float = 1e-9, t_eval=None,
                 max_step: float | None = None,
                 dense: bool = True,
@@ -526,23 +486,26 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
 
     :param batch: a compiled :class:`BatchRhs` or a list of systems to
         compile (see :func:`~repro.sim.batch_codegen.compile_batch`).
-    :param method: ``rkf45`` (adaptive, default) or ``rk4`` (fixed
-        step).
+    :param method: ``dopri5`` (adaptive Dormand–Prince 5(4), default)
+        or ``rk4`` (fixed step). ``rkf45`` is a retired spelling of
+        ``dopri5`` that only this function still accepts (``run_ensemble``,
+        :class:`~repro.sim.plan.ExecutionPlan` and the CLI reject it);
+        it goes once the benchmark's t-line options stop passing it.
     :param max_step: step cap; defaults to 1/64 of the span, matching
         the serial :func:`~repro.core.simulator.simulate` so brief input
         events cannot be stepped over.
-    :param dense: retired; only ``True`` is accepted. rkf45 always fills
-        the output grid from its quartic dense output, so step control
+    :param dense: retired; only ``True`` is accepted. dopri5 always
+        fills the output grid from its own dense output, so step control
         is decoupled from the grid (scipy's ``t_eval`` semantics). The
-        keyword stays until the benchmark's t-line options stop
-        passing it.
+        keyword stays, like the ``rkf45`` spelling, until the
+        benchmark's t-line options stop passing it.
     :param freeze_tol: per-instance step masks. When set, an instance
         whose extrapolated drift over the whole remaining span stays
         below ``freeze_tol`` times the tolerance scale *freezes* — its
         row is pinned and excluded from error control, so one
         converged-but-stiff instance no longer forces the worst-case
         step on its siblings; and an instance whose error refuses to
-        drop below tolerance at the rkf45 step floor freezes at its
+        drop below tolerance at the dopri5 step floor freezes at its
         last accepted state instead of killing the whole batch. When
         every instance is frozen the remaining grid is filled without
         further RHS evaluations. ``None`` (default) disables masking —
@@ -557,8 +520,8 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
     """
     if dense is not True:
         raise SimulationError(
-            f"dense={dense!r}: the clip-to-grid rkf45 loop was removed; "
-            "rkf45 always uses dense output")
+            f"dense={dense!r}: the clip-to-grid loop was removed; "
+            "dopri5 always uses dense output")
     batch = _as_batch(batch, array_backend)
     grid, work_grid, max_step = _solve_grids(t_span, n_points, t_eval,
                                              max_step, freeze_tol)
@@ -567,12 +530,13 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
     if name == "rk4":
         y_out, frozen, nfev, accepted, rejected = _rk4_batch(
             batch, work_grid, max_step, rtol, atol, freeze_tol)
-    elif name == "rkf45":
-        y_out, frozen, nfev, accepted, rejected = _rkf45_dense_batch(
+    elif name in ("dopri5", "rkf45"):
+        name = "dopri5"
+        y_out, frozen, nfev, accepted, rejected = _dopri5_batch(
             batch, work_grid, rtol, atol, max_step, freeze_tol)
     else:
         raise SimulationError(
-            f"unknown batch method {method!r}; expected 'rkf45' or "
+            f"unknown batch method {method!r}; expected 'dopri5' or "
             "'rk4' (run_ensemble solves a scipy method row by row)")
     if telemetry.enabled():
         telemetry.add("solver.solves")

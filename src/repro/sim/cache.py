@@ -19,9 +19,9 @@ solves keyed by *everything that determines the result bit-for-bit*:
   ``array_backend`` spelling — ``numpy:float64`` or ``numpy:float32``
   — so numerically different executions never collide).
 
-``dense`` is a retired key entry: the batched rkf45 once had a
-clip-to-grid mode, and every deterministic (``"batch"``) key hashed its
-``dense=True`` flag. The flag is gone from the solver options, so
+``dense`` is a retired key entry: the batched adaptive solver once
+had a clip-to-grid mode, and every deterministic (``"batch"``) key
+hashed its ``dense=True`` flag. The flag is gone from the solver options, so
 :meth:`TrajectoryCache.key_for` folds in :data:`RETIRED_BATCH_OPTIONS`
 when it is absent, and every key, stored disk entries included, keeps
 its bytes.

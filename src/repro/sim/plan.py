@@ -28,7 +28,7 @@ source, so the path has one of each part:
 * **one recovery rule** — a group whose pool died re-runs in-process
   over the pool's own slices (:func:`_drive_groups`, counted in
   ``plan.rerun_rows``), bit-identical to the pooled run by
-  construction; only batched rkf45 that itself raises under the
+  construction; only batched dopri5 that itself raises under the
   deterministic ``auto`` method is demoted: the group re-solves
   in-process with scipy RK45 (``plan.demoted_rows``).
 
@@ -36,7 +36,7 @@ The sweep's own inputs choose each group's method and route; there is
 no route option:
 
 * the method is the plan's ``method``, except that ``auto`` is batched
-  rkf45 for a group of two or more chips and scipy RK45 for a
+  dopri5 for a group of two or more chips and scipy RK45 for a
   structurally unique one (:func:`_ode_method`);
 * a group runs on the **persistent zero-copy pool**
   (:mod:`repro.sim.pool`) if and only if ``processes > 1`` and it has
@@ -48,7 +48,7 @@ no route option:
   ``heun``) are bit-identical to the in-process solve because every
   instance's arithmetic is row-local and Wiener streams are keyed by
   ``(noise seed, element, path)``, never by batch layout. The adaptive
-  batched methods (rkf45 and ``heun-adaptive``) run per-shard step
+  batched methods (dopri5 and ``heun-adaptive``) run per-shard step
   control; the one row split keeps their results reproducible, and
   they are kept out of the cache.
 
@@ -94,7 +94,7 @@ from repro.sim.cache import resolve_cache
 from repro.sim.sde_solver import SDE_METHODS, solve_sde
 
 #: Methods handled natively by the batched ODE solver.
-BATCH_METHODS = ("auto", "rkf45", "rk4")
+BATCH_METHODS = ("auto", "dopri5", "rk4")
 
 #: scipy ``solve_ivp`` methods, solved one row at a time.
 SCIPY_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
@@ -151,9 +151,9 @@ class ExecutionPlan:
     :param n_points: output grid size (ignored when ``t_eval`` is set).
     :param t_eval: explicit output grid: at least two strictly
         increasing points inside ``t_span``.
-    :param method: ODE method — ``auto`` (batched rkf45; scipy RK45
-        for a structurally unique instance and for a group rkf45
-        cannot integrate), ``rkf45``/``rk4`` (a batch solver for every
+    :param method: ODE method — ``auto`` (batched dopri5; scipy RK45
+        for a structurally unique instance and for a group dopri5
+        cannot integrate), ``dopri5``/``rk4`` (a batch solver for every
         group, a one-row group included), or a scipy ``solve_ivp``
         name (:data:`SCIPY_METHODS`; one solve per instance). Ignored
         on a noisy sweep (see ``sde_method``).
@@ -340,9 +340,11 @@ def solve_rows(systems, tokens, t_span, options):
         scipy = {name: options[name] for name in (
             "n_points", "t_eval", "rtol", "atol", "max_step", "method")}
         rows = [simulate(system, t_span, **scipy) for system in systems]
+        nfev = sum(row.nfev for row in rows)
+        telemetry.add("solver.nfev", nfev)
         return BatchTrajectory(t=rows[0].t,
                                y=np.stack([row.y for row in rows]),
-                               systems=list(systems))
+                               systems=list(systems), nfev=nfev)
     batch = compile_batch(systems,
                           array_backend=options.get("array_backend"))
     if tokens is None:
@@ -428,7 +430,7 @@ def _submit_pool(task: GroupTask):
     cannot be used (no rows to split, an unpicklable factory,
     or no shared memory). Scipy and fixed-step
     results are bit-identical to the in-process solve and storable;
-    adaptive methods (rkf45 and the adaptive SDE pair) run per-shard
+    adaptive methods (dopri5 and the adaptive SDE pair) run per-shard
     step control, so an uncached whole-group rerun would not reproduce
     them bit-for-bit — they are kept out of the cache."""
     from repro.sim import pool as pool_module
@@ -471,7 +473,7 @@ def _submit_pool(task: GroupTask):
     handle = pool_module.PoolHandle(
         pool=worker_pool, block=block, grid=grid,
         systems=task.row_systems,
-        storable=task.options["method"] not in ("rkf45",
+        storable=task.options["method"] not in ("dopri5",
                                                 "heun-adaptive"),
         masked=task.options.get("freeze_tol") is not None)
     offset = 0
@@ -596,12 +598,11 @@ def _solver_options(plan: ExecutionPlan, **solver) -> dict:
 
 def _ode_method(plan: ExecutionPlan, chips: int) -> str:
     """The solver method of a deterministic group of ``chips`` chips:
-    the plan's own, except that ``auto`` is batched rkf45 for a group
-    of two or more and scipy RK45 for a structurally unique chip
-    (batched rkf45 at one row costs about twice scipy's RK45)."""
+    the plan's own, except that ``auto`` is batched dopri5 for a group
+    of two or more and scipy RK45 for a structurally unique chip."""
     if plan.method != "auto":
         return plan.method
-    return "rkf45" if chips > 1 else "RK45"
+    return "dopri5" if chips > 1 else "RK45"
 
 
 def _expand(plan: ExecutionPlan, seeds, systems) -> list[GroupTask]:
@@ -680,8 +681,8 @@ def _settle(plan, store, key, task, solve):
     not reproduce bit for bit, e.g. a shard-split adaptive solve).
     Returns ``(task, trajectory)``, the task that ran and its result.
 
-    When batched rkf45 raises under the deterministic ``auto`` method
-    (e.g. a stiff outlier underflowing the rkf45 step floor), the group
+    When batched dopri5 raises under the deterministic ``auto`` method
+    (e.g. a stiff outlier underflowing the dopri5 step floor), the group
     is demoted: it re-solves in-process with scipy RK45, is counted in
     ``plan.demoted_rows`` and is not stored, and the demoted task is
     returned. An explicit method is the caller's choice, and a noisy
@@ -689,7 +690,7 @@ def _settle(plan, store, key, task, solve):
     try:
         trajectory, storable = solve()
     except SimulationError:
-        if plan.method != "auto" or task.options["method"] != "rkf45":
+        if plan.method != "auto" or task.options["method"] != "dopri5":
             raise
         telemetry.add("plan.demoted_rows", len(task.indices))
         task = replace(task, options={**task.options, "method": "RK45"})

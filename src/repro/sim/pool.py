@@ -28,7 +28,7 @@ finished groups while the stiffest group is still integrating.
 
 Failure contract: an exception inside a task travels back pickled and
 re-raises in the parent (so the plan layer's demotion of a failed
-rkf45 group keeps working); a *dying* worker (hard crash,
+dopri5 group keeps working); a *dying* worker (hard crash,
 ``os._exit``) breaks the whole pool — it is torn down, evicted from
 the registry, counted in ``pool.breaks``, and :class:`PoolBrokenError`
 raised; the plan layer then re-runs the lost groups in-process, and

@@ -402,6 +402,9 @@ def _sde_loop(batch: BatchRhs, work_grid: np.ndarray, plan, wiener,
     y = batch.y0
     out = np.empty((y.shape[0], n_states, len(work_grid)), dtype=y.dtype)
     out[:, :, 0] = y
+    # The two drift evaluations of a substep write into buffers
+    # allocated once per solve.
+    f0, f1 = np.empty_like(y), np.empty_like(y)
     frozen = np.zeros(y.shape[0], dtype=bool)
     nfev = 0
     t_end = work_grid[-1]
@@ -423,9 +426,9 @@ def _sde_loop(batch: BatchRhs, work_grid: np.ndarray, plan, wiener,
                 g0 = scatter(batch.diffusion(t, y) * dw)
             else:
                 g0 = 0.0
-            f0 = batch(t, y)
+            batch(t, y, out=f0)
             y_pred = y + h * f0 + g0
-            f1 = batch(t + h, y_pred)
+            batch(t + h, y_pred, out=f1)
             nfev += 2
             if noisy:
                 g1 = scatter(batch.diffusion(t + h, y_pred) * dw)

@@ -343,7 +343,7 @@ ROW_SEEDS = [None, 0, 7, 2**40]
 #: A source waveform that pickles (the default one is a closure).
 PICKLABLE_PULSE = functools.partial(pulse, t0=0.0, width=2e-8)
 
-KEY_OPTIONS = {"t_span": (0.0, 4e-8), "n_points": 50, "method": "rkf45"}
+KEY_OPTIONS = {"t_span": (0.0, 4e-8), "n_points": 50, "method": "dopri5"}
 
 
 def _lazy_and_materialized(name, seed):

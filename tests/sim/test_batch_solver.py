@@ -35,7 +35,8 @@ TAUS = (0.5, 1.0, 2.0, 4.0)
 
 
 class TestSolvers:
-    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    # rkf45 is the retired spelling of dopri5 that solve_batch keeps.
+    @pytest.mark.parametrize("method", ["rk4", "dopri5", "rkf45"])
     def test_matches_closed_form(self, method):
         batch = _decay_batch(TAUS)
         trajectory = solve_batch(batch, (0.0, 2.0), n_points=50,
@@ -65,15 +66,26 @@ class TestSolvers:
     def test_rk45_is_not_an_alias_of_rkf45(self):
         batch = _decay_batch(TAUS)
         with pytest.raises(SimulationError,
-                           match="unknown batch method 'rk45'.*rkf45"):
+                           match="unknown batch method 'rk45'.*dopri5"):
             solve_batch(batch, (0.0, 1.0), method="rk45")
+
+    def test_rkf45_is_a_retired_spelling_of_dopri5(self):
+        # The benchmark's traced t-line still passes method="rkf45",
+        # dense=True straight to solve_batch; it runs dopri5.
+        batch = _decay_batch(TAUS)
+        new = solve_batch(batch, (0.0, 1.0), n_points=40,
+                          method="dopri5")
+        old = solve_batch(batch, (0.0, 1.0), n_points=40,
+                          method="rkf45", dense=True)
+        np.testing.assert_array_equal(new.y, old.y)
+        assert new.nfev == old.nfev
 
     def test_per_instance_error_control(self):
         # A fast instance (tau=0.1) must not degrade a slow sibling's
         # accuracy: both rows still match the closed form.
         batch = _decay_batch((0.1, 5.0))
         trajectory = solve_batch(batch, (0.0, 1.0), n_points=40,
-                                 method="rkf45", rtol=1e-9, atol=1e-12)
+                                 method="dopri5", rtol=1e-9, atol=1e-12)
         expected = np.exp(-trajectory.t[None, :] /
                           np.array((0.1, 5.0))[:, None])
         np.testing.assert_allclose(trajectory["x"], expected,
@@ -148,7 +160,7 @@ class TestMaxStepValidation:
     values were silently swallowed by max(1, ceil(dt/max_step))."""
 
     @pytest.mark.parametrize("max_step", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("method", ["rk4", "dopri5", "rkf45"])
     def test_solve_batch_rejects(self, max_step, method):
         batch = _decay_batch(TAUS)
         with pytest.raises(SimulationError, match="max_step"):

@@ -32,7 +32,7 @@ def _systems(seeds):
     return [compile_graph(_factory(seed)) for seed in seeds]
 
 
-_OPTIONS = {"t_span": (0.0, 1.0), "n_points": 40, "method": "rkf45",
+_OPTIONS = {"t_span": (0.0, 1.0), "n_points": 40, "method": "dopri5",
             "rtol": 1e-7, "atol": 1e-9, "max_step": None,
             "t_eval": None, "dense": True}
 
@@ -63,10 +63,10 @@ class TestKeying:
                                  changed) != base
 
     def test_retired_dense_entry_keeps_batch_keys(self):
-        # Batch keys hashed dense=True while rkf45 had a clip-to-grid
-        # mode; they still do without it, so stored entries (and the
-        # benchmark's traced replay, which passes dense=True) keep
-        # hitting. SDE keys never carried the entry.
+        # Batch keys hashed dense=True while the adaptive solver had a
+        # clip-to-grid mode; they still do without it, so stored
+        # entries (and the benchmark's traced replay, which passes
+        # dense=True) keep hitting. SDE keys never carried the entry.
         cache = TrajectoryCache()
         systems = _systems(range(3))
         options = {name: value for name, value in _OPTIONS.items()

@@ -1,17 +1,21 @@
-"""Dense-output RKF45 accuracy and cost.
+"""Dense-output Dormand–Prince accuracy and cost.
 
 Dense output decouples step control from the output grid, so the
-batched rkf45 is checked against an independent reference — scipy's
+batched dopri5 is checked against an independent reference — scipy's
 DOP853 at rtol 1e-12 — on the paper's workloads, at tolerance level,
-and it must not pay extra RHS evaluations for fine output grids.
+and it must not pay extra RHS evaluations for fine output grids. Its
+steps land on the input pulse's kinks, which is what keeps the t-line
+error within a few units of the requested tolerance.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.compiler import compile_graph
 from repro.core.simulator import simulate
 from repro.paradigms.obc import maxcut_network
 from repro.paradigms.tln import mismatched_tline
+from repro.paradigms.tln.waveforms import pulse_breakpoints
 from repro.sim import compile_batch, solve_batch
 
 
@@ -33,6 +37,19 @@ def _counting(batch):
         return inner(t, y, dy)
 
     batch._rhs_inner = counted
+    return batch
+
+
+def _recording(batch):
+    """Instrument a BatchRhs to record the time of every RHS call."""
+    batch.times = []
+    inner = batch._rhs_inner
+
+    def recorded(t, y, dy):
+        batch.times.append(t)
+        return inner(t, y, dy)
+
+    batch._rhs_inner = recorded
     return batch
 
 
@@ -95,11 +112,11 @@ class TestDenseVsClipped:
         assert np.max(np.abs(dense.y - reference)) < 1e-4 * scale
 
     def test_oscillator_accuracy_matches_scipy_dense(self):
-        # The quartic interpolant is order-consistent with the
-        # propagated solution, so mid-grid accuracy on a stiff-ish
-        # oscillator must be in the same band as scipy's RK45 dense
-        # output at the same tolerance (free-running global error),
-        # not an order worse.
+        # dopri5 reads the grid off the pair's own quartic interpolant,
+        # the one scipy's RK45 dense output uses, so mid-grid accuracy
+        # on a stiff-ish oscillator must be in the same band as scipy's
+        # at the same tolerance (free-running global error), not an
+        # order worse.
         import repro
         from scipy.integrate import solve_ivp
         lang = repro.Language("dense-osc")
@@ -125,8 +142,9 @@ class TestDenseVsClipped:
         assert our_error < 10.0 * scipy_error
 
     def test_dense_matches_closed_form(self):
-        # Interpolation accuracy: dense output of exp decay stays at
-        # the integrator's tolerance between steps, not just on them.
+        # Interpolation accuracy: the dense output of exp decay stays
+        # at the integrator's tolerance between steps, not just on
+        # them.
         import repro
         lang = repro.Language("dense-decay")
         lang.node_type("X", order=1,
@@ -146,3 +164,106 @@ class TestDenseVsClipped:
                           np.array((0.5, 2.0))[:, None])
         np.testing.assert_allclose(trajectory["x"], expected,
                                    rtol=1e-6, atol=1e-9)
+
+
+def _units(trajectory, reference, rtol, atol):
+    """Per-row error in units of ``rtol * max|y_ref| + atol``."""
+    delta = np.abs(trajectory.y - reference).max(axis=(1, 2))
+    peak = np.abs(reference).max(axis=(1, 2))
+    return delta / (rtol * peak + atol)
+
+
+class TestInterpolant:
+    """The Dormand–Prince quartic between steps, against DOP853."""
+
+    def test_off_step_points_match_reference(self):
+        # Only grid points no step ends on are read off the
+        # interpolant; those must sit at the solver's tolerance.
+        batch = _recording(_tline_batch(2))
+        trajectory = solve_batch(batch, (0.0, 8e-8), n_points=300)
+        calls = set(batch.times)
+        off_step = [k for k, t in enumerate(trajectory.t)
+                    if t not in calls]
+        assert len(off_step) > 0.9 * len(trajectory.t)
+        reference = _reference(batch, (0.0, 8e-8),
+                               t_eval=trajectory.t[off_step])
+        scale = 1e-7 * np.abs(reference).max() + 1e-9
+        assert np.abs(trajectory.y[:, :, off_step]
+                      - reference).max() < 10.0 * scale
+
+    def test_maxcut_off_step_points_match_reference(self):
+        batch = _recording(_maxcut_batch())
+        trajectory = solve_batch(batch, (0.0, 100e-9), n_points=60)
+        calls = set(batch.times)
+        off_step = [k for k, t in enumerate(trajectory.t)
+                    if t not in calls]
+        assert len(off_step) > 0.9 * len(trajectory.t)
+        reference = _reference(batch, (0.0, 100e-9),
+                               t_eval=trajectory.t[off_step])
+        scale = 1e-7 * np.abs(reference).max() + 1e-9
+        assert np.abs(trajectory.y[:, :, off_step]
+                      - reference).max() < 10.0 * scale
+
+
+class TestTolerance:
+    """Accuracy of the 16-seed gm t-line batch in units of the
+    requested tolerance, against DOP853."""
+
+    SPAN = (0.0, 8e-8)
+
+    @pytest.fixture(scope="class")
+    def line(self):
+        batch = _tline_batch(16)
+        return batch, _reference(batch, self.SPAN, n_points=300)
+
+    def test_every_row_within_ten_units(self, line):
+        batch, reference = line
+        trajectory = solve_batch(batch, self.SPAN, n_points=300,
+                                 rtol=1e-7, atol=1e-9)
+        units = _units(trajectory, reference, 1e-7, 1e-9)
+        assert units.max() <= 10.0, units
+
+    def test_error_is_proportional_to_tolerance(self, line):
+        batch, reference = line
+        errors = [_units(solve_batch(batch, self.SPAN, n_points=300,
+                                     rtol=rtol, atol=1e-2 * rtol),
+                         reference, 1.0, 0.0).max()
+                  for rtol in (1e-6, 1e-7)]
+        assert errors[0] >= 5.0 * errors[1], errors
+
+
+class TestBreakpoints:
+    def test_tline_batch_carries_the_pulse_kinks(self):
+        assert _tline_batch(2).breakpoints == pulse_breakpoints(0.0, 2e-8)
+
+    def test_steps_end_on_every_kink(self):
+        # Every attempted step is 6 RHS calls after the first: stages at
+        # t + c h for c = 1/5, 3/10, 4/5, 8/9, 1 and the step's end. No
+        # attempt may straddle a kink, and an accepted one ends on each.
+        batch = _recording(_tline_batch(2))
+        solve_batch(batch, (0.0, 8e-8), n_points=300)
+        times = batch.times
+        assert (len(times) - 1) % 6 == 0
+        kinks = [point for point in batch.breakpoints
+                 if 0.0 < point < 8e-8]
+        assert len(kinks) == 3
+        ends = set(times[6::6])
+        for kink in kinks:
+            assert kink in ends
+        for first in range(1, len(times), 6):
+            h = (times[first + 4] - times[first]) / 0.8
+            start, end = times[first] - 0.2 * h, times[first + 5]
+            for kink in kinks:
+                assert not start + 1e-6 * h < kink < end - 1e-6 * h
+
+    def test_breakpoint_free_batch_is_unchanged(self):
+        # A system with no tagged input (the OBC max-cut network) has no
+        # breakpoints; it solves bit for bit as when the attribute is
+        # absent altogether.
+        batch = _maxcut_batch()
+        assert batch.breakpoints == ()
+        with_attribute = solve_batch(batch, (0.0, 100e-9), n_points=60)
+        del batch.breakpoints
+        without = solve_batch(batch, (0.0, 100e-9), n_points=60)
+        np.testing.assert_array_equal(with_attribute.y, without.y)
+        assert with_attribute.nfev == without.nfev

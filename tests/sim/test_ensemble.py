@@ -118,7 +118,7 @@ class TestRunEnsemble:
         from repro.sim import plan as plan_module
 
         def explode(*args, **kwargs):
-            raise SimulationError("rkf45 step size underflow (forced)")
+            raise SimulationError("dopri5 step size underflow (forced)")
 
         monkeypatch.setattr(plan_module, "solve_batch", explode)
         result = ens.run_ensemble(_pair_factory, range(3), (0.0, 1.0),
@@ -129,7 +129,7 @@ class TestRunEnsemble:
 
     def test_demoted_group_is_counted(self, monkeypatch, tmp_path,
                                       capsys):
-        # A stiff group whose batched rkf45 underflows is demoted to
+        # A stiff group whose batched dopri5 underflows is demoted to
         # scipy: the demotion is a counter in the run's report, and
         # `repro report` shows it. The demoted group is solved exactly
         # as an explicit RK45 sweep solves it, and it is not stored.
@@ -145,7 +145,7 @@ class TestRunEnsemble:
                                 n_points=40, method="RK45")
 
         def underflow(*args, **kwargs):
-            raise SimulationError("rkf45 step size underflow (forced)")
+            raise SimulationError("dopri5 step size underflow (forced)")
 
         monkeypatch.setattr(plan_module, "solve_batch", underflow)
         cache = TrajectoryCache()
@@ -179,13 +179,27 @@ class TestRunEnsemble:
         monkeypatch.setattr(plan_module, "solve_batch", explode)
         with pytest.raises(SimulationError, match="forced"):
             ens.run_ensemble(_pair_factory, range(3), (0.0, 1.0),
-                             n_points=40, method="rkf45")
+                             n_points=40, method="dopri5")
 
     def test_scipy_method_forces_serial(self):
         result = run_ensemble(_pair_factory, range(3), (0.0, 1.0),
                               n_points=40, method="LSODA")
         assert result.batches == []
         assert result.serial_indices == [0, 1, 2]
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_scipy_rows_report_their_nfev(self, processes):
+        # A scipy group counts the solve_ivp work of its rows, on the
+        # pool as in-process: solver.nfev is the sum of the rows' own
+        # simulate() counts.
+        result = run_ensemble(_picklable_factory, range(64), (0.0, 1.0),
+                              n_points=40, method="RK45",
+                              processes=processes, telemetry=True)
+        rows = [simulate(compile_graph(_pair_factory(seed)), (0.0, 1.0),
+                         n_points=40, method="RK45").nfev
+                for seed in range(64)]
+        assert all(rows)
+        assert result.telemetry.counter("solver.nfev") == sum(rows)
 
     def test_serial_engine_matches_batch(self):
         batch = run_ensemble(_pair_factory, range(4), (0.0, 2.0),
@@ -300,7 +314,7 @@ class TestBatchedSharding:
         assert sharded.serial_indices == []
 
     def test_sharded_rkf45_matches_at_tolerance(self, small_pool_groups):
-        # rkf45's shared step control sees each shard separately, so
+        # dopri5's shared step control sees each shard separately, so
         # sharded results agree at tolerance level (not bitwise).
         sharded = run_ensemble(_picklable_factory, range(8),
                                (0.0, 1.0), n_points=40, processes=2)
@@ -325,7 +339,7 @@ class TestBatchedSharding:
 
     def test_sharded_rkf45_results_stay_out_of_the_cache(
             self, small_pool_groups):
-        # Shard-split rkf45 runs per-shard step control, so its result
+        # Shard-split dopri5 runs per-shard step control, so its result
         # is not bit-reproducible by an unsharded rerun — storing it
         # would poison the cache's bit-for-bit replay contract.
         from repro.sim import TrajectoryCache

@@ -59,7 +59,7 @@ class TestValidation:
         assert not hasattr(repro, "simulate_ensemble")
 
     def test_dense_option_is_gone(self):
-        # rkf45 has one step loop, with dense output: there is no
+        # dopri5 has one step loop, with dense output: there is no
         # option that selects another.
         with pytest.raises(TypeError, match="dense"):
             run_ensemble(_ou_factory(), range(2), (0.0, 1.0),
@@ -160,13 +160,15 @@ class TestValidation:
         assert plan.noise == NoiseSpec(trials=3, method="heun-adaptive",
                                        noise_seed=4, reference=False)
 
-    @pytest.mark.parametrize("method", ["rk45", "RKF45", "euler"])
+    @pytest.mark.parametrize("method",
+                             ["rk45", "RKF45", "rkf45", "euler"])
     def test_unknown_ode_method_lists_valid_choices(self, method):
-        # rk45 used to alias rkf45; it and other unknown names must
-        # fail up front instead of reaching scipy's solve_ivp.
+        # rk45 used to alias rkf45, and rkf45 became dopri5; they and
+        # other unknown names must fail up front, naming the valid
+        # choices, instead of reaching scipy's solve_ivp.
         with pytest.raises(SimulationError,
                            match=f"unknown method '{method}'.*"
-                                 "auto, rkf45, rk4, RK23, RK45"):
+                                 "auto, dopri5, rk4, RK23, RK45"):
             run_ensemble(_ou_factory(0.0), range(2), (0.0, 1.0),
                          method=method)
 
@@ -333,7 +335,19 @@ func cell (nsig:real[0,inf]) uses leaky-noise {
                      "--method", "rk45"]) == 2
         err = capsys.readouterr().err
         assert "error: unknown method 'rk45'" in err
-        assert "auto, rkf45, rk4" in err
+        assert "auto, dopri5, rk4" in err
+
+    def test_rkf45_name_is_gone(self, noisy_file, capsys):
+        # The batched adaptive method is dopri5; its old name fails up
+        # front and points at the new one.
+        from repro.cli import main
+
+        assert main(["ensemble", noisy_file, "--arg", "nsig=0.3",
+                     "--t-end", "2.0", "--seeds", "2",
+                     "--method", "rkf45"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown method 'rkf45'" in err
+        assert "dopri5" in err and "Traceback" not in err
 
     def test_unified_noise_seed_shifts_realizations(self, noisy_file,
                                                     tmp_path, capsys):

@@ -167,13 +167,13 @@ class TestEvenParts:
 
 @pytest.mark.usefixtures("small_pool_groups")
 class TestRowSplit:
-    @pytest.mark.parametrize("method", ["rk4", "rkf45", "heun",
+    @pytest.mark.parametrize("method", ["rk4", "dopri5", "heun",
                                         "heun-adaptive"])
     def test_every_method_runs_the_even_split(self, method):
         # One split for every method, fixed-step or adaptive: each
         # group fans out into exactly len(even_parts(rows, processes))
         # shards.
-        if method in ("rk4", "rkf45"):
+        if method in ("rk4", "dopri5"):
             result = run_ensemble(TwoGroupFactory(), range(7), SPAN,
                                   processes=2,
                                   n_points=30, method=method,
@@ -204,7 +204,7 @@ class TestBitIdentity:
         _assert_no_leaks()
 
     def test_pool_matches_even_slices_rkf45(self, small_pool_groups):
-        # Adaptive steps depend on shard membership, so rkf45 is the
+        # Adaptive steps depend on shard membership, so dopri5 is the
         # strict test that the pool runs the canonical even split.
         factory = TwoGroupFactory()
         pool = run_ensemble(factory, range(8), SPAN, processes=2,
@@ -214,7 +214,7 @@ class TestBitIdentity:
             systems = [compile_graph(factory(seed)) for seed in group]
             reference = _even_slice_reference(
                 systems, lambda rhs, _part: solve_batch(
-                    rhs, SPAN, n_points=40, method="rkf45"))
+                    rhs, SPAN, n_points=40, method="dopri5"))
             np.testing.assert_array_equal(reference, batch.y)
         _assert_no_leaks()
 
@@ -405,7 +405,7 @@ class TestFailureHygiene:
 
     def test_worker_crash_with_auto_method_reruns_batched(self):
         # The auto method re-runs a crashed group with its batched
-        # rkf45 over the pool's even slices (no scipy demotion), so the
+        # dopri5 over the pool's even slices (no scipy demotion), so the
         # result is the one a healthy pool returns.
         result = run_ensemble(CrashFactory(), range(6), SPAN,
                               processes=2, n_points=30,
@@ -420,7 +420,7 @@ class TestFailureHygiene:
             result.batches[0].y,
             _even_slice_reference(
                 systems, lambda batch, part: solve_batch(
-                    batch, SPAN, n_points=30, method="rkf45")))
+                    batch, SPAN, n_points=30, method="dopri5")))
         assert result.telemetry.counter("plan.rerun_rows") == 6
         assert result.telemetry.counter("plan.demoted_rows") == 0
         _assert_no_leaks()

@@ -41,7 +41,7 @@ class TestMaskedAccuracy:
     """Masked runs must track the full-step solve within a tolerance
     commensurate with freeze_tol x the solver tolerance scale."""
 
-    @pytest.mark.parametrize("method", ["rkf45", "rk4"])
+    @pytest.mark.parametrize("method", ["dopri5", "rkf45", "rk4"])
     def test_masked_matches_full_within_tolerance(self, method):
         batch = _decay_batch()
         kwargs = dict(n_points=200, method=method)
@@ -166,9 +166,9 @@ class TestDivergenceContainment:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(SimulationError, match="underflow"):
-                bs._rkf45_dense_batch(nasty, np.linspace(0, 1, 50),
-                                      1e-7, 1e-9, 1.0 / 64.0, None)
-            out, frozen, *_ = bs._rkf45_dense_batch(
+                bs._dopri5_batch(nasty, np.linspace(0, 1, 50),
+                                 1e-7, 1e-9, 1.0 / 64.0, None)
+            out, frozen, *_ = bs._dopri5_batch(
                 nasty, np.linspace(0, 1, 50), 1e-7, 1e-9, 1.0 / 64.0,
                 1e-2)
         assert frozen[0] and not frozen[1]
