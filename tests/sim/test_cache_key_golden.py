@@ -31,10 +31,10 @@ class TlineFactory:
 
 
 GOLDEN = {
-    # 4 mismatch seeds, one batched rkf45 group.
-    "tline_rkf45": [
-        "d9e81f1c35f6346c66960114dcc3f916"
-        "ebe680ee52823574c5b055a823d3e039",
+    # 4 mismatch seeds, one batched dopri5 group.
+    "tline_dopri5": [
+        "745d71a3e0d7cb38687612b0b43abd68"
+        "dd23ca2048dc9aedddb6631dfd37b209",
     ],
     # 4 mismatch seeds, rk4, split over a 2-worker pool (storable:
     # fixed-step shards are bit-identical to the whole group).
@@ -61,9 +61,9 @@ def _pool_small_groups(small_pool_groups):
 
 
 def _sweep(case, directory):
-    if case == "tline_rkf45":
+    if case == "tline_dopri5":
         run_ensemble(TlineFactory(), range(4), TLINE_SPAN, n_points=40,
-                     method="rkf45", cache=directory)
+                     method="dopri5", cache=directory)
     elif case == "tline_pool_rk4":
         try:
             run_ensemble(TlineFactory(), range(4), TLINE_SPAN,

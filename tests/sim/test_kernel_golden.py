@@ -70,8 +70,8 @@ SOURCE_DIGESTS = {
 }
 
 TRAJECTORY_DIGESTS = {
-    "tline_rkf45_float32":
-        "0b3d9551cfd5c00ffb4d961a19abdb5ce672f97afb7840b521bd9415ce99b78f",
+    "tline_dopri5_float32":
+        "cea30ba4a155219229dd75b34183669da0775b5c49bf39b48ad80993a394b0fc",
     "puf_heun_float32":
         "d2f5687ce93bcf80c4a8ced06143ecf1454d2616b2bb3e748f012464d5777f7b",
 }
@@ -95,13 +95,13 @@ def _trajectory_digest(result):
     return digest.hexdigest()
 
 
-def test_tline_rkf45_float32_trajectories():
-    """16 mismatch seeds, one batched rkf45 group at float32."""
+def test_tline_dopri5_float32_trajectories():
+    """16 mismatch seeds, one batched dopri5 group at float32."""
     result = run_ensemble(lambda seed: mismatched_tline("gm", seed=seed),
                           range(16), TLINE_SPAN, n_points=120,
-                          method="rkf45", array_backend="numpy:float32")
+                          method="dopri5", array_backend="numpy:float32")
     assert _trajectory_digest(result) == \
-        TRAJECTORY_DIGESTS["tline_rkf45_float32"]
+        TRAJECTORY_DIGESTS["tline_dopri5_float32"]
 
 
 def test_puf_heun_float32_trajectories():

@@ -70,7 +70,7 @@ CASES = {
 
 GOLDEN = {
     "auto-16":
-        "cf3a98d9a0653f9b41c957a87db50428d7c285008041263dec15e5386497f4f1",
+        "12d05e615bda2f22133027a4b9d49d559798f24d0b8cc5fc88759889ed00d5ef",
     "rk4-64-pooled":
         "accf9f1ed7174da86a4c55e0f2b549511a410c315e9682d456210586066fc71b",
     "rk45-serial":
