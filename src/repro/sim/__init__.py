@@ -11,8 +11,9 @@ implementation runs them as vectorized batches (``--vectorize --bz
   precision, selected per run via ``run_ensemble(...,
   array_backend="numpy:float32")`` / ``--array-backend`` (see
   :func:`~repro.sim.batch_codegen.array_dtype`);
-* :mod:`repro.sim.batch_solver` — vectorized RK4 / adaptive Dormand–Prince 5(4) with
-  per-instance error control on a shared output grid, returning a
+* :mod:`repro.sim.batch_solver` — vectorized RK4 / adaptive
+  Dormand–Prince 5(4) with per-instance error control on a shared
+  output grid, returning a
   :class:`~repro.sim.batch_solver.BatchTrajectory`;
 * :mod:`repro.sim.plan` — the unified execution-plan layer: an
   :class:`~repro.sim.plan.ExecutionPlan`, whose fields are the one
