@@ -64,6 +64,10 @@ _DP_W[6, :6] = RK45.B
 _DP_W[7] = RK45.E
 _DP_P = RK45.P
 
+#: Retired method spellings :func:`solve_batch` still runs, and the
+#: method each one now names; cache keys hash the new name.
+RETIRED_METHODS = {"rkf45": "dopri5"}
+
 
 @dataclass
 class BatchTrajectory:
@@ -375,7 +379,7 @@ def _dopri5_batch(rhs: BatchRhs, grid: np.ndarray, rtol: float,
     min_step = 1e-14 * span
     # The step ends it may not cross: the breakpoints inside the span,
     # then the end of the span.
-    stops = [point for point in getattr(rhs, "breakpoints", ())
+    stops = [point for point in rhs.breakpoints
              if t < point < t_end] + [t_end]
     y = rhs.y0.copy()
     y_new = np.empty_like(y)
@@ -526,12 +530,11 @@ def solve_batch(batch: BatchRhs | list[OdeSystem],
     grid, work_grid, max_step = _solve_grids(t_span, n_points, t_eval,
                                              max_step, freeze_tol)
     preroll = len(work_grid) > len(grid)
-    name = method.lower()
+    name = RETIRED_METHODS.get(method.lower(), method.lower())
     if name == "rk4":
         y_out, frozen, nfev, accepted, rejected = _rk4_batch(
             batch, work_grid, max_step, rtol, atol, freeze_tol)
-    elif name in ("dopri5", "rkf45"):
-        name = "dopri5"
+    elif name == "dopri5":
         y_out, frozen, nfev, accepted, rejected = _dopri5_batch(
             batch, work_grid, rtol, atol, max_step, freeze_tol)
     else:

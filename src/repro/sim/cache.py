@@ -24,7 +24,10 @@ had a clip-to-grid mode, and every deterministic (``"batch"``) key
 hashed its ``dense=True`` flag. The flag is gone from the solver options, so
 :meth:`TrajectoryCache.key_for` folds in :data:`RETIRED_BATCH_OPTIONS`
 when it is absent, and every key, stored disk entries included, keeps
-its bytes.
+its bytes. Likewise a retired method spelling (``rkf45``, which
+:func:`~repro.sim.batch_solver.solve_batch` still runs as ``dopri5``)
+is hashed as the method it names, so a solve keyed under either
+spelling replays the other's entry.
 
 A batch whose identity cannot be established *stably* — e.g. a
 registered closure with no ``_ark_vector_key`` — is reported as
@@ -54,6 +57,7 @@ from repro import telemetry
 from repro.core import expr as E
 from repro.core.odesystem import OdeSystem
 from repro.sim.batch_codegen import canonical_spec
+from repro.sim.batch_solver import RETIRED_METHODS
 
 
 #: Folded into every key: bump whenever solver numerics change in a
@@ -228,6 +232,9 @@ class TrajectoryCache:
                       .tobytes())
         if kind == "batch":
             options = {**RETIRED_BATCH_OPTIONS, **options}
+            method = options.get("method")
+            if method in RETIRED_METHODS:
+                options["method"] = RETIRED_METHODS[method]
         for name in sorted(options):
             value = options[name]
             if name == "array_backend":

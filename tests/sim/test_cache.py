@@ -9,6 +9,7 @@ import repro
 from repro.core.compiler import compile_graph
 from repro.errors import SimulationError
 from repro.sim import TrajectoryCache, run_ensemble
+from repro.sim.batch_codegen import canonical_spec
 from repro.sim.cache import resolve_cache
 from repro.telemetry import RunReport, collect_metrics
 
@@ -75,6 +76,17 @@ class TestKeying:
             cache.key_for(systems, "batch", {**options, "dense": True})
         assert cache.key_for(systems, "sde", options) != \
             cache.key_for(systems, "sde", {**options, "dense": True})
+
+    def test_retired_rkf45_spelling_keys_as_dopri5(self):
+        # solve_batch runs method="rkf45" as dopri5, so its key is the
+        # dopri5 key; another method still gets its own.
+        cache = TrajectoryCache()
+        systems = _systems(range(3))
+        base = cache.key_for(systems, "batch", _OPTIONS)
+        assert cache.key_for(systems, "batch",
+                             dict(_OPTIONS, method="rkf45")) == base
+        assert cache.key_for(systems, "batch",
+                             dict(_OPTIONS, method="rk4")) != base
 
     def test_array_backend_spellings_share_one_key(self):
         # Regression (CACHE_SCHEMA 3): the array_backend option is
@@ -263,6 +275,23 @@ class TestEnsembleIntegration:
         assert warm.batches[0].y.dtype == np.float32
         np.testing.assert_array_equal(warm.batches[0].y,
                                       single.batches[0].y)
+
+    def test_rkf45_keyed_solve_replays_the_dopri5_sweep(self):
+        # The benchmark's traced t-line keys its group with
+        # method="rkf45" and every solver option it hands solve_batch;
+        # the entry an auto (dopri5) sweep stored must answer that key.
+        cache = TrajectoryCache()
+        result = run_ensemble(_factory, range(4), (0.0, 1.0),
+                              n_points=40, cache=cache)
+        options = {"t_span": (0.0, 1.0), "n_points": 40,
+                   "method": "rkf45", "rtol": 1e-7, "atol": 1e-9,
+                   "t_eval": None, "max_step": None, "dense": True,
+                   "freeze_tol": None,
+                   "array_backend": canonical_spec(None)}
+        hit = cache.get(cache.key_for(result.batches[0].systems, "batch",
+                                      options))
+        assert hit is not None
+        np.testing.assert_array_equal(hit[1], result.batches[0].y)
 
     def test_grid_change_misses(self):
         cache = TrajectoryCache()
